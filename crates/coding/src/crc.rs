@@ -7,16 +7,31 @@
 
 const POLY: u32 = 0xEDB8_8320; // reflected 0x04C11DB7
 
+/// `CRC_TABLE[b]` = the reflected CRC-32 register after shifting byte `b`
+/// through the polynomial eight times — the bitwise definition, evaluated
+/// once at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut k = 0;
+        while k < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (POLY & mask);
+            k += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+};
+
 /// Folds one byte into a running CRC-32 — the single implementation of
 /// the polynomial math, shared by the byte-slice and bit-slice fronts.
 #[inline]
-fn crc_fold_byte(mut crc: u32, byte: u8) -> u32 {
-    crc ^= byte as u32;
-    for _ in 0..8 {
-        let mask = (crc & 1).wrapping_neg();
-        crc = (crc >> 1) ^ (POLY & mask);
-    }
-    crc
+fn crc_fold_byte(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xff) as usize]
 }
 
 /// Computes the IEEE CRC-32 of a byte slice.

@@ -45,11 +45,7 @@ impl CodeRate {
 
     /// 802.11 puncture pattern over the rate-1/2 output stream: `true` =
     /// transmit, `false` = puncture. The pattern repeats.
-    pub fn keep_pattern(self) -> &'static [bool] {
-        self.pattern()
-    }
-
-    fn pattern(self) -> &'static [bool] {
+    pub fn pattern(self) -> &'static [bool] {
         match self {
             CodeRate::Half => &[true],
             // A: 1 1, B: 1 0  (interleaved as A0 B0 A1 B1): keep, keep, keep, drop
@@ -67,11 +63,20 @@ pub fn puncture(coded: &[bool], rate: CodeRate) -> Vec<bool> {
     out
 }
 
-/// [`puncture`] into a reused output buffer (cleared first).
-pub fn puncture_into(coded: &[bool], rate: CodeRate, out: &mut Vec<bool>) {
-    let pat = rate.pattern();
+/// [`puncture`] into a reused output buffer (cleared first), over hard
+/// bits or any per-position values (e.g. extrinsic LLRs). Rate 1/2 is a
+/// straight copy; the punctured rates walk the pattern one period at a
+/// time.
+pub fn puncture_into<T: Copy>(coded: &[T], rate: CodeRate, out: &mut Vec<T>) {
     out.clear();
-    out.extend(coded.iter().enumerate().filter(|(k, _)| pat[k % pat.len()]).map(|(_, &b)| b));
+    if rate == CodeRate::Half {
+        out.extend_from_slice(coded);
+        return;
+    }
+    let pat = rate.pattern();
+    for period in coded.chunks(pat.len()) {
+        out.extend(period.iter().zip(pat).filter(|&(_, &keep)| keep).map(|(&v, _)| v));
+    }
 }
 
 /// Reinserts erasures at punctured positions, restoring the rate-1/2 stream
@@ -89,15 +94,40 @@ pub fn depuncture_into(
     mother_len: usize,
     out: &mut Vec<CodedBit>,
 ) {
-    let pat = rate.pattern();
+    depuncture_map(received, rate, mother_len, CodedBit::Erased, CodedBit::from_bool, out);
+}
+
+/// The one depuncturing walk behind the hard and soft fronts: received
+/// values go through `kept` at transmitted positions, `erased` fills the
+/// punctured ones. Rate 1/2 is a straight (mapped) copy.
+///
+/// # Panics
+/// Panics when `received` is shorter or longer than the pattern implies
+/// for `mother_len`.
+fn depuncture_map<T: Copy, U: Copy>(
+    received: &[T],
+    rate: CodeRate,
+    mother_len: usize,
+    erased: U,
+    kept: impl Fn(T) -> U,
+    out: &mut Vec<U>,
+) {
     out.clear();
+    if rate == CodeRate::Half {
+        assert!(received.len() >= mother_len, "received stream shorter than pattern implies");
+        assert!(received.len() <= mother_len, "received stream longer than pattern implies");
+        out.extend(received.iter().map(|&v| kept(v)));
+        return;
+    }
+    let pat = rate.pattern();
     let mut it = received.iter();
-    for k in 0..mother_len {
-        if pat[k % pat.len()] {
-            let &b = it.next().expect("received stream shorter than pattern implies");
-            out.push(CodedBit::from_bool(b));
-        } else {
-            out.push(CodedBit::Erased);
+    for start in (0..mother_len).step_by(pat.len()) {
+        for &keep in &pat[..pat.len().min(mother_len - start)] {
+            out.push(if keep {
+                kept(*it.next().expect("received stream shorter than pattern implies"))
+            } else {
+                erased
+            });
         }
     }
     assert!(it.next().is_none(), "received stream longer than pattern implies");
@@ -176,18 +206,7 @@ pub fn depuncture_soft_into(
     mother_len: usize,
     out: &mut Vec<f64>,
 ) {
-    let pat = rate.pattern();
-    out.clear();
-    let mut it = received.iter();
-    for k in 0..mother_len {
-        if pat[k % pat.len()] {
-            let &l = it.next().expect("received stream shorter than pattern implies");
-            out.push(l);
-        } else {
-            out.push(0.0);
-        }
-    }
-    assert!(it.next().is_none(), "received stream longer than pattern implies");
+    depuncture_map(received, rate, mother_len, 0.0, |l| l, out);
 }
 
 #[cfg(test)]

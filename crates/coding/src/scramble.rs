@@ -6,10 +6,53 @@
 //! is an involution given the same seed: applying it twice restores the
 //! input.
 
-/// The 802.11 scrambler (7-bit LFSR, `x⁷ + x⁴ + 1`).
+/// Period of the maximal-length 7-bit LFSR, `2⁷ − 1`.
+const PERIOD: usize = 127;
+
+/// One LFSR step from register `state`: the next register and the
+/// keystream bit — the scrambler's definition, from which the tables
+/// below are built at compile time.
+const fn lfsr_step(state: u8) -> (u8, bool) {
+    let bit = ((state >> 6) ^ (state >> 3)) & 1;
+    (((state << 1) | bit) & 0x7f, bit == 1)
+}
+
+/// The keystream from register 1, stored twice so that any 127-bit window
+/// starting inside the first period is contiguous. Every nonzero register
+/// lies on this one cycle, so every seed's keystream is a window of it.
+const KEYSTREAM: [bool; 2 * PERIOD] = {
+    let mut ks = [false; 2 * PERIOD];
+    let mut state = 1u8;
+    let mut k = 0;
+    while k < PERIOD {
+        let (next, bit) = lfsr_step(state);
+        ks[k] = bit;
+        ks[k + PERIOD] = bit;
+        state = next;
+        k += 1;
+    }
+    ks
+};
+
+/// `PHASE_OF[r]` = the keystream position register `r` emits next.
+const PHASE_OF: [u8; 128] = {
+    let mut phase = [0u8; 128];
+    let mut state = 1u8;
+    let mut k = 0;
+    while k < PERIOD {
+        phase[state as usize] = k as u8;
+        state = lfsr_step(state).0;
+        k += 1;
+    }
+    phase
+};
+
+/// The 802.11 scrambler (7-bit LFSR, `x⁷ + x⁴ + 1`), applied by XOR with
+/// the precomputed keystream.
 #[derive(Clone, Debug)]
 pub struct Scrambler {
-    state: u8,
+    /// The LFSR register, as its position in [`KEYSTREAM`].
+    phase: u8,
 }
 
 impl Scrambler {
@@ -20,7 +63,7 @@ impl Scrambler {
     /// Panics when `seed == 0` or `seed > 0x7f`.
     pub fn new(seed: u8) -> Self {
         assert!(seed != 0 && seed <= 0x7f, "seed must be a nonzero 7-bit value");
-        Scrambler { state: seed }
+        Scrambler { phase: PHASE_OF[seed as usize] }
     }
 
     /// The 802.11 reference seed used throughout the workspace.
@@ -28,19 +71,17 @@ impl Scrambler {
         Scrambler::new(0b1011101)
     }
 
-    /// Advances the LFSR one step, returning the keystream bit.
-    #[inline]
-    fn step(&mut self) -> bool {
-        let bit = ((self.state >> 6) ^ (self.state >> 3)) & 1;
-        self.state = ((self.state << 1) | bit) & 0x7f;
-        bit == 1
-    }
-
-    /// Scrambles (or descrambles) a bit slice in place.
+    /// Scrambles (or descrambles) a bit slice in place, leaving the
+    /// register where a bit-at-a-time LFSR would.
     pub fn apply_in_place(&mut self, bits: &mut [bool]) {
-        for b in bits {
-            *b ^= self.step();
+        let mut phase = self.phase as usize;
+        for period in bits.chunks_mut(PERIOD) {
+            for (b, &k) in period.iter_mut().zip(&KEYSTREAM[phase..phase + PERIOD]) {
+                *b ^= k;
+            }
+            phase = (phase + period.len()) % PERIOD;
         }
+        self.phase = phase as u8;
     }
 
     /// Scrambles (or descrambles) a bit slice, returning a new vector.
@@ -67,8 +108,7 @@ mod tests {
     #[test]
     fn keystream_has_period_127() {
         // A maximal-length 7-bit LFSR has period 2^7 - 1 = 127.
-        let mut s = Scrambler::new(1);
-        let stream: Vec<bool> = (0..254).map(|_| s.step()).collect();
+        let stream = Scrambler::new(1).apply(&[false; 254]);
         assert_eq!(&stream[..127], &stream[127..]);
         // and no shorter period dividing 127 (127 is prime, so just check
         // the stream isn't constant).
@@ -83,6 +123,29 @@ mod tests {
         let ones = out.iter().filter(|&&b| b).count();
         // A maximal LFSR outputs 64 ones per 127-bit period.
         assert_eq!(ones, 64);
+    }
+
+    #[test]
+    fn keystream_matches_bitwise_lfsr() {
+        // Every seed and length, split across calls at odd offsets: the
+        // table-driven XOR and the carried register equal stepping the
+        // LFSR one bit at a time.
+        for seed in 1..=0x7fu8 {
+            let mut state = seed;
+            let reference: Vec<bool> = (0..300)
+                .map(|_| {
+                    let (next, bit) = lfsr_step(state);
+                    state = next;
+                    bit
+                })
+                .collect();
+            let mut s = Scrambler::new(seed);
+            let mut got = s.apply(&[false; 5]);
+            got.extend(s.apply(&[false; 131]));
+            got.extend(s.apply(&[false; 164]));
+            assert_eq!(got, reference, "seed {seed:#x}");
+            assert_eq!(s.phase, PHASE_OF[state as usize], "seed {seed:#x}");
+        }
     }
 
     #[test]

@@ -4,6 +4,41 @@
 //! used after depuncturing. The trellis is the 64-state one defined in
 //! [`crate::conv`]; decoding assumes the encoder appended the 6 zero tail
 //! bits (terminated trellis).
+//!
+//! ## Survivors
+//!
+//! Every decoder keeps one *decision bit* per (step, state, stream), packed
+//! into `n` 64-bit words per trellis step for `n` lockstep streams: bit
+//! `state·n + s` of step `t`'s words is set when stream `s`'s survivor into
+//! `state` came from the upper predecessor. Destination `state` has the
+//! predecessors `2k` and `2k + 1` (`k = state mod 32`) and was entered by
+//! input bit `state ≥ 32`, so the traceback rebuilds the predecessor as
+//! `2k + bit` and reads the decoded bit off the state itself: 8 bytes of
+//! survivor memory per step and stream.
+//!
+//! ## Renormalisation in the 16-bit AVX2 kernel
+//!
+//! The four-stream lockstep decoder's AVX2 kernel keeps path metrics in
+//! 16-bit lanes — one 256-bit op advances 4 butterflies × 4 streams — and
+//! every [`RENORM_INTERVAL`] steps subtracts each stream's minimum metric
+//! from all of that stream's states. Its output is bit-identical to the
+//! `u32` scalar loop (the `GS_SIMD=off` reference) because:
+//!
+//! * **Selections see only differences.** Every decision compares two
+//!   candidates `c0 = m(2k) + b0` and `c1 = m(2k+1) + b1` of one stream.
+//!   Subtracting the same amount from all of a stream's metrics leaves
+//!   `c1 < c0` — and so every tie-break — unchanged.
+//! * **Nothing wraps.** Branch costs are at most 2 per step. Once the
+//!   trellis has run `K − 1 = 6` steps every state is reachable from every
+//!   state in 6 steps, so a stream's metrics spread over at most `2·6`; a
+//!   renormalised stream therefore starts at most 12 and stays below
+//!   `12 + 2·RENORM_INTERVAL` until the next renormalisation.
+//! * **Unreachable states still lose.** The scalar loop starts the 63
+//!   states other than 0 at `u32::MAX / 2`, the kernel at `INF = 0x2000`.
+//!   Both exceed any reachable metric of the first 6 steps (≤ 12), and a
+//!   metric derived from an unreachable start is that start plus the same
+//!   path cost in both, so comparisons among such metrics agree too. After
+//!   6 steps every survivor is reachable and no start value remains.
 
 use crate::conv::{CONSTRAINT, NUM_STATES, OUTPUT_TABLE};
 
@@ -31,7 +66,7 @@ impl CodedBit {
 
     /// Hamming cost of hypothesizing transmitted bit `tx`.
     #[inline]
-    fn cost(self, tx: bool) -> u32 {
+    const fn cost(self, tx: bool) -> u32 {
         match self {
             CodedBit::Erased => 0,
             CodedBit::Zero => tx as u32,
@@ -52,6 +87,10 @@ pub fn decode(coded: &[bool]) -> Vec<bool> {
 /// Half the butterfly count: destinations `k` and `k + HALF` share the
 /// predecessor pair `{2k, 2k+1}`.
 const HALF: usize = NUM_STATES / 2;
+
+/// Steps between two renormalisations of the 16-bit AVX2 kernel's path
+/// metrics (see the module docs).
+pub const RENORM_INTERVAL: usize = 512;
 
 /// Per-butterfly branch-output bits, hoisted from [`OUTPUT_TABLE`] at
 /// compile time so the add-compare-select loop is pure contiguous
@@ -106,16 +145,18 @@ const IDX_LO1: [u8; HALF] = pattern_indices(&B_LO_IN1);
 const IDX_HI1: [u8; HALF] = pattern_indices(&B_HI_IN1);
 
 /// Reusable trellis scratch for the Viterbi decoders: hard/soft path
-/// metrics plus the flat survivor slab. Hold one per receiver and pass it
-/// to [`decode_with_erasures_into`]/[`decode_soft_into`] — after the first
-/// frame of a given length, decoding performs zero heap allocations.
+/// metrics plus the bit-packed survivor decisions. Hold one per receiver
+/// and pass it to [`decode_with_erasures_into`]/[`decode_soft_into`] —
+/// after the first frame of a given length, decoding performs zero heap
+/// allocations.
 #[derive(Clone, Debug, Default)]
 pub struct ViterbiWorkspace {
     metric_u: Vec<u32>,
     next_u: Vec<u32>,
     metric_f: Vec<f64>,
     next_f: Vec<f64>,
-    survivors: Vec<u8>,
+    /// Survivor decisions, `n` words per trellis step (module docs).
+    decisions: Vec<u64>,
     /// Per-step branch-cost table for the multi-stream decoder:
     /// `cost[idx · n + s]` for pattern `idx ∈ 0..4` and stream `s`.
     cost: Vec<u32>,
@@ -125,6 +166,32 @@ impl ViterbiWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Per-stream traceback from state 0 (terminated trellis) over the
+/// decisions of `n` lockstep streams, filling `out` stream-major with the
+/// `steps − (K−1)` information bits of each stream. Up to eight streams
+/// walk back together so their dependency chains overlap.
+fn traceback(decisions: &[u64], n: usize, steps: usize, out: &mut Vec<bool>) {
+    let info_len = steps - (CONSTRAINT - 1);
+    out.clear();
+    out.resize(n * info_len, false);
+    for first in (0..n).step_by(8) {
+        let group = (n - first).min(8);
+        let mut states = [0usize; 8];
+        for t in (0..steps).rev() {
+            let row = &decisions[t * n..(t + 1) * n];
+            for (g, state) in states[..group].iter_mut().enumerate() {
+                let s = first + g;
+                if t < info_len {
+                    out[s * info_len + t] = *state >= HALF;
+                }
+                let bit = *state * n + s;
+                let take_hi = (row[bit / 64] >> (bit % 64)) & 1;
+                *state = 2 * (*state % HALF) + take_hi as usize;
+            }
+        }
     }
 }
 
@@ -160,11 +227,7 @@ pub fn decode_with_erasures_into(
     ws.metric_u.clear();
     ws.metric_u.resize(NUM_STATES, INF);
     ws.metric_u[0] = 0;
-    // survivors[t*NUM_STATES + state] = predecessor input bit packed with
-    // predecessor state: bit 7 = input, low 6 bits = previous state. One
-    // flat slab for the whole trellis — no per-step allocation.
-    ws.survivors.clear();
-    ws.survivors.resize(steps * NUM_STATES, 0);
+    ws.decisions.resize(steps, 0); // every step's word is overwritten
 
     ws.next_u.clear();
     ws.next_u.resize(NUM_STATES, 0);
@@ -179,9 +242,8 @@ pub fn decode_with_erasures_into(
         let d0 = rx0.cost(true).wrapping_sub(c0f);
         let d1 = rx1.cost(true).wrapping_sub(c1f);
         let base = c0f + c1f;
-        let surv = &mut ws.survivors[t * NUM_STATES..(t + 1) * NUM_STATES];
-        let (surv_in0, surv_in1) = surv.split_at_mut(HALF);
         let (next_in0, next_in1) = ws.next_u.split_at_mut(HALF);
+        let mut take_hi_bits = 0u64;
         // Destination-major butterflies: dest k (new bit 0) and k + HALF
         // (new bit 1) both choose between predecessors 2k and 2k+1 —
         // branchless, every destination written exactly once. Unreachable
@@ -201,9 +263,8 @@ pub fn decode_with_erasures_into(
                 .wrapping_add(B_HI_IN0.o1[k].wrapping_mul(d1));
             let c0 = m0 + bc_lo0;
             let c1 = m1 + bc_hi0;
-            let take_hi = (c1 < c0) as u32;
             next_in0[k] = if c1 < c0 { c1 } else { c0 };
-            surv_in0[k] = (2 * k) as u8 + take_hi as u8;
+            take_hi_bits |= ((c1 < c0) as u64) << k;
 
             let bc_lo1 = base
                 .wrapping_add(B_LO_IN1.o0[k].wrapping_mul(d0))
@@ -213,24 +274,13 @@ pub fn decode_with_erasures_into(
                 .wrapping_add(B_HI_IN1.o1[k].wrapping_mul(d1));
             let c0 = m0 + bc_lo1;
             let c1 = m1 + bc_hi1;
-            let take_hi = (c1 < c0) as u32;
             next_in1[k] = if c1 < c0 { c1 } else { c0 };
-            surv_in1[k] = 0x80 | ((2 * k) as u8 + take_hi as u8);
+            take_hi_bits |= ((c1 < c0) as u64) << (k + HALF);
         }
+        ws.decisions[t] = take_hi_bits;
         std::mem::swap(&mut ws.metric_u, &mut ws.next_u);
     }
-
-    // Terminated trellis: trace back from state 0, writing each step's bit
-    // straight to its final position.
-    let mut state = 0usize;
-    out.clear();
-    out.resize(steps, false);
-    for t in (0..steps).rev() {
-        let s = ws.survivors[t * NUM_STATES + state];
-        out[t] = s & 0x80 != 0;
-        state = (s & 0x3f) as usize;
-    }
-    out.truncate(steps - (CONSTRAINT - 1)); // drop tail bits
+    traceback(&ws.decisions, 1, steps, out);
 }
 
 /// Decodes `n_streams` equal-length terminated rate-1/2 streams in one
@@ -245,11 +295,12 @@ pub fn decode_with_erasures_into(
 ///
 /// Path metrics live in stream-interleaved SoA rows (`metric[state·n + s]`)
 /// so the 32-butterfly add-compare-select inner loop walks contiguous
-/// slabs — one pass advances every stream's trellis, and with four streams
-/// on `x86_64`/AVX2 each butterfly is a handful of 128-bit integer ops.
-/// Every stream's metrics, tie-breaks, and traceback are the *same
-/// arithmetic* as the single-stream decoder (exact integer ops, identical
-/// `c1 < c0` selection), so output is bit-identical per stream.
+/// slabs — one pass advances every stream's trellis. Four streams on the
+/// AVX2 tier of [`gs_linalg::simd::active_tier`] run the 16-bit kernel
+/// instead (module docs). Every stream's metrics, tie-breaks, and
+/// traceback are the *same arithmetic* as the single-stream decoder (exact
+/// integer ops, identical `c1 < c0` selection), so output is bit-identical
+/// per stream.
 ///
 /// # Panics
 /// Panics when `n_streams` is zero, `streams.len()` is not divisible by
@@ -269,6 +320,19 @@ pub fn decode_multi_with_erasures_into(
     assert!(steps >= CONSTRAINT - 1, "stream shorter than the termination tail");
     let _prof = gs_prof::scope(gs_prof::Stage::Viterbi);
     _prof.add_bytes((n * steps) as u64 / 8);
+    ws.decisions.resize(steps * n, 0); // every step's words are overwritten
+
+    #[cfg(target_arch = "x86_64")]
+    if n == 4 && gs_linalg::simd::active_tier() == gs_linalg::simd::Tier::Avx2 {
+        // SAFETY: `active_tier()` reports AVX2 only after runtime
+        // detection (or `force_tier`) confirmed the CPU supports it.
+        #[allow(unsafe_code)]
+        unsafe {
+            avx2::forward_n4(streams, &mut ws.decisions)
+        };
+        traceback(&ws.decisions, n, steps, out);
+        return;
+    }
 
     const INF: u32 = u32::MAX / 2;
     ws.metric_u.clear();
@@ -276,15 +340,8 @@ pub fn decode_multi_with_erasures_into(
     ws.metric_u[..n].fill(0); // state 0, every stream
     ws.next_u.clear();
     ws.next_u.resize(NUM_STATES * n, 0);
-    // survivors[t·NUM_STATES·n + state·n + s], packed as in the
-    // single-stream decoder (bit 7 = input, low 6 bits = predecessor).
-    ws.survivors.clear();
-    ws.survivors.resize(steps * NUM_STATES * n, 0);
     ws.cost.clear();
     ws.cost.resize(4 * n, 0);
-
-    #[cfg(target_arch = "x86_64")]
-    let use_avx2 = n == 4 && std::arch::is_x86_feature_detected!("avx2");
 
     for t in 0..steps {
         // Per-stream branch-cost row: a transition emitting (o0, o1) costs
@@ -303,18 +360,8 @@ pub fn decode_multi_with_erasures_into(
             ws.cost[2 * n + s] = base.wrapping_add(d0);
             ws.cost[3 * n + s] = base.wrapping_add(d0).wrapping_add(d1);
         }
-        let surv = &mut ws.survivors[t * NUM_STATES * n..(t + 1) * NUM_STATES * n];
-        #[cfg(target_arch = "x86_64")]
-        if use_avx2 {
-            // Safety: AVX2 confirmed by runtime detection above.
-            #[allow(unsafe_code)]
-            unsafe {
-                avx2::acs_step_n4(&ws.metric_u, &mut ws.next_u, &ws.cost, surv)
-            };
-            std::mem::swap(&mut ws.metric_u, &mut ws.next_u);
-            continue;
-        }
-        let (surv_in0, surv_in1) = surv.split_at_mut(HALF * n);
+        let dec = &mut ws.decisions[t * n..(t + 1) * n];
+        dec.fill(0);
         let (next_in0, next_in1) = ws.next_u.split_at_mut(HALF * n);
         // The single-stream destination-major butterfly with streams as the
         // innermost (contiguous) axis; identical metric arithmetic and
@@ -333,97 +380,211 @@ pub fn decode_multi_with_erasures_into(
                 let c1 = m1 + hi0[s];
                 let take_hi = c1 < c0;
                 next_in0[k * n + s] = if take_hi { c1 } else { c0 };
-                surv_in0[k * n + s] = (2 * k) as u8 + take_hi as u8;
+                let bit = k * n + s;
+                dec[bit / 64] |= (take_hi as u64) << (bit % 64);
 
                 let c0 = m0 + lo1[s];
                 let c1 = m1 + hi1[s];
                 let take_hi = c1 < c0;
                 next_in1[k * n + s] = if take_hi { c1 } else { c0 };
-                surv_in1[k * n + s] = 0x80 | ((2 * k) as u8 + take_hi as u8);
+                let bit = (k + HALF) * n + s;
+                dec[bit / 64] |= (take_hi as u64) << (bit % 64);
             }
         }
         std::mem::swap(&mut ws.metric_u, &mut ws.next_u);
     }
-
-    // Per-stream traceback from state 0 (terminated trellis), writing each
-    // stream's bits to its slice of the flat output.
-    let info_len = steps - (CONSTRAINT - 1);
-    out.clear();
-    out.resize(n * info_len, false);
-    for s in 0..n {
-        let mut state = 0usize;
-        for t in (0..steps).rev() {
-            let sv = ws.survivors[t * NUM_STATES * n + state * n + s];
-            if t < info_len {
-                out[s * info_len + t] = sv & 0x80 != 0;
-            }
-            state = (sv & 0x3f) as usize;
-        }
-    }
+    traceback(&ws.decisions, n, steps, out);
 }
 
-/// AVX2 backend for the four-stream add-compare-select step. Same safety
-/// contract as the `gs-linalg` SIMD backends: `unsafe fn` +
+/// The 16-bit-lane AVX2 forward pass of the four-stream decoder. Same
+/// safety contract as the `gs-linalg` SIMD backends: `unsafe fn` +
 /// `#[target_feature]`, reached only after runtime detection.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{HALF, IDX_HI0, IDX_HI1, IDX_LO0, IDX_LO1};
+    use super::{CodedBit, CONSTRAINT, HALF, IDX_HI0, IDX_HI1, IDX_LO0, IDX_LO1, RENORM_INTERVAL};
     use std::arch::x86_64::*;
 
-    /// One trellis step for exactly four streams: `metric`/`next` are
-    /// `NUM_STATES·4` stream-interleaved u32 rows, `cost` the 4×4 branch
-    /// table, `surv` the step's `NUM_STATES·4` survivor bytes.
+    /// Start metric of the 63 states other than 0 (module docs).
+    const INF: u16 = 0x2000;
+
+    /// Largest branch cost of one step (two unerased mismatches).
+    const MAX_BRANCH: usize = 2;
+
+    // The module docs' headroom argument, checked: unreachable starts lose
+    // to every reachable metric of the first K − 1 steps, and no metric
+    // (nor a candidate one branch further) leaves the u16 range.
+    const _: () = {
+        let spread = MAX_BRANCH * (CONSTRAINT - 1);
+        assert!(INF as usize > spread);
+        assert!(INF as usize + spread + MAX_BRANCH <= u16::MAX as usize);
+        assert!(spread + MAX_BRANCH * (RENORM_INTERVAL + 1) <= u16::MAX as usize);
+    };
+
+    // Both generators tap the input bit and the oldest register bit, so a
+    // butterfly's four transitions use one pattern index `p` and its
+    // complement `3 − p`: lo/in0 and hi/in1 emit `p`, hi/in0 and lo/in1
+    // emit `3 − p`.
+    const _: () = {
+        let mut k = 0;
+        while k < HALF {
+            let p = IDX_LO0[k];
+            assert!(IDX_HI1[k] == p && IDX_HI0[k] == 3 - p && IDX_LO1[k] == 3 - p);
+            k += 1;
+        }
+    };
+
+    // The branch-cost rows below index by the discriminant.
+    const _: () = assert!(
+        CodedBit::Zero as usize == 0
+            && CodedBit::One as usize == 1
+            && CodedBit::Erased as usize == 2
+    );
+
+    /// `COST_ROW[rx0·3 + rx1]`, one 256-bit vector: word `4p` holds the
+    /// cost of transition pattern `p = o0·2 + o1` against the received
+    /// pair, the other words zero. Shifting stream `s`'s row left by
+    /// `16·s` bits within each 64-bit quad and OR-ing the four streams
+    /// builds the step's cost vector (quad `p`, word `s`).
+    const COST_ROW: [[u16; 16]; 9] = {
+        const fn hamming(rx: usize, tx: usize) -> u16 {
+            if rx == 2 {
+                0
+            } else {
+                (rx != tx) as u16
+            }
+        }
+        let mut rows = [[0u16; 16]; 9];
+        let mut pair = 0;
+        while pair < 9 {
+            let mut p = 0;
+            while p < 4 {
+                rows[pair][4 * p] = hamming(pair / 3, p / 2) + hamming(pair % 3, p % 2);
+                p += 1;
+            }
+            pair += 1;
+        }
+        rows
+    };
+
+    /// `vpermd` indices that gather butterfly group `g`'s cost quads from
+    /// the step's cost vector: `GROUP_ROWS[g]` puts pattern
+    /// `IDX_LO0[4g + j]` in quad `j`, `GROUP_ROWS[8 + g]` its complement.
+    const GROUP_ROWS: [[i32; 8]; 16] = {
+        let mut rows = [[0i32; 8]; 16];
+        let mut g = 0;
+        while g < 8 {
+            let mut j = 0;
+            while j < 4 {
+                let p = IDX_LO0[4 * g + j] as i32;
+                rows[g][2 * j] = 2 * p;
+                rows[g][2 * j + 1] = 2 * p + 1;
+                rows[8 + g][2 * j] = 2 * (3 - p);
+                rows[8 + g][2 * j + 1] = 2 * (3 - p) + 1;
+                j += 1;
+            }
+            g += 1;
+        }
+        rows
+    };
+
+    /// Qword order `[0, 2, 1, 3]`: undoes the in-lane interleave of the
+    /// 64-bit unpacks and of `packs`.
+    const ORDER_0213: i32 = 0b11_01_10_00;
+
+    /// The forward pass for exactly four streams (`streams` stream-major
+    /// flat, as in [`super::decode_multi_with_erasures_into`]), writing
+    /// four decision words per step into `decisions`.
     ///
-    /// Per butterfly `k` one 256-bit load yields both predecessor rows ×
-    /// four streams; unsigned `min` and a `min == c0` compare reproduce
-    /// the scalar `c1 < c0` selection exactly (ties keep the lower
-    /// predecessor in both).
+    /// Metrics live in 16 vectors: vector `v` holds states `4v..4v+4`, 16
+    /// bits per (state, stream) at word `4·(state − 4v) + stream`.
+    /// Butterfly group `g` reads states `8g..8g+8` (vectors `2g`, `2g+1`),
+    /// splits them into even and odd predecessors, and writes destinations
+    /// `4g..4g+4` (vector `g`, input 0) and `32+4g..` (vector `8+g`,
+    /// input 1) — no shuffles on the store side.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn acs_step_n4(
-        metric: &[u32],
-        next: &mut [u32],
-        cost: &[u32],
-        surv: &mut [u8],
-    ) {
-        debug_assert_eq!(metric.len(), HALF * 8);
-        debug_assert_eq!(next.len(), HALF * 8);
-        debug_assert_eq!(cost.len(), 16);
-        debug_assert_eq!(surv.len(), HALF * 8);
-        let costs: [__m128i; 4] = [
-            _mm_loadu_si128(cost.as_ptr().cast()),
-            _mm_loadu_si128(cost.as_ptr().add(4).cast()),
-            _mm_loadu_si128(cost.as_ptr().add(8).cast()),
-            _mm_loadu_si128(cost.as_ptr().add(12).cast()),
-        ];
-        // Low byte of each 32-bit lane → bytes 0..4 of the vector.
-        let pack = _mm_set_epi8(-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 12, 8, 4, 0);
-        let one = _mm_set1_epi32(1);
-        let in1_flag = _mm_set1_epi32(0x80);
-        for k in 0..HALF {
-            let m = _mm256_loadu_si256(metric.as_ptr().add(8 * k).cast());
-            let m0 = _mm256_castsi256_si128(m);
-            let m1 = _mm256_extracti128_si256::<1>(m);
-            let base = _mm_set1_epi32(2 * k as i32);
+    pub(super) unsafe fn forward_n4(streams: &[CodedBit], decisions: &mut [u64]) {
+        let len = streams.len() / 4;
+        let steps = len / 2;
+        // The 16-bit decision stores below rely on this length.
+        assert_eq!(decisions.len(), 4 * steps, "four decision words per step");
+        let inf = _mm256_set1_epi16(INF as i16);
+        let inf_quad = (INF as i64) * 0x0001_0001_0001_0001;
+        let mut a = [inf; 16];
+        let mut b = [inf; 16];
+        a[0] = _mm256_set_epi64x(inf_quad, inf_quad, inf_quad, 0); // state 0 starts at 0
+        let (mut cur, mut next) = (&mut a, &mut b);
+        let row = |pair: usize| _mm256_loadu_si256(COST_ROW[pair].as_ptr().cast());
+        for t in 0..steps {
+            let pair = |s: usize| {
+                let i = s * len + 2 * t;
+                streams[i] as usize * 3 + streams[i + 1] as usize
+            };
+            let costs = _mm256_or_si256(
+                _mm256_or_si256(row(pair(0)), _mm256_slli_epi64::<16>(row(pair(1)))),
+                _mm256_or_si256(
+                    _mm256_slli_epi64::<32>(row(pair(2))),
+                    _mm256_slli_epi64::<48>(row(pair(3))),
+                ),
+            );
+            // SAFETY: `4·t < decisions.len()` by the length assert.
+            let dec = decisions.as_mut_ptr().add(4 * t).cast::<u16>();
+            for g in 0..HALF / 4 {
+                let lo = cur[2 * g];
+                let hi = cur[2 * g + 1];
+                let even = _mm256_permute4x64_epi64::<ORDER_0213>(_mm256_unpacklo_epi64(lo, hi));
+                let odd = _mm256_permute4x64_epi64::<ORDER_0213>(_mm256_unpackhi_epi64(lo, hi));
+                let idx = |r: usize| _mm256_loadu_si256(GROUP_ROWS[r].as_ptr().cast());
+                let pat = _mm256_permutevar8x32_epi32(costs, idx(g));
+                let inv = _mm256_permutevar8x32_epi32(costs, idx(8 + g));
 
-            let c0 = _mm_add_epi32(m0, costs[IDX_LO0[k] as usize]);
-            let c1 = _mm_add_epi32(m1, costs[IDX_HI0[k] as usize]);
-            let best = _mm_min_epu32(c0, c1);
-            _mm_storeu_si128(next.as_mut_ptr().add(4 * k).cast(), best);
-            // take_hi ⇔ best ≠ c0 (a tie keeps the lower predecessor).
-            let keep_lo = _mm_cmpeq_epi32(best, c0);
-            let sv = _mm_add_epi32(base, _mm_andnot_si128(keep_lo, one));
-            let packed = _mm_cvtsi128_si32(_mm_shuffle_epi8(sv, pack)) as u32;
-            surv.as_mut_ptr().add(4 * k).cast::<u32>().write_unaligned(packed.to_le());
+                // take_hi ⇔ min(c0, c1) ≠ c0: a tie keeps the lower
+                // predecessor, exactly the scalar `c1 < c0`.
+                let c0 = _mm256_add_epi16(even, pat);
+                let best0 = _mm256_min_epu16(c0, _mm256_add_epi16(odd, inv));
+                let keep0 = _mm256_cmpeq_epi16(best0, c0);
+                let c0 = _mm256_add_epi16(even, inv);
+                let best1 = _mm256_min_epu16(c0, _mm256_add_epi16(odd, pat));
+                let keep1 = _mm256_cmpeq_epi16(best1, c0);
+                next[g] = best0;
+                next[8 + g] = best1;
 
-            let c0 = _mm_add_epi32(m0, costs[IDX_LO1[k] as usize]);
-            let c1 = _mm_add_epi32(m1, costs[IDX_HI1[k] as usize]);
-            let best = _mm_min_epu32(c0, c1);
-            _mm_storeu_si128(next.as_mut_ptr().add(4 * (k + HALF)).cast(), best);
-            let keep_lo = _mm_cmpeq_epi32(best, c0);
-            let sv = _mm_or_si128(in1_flag, _mm_add_epi32(base, _mm_andnot_si128(keep_lo, one)));
-            let packed = _mm_cvtsi128_si32(_mm_shuffle_epi8(sv, pack)) as u32;
-            surv.as_mut_ptr().add(4 * (k + HALF)).cast::<u32>().write_unaligned(packed.to_le());
+                // One bit per (state, stream) in state-major order: the
+                // low 16 bits cover states 4g.., the high 16 states 32+4g...
+                let packed =
+                    _mm256_permute4x64_epi64::<ORDER_0213>(_mm256_packs_epi16(keep0, keep1));
+                let take_hi = !(_mm256_movemask_epi8(packed) as u32);
+                // SAFETY: `dec` points at step `t`'s four u64 words
+                // (`4·t + 3 < decisions.len()` by the assert above), i.e.
+                // 16 u16 slots; `g < 8` keeps both writes inside them.
+                dec.add(g).write(take_hi as u16);
+                dec.add(8 + g).write((take_hi >> 16) as u16);
+            }
+            if (t + 1) % RENORM_INTERVAL == 0 {
+                renormalise(next);
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+    }
+
+    /// Subtracts each stream's minimum metric from all 64 of its states.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn renormalise(metrics: &mut [__m256i; 16]) {
+        let mut min = metrics[0];
+        for &m in &metrics[1..] {
+            min = _mm256_min_epu16(min, m);
+        }
+        // Fold the four state quads so every quad holds the per-stream min.
+        min = _mm256_min_epu16(min, _mm256_permute4x64_epi64::<0b01_00_11_10>(min));
+        min = _mm256_min_epu16(min, _mm256_permute4x64_epi64::<0b10_11_00_01>(min));
+        for m in metrics.iter_mut() {
+            *m = _mm256_sub_epi16(*m, min);
         }
     }
 }
@@ -621,9 +782,7 @@ pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<b
     ws.metric_f.clear();
     ws.metric_f.resize(NUM_STATES, INF);
     ws.metric_f[0] = 0.0;
-    // Flat survivor slab, as in `decode_with_erasures`.
-    ws.survivors.clear();
-    ws.survivors.resize(steps * NUM_STATES, 0);
+    ws.decisions.resize(steps, 0); // every step's word is overwritten
     ws.next_f.clear();
     ws.next_f.resize(NUM_STATES, 0.0);
 
@@ -634,9 +793,8 @@ pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<b
         let c0t = cost(l0, true);
         let c1f = cost(l1, false);
         let c1t = cost(l1, true);
-        let surv = &mut ws.survivors[t * NUM_STATES..(t + 1) * NUM_STATES];
-        let (surv_in0, surv_in1) = surv.split_at_mut(HALF);
         let (next_in0, next_in1) = ws.next_f.split_at_mut(HALF);
+        let mut take_hi_bits = 0u64;
         // The same destination-major butterfly as the hard path, with
         // branchless selects instead of mask arithmetic (f64 selection must
         // stay exact). A transition emitting (o0, o1) costs
@@ -656,7 +814,7 @@ pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<b
             let c1 = m1 + bc_hi0;
             let take_hi = c1 < c0;
             next_in0[k] = if take_hi { c1 } else { c0 };
-            surv_in0[k] = (2 * k) as u8 + take_hi as u8;
+            take_hi_bits |= (take_hi as u64) << k;
 
             let bc_lo1 = (if B_LO_IN1.o0[k] == 1 { c0t } else { c0f })
                 + (if B_LO_IN1.o1[k] == 1 { c1t } else { c1f });
@@ -666,20 +824,12 @@ pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<b
             let c1 = m1 + bc_hi1;
             let take_hi = c1 < c0;
             next_in1[k] = if take_hi { c1 } else { c0 };
-            surv_in1[k] = 0x80 | ((2 * k) as u8 + take_hi as u8);
+            take_hi_bits |= (take_hi as u64) << (k + HALF);
         }
+        ws.decisions[t] = take_hi_bits;
         std::mem::swap(&mut ws.metric_f, &mut ws.next_f);
     }
-
-    let mut state = 0usize;
-    out.clear();
-    out.resize(steps, false);
-    for t in (0..steps).rev() {
-        let s = ws.survivors[t * NUM_STATES + state];
-        out[t] = s & 0x80 != 0;
-        state = (s & 0x3f) as usize;
-    }
-    out.truncate(steps - (CONSTRAINT - 1));
+    traceback(&ws.decisions, 1, steps, out);
 }
 
 #[cfg(test)]

@@ -6,11 +6,12 @@
 //! differ in exactly one bit. This makes symbol errors between neighbouring
 //! points cost a single bit — the property the convolutional code relies on.
 
+use crate::bits::BitTable;
 use crate::constellation::{Constellation, GridPoint};
 
 /// Binary-reflected Gray code of `n`.
 #[inline]
-pub fn gray_encode(n: usize) -> usize {
+pub const fn gray_encode(n: usize) -> usize {
     n ^ (n >> 1)
 }
 
@@ -32,10 +33,7 @@ pub fn gray_decode(g: usize) -> usize {
 /// Panics when `bits.len() != c.bits_per_symbol()`.
 pub fn map_bits(c: Constellation, bits: &[bool]) -> GridPoint {
     assert_eq!(bits.len(), c.bits_per_symbol(), "wrong number of bits for {c:?}");
-    let half = c.bits_per_axis();
-    let i = axis_from_bits(c, &bits[..half]);
-    let q = axis_from_bits(c, &bits[half..]);
-    GridPoint { i, q }
+    BitTable::new(c).point(pack_msb_first(bits))
 }
 
 /// Recovers the `Q` bits (MSB-first) of an exact constellation point.
@@ -48,23 +46,21 @@ pub fn unmap_point(c: Constellation, p: GridPoint) -> Vec<bool> {
 /// Appends the `Q` bits (MSB-first) of an exact constellation point to a
 /// caller-owned buffer — the allocation-free form of [`unmap_point`].
 pub fn unmap_point_into(c: Constellation, p: GridPoint, out: &mut Vec<bool>) {
-    let half = c.bits_per_axis();
-    axis_to_bits(c, p.i, half, out);
-    axis_to_bits(c, p.q, half, out);
+    push_point_bits(c, &[p], out);
 }
 
-fn axis_from_bits(c: Constellation, bits: &[bool]) -> i32 {
-    let mut g = 0usize;
-    for &b in bits {
-        g = (g << 1) | b as usize;
-    }
-    c.coord_of_index(gray_decode(g))
+/// Packs a bit group MSB-first (the [`BitTable`] index).
+fn pack_msb_first(bits: &[bool]) -> u16 {
+    bits.iter().fold(0u16, |acc, &b| (acc << 1) | b as u16)
 }
 
-fn axis_to_bits(c: Constellation, coord: i32, nbits: usize, out: &mut Vec<bool>) {
-    let g = gray_encode(c.index_of_coord(coord));
-    for k in (0..nbits).rev() {
-        out.push((g >> k) & 1 == 1);
+/// Appends the `Q` bits (MSB-first) of every point.
+fn push_point_bits(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
+    let table = BitTable::new(c);
+    let q = c.bits_per_symbol();
+    for &p in points {
+        let packed = table.packed(p);
+        out.extend((0..q).rev().map(|k| (packed >> k) & 1 == 1));
     }
 }
 
@@ -86,8 +82,9 @@ pub fn map_bitstream(c: Constellation, bits: &[bool]) -> Vec<GridPoint> {
 pub fn map_bitstream_into(c: Constellation, bits: &[bool], out: &mut Vec<GridPoint>) {
     let q = c.bits_per_symbol();
     assert_eq!(bits.len() % q, 0, "bitstream not a multiple of {q} bits");
+    let table = BitTable::new(c);
     out.clear();
-    out.extend(bits.chunks(q).map(|chunk| map_bits(c, chunk)));
+    out.extend(bits.chunks_exact(q).map(|chunk| table.point(pack_msb_first(chunk))));
 }
 
 /// Recovers the bitstream from a sequence of constellation points.
@@ -100,9 +97,7 @@ pub fn unmap_points(c: Constellation, points: &[GridPoint]) -> Vec<bool> {
 /// [`unmap_points`] into a reused output buffer (cleared first).
 pub fn unmap_points_into(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
     out.clear();
-    for &p in points {
-        unmap_point_into(c, p, out);
-    }
+    push_point_bits(c, points, out);
 }
 
 #[cfg(test)]

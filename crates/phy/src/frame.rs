@@ -37,7 +37,7 @@ use geosphere_core::{
     MimoDetector, SoftDetection, SoftWorkspace,
 };
 use gs_channel::MimoChannel;
-use gs_coding::{CodedBit, ViterbiWorkspace};
+use gs_coding::{CodedBit, Interleaver, ViterbiWorkspace};
 use gs_linalg::{Complex, Matrix};
 use gs_modulation::GridPoint;
 use rand::Rng;
@@ -56,6 +56,8 @@ pub(crate) struct TxScratch {
     pub(crate) coded: Vec<bool>,
     /// Interleaved stream.
     pub(crate) interleaved: Vec<bool>,
+    /// The frame shape's interleaver tables ([`interleaver_for`]).
+    pub(crate) il: Option<Interleaver>,
 }
 
 /// Receive-chain scratch shared by all clients of a frame.
@@ -80,6 +82,21 @@ pub(crate) struct RxScratch {
     pub(crate) mother_multi: Vec<CodedBit>,
     /// Flat client-major decoded info bits from the lockstep pass.
     pub(crate) info_multi: Vec<bool>,
+    /// The frame shape's interleaver tables ([`interleaver_for`]).
+    pub(crate) il: Option<Interleaver>,
+}
+
+/// The interleaver for `cfg`'s OFDM symbol shape, kept in `slot` across
+/// frames: built on first use and rebuilt in place only when the shape
+/// changes, so a warm receive loop never recomputes the permutation.
+pub(crate) fn interleaver_for<'a>(
+    slot: &'a mut Option<Interleaver>,
+    cfg: &PhyConfig,
+) -> &'a Interleaver {
+    let (n_cbps, n_bpsc) = (cfg.n_cbps(), cfg.constellation.bits_per_symbol());
+    let il = slot.get_or_insert_with(|| Interleaver::new(n_cbps, n_bpsc));
+    il.reshape(n_cbps, n_bpsc);
+    il
 }
 
 /// The detector identity installed into the worker pool: the caller's

@@ -18,11 +18,11 @@
 //! (`tests/filter_cache_conformance.rs`).
 
 use crate::config::PhyConfig;
-use crate::frame::FrameWorkspace;
+use crate::frame::{interleaver_for, FrameWorkspace};
 use crate::txrx::{plan_transmit_into, UplinkOutcome};
 use geosphere_core::{apply_channel_into, DetectorStats, FilterCache};
 use gs_channel::{sample_cn, MimoChannel};
-use gs_coding::{bcjr, depuncture_soft_into, interleave::Interleaver, scramble::Scrambler};
+use gs_coding::{bcjr, depuncture_soft_into, puncture_into, scramble::Scrambler};
 use gs_linalg::{invert, Complex, Matrix};
 use gs_modulation::{BitTable, Constellation};
 use rand::Rng;
@@ -61,12 +61,6 @@ pub(crate) struct IterScratch {
     kept: Vec<f64>,
     /// Extrinsics in transmitted order (swapped into `priors`).
     tx_order: Vec<f64>,
-    /// `fetched[k]` = transmitted position feeding logical position `k` of
-    /// one OFDM symbol, cached per `(n_cbps, bits_per_symbol)` — both
-    /// parameters shape the permutation.
-    fetched: Vec<f64>,
-    ident: Vec<f64>,
-    cached_interleaver: Option<(usize, usize)>,
 }
 
 /// Soft symbol statistics from per-bit priors (`Q` LLRs, positive = 0).
@@ -176,19 +170,6 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
             }
             iter.received.extend_from_slice(y_buf);
         }
-    }
-
-    // The transmitted-position map of one OFDM symbol: `fetched[k]` = tx
-    // index feeding logical `k`. The permutation depends on both the
-    // symbol length and the bits-per-subcarrier rotation, so the cache is
-    // keyed on the full (n_cbps, Q) pair.
-    let il = Interleaver::new(cfg.n_cbps(), q);
-    if ws.iter.cached_interleaver != Some((cfg.n_cbps(), q)) {
-        ws.iter.ident.clear();
-        ws.iter.ident.extend((0..cfg.n_cbps()).map(|v| v as f64));
-        let IterScratch { ident, fetched, .. } = &mut ws.iter;
-        il.deinterleave_values_stream_into(ident, fetched);
-        ws.iter.cached_interleaver = Some((cfg.n_cbps(), q));
     }
 
     // Iterate. priors[cl] = coded-bit LLRs in *transmitted* (interleaved)
@@ -315,8 +296,9 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
         // Decoding pass per client: deinterleave, depuncture, SISO decode,
         // re-interleave extrinsics into priors for the next round.
         for cl in 0..nc {
-            let FrameWorkspace { payloads, iter, out, .. } = ws;
-            il.deinterleave_values_stream_into(&iter.channel_llrs[cl], &mut iter.deint);
+            let FrameWorkspace { payloads, iter, out, rx, .. } = ws;
+            let il = interleaver_for(&mut rx.il, cfg);
+            il.deinterleave_stream_into(&iter.channel_llrs[cl], &mut iter.deint);
             let mother_len = 2 * cfg.total_info_bits();
             depuncture_soft_into(&iter.deint, cfg.code_rate, mother_len, &mut iter.soft);
             let siso = bcjr::siso_decode(&iter.soft);
@@ -333,25 +315,8 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
             }
 
             // Extrinsics (mother domain) → puncture → interleave → priors.
-            let pat = cfg.code_rate.keep_pattern();
-            iter.kept.clear();
-            iter.kept.extend(
-                siso.coded_extrinsic
-                    .iter()
-                    .enumerate()
-                    .filter(|(k, _)| pat[k % pat.len()])
-                    .map(|(_, &l)| l),
-            );
-            // Interleave positionally: transmitted[j] = kept[k] where
-            // j = map(k); realized with the cached per-symbol `fetched` map:
-            // fetched[k] = tx index feeding logical k ⇒ tx[fetched[k]] = kept[k].
-            iter.tx_order.clear();
-            iter.tx_order.resize(iter.kept.len(), 0.0);
-            for chunk_start in (0..iter.kept.len()).step_by(cfg.n_cbps()) {
-                for (k, &src) in iter.fetched.iter().enumerate() {
-                    iter.tx_order[chunk_start + src as usize] = iter.kept[chunk_start + k];
-                }
-            }
+            puncture_into(&siso.coded_extrinsic, cfg.code_rate, &mut iter.kept);
+            il.interleave_stream_into(&iter.kept, &mut iter.tx_order);
             std::mem::swap(&mut iter.priors[cl], &mut iter.tx_order);
             if std::env::var("GS_TURBO_DEBUG").is_ok() {
                 let maxp = iter.priors[cl].iter().fold(0.0f64, |a, &b| a.max(b.abs()));

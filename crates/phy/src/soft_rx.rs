@@ -13,13 +13,11 @@
 //! `tests/alloc_regression.rs`).
 
 use crate::config::PhyConfig;
-use crate::frame::{FrameWorkspace, RxScratch};
+use crate::frame::{interleaver_for, FrameWorkspace, RxScratch};
 use crate::txrx::{plan_transmit_into, UplinkOutcome};
 use geosphere_core::{apply_channel_into, DetectorStats, SoftGeosphereDetector};
 use gs_channel::{sample_cn, MimoChannel};
-use gs_coding::{
-    check_crc_ok, conv, depuncture_soft_into, interleave::Interleaver, scramble::Scrambler, viterbi,
-};
+use gs_coding::{check_crc_ok, conv, depuncture_soft_into, scramble::Scrambler, viterbi};
 use rand::Rng;
 
 /// Decodes one client's LLR stream (frame order) back to a verified
@@ -43,9 +41,7 @@ pub fn receive_frame_soft(cfg: &PhyConfig, llrs: &[f64]) -> Option<Vec<bool>> {
 pub(crate) fn receive_frame_soft_into(cfg: &PhyConfig, llrs: &[f64], rx: &mut RxScratch) -> bool {
     let _prof = gs_prof::scope(gs_prof::Stage::Recover);
     _prof.add_bytes(cfg.payload_bits as u64 / 8);
-    let c = cfg.constellation;
-    let il = Interleaver::new(cfg.n_cbps(), c.bits_per_symbol());
-    il.deinterleave_values_stream_into(llrs, &mut rx.llr_deint);
+    interleaver_for(&mut rx.il, cfg).deinterleave_stream_into(llrs, &mut rx.llr_deint);
     let mother_len = 2 * cfg.total_info_bits();
     depuncture_soft_into(&rx.llr_deint, cfg.code_rate, mother_len, &mut rx.mother_soft);
     viterbi::decode_soft_into(&rx.mother_soft, &mut rx.vit, &mut rx.info);

@@ -18,14 +18,14 @@
 //! frame** after warmup, at any worker count.
 
 use crate::config::PhyConfig;
-use crate::frame::{FrameWorkspace, RxScratch, TxScratch};
+use crate::frame::{interleaver_for, FrameWorkspace, RxScratch, TxScratch};
 use geosphere_core::{
     apply_channel_into, BatchDetector, DetectionBatch, DetectionJob, DetectorStats, MimoDetector,
 };
 use gs_channel::{sample_cn, MimoChannel};
 use gs_coding::{
-    check_crc_ok, conv, crc::crc32_bits, depuncture_into, interleave::Interleaver, puncture_into,
-    scramble::Scrambler, viterbi,
+    check_crc_ok, conv, crc::crc32_bits, depuncture_into, puncture_into, scramble::Scrambler,
+    viterbi,
 };
 use gs_linalg::Matrix;
 use gs_modulation::{map_bitstream_into, unmap_points_into, GridPoint};
@@ -83,8 +83,7 @@ pub(crate) fn transmit_symbols_into(
     debug_assert_eq!(tx.coded.len(), cfg.n_ofdm_symbols() * cfg.n_cbps());
 
     // Per-OFDM-symbol interleaving, then Gray mapping.
-    let il = Interleaver::new(cfg.n_cbps(), c.bits_per_symbol());
-    il.interleave_stream_into(&tx.coded, &mut tx.interleaved);
+    interleaver_for(&mut tx.il, cfg).interleave_stream_into(&tx.coded, &mut tx.interleaved);
     map_bitstream_into(c, &tx.interleaved, out);
 }
 
@@ -121,10 +120,8 @@ pub(crate) fn receive_frame_flat_into(
 /// The pre-Viterbi half of one client's receive chain: demap the detected
 /// grid points, deinterleave, and depuncture into `rx.mother_cb`.
 fn preprocess_client_into(cfg: &PhyConfig, detected: &[GridPoint], rx: &mut RxScratch) {
-    let c = cfg.constellation;
-    unmap_points_into(c, detected, &mut rx.bits);
-    let il = Interleaver::new(cfg.n_cbps(), c.bits_per_symbol());
-    il.deinterleave_stream_into(&rx.bits, &mut rx.deint);
+    unmap_points_into(cfg.constellation, detected, &mut rx.bits);
+    interleaver_for(&mut rx.il, cfg).deinterleave_stream_into(&rx.bits, &mut rx.deint);
     // `total_info_bits` already includes the 6-bit tail, so the mother
     // (rate-1/2) stream is exactly twice it.
     let mother_len = 2 * cfg.total_info_bits();

@@ -330,3 +330,123 @@ proptest! {
         }
     }
 }
+
+// --- coding-chain conformance: table-driven paths vs closed forms ---
+
+/// Every `(n_subcarriers ≤ 128, constellation, code_rate)` the frame chain
+/// supports: whole 16-row interleaver columns per OFDM symbol that the
+/// 802.11 rotation groups (`max(Q/2, 1)` rows) tile exactly, and a whole
+/// number of data bits per OFDM symbol at the code rate.
+fn accepted_phy_configs() -> Vec<geosphere::phy::PhyConfig> {
+    use geosphere::coding::CodeRate;
+    use geosphere::phy::PhyConfig;
+    let mut cfgs = Vec::new();
+    for c in Constellation::ALL {
+        let q = c.bits_per_symbol();
+        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+            for n_subcarriers in 1..=128 {
+                let n_cbps = n_subcarriers * q;
+                if n_cbps % 16 == 0
+                    && (n_cbps / 16) % (q / 2).max(1) == 0
+                    && (n_cbps * rate.numerator()) % rate.denominator() == 0
+                {
+                    cfgs.push(PhyConfig {
+                        code_rate: rate,
+                        n_subcarriers,
+                        payload_bits: 96,
+                        ..PhyConfig::new(c)
+                    });
+                }
+            }
+        }
+    }
+    cfgs
+}
+
+/// The permutation tables behind every interleaver stream method equal the
+/// closed-form `map_index` scatter/gather, over hard bits and `f64` values,
+/// on multi-symbol streams of every accepted frame shape.
+#[test]
+fn interleaver_tables_match_closed_form() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x1e7e);
+    for cfg in accepted_phy_configs() {
+        let n = cfg.n_cbps();
+        let il = Interleaver::new(n, cfg.constellation.bits_per_symbol());
+        let len = 3 * n;
+        let bits: Vec<bool> = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+        let vals: Vec<f64> = (0..len).map(|_| rng.gen_range(-8.0..8.0)).collect();
+
+        // Reference: transmitted[t·n + map_index(k)] = logical[t·n + k].
+        let mut want_bits = vec![false; len];
+        let mut want_vals = vec![0.0; len];
+        for t in 0..3 {
+            for k in 0..n {
+                want_bits[t * n + il.map_index(k)] = bits[t * n + k];
+                want_vals[t * n + il.map_index(k)] = vals[t * n + k];
+            }
+        }
+        let what = format!("{:?} n_sc {}", cfg.constellation, cfg.n_subcarriers);
+        let mut out_bits = Vec::new();
+        let mut out_vals = Vec::new();
+        il.interleave_stream_into(&bits, &mut out_bits);
+        il.interleave_stream_into(&vals, &mut out_vals);
+        assert_eq!(out_bits, want_bits, "{what}: interleave bits");
+        assert_eq!(out_vals, want_vals, "{what}: interleave values");
+
+        // Reference: logical[t·n + k] = transmitted[t·n + map_index(k)].
+        let back_bits: Vec<bool> =
+            (0..len).map(|i| bits[i - i % n + il.map_index(i % n)]).collect();
+        let back_vals: Vec<f64> = (0..len).map(|i| vals[i - i % n + il.map_index(i % n)]).collect();
+        il.deinterleave_stream_into(&bits, &mut out_bits);
+        il.deinterleave_stream_into(&vals, &mut out_vals);
+        assert_eq!(out_bits, back_bits, "{what}: deinterleave bits");
+        assert_eq!(out_vals, back_vals, "{what}: deinterleave values");
+        assert_eq!(il.deinterleave(&il.interleave(&bits[..n])), &bits[..n], "{what}: roundtrip");
+    }
+}
+
+/// Hard and soft puncturing/depuncturing equal a reference filter over
+/// `CodeRate::pattern()` on the mother stream of every accepted frame
+/// shape (the lengths are the frame chain's own, so pattern periods end
+/// mid-stream wherever the chain's do).
+#[test]
+fn puncturing_matches_pattern_filter() {
+    use geosphere::coding::{
+        depuncture_into, depuncture_soft_into, puncture_into, viterbi::CodedBit,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x9a77);
+    let (mut hard, mut soft, mut hard_back, mut soft_back) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for cfg in accepted_phy_configs() {
+        let mother_len = 2 * cfg.total_info_bits();
+        let pat = cfg.code_rate.pattern();
+        let keep = |k: usize| pat[k % pat.len()];
+        let bits: Vec<bool> = (0..mother_len).map(|_| rng.gen_bool(0.5)).collect();
+        let llrs: Vec<f64> = (0..mother_len).map(|_| rng.gen_range(-8.0..8.0)).collect();
+        let what =
+            format!("{:?} n_sc {} {:?}", cfg.constellation, cfg.n_subcarriers, cfg.code_rate);
+
+        let want_bits: Vec<bool> = (0..mother_len).filter(|&k| keep(k)).map(|k| bits[k]).collect();
+        let want_llrs: Vec<f64> = (0..mother_len).filter(|&k| keep(k)).map(|k| llrs[k]).collect();
+        puncture_into(&bits, cfg.code_rate, &mut hard);
+        puncture_into(&llrs, cfg.code_rate, &mut soft);
+        assert_eq!(hard, want_bits, "{what}: puncture bits");
+        assert_eq!(soft, want_llrs, "{what}: puncture values");
+        // The chain's own invariant: punctured frames fill whole symbols.
+        assert_eq!(hard.len(), cfg.n_ofdm_symbols() * cfg.n_cbps(), "{what}: coded length");
+
+        let want_cb: Vec<CodedBit> = (0..mother_len)
+            .map(|k| if keep(k) { CodedBit::from_bool(bits[k]) } else { CodedBit::Erased })
+            .collect();
+        let want_soft: Vec<f64> =
+            (0..mother_len).map(|k| if keep(k) { llrs[k] } else { 0.0 }).collect();
+        depuncture_into(&hard, cfg.code_rate, mother_len, &mut hard_back);
+        depuncture_soft_into(&soft, cfg.code_rate, mother_len, &mut soft_back);
+        assert_eq!(hard_back, want_cb, "{what}: depuncture bits");
+        assert_eq!(soft_back, want_soft, "{what}: depuncture values");
+    }
+}

@@ -268,3 +268,84 @@ fn detect_symbols_bit_identical_across_tiers() {
     }
     simd::reset_tier();
 }
+
+/// Viterbi parity: the lockstep multi-stream decoder — the 16-bit AVX2
+/// kernel for four streams on the AVX2 tier, the `u32` scalar loop
+/// otherwise — equals `decode_with_erasures_into` run per stream, under
+/// the scalar tier and the native tier alike. Streams come from all three
+/// code rates with bit flips and extra erasures; some carry all-erased
+/// stretches (every branch cost 0, so every comparison ties) or are
+/// erased outright, and a final four-stream case runs long enough for at
+/// least two metric renormalisations.
+#[test]
+fn viterbi_lockstep_bit_identical_across_tiers() {
+    use gs_coding::viterbi::{
+        decode_multi_with_erasures_into, decode_with_erasures_into, CodedBit, ViterbiWorkspace,
+        RENORM_INTERVAL,
+    };
+    use gs_coding::{conv, depuncture_into, puncture_into, CodeRate};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One received mother stream of `info_len` information bits: encode,
+    /// puncture, flip, depuncture, erase — plus an all-erased stretch
+    /// when `stretch` is set.
+    fn stream(rng: &mut StdRng, info_len: usize, rate: CodeRate, stretch: bool) -> Vec<CodedBit> {
+        let info: Vec<bool> = (0..info_len).map(|_| rng.gen_bool(0.5)).collect();
+        let mother = conv::encode(&info);
+        let mut sent = Vec::new();
+        puncture_into(&mother, rate, &mut sent);
+        for b in sent.iter_mut() {
+            *b ^= rng.gen_bool(0.06);
+        }
+        let mut rx = Vec::new();
+        depuncture_into(&sent, rate, mother.len(), &mut rx);
+        for cb in rx.iter_mut() {
+            if rng.gen_bool(0.04) {
+                *cb = CodedBit::Erased;
+            }
+        }
+        if stretch {
+            let start = rng.gen_range(0..rx.len() / 2);
+            let end = (start + rng.gen_range(20usize..90)).min(rx.len());
+            rx[start..end].fill(CodedBit::Erased);
+        }
+        rx
+    }
+
+    let _g = tier_guard();
+    let tiers: Vec<Tier> = std::iter::once(Tier::Scalar).chain(native_tier()).collect();
+    let mut rng = StdRng::seed_from_u64(1314);
+    let mut cases: Vec<Vec<Vec<CodedBit>>> = Vec::new();
+    for n in [1usize, 2, 3, 4, 8] {
+        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+            let info_len = rng.gen_range(24usize..300);
+            cases.push((0..n).map(|s| stream(&mut rng, info_len, rate, s % 2 == 1)).collect());
+        }
+        // Tie storms: stream 0 fully erased, the rest with long stretches.
+        let mut tied: Vec<Vec<CodedBit>> =
+            (0..n).map(|_| stream(&mut rng, 120, CodeRate::Half, true)).collect();
+        tied[0].fill(CodedBit::Erased);
+        cases.push(tied);
+    }
+    let long = 2 * RENORM_INTERVAL + 150;
+    cases.push((0..4).map(|s| stream(&mut rng, long, CodeRate::Half, s == 2)).collect());
+
+    let mut ws = ViterbiWorkspace::new();
+    let (mut single, mut multi) = (Vec::new(), Vec::new());
+    for (c, streams) in cases.iter().enumerate() {
+        let n = streams.len();
+        let mut want = Vec::new();
+        for s in streams {
+            decode_with_erasures_into(s, &mut ws, &mut single);
+            want.extend_from_slice(&single);
+        }
+        let flat = streams.concat();
+        for &tier in &tiers {
+            assert!(simd::force_tier(tier), "{tier:?} must be available");
+            decode_multi_with_erasures_into(&flat, n, &mut ws, &mut multi);
+            assert_eq!(multi, want, "case {c} ({n} streams) under {tier:?}");
+        }
+    }
+    simd::reset_tier();
+}

@@ -234,7 +234,7 @@ fn open_level<F: EnumeratorFactory>(
     da: f64,
     chosen_re: &[f64],
     chosen_im: &[f64],
-    enumerators: &mut [Option<F::Enumerator>],
+    enumerators: &mut [F::Enumerator],
     dist_above: &mut [f64],
     stats: &mut DetectorStats,
 ) {
@@ -251,7 +251,7 @@ fn open_level<F: EnumeratorFactory>(
     let rll = ctx.r[(i, i)].re; // real ≥ 0 by QR normalization
     let center = if rll > f64::EPSILON { acc / rll } else { Complex::ZERO };
     let gain = rll * rll;
-    ctx.factory.make_in(&mut enumerators[i], ctx.c, center, gain, stats);
+    ctx.factory.reset(&mut enumerators[i], ctx.c, center, gain, stats);
     dist_above[i] = da;
 }
 
@@ -268,7 +268,7 @@ fn run_search_loop<F: EnumeratorFactory>(
     max_visited_nodes: u64,
     mut local_nodes: u64,
     st: SearchState,
-    enumerators: &mut [Option<F::Enumerator>],
+    enumerators: &mut [F::Enumerator],
     dist_above: &mut [f64],
     chosen: &mut [GridPoint],
     chosen_re: &mut [f64],
@@ -283,8 +283,7 @@ fn run_search_loop<F: EnumeratorFactory>(
             break; // runtime budget exhausted: return best-so-far
         }
         let budget = radius - dist_above[i];
-        let step = enumerators[i].as_mut().expect("current level open").next_child(budget, stats);
-        match step {
+        match enumerators[i].next_child(budget, stats) {
             Some(child) if dist_above[i] + child.cost < radius => {
                 local_nodes += 1;
                 // Constrained search: skip children whose required bit
@@ -472,13 +471,28 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
     ) {
         let n = indices.map_or(jobs.len(), <[usize]>::len);
         let job_at = |slot: usize| -> &DetectionJob { &jobs[indices.map_or(slot, |ix| ix[slot])] };
-        // Group output slots by channel. Keys are unique (slot breaks
-        // ties), so the in-place unstable sort is a stable grouping.
-        ws.order.clear();
+        // Group output slots by channel with a counting sort, O(n +
+        // channels): channels in ascending order, slots ascending within
+        // each — the grouping a sort of `(channel, slot)` pairs would give.
+        // Counts land at `channel + 1`, the prefix sum turns them into
+        // group starts, and the scatter advances each start to its group's
+        // end.
+        let n_channels = channels.len();
+        ws.channel_end.clear();
+        ws.channel_end.resize(n_channels + 1, 0);
         for t in 0..n {
-            ws.order.push((job_at(t).channel as u32, t as u32));
+            ws.channel_end[job_at(t).channel + 1] += 1;
         }
-        ws.order.sort_unstable();
+        for ch in 0..n_channels {
+            ws.channel_end[ch + 1] += ws.channel_end[ch];
+        }
+        ws.order.clear();
+        ws.order.resize(n, 0);
+        for t in 0..n {
+            let at = &mut ws.channel_end[job_at(t).channel];
+            ws.order[*at] = t as u32;
+            *at += 1;
+        }
         // Results land out of submission order; pre-fill `out` with
         // recycled placeholders so each detection writes into its slot.
         for _ in 0..n {
@@ -486,11 +500,10 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
             out.push(Detection { symbols, stats: DetectorStats::default() });
         }
         let mut g = 0;
-        while g < n {
-            let ch = ws.order[g].0 as usize;
-            let mut e = g;
-            while e < n && ws.order[e].0 as usize == ch {
-                e += 1;
+        for ch in 0..n_channels {
+            let e = ws.channel_end[ch];
+            if e == g {
+                continue; // no jobs on this channel
             }
             let h = &channels[ch];
             let nc = h.cols();
@@ -505,12 +518,10 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                 let k = (e - s0).min(MAX_LOCKSTEP);
                 if k >= 2 {
                     let mut slots = [0u32; MAX_LOCKSTEP];
-                    for (dst, t) in slots.iter_mut().zip(s0..s0 + k) {
-                        *dst = ws.order[t].1;
-                    }
+                    slots[..k].copy_from_slice(&ws.order[s0..s0 + k]);
                     self.lockstep_chunk(&prep, nc, c, &slots[..k], jobs, indices, ws, out);
                 } else {
-                    let slot = ws.order[s0].1 as usize;
+                    let slot = ws.order[s0] as usize;
                     let det = self.detect_prepared(&prep, nc, &job_at(slot).y, c, ws);
                     let old = std::mem::replace(&mut out[slot], det);
                     ws.spare.push(old.symbols);
@@ -609,13 +620,10 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                     let acc = m_yhat[s * nc + i] - Complex::new(ix_re[s], ix_im[s]);
                     stats.complex_mults += m as u64;
                     let center = if rll > f64::EPSILON { acc / rll } else { Complex::ZERO };
-                    self.factory.make_in(&mut m_enum[s * nc + i], c, center, gain, stats);
+                    let e = &mut m_enum[s * nc + i];
+                    self.factory.reset(e, c, center, gain, stats);
                     m_dist[s * nc + i] = m_radius[s];
-                    match m_enum[s * nc + i]
-                        .as_mut()
-                        .expect("level just opened")
-                        .next_child(f64::INFINITY, stats)
-                    {
+                    match e.next_child(f64::INFINITY, stats) {
                         Some(child) => {
                             stats.visited_nodes += 1;
                             let re = child.point.i as f64;

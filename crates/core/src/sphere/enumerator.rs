@@ -17,10 +17,11 @@
 //! [`make`](EnumeratorFactory::make) a fresh enumerator (cold path, buffer
 //! warmup) or [`reset`](EnumeratorFactory::reset) an existing one in place
 //! for a new node, reusing its internal buffers.
-//! [`make_in`](EnumeratorFactory::make_in) dispatches between the two for a
-//! slab slot, and is what the engine's
-//! [`SearchWorkspace`](crate::sphere::SearchWorkspace) uses — after warmup
-//! no enumerator touches the heap again.
+//! The engine's [`SearchWorkspace`](crate::sphere::SearchWorkspace) slabs
+//! hold enumerators directly, starting from `Default` placeholders, and
+//! `reset` each slot per node visit; [`make_in`](EnumeratorFactory::make_in)
+//! does the same for an `Option` slot that starts empty. After warmup no
+//! enumerator touches the heap again.
 //!
 //! To add a new enumerator family under the protocol, implement `reset` as
 //! "clear every collection, then reinitialize exactly as `make` would":
@@ -63,14 +64,17 @@ pub trait NodeEnumerator {
 pub trait EnumeratorFactory: Send + Sync {
     /// The enumerator type produced. `'static` lets a
     /// [`SearchWorkspace`](crate::SearchWorkspace) of this enumerator live
-    /// inside a type-erased [`DetectorWorkspace`](crate::DetectorWorkspace).
-    type Enumerator: NodeEnumerator + Send + Sync + 'static;
+    /// inside a type-erased [`DetectorWorkspace`](crate::DetectorWorkspace);
+    /// `Default` is the slab placeholder that `reset` later opens a node
+    /// in (it need not be a usable enumerator before that).
+    type Enumerator: NodeEnumerator + Default + Send + Sync + 'static;
 
     /// Creates an enumerator for a node with received symbol `center`
     /// (`ỹ_l`, constellation space) and level gain `gain = |r_ll|²`.
     ///
-    /// This is the allocating cold path; steady-state callers go through
-    /// [`EnumeratorFactory::make_in`].
+    /// This is the cold path; steady-state callers reset a warm enumerator
+    /// in place ([`EnumeratorFactory::reset`], or
+    /// [`EnumeratorFactory::make_in`] for an `Option` slot).
     fn make(
         &self,
         c: Constellation,
@@ -81,10 +85,11 @@ pub trait EnumeratorFactory: Send + Sync {
 
     /// Re-initializes `e` in place for a new node, reusing its buffers.
     ///
-    /// Must leave `e` bit-identical in behavior to
-    /// `self.make(c, center, gain, stats)` — same child sequence and the
-    /// same operation counts — while performing no heap allocation once
-    /// `e`'s buffers have warmed up to this constellation's size.
+    /// Must leave `e` — a used enumerator or a `Default` placeholder —
+    /// bit-identical in behavior to `self.make(c, center, gain, stats)`:
+    /// same child sequence and the same operation counts, while performing
+    /// no heap allocation once `e`'s buffers have warmed up to this
+    /// constellation's size.
     fn reset(
         &self,
         e: &mut Self::Enumerator,
@@ -95,7 +100,8 @@ pub trait EnumeratorFactory: Send + Sync {
     );
 
     /// Resets the enumerator in `slot` for a new node, making one on first
-    /// use: the slab entry point of the reuse protocol.
+    /// use: the reuse protocol's entry point for callers that hold an
+    /// `Option` slot.
     fn make_in(
         &self,
         slot: &mut Option<Self::Enumerator>,
@@ -127,6 +133,7 @@ pub trait EnumeratorFactory: Send + Sync {
 pub struct ExhaustiveSortFactory;
 
 /// Enumerator produced by [`ExhaustiveSortFactory`].
+#[derive(Default)]
 pub struct ExhaustiveSortEnumerator {
     children: Vec<Child>,
     cursor: usize,

@@ -16,13 +16,11 @@
 //! remaining sphere budget kills the whole zigzag direction (the bound is
 //! monotone along each direction) without computing a single exact PED.
 
-use crate::geoprune::{axis_offset, distance_lower_bound};
+use crate::geoprune::distance_lower_bound;
 use crate::sphere::enumerator::{Child, EnumeratorFactory, NodeEnumerator};
 use crate::stats::DetectorStats;
 use gs_linalg::Complex;
 use gs_modulation::{AxisZigzag, Constellation, GridPoint};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Factory for Geosphere enumerators.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -44,79 +42,91 @@ impl GeosphereFactory {
     }
 }
 
-/// A queue candidate: exact cost, owning column index.
-#[derive(Clone, Copy, Debug)]
+/// Levels per axis of the densest constellation (256-QAM), which is also
+/// the paper's √|O| cap on the live queue.
+const MAX_SIDE: usize = Constellation::Qam256.side();
+
+/// A queued candidate: exact branch cost and the point's level indices.
+#[derive(Clone, Copy, Debug, Default)]
 struct Candidate {
     cost: f64,
-    point: GridPoint,
-    column: usize,
+    /// In-phase level index: the column that owns the candidate.
+    column: u8,
+    /// Quadrature level index.
+    row: u8,
 }
 
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost
-    }
-}
-impl Eq for Candidate {}
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.cost.total_cmp(&other.cost)
+impl Candidate {
+    /// The pop order: lower cost first; between exactly equal costs, the
+    /// lower column index first. Costs are `gain · |p − ỹ|² ≥ 0` and each
+    /// column holds at most one live candidate, so for finite inputs this
+    /// is a strict total order on the queue and the pop sequence is fully
+    /// determined. (A NaN cost precedes nothing; the engine rejects a NaN
+    /// child anyway.)
+    #[inline]
+    fn precedes(&self, other: &Candidate) -> bool {
+        (self.cost < other.cost) | ((self.cost == other.cost) & (self.column < other.column))
     }
 }
 
-/// Geosphere's per-node enumerator.
+/// Geosphere's per-node enumerator: fixed-capacity inline state, so a
+/// reset touches a few words and no enumerator ever allocates.
 pub struct GeosphereEnumerator {
     c: Constellation,
     center: Complex,
     gain: f64,
     geoprune: bool,
-    /// Sliced point of `center` — the origin for Eq. 9 offsets.
-    slice: GridPoint,
-    /// Min-heap of at most one candidate per column.
-    queue: BinaryHeap<Reverse<Candidate>>,
-    /// Vertical zigzag state per column (indexed by level index of the
-    /// column's I coordinate); `None` = not activated or exhausted.
-    columns: Vec<Option<AxisZigzag>>,
-    /// Horizontal zigzag over column I coordinates; `None` once exhausted
-    /// (or killed by the bound).
-    horizontal: Option<AxisZigzag>,
+    /// Sliced point of `center` as level indices — the origin for Eq. 9
+    /// offsets (grid-step offsets are level-index differences).
+    slice_column: u8,
+    slice_row: u8,
+    /// Live candidates, at most one per column, in no particular order:
+    /// `queue[..len]`. Popped by a linear scan for the minimum under
+    /// [`Candidate::precedes`].
+    queue: [Candidate; MAX_SIDE],
+    len: u8,
+    /// Vertical zigzag cursor per column (indexed by the column's level
+    /// index). Every column zigzags toward the same target, `center.im`.
+    /// Only activated columns are ever read; a spent or bound-killed
+    /// column holds the exhausted cursor.
+    columns: [AxisZigzag; MAX_SIDE],
+    /// A vertical cursor that has just yielded the slice row: where every
+    /// newly activated column resumes.
+    column_start: AxisZigzag,
+    /// Horizontal zigzag over columns toward `center.re`; exhausted once
+    /// every column is activated or the bound killed the rest.
+    horizontal: AxisZigzag,
     /// Column owning the most recently returned child; its successors are
     /// generated lazily on the next call (deferring PEDs as late as
     /// possible).
-    pending_explore: Option<usize>,
+    pending_explore: Option<u8>,
+}
+
+impl Default for GeosphereEnumerator {
+    /// An exhausted enumerator (no live candidates, every cursor spent);
+    /// a slab placeholder until [`EnumeratorFactory::reset`] opens a node.
+    fn default() -> Self {
+        GeosphereEnumerator {
+            c: Constellation::Qpsk,
+            center: Complex::ZERO,
+            gain: 0.0,
+            geoprune: false,
+            slice_column: 0,
+            slice_row: 0,
+            queue: [Candidate::default(); MAX_SIDE],
+            len: 0,
+            columns: [AxisZigzag::default(); MAX_SIDE],
+            column_start: AxisZigzag::default(),
+            horizontal: AxisZigzag::default(),
+            pending_explore: None,
+        }
+    }
 }
 
 impl GeosphereEnumerator {
-    fn new(
-        c: Constellation,
-        center: Complex,
-        gain: f64,
-        geoprune: bool,
-        stats: &mut DetectorStats,
-    ) -> Self {
-        let mut this = GeosphereEnumerator {
-            c,
-            center,
-            gain,
-            geoprune,
-            slice: GridPoint::default(),
-            queue: BinaryHeap::new(),
-            columns: Vec::with_capacity(c.side()),
-            horizontal: None,
-            pending_explore: None,
-        };
-        this.reset_for(c, center, gain, geoprune, stats);
-        this
-    }
-
-    /// Re-initializes for a new node, reusing the queue and column buffers
-    /// (the reuse protocol's `reset`): behaviorally identical to a fresh
-    /// [`GeosphereEnumerator::new`], allocation-free after warmup.
+    /// Re-initializes for a new node (the reuse protocol's `reset`):
+    /// behaviorally identical to a fresh enumerator, and O(1) — the queue
+    /// and the column cursors are overwritten lazily, never cleared.
     fn reset_for(
         &mut self,
         c: Constellation,
@@ -129,40 +139,46 @@ impl GeosphereEnumerator {
         self.center = center;
         self.gain = gain;
         self.geoprune = geoprune;
-        self.slice = c.slice(center);
-        stats.slices += 1;
-        self.queue.clear();
-        self.columns.clear();
-        self.columns.resize(c.side(), None);
-        self.horizontal = Some(AxisZigzag::new(c, center.re));
+        self.len = 0;
         self.pending_explore = None;
-        // Activate the initial column: the horizontal zigzag's first yield
-        // is the sliced column itself.
-        let first_col = self.horizontal.as_mut().unwrap().next().expect("nonempty axis");
-        debug_assert_eq!(first_col, self.slice.i);
-        self.activate_column(first_col, f64::INFINITY, stats);
+        // Each axis zigzag starts at that axis's slice: together the two
+        // starts are the node's one slicing operation.
+        stats.slices += 1;
+        let (first_column, horizontal) = AxisZigzag::start(c, center.re);
+        let (first_row, column_start) = AxisZigzag::start(c, center.im);
+        self.slice_column = first_column as u8;
+        self.slice_row = first_row as u8;
+        self.horizontal = horizontal;
+        self.column_start = column_start;
+        // Activate the slice's own column (the horizontal zigzag's first
+        // level); under an infinite budget its head always survives.
+        self.activate_column(first_column, f64::INFINITY, stats);
     }
 
-    /// Lower-bounds the branch cost of a point at the given axis offsets
-    /// from the slice.
-    fn bound(&self, d_i: usize, d_q: usize) -> f64 {
-        self.gain * distance_lower_bound(d_i, d_q)
+    /// Lower-bounds the branch cost of a point at the given level indices
+    /// (Eq. 9 offsets from the slice).
+    #[inline]
+    fn bound(&self, column: usize, row: usize) -> f64 {
+        self.gain
+            * distance_lower_bound(
+                column.abs_diff(self.slice_column as usize),
+                row.abs_diff(self.slice_row as usize),
+            )
     }
 
     /// Pushes a candidate after the (optional) bound test and the exact
     /// PED computation. Returns `false` when the bound killed it.
+    #[inline]
     fn try_push(
         &mut self,
-        point: GridPoint,
         column: usize,
+        row: usize,
         budget: f64,
         stats: &mut DetectorStats,
     ) -> bool {
         if self.geoprune {
             stats.bound_checks += 1;
-            let b =
-                self.bound(axis_offset(point.i, self.slice.i), axis_offset(point.q, self.slice.q));
-            if b >= budget {
+            if self.bound(column, row) >= budget {
                 stats.bound_prunes += 1;
                 return false;
             }
@@ -171,64 +187,79 @@ impl GeosphereEnumerator {
         // expression `ped_soa` evaluates per lane, so Geosphere's lazy
         // one-at-a-time enumeration and ETH-SD's row-head batches agree
         // bit for bit on every cost.
-        let cost =
-            gs_linalg::simd::ped_point(point.i as f64, point.q as f64, self.center, self.gain);
+        let cost = gs_linalg::simd::ped_point(
+            self.c.coord_of_index(column) as f64,
+            self.c.coord_of_index(row) as f64,
+            self.center,
+            self.gain,
+        );
         stats.ped_calcs += 1;
-        self.queue.push(Reverse(Candidate { cost, point, column }));
+        // At most one candidate per column, so `len < side ≤ MAX_SIDE`.
+        debug_assert!((self.len as usize) < self.c.side(), "queue grew past √|O|");
+        self.queue[self.len as usize] = Candidate { cost, column: column as u8, row: row as u8 };
+        self.len += 1;
         true
     }
 
-    /// Vertical zigzag: advance `column`'s iterator and enqueue the next
+    /// Vertical zigzag: advance `column`'s cursor and enqueue the next
     /// point of that column. A bound kill exhausts the column (the bound is
     /// monotone along the vertical zigzag).
     fn advance_column(&mut self, column: usize, budget: f64, stats: &mut DetectorStats) {
-        let Some(iter) = self.columns[column].as_mut() else { return };
-        let Some(q) = iter.next() else {
-            self.columns[column] = None;
-            return;
-        };
-        let point = GridPoint { i: self.c.coord_of_index(column), q };
-        if !self.try_push(point, column, budget, stats) {
-            self.columns[column] = None; // monotone bound ⇒ rest of column dead
+        let Some(row) = self.columns[column].next_index(self.c, self.center.im) else { return };
+        if !self.try_push(column, row, budget, stats) {
+            self.columns[column] = AxisZigzag::default(); // rest of column dead
         }
     }
 
     /// Horizontal zigzag: activate the next column in I-zigzag order. A
     /// bound kill exhausts the horizontal direction entirely.
     fn advance_horizontal(&mut self, budget: f64, stats: &mut DetectorStats) {
-        let Some(horiz) = self.horizontal.as_mut() else { return };
-        let Some(col_coord) = horiz.next() else {
-            self.horizontal = None;
-            return;
-        };
+        let Some(column) = self.horizontal.next_index(self.c, self.center.re) else { return };
         // The paper's Step 3(b) guard — "if no other constellation point in
         // zh's PAM subconstellation is in Q" — holds by construction here:
-        // the global horizontal iterator activates each column exactly once.
+        // the global horizontal cursor activates each column exactly once.
         if self.geoprune {
             stats.bound_checks += 1;
             // Cheapest conceivable point of the new column: same row as the
             // slice (dQ = 0).
-            let b = self.bound(axis_offset(col_coord, self.slice.i), 0);
-            if b >= budget {
+            if self.bound(column, self.slice_row as usize) >= budget {
                 stats.bound_prunes += 1;
-                self.horizontal = None; // monotone in dI ⇒ all further columns dead
+                // Monotone in dI ⇒ all further columns dead.
+                self.horizontal = AxisZigzag::default();
                 return;
             }
         }
-        self.activate_column(col_coord, budget, stats);
+        self.activate_column(column, budget, stats);
     }
 
-    fn activate_column(&mut self, col_coord: i32, budget: f64, stats: &mut DetectorStats) {
-        let column = self.c.index_of_coord(col_coord);
-        debug_assert!(self.columns[column].is_none(), "column activated twice");
-        let mut iter = AxisZigzag::new(self.c, self.center.im);
-        let q = iter.next().expect("nonempty axis");
-        let point = GridPoint { i: col_coord, q };
-        let pushed = self.try_push(point, column, budget, stats);
-        // Keep the iterator only if the head survived; a bound kill on the
-        // column head (dQ = 0 term is 0, so this only happens via the dI
-        // term) dooms the whole column.
-        self.columns[column] = if pushed { Some(iter) } else { None };
+    /// Enqueues `column`'s head (the slice row) and arms its vertical
+    /// cursor — only if the head survived: a bound kill on the column head
+    /// (its dQ term is 0, so only the dI term can fire) dooms the column.
+    fn activate_column(&mut self, column: usize, budget: f64, stats: &mut DetectorStats) {
+        let pushed = self.try_push(column, self.slice_row as usize, budget, stats);
+        self.columns[column] = if pushed { self.column_start } else { AxisZigzag::default() };
+    }
+
+    /// Removes and returns the first live candidate in pop order.
+    #[inline]
+    fn pop(&mut self) -> Option<Candidate> {
+        let live = &self.queue[..self.len as usize];
+        let first = *live.first()?;
+        let (mut at, mut best) = (0, first);
+        for (k, cand) in live.iter().enumerate().skip(1) {
+            if cand.precedes(&best) {
+                (at, best) = (k, *cand);
+            }
+        }
+        self.len -= 1;
+        self.queue[at] = self.queue[self.len as usize];
+        Some(best)
+    }
+
+    /// Number of live candidates in the queue — at most one per column, so
+    /// never more than √|O| (the paper's bound).
+    pub fn queue_len(&self) -> usize {
+        self.len as usize
     }
 }
 
@@ -238,17 +269,21 @@ impl NodeEnumerator for GeosphereEnumerator {
         // (paper Step 3a/3b) — runs only when the decoder actually needs
         // another sibling, by which time the budget may already exclude it.
         if let Some(column) = self.pending_explore.take() {
-            self.advance_column(column, budget, stats);
+            self.advance_column(column as usize, budget, stats);
             self.advance_horizontal(budget, stats);
         }
         // If the queue ran dry but unactivated columns remain (possible
         // when bound kills emptied it), keep trying to activate.
-        while self.queue.is_empty() && self.horizontal.is_some() {
+        while self.len == 0 && !self.horizontal.is_done() {
             self.advance_horizontal(budget, stats);
         }
-        let Reverse(cand) = self.queue.pop()?;
+        let cand = self.pop()?;
         self.pending_explore = Some(cand.column);
-        Some(Child { point: cand.point, cost: cand.cost })
+        let point = GridPoint {
+            i: self.c.coord_of_index(cand.column as usize),
+            q: self.c.coord_of_index(cand.row as usize),
+        };
+        Some(Child { point, cost: cand.cost })
     }
 }
 
@@ -262,7 +297,9 @@ impl EnumeratorFactory for GeosphereFactory {
         gain: f64,
         stats: &mut DetectorStats,
     ) -> GeosphereEnumerator {
-        GeosphereEnumerator::new(c, center, gain, self.geometric_pruning, stats)
+        let mut e = GeosphereEnumerator::default();
+        e.reset_for(c, center, gain, self.geometric_pruning, stats);
+        e
     }
 
     fn reset(
@@ -342,7 +379,7 @@ mod tests {
         let mut e =
             GeosphereFactory::zigzag_only().make(c, Complex::new(0.2, 0.7), 1.0, &mut stats);
         for _ in 0..c.size() {
-            assert!(e.queue.len() <= c.side(), "queue grew past √|O|: {}", e.queue.len());
+            assert!(e.queue_len() <= c.side(), "queue grew past √|O|: {}", e.queue_len());
             if e.next_child(f64::INFINITY, &mut stats).is_none() {
                 break;
             }

@@ -25,7 +25,7 @@ pub struct HessFactory;
 struct Row {
     /// Fixed Q coordinate of this horizontal subconstellation.
     q: i32,
-    /// Remaining I levels in zigzag order.
+    /// Remaining I levels in zigzag order (toward `center.re`).
     iter: AxisZigzag,
     /// Current head candidate cost; `None` when the row is exhausted.
     head: Option<(GridPoint, f64)>,
@@ -48,6 +48,23 @@ pub struct HessEnumerator {
     head_cost: Vec<f64>,
 }
 
+impl Default for HessEnumerator {
+    /// An enumerator with no node yet: a slab placeholder until
+    /// [`EnumeratorFactory::reset`] opens one.
+    fn default() -> Self {
+        HessEnumerator {
+            rows: Vec::new(),
+            initialized: false,
+            c: Constellation::Qpsk,
+            center: Complex::ZERO,
+            gain: 0.0,
+            head_re: Vec::new(),
+            head_im: Vec::new(),
+            head_cost: Vec::new(),
+        }
+    }
+}
+
 impl HessEnumerator {
     fn init(&mut self, stats: &mut DetectorStats) {
         // One slice for the in-phase axis; each row head shares the sliced
@@ -58,8 +75,10 @@ impl HessEnumerator {
         // materializes a Vec) so a node visit stays allocation-free.
         stats.slices += 1;
         let side = self.c.side();
-        let mut head_iter = AxisZigzag::new(self.c, self.center.re);
-        let head_i = head_iter.next().expect("nonempty axis");
+        // Every row zigzags over the same I levels toward the same target,
+        // so one cursor, advanced past the shared head, seeds them all.
+        let (head, row_iter) = AxisZigzag::start(self.c, self.center.re);
+        let head_i = self.c.coord_of_index(head);
         self.head_re.clear();
         self.head_re.resize(side, head_i as f64);
         self.head_im.clear();
@@ -76,12 +95,8 @@ impl HessEnumerator {
         stats.ped_calcs += side as u64;
         for qi in 0..side {
             let q = self.c.coord_of_index(qi);
-            // Each row owns its zigzag, advanced past the shared head.
-            let mut iter = AxisZigzag::new(self.c, self.center.re);
-            let i = iter.next().expect("nonempty axis");
-            debug_assert_eq!(i, head_i);
-            let point = GridPoint { i, q };
-            self.rows.push(Row { q, iter, head: Some((point, self.head_cost[qi])) });
+            let point = GridPoint { i: head_i, q };
+            self.rows.push(Row { q, iter: row_iter, head: Some((point, self.head_cost[qi])) });
         }
         self.initialized = true;
     }
@@ -102,7 +117,7 @@ impl NodeEnumerator for HessEnumerator {
             .0;
         let (point, cost) = self.rows[best_row].head.take().expect("head just observed");
         // Replenish the winning row from its zigzag.
-        if let Some(i) = self.rows[best_row].iter.next() {
+        if let Some(i) = self.rows[best_row].iter.next_coord(self.c, self.center.re) {
             let p = GridPoint { i, q: self.rows[best_row].q };
             let c = self.gain * p.dist_sqr(self.center);
             stats.ped_calcs += 1;
@@ -122,16 +137,7 @@ impl EnumeratorFactory for HessFactory {
         gain: f64,
         _stats: &mut DetectorStats,
     ) -> HessEnumerator {
-        HessEnumerator {
-            rows: Vec::with_capacity(c.side()),
-            initialized: false,
-            c,
-            center,
-            gain,
-            head_re: Vec::new(),
-            head_im: Vec::new(),
-            head_cost: Vec::new(),
-        }
+        HessEnumerator { c, center, gain, ..HessEnumerator::default() }
     }
 
     fn reset(

@@ -19,10 +19,10 @@
 //! allocations per symbol**. `tests/alloc_regression.rs` enforces this with
 //! a counting global allocator.
 //!
-//! The enumerator slab holds one slot per tree level; slots are filled by
-//! [`EnumeratorFactory::make_in`](crate::sphere::EnumeratorFactory::make_in),
-//! which resets an existing enumerator in place rather than constructing a
-//! fresh one per node visit (see the protocol notes in
+//! The enumerator slab holds one enumerator per tree level, created as a
+//! `Default` placeholder when the slab grows and
+//! [`reset`](crate::sphere::EnumeratorFactory::reset) in place per node
+//! visit rather than constructed fresh (see the protocol notes in
 //! [`crate::sphere::enumerator`]).
 
 use crate::detector::Detection;
@@ -50,9 +50,9 @@ pub(crate) enum Prep {
 /// `E` is the enumerator type of the decoder's factory; the alias
 /// [`WorkspaceFor`] names it from a factory type directly.
 pub struct SearchWorkspace<E> {
-    /// Enumerator slab, one slot per tree level. Entries are allocated on
-    /// first use and reset in place forever after.
-    pub(crate) enumerators: Vec<Option<E>>,
+    /// Enumerator slab, one slot per tree level. Entries start as
+    /// `Default` placeholders and are reset in place per node visit.
+    pub(crate) enumerators: Vec<E>,
     /// `d(s^(i+1))`: accumulated distance of the partial vector above each
     /// open level.
     pub(crate) dist_above: Vec<f64>,
@@ -98,7 +98,7 @@ pub struct SearchWorkspace<E> {
     // chosen points level-major (`[i·k + s]`) so one level's entries
     // across all jobs are a contiguous `cdot_soa_multi` input. ---
     /// Per-job per-level enumerator slab for the lockstep descent.
-    pub(crate) m_enum: Vec<Option<E>>,
+    pub(crate) m_enum: Vec<E>,
     /// Per-job `dist_above` slab.
     pub(crate) m_dist: Vec<f64>,
     /// Per-job partial symbol vectors.
@@ -126,23 +126,24 @@ pub struct SearchWorkspace<E> {
     pub(crate) m_radius: Vec<f64>,
     /// Per-job operation counters.
     pub(crate) m_stats: Vec<DetectorStats>,
-    /// Channel-grouping scratch for the batched path: `(channel, slot)`
-    /// pairs sorted in place (keys unique, so the unstable sort is a
-    /// stable grouping).
-    pub(crate) order: Vec<(u32, u32)>,
+    /// Channel-grouping scratch for the batched path: output slots
+    /// counting-sorted by channel (ascending slots within a channel).
+    pub(crate) order: Vec<u32>,
+    /// Per-channel group ends into `order` after the counting sort.
+    pub(crate) channel_end: Vec<usize>,
 }
 
 /// The workspace type for a given enumerator factory, e.g.
 /// `WorkspaceFor<GeosphereFactory>`.
 pub type WorkspaceFor<F> = SearchWorkspace<<F as crate::sphere::EnumeratorFactory>::Enumerator>;
 
-impl<E> Default for SearchWorkspace<E> {
+impl<E: Default> Default for SearchWorkspace<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> SearchWorkspace<E> {
+impl<E: Default> SearchWorkspace<E> {
     /// Creates an empty workspace; every buffer grows on first use and is
     /// reused forever after.
     pub fn new() -> Self {
@@ -176,6 +177,7 @@ impl<E> SearchWorkspace<E> {
             m_radius: Vec::new(),
             m_stats: Vec::new(),
             order: Vec::new(),
+            channel_end: Vec::new(),
         }
     }
 
@@ -184,7 +186,7 @@ impl<E> SearchWorkspace<E> {
     pub(crate) fn prepare_multi(&mut self, k: usize, nc: usize) {
         let slab = k * nc;
         if self.m_enum.len() < slab {
-            self.m_enum.resize_with(slab, || None);
+            self.m_enum.resize_with(slab, E::default);
         }
         if self.m_dist.len() < slab {
             self.m_dist.resize(slab, 0.0);
@@ -241,7 +243,7 @@ impl<E> SearchWorkspace<E> {
     /// a smaller search reuses the prefix of a larger search's slabs.
     pub(crate) fn prepare_levels(&mut self, nc: usize) {
         if self.enumerators.len() < nc {
-            self.enumerators.resize_with(nc, || None);
+            self.enumerators.resize_with(nc, E::default);
         }
         if self.dist_above.len() < nc {
             self.dist_above.resize(nc, 0.0);

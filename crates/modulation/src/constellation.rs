@@ -131,12 +131,22 @@ impl Constellation {
     /// decision boundaries, clamped to the grid edge).
     #[inline]
     pub fn slice_axis(self, x: f64) -> i32 {
-        let m = self.side() as i32;
-        // Round to nearest odd integer: shift by (m-1) to a 0..2(m-1) even
-        // grid, round to nearest multiple of 2, shift back, clamp.
-        let idx = ((x + (m - 1) as f64) / 2.0).round() as i64;
-        let idx = idx.clamp(0, (m - 1) as i64) as i32;
-        2 * idx - (m - 1)
+        self.coord_of_index(self.slice_index(x))
+    }
+
+    /// Level index (`0..side`) of [`Constellation::slice_axis`]`(x)`.
+    #[inline]
+    pub fn slice_index(self, x: f64) -> usize {
+        let m = self.side() as i64;
+        // Shift by (m-1) to a 0..2(m-1) even grid and halve: the nearest
+        // level index is `v` rounded half away from zero, then clamped.
+        // The rounding is done exactly in integer arithmetic (`v − trunc(v)`
+        // is exact), which gives `v.round()` bit for bit without a libm
+        // call; negative and NaN `v` clamp to 0 either way.
+        let v = (x + (m - 1) as f64) / 2.0;
+        let t = v as i64;
+        let idx = t.saturating_add((v - t as f64 >= 0.5) as i64);
+        idx.clamp(0, m - 1) as usize
     }
 
     /// Nearest constellation point to an arbitrary received symbol.
@@ -261,6 +271,51 @@ mod tests {
         assert_eq!(c.slice_axis(-0.1), -1);
         assert_eq!(c.slice_axis(2.2), 3);
         assert_eq!(c.slice_axis(1.9), 1);
+    }
+
+    #[test]
+    fn slice_index_matches_libm_rounding() {
+        // The reference is the `f64::round` formula the integer rounding
+        // replaces; they must agree bit for bit, edge cases included.
+        fn reference(c: Constellation, x: f64) -> i32 {
+            let m = c.side() as i32;
+            let idx = ((x + (m - 1) as f64) / 2.0).round() as i64;
+            2 * idx.clamp(0, (m - 1) as i64) as i32 - (m - 1)
+        }
+        let just_below_half = 0.5f64.next_down();
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            1e300,
+            -1e300,
+            9.3e18,
+            -9.3e18,
+            f64::MIN_POSITIVE,
+        ];
+        for k in -20..=20 {
+            let k = k as f64;
+            // Odd levels, the decision boundaries between them (even
+            // integers), and their floating-point neighbours.
+            for x in [k, k + just_below_half, k + 0.5, k - just_below_half] {
+                xs.extend([x, x.next_up(), x.next_down()]);
+            }
+        }
+        let mut u = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            u = u.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            xs.push(((u >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 40.0);
+        }
+        for c in Constellation::ALL {
+            for &x in &xs {
+                assert_eq!(c.slice_axis(x), reference(c, x), "{c:?} x = {x:e}");
+                assert_eq!(c.coord_of_index(c.slice_index(x)), c.slice_axis(x));
+            }
+        }
     }
 
     #[test]

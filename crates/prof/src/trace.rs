@@ -1145,6 +1145,10 @@ mod tests {
 
     #[test]
     fn trigger_counts_accumulate() {
+        // The live tests below fire `Trigger::Manual` too; hold their lock
+        // so none of their triggers lands between the two reads.
+        #[cfg(feature = "trace")]
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let before = trigger_counts();
         trigger(Trigger::Manual, NO_FRAME);
         trigger(Trigger::Manual, NO_FRAME);

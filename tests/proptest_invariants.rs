@@ -5,7 +5,7 @@ use geosphere::core::geoprune::{axis_offset, distance_lower_bound};
 use geosphere::core::sphere::{EnumeratorFactory, GeosphereFactory, HessFactory, NodeEnumerator};
 use geosphere::core::DetectorStats;
 use geosphere::linalg::{qr_decompose, singular_values, Complex, Matrix};
-use geosphere::modulation::{map_bits, unmap_point, AxisZigzag, Constellation};
+use geosphere::modulation::{map_bits, unmap_point, AxisZigzag, Constellation, GridPoint};
 use proptest::prelude::*;
 
 fn constellation_strategy() -> impl Strategy<Value = Constellation> {
@@ -43,7 +43,7 @@ proptest! {
 
     #[test]
     fn axis_zigzag_sorted_and_complete(c in constellation_strategy(), t in -20.0f64..20.0) {
-        let order: Vec<i32> = AxisZigzag::new(c, t).collect();
+        let order: Vec<i32> = AxisZigzag::order(c, t).collect();
         prop_assert_eq!(order.len(), c.side());
         for w in order.windows(2) {
             prop_assert!((w[0] as f64 - t).abs() <= (w[1] as f64 - t).abs() + 1e-12);
@@ -448,5 +448,239 @@ fn puncturing_matches_pattern_filter() {
         depuncture_soft_into(&soft, cfg.code_rate, mother_len, &mut soft_back);
         assert_eq!(hard_back, want_cb, "{what}: depuncture bits");
         assert_eq!(soft_back, want_soft, "{what}: depuncture values");
+    }
+}
+
+// --- Geosphere enumerator oracle ---
+
+/// Rounds to the nearest odd integer (a grid coordinate, unclamped).
+fn nearest_odd(x: f64) -> f64 {
+    2.0 * ((x - 1.0) / 2.0).round() + 1.0
+}
+
+/// Rounds to the nearest even integer (a decision boundary).
+fn nearest_even(x: f64) -> f64 {
+    2.0 * (x / 2.0).round()
+}
+
+/// A node centre of one of four kinds: uniform, an exact grid point, the
+/// midpoint of four grid points, or the midpoint of two. The last three
+/// put symmetric neighbours at exactly equal costs, so they exercise the
+/// tie rule.
+fn node_center(kind: u8, re: f64, im: f64) -> Complex {
+    match kind % 4 {
+        0 => Complex::new(re, im),
+        1 => Complex::new(nearest_odd(re), nearest_odd(im)),
+        2 => Complex::new(nearest_even(re), nearest_even(im)),
+        _ => Complex::new(nearest_even(re), nearest_odd(im)),
+    }
+}
+
+/// `(constellation, centre, gain)` across all four constellations and the
+/// four centre kinds, centres reaching a little past the grid edge.
+fn node_strategy() -> impl Strategy<Value = (Constellation, Complex, f64)> {
+    (constellation_strategy(), 0u8..4, -18.0f64..18.0, -18.0f64..18.0, 0.01f64..10.0)
+        .prop_map(|(c, kind, re, im, gain)| (c, node_center(kind, re, im), gain))
+}
+
+/// The exact PED of a grid point: the same unit every enumerator uses.
+fn ped(p: GridPoint, center: Complex, gain: f64) -> f64 {
+    geosphere::linalg::simd::ped_point(p.i as f64, p.q as f64, center, gain)
+}
+
+/// One node's children, in order, as `(point, cost bits)` — every child
+/// with cost below `budget`, stopping at the first that is not — plus the
+/// node's counters and the largest live queue seen between calls.
+struct Drained {
+    children: Vec<(GridPoint, u64)>,
+    stats: DetectorStats,
+    max_queue: usize,
+}
+
+fn drain_geosphere(
+    factory: GeosphereFactory,
+    c: Constellation,
+    center: Complex,
+    gain: f64,
+    budget: f64,
+) -> Drained {
+    let mut stats = DetectorStats::default();
+    let mut e = factory.make(c, center, gain, &mut stats);
+    let mut max_queue = e.queue_len();
+    let mut children = Vec::new();
+    while let Some(ch) = e.next_child(budget, &mut stats) {
+        max_queue = max_queue.max(e.queue_len());
+        if ch.cost >= budget {
+            break;
+        }
+        children.push((ch.point, ch.cost.to_bits()));
+    }
+    Drained { children, stats, max_queue }
+}
+
+/// Reference model of the 2-D zigzag (§3.1.1) under the documented tie
+/// rule, written for clarity rather than speed: each axis order is a sort
+/// of the levels by distance to the target (ties to the upper level), the
+/// queue is a `Vec` holding one candidate per column, and a pop takes the
+/// minimum by cost, then by column coordinate (i.e. lower column index).
+fn reference_children(c: Constellation, center: Complex, gain: f64) -> Vec<(GridPoint, u64)> {
+    let axis = |t: f64| {
+        let mut levels = c.axis_levels();
+        let dist = |l: i32| (l as f64 - t).abs();
+        levels.sort_by(|&a, &b| dist(a).total_cmp(&dist(b)).then(b.cmp(&a)));
+        levels
+    };
+    let (cols, rows) = (axis(center.re), axis(center.im));
+    let cost = |i: i32, q: i32| ped(GridPoint { i, q }, center, gain);
+    // (cost, column coordinate, position in `rows`)
+    let mut queue = vec![(cost(cols[0], rows[0]), cols[0], 0usize)];
+    let mut next_col = 1;
+    let mut out = Vec::new();
+    while !queue.is_empty() {
+        let k = (0..queue.len())
+            .min_by(|&a, &b| queue[a].0.total_cmp(&queue[b].0).then(queue[a].1.cmp(&queue[b].1)))
+            .unwrap();
+        let (cst, col, r) = queue.swap_remove(k);
+        out.push((GridPoint { i: col, q: rows[r] }, cst.to_bits()));
+        if r + 1 < rows.len() {
+            queue.push((cost(col, rows[r + 1]), col, r + 1));
+        }
+        if next_col < cols.len() {
+            queue.push((cost(cols[next_col], rows[0]), cols[next_col], 0));
+            next_col += 1;
+        }
+    }
+    out
+}
+
+/// The unpruned full drain is the brute-force sort of every point's
+/// `ped_point` cost, bit for bit, each point once; it follows the reference
+/// model (tie rule included) child for child; its queue stays within √|O|;
+/// and it costs exactly one PED per point.
+fn check_full_drain(c: Constellation, center: Complex, gain: f64) {
+    let got = drain_geosphere(GeosphereFactory::zigzag_only(), c, center, gain, f64::INFINITY);
+    let mut expect: Vec<f64> = c.points().iter().map(|&p| ped(p, center, gain)).collect();
+    expect.sort_by(f64::total_cmp);
+    let costs: Vec<u64> = got.children.iter().map(|&(_, bits)| bits).collect();
+    let expect: Vec<u64> = expect.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(costs, expect, "{c:?} at {center:?} gain {gain}: not the sorted costs");
+    let mut seen: Vec<(i32, i32)> = got.children.iter().map(|(p, _)| (p.i, p.q)).collect();
+    seen.sort_unstable();
+    seen.dedup();
+    assert_eq!(seen.len(), c.size(), "{c:?} at {center:?}: a point repeated or went missing");
+    assert_eq!(
+        got.children,
+        reference_children(c, center, gain),
+        "{c:?} at {center:?} gain {gain}: order differs from the tie rule"
+    );
+    assert!(got.max_queue <= c.side(), "{c:?}: queue reached {}", got.max_queue);
+    assert_eq!(got.stats.ped_calcs, c.size() as u64);
+}
+
+/// With pruning and a finite budget, the children are exactly the
+/// unpruned order's prefix of children below the budget.
+fn check_pruned_prefix(c: Constellation, center: Complex, gain: f64, budget: f64) {
+    let all = drain_geosphere(GeosphereFactory::zigzag_only(), c, center, gain, f64::INFINITY);
+    let prefix: Vec<_> = all
+        .children
+        .iter()
+        .take_while(|&&(_, bits)| f64::from_bits(bits) < budget)
+        .copied()
+        .collect();
+    let pruned = drain_geosphere(GeosphereFactory::full(), c, center, gain, budget);
+    assert_eq!(pruned.children, prefix, "{c:?} at {center:?} gain {gain} budget {budget}");
+    assert!(pruned.max_queue <= c.side());
+    assert!(pruned.stats.ped_calcs <= all.stats.ped_calcs);
+}
+
+/// Nodes run through one reused slot match a fresh enumerator per node —
+/// children, cost bits and counters after every call — while the slot is
+/// left part-drained between nodes. Each node is `(c, centre, gain,
+/// budget, children to take)`.
+fn check_slot_replay<F: EnumeratorFactory>(
+    f: &F,
+    nodes: &[(Constellation, Complex, f64, f64, usize)],
+) {
+    let mut slot = None;
+    for &(c, center, gain, budget, take) in nodes {
+        let (mut s_fresh, mut s_slot) = (DetectorStats::default(), DetectorStats::default());
+        let mut fresh = f.make(c, center, gain, &mut s_fresh);
+        f.make_in(&mut slot, c, center, gain, &mut s_slot);
+        let reused = slot.as_mut().expect("slot just filled");
+        assert_eq!(s_fresh, s_slot, "{} {c:?}: reset counters", f.name());
+        for _ in 0..take {
+            let a = fresh.next_child(budget, &mut s_fresh);
+            let b = reused.next_child(budget, &mut s_slot);
+            assert_eq!(s_fresh, s_slot, "{} {c:?}", f.name());
+            match (a, b) {
+                (None, None) => break,
+                (Some(x), Some(y)) => {
+                    assert_eq!(x.point, y.point, "{} {c:?}", f.name());
+                    assert_eq!(x.cost.to_bits(), y.cost.to_bits(), "{} {c:?}", f.name());
+                }
+                _ => panic!("{} {c:?}: fresh and reused enumerations diverged", f.name()),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn geosphere_full_drain_matches_oracle(node in node_strategy()) {
+        let (c, center, gain) = node;
+        check_full_drain(c, center, gain);
+    }
+
+    #[test]
+    fn geosphere_pruned_children_are_unpruned_prefix(
+        node in node_strategy(),
+        budget in 0.0f64..60.0,
+    ) {
+        let (c, center, gain) = node;
+        check_pruned_prefix(c, center, gain, gain * budget);
+    }
+
+    #[test]
+    fn enumerator_slot_replays_fresh_across_constellations(
+        a in node_strategy(),
+        b in node_strategy(),
+        d in node_strategy(),
+        budget in 1.0f64..80.0,
+        take in 1usize..40,
+    ) {
+        // The shape sequence is fixed (64 → 16 → 256-QAM, then back to
+        // 64); the strategies supply centres, gains, budget and depth.
+        let shapes = [Constellation::Qam64, Constellation::Qam16, Constellation::Qam256, Constellation::Qam64];
+        let nodes: Vec<_> = shapes
+            .iter()
+            .zip([a, b, d, a])
+            .enumerate()
+            .map(|(n, (&c, (_, center, gain)))| (c, center, gain, gain * budget, take + 7 * n))
+            .collect();
+        check_slot_replay(&GeosphereFactory::full(), &nodes);
+        check_slot_replay(&GeosphereFactory::zigzag_only(), &nodes);
+        check_slot_replay(&HessFactory, &nodes);
+        let unbounded: Vec<_> = nodes.iter().map(|&(c, z, g, _, _)| (c, z, g, f64::INFINITY, 300)).collect();
+        check_slot_replay(&GeosphereFactory::full(), &unbounded);
+    }
+}
+
+/// Every grid point and every midpoint (exact ties) in and just past each
+/// constellation's grid, at two gains: the oracle and the pruned prefix.
+#[test]
+fn geosphere_oracle_on_grid_points_and_midpoints() {
+    for c in Constellation::ALL {
+        let reach = c.side() as i32 + 1;
+        for re in -reach..=reach {
+            for im in -reach..=reach {
+                let center = Complex::new(re as f64, im as f64);
+                for gain in [1.0, 0.37] {
+                    check_full_drain(c, center, gain);
+                    check_pruned_prefix(c, center, gain, gain * 10.0);
+                }
+            }
+        }
     }
 }

@@ -1,20 +1,21 @@
 //! Worker-thread CPU affinity.
 //!
-//! The [`DetectionPool`](crate::DetectionPool) threads are long-lived —
+//! The detection threads ([`crate::ShardedDetectionPool`], which also
+//! serves [`DetectionPool`](crate::DetectionPool)) are long-lived —
 //! spawned once and reused across every frame a receiver decodes — so
 //! pinning each worker to one core is a cheap, stable win: the worker's
 //! search workspace (enumerator slabs, QR factors, recycled output
 //! buffers) stays in one core's cache instead of migrating with the
-//! scheduler. Workers are pinned round-robin (`worker i → core i mod
-//! n_cores`); set `GS_NO_PIN` (or `GS_NO_PIN=1`) to opt out, e.g. when
-//! sharing a box with other pinned workloads.
+//! scheduler. Each shard's workers are pinned round-robin over the CPUs
+//! of the shard's memory domain; set `GS_NO_PIN` (or `GS_NO_PIN=1`) to
+//! opt out, e.g. when sharing a box with other pinned workloads.
 //!
 //! This module also discovers the machine's **memory domains**
 //! ([`memory_domains`]): the NUMA topology read from sysfs, a flat
 //! single-domain fallback where sysfs is unavailable, and a `GS_DOMAINS`
-//! synthetic override. Domains are the shard axis of the streaming
-//! dispatch layer ([`crate::ShardedDetectionPool`]): one job queue and one
-//! channel-table replica per domain, served by workers pinned inside it.
+//! synthetic override. Domains are the shard axis of the pool: one job
+//! queue (and, in the streaming runtime, one channel-table replica) per
+//! domain, served by workers pinned inside it.
 //!
 //! Pinning is best-effort and Linux-only: on other platforms, or when the
 //! syscall fails (containers with restricted affinity masks), workers

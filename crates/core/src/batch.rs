@@ -1,4 +1,4 @@
-//! Batched parallel MIMO detection — the workspace's scaling layer.
+//! Batched MIMO detection — the workspace's scaling layer.
 //!
 //! An OFDM frame is an embarrassingly parallel batch of per-subcarrier
 //! sphere searches (paper §4: one independent detection per OFDM symbol ×
@@ -10,24 +10,28 @@
 //!   jobs that reference channels by index, so per-channel preprocessing
 //!   (QR factorization) is computed once per *channel*, not once per
 //!   *detection* — [`SphereDecoder`](crate::SphereDecoder) overrides
-//!   [`MimoDetector::detect_batch`] to do exactly that.
-//! * [`BatchDetector`] fans a batch out across a scoped worker pool.
-//!   Results are returned in job order and are bit-identical to detecting
-//!   each job serially, for any worker count: detection consumes no shared
-//!   mutable state and QR factorization is deterministic.
+//!   [`MimoDetector::detect_batch_with`] to do exactly that.
+//! * [`ChannelOrder`] is the channel-grouped dispatch order every
+//!   multi-worker path splits a batch by, so each worker's contiguous
+//!   range spans whole channel groups and re-factorizes each channel at
+//!   most once.
+//! * [`DetectionPool`] runs one batch at a time across a persistent
+//!   [`ShardedDetectionPool`]. Results are bit-identical to detecting each
+//!   job serially, for any worker count: detection consumes no shared
+//!   mutable state, QR factorization is deterministic, and results are
+//!   scattered back by job index.
 //!
-//! Workspace ownership: each worker's `detect_batch`/`detect_batch_indexed`
-//! call owns one [`SearchWorkspace`](crate::sphere::SearchWorkspace) for
-//! its whole job chunk (created on the worker thread, inside the sphere
-//! decoder's override), so per-node enumerators, per-level search state,
-//! and per-channel QR factors are reused across every job the worker
-//! processes — zero heap allocations per symbol after warmup.
+//! Workspace ownership: each pool worker owns one
+//! [`DetectorWorkspace`] for its whole life, so per-node enumerators,
+//! per-level search state, and per-channel QR factors are reused across
+//! every job and frame the worker processes — zero heap allocations per
+//! symbol after warmup.
 
 use crate::detector::{Detection, DetectorWorkspace, MimoDetector};
+use crate::shard::{ShardedDetectionPool, ShardedJob, NO_DEADLINE};
 use gs_linalg::{Complex, Matrix};
 use gs_modulation::Constellation;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 /// One detection problem inside a batch: an index into the batch's shared
 /// channel table plus the received vector.
@@ -67,280 +71,205 @@ impl DetectionBatch<'_> {
     }
 }
 
-/// Fans batches of detections out across a scoped `std::thread` worker
-/// pool, preserving job order.
+/// The channel-grouped dispatch order of a batch: job indices sorted by
+/// channel, submission order kept within each channel — the permutation a
+/// stable sort by `(channel, index)` gives. An OFDM frame's jobs arrive
+/// symbol-major (the channel cycles every subcarrier), so splitting the
+/// raw job order across workers would make every worker touch, and
+/// re-factorize, every channel.
 ///
-/// Each worker receives a contiguous chunk of jobs (with the shared
-/// channel table), so detectors that amortize per-channel preprocessing
-/// keep that benefit within each chunk. Workers borrow the detector
-/// immutably — [`MimoDetector`] requires `Send + Sync`, and no detector in
-/// this crate has interior mutability — so no cloning or locking happens
-/// on the hot path.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchDetector<'a, D: MimoDetector + ?Sized> {
-    detector: &'a D,
-    workers: usize,
+/// Computed by a counting sort, O(jobs + channels), into buffers kept
+/// across calls: allocation-free once warm.
+#[derive(Clone, Debug, Default)]
+pub struct ChannelOrder {
+    order: Vec<usize>,
+    /// Counting-sort scratch: per-channel group starts, advanced to the
+    /// group ends by the scatter.
+    ends: Vec<usize>,
 }
 
-impl<'a, D: MimoDetector + ?Sized> BatchDetector<'a, D> {
-    /// Wraps `detector` with a pool of `workers` threads; `workers == 0`
-    /// selects the machine's available parallelism.
-    ///
-    /// The pool never oversubscribes: detection is pure CPU work, so
-    /// running more threads than hardware threads only adds context-switch
-    /// and cache-thrash cost. The effective count is
-    /// `min(workers, available_parallelism)` — [`Self::workers`] reports
-    /// the resolved value.
-    pub fn new(detector: &'a D, workers: usize) -> Self {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let workers = if workers == 0 { hw } else { workers.min(hw) };
-        BatchDetector { detector, workers }
-    }
-
-    /// The resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The wrapped detector.
-    pub fn detector(&self) -> &'a D {
-        self.detector
-    }
-
-    /// Detects every job in `batch`, in parallel across the pool, returning
-    /// results in job order.
-    ///
-    /// Jobs are grouped by channel index before being split into per-worker
-    /// chunks, so detectors that amortize per-channel preprocessing keep
-    /// (almost) one factorization per channel at any worker count — at most
-    /// `workers − 1` channel groups straddle a chunk boundary. An OFDM
-    /// frame's jobs arrive symbol-major (the channel cycles every
-    /// subcarrier), so without the grouping every chunk would touch every
-    /// channel and re-factorize it. The grouping is an index permutation
-    /// dispatched through [`MimoDetector::detect_batch_indexed`] — jobs are
-    /// never cloned or rearranged in memory.
-    ///
-    /// Output is bit-identical to `self.detector().detect_batch(batch)` run
-    /// serially: the grouping permutation is deterministic (stable sort by
-    /// channel), it is inverted on the way out, and detection is a pure
-    /// function of (channel, y, constellation).
-    pub fn detect_batch(&self, batch: &DetectionBatch) -> Vec<Detection> {
-        let n = batch.jobs.len();
-        let workers = self.workers.min(n.max(1));
-        if workers <= 1 || n <= 1 {
-            return self.detector.detect_batch(batch);
+impl ChannelOrder {
+    /// Recomputes the order over `jobs` and returns it.
+    pub fn group(&mut self, jobs: &[DetectionJob]) -> &[usize] {
+        let n_channels = jobs.iter().map(|job| job.channel + 1).max().unwrap_or(0);
+        // Counts land at `channel + 1`; the prefix sum turns them into
+        // group starts.
+        self.ends.clear();
+        self.ends.resize(n_channels + 1, 0);
+        for job in jobs {
+            self.ends[job.channel + 1] += 1;
         }
-
-        // Group jobs by channel (stable: ties keep submission order), so
-        // each worker's contiguous chunk spans whole channel groups. When
-        // jobs already arrive grouped — notably the flat-channel case with
-        // a single table entry, the dominant experiment path — skip the
-        // permutation entirely.
-        let already_grouped = batch.jobs.windows(2).all(|w| w[0].channel <= w[1].channel);
-        let chunk_len = n.div_ceil(workers);
-
-        if already_grouped {
-            let mut out: Vec<Option<Detection>> = vec![None; n];
-            std::thread::scope(|scope| {
-                for (jobs, slots) in batch.jobs.chunks(chunk_len).zip(out.chunks_mut(chunk_len)) {
-                    let sub = DetectionBatch { channels: batch.channels, jobs, c: batch.c };
-                    let detector = self.detector;
-                    scope.spawn(move || {
-                        for (slot, det) in slots.iter_mut().zip(detector.detect_batch(&sub)) {
-                            *slot = Some(det);
-                        }
-                    });
-                }
-            });
-            return out.into_iter().map(|d| d.expect("every chunk fills its slots")).collect();
+        for ch in 0..n_channels {
+            self.ends[ch + 1] += self.ends[ch];
         }
+        self.order.clear();
+        self.order.resize(jobs.len(), 0);
+        for (i, job) in jobs.iter().enumerate() {
+            let at = &mut self.ends[job.channel];
+            self.order[*at] = i;
+            *at += 1;
+        }
+        &self.order
+    }
 
-        // Channel-grouped dispatch order; workers receive disjoint index
-        // chunks and resolve jobs through the shared batch by index, then
-        // the results are scattered back to job order.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (batch.jobs[i].channel, i));
-
-        let mut out: Vec<Option<Detection>> = vec![None; n];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = order
-                .chunks(chunk_len)
-                .map(|idx_chunk| {
-                    let detector = self.detector;
-                    scope.spawn(move || detector.detect_batch_indexed(batch, idx_chunk))
-                })
-                .collect();
-            for (idx_chunk, handle) in order.chunks(chunk_len).zip(handles) {
-                let dets = handle.join().expect("detection worker panicked");
-                for (&slot, det) in idx_chunk.iter().zip(dets) {
-                    out[slot] = Some(det);
-                }
-            }
-        });
-        out.into_iter().map(|d| d.expect("every chunk fills its slots")).collect()
+    /// The order computed by the last [`ChannelOrder::group`].
+    pub fn as_slice(&self) -> &[usize] {
+        &self.order
     }
 }
 
-/// A **persistent** detection worker pool: threads are spawned once and
-/// reused across frames, unlike [`BatchDetector`], whose scoped threads are
-/// respawned (and whose closures are reallocated) on every call.
+/// A frame-synchronous detection pool: threads are spawned once and reused
+/// across frames.
 ///
 /// This is the multi-worker engine of the allocation-free frame pipeline
 /// (`gs-phy`'s `FrameWorkspace`): per frame, the caller *lends* its channel
 /// table and job buffers to the pool ([`DetectionPool::run`] swaps them in
-/// and back out — no copies), workers detect their chunks through
-/// [`MimoDetector::detect_batch_indexed_with`] into per-worker output slots
-/// whose buffers they recycle frame over frame, and the caller reads the
-/// results in place via [`DetectionPool::for_each_result`]. After one
-/// warmup frame of a given shape, a frame costs **zero heap allocations**
-/// on every thread involved (enforced by `tests/alloc_regression.rs`).
+/// and back out — no copies), workers detect their ranges of the
+/// [`ChannelOrder`] through [`MimoDetector::detect_batch_indexed_with`]
+/// into per-range output slots whose buffers they recycle frame over
+/// frame, and the caller reads the results in place via
+/// [`DetectionPool::for_each_result`]. After one warmup frame of a given
+/// shape, a frame costs **zero heap allocations** on every thread involved
+/// (enforced by `tests/alloc_regression.rs`).
 ///
-/// Jobs are dispatched in channel-grouped order (a stable permutation by
-/// channel index, computed in place), so each worker re-factorizes each
-/// distinct channel at most once per frame — the same amortization
-/// [`BatchDetector`] performs, with bit-identical results: detection is a
-/// pure per-job function and results are scattered back by job index.
+/// The threads are a [`ShardedDetectionPool`] with one shard per worker:
+/// range `r` always goes to shard `r`, whose only worker is always the
+/// same thread. That fixed mapping is what keeps every worker's search
+/// workspace and output slot warm — with one shared queue, a worker that
+/// happened to pop nothing during warmup would allocate on a later frame.
 ///
 /// The detector is installed per frame as an `Arc` clone (a refcount bump,
 /// not an allocation), so one pool can serve different detectors over its
 /// lifetime.
 pub struct DetectionPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-    n_workers: usize,
+    pool: ShardedDetectionPool,
+    frame: Arc<PoolFrame>,
 }
 
-struct PoolShared {
-    signal: Mutex<PoolSignal>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-    data: RwLock<PoolData>,
-    /// Per-worker result slots: each worker writes only its own slot, the
-    /// main thread reads them between frames. Slot buffers persist, so
-    /// workers recycle their `Detection` symbol vectors via their own
-    /// workspace on the next frame.
+/// What the coordinator shares with the workers, reused frame over frame.
+struct PoolFrame {
+    data: RwLock<FrameData>,
+    /// Per-range result slots: range `r`'s worker writes only slot `r`;
+    /// the coordinator reads them between frames.
     slots: Vec<Mutex<Vec<Detection>>>,
+    latch: Mutex<Latch>,
+    done: Condvar,
 }
 
+/// Countdown of the frame's unfinished ranges.
 #[derive(Default)]
-struct PoolSignal {
-    epoch: u64,
+struct Latch {
     remaining: usize,
-    shutdown: bool,
-    /// Set when a worker unwound mid-frame; [`DetectionPool::run`]
-    /// propagates it as a panic instead of returning partial results.
-    worker_panicked: bool,
+    /// Set when a worker unwound mid-frame and never cleared: the worker
+    /// is gone, so [`DetectionPool::run`] panics now and refuses every
+    /// later frame instead of hanging on it.
+    panicked: bool,
 }
 
-/// Poison-tolerant mutex lock: a panicked sibling must not cascade —
-/// the pool's own `worker_panicked` flag carries the failure instead.
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Decrements `remaining` (and records unwinding workers) even if the
-/// frame's detection panicked, so [`DetectionPool::run`] can never hang
-/// waiting on a dead worker.
-struct FrameDoneGuard<'a> {
-    shared: &'a PoolShared,
-}
-
-impl Drop for FrameDoneGuard<'_> {
-    fn drop(&mut self) {
-        let mut sig = lock_ignoring_poison(&self.shared.signal);
-        if std::thread::panicking() {
-            sig.worker_panicked = true;
-        }
-        sig.remaining -= 1;
-        let done = sig.remaining == 0;
-        drop(sig);
-        if done {
-            self.shared.done_cv.notify_all();
-        }
-    }
-}
-
-struct PoolData {
+struct FrameData {
     detector: Option<Arc<dyn MimoDetector>>,
     channels: Vec<Matrix>,
     jobs: Vec<DetectionJob>,
     n_jobs: usize,
     c: Constellation,
-    /// Channel-grouped dispatch order over `0..n_jobs`.
-    order: Vec<usize>,
-    /// Per-worker `[lo, hi)` index ranges into `order`.
+    order: ChannelOrder,
+    /// Per-range `[lo, hi)` index ranges into `order`.
     ranges: Vec<(usize, usize)>,
-    /// Profiling stamp ([`gs_prof::ticks`] when the epoch was published;
-    /// `0` with profiling compiled out) — each waking worker attributes
-    /// its wakeup latency to [`gs_prof::Stage::Queue`].
-    submitted_at: u64,
 }
 
-impl Default for PoolData {
-    fn default() -> Self {
-        PoolData {
-            detector: None,
-            channels: Vec::new(),
-            jobs: Vec::new(),
-            n_jobs: 0,
-            c: Constellation::Qpsk,
-            order: Vec::new(),
-            ranges: Vec::new(),
-            submitted_at: 0,
+/// Poison-tolerant mutex lock: a panicked worker must not cascade — the
+/// latch's `panicked` flag carries the failure instead.
+fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Counts a range down even if its detection panicked, so
+/// [`DetectionPool::run`] can never hang waiting on a dead worker.
+struct RangeDone<'a>(&'a PoolFrame);
+
+impl Drop for RangeDone<'_> {
+    fn drop(&mut self) {
+        let mut latch = lock_ignoring_poison(&self.0.latch);
+        latch.panicked |= std::thread::panicking();
+        latch.remaining -= 1;
+        if latch.remaining == 0 {
+            self.0.done.notify_all();
+        }
+    }
+}
+
+impl ShardedJob for PoolFrame {
+    fn run_shard(&self, shard: usize, _token: usize, ws: &mut DetectorWorkspace) {
+        // Declared first so it drops last, after the data read lock.
+        let _done = RangeDone(self);
+        let data = self.data.read().unwrap_or_else(PoisonError::into_inner);
+        let (lo, hi) = data.ranges[shard];
+        if lo < hi {
+            let detector = data.detector.as_deref().expect("detector installed for the frame");
+            let batch = DetectionBatch {
+                channels: &data.channels,
+                jobs: &data.jobs[..data.n_jobs],
+                c: data.c,
+            };
+            let mut out = lock_ignoring_poison(&self.slots[shard]);
+            detector.detect_batch_indexed_with(
+                &batch,
+                &data.order.as_slice()[lo..hi],
+                ws,
+                &mut out,
+            );
         }
     }
 }
 
 impl DetectionPool {
-    /// Spawns a pool of exactly `workers.max(1)` threads, pinned
-    /// round-robin to cores unless `GS_NO_PIN` is set (see
-    /// [`crate::affinity`] — the workers are long-lived, so stable
-    /// placement keeps each worker's search workspace in one core's
-    /// cache).
+    /// Spawns a pool of `workers` threads (`0` = the machine's available
+    /// parallelism, resolved here, once), pinned unless `GS_NO_PIN` is
+    /// set (see [`crate::affinity`] — the workers are long-lived, so
+    /// stable placement keeps each worker's search workspace in one
+    /// core's cache).
     ///
-    /// Unlike [`BatchDetector::new`], the count is **not** clamped to the
-    /// machine's parallelism: a long-lived receiver sizes its pool once,
-    /// and correctness (and the zero-allocation contract) hold at any
-    /// count — oversubscription only costs wall-clock.
+    /// The count is **not** clamped to the machine's parallelism: a
+    /// long-lived receiver sizes its pool once, and correctness (and the
+    /// zero-allocation contract) hold at any count — oversubscription
+    /// only costs wall-clock.
     pub fn new(workers: usize) -> Self {
         Self::new_with_pinning(workers, !crate::affinity::pinning_disabled_by_env())
     }
 
     /// [`DetectionPool::new`] with explicit control over worker pinning
     /// (the env-independent form, used by tests and by embedders that
-    /// manage placement themselves). Worker `i` is pinned to the `i mod
-    /// n`-th CPU of the process's **allowed** set (so `taskset`/cpuset
-    /// restrictions are respected rather than fought), best-effort.
+    /// manage placement themselves). Placement follows
+    /// [`ShardedDetectionPool::new_with_pinning`], best-effort.
     pub fn new_with_pinning(workers: usize, pin: bool) -> Self {
-        let n_workers = workers.max(1);
-        let cpus = if pin { crate::affinity::allowed_cpus() } else { Vec::new() };
-        let shared = Arc::new(PoolShared {
-            signal: Mutex::new(PoolSignal::default()),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            data: RwLock::new(PoolData::default()),
+        let n_workers = if workers == 0 {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        } else {
+            workers
+        };
+        // Capacity 1: a shard's queue holds at most the current frame's
+        // range, which its worker pops before `run` returns.
+        let pool = ShardedDetectionPool::new_with_pinning(n_workers, n_workers, 1, pin);
+        let frame = Arc::new(PoolFrame {
+            data: RwLock::new(FrameData {
+                detector: None,
+                channels: Vec::new(),
+                jobs: Vec::new(),
+                n_jobs: 0,
+                c: Constellation::Qpsk,
+                order: ChannelOrder::default(),
+                ranges: Vec::new(),
+            }),
             slots: (0..n_workers).map(|_| Mutex::new(Vec::new())).collect(),
+            latch: Mutex::new(Latch::default()),
+            done: Condvar::new(),
         });
-        let handles = (0..n_workers)
-            .map(|wid| {
-                let shared = Arc::clone(&shared);
-                let cpu = if cpus.is_empty() { None } else { Some(cpus[wid % cpus.len()]) };
-                std::thread::spawn(move || {
-                    if let Some(cpu) = cpu {
-                        // Best-effort: a rejected mask just leaves the
-                        // worker unpinned.
-                        crate::affinity::pin_current_thread(cpu);
-                    }
-                    pool_worker_loop(&shared, wid)
-                })
-            })
-            .collect();
-        DetectionPool { shared, handles, n_workers }
+        DetectionPool { pool, frame }
     }
 
     /// The pool's thread count.
     pub fn workers(&self) -> usize {
-        self.n_workers
+        self.pool.workers()
     }
 
     /// Detects `jobs[..n_jobs]` against `channels` across the pool,
@@ -349,7 +278,11 @@ impl DetectionPool {
     /// `channels` and `jobs` are lent to the pool for the duration of the
     /// call (swapped in and back out; their contents are untouched). Read
     /// the detections with [`DetectionPool::for_each_result`] — they stay
-    /// in the per-worker slots so the buffers can be recycled next frame.
+    /// in the per-range slots so the buffers can be recycled next frame.
+    ///
+    /// # Panics
+    /// Panics when a worker panics during detection, and on every call
+    /// after that: the pool is dead.
     pub fn run(
         &mut self,
         detector: &Arc<dyn MimoDetector>,
@@ -359,129 +292,70 @@ impl DetectionPool {
         c: Constellation,
     ) {
         assert!(n_jobs <= jobs.len(), "n_jobs exceeds the job buffer");
+        let n_workers = self.workers();
         {
-            let mut guard = self.shared.data.write().expect("pool data lock");
+            let mut latch = lock_ignoring_poison(&self.frame.latch);
+            assert!(!latch.panicked, "DetectionPool is dead: a worker panicked earlier");
+            latch.remaining = n_workers;
+        }
+        {
+            let mut guard = self.frame.data.write().unwrap_or_else(PoisonError::into_inner);
             let data = &mut *guard;
             data.detector = Some(Arc::clone(detector));
             std::mem::swap(&mut data.channels, channels);
             std::mem::swap(&mut data.jobs, jobs);
             data.n_jobs = n_jobs;
             data.c = c;
-
-            // Channel-grouped dispatch order. Keys (channel, index) are
-            // unique, so the in-place unstable sort is deterministic and
-            // equals the stable grouping BatchDetector uses. Skip the sort
-            // when jobs already arrive grouped (the flat-channel case).
-            data.order.clear();
-            data.order.extend(0..n_jobs);
-            let grouped = data.jobs[..n_jobs].windows(2).all(|w| w[0].channel <= w[1].channel);
-            if !grouped {
-                let jobs = &data.jobs;
-                data.order.sort_unstable_by_key(|&i| (jobs[i].channel, i));
-            }
-
-            let chunk = n_jobs.div_ceil(self.n_workers).max(1);
+            data.order.group(&data.jobs[..n_jobs]);
+            let chunk = n_jobs.div_ceil(n_workers).max(1);
             data.ranges.clear();
             data.ranges.extend(
-                (0..self.n_workers)
-                    .map(|w| ((w * chunk).min(n_jobs), ((w + 1) * chunk).min(n_jobs))),
+                (0..n_workers).map(|w| ((w * chunk).min(n_jobs), ((w + 1) * chunk).min(n_jobs))),
             );
-            data.submitted_at = gs_prof::ticks();
         }
-        {
-            let mut sig = lock_ignoring_poison(&self.shared.signal);
-            assert!(!sig.worker_panicked, "DetectionPool is dead: a worker panicked earlier");
-            sig.epoch += 1;
-            sig.remaining = self.n_workers;
-        }
-        self.shared.work_cv.notify_all();
-        {
-            let mut sig = lock_ignoring_poison(&self.shared.signal);
-            while sig.remaining > 0 {
-                sig = self
-                    .shared
-                    .done_cv
-                    .wait(sig)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let job: Arc<dyn ShardedJob> = self.frame.clone();
+        for r in 0..n_workers {
+            if self.pool.submit(r, NO_DEADLINE, 0, &job).is_err() {
+                // An earlier range of this frame already killed its worker;
+                // the unsubmitted ranges will never run.
+                let mut latch = lock_ignoring_poison(&self.frame.latch);
+                latch.remaining -= n_workers - r;
+                latch.panicked = true;
+                break;
             }
-            // Propagate a worker's panic instead of returning a frame with
-            // silently missing detections (scoped-thread parity).
-            assert!(!sig.worker_panicked, "DetectionPool worker panicked during detection");
         }
+        let panicked = {
+            let mut latch = lock_ignoring_poison(&self.frame.latch);
+            while latch.remaining > 0 {
+                latch = self.frame.done.wait(latch).unwrap_or_else(PoisonError::into_inner);
+            }
+            latch.panicked
+        };
         {
-            let mut guard = self.shared.data.write().expect("pool data lock");
+            let mut guard = self.frame.data.write().unwrap_or_else(PoisonError::into_inner);
             let data = &mut *guard;
             std::mem::swap(&mut data.channels, channels);
             std::mem::swap(&mut data.jobs, jobs);
             // Release the per-frame detector clone (refcount drop only).
             data.detector = None;
         }
+        // Propagate a worker's panic instead of returning a frame with
+        // silently missing detections.
+        assert!(!panicked, "DetectionPool worker panicked during detection");
     }
 
     /// Visits every detection of the last [`DetectionPool::run`] as
-    /// `(job_index, &Detection)`, in per-worker dispatch order. Job indices
+    /// `(job_index, &Detection)`, in per-range dispatch order. Job indices
     /// cover `0..n_jobs` exactly once; callers scatter by index.
     pub fn for_each_result(&self, mut f: impl FnMut(usize, &Detection)) {
-        let data = self.shared.data.read().expect("pool data lock");
-        for (wid, slot) in self.shared.slots.iter().enumerate() {
+        let data = self.frame.data.read().unwrap_or_else(PoisonError::into_inner);
+        for (r, slot) in self.frame.slots.iter().enumerate() {
             let out = lock_ignoring_poison(slot);
-            let (lo, hi) = data.ranges[wid];
-            debug_assert!(out.len() >= hi - lo, "worker {wid} under-filled its slot");
-            for (&job_idx, det) in data.order[lo..hi].iter().zip(out.iter()) {
+            let (lo, hi) = data.ranges[r];
+            debug_assert!(out.len() >= hi - lo, "range {r} under-filled its slot");
+            for (&job_idx, det) in data.order.as_slice()[lo..hi].iter().zip(out.iter()) {
                 f(job_idx, det);
             }
-        }
-    }
-}
-
-impl Drop for DetectionPool {
-    fn drop(&mut self) {
-        lock_ignoring_poison(&self.shared.signal).shutdown = true;
-        self.shared.work_cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn pool_worker_loop(shared: &PoolShared, wid: usize) {
-    let mut last_epoch = 0u64;
-    let mut ws = DetectorWorkspace::new();
-    loop {
-        {
-            let mut sig = lock_ignoring_poison(&shared.signal);
-            loop {
-                if sig.shutdown {
-                    return;
-                }
-                if sig.epoch != last_epoch {
-                    last_epoch = sig.epoch;
-                    break;
-                }
-                sig = shared.work_cv.wait(sig).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        }
-        // From here the frame counts as claimed: the guard decrements
-        // `remaining` on every exit path, including a panicking detector,
-        // so the coordinator can never deadlock on a dead worker.
-        let _done = FrameDoneGuard { shared };
-        let data = shared.data.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        gs_prof::record(
-            gs_prof::Stage::Queue,
-            gs_prof::ticks().saturating_sub(data.submitted_at),
-            1,
-            0,
-        );
-        let (lo, hi) = data.ranges[wid];
-        if lo < hi {
-            let detector = data.detector.as_ref().expect("work installed").as_ref();
-            let batch = DetectionBatch {
-                channels: &data.channels,
-                jobs: &data.jobs[..data.n_jobs],
-                c: data.c,
-            };
-            let mut out = lock_ignoring_poison(&shared.slots[wid]);
-            detector.detect_batch_indexed_with(&batch, &data.order[lo..hi], &mut ws, &mut out);
         }
     }
 }
@@ -524,61 +398,102 @@ mod tests {
         (channels, jobs)
     }
 
+    /// Runs `jobs[..n_jobs]` through `pool` and returns the detections in
+    /// job order, checking that every job index is visited exactly once.
+    fn pool_detect(
+        pool: &mut DetectionPool,
+        det: &Arc<dyn MimoDetector>,
+        channels: &mut Vec<Matrix>,
+        jobs: &mut Vec<DetectionJob>,
+        n_jobs: usize,
+        c: Constellation,
+    ) -> Vec<Detection> {
+        pool.run(det, channels, jobs, n_jobs, c);
+        let mut out: Vec<Option<Detection>> = vec![None; n_jobs];
+        pool.for_each_result(|idx, d| {
+            assert!(out[idx].is_none(), "job {idx} visited twice");
+            out[idx] = Some(d.clone());
+        });
+        out.into_iter().map(|d| d.expect("every job covered")).collect()
+    }
+
     #[test]
     fn batched_matches_serial_reference_all_detectors() {
         let c = Constellation::Qam16;
-        let (channels, jobs) = random_batch(301, c, 4, 4, 6, 48, 0.05);
+        let (mut channels, mut jobs) = random_batch(301, c, 4, 4, 6, 48, 0.05);
         let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
-        let detectors: Vec<Box<dyn MimoDetector>> = vec![
-            Box::new(geosphere_decoder()),
-            Box::new(ethsd_decoder()),
-            Box::new(geosphere_decoder().with_sorted_qr()),
-            Box::new(ZfDetector),
-            Box::new(MmseSicDetector::new(0.05)),
+        let detectors: Vec<Arc<dyn MimoDetector>> = vec![
+            Arc::new(geosphere_decoder()),
+            Arc::new(ethsd_decoder()),
+            Arc::new(geosphere_decoder().with_sorted_qr()),
+            Arc::new(ZfDetector),
+            Arc::new(MmseSicDetector::new(0.05)),
         ];
-        for det in &detectors {
-            let reference = batch.detect_serial(det.as_ref());
-            let amortized = det.detect_batch(&batch);
+        let references: Vec<Vec<Detection>> =
+            detectors.iter().map(|det| batch.detect_serial(det.as_ref())).collect();
+        for (det, reference) in detectors.iter().zip(&references) {
+            let amortized =
+                det.detect_batch(&DetectionBatch { channels: &channels, jobs: &jobs, c });
+            for (k, (a, r)) in amortized.iter().zip(reference).enumerate() {
+                assert_eq!(a.symbols, r.symbols, "{} amortized job {k}", det.name());
+                assert_eq!(a.stats, r.stats, "{} amortized job {k}", det.name());
+            }
             for workers in [1, 2, 4, 7] {
-                let parallel = BatchDetector::new(det.as_ref(), workers).detect_batch(&batch);
+                let mut pool = DetectionPool::new_with_pinning(workers, false);
+                let n = jobs.len();
+                let parallel = pool_detect(&mut pool, det, &mut channels, &mut jobs, n, c);
                 assert_eq!(parallel.len(), reference.len());
-                for (k, (p, r)) in parallel.iter().zip(&reference).enumerate() {
+                for (k, (p, r)) in parallel.iter().zip(reference).enumerate() {
                     assert_eq!(p.symbols, r.symbols, "{} job {k} workers {workers}", det.name());
                     assert_eq!(p.stats, r.stats, "{} job {k} workers {workers}", det.name());
                 }
-            }
-            for (k, (a, r)) in amortized.iter().zip(&reference).enumerate() {
-                assert_eq!(a.symbols, r.symbols, "{} amortized job {k}", det.name());
-                assert_eq!(a.stats, r.stats, "{} amortized job {k}", det.name());
             }
         }
     }
 
     #[test]
+    fn channel_order_is_the_stable_grouping() {
+        let c = Constellation::Qpsk;
+        // Symbol-major jobs over 5 channels, plus a grouped and an empty
+        // batch: the counting sort must equal a stable sort by channel.
+        let (_, jobs) = random_batch(307, c, 2, 2, 5, 23, 0.01);
+        let (_, grouped) = random_batch(308, c, 2, 2, 1, 7, 0.01);
+        let mut order = ChannelOrder::default();
+        for jobs in [&jobs[..], &grouped[..], &[], &jobs[3..11]] {
+            let mut expect: Vec<usize> = (0..jobs.len()).collect();
+            expect.sort_by_key(|&i| jobs[i].channel);
+            assert_eq!(order.group(jobs), &expect[..]);
+            assert_eq!(order.as_slice(), &expect[..]);
+        }
+    }
+
+    #[test]
     fn zero_workers_selects_parallelism() {
-        let det = ZfDetector;
-        let b = BatchDetector::new(&det, 0);
-        assert!(b.workers() >= 1);
+        let pool = DetectionPool::new_with_pinning(0, false);
+        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert_eq!(pool.workers(), hw);
     }
 
     #[test]
     fn empty_batch_is_empty() {
-        let det = geosphere_decoder();
-        let channels: Vec<Matrix> = vec![];
-        let jobs: Vec<DetectionJob> = vec![];
-        let batch = DetectionBatch { channels: &channels, jobs: &jobs, c: Constellation::Qpsk };
-        assert!(BatchDetector::new(&det, 4).detect_batch(&batch).is_empty());
+        let arc: Arc<dyn MimoDetector> = Arc::new(geosphere_decoder());
+        let mut pool = DetectionPool::new_with_pinning(4, false);
+        let out =
+            pool_detect(&mut pool, &arc, &mut Vec::new(), &mut Vec::new(), 0, Constellation::Qpsk);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_jobs() {
         let c = Constellation::Qpsk;
-        let (channels, jobs) = random_batch(302, c, 2, 2, 1, 3, 0.01);
+        let (mut channels, mut jobs) = random_batch(302, c, 2, 2, 1, 3, 0.01);
         let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
         let det = geosphere_decoder();
-        let out = BatchDetector::new(&det, 16).detect_batch(&batch);
-        assert_eq!(out.len(), 3);
         let reference = batch.detect_serial(&det);
+        let arc: Arc<dyn MimoDetector> = Arc::new(det);
+        let mut pool = DetectionPool::new_with_pinning(16, false);
+        let out = pool_detect(&mut pool, &arc, &mut channels, &mut jobs, 3, c);
+        assert_eq!(out.len(), 3);
         for (p, r) in out.iter().zip(&reference) {
             assert_eq!(p.symbols, r.symbols);
         }

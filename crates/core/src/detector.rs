@@ -64,9 +64,10 @@ impl DetectorWorkspace {
 /// A hard-output MIMO detector.
 ///
 /// `Send + Sync` is part of the contract: detection is a pure function of
-/// `(h, y, c)` with no interior mutability, which is what lets
-/// [`BatchDetector`](crate::BatchDetector) share one detector across a
-/// worker pool by reference.
+/// `(h, y, c)` with no interior mutability, which is what lets the worker
+/// pools ([`DetectionPool`](crate::DetectionPool), the streaming runtime's
+/// [`ShardedDetectionPool`](crate::ShardedDetectionPool) jobs) share one
+/// detector across threads behind an `Arc`.
 pub trait MimoDetector: Send + Sync {
     /// Detects the transmitted symbol vector.
     ///
@@ -88,23 +89,6 @@ pub trait MimoDetector: Send + Sync {
         let mut ws = self.make_batch_workspace();
         let mut out = Vec::with_capacity(batch.jobs.len());
         self.detect_batch_with(batch, &mut ws, &mut out);
-        out
-    }
-
-    /// Detects the jobs selected by `indices` (results in `indices` order).
-    ///
-    /// This is the scattered-dispatch form [`crate::BatchDetector`] uses to
-    /// hand workers channel-grouped job subsets without materializing a
-    /// cloned, reordered job list. Like [`MimoDetector::detect_batch`], the
-    /// default delegates to the `_with` form, so one override serves both.
-    fn detect_batch_indexed(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        indices: &[usize],
-    ) -> Vec<Detection> {
-        let mut ws = self.make_batch_workspace();
-        let mut out = Vec::with_capacity(indices.len());
-        self.detect_batch_indexed_with(batch, indices, &mut ws, &mut out);
         out
     }
 
@@ -139,8 +123,10 @@ pub trait MimoDetector: Send + Sync {
 
     /// Detects the jobs selected by `indices` into a recycled output vector
     /// (results in `indices` order), reusing `ws` across calls — the
-    /// allocation-free counterpart of
-    /// [`MimoDetector::detect_batch_indexed`], bit-identical to it.
+    /// scattered-dispatch form worker pools use to hand each worker a
+    /// channel-grouped job subset without materializing a reordered job
+    /// list. Bit-identical, job for job, to
+    /// [`MimoDetector::detect_batch_with`].
     fn detect_batch_indexed_with(
         &self,
         batch: &crate::batch::DetectionBatch,
@@ -158,6 +144,57 @@ pub trait MimoDetector: Send + Sync {
 
     /// A short display name ("ZF", "Geosphere", "ETH-SD", …).
     fn name(&self) -> &'static str;
+}
+
+/// A shared detector is a detector: every call forwards to the pointee, so
+/// the pointee's batch overrides (and their amortization) are kept. This is
+/// what lets callers that only hold a type-erased detector — experiment
+/// sweeps choosing one at run time — use the same multi-worker decode path
+/// as callers with a concrete type.
+impl MimoDetector for std::sync::Arc<dyn MimoDetector> {
+    fn detect(&self, h: &Matrix, y: &[Complex], c: Constellation) -> Detection {
+        (**self).detect(h, y, c)
+    }
+
+    fn detect_batch(&self, batch: &crate::batch::DetectionBatch) -> Vec<Detection> {
+        (**self).detect_batch(batch)
+    }
+
+    fn make_batch_workspace(&self) -> DetectorWorkspace {
+        (**self).make_batch_workspace()
+    }
+
+    fn detect_batch_with(
+        &self,
+        batch: &crate::batch::DetectionBatch,
+        ws: &mut DetectorWorkspace,
+        out: &mut Vec<Detection>,
+    ) {
+        (**self).detect_batch_with(batch, ws, out)
+    }
+
+    fn detect_batch_indexed_with(
+        &self,
+        batch: &crate::batch::DetectionBatch,
+        indices: &[usize],
+        ws: &mut DetectorWorkspace,
+        out: &mut Vec<Detection>,
+    ) {
+        (**self).detect_batch_indexed_with(batch, indices, ws, out)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+}
+
+/// Type-erased detectors compare by identity (the same object), which is
+/// exactly what a cache keyed on "is this still the installed detector?"
+/// needs: a shared `Arc<dyn MimoDetector>` equals its own clones.
+impl PartialEq for dyn MimoDetector {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::addr_eq(self, other)
+    }
 }
 
 /// Computes `y = h·s + noise`-free transmit hypothesis `h·s` for a grid

@@ -1,16 +1,16 @@
-//! Domain-sharded streaming detection dispatch.
+//! Domain-sharded detection dispatch — the workspace's one detection
+//! thread pool.
 //!
-//! [`DetectionPool`](crate::DetectionPool) is a *frame-synchronous* engine:
-//! one coordinator lends it one frame's jobs, blocks until every worker
-//! drains its chunk, and takes the buffers back. That shape is exactly
-//! right for a single receive loop, and exactly wrong for a streaming
-//! base-station runtime where many frames are in flight at once and the
-//! workers must never idle while some other frame is being planned or
-//! recovered.
+//! Every multi-worker detection path runs on [`ShardedDetectionPool`]: the
+//! streaming base-station runtime (`gs-runtime`), where many frames are in
+//! flight at once and the workers must never idle while some other frame
+//! is being planned or recovered, and the frame-synchronous
+//! [`DetectionPool`](crate::DetectionPool) front (one shard per worker)
+//! that single receive loops lend one frame at a time.
 //!
-//! [`ShardedDetectionPool`] splits that pool along the machine's **memory
-//! domains** (NUMA nodes — [`crate::affinity::memory_domains`], with a
-//! flat single-domain fallback and a `GS_DOMAINS` override):
+//! The pool is split along the machine's **memory domains** (NUMA nodes —
+//! [`crate::affinity::memory_domains`], with a flat single-domain fallback
+//! and a `GS_DOMAINS` override):
 //!
 //! * **one job queue per shard**, so cross-domain queue traffic never sits
 //!   on a detection hot path — submission targets a shard explicitly and
@@ -28,9 +28,10 @@
 //! The pool is deliberately **frame-agnostic**: a task is an
 //! `Arc<dyn ShardedJob>` plus an opaque `token`, and [`ShardedJob::run_shard`]
 //! does whatever "detect my shard's portion" means for the embedder
-//! (`gs-runtime` implements it over its slot table; per-shard channel-table
-//! replicas live in the embedder's per-shard portions, refreshed by the
-//! shard's own workers so first-touch places them on the right domain).
+//! (`gs-runtime` implements it over its slot table, `DetectionPool` over
+//! one lent frame; the runtime's per-shard channel-table replicas live in
+//! its per-shard portions, refreshed by the shard's own workers so
+//! first-touch places them on the right domain).
 //! Submitting clones the `Arc` (a refcount bump) and pushes into a
 //! fixed-capacity heap — **zero heap allocations per task** once the pool
 //! is constructed, which is what lets the streaming runtime keep PR 3's

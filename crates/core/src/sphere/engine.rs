@@ -716,9 +716,8 @@ impl<F: EnumeratorFactory> MimoDetector for SphereDecoder<F> {
 
     /// Seeds the opaque workspace with this decoder's
     /// [`SearchWorkspace`], so the `_with` entry points below (and the
-    /// `detect_batch`/`detect_batch_indexed` trait defaults that route
-    /// through them) run the allocation-free
-    /// [`SphereDecoder::detect_batch_into`] path.
+    /// `detect_batch` trait default that routes through them) run the
+    /// allocation-free [`SphereDecoder::detect_batch_into`] path.
     fn make_batch_workspace(&self) -> crate::detector::DetectorWorkspace {
         let mut ws = crate::detector::DetectorWorkspace::new();
         ws.get_or_insert(SearchWorkspace::<F::Enumerator>::new);

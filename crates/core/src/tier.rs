@@ -214,7 +214,14 @@ mod tests {
         for _ in 0..2 {
             for tier in DetectorTier::ALL {
                 ladder.detect_batch_indexed_with(tier, &batch, &indices, &mut ws, &mut out);
-                let direct = ladder.detector(tier).detect_batch_indexed(&batch, &indices);
+                let det = ladder.detector(tier);
+                let mut direct = Vec::new();
+                det.detect_batch_indexed_with(
+                    &batch,
+                    &indices,
+                    &mut det.make_batch_workspace(),
+                    &mut direct,
+                );
                 assert_eq!(out.len(), direct.len());
                 for (a, b) in out.iter().zip(direct.iter()) {
                     assert_eq!(a.symbols, b.symbols, "{tier:?} symbols diverge");

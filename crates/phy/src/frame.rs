@@ -1,13 +1,18 @@
 //! Frame-level reusable workspace: the allocation-free receive loop.
 //!
-//! PR 2 made the per-symbol detection hot path zero-alloc behind
+//! The per-symbol detection hot path is zero-alloc behind
 //! `SearchWorkspace`; this module extends the same ownership discipline one
 //! layer up, to whole frames. [`FrameWorkspace`] owns every buffer an
 //! uplink frame exchange touches — the transmit-chain scratch, the planned
 //! per-client symbol grids, the pooled [`DetectionJob`] `y` buffers, the
 //! detection outputs, the per-client LLR streams of the soft path, and the
 //! receive-chain (deinterleave/depuncture/Viterbi) scratch — plus the
-//! persistent [`DetectionPool`] for multi-worker decoding.
+//! persistent [`DetectionPool`] every multi-worker decode runs on (the
+//! frame-synchronous front over `geosphere-core`'s one detection thread
+//! pool, [`ShardedDetectionPool`](geosphere_core::ShardedDetectionPool)).
+//! The pool holds the detector as an `Arc`, which is why the multi-worker
+//! entry points take `Clone + PartialEq` detectors: concrete values, or a
+//! shared `Arc<dyn MimoDetector>` for callers that pick one at run time.
 //!
 //! ## Ownership model
 //!
@@ -144,6 +149,9 @@ pub struct FrameWorkspace {
     pub(crate) det_out: Vec<Detection>,
     /// Persistent multi-worker pool, built on first multi-worker decode.
     pub(crate) pool: Option<DetectionPool>,
+    /// The worker count `pool` was built for, as requested (`0` stays `0`,
+    /// so machine parallelism is resolved once, at build).
+    pub(crate) pool_request: usize,
     /// The detector currently installed for the pool.
     pub(crate) pool_detector: Option<PoolDetector>,
 
@@ -210,7 +218,9 @@ impl FrameWorkspace {
 
     /// The `Arc` handle for `detector`, rebuilding it only when the
     /// detector value (or type) changed since the pool last saw it — a
-    /// refcount bump per frame in steady state, never an allocation.
+    /// refcount bump per frame in steady state, never an allocation. A
+    /// shared `Arc<dyn MimoDetector>` is cached by identity, so the same
+    /// handle stays warm across frames.
     pub(crate) fn pool_detector_for<D>(&mut self, detector: &D) -> Arc<dyn MimoDetector>
     where
         D: MimoDetector + Clone + PartialEq + 'static,
@@ -227,12 +237,12 @@ impl FrameWorkspace {
         Arc::clone(&self.pool_detector.as_ref().expect("detector just installed").arc)
     }
 
-    /// The persistent pool sized to `workers`, (re)built only when the
-    /// worker count changes.
+    /// The persistent pool for a `workers` request ([`DetectionPool::new`]
+    /// semantics), (re)built only when the request changes.
     pub(crate) fn pool_with_workers(&mut self, workers: usize) -> &mut DetectionPool {
-        let workers = workers.max(1);
-        if !matches!(&self.pool, Some(p) if p.workers() == workers) {
+        if self.pool.is_none() || self.pool_request != workers {
             self.pool = Some(DetectionPool::new(workers));
+            self.pool_request = workers;
         }
         self.pool.as_mut().expect("pool just built")
     }

@@ -26,8 +26,8 @@ pub use config::{PhyConfig, DATA_SUBCARRIERS, OFDM_SYMBOL_SECONDS};
 pub use frame::FrameWorkspace;
 pub use iterative::{uplink_frame_iterative, uplink_frame_iterative_into};
 pub use measure::{
-    best_rate_measurement, measure, measure_batched, measure_batched_in, measure_batched_into,
-    measure_in, snr_for_target_fer, snr_for_target_fer_batched, Measurement,
+    best_rate_measurement, measure, measure_batched, measure_batched_into, measure_in,
+    snr_for_target_fer, snr_for_target_fer_batched, Measurement,
 };
 pub use soft_rx::{receive_frame_soft, uplink_frame_soft, uplink_frame_soft_into};
 pub use txrx::{

@@ -7,9 +7,7 @@
 
 use crate::config::PhyConfig;
 use crate::frame::FrameWorkspace;
-use crate::txrx::{
-    decode_frame_batched_into, decode_frame_scoped_into, uplink_frame_with_csi_into,
-};
+use crate::txrx::{decode_frame_batched_into, uplink_frame_with_csi_into};
 use geosphere_core::{AverageStats, DetectorStats, MimoDetector};
 use gs_channel::ChannelModel;
 use rand::Rng;
@@ -47,8 +45,7 @@ where
     M: ChannelModel,
     D: MimoDetector + ?Sized,
 {
-    let mut ws = FrameWorkspace::new();
-    measure_impl(cfg, model, detector, snr_db, frames, rng, None, &mut ws)
+    measure_in(cfg, model, detector, snr_db, frames, rng, &mut FrameWorkspace::new())
 }
 
 /// [`measure`] recycling a caller-held [`FrameWorkspace`], so long
@@ -69,12 +66,18 @@ where
     M: ChannelModel,
     D: MimoDetector + ?Sized,
 {
-    measure_impl(cfg, model, detector, snr_db, frames, rng, None, ws)
+    let mut acc = MeasureAccum::new(model.num_tx());
+    for _ in 0..frames {
+        let ch = model.realize(rng);
+        acc.absorb(uplink_frame_with_csi_into(cfg, &ch, None, detector, snr_db, rng, ws));
+    }
+    acc.finish(cfg, frames)
 }
 
 /// [`measure`] with the frame decode fanned out across `workers` threads
 /// (`0` = machine parallelism) through
-/// [`decode_frame_batched`](crate::txrx::decode_frame_batched).
+/// [`decode_frame_batched`](crate::txrx::decode_frame_batched). A
+/// fresh-workspace wrapper over [`measure_batched_into`].
 ///
 /// Results are bit-identical to [`measure`] for the same `rng` state —
 /// the batched decode path is deterministic — so experiment outputs don't
@@ -91,43 +94,19 @@ pub fn measure_batched<R, M, D>(
 where
     R: Rng + ?Sized,
     M: ChannelModel,
-    D: MimoDetector + ?Sized,
+    D: MimoDetector + Clone + PartialEq + 'static,
 {
     let mut ws = FrameWorkspace::new();
-    measure_impl(cfg, model, detector, snr_db, frames, rng, Some(workers), &mut ws)
-}
-
-/// [`measure_batched`] recycling a caller-held [`FrameWorkspace`] — the
-/// sweep-friendly form for detectors only known as `&dyn MimoDetector`
-/// (multi-worker frames fan out through scoped threads; callers that can
-/// name the detector type should prefer [`measure_batched_into`] and its
-/// persistent pool). Bit-identical to [`measure_batched`] for the same
-/// `rng` state.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_batched_in<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    snr_db: f64,
-    frames: usize,
-    rng: &mut R,
-    workers: usize,
-    ws: &mut FrameWorkspace,
-) -> Measurement
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + ?Sized,
-{
-    measure_impl(cfg, model, detector, snr_db, frames, rng, Some(workers), ws)
+    measure_batched_into(cfg, model, detector, snr_db, frames, rng, workers, &mut ws)
 }
 
 /// [`measure_batched`] recycling a caller-held [`FrameWorkspace`] through
 /// [`decode_frame_batched_into`]: after the first frame, each further
 /// frame's *decode* (plan, detection via the persistent worker pool,
 /// receive chain) performs zero heap allocations — only the per-frame
-/// channel realization still allocates. Bit-identical to
-/// [`measure_batched`] for the same `rng` state.
+/// channel realization still allocates. A workspace carried across a
+/// whole sweep keeps its pool too. Bit-identical to [`measure_batched`]
+/// for the same `rng` state.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_batched_into<R, M, D>(
     cfg: &PhyConfig,
@@ -148,38 +127,6 @@ where
     for _ in 0..frames {
         let ch = model.realize(rng);
         let out = decode_frame_batched_into(cfg, &ch, detector, snr_db, rng, workers, ws);
-        acc.absorb(out);
-    }
-    acc.finish(cfg, frames)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measure_impl<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    snr_db: f64,
-    frames: usize,
-    rng: &mut R,
-    workers: Option<usize>,
-    // One workspace for the whole measurement (or, via the `_in` entry
-    // points, for the caller's whole sweep): plan and receive-chain
-    // buffers are recycled across every frame (and, for `workers == 1`,
-    // the detection path is allocation-free after the first frame).
-    ws: &mut FrameWorkspace,
-) -> Measurement
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + ?Sized,
-{
-    let mut acc = MeasureAccum::new(model.num_tx());
-    for _ in 0..frames {
-        let ch = model.realize(rng);
-        let out = match workers {
-            Some(w) => decode_frame_scoped_into(cfg, &ch, detector, snr_db, rng, w, ws),
-            None => uplink_frame_with_csi_into(cfg, &ch, None, detector, snr_db, rng, ws),
-        };
         acc.absorb(out);
     }
     acc.finish(cfg, frames)
@@ -247,13 +194,15 @@ where
     M: ChannelModel,
     D: MimoDetector + ?Sized,
 {
-    snr_search_impl(cfg, model, detector, target_fer, frames, rng, None)
+    // One workspace across every probe of the bisection.
+    let mut ws = FrameWorkspace::new();
+    snr_bisect(target_fer, |snr| measure_in(cfg, model, detector, snr, frames, rng, &mut ws))
 }
 
-/// [`snr_for_target_fer`] with each probe measurement decoded through the
-/// batched path (`0` = machine parallelism). Returns the same SNR as the
-/// serial search for the same `rng` state — the bisection consumes
-/// identical measurements — in less wall-clock.
+/// [`snr_for_target_fer`] with each probe measurement decoded through
+/// [`measure_batched_into`] (`0` = machine parallelism). Returns the same
+/// SNR as the serial search for the same `rng` state — the bisection
+/// consumes identical measurements — in less wall-clock.
 pub fn snr_for_target_fer_batched<R, M, D>(
     cfg: &PhyConfig,
     model: &M,
@@ -266,33 +215,21 @@ pub fn snr_for_target_fer_batched<R, M, D>(
 where
     R: Rng + ?Sized,
     M: ChannelModel,
-    D: MimoDetector + ?Sized,
+    D: MimoDetector + Clone + PartialEq + 'static,
 {
-    snr_search_impl(cfg, model, detector, target_fer, frames, rng, Some(workers))
+    let mut ws = FrameWorkspace::new();
+    snr_bisect(target_fer, |snr| {
+        measure_batched_into(cfg, model, detector, snr, frames, rng, workers, &mut ws)
+    })
 }
 
-fn snr_search_impl<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    target_fer: f64,
-    frames: usize,
-    rng: &mut R,
-    workers: Option<usize>,
-) -> f64
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + ?Sized,
-{
+/// Seven bisection steps over `[0, 50]` dB against `measure`'s FER.
+fn snr_bisect(target_fer: f64, mut measure: impl FnMut(f64) -> Measurement) -> f64 {
     let mut lo = 0.0f64;
     let mut hi = 50.0f64;
-    // One workspace across every probe of the bisection.
-    let mut ws = FrameWorkspace::new();
     for _ in 0..7 {
         let mid = (lo + hi) / 2.0;
-        let m = measure_impl(cfg, model, detector, mid, frames, rng, workers, &mut ws);
-        if m.fer > target_fer {
+        if measure(mid).fer > target_fer {
             lo = mid;
         } else {
             hi = mid;
@@ -420,7 +357,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(187);
             let fresh_b = measure_batched(&cfg, &model, &det, snr, 3, &mut rng, 2);
             let mut rng = StdRng::seed_from_u64(187);
-            let reused_b = measure_batched_in(&cfg, &model, &det, snr, 3, &mut rng, 2, &mut ws);
+            let reused_b = measure_batched_into(&cfg, &model, &det, snr, 3, &mut rng, 2, &mut ws);
             assert_eq!(reused_b.client_fer, fresh_b.client_fer, "batched snr {snr}");
             assert_eq!(reused_b.per_subcarrier.ped_calcs, fresh_b.per_subcarrier.ped_calcs);
         }

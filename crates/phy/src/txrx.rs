@@ -20,7 +20,7 @@
 use crate::config::PhyConfig;
 use crate::frame::{interleaver_for, FrameWorkspace, RxScratch, TxScratch};
 use geosphere_core::{
-    apply_channel_into, BatchDetector, DetectionBatch, DetectionJob, DetectorStats, MimoDetector,
+    apply_channel_into, DetectionBatch, DetectionJob, DetectorStats, MimoDetector,
 };
 use gs_channel::{sample_cn, MimoChannel};
 use gs_coding::{
@@ -206,59 +206,29 @@ pub fn uplink_frame_with_csi_into<'w, R: Rng + ?Sized, D: MimoDetector + ?Sized>
 /// Like [`uplink_frame`] but fans the frame's per-subcarrier sphere
 /// searches out across `workers` threads (`0` = machine parallelism) and
 /// amortizes per-subcarrier channel preprocessing across the frame's OFDM
-/// symbols via [`MimoDetector::detect_batch`].
+/// symbols via [`MimoDetector::detect_batch_with`]. A one-shot wrapper
+/// over [`decode_frame_batched_into`] with a fresh workspace (and so a
+/// fresh worker pool per call).
 ///
 /// Output is **bit-identical** to [`uplink_frame`] for the same `rng`
 /// state, at every worker count: all randomness (payloads, then noise in
 /// OFDM-symbol-major order) is drawn before detection begins, in the same
 /// order the serial path draws it, and detection is a pure function of the
 /// planned problems.
-pub fn decode_frame_batched<R: Rng + ?Sized, D: MimoDetector + ?Sized>(
+pub fn decode_frame_batched<R, D>(
     cfg: &PhyConfig,
     channel: &MimoChannel,
     detector: &D,
     snr_db: f64,
     rng: &mut R,
     workers: usize,
-) -> UplinkOutcome {
+) -> UplinkOutcome
+where
+    R: Rng + ?Sized,
+    D: MimoDetector + Clone + PartialEq + 'static,
+{
     let mut ws = FrameWorkspace::new();
-    decode_frame_scoped_into(cfg, channel, detector, snr_db, rng, workers, &mut ws).clone()
-}
-
-/// The generic batched decode over a recycled workspace: single-worker
-/// frames run inline through the detector's reusable batch workspace;
-/// multi-worker frames fan out through [`BatchDetector`]'s scoped threads
-/// (respawned per frame — callers that can name their detector type should
-/// prefer [`decode_frame_batched_into`] and its persistent pool). Used by
-/// [`crate::measure::measure_batched`] so the per-frame plan and receive
-/// chain reuse one workspace across a whole measurement.
-pub(crate) fn decode_frame_scoped_into<'w, R: Rng + ?Sized, D: MimoDetector + ?Sized>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    detector: &D,
-    snr_db: f64,
-    rng: &mut R,
-    workers: usize,
-    ws: &'w mut FrameWorkspace,
-) -> &'w UplinkOutcome {
-    plan_uplink_frame_into(cfg, channel, None, snr_db, rng, ws);
-    let mut stats = DetectorStats::default();
-    if workers == 1 {
-        detect_planned_inline(cfg, detector, ws, &mut stats);
-    } else {
-        let batch = DetectionBatch {
-            channels: &ws.rx_channels[..ws.n_rx_channels],
-            jobs: &ws.jobs[..ws.n_jobs],
-            c: cfg.constellation,
-        };
-        let detections = BatchDetector::new(detector, workers).detect_batch(&batch);
-        begin_assemble(ws);
-        let _prof = gs_prof::scope(gs_prof::Stage::Scatter);
-        for (idx, det) in detections.iter().enumerate() {
-            absorb_detection(&mut ws.detected, &mut stats, idx, det);
-        }
-    }
-    finish_outcome(cfg, ws, stats)
+    decode_frame_batched_into(cfg, channel, detector, snr_db, rng, workers, &mut ws).clone()
 }
 
 /// [`decode_frame_batched`] recycling a [`FrameWorkspace`] — the
@@ -267,17 +237,19 @@ pub(crate) fn decode_frame_scoped_into<'w, R: Rng + ?Sized, D: MimoDetector + ?S
 /// per frame** after one warmup frame of the same shape:
 ///
 /// * the frame plan refills pooled payload/symbol/job buffers,
-/// * `workers <= 1` detects inline through the workspace's
+/// * `workers == 1` detects inline through the workspace's
 ///   [`DetectorWorkspace`](geosphere_core::DetectorWorkspace) with
 ///   recycled outputs,
-/// * `workers > 1` dispatches through the workspace's persistent
-///   [`DetectionPool`](geosphere_core::DetectionPool) (`0` = machine
-///   parallelism, resolved once) — job and channel buffers are lent to the
-///   pool and returned, results are read in place,
+/// * any other count dispatches through the workspace's persistent
+///   [`DetectionPool`](geosphere_core::DetectionPool) of exactly `workers`
+///   threads (`0` = machine parallelism, resolved once, when the pool is
+///   built) — job and channel buffers are lent to the pool and returned,
+///   results are read in place,
 /// * the receive chain decodes into reused Viterbi/deinterleave scratch.
 ///
 /// The detector must be `Clone + PartialEq` so the pool can keep a cheap
-/// `Arc` of it and rebuild only when the detector actually changes.
+/// `Arc` of it and rebuild only when the detector actually changes. A
+/// shared `Arc<dyn MimoDetector>` qualifies (it compares by identity).
 #[allow(clippy::too_many_arguments)]
 pub fn decode_frame_batched_into<'w, R, D>(
     cfg: &PhyConfig,
@@ -294,12 +266,7 @@ where
 {
     plan_uplink_frame_into(cfg, channel, None, snr_db, rng, ws);
     let mut stats = DetectorStats::default();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        workers
-    };
-    if workers <= 1 {
+    if workers == 1 {
         detect_planned_inline(cfg, detector, ws, &mut stats);
     } else {
         let arc = ws.pool_detector_for(detector);

@@ -9,8 +9,8 @@
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
 use crate::stats::RuntimeStats;
 use geosphere_core::{
-    Detection, DetectionBatch, DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace,
-    MimoDetector, ShardedDetectionPool, ShardedJob, NO_DEADLINE,
+    ChannelOrder, Detection, DetectionBatch, DetectorLadder, DetectorStats, DetectorTier,
+    DetectorWorkspace, MimoDetector, ShardedDetectionPool, ShardedJob, NO_DEADLINE,
 };
 use gs_channel::MimoChannel;
 use gs_linalg::Matrix;
@@ -189,7 +189,7 @@ struct SlotCore {
     ws: FrameWorkspace,
     /// Channel-grouped dispatch order over the planned jobs (scratch,
     /// reused every frame).
-    order: Vec<usize>,
+    order: ChannelOrder,
     /// Detector operation counts accumulated during recovery.
     stats: DetectorStats,
 }
@@ -517,21 +517,15 @@ impl Shared {
             // permutation `DetectionPool` uses), split into contiguous
             // per-shard ranges so each shard re-factorizes each of its
             // channels at most once per frame.
-            let jobs = core.ws.planned_jobs();
-            let n_jobs = jobs.len();
-            core.order.clear();
-            core.order.extend(0..n_jobs);
-            let grouped = jobs.windows(2).all(|w| w[0].channel <= w[1].channel);
-            if !grouped {
-                core.order.sort_unstable_by_key(|&i| (jobs[i].channel, i));
-            }
+            let order = core.order.group(core.ws.planned_jobs());
+            let n_jobs = order.len();
             let chunk = n_jobs.div_ceil(self.n_shards).max(1);
             for (s, portion) in slot.portions.iter().enumerate() {
                 let lo = (s * chunk).min(n_jobs);
                 let hi = ((s + 1) * chunk).min(n_jobs);
                 let mut portion = lock(portion);
                 portion.indices.clear();
-                portion.indices.extend_from_slice(&core.order[lo..hi]);
+                portion.indices.extend_from_slice(&order[lo..hi]);
             }
         }
         slot.remaining.store(self.n_shards as u64, Ordering::Release);
@@ -825,7 +819,7 @@ impl FrameStream {
                 meta: Mutex::new(SlotMeta::empty()),
                 core: RwLock::new(SlotCore {
                     ws: FrameWorkspace::new(),
-                    order: Vec::new(),
+                    order: ChannelOrder::default(),
                     stats: DetectorStats::default(),
                 }),
                 portions: (0..n_shards).map(|_| Mutex::new(Portion::empty())).collect(),

@@ -13,11 +13,12 @@ use geosphere_core::{
 use gs_channel::{noise_variance_for_snr_db, Cdf, RayleighChannel, Testbed};
 use gs_modulation::Constellation;
 use gs_phy::{
-    measure_batched_in, measure_in, snr_for_target_fer, snr_for_target_fer_batched, FrameWorkspace,
-    Measurement, PhyConfig,
+    measure_batched_into, measure_in, snr_for_target_fer, snr_for_target_fer_batched,
+    FrameWorkspace, Measurement, PhyConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Scale knobs shared by all experiments.
 #[derive(Clone, Copy, Debug)]
@@ -31,13 +32,14 @@ pub struct ExperimentParams {
     /// Payload bits per client frame.
     pub payload_bits: usize,
     /// Decode worker threads: `1` = the serial reference receive path,
-    /// `>1` = fan per-subcarrier detections out via
-    /// [`gs_phy::decode_frame_batched`] (`0` = machine parallelism).
-    /// Measured numbers are bit-identical either way; only wall-clock
-    /// changes. Each experiment holds one [`gs_phy::FrameWorkspace`] for
-    /// its *entire* sweep (every SNR point, constellation, and group) and
-    /// routes it through [`measure_in`]/[`measure_batched_in`], so
-    /// per-frame planning and receive-chain buffers warm up once per run,
+    /// any other count = fan per-subcarrier detections out across that
+    /// many pool threads via [`gs_phy::decode_frame_batched_into`] (`0` =
+    /// machine parallelism). Measured numbers are bit-identical either
+    /// way; only wall-clock changes. Each experiment holds one
+    /// [`gs_phy::FrameWorkspace`] for its *entire* sweep (every SNR point,
+    /// constellation, and group) and routes it through
+    /// [`measure_in`]/[`measure_batched_into`], so per-frame planning and
+    /// receive-chain buffers — and the worker pool — warm up once per run,
     /// not once per point.
     pub workers: usize,
 }
@@ -69,7 +71,7 @@ impl ExperimentParams {
     /// according to [`ExperimentParams::workers`], recycling the
     /// experiment's sweep-long workspace.
     #[allow(clippy::too_many_arguments)]
-    fn measure<M: gs_channel::ChannelModel, D: MimoDetector + ?Sized>(
+    fn measure<M, D>(
         &self,
         cfg: &PhyConfig,
         model: &M,
@@ -78,17 +80,21 @@ impl ExperimentParams {
         frames: usize,
         rng: &mut StdRng,
         ws: &mut FrameWorkspace,
-    ) -> Measurement {
+    ) -> Measurement
+    where
+        M: gs_channel::ChannelModel,
+        D: MimoDetector + Clone + PartialEq + 'static,
+    {
         if self.workers == 1 {
             measure_in(cfg, model, detector, snr_db, frames, rng, ws)
         } else {
-            measure_batched_in(cfg, model, detector, snr_db, frames, rng, self.workers, ws)
+            measure_batched_into(cfg, model, detector, snr_db, frames, rng, self.workers, ws)
         }
     }
 
     /// Like [`Self::measure`] for the target-FER SNR bisection, so the
     /// calibration phase of the complexity experiments parallelizes too.
-    fn snr_for_target_fer<M: gs_channel::ChannelModel, D: MimoDetector + ?Sized>(
+    fn snr_for_target_fer<M, D>(
         &self,
         cfg: &PhyConfig,
         model: &M,
@@ -96,7 +102,11 @@ impl ExperimentParams {
         target_fer: f64,
         frames: usize,
         rng: &mut StdRng,
-    ) -> f64 {
+    ) -> f64
+    where
+        M: gs_channel::ChannelModel,
+        D: MimoDetector + Clone + PartialEq + 'static,
+    {
         if self.workers == 1 {
             snr_for_target_fer(cfg, model, detector, target_fer, frames, rng)
         } else {
@@ -143,22 +153,24 @@ impl DetectorKind {
         }
     }
 
-    /// Builds the detector for a given operating SNR.
-    pub fn build(self, snr_db: f64) -> Box<dyn MimoDetector> {
+    /// Builds the detector for a given operating SNR, as the shared handle
+    /// the multi-worker decode path, [`geosphere_core::DetectorLadder`],
+    /// and the streaming runtime all take.
+    pub fn build(self, snr_db: f64) -> Arc<dyn MimoDetector> {
         let sigma2 = noise_variance_for_snr_db(snr_db);
         match self {
-            DetectorKind::Zf => Box::new(ZfDetector),
-            DetectorKind::Mmse => Box::new(MmseDetector::new(sigma2)),
-            DetectorKind::MmseSic => Box::new(MmseSicDetector::new(sigma2)),
+            DetectorKind::Zf => Arc::new(ZfDetector),
+            DetectorKind::Mmse => Arc::new(MmseDetector::new(sigma2)),
+            DetectorKind::MmseSic => Arc::new(MmseSicDetector::new(sigma2)),
             // Sphere decoders carry a generous runtime guard (50k visited
             // nodes per vector): exact ML at every sane operating point, but
             // bounded on hopeless SNR/constellation pairs that rate
             // adaptation probes and discards (e.g. 64-QAM at 10x10, 20 dB).
-            DetectorKind::Geosphere => Box::new(geosphere_decoder().with_node_budget(50_000)),
+            DetectorKind::Geosphere => Arc::new(geosphere_decoder().with_node_budget(50_000)),
             DetectorKind::GeosphereZigzagOnly => {
-                Box::new(geosphere_zigzag_only_decoder().with_node_budget(50_000))
+                Arc::new(geosphere_zigzag_only_decoder().with_node_budget(50_000))
             }
-            DetectorKind::EthSd => Box::new(ethsd_decoder().with_node_budget(50_000)),
+            DetectorKind::EthSd => Arc::new(ethsd_decoder().with_node_budget(50_000)),
         }
     }
 }
@@ -221,7 +233,7 @@ pub fn testbed_throughput(
                 params.measure(
                     &cfg,
                     &model,
-                    det.as_ref(),
+                    &det,
                     snr_db,
                     params.frames_per_point,
                     &mut rng,
@@ -273,7 +285,7 @@ pub fn rayleigh_throughput(
         let m = params.measure(
             &cfg,
             &model,
-            det.as_ref(),
+            &det,
             snr_db,
             params.frames_per_point * params.groups_per_point,
             &mut rng,
@@ -378,7 +390,7 @@ pub fn complexity_at_target_fer(
                     params.measure(
                         &cfg,
                         &model,
-                        det.as_ref(),
+                        &det,
                         snr_db,
                         params.frames_per_point,
                         &mut rng,
@@ -390,7 +402,7 @@ pub fn complexity_at_target_fer(
                     params.measure(
                         &cfg,
                         &model,
-                        det.as_ref(),
+                        &det,
                         snr_db,
                         params.frames_per_point,
                         &mut rng,
@@ -483,6 +495,21 @@ mod tests {
         let params = ExperimentParams::quick();
         let p = rayleigh_throughput(&params, 2, 4, 20.0, DetectorKind::MmseSic);
         assert!(p.throughput_mbps > 0.0, "2x4 at 20 dB should carry traffic");
+    }
+
+    #[test]
+    fn worker_count_does_not_change_results() {
+        // The multi-worker path (pooled decode of shared `dyn` detectors,
+        // batched SNR calibration) must reproduce the serial reference
+        // exactly; Debug output covers every field, floats bit for bit.
+        let run = |workers| {
+            let params = ExperimentParams { workers, ..ExperimentParams::quick() };
+            format!(
+                "{:?}",
+                complexity_at_target_fer(&params, None, 2, 4, Constellation::Qam16, 0.1)
+            )
+        };
+        assert_eq!(run(1), run(3));
     }
 
     #[test]

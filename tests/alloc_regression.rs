@@ -394,9 +394,12 @@ fn detection_hot_path_is_allocation_free_after_warmup() {
     assert_detect_with_qr_allocation_free();
     assert_detect_batch_into_allocation_free();
     // Frame chain (tentpole of the FrameWorkspace refactor): hard path at
-    // one worker (inline) and four workers (persistent pool), soft path.
+    // one worker (inline), four workers (persistent pool), and zero
+    // (machine parallelism, resolved once when the pool is built — never
+    // per frame), soft path.
     assert_hard_frame_chain_allocation_free(1);
     assert_hard_frame_chain_allocation_free(4);
+    assert_hard_frame_chain_allocation_free(0);
     assert_soft_frame_chain_allocation_free();
     // Telemetry tier: histogram recording shares the hot path's contract.
     assert_histogram_recording_allocation_free();

@@ -4,12 +4,15 @@
 //! change wall-clock, never results.
 
 use geosphere::channel::{ChannelModel, RayleighChannel, SelectiveRayleighChannel};
-use geosphere::core::{geosphere_decoder, BatchDetector, DetectionBatch, DetectionJob};
+use geosphere::core::{
+    geosphere_decoder, DetectionBatch, DetectionJob, DetectionPool, MimoDetector,
+};
 use geosphere::linalg::Matrix;
 use geosphere::modulation::Constellation;
 use geosphere::phy::{decode_frame_batched, uplink_frame, PhyConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Serial and batched uplink decodes of the same seeded frame must agree
 /// exactly — symbols, CRC outcomes, and op counts — for ≥2 thread counts.
@@ -72,11 +75,11 @@ fn batched_decode_matches_serial_on_selective_channel() {
 fn core_batch_detector_is_deterministic() {
     let c = Constellation::Qam16;
     let mut rng = StdRng::seed_from_u64(91);
-    let channels: Vec<Matrix> = (0..8)
+    let mut channels: Vec<Matrix> = (0..8)
         .map(|_| RayleighChannel::new(4, 4).sample_matrix(&mut rng).scale(c.scale()))
         .collect();
     let pts = c.points();
-    let jobs: Vec<DetectionJob> = (0..96)
+    let mut jobs: Vec<DetectionJob> = (0..96)
         .map(|j| {
             let channel = j % channels.len();
             let s: Vec<_> = (0..4).map(|_| pts[rng.gen_range(0..pts.len())]).collect();
@@ -91,12 +94,18 @@ fn core_batch_detector_is_deterministic() {
     let det = geosphere_decoder();
 
     let reference = batch.detect_serial(&det);
+    let det: Arc<dyn MimoDetector> = Arc::new(det);
     for workers in [1usize, 3, 8] {
-        let out = BatchDetector::new(&det, workers).detect_batch(&batch);
-        assert_eq!(out.len(), reference.len());
-        for (k, (a, b)) in out.iter().zip(&reference).enumerate() {
-            assert_eq!(a.symbols, b.symbols, "job {k} workers {workers}");
-            assert_eq!(a.stats, b.stats, "job {k} workers {workers}");
-        }
+        let mut pool = DetectionPool::new(workers);
+        let n = jobs.len();
+        pool.run(&det, &mut channels, &mut jobs, n, c);
+        let mut seen = vec![false; n];
+        pool.for_each_result(|k, a| {
+            assert!(!seen[k], "job {k} visited twice, workers {workers}");
+            seen[k] = true;
+            assert_eq!(a.symbols, reference[k].symbols, "job {k} workers {workers}");
+            assert_eq!(a.stats, reference[k].stats, "job {k} workers {workers}");
+        });
+        assert!(seen.iter().all(|&s| s), "workers {workers}: every job covered");
     }
 }

@@ -185,7 +185,8 @@ proptest! {
         noise in proptest::collection::vec((-0.2f64..0.2, -0.2f64..0.2), 8),
         workers in 1usize..6,
     ) {
-        use geosphere::core::{BatchDetector, DetectionBatch, DetectionJob, MimoDetector};
+        use geosphere::core::{DetectionBatch, DetectionJob, DetectionPool, MimoDetector};
+        use std::sync::Arc;
 
         let c = Constellation::Qam16;
         let data: Vec<Complex> = entries.iter().map(|&(re, im)| Complex::new(re, im)).collect();
@@ -194,9 +195,9 @@ proptest! {
         // fast; degenerate matrices are covered by the seeded suites.
         h[(0, 0)] += Complex::new(1.0, 0.0);
         h[(1, 1)] += Complex::new(1.0, 0.0);
-        let channels = vec![h];
+        let mut channels = vec![h];
         let pts = c.points();
-        let jobs: Vec<DetectionJob> = noise
+        let mut jobs: Vec<DetectionJob> = noise
             .chunks(2)
             .enumerate()
             .map(|(j, w)| {
@@ -212,13 +213,21 @@ proptest! {
         let det = geosphere::core::geosphere_decoder();
         let serial = batch.detect_serial(&det);
         let amortized = det.detect_batch(&batch);
-        let parallel = BatchDetector::new(&det, workers).detect_batch(&batch);
-        for ((s, a), p) in serial.iter().zip(&amortized).zip(&parallel) {
+        for (s, a) in serial.iter().zip(&amortized) {
             prop_assert_eq!(&s.symbols, &a.symbols);
-            prop_assert_eq!(&s.symbols, &p.symbols);
             prop_assert_eq!(s.stats, a.stats);
-            prop_assert_eq!(s.stats, p.stats);
         }
+        let mut pool = DetectionPool::new_with_pinning(workers, false);
+        let arc: Arc<dyn MimoDetector> = Arc::new(det);
+        let n = jobs.len();
+        pool.run(&arc, &mut channels, &mut jobs, n, c);
+        let mut visited = 0;
+        pool.for_each_result(|idx, p| {
+            assert_eq!(serial[idx].symbols, p.symbols, "job {idx}");
+            assert_eq!(serial[idx].stats, p.stats, "job {idx}");
+            visited += 1;
+        });
+        prop_assert_eq!(visited, n);
     }
 
     // --- coding ---

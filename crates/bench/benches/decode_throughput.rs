@@ -6,14 +6,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geosphere_core::{ethsd_decoder, geosphere_decoder, MimoDetector, MmseSicDetector, ZfDetector};
+use gs_bench::serial_reference_frame;
 use gs_channel::{
     noise_variance_for_snr_db, sample_cn, ChannelModel, RayleighChannel, SelectiveRayleighChannel,
 };
 use gs_linalg::{Complex, Matrix};
 use gs_modulation::{Constellation, GridPoint};
-use gs_phy::{
-    decode_frame_batched, decode_frame_batched_into, uplink_frame, FrameWorkspace, PhyConfig,
-};
+use gs_phy::{decode_frame_batched_into, FrameWorkspace, PhyConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,9 +64,10 @@ fn bench_decoders(cr: &mut Criterion) {
     group.finish();
 }
 
-/// Frame-level decode: the serial per-subcarrier receive path vs
-/// `decode_frame_batched` (per-subcarrier QR amortized across the frame's
-/// OFDM symbols, fanned out over a worker pool). One 64-subcarrier
+/// Frame-level decode: the per-job serial oracle
+/// (`gs_bench::serial_reference_frame`) vs `decode_frame_batched_into` on
+/// a fresh workspace per frame (per-subcarrier QR amortized across the
+/// frame's OFDM symbols, fanned out over a worker pool). One 64-subcarrier
 /// 4×4 64-QAM frame per iteration; outputs are bit-identical, so any gap
 /// is pure engine overhead/speedup.
 fn bench_frame_decode(cr: &mut Criterion) {
@@ -86,7 +86,7 @@ fn bench_frame_decode(cr: &mut Criterion) {
     group.bench_function("serial", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(77);
-            uplink_frame(&cfg, &ch, &det, snr_db, &mut rng).stats.ped_calcs
+            serial_reference_frame(&cfg, &ch, &det, snr_db, &mut rng).stats.ped_calcs
         })
     });
     for workers in [1usize, 2, 4, 8] {
@@ -96,7 +96,10 @@ fn bench_frame_decode(cr: &mut Criterion) {
         group.bench_function(BenchmarkId::new("batched", format!("{workers}w")), |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(77);
-                decode_frame_batched(&cfg, &ch, &det, snr_db, &mut rng, workers).stats.ped_calcs
+                let mut ws = FrameWorkspace::new();
+                decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, workers, &mut ws)
+                    .stats
+                    .ped_calcs
             })
         });
     }
@@ -123,10 +126,10 @@ fn bench_frame_decode(cr: &mut Criterion) {
 }
 
 /// The frame-level workspace-reuse win, isolated: the same frame decoded
-/// through a fresh `FrameWorkspace` per frame (the one-shot
-/// `decode_frame_batched` behavior) versus one long-lived workspace — the
-/// steady-state receiver configuration whose per-frame zero-allocation
-/// contract `tests/alloc_regression.rs` enforces.
+/// through a fresh `FrameWorkspace` per frame (a one-off decode) versus
+/// one long-lived workspace — the steady-state receiver configuration
+/// whose per-frame zero-allocation contract `tests/alloc_regression.rs`
+/// enforces.
 fn bench_frame_workspace_reuse(cr: &mut Criterion) {
     let mut group = cr.benchmark_group("frame_workspace_reuse_4x4_qam16_48sc");
     let cfg = PhyConfig { payload_bits: 2048, ..PhyConfig::new(Constellation::Qam16) };

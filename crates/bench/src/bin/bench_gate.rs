@@ -1,15 +1,17 @@
 //! The CI bench-regression gates for the frame hot paths.
 //!
-//! Five modes, selected by `--mode`:
+//! Seven modes, selected by `--mode`:
 //!
 //! * `frame_decode` (default, PR 4): times one 64-subcarrier 4×4 64-QAM
 //!   uplink frame at 28 dB through the Geosphere decoder across the decode
-//!   modes (serial reference, batched at several worker counts, the
-//!   steady-state reused-workspace path), writes `BENCH_pr4.json`, and
-//!   gates the `batched_1w / serial` ratio against
-//!   `crates/bench/baselines/pr4_frame_decode.json`.
+//!   modes (`serial`: the per-job oracle
+//!   `gs_bench::serial_reference_frame`; `batched_*`:
+//!   `decode_frame_batched_into` on a fresh workspace per frame at several
+//!   worker counts; `batched_into_*`: the steady-state reused-workspace
+//!   path), writes `BENCH_pr4.json`, and gates the `batched_1w / serial`
+//!   ratio against `crates/bench/baselines/pr4_frame_decode.json`.
 //! * `frame_stream` (PR 5): measures **sustained frames/sec** over the same
-//!   scenario — back-to-back serial `decode_frame_batched_into` vs the
+//!   scenario — back-to-back single-worker `decode_frame_batched_into` vs the
 //!   `gs-runtime` streaming pipeline kept full at 2 and 4 detection
 //!   workers — writes `BENCH_pr5.json`, and gates the
 //!   `stream_4w / serial` per-frame-time ratio against
@@ -89,6 +91,9 @@
 //!   uses per-mode minima like `multi_symbol`. Without `--features
 //!   trace` the recorder is compiled out, both runs measure identical
 //!   code, and the gate documents the erasure. Writes `BENCH_pr10.json`.
+//! * `campaign`: runs the seeded scenario campaign at the fidelity
+//!   `GS_SPEEDUP` selects and hard-gates on any scenario's invariant
+//!   violations (no timing baseline).
 //!
 //! Flags: `--mode frame_decode|frame_stream|multi_symbol|deadline_storm|metrics|campaign|trace`,
 //! `--out <path>`, `--baseline <path>`, `--samples <n>`,
@@ -96,11 +101,10 @@
 //! gating — run on a quiet machine).
 
 use geosphere_core::{geosphere_decoder, DetectorTier, MmseDetector};
+use gs_bench::serial_reference_frame;
 use gs_channel::{noise_variance_for_snr_db, ChannelModel, MimoChannel, SelectiveRayleighChannel};
 use gs_modulation::Constellation;
-use gs_phy::{
-    decode_frame_batched, decode_frame_batched_into, uplink_frame, FrameWorkspace, PhyConfig,
-};
+use gs_phy::{decode_frame_batched_into, FrameWorkspace, PhyConfig};
 use gs_runtime::{FrameStream, StreamConfig, UplinkFrame};
 use gs_sim::scenario::presets;
 use gs_sim::{run_campaign, run_deadline_storm, run_drain_recovery, CampaignConfig};
@@ -184,13 +188,17 @@ fn run_all(samples: usize) -> Vec<ModeResult> {
     let mut out = Vec::new();
     out.push(measure_mode("serial", samples, 1, || {
         let mut rng = StdRng::seed_from_u64(77);
-        uplink_frame(&cfg, &ch, &det, snr_db, &mut rng).stats.ped_calcs
+        serial_reference_frame(&cfg, &ch, &det, snr_db, &mut rng).stats.ped_calcs
     }));
 
+    // One-shot decodes: a fresh workspace (and so a fresh pool) per frame.
     for (name, workers) in [("batched_1w", 1usize), ("batched_2w", 2), ("batched_4w", 4)] {
         out.push(measure_mode(name, samples, 1, || {
             let mut rng = StdRng::seed_from_u64(77);
-            decode_frame_batched(&cfg, &ch, &det, snr_db, &mut rng, workers).stats.ped_calcs
+            let mut ws = FrameWorkspace::new();
+            decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, workers, &mut ws)
+                .stats
+                .ped_calcs
         }));
     }
 

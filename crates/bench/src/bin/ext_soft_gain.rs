@@ -6,7 +6,7 @@ use geosphere_core::geosphere_decoder;
 use gs_bench::{params_from_args, rule};
 use gs_channel::{ChannelModel, RayleighChannel};
 use gs_modulation::Constellation;
-use gs_phy::{uplink_frame, uplink_frame_soft, PhyConfig};
+use gs_phy::{decode_frame_batched_into, uplink_frame_soft_into, FrameWorkspace, PhyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,6 +16,8 @@ fn main() {
         PhyConfig { payload_bits: params.payload_bits, ..PhyConfig::new(Constellation::Qam16) };
     let model = RayleighChannel::new(4, 4);
     let trials = (8 * params.frames_per_point) as u64;
+    let det = geosphere_decoder();
+    let mut ws = FrameWorkspace::new();
 
     println!("Soft vs hard decoding — 4x4, 16-QAM rate-1/2, Rayleigh, {trials} frames/point");
     rule(84);
@@ -31,14 +33,14 @@ fn main() {
         for t in 0..trials {
             let mut rng = StdRng::seed_from_u64(params.seed * 1000 + t);
             let ch = model.realize(&mut rng);
-            let hard = uplink_frame(&cfg, &ch, &geosphere_decoder(), snr, &mut rng);
+            let hard = decode_frame_batched_into(&cfg, &ch, &det, snr, &mut rng, 1, &mut ws);
             hard_fail += hard.client_ok.iter().filter(|&&ok| !ok).count();
             hp += hard.stats.ped_calcs;
             hd += hard.detections;
 
             let mut rng = StdRng::seed_from_u64(params.seed * 1000 + t);
             let ch = model.realize(&mut rng);
-            let soft = uplink_frame_soft(&cfg, &ch, snr, &mut rng);
+            let soft = uplink_frame_soft_into(&cfg, &ch, snr, &mut rng, &mut ws);
             soft_fail += soft.client_ok.iter().filter(|&&ok| !ok).count();
             sp += soft.stats.ped_calcs;
             sd += soft.detections;

@@ -364,7 +364,10 @@ impl DetectionPool {
 mod tests {
     use super::*;
     use crate::detector::apply_channel;
-    use crate::{ethsd_decoder, geosphere_decoder, MmseSicDetector, ZfDetector};
+    use crate::{
+        ethsd_decoder, geosphere_decoder, geosphere_zigzag_only_decoder, MmseDetector,
+        MmseSicDetector, ZfDetector,
+    };
     use gs_channel::{sample_cn, RayleighChannel};
     use gs_modulation::GridPoint;
     use rand::rngs::StdRng;
@@ -428,6 +431,11 @@ mod tests {
             Arc::new(geosphere_decoder().with_sorted_qr()),
             Arc::new(ZfDetector),
             Arc::new(MmseSicDetector::new(0.05)),
+            // The rest of what the experiments build (`DetectorKind::build`).
+            Arc::new(MmseDetector::new(0.05)),
+            Arc::new(geosphere_zigzag_only_decoder().with_node_budget(50_000)),
+            Arc::new(geosphere_decoder().with_node_budget(50_000)),
+            Arc::new(ethsd_decoder().with_node_budget(50_000)),
         ];
         let references: Vec<Vec<Detection>> =
             detectors.iter().map(|det| batch.detect_serial(det.as_ref())).collect();

@@ -159,8 +159,8 @@ mod tests {
 
     #[test]
     fn detection_with_estimated_csi_works_at_high_snr() {
-        use crate::txrx::uplink_frame_with_csi;
-        use crate::PhyConfig;
+        use crate::txrx::decode_frame_with_csi_into;
+        use crate::{FrameWorkspace, PhyConfig};
         use geosphere_core::geosphere_decoder;
         use gs_modulation::Constellation;
 
@@ -170,21 +170,24 @@ mod tests {
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
         // The air uses the true channel; the detector sees only the
         // estimate. At 35 dB the estimation error is negligible.
-        let out = uplink_frame_with_csi(
+        let mut ws = FrameWorkspace::new();
+        let out = decode_frame_with_csi_into(
             &cfg,
             &truth,
-            Some(&est.channel),
+            &est.channel,
             &geosphere_decoder(),
             35.0,
             &mut rng,
+            1,
+            &mut ws,
         );
         assert!(out.client_ok.iter().all(|&ok| ok));
     }
 
     #[test]
     fn garbage_csi_destroys_frames() {
-        use crate::txrx::uplink_frame_with_csi;
-        use crate::PhyConfig;
+        use crate::txrx::decode_frame_with_csi_into;
+        use crate::{FrameWorkspace, PhyConfig};
         use geosphere_core::geosphere_decoder;
         use gs_modulation::Constellation;
 
@@ -192,13 +195,16 @@ mod tests {
         let truth = RayleighChannel::new(4, 2).realize(&mut rng);
         let garbage = RayleighChannel::new(4, 2).realize(&mut rng);
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
-        let out = uplink_frame_with_csi(
+        let mut ws = FrameWorkspace::new();
+        let out = decode_frame_with_csi_into(
             &cfg,
             &truth,
-            Some(&garbage),
+            &garbage,
             &geosphere_decoder(),
             35.0,
             &mut rng,
+            1,
+            &mut ws,
         );
         assert!(out.client_ok.iter().all(|&ok| !ok), "wrong CSI must kill detection");
     }

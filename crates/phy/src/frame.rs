@@ -10,22 +10,28 @@
 //! persistent [`DetectionPool`] every multi-worker decode runs on (the
 //! frame-synchronous front over `geosphere-core`'s one detection thread
 //! pool, [`ShardedDetectionPool`](geosphere_core::ShardedDetectionPool)).
-//! The pool holds the detector as an `Arc`, which is why the multi-worker
-//! entry points take `Clone + PartialEq` detectors: concrete values, or a
+//! The pool holds the detector as an `Arc`, which is why the hard entry
+//! points take `Clone + PartialEq` detectors: concrete values, or a
 //! shared `Arc<dyn MimoDetector>` for callers that pick one at run time.
 //!
 //! ## Ownership model
 //!
 //! **One `FrameWorkspace` per receive loop, one
-//! [`SearchWorkspace`](geosphere_core::SearchWorkspace) per worker.** A
-//! long-lived receiver holds one `FrameWorkspace` across frames and drives
+//! [`SearchWorkspace`](geosphere_core::SearchWorkspace) per worker.** Every
+//! frame entry point takes the workspace as an argument: a one-off decode
+//! uses a fresh [`FrameWorkspace::new`], and a long-lived receiver holds
+//! one `FrameWorkspace` across frames and drives
 //! [`decode_frame_batched_into`](crate::txrx::decode_frame_batched_into)
-//! (hard path) or
+//! (hard path, genie CSI),
+//! [`decode_frame_with_csi_into`](crate::txrx::decode_frame_with_csi_into)
+//! (hard path, estimated CSI),
 //! [`uplink_frame_soft_into`](crate::soft_rx::uplink_frame_soft_into)
-//! (soft path): after one warmup frame of a given shape, a frame performs
-//! **zero heap allocations** end to end — planning, detection (at any
-//! worker count: pool threads recycle their own search state and output
-//! buffers), and payload recovery. `tests/alloc_regression.rs` enforces
+//! (soft path) or
+//! [`uplink_frame_iterative_into`](crate::iterative::uplink_frame_iterative_into)
+//! (turbo path): after one warmup frame of a given shape, a hard or soft
+//! frame performs **zero heap allocations** end to end — planning,
+//! detection (at any worker count: pool threads recycle their own search
+//! state and output buffers), and payload recovery. `tests/alloc_regression.rs` enforces
 //! this with a counting global allocator; `tests/frame_workspace_reuse.rs`
 //! proves reuse is bit-identical to fresh-workspace decoding, shrinking
 //! and growing frame shapes included.
@@ -114,8 +120,8 @@ pub(crate) struct PoolDetector {
 
 /// Reusable whole-frame state for the uplink receive loop. See the module
 /// docs for the ownership model; create with [`FrameWorkspace::new`] and
-/// pass to the `_into` frame entry points in [`crate::txrx`],
-/// [`crate::soft_rx`], [`crate::iterative`], and [`mod@crate::measure`].
+/// pass to the frame entry points in [`crate::txrx`], [`crate::soft_rx`],
+/// [`crate::iterative`], and [`mod@crate::measure`].
 #[derive(Default)]
 pub struct FrameWorkspace {
     // --- frame plan (filled by `plan_uplink_frame_into`) ---

@@ -116,25 +116,14 @@ fn scalar_llrs(
     }
 }
 
-/// Runs one uplink frame through the iterative MMSE-PIC receiver.
+/// Runs one uplink frame through the iterative MMSE-PIC receiver,
+/// recycling a [`FrameWorkspace`] across frames: the received grid, prior
+/// and LLR streams, covariance scratch, and the per-subcarrier Gram cache
+/// are reused in place (the cache self-invalidates when the channel
+/// changes).
 ///
 /// `iterations = 1` is plain soft MMSE detection + SISO decoding;
 /// each further iteration feeds decoder extrinsics back as symbol priors.
-pub fn uplink_frame_iterative<R: Rng + ?Sized>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    snr_db: f64,
-    iterations: usize,
-    rng: &mut R,
-) -> UplinkOutcome {
-    let mut ws = FrameWorkspace::new();
-    uplink_frame_iterative_into(cfg, channel, snr_db, iterations, rng, &mut ws).clone()
-}
-
-/// [`uplink_frame_iterative`] recycling a [`FrameWorkspace`] across frames:
-/// bit-identical for the same `rng` state, with the received grid, prior
-/// and LLR streams, covariance scratch, and the per-subcarrier Gram cache
-/// reused in place (the cache self-invalidates when the channel changes).
 pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
     cfg: &PhyConfig,
     channel: &MimoChannel,
@@ -190,7 +179,7 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
     ws.out.client_ok.clear();
     ws.out.client_ok.resize(nc, false);
 
-    for _iter in 0..iterations {
+    for _ in 0..iterations {
         // Detection pass: soft-PIC MMSE per (t, k), producing posterior
         // channel LLRs per bit in transmitted order.
         for l in ws.iter.channel_llrs.iter_mut().take(nc) {
@@ -318,14 +307,6 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
             puncture_into(&siso.coded_extrinsic, cfg.code_rate, &mut iter.kept);
             il.interleave_stream_into(&iter.kept, &mut iter.tx_order);
             std::mem::swap(&mut iter.priors[cl], &mut iter.tx_order);
-            if std::env::var("GS_TURBO_DEBUG").is_ok() {
-                let maxp = iter.priors[cl].iter().fold(0.0f64, |a, &b| a.max(b.abs()));
-                let nz = iter.priors[cl].iter().filter(|&&v| v.abs() > 1e-9).count();
-                eprintln!(
-                    "iter {_iter} client {cl}: max|prior| {maxp:.2}, nonzero {nz}/{}",
-                    iter.priors[cl].len()
-                );
-            }
         }
     }
 
@@ -384,7 +365,8 @@ mod tests {
     fn single_iteration_works_at_high_snr() {
         let mut rng = StdRng::seed_from_u64(971);
         let ch = RayleighChannel::new(4, 2).realize(&mut rng);
-        let out = uplink_frame_iterative(&cfg(), &ch, 30.0, 1, &mut rng);
+        let mut ws = FrameWorkspace::new();
+        let out = uplink_frame_iterative_into(&cfg(), &ch, 30.0, 1, &mut rng, &mut ws);
         assert!(out.client_ok.iter().all(|&ok| ok));
     }
 
@@ -395,7 +377,8 @@ mod tests {
         for trial in 0..3 {
             let mut rng = StdRng::seed_from_u64(7100 + trial);
             let ch = model.realize(&mut rng);
-            let fresh = uplink_frame_iterative(&cfg(), &ch, 16.0, 2, &mut rng);
+            let mut fresh_ws = FrameWorkspace::new();
+            let fresh = uplink_frame_iterative_into(&cfg(), &ch, 16.0, 2, &mut rng, &mut fresh_ws);
             let mut rng = StdRng::seed_from_u64(7100 + trial);
             let ch = model.realize(&mut rng);
             let reused = uplink_frame_iterative_into(&cfg(), &ch, 16.0, 2, &mut rng, &mut ws);
@@ -410,23 +393,21 @@ mod tests {
         let model = RayleighChannel::new(4, 4);
         let trials = 10;
         let snr = 14.0;
+        let mut ws = FrameWorkspace::new();
+        let mut ok_after = |iterations: usize, t: u64| {
+            let mut rng = StdRng::seed_from_u64(7000 + t);
+            let ch = model.realize(&mut rng);
+            uplink_frame_iterative_into(&cfg(), &ch, snr, iterations, &mut rng, &mut ws)
+                .client_ok
+                .iter()
+                .filter(|&&ok| ok)
+                .count()
+        };
         let mut one_ok = 0usize;
         let mut three_ok = 0usize;
         for t in 0..trials {
-            let mut rng = StdRng::seed_from_u64(7000 + t);
-            let ch = model.realize(&mut rng);
-            one_ok += uplink_frame_iterative(&cfg(), &ch, snr, 1, &mut rng)
-                .client_ok
-                .iter()
-                .filter(|&&ok| ok)
-                .count();
-            let mut rng = StdRng::seed_from_u64(7000 + t);
-            let ch = model.realize(&mut rng);
-            three_ok += uplink_frame_iterative(&cfg(), &ch, snr, 3, &mut rng)
-                .client_ok
-                .iter()
-                .filter(|&&ok| ok)
-                .count();
+            one_ok += ok_after(1, t);
+            three_ok += ok_after(3, t);
         }
         assert!(
             three_ok >= one_ok,

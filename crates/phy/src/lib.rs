@@ -24,13 +24,10 @@ pub mod txrx;
 pub use chanest::{estimate_channel, estimation_mse, ChannelEstimate};
 pub use config::{PhyConfig, DATA_SUBCARRIERS, OFDM_SYMBOL_SECONDS};
 pub use frame::FrameWorkspace;
-pub use iterative::{uplink_frame_iterative, uplink_frame_iterative_into};
-pub use measure::{
-    best_rate_measurement, measure, measure_batched, measure_batched_into, measure_in,
-    snr_for_target_fer, snr_for_target_fer_batched, Measurement,
-};
-pub use soft_rx::{receive_frame_soft, uplink_frame_soft, uplink_frame_soft_into};
+pub use iterative::uplink_frame_iterative_into;
+pub use measure::{measure, snr_for_target_fer, Measurement};
+pub use soft_rx::uplink_frame_soft_into;
 pub use txrx::{
-    decode_frame_batched, decode_frame_batched_into, receive_frame, transmit_frame, uplink_frame,
-    uplink_frame_with_csi, uplink_frame_with_csi_into, TxFrame, UplinkOutcome,
+    decode_frame_batched_into, decode_frame_with_csi_into, receive_frame, transmit_frame, TxFrame,
+    UplinkOutcome,
 };

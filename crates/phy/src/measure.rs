@@ -3,11 +3,13 @@
 //! Runs repeated uplink frames over fresh channel realizations (the
 //! paper's per-frame i.i.d. sampling, §5.3.2 footnote: coherence times of
 //! "driving speeds and slower") and aggregates FER, net throughput, and
-//! per-subcarrier detector complexity.
+//! per-subcarrier detector complexity. Every frame goes through the one
+//! hard receive path, [`decode_frame_batched_into`], on a caller-held
+//! [`FrameWorkspace`].
 
 use crate::config::PhyConfig;
 use crate::frame::FrameWorkspace;
-use crate::txrx::{decode_frame_batched_into, uplink_frame_with_csi_into};
+use crate::txrx::decode_frame_batched_into;
 use geosphere_core::{AverageStats, DetectorStats, MimoDetector};
 use gs_channel::ChannelModel;
 use rand::Rng;
@@ -31,84 +33,19 @@ pub struct Measurement {
 }
 
 /// Measures FER/throughput/complexity for one (channel model, detector,
-/// SNR, PHY config) operating point.
-pub fn measure<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    snr_db: f64,
-    frames: usize,
-    rng: &mut R,
-) -> Measurement
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + ?Sized,
-{
-    measure_in(cfg, model, detector, snr_db, frames, rng, &mut FrameWorkspace::new())
-}
-
-/// [`measure`] recycling a caller-held [`FrameWorkspace`], so long
-/// measurement sweeps (SNR grids, constellation scans, per-group loops)
-/// stop re-warming plan/receive buffers on every point. Bit-identical to
-/// [`measure`] for the same `rng` state.
-pub fn measure_in<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    snr_db: f64,
-    frames: usize,
-    rng: &mut R,
-    ws: &mut FrameWorkspace,
-) -> Measurement
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + ?Sized,
-{
-    let mut acc = MeasureAccum::new(model.num_tx());
-    for _ in 0..frames {
-        let ch = model.realize(rng);
-        acc.absorb(uplink_frame_with_csi_into(cfg, &ch, None, detector, snr_db, rng, ws));
-    }
-    acc.finish(cfg, frames)
-}
-
-/// [`measure`] with the frame decode fanned out across `workers` threads
-/// (`0` = machine parallelism) through
-/// [`decode_frame_batched`](crate::txrx::decode_frame_batched). A
-/// fresh-workspace wrapper over [`measure_batched_into`].
+/// SNR, PHY config) operating point: `frames` fresh channel realizations,
+/// each decoded through [`decode_frame_batched_into`] on `workers` threads
+/// (`1` = inline on the calling thread, `0` = machine parallelism).
 ///
-/// Results are bit-identical to [`measure`] for the same `rng` state —
-/// the batched decode path is deterministic — so experiment outputs don't
-/// depend on the worker count, only wall-clock does.
-pub fn measure_batched<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    snr_db: f64,
-    frames: usize,
-    rng: &mut R,
-    workers: usize,
-) -> Measurement
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + Clone + PartialEq + 'static,
-{
-    let mut ws = FrameWorkspace::new();
-    measure_batched_into(cfg, model, detector, snr_db, frames, rng, workers, &mut ws)
-}
-
-/// [`measure_batched`] recycling a caller-held [`FrameWorkspace`] through
-/// [`decode_frame_batched_into`]: after the first frame, each further
-/// frame's *decode* (plan, detection via the persistent worker pool,
-/// receive chain) performs zero heap allocations — only the per-frame
-/// channel realization still allocates. A workspace carried across a
-/// whole sweep keeps its pool too. Bit-identical to [`measure_batched`]
-/// for the same `rng` state.
+/// Results are bit-identical at every worker count for the same `rng`
+/// state — the decode path is deterministic — so only wall-clock depends
+/// on `workers`. A caller-held `ws` carried across a whole sweep (SNR
+/// grids, constellation scans, per-group loops) keeps its plan/receive
+/// buffers and worker pool warm: after the first frame each further
+/// frame's decode performs zero heap allocations, and only the per-frame
+/// channel realization still allocates.
 #[allow(clippy::too_many_arguments)]
-pub fn measure_batched_into<R, M, D>(
+pub fn measure<R, M, D>(
     cfg: &PhyConfig,
     model: &M,
     detector: &D,
@@ -180,7 +117,10 @@ impl MeasureAccum {
 
 /// Finds (by bisection over a dB grid) the SNR at which `detector` reaches
 /// a target FER — used by the Fig. 15 methodology ("an SNR such that each
-/// constellation reaches a frame error rate of approximately 10%").
+/// constellation reaches a frame error rate of approximately 10%"). Every
+/// probe is a [`measure`] on `workers` threads through `ws`, so the result
+/// does not depend on the worker count.
+#[allow(clippy::too_many_arguments)]
 pub fn snr_for_target_fer<R, M, D>(
     cfg: &PhyConfig,
     model: &M,
@@ -188,85 +128,26 @@ pub fn snr_for_target_fer<R, M, D>(
     target_fer: f64,
     frames: usize,
     rng: &mut R,
-) -> f64
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + ?Sized,
-{
-    // One workspace across every probe of the bisection.
-    let mut ws = FrameWorkspace::new();
-    snr_bisect(target_fer, |snr| measure_in(cfg, model, detector, snr, frames, rng, &mut ws))
-}
-
-/// [`snr_for_target_fer`] with each probe measurement decoded through
-/// [`measure_batched_into`] (`0` = machine parallelism). Returns the same
-/// SNR as the serial search for the same `rng` state — the bisection
-/// consumes identical measurements — in less wall-clock.
-pub fn snr_for_target_fer_batched<R, M, D>(
-    cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    target_fer: f64,
-    frames: usize,
-    rng: &mut R,
     workers: usize,
+    ws: &mut FrameWorkspace,
 ) -> f64
 where
     R: Rng + ?Sized,
     M: ChannelModel,
     D: MimoDetector + Clone + PartialEq + 'static,
 {
-    let mut ws = FrameWorkspace::new();
-    snr_bisect(target_fer, |snr| {
-        measure_batched_into(cfg, model, detector, snr, frames, rng, workers, &mut ws)
-    })
-}
-
-/// Seven bisection steps over `[0, 50]` dB against `measure`'s FER.
-fn snr_bisect(target_fer: f64, mut measure: impl FnMut(f64) -> Measurement) -> f64 {
+    // Seven bisection steps over [0, 50] dB.
     let mut lo = 0.0f64;
     let mut hi = 50.0f64;
     for _ in 0..7 {
         let mid = (lo + hi) / 2.0;
-        if measure(mid).fer > target_fer {
+        if measure(cfg, model, detector, mid, frames, rng, workers, ws).fer > target_fer {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     (lo + hi) / 2.0
-}
-
-/// The best net throughput across constellations — the paper's ideal rate
-/// adaptation ("we show throughput results for the constellation that
-/// achieves the best average throughput for the corresponding range").
-pub fn best_rate_measurement<R, M, D>(
-    base_cfg: &PhyConfig,
-    model: &M,
-    detector: &D,
-    snr_db: f64,
-    frames: usize,
-    rng: &mut R,
-) -> (gs_modulation::Constellation, Measurement)
-where
-    R: Rng + ?Sized,
-    M: ChannelModel,
-    D: MimoDetector + ?Sized,
-{
-    let mut best: Option<(gs_modulation::Constellation, Measurement)> = None;
-    for c in gs_modulation::Constellation::ALL {
-        let cfg = PhyConfig { constellation: c, ..*base_cfg };
-        let m = measure(&cfg, model, detector, snr_db, frames, rng);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => m.throughput_mbps > b.throughput_mbps,
-        };
-        if better {
-            best = Some((c, m));
-        }
-    }
-    best.expect("at least one constellation evaluated")
 }
 
 #[cfg(test)]
@@ -282,12 +163,27 @@ mod tests {
         PhyConfig { payload_bits: 256, ..PhyConfig::new(c) }
     }
 
+    /// One-off measurement on a fresh workspace, inline detection.
+    fn measure_once<D>(
+        cfg: &PhyConfig,
+        model: &RayleighChannel,
+        det: &D,
+        snr_db: f64,
+        frames: usize,
+        rng: &mut StdRng,
+    ) -> Measurement
+    where
+        D: MimoDetector + Clone + PartialEq + 'static,
+    {
+        measure(cfg, model, det, snr_db, frames, rng, 1, &mut FrameWorkspace::new())
+    }
+
     #[test]
     fn high_snr_full_throughput() {
         let mut rng = StdRng::seed_from_u64(181);
         let cfg = small_cfg(Constellation::Qam16);
         let model = RayleighChannel::new(4, 2);
-        let m = measure(&cfg, &model, &geosphere_decoder(), 38.0, 8, &mut rng);
+        let m = measure_once(&cfg, &model, &geosphere_decoder(), 38.0, 8, &mut rng);
         assert!(m.fer < 0.1, "FER {}", m.fer);
         // 2 clients × 24 Mbps PHY, scaled by payload/total-info efficiency.
         assert!(m.throughput_mbps > 20.0, "throughput {}", m.throughput_mbps);
@@ -298,7 +194,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(182);
         let cfg = small_cfg(Constellation::Qam64);
         let model = RayleighChannel::new(2, 2);
-        let m = measure(&cfg, &model, &ZfDetector, -10.0, 4, &mut rng);
+        let m = measure_once(&cfg, &model, &ZfDetector, -10.0, 4, &mut rng);
         assert!(m.fer > 0.99);
         assert!(m.throughput_mbps < 0.5);
     }
@@ -308,7 +204,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(183);
         let cfg = small_cfg(Constellation::Qpsk);
         let model = RayleighChannel::new(4, 3);
-        let m = measure(&cfg, &model, &ZfDetector, 20.0, 3, &mut rng);
+        let m = measure_once(&cfg, &model, &ZfDetector, 20.0, 3, &mut rng);
         assert_eq!(m.client_fer.len(), 3);
         assert_eq!(m.clients, 3);
         for f in &m.client_fer {
@@ -318,16 +214,18 @@ mod tests {
 
     #[test]
     fn measure_batched_into_matches_measure_batched() {
+        // A fresh workspace per measurement vs one recycled across worker
+        // counts: identical results at every count.
         let cfg = small_cfg(Constellation::Qam16);
         let model = RayleighChannel::new(4, 2);
         let det = geosphere_decoder();
         let mut ws = FrameWorkspace::new();
         for workers in [1usize, 3] {
             let mut rng = StdRng::seed_from_u64(185);
-            let reference = measure_batched(&cfg, &model, &det, 20.0, 4, &mut rng, workers);
+            let mut fresh_ws = FrameWorkspace::new();
+            let reference = measure(&cfg, &model, &det, 20.0, 4, &mut rng, workers, &mut fresh_ws);
             let mut rng = StdRng::seed_from_u64(185);
-            let pooled =
-                measure_batched_into(&cfg, &model, &det, 20.0, 4, &mut rng, workers, &mut ws);
+            let pooled = measure(&cfg, &model, &det, 20.0, 4, &mut rng, workers, &mut ws);
             assert_eq!(pooled.client_fer, reference.client_fer, "workers {workers}");
             assert_eq!(pooled.fer, reference.fer, "workers {workers}");
             assert_eq!(
@@ -340,26 +238,22 @@ mod tests {
     #[test]
     fn sweep_reused_workspace_matches_fresh() {
         // A workspace carried across a whole sweep (several SNR points,
-        // serial and batched) must be bit-identical to fresh-workspace
+        // inline and pooled) must be bit-identical to fresh-workspace
         // measurement at every point.
         let cfg = small_cfg(Constellation::Qam16);
         let model = RayleighChannel::new(4, 2);
         let det = geosphere_decoder();
         let mut ws = FrameWorkspace::new();
         for snr in [10.0, 18.0, 26.0] {
-            let mut rng = StdRng::seed_from_u64(186);
-            let fresh = measure(&cfg, &model, &det, snr, 3, &mut rng);
-            let mut rng = StdRng::seed_from_u64(186);
-            let reused = measure_in(&cfg, &model, &det, snr, 3, &mut rng, &mut ws);
-            assert_eq!(reused.client_fer, fresh.client_fer, "snr {snr}");
-            assert_eq!(reused.per_subcarrier.ped_calcs, fresh.per_subcarrier.ped_calcs);
-
-            let mut rng = StdRng::seed_from_u64(187);
-            let fresh_b = measure_batched(&cfg, &model, &det, snr, 3, &mut rng, 2);
-            let mut rng = StdRng::seed_from_u64(187);
-            let reused_b = measure_batched_into(&cfg, &model, &det, snr, 3, &mut rng, 2, &mut ws);
-            assert_eq!(reused_b.client_fer, fresh_b.client_fer, "batched snr {snr}");
-            assert_eq!(reused_b.per_subcarrier.ped_calcs, fresh_b.per_subcarrier.ped_calcs);
+            for (seed, workers) in [(186, 1), (187, 2)] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut fresh_ws = FrameWorkspace::new();
+                let fresh = measure(&cfg, &model, &det, snr, 3, &mut rng, workers, &mut fresh_ws);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let reused = measure(&cfg, &model, &det, snr, 3, &mut rng, workers, &mut ws);
+                assert_eq!(reused.client_fer, fresh.client_fer, "snr {snr} workers {workers}");
+                assert_eq!(reused.per_subcarrier.ped_calcs, fresh.per_subcarrier.ped_calcs);
+            }
         }
     }
 
@@ -368,10 +262,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(184);
         let cfg = small_cfg(Constellation::Qpsk);
         let model = RayleighChannel::new(4, 2);
-        let snr = snr_for_target_fer(&cfg, &model, &geosphere_decoder(), 0.1, 6, &mut rng);
+        let det = geosphere_decoder();
+        let mut ws = FrameWorkspace::new();
+        let snr = snr_for_target_fer(&cfg, &model, &det, 0.1, 6, &mut rng, 1, &mut ws);
         assert!((0.0..50.0).contains(&snr), "snr {snr}");
         // At snr+10 dB the FER must be clearly below target.
-        let m = measure(&cfg, &model, &geosphere_decoder(), snr + 10.0, 10, &mut rng);
+        let m = measure(&cfg, &model, &det, snr + 10.0, 10, &mut rng, 1, &mut ws);
         assert!(m.fer <= 0.35, "fer {} at {} dB", m.fer, snr + 10.0);
     }
 }

@@ -6,7 +6,7 @@
 //! and soft depuncturing into a soft Viterbi decode — the paper's §7
 //! direction, worth 1–2 dB of coding gain over hard decisions.
 //!
-//! [`uplink_frame_soft_into`] is the steady-state form: one
+//! [`uplink_frame_soft_into`] is the entry point: one
 //! [`FrameWorkspace`] owns the per-client LLR streams, the soft search
 //! workspace, and the soft Viterbi scratch, so a warmed receive loop
 //! performs zero heap allocations per frame (enforced by
@@ -17,23 +17,8 @@ use crate::frame::{interleaver_for, FrameWorkspace, RxScratch};
 use crate::txrx::{plan_transmit_into, UplinkOutcome};
 use geosphere_core::{apply_channel_into, DetectorStats, SoftGeosphereDetector};
 use gs_channel::{sample_cn, MimoChannel};
-use gs_coding::{check_crc_ok, conv, depuncture_soft_into, scramble::Scrambler, viterbi};
+use gs_coding::{check_crc_ok, depuncture_soft_into, scramble::Scrambler, viterbi};
 use rand::Rng;
-
-/// Decodes one client's LLR stream (frame order) back to a verified
-/// payload.
-///
-/// `llrs` must hold `n_ofdm_symbols × n_cbps` entries in transmitted bit
-/// order (symbol-major, `Q` bits per subcarrier symbol, MSB first).
-pub fn receive_frame_soft(cfg: &PhyConfig, llrs: &[f64]) -> Option<Vec<bool>> {
-    let mut rx = RxScratch::default();
-    if receive_frame_soft_into(cfg, llrs, &mut rx) {
-        rx.info.truncate(cfg.payload_bits);
-        Some(rx.info)
-    } else {
-        None
-    }
-}
 
 /// The soft receive chain with every intermediate in reused scratch.
 /// Returns whether the CRC verified; the decoded information bits
@@ -50,24 +35,11 @@ pub(crate) fn receive_frame_soft_into(cfg: &PhyConfig, llrs: &[f64], rx: &mut Rx
     check_crc_ok(&rx.info)
 }
 
-/// Simulates one uplink frame with **soft** detection and decoding.
-///
-/// Mirrors [`crate::txrx::uplink_frame`] but runs the soft-output
-/// Geosphere detector per (OFDM symbol, subcarrier) and soft Viterbi per
-/// client.
-pub fn uplink_frame_soft<R: Rng + ?Sized>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    snr_db: f64,
-    rng: &mut R,
-) -> UplinkOutcome {
-    let mut ws = FrameWorkspace::new();
-    uplink_frame_soft_into(cfg, channel, snr_db, rng, &mut ws).clone()
-}
-
-/// [`uplink_frame_soft`] recycling a [`FrameWorkspace`]: bit-identical for
-/// the same `rng` state, and allocation-free per frame after warmup — the
-/// transmit plan, the per-symbol soft searches (via the workspace's
+/// Simulates one uplink frame with **soft** detection and decoding into a
+/// recycled [`FrameWorkspace`]: the hard path's payload and noise draws,
+/// but the soft-output Geosphere detector per (OFDM symbol, subcarrier)
+/// and soft Viterbi per client. Allocation-free per frame after warmup —
+/// the transmit plan, the per-symbol soft searches (via the workspace's
 /// [`SoftWorkspace`](geosphere_core::SoftWorkspace)), the per-client LLR
 /// streams, and the soft Viterbi decode all reuse the workspace's buffers.
 pub fn uplink_frame_soft_into<'w, R: Rng + ?Sized>(
@@ -139,16 +111,10 @@ pub fn uplink_frame_soft_into<'w, R: Rng + ?Sized>(
     &ws.out
 }
 
-/// The `conv` re-import keeps the mother-length arithmetic near its
-/// definition for readers.
-const _: () = {
-    let _ = conv::CONSTRAINT;
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txrx::{transmit_frame, uplink_frame};
+    use crate::txrx::{decode_frame_batched_into, transmit_frame};
     use geosphere_core::geosphere_decoder;
     use gs_channel::{ChannelModel, RayleighChannel};
     use gs_modulation::{unmap_points, Constellation};
@@ -157,6 +123,18 @@ mod tests {
 
     fn cfg(c: Constellation) -> PhyConfig {
         PhyConfig { payload_bits: 512, ..PhyConfig::new(c) }
+    }
+
+    /// Decodes one client's LLR stream (frame order, `n_ofdm_symbols ×
+    /// n_cbps` entries) back to a verified payload.
+    fn receive_frame_soft(cfg: &PhyConfig, llrs: &[f64]) -> Option<Vec<bool>> {
+        let mut rx = RxScratch::default();
+        if receive_frame_soft_into(cfg, llrs, &mut rx) {
+            rx.info.truncate(cfg.payload_bits);
+            Some(rx.info)
+        } else {
+            None
+        }
     }
 
     #[test]
@@ -176,7 +154,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(501);
         let cfg = cfg(Constellation::Qam16);
         let ch = RayleighChannel::new(4, 2).realize(&mut rng);
-        let out = uplink_frame_soft(&cfg, &ch, 32.0, &mut rng);
+        let mut ws = FrameWorkspace::new();
+        let out = uplink_frame_soft_into(&cfg, &ch, 32.0, &mut rng, &mut ws);
         assert!(out.client_ok.iter().all(|&ok| ok));
     }
 
@@ -188,7 +167,8 @@ mod tests {
         for trial in 0..3 {
             let mut rng = StdRng::seed_from_u64(520 + trial);
             let ch = model.realize(&mut rng);
-            let fresh = uplink_frame_soft(&cfg, &ch, 20.0, &mut rng);
+            let mut fresh_ws = FrameWorkspace::new();
+            let fresh = uplink_frame_soft_into(&cfg, &ch, 20.0, &mut rng, &mut fresh_ws);
             let mut rng = StdRng::seed_from_u64(520 + trial);
             let ch = model.realize(&mut rng);
             let reused = uplink_frame_soft_into(&cfg, &ch, 20.0, &mut rng, &mut ws);
@@ -204,17 +184,19 @@ mod tests {
         // frames die, soft frames survive more often.
         let cfg = cfg(Constellation::Qam16);
         let model = RayleighChannel::new(4, 4);
+        let det = geosphere_decoder();
+        let mut ws = FrameWorkspace::new();
         let mut hard_ok = 0usize;
         let mut soft_ok = 0usize;
         let trials = 12;
         for t in 0..trials {
             let mut rng = StdRng::seed_from_u64(600 + t);
             let ch = model.realize(&mut rng);
-            let hard = uplink_frame(&cfg, &ch, &geosphere_decoder(), 17.0, &mut rng);
+            let hard = decode_frame_batched_into(&cfg, &ch, &det, 17.0, &mut rng, 1, &mut ws);
             hard_ok += hard.client_ok.iter().filter(|&&ok| ok).count();
             let mut rng = StdRng::seed_from_u64(600 + t);
             let ch = model.realize(&mut rng);
-            let soft = uplink_frame_soft(&cfg, &ch, 17.0, &mut rng);
+            let soft = uplink_frame_soft_into(&cfg, &ch, 17.0, &mut rng, &mut ws);
             soft_ok += soft.client_ok.iter().filter(|&&ok| ok).count();
         }
         assert!(

@@ -10,12 +10,12 @@
 //! client and checks the CRC — frame success is what the throughput
 //! figures count.
 //!
-//! Every pipeline stage writes into buffers owned by a
-//! [`FrameWorkspace`]: the public one-shot entry points
-//! ([`uplink_frame`], [`decode_frame_batched`]) wrap a fresh workspace,
-//! while long-lived receivers hold one and call the `_into` variants —
-//! [`decode_frame_batched_into`] performs **zero heap allocations per
-//! frame** after warmup, at any worker count.
+//! There is one hard receive path: [`decode_frame_batched_into`] (genie
+//! CSI) and [`decode_frame_with_csi_into`] (estimated CSI) are thin fronts
+//! over the same body. Every pipeline stage writes into buffers owned by
+//! a caller-held [`FrameWorkspace`] (a one-off decode uses a fresh
+//! [`FrameWorkspace::new`]), so a long-lived receiver performs **zero
+//! heap allocations per frame** after warmup, at any worker count.
 
 use crate::config::PhyConfig;
 use crate::frame::{interleaver_for, FrameWorkspace, RxScratch, TxScratch};
@@ -146,95 +146,18 @@ pub struct UplinkOutcome {
     pub tier: geosphere_core::DetectorTier,
 }
 
-/// Simulates one uplink frame: every client transmits simultaneously
-/// through `channel` at the given SNR; the AP detects with `detector`.
+/// Decodes one uplink frame into a recycled [`FrameWorkspace`] — the
+/// steady-state receive loop. Every client transmits simultaneously
+/// through `channel` (one subcarrier — flat, reused for all — or exactly
+/// `cfg.n_subcarriers`) at the given SNR; the AP detects with `detector`
+/// under genie CSI, amortizing per-subcarrier channel preprocessing across
+/// the frame's OFDM symbols via [`MimoDetector::detect_batch_with`].
 ///
-/// `channel` must have either one subcarrier (flat — reused for all) or
-/// exactly `cfg.n_subcarriers`.
-pub fn uplink_frame<R: Rng + ?Sized, D: MimoDetector + ?Sized>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    detector: &D,
-    snr_db: f64,
-    rng: &mut R,
-) -> UplinkOutcome {
-    uplink_frame_with_csi(cfg, channel, None, detector, snr_db, rng)
-}
-
-/// Like [`uplink_frame`] but detects with (possibly imperfect) channel
-/// state information `csi` while the air uses `channel` — the path used to
-/// study estimated-CSI performance (see [`crate::chanest`]). `None` means
-/// genie CSI.
-pub fn uplink_frame_with_csi<R: Rng + ?Sized, D: MimoDetector + ?Sized>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    csi: Option<&MimoChannel>,
-    detector: &D,
-    snr_db: f64,
-    rng: &mut R,
-) -> UplinkOutcome {
-    let mut ws = FrameWorkspace::new();
-    uplink_frame_with_csi_into(cfg, channel, csi, detector, snr_db, rng, &mut ws).clone()
-}
-
-/// [`uplink_frame_with_csi`] recycling a [`FrameWorkspace`]: the serial
-/// *reference* receive path (fresh preprocessing per detection, exactly as
-/// a subcarrier-at-a-time receiver would run) with the frame plan and the
-/// receive chain reusing the workspace's buffers. Bit-identical to
-/// [`uplink_frame_with_csi`].
-#[allow(clippy::too_many_arguments)]
-pub fn uplink_frame_with_csi_into<'w, R: Rng + ?Sized, D: MimoDetector + ?Sized>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    csi: Option<&MimoChannel>,
-    detector: &D,
-    snr_db: f64,
-    rng: &mut R,
-    ws: &'w mut FrameWorkspace,
-) -> &'w UplinkOutcome {
-    plan_uplink_frame_into(cfg, channel, csi, snr_db, rng, ws);
-    let mut stats = DetectorStats::default();
-    begin_assemble(ws);
-    for idx in 0..ws.n_jobs {
-        let job = &ws.jobs[idx];
-        let det = detector.detect(&ws.rx_channels[job.channel], &job.y, cfg.constellation);
-        absorb_detection(&mut ws.detected, &mut stats, idx, &det);
-    }
-    finish_outcome(cfg, ws, stats)
-}
-
-/// Like [`uplink_frame`] but fans the frame's per-subcarrier sphere
-/// searches out across `workers` threads (`0` = machine parallelism) and
-/// amortizes per-subcarrier channel preprocessing across the frame's OFDM
-/// symbols via [`MimoDetector::detect_batch_with`]. A one-shot wrapper
-/// over [`decode_frame_batched_into`] with a fresh workspace (and so a
-/// fresh worker pool per call).
-///
-/// Output is **bit-identical** to [`uplink_frame`] for the same `rng`
-/// state, at every worker count: all randomness (payloads, then noise in
-/// OFDM-symbol-major order) is drawn before detection begins, in the same
-/// order the serial path draws it, and detection is a pure function of the
-/// planned problems.
-pub fn decode_frame_batched<R, D>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    detector: &D,
-    snr_db: f64,
-    rng: &mut R,
-    workers: usize,
-) -> UplinkOutcome
-where
-    R: Rng + ?Sized,
-    D: MimoDetector + Clone + PartialEq + 'static,
-{
-    let mut ws = FrameWorkspace::new();
-    decode_frame_batched_into(cfg, channel, detector, snr_db, rng, workers, &mut ws).clone()
-}
-
-/// [`decode_frame_batched`] recycling a [`FrameWorkspace`] — the
-/// steady-state receive loop. Bit-identical to [`decode_frame_batched`]
-/// for the same `rng` state at every worker count, and **allocation-free
-/// per frame** after one warmup frame of the same shape:
+/// The outcome is **bit-identical** at every worker count for the same
+/// `rng` state — all randomness (payloads, then noise in OFDM-symbol-major
+/// order) is drawn before detection begins, and detection is a pure
+/// function of the planned problems — and each frame is
+/// **allocation-free** after one warmup frame of the same shape:
 ///
 /// * the frame plan refills pooled payload/symbol/job buffers,
 /// * `workers == 1` detects inline through the workspace's
@@ -264,7 +187,53 @@ where
     R: Rng + ?Sized,
     D: MimoDetector + Clone + PartialEq + 'static,
 {
-    plan_uplink_frame_into(cfg, channel, None, snr_db, rng, ws);
+    decode_frame_into(cfg, channel, None, detector, snr_db, rng, workers, ws)
+}
+
+/// [`decode_frame_batched_into`] with the detector working from (possibly
+/// imperfect) channel state information `csi` while the air uses
+/// `channel` — the path used to study estimated-CSI performance (see
+/// [`crate::chanest`]). Like `channel`, `csi` has one subcarrier (reused
+/// for all) or exactly `cfg.n_subcarriers`, and it must match `channel`'s
+/// antenna and stream counts. Draws the same randomness as
+/// [`decode_frame_batched_into`], so `csi = channel` reproduces it
+/// exactly.
+#[allow(clippy::too_many_arguments)]
+pub fn decode_frame_with_csi_into<'w, R, D>(
+    cfg: &PhyConfig,
+    channel: &MimoChannel,
+    csi: &MimoChannel,
+    detector: &D,
+    snr_db: f64,
+    rng: &mut R,
+    workers: usize,
+    ws: &'w mut FrameWorkspace,
+) -> &'w UplinkOutcome
+where
+    R: Rng + ?Sized,
+    D: MimoDetector + Clone + PartialEq + 'static,
+{
+    decode_frame_into(cfg, channel, Some(csi), detector, snr_db, rng, workers, ws)
+}
+
+/// The one hard receive body behind both public fronts: plan (genie or
+/// supplied CSI), detect inline or on the pool, then the receive chains.
+#[allow(clippy::too_many_arguments)]
+fn decode_frame_into<'w, R, D>(
+    cfg: &PhyConfig,
+    channel: &MimoChannel,
+    csi: Option<&MimoChannel>,
+    detector: &D,
+    snr_db: f64,
+    rng: &mut R,
+    workers: usize,
+    ws: &'w mut FrameWorkspace,
+) -> &'w UplinkOutcome
+where
+    R: Rng + ?Sized,
+    D: MimoDetector + Clone + PartialEq + 'static,
+{
+    plan_uplink_frame_into(cfg, channel, csi, snr_db, rng, ws);
     let mut stats = DetectorStats::default();
     if workers == 1 {
         detect_planned_inline(cfg, detector, ws, &mut stats);
@@ -582,7 +551,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(171);
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
         let ch = RayleighChannel::new(4, 2).realize(&mut rng);
-        let out = uplink_frame(&cfg, &ch, &geosphere_decoder(), 35.0, &mut rng);
+        let mut ws = FrameWorkspace::new();
+        let out =
+            decode_frame_batched_into(&cfg, &ch, &geosphere_decoder(), 35.0, &mut rng, 1, &mut ws);
         assert!(out.client_ok.iter().all(|&ok| ok), "35 dB, 2x4: all frames should pass");
         assert!(out.detections > 0);
         assert!(out.stats.ped_calcs > 0);
@@ -593,26 +564,39 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(172);
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam64) };
         let ch = RayleighChannel::new(4, 4).realize(&mut rng);
-        let out = uplink_frame(&cfg, &ch, &ZfDetector, -5.0, &mut rng);
+        let mut ws = FrameWorkspace::new();
+        let out = decode_frame_batched_into(&cfg, &ch, &ZfDetector, -5.0, &mut rng, 1, &mut ws);
         assert!(out.client_ok.iter().all(|&ok| !ok), "-5 dB 64-QAM: frames must fail");
     }
 
     #[test]
     fn batched_decode_bit_identical_to_serial() {
-        // Same RNG seed → serial and batched paths must agree exactly, at
-        // every worker count, including op counts — through both the
-        // one-shot and workspace-recycling entry points.
+        // Same RNG seed → the inline single-worker decode and the pooled
+        // decode must agree exactly, at every worker count, including op
+        // counts — through fresh and recycled workspaces alike. (The
+        // per-job serial oracle lives in `tests/batch_determinism.rs`.)
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
         let mut chan_rng = StdRng::seed_from_u64(271);
         let ch = RayleighChannel::new(4, 2).realize(&mut chan_rng);
         let det = geosphere_decoder();
 
         let mut rng = StdRng::seed_from_u64(272);
-        let serial = uplink_frame(&cfg, &ch, &det, 18.0, &mut rng);
+        let serial = decode_frame_batched_into(
+            &cfg,
+            &ch,
+            &det,
+            18.0,
+            &mut rng,
+            1,
+            &mut FrameWorkspace::new(),
+        )
+        .clone();
         let mut ws = FrameWorkspace::new();
         for workers in [1, 2, 4] {
             let mut rng = StdRng::seed_from_u64(272);
-            let batched = decode_frame_batched(&cfg, &ch, &det, 18.0, &mut rng, workers);
+            let mut fresh_ws = FrameWorkspace::new();
+            let batched =
+                decode_frame_batched_into(&cfg, &ch, &det, 18.0, &mut rng, workers, &mut fresh_ws);
             assert_eq!(batched.client_ok, serial.client_ok, "workers {workers}");
             assert_eq!(batched.stats, serial.stats, "workers {workers}");
             assert_eq!(batched.detections, serial.detections, "workers {workers}");
@@ -631,7 +615,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(173);
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qpsk) };
         let ch = RayleighChannel::new(2, 2).realize(&mut rng);
-        let out = uplink_frame(&cfg, &ch, &ZfDetector, 30.0, &mut rng);
+        let mut ws = FrameWorkspace::new();
+        let out = decode_frame_batched_into(&cfg, &ch, &ZfDetector, 30.0, &mut rng, 1, &mut ws);
         assert_eq!(out.detections, (cfg.n_ofdm_symbols() * cfg.n_subcarriers) as u64);
     }
 }

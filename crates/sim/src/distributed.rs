@@ -178,7 +178,7 @@ mod tests {
     fn joint_detection_end_to_end() {
         use geosphere_core::geosphere_decoder;
         use gs_modulation::Constellation;
-        use gs_phy::{uplink_frame, PhyConfig};
+        use gs_phy::{decode_frame_batched_into, FrameWorkspace, PhyConfig};
 
         let (tb, clients) = setup();
         let mut rng = StdRng::seed_from_u64(954);
@@ -186,7 +186,9 @@ mod tests {
             DistributedChannel::new(tb, DistributedCluster::synchronized(vec![0, 1], 4), clients);
         let ch = model.realize(&mut rng);
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
-        let out = uplink_frame(&cfg, &ch, &geosphere_decoder(), 25.0, &mut rng);
+        let mut ws = FrameWorkspace::new();
+        let out =
+            decode_frame_batched_into(&cfg, &ch, &geosphere_decoder(), 25.0, &mut rng, 1, &mut ws);
         assert!(
             out.client_ok.iter().all(|&ok| ok),
             "8-antenna joint reception at 25 dB must deliver all 4 clients"

@@ -12,10 +12,7 @@ use geosphere_core::{
 };
 use gs_channel::{noise_variance_for_snr_db, Cdf, RayleighChannel, Testbed};
 use gs_modulation::Constellation;
-use gs_phy::{
-    measure_batched_into, measure_in, snr_for_target_fer, snr_for_target_fer_batched,
-    FrameWorkspace, Measurement, PhyConfig,
-};
+use gs_phy::{measure, snr_for_target_fer, FrameWorkspace, Measurement, PhyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -31,14 +28,14 @@ pub struct ExperimentParams {
     pub groups_per_point: usize,
     /// Payload bits per client frame.
     pub payload_bits: usize,
-    /// Decode worker threads: `1` = the serial reference receive path,
-    /// any other count = fan per-subcarrier detections out across that
-    /// many pool threads via [`gs_phy::decode_frame_batched_into`] (`0` =
-    /// machine parallelism). Measured numbers are bit-identical either
-    /// way; only wall-clock changes. Each experiment holds one
+    /// Decode worker threads for [`gs_phy::decode_frame_batched_into`]:
+    /// `1` = detect inline on the calling thread, any other count = fan
+    /// per-subcarrier detections out across that many pool threads (`0` =
+    /// machine parallelism). Measured numbers are bit-identical at every
+    /// count; only wall-clock changes. Each experiment holds one
     /// [`gs_phy::FrameWorkspace`] for its *entire* sweep (every SNR point,
-    /// constellation, and group) and routes it through
-    /// [`measure_in`]/[`measure_batched_into`], so per-frame planning and
+    /// constellation, and group) and passes it to every [`measure()`] and
+    /// [`snr_for_target_fer()`] call, so per-frame planning and
     /// receive-chain buffers — and the worker pool — warm up once per run,
     /// not once per point.
     pub workers: usize,
@@ -64,53 +61,6 @@ impl ExperimentParams {
             groups_per_point: 8,
             payload_bits: 2048,
             workers: 0,
-        }
-    }
-
-    /// Routes one measurement through the serial or batched decode path
-    /// according to [`ExperimentParams::workers`], recycling the
-    /// experiment's sweep-long workspace.
-    #[allow(clippy::too_many_arguments)]
-    fn measure<M, D>(
-        &self,
-        cfg: &PhyConfig,
-        model: &M,
-        detector: &D,
-        snr_db: f64,
-        frames: usize,
-        rng: &mut StdRng,
-        ws: &mut FrameWorkspace,
-    ) -> Measurement
-    where
-        M: gs_channel::ChannelModel,
-        D: MimoDetector + Clone + PartialEq + 'static,
-    {
-        if self.workers == 1 {
-            measure_in(cfg, model, detector, snr_db, frames, rng, ws)
-        } else {
-            measure_batched_into(cfg, model, detector, snr_db, frames, rng, self.workers, ws)
-        }
-    }
-
-    /// Like [`Self::measure`] for the target-FER SNR bisection, so the
-    /// calibration phase of the complexity experiments parallelizes too.
-    fn snr_for_target_fer<M, D>(
-        &self,
-        cfg: &PhyConfig,
-        model: &M,
-        detector: &D,
-        target_fer: f64,
-        frames: usize,
-        rng: &mut StdRng,
-    ) -> f64
-    where
-        M: gs_channel::ChannelModel,
-        D: MimoDetector + Clone + PartialEq + 'static,
-    {
-        if self.workers == 1 {
-            snr_for_target_fer(cfg, model, detector, target_fer, frames, rng)
-        } else {
-            snr_for_target_fer_batched(cfg, model, detector, target_fer, frames, rng, self.workers)
         }
     }
 
@@ -230,13 +180,14 @@ pub fn testbed_throughput(
             .iter()
             .map(|g: &UserGroup| {
                 let model = tb.channel(g.ap, &g.clients, ap_antennas);
-                params.measure(
+                measure(
                     &cfg,
                     &model,
                     &det,
                     snr_db,
                     params.frames_per_point,
                     &mut rng,
+                    params.workers,
                     &mut ws,
                 )
             })
@@ -282,13 +233,14 @@ pub fn rayleigh_throughput(
         let cfg = params.cfg(c);
         let det = detector.build(snr_db);
         let mut rng = params.rng(7_000_000 + n_clients as u64 * 100 + c.size() as u64);
-        let m = params.measure(
+        let m = measure(
             &cfg,
             &model,
             &det,
             snr_db,
             params.frames_per_point * params.groups_per_point,
             &mut rng,
+            params.workers,
             &mut ws,
         );
         let better = match &best {
@@ -345,36 +297,41 @@ pub fn complexity_at_target_fer(
     let cfg = params.cfg(constellation);
     let channel_label = if tb.is_some() { "Testbed" } else { "Rayleigh" };
 
+    // One workspace across the calibration and all three decoders'
+    // measurements.
+    let mut ws = FrameWorkspace::new();
     // Calibrate the operating SNR with the (ML) Geosphere decoder.
     let mut rng = params.rng(9_000_000 + constellation.size() as u64 + n_clients as u64);
     let snr_db = match tb {
         Some(tb) => {
             let groups = select_groups(tb, n_clients, 22.0, 20.0, 1);
             let model = tb.channel(groups[0].ap, &groups[0].clients, ap_antennas);
-            params.snr_for_target_fer(
+            snr_for_target_fer(
                 &cfg,
                 &model,
                 &geosphere_decoder(),
                 target_fer,
                 params.frames_per_point,
                 &mut rng,
+                params.workers,
+                &mut ws,
             )
         }
         None => {
             let model = RayleighChannel::new(ap_antennas, n_clients);
-            params.snr_for_target_fer(
+            snr_for_target_fer(
                 &cfg,
                 &model,
                 &geosphere_decoder(),
                 target_fer,
                 params.frames_per_point,
                 &mut rng,
+                params.workers,
+                &mut ws,
             )
         }
     };
 
-    // One workspace across all three decoders' measurements.
-    let mut ws = FrameWorkspace::new();
     [DetectorKind::EthSd, DetectorKind::GeosphereZigzagOnly, DetectorKind::Geosphere]
         .into_iter()
         .map(|kind| {
@@ -387,25 +344,27 @@ pub fn complexity_at_target_fer(
                 Some(tb) => {
                     let groups = select_groups(tb, n_clients, 22.0, 20.0, 1);
                     let model = tb.channel(groups[0].ap, &groups[0].clients, ap_antennas);
-                    params.measure(
+                    measure(
                         &cfg,
                         &model,
                         &det,
                         snr_db,
                         params.frames_per_point,
                         &mut rng,
+                        params.workers,
                         &mut ws,
                     )
                 }
                 None => {
                     let model = RayleighChannel::new(ap_antennas, n_clients);
-                    params.measure(
+                    measure(
                         &cfg,
                         &model,
                         &det,
                         snr_db,
                         params.frames_per_point,
                         &mut rng,
+                        params.workers,
                         &mut ws,
                     )
                 }
@@ -500,8 +459,9 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_results() {
         // The multi-worker path (pooled decode of shared `dyn` detectors,
-        // batched SNR calibration) must reproduce the serial reference
-        // exactly; Debug output covers every field, floats bit for bit.
+        // pooled SNR calibration) must reproduce the inline single-worker
+        // decode exactly; Debug output covers every field, floats bit for
+        // bit.
         let run = |workers| {
             let params = ExperimentParams { workers, ..ExperimentParams::quick() };
             format!(

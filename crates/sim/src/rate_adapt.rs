@@ -139,19 +139,21 @@ mod tests {
     fn adapter_tracks_oracle_throughput() {
         // The adapter's pick must achieve a decent fraction of the oracle's
         // measured throughput for Geosphere on a good channel.
-        use gs_phy::{measure, PhyConfig};
+        use gs_phy::{measure, FrameWorkspace, PhyConfig};
         let mut rng = StdRng::seed_from_u64(903);
         let model = RayleighChannel::new(4, 2);
         let snr = 22.0;
         let adapter = RateAdapter::default();
         let pick = adapter.select(&model.realize(&mut rng), DetectorKind::Geosphere, snr);
 
+        let det = geosphere_core::geosphere_decoder();
+        let mut ws = FrameWorkspace::new();
         let mut best = 0.0f64;
         let mut picked_tp = 0.0f64;
         for c in Constellation::ALL {
             let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(c) };
             let mut rng2 = StdRng::seed_from_u64(904);
-            let m = measure(&cfg, &model, &geosphere_core::geosphere_decoder(), snr, 6, &mut rng2);
+            let m = measure(&cfg, &model, &det, snr, 6, &mut rng2, 1, &mut ws);
             if m.throughput_mbps > best {
                 best = m.throughput_mbps;
             }

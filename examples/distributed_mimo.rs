@@ -9,7 +9,7 @@
 use geosphere::channel::{lambda_max_db, ChannelModel, Testbed};
 use geosphere::core::geosphere_decoder;
 use geosphere::modulation::Constellation;
-use geosphere::phy::{measure, PhyConfig};
+use geosphere::phy::{measure, FrameWorkspace, PhyConfig};
 use geosphere::sim::{DistributedChannel, DistributedCluster};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +19,8 @@ fn main() {
     let clients = vec![4usize, 6, 7, 9];
     let snr = 18.0;
     let cfg = PhyConfig { payload_bits: 1024, ..PhyConfig::new(Constellation::Qam16) };
+    let det = geosphere_decoder();
+    let mut ws = FrameWorkspace::new();
 
     println!("4 clients {clients:?}, 16-QAM rate-1/2, {snr} dB, Geosphere everywhere");
     println!(
@@ -44,7 +46,7 @@ fn main() {
             (0..8).map(|_| lambda_max_db(model.realize(&mut rng).subcarrier(24))).sum::<f64>()
                 / 8.0;
         let mut rng = StdRng::seed_from_u64(34);
-        let m = measure(&cfg, &model, &geosphere_decoder(), snr, 8, &mut rng);
+        let m = measure(&cfg, &model, &det, snr, 8, &mut rng, 1, &mut ws);
         println!(
             "{:<26} {:>8} {:>12.1} {:>10.2} {:>12.1}",
             label,

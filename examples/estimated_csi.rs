@@ -10,7 +10,10 @@
 use geosphere::channel::{ChannelModel, RayleighChannel};
 use geosphere::core::geosphere_decoder;
 use geosphere::modulation::Constellation;
-use geosphere::phy::{estimate_channel, estimation_mse, uplink_frame_with_csi, PhyConfig};
+use geosphere::phy::{
+    decode_frame_batched_into, decode_frame_with_csi_into, estimate_channel, estimation_mse,
+    FrameWorkspace, PhyConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -18,6 +21,8 @@ fn main() {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
     let model = RayleighChannel::new(4, 4);
     let trials = 30;
+    let det = geosphere_decoder();
+    let mut ws = FrameWorkspace::new();
 
     println!("4x4 uplink, 16-QAM rate-1/2, {trials} frames per point");
     println!(
@@ -32,8 +37,7 @@ fn main() {
         for t in 0..trials {
             let mut rng = StdRng::seed_from_u64(5000 + t);
             let truth = model.realize(&mut rng);
-            let genie =
-                uplink_frame_with_csi(&cfg, &truth, None, &geosphere_decoder(), snr, &mut rng);
+            let genie = decode_frame_batched_into(&cfg, &truth, &det, snr, &mut rng, 1, &mut ws);
             genie_fail += genie.client_ok.iter().filter(|&&ok| !ok).count();
 
             let mut rng = StdRng::seed_from_u64(5000 + t);
@@ -41,13 +45,15 @@ fn main() {
             let est = estimate_channel(&truth, snr, &mut rng);
             mse_acc += estimation_mse(&truth, &est.channel);
             var_ratio += est.noise_variance / geosphere::channel::noise_variance_for_snr_db(snr);
-            let with_est = uplink_frame_with_csi(
+            let with_est = decode_frame_with_csi_into(
                 &cfg,
                 &truth,
-                Some(&est.channel),
-                &geosphere_decoder(),
+                &est.channel,
+                &det,
                 snr,
                 &mut rng,
+                1,
+                &mut ws,
             );
             est_fail += with_est.client_ok.iter().filter(|&&ok| !ok).count();
         }

@@ -8,7 +8,7 @@
 
 use geosphere::channel::{ChannelModel, RayleighChannel};
 use geosphere::modulation::Constellation;
-use geosphere::phy::{uplink_frame_iterative, PhyConfig};
+use geosphere::phy::{uplink_frame_iterative_into, FrameWorkspace, PhyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,6 +16,7 @@ fn main() {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
     let model = RayleighChannel::new(4, 4);
     let trials = 20;
+    let mut ws = FrameWorkspace::new();
 
     println!("4x4 uplink, 16-QAM rate-1/2, Rayleigh, {trials} frames per point");
     println!("{:>8} | {:>12} {:>12} {:>12}", "SNR dB", "1 iter FER", "2 iter FER", "3 iter FER");
@@ -25,7 +26,7 @@ fn main() {
             for t in 0..trials {
                 let mut rng = StdRng::seed_from_u64(9000 + t);
                 let ch = model.realize(&mut rng);
-                let out = uplink_frame_iterative(&cfg, &ch, snr, iters, &mut rng);
+                let out = uplink_frame_iterative_into(&cfg, &ch, snr, iters, &mut rng, &mut ws);
                 fails[slot] += out.client_ok.iter().filter(|&&ok| !ok).count();
             }
         }

@@ -9,7 +9,7 @@
 
 use geosphere::channel::Testbed;
 use geosphere::modulation::Constellation;
-use geosphere::phy::{measure, PhyConfig};
+use geosphere::phy::{measure, FrameWorkspace, PhyConfig};
 use geosphere::sim::{select_groups, DetectorKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,6 +23,7 @@ fn main() {
         group.ap, group.clients, group.mean_snr_db
     );
     let model = tb.channel(group.ap, &group.clients, 4);
+    let mut ws = FrameWorkspace::new();
 
     for c in [Constellation::Qam16, Constellation::Qam64] {
         let cfg = PhyConfig { payload_bits: 1024, ..PhyConfig::new(c) };
@@ -34,7 +35,7 @@ fn main() {
         for kind in [DetectorKind::Zf, DetectorKind::MmseSic, DetectorKind::Geosphere] {
             let det = kind.build(snr_db);
             let mut rng = StdRng::seed_from_u64(99);
-            let m = measure(&cfg, &model, det.as_ref(), snr_db, 10, &mut rng);
+            let m = measure(&cfg, &model, &det, snr_db, 10, &mut rng, 1, &mut ws);
             println!(
                 "{:<12} throughput {:>6.1} Mbps   FER {:>5.2}   per-client FER {:?}",
                 kind.name(),

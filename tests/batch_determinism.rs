@@ -1,7 +1,8 @@
-//! The batched decode path must be bit-identical to the serial reference —
-//! same seed, same outcome — at every worker count. This is the contract
-//! that makes the worker pool safe to enable everywhere: parallelism can
-//! change wall-clock, never results.
+//! The batched decode path must be bit-identical to the per-job serial
+//! reference (`gs_bench::serial_reference_frame`) — same seed, same
+//! outcome — at every worker count. This is the contract that makes the
+//! worker pool safe to enable everywhere: parallelism can change
+//! wall-clock, never results.
 
 use geosphere::channel::{ChannelModel, RayleighChannel, SelectiveRayleighChannel};
 use geosphere::core::{
@@ -9,7 +10,11 @@ use geosphere::core::{
 };
 use geosphere::linalg::Matrix;
 use geosphere::modulation::Constellation;
-use geosphere::phy::{decode_frame_batched, uplink_frame, PhyConfig};
+use geosphere::phy::{
+    decode_frame_batched_into, decode_frame_with_csi_into, estimate_channel, FrameWorkspace,
+    PhyConfig,
+};
+use gs_bench::serial_reference_frame;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -27,22 +32,23 @@ fn batched_frame_decode_is_bit_identical_across_worker_counts() {
         let ch = RayleighChannel::new(na, nc).realize(&mut StdRng::seed_from_u64(seed));
         let det = geosphere_decoder();
 
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let serial = uplink_frame(&cfg, &ch, &det, snr_db, &mut rng);
+        let mut rng_serial = StdRng::seed_from_u64(seed ^ 0xABCD);
+        let serial = serial_reference_frame(&cfg, &ch, &det, snr_db, &mut rng_serial);
+        // The serial run's post-frame RNG draw: what runs next must see the
+        // same generator state whichever path decoded the frame.
+        let serial_next = rng_serial.gen_range(0..u64::MAX);
 
         for workers in [1usize, 2, 4, 8] {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-            let batched = decode_frame_batched(&cfg, &ch, &det, snr_db, &mut rng, workers);
+            let mut ws = FrameWorkspace::new();
+            let batched =
+                decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, workers, &mut ws);
             assert_eq!(batched.client_ok, serial.client_ok, "{c:?} {na}x{nc} workers={workers}");
             assert_eq!(batched.stats, serial.stats, "{c:?} {na}x{nc} workers={workers}");
             assert_eq!(batched.detections, serial.detections, "{c:?} workers={workers}");
-            // The RNG must be consumed identically too: both paths leave the
-            // generator in the same state for whatever runs next.
-            let mut rng_serial = StdRng::seed_from_u64(seed ^ 0xABCD);
-            uplink_frame(&cfg, &ch, &det, snr_db, &mut rng_serial);
             assert_eq!(
                 rng.gen_range(0..u64::MAX),
-                rng_serial.gen_range(0..u64::MAX),
+                serial_next,
                 "{c:?} workers={workers}: RNG stream diverged"
             );
         }
@@ -61,12 +67,62 @@ fn batched_decode_matches_serial_on_selective_channel() {
     let det = geosphere_decoder();
 
     let mut rng = StdRng::seed_from_u64(78);
-    let serial = uplink_frame(&cfg, &ch, &det, 24.0, &mut rng);
+    let serial = serial_reference_frame(&cfg, &ch, &det, 24.0, &mut rng);
     for workers in [2usize, 5] {
         let mut rng = StdRng::seed_from_u64(78);
-        let batched = decode_frame_batched(&cfg, &ch, &det, 24.0, &mut rng, workers);
+        let mut ws = FrameWorkspace::new();
+        let batched = decode_frame_batched_into(&cfg, &ch, &det, 24.0, &mut rng, workers, &mut ws);
         assert_eq!(batched.client_ok, serial.client_ok, "workers={workers}");
         assert_eq!(batched.stats, serial.stats, "workers={workers}");
+    }
+}
+
+/// Decoding against an estimated channel runs on the same pool: the
+/// outcome and the post-frame RNG state do not depend on the worker
+/// count, on flat and selective channels alike, and `csi = truth`
+/// reproduces the genie-CSI decode exactly.
+#[test]
+fn estimated_csi_decode_is_bit_identical_across_worker_counts() {
+    let flat = RayleighChannel::new(4, 2).realize(&mut StdRng::seed_from_u64(501));
+    let selective = SelectiveRayleighChannel::indoor(4, 3).realize(&mut StdRng::seed_from_u64(502));
+    for (label, truth, c, snr_db) in [
+        ("flat", flat, Constellation::Qam16, 20.0),
+        ("selective", selective, Constellation::Qpsk, 14.0),
+    ] {
+        let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(c) };
+        let det = geosphere_decoder();
+        let est = estimate_channel(&truth, snr_db, &mut StdRng::seed_from_u64(503)).channel;
+
+        let decode = |csi: &_, workers| {
+            let mut rng = StdRng::seed_from_u64(504);
+            let mut ws = FrameWorkspace::new();
+            let out = decode_frame_with_csi_into(
+                &cfg, &truth, csi, &det, snr_db, &mut rng, workers, &mut ws,
+            )
+            .clone();
+            (out, rng.gen_range(0..u64::MAX))
+        };
+        let (reference, reference_next) = decode(&est, 1);
+        assert!(reference.stats.ped_calcs > 0, "{label}: the search must run");
+        for workers in [2usize, 5] {
+            let (out, next) = decode(&est, workers);
+            assert_eq!(out.client_ok, reference.client_ok, "{label} workers={workers}");
+            assert_eq!(out.stats, reference.stats, "{label} workers={workers}");
+            assert_eq!(out.detections, reference.detections, "{label} workers={workers}");
+            assert_eq!(next, reference_next, "{label} workers={workers}: RNG stream diverged");
+        }
+
+        for workers in [1usize, 2, 5] {
+            let (with_truth, truth_next) = decode(&truth, workers);
+            let mut rng = StdRng::seed_from_u64(504);
+            let mut ws = FrameWorkspace::new();
+            let genie =
+                decode_frame_batched_into(&cfg, &truth, &det, snr_db, &mut rng, workers, &mut ws);
+            assert_eq!(with_truth.client_ok, genie.client_ok, "{label} workers={workers}");
+            assert_eq!(with_truth.stats, genie.stats, "{label} workers={workers}");
+            assert_eq!(with_truth.detections, genie.detections, "{label} workers={workers}");
+            assert_eq!(truth_next, rng.gen_range(0..u64::MAX), "{label} workers={workers}");
+        }
     }
 }
 

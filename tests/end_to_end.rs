@@ -5,10 +5,11 @@
 use geosphere::channel::{ChannelModel, RayleighChannel, Testbed};
 use geosphere::core::{ethsd_decoder, geosphere_decoder, MimoDetector, ZfDetector};
 use geosphere::modulation::Constellation;
-use geosphere::phy::{measure, uplink_frame, PhyConfig};
+use geosphere::phy::{decode_frame_batched_into, measure, FrameWorkspace, PhyConfig};
 use geosphere::sim::{select_groups, testbed_throughput, DetectorKind, ExperimentParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn cfg(c: Constellation) -> PhyConfig {
     PhyConfig { payload_bits: 512, ..PhyConfig::new(c) }
@@ -19,8 +20,19 @@ fn frames_survive_good_channels_with_every_detector() {
     let mut rng = StdRng::seed_from_u64(2001);
     let model = RayleighChannel::new(4, 2);
     let ch = model.realize(&mut rng);
-    for det in [&ZfDetector as &dyn MimoDetector, &ethsd_decoder(), &geosphere_decoder()] {
-        let out = uplink_frame(&cfg(Constellation::Qam16), &ch, det, 35.0, &mut rng);
+    let detectors: [Arc<dyn MimoDetector>; 3] =
+        [Arc::new(ZfDetector), Arc::new(ethsd_decoder()), Arc::new(geosphere_decoder())];
+    let mut ws = FrameWorkspace::new();
+    for det in &detectors {
+        let out = decode_frame_batched_into(
+            &cfg(Constellation::Qam16),
+            &ch,
+            det,
+            35.0,
+            &mut rng,
+            1,
+            &mut ws,
+        );
         assert!(out.client_ok.iter().all(|&ok| ok), "{} lost a frame at 35 dB", det.name());
     }
 }
@@ -30,15 +42,17 @@ fn geosphere_outperforms_zf_on_ill_conditioned_testbed() {
     // The paper's core throughput claim at integration-test scale.
     let tb = Testbed::office();
     let groups = select_groups(&tb, 4, 20.0, 5.0, 2);
+    let cfg = cfg(Constellation::Qam16);
+    let geosphere = geosphere_decoder();
+    let mut ws = FrameWorkspace::new();
     let mut zf_ok = 0usize;
     let mut geo_ok = 0usize;
     for (gi, g) in groups.iter().enumerate() {
         let model = tb.channel(g.ap, &g.clients, 4);
         let mut rng = StdRng::seed_from_u64(2002 + gi as u64);
-        let zf = measure(&cfg(Constellation::Qam16), &model, &ZfDetector, 20.0, 5, &mut rng);
+        let zf = measure(&cfg, &model, &ZfDetector, 20.0, 5, &mut rng, 1, &mut ws);
         let mut rng = StdRng::seed_from_u64(2002 + gi as u64);
-        let geo =
-            measure(&cfg(Constellation::Qam16), &model, &geosphere_decoder(), 20.0, 5, &mut rng);
+        let geo = measure(&cfg, &model, &geosphere, 20.0, 5, &mut rng, 1, &mut ws);
         zf_ok += ((1.0 - zf.fer) * 100.0) as usize;
         geo_ok += ((1.0 - geo.fer) * 100.0) as usize;
     }
@@ -52,9 +66,10 @@ fn complexity_ordering_holds_through_the_phy() {
     let mut rng = StdRng::seed_from_u64(2003);
     let model = RayleighChannel::new(4, 4);
     let c = Constellation::Qam64;
-    let geo = measure(&cfg(c), &model, &geosphere_decoder(), 33.0, 3, &mut rng);
+    let mut ws = FrameWorkspace::new();
+    let geo = measure(&cfg(c), &model, &geosphere_decoder(), 33.0, 3, &mut rng, 1, &mut ws);
     let mut rng = StdRng::seed_from_u64(2003);
-    let eth = measure(&cfg(c), &model, &ethsd_decoder(), 33.0, 3, &mut rng);
+    let eth = measure(&cfg(c), &model, &ethsd_decoder(), 33.0, 3, &mut rng, 1, &mut ws);
     assert!(
         geo.per_subcarrier.ped_calcs < eth.per_subcarrier.ped_calcs,
         "geo {} vs eth {}",
@@ -109,6 +124,16 @@ fn selective_channel_uplink_works() {
     let model = geosphere::channel::SelectiveRayleighChannel::indoor(4, 2);
     let ch = model.realize(&mut rng);
     assert_eq!(ch.num_subcarriers(), 48);
-    let out = uplink_frame(&cfg(Constellation::Qam16), &ch, &geosphere_decoder(), 35.0, &mut rng);
+    let det = geosphere_decoder();
+    let mut ws = FrameWorkspace::new();
+    let out = decode_frame_batched_into(
+        &cfg(Constellation::Qam16),
+        &ch,
+        &det,
+        35.0,
+        &mut rng,
+        1,
+        &mut ws,
+    );
     assert!(out.client_ok.iter().all(|&ok| ok));
 }

@@ -5,7 +5,9 @@
 use geosphere::channel::{ChannelModel, ChannelTrace, RayleighChannel, Testbed, TraceReplay};
 use geosphere::core::{SoftGeosphereDetector, VectorPerturbationPrecoder};
 use geosphere::modulation::{unmap_points, Constellation};
-use geosphere::phy::{measure, uplink_frame_iterative, uplink_frame_soft, PhyConfig};
+use geosphere::phy::{
+    measure, uplink_frame_iterative_into, uplink_frame_soft_into, FrameWorkspace, PhyConfig,
+};
 use geosphere::sim::{DetectorKind, DistributedChannel, DistributedCluster, RateAdapter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +20,8 @@ fn cfg(c: Constellation) -> PhyConfig {
 fn soft_detection_llrs_decode_through_the_full_chain() {
     let mut rng = StdRng::seed_from_u64(3001);
     let ch = RayleighChannel::new(4, 2).realize(&mut rng);
-    let out = uplink_frame_soft(&cfg(Constellation::Qam16), &ch, 30.0, &mut rng);
+    let mut ws = FrameWorkspace::new();
+    let out = uplink_frame_soft_into(&cfg(Constellation::Qam16), &ch, 30.0, &mut rng, &mut ws);
     assert!(out.client_ok.iter().all(|&ok| ok));
     assert!(out.stats.ped_calcs > 0);
 }
@@ -42,23 +45,22 @@ fn soft_detector_agrees_with_transmitted_bits() {
 #[test]
 fn turbo_iterations_never_hurt() {
     let model = RayleighChannel::new(4, 4);
+    let mut ws = FrameWorkspace::new();
+    let mut ok_after = |iterations: usize, t: u64| {
+        let mut rng = StdRng::seed_from_u64(3100 + t);
+        let ch = model.realize(&mut rng);
+        let cfg = cfg(Constellation::Qam16);
+        uplink_frame_iterative_into(&cfg, &ch, 13.0, iterations, &mut rng, &mut ws)
+            .client_ok
+            .iter()
+            .filter(|&&ok| ok)
+            .count()
+    };
     let mut one = 0usize;
     let mut two = 0usize;
     for t in 0..6 {
-        let mut rng = StdRng::seed_from_u64(3100 + t);
-        let ch = model.realize(&mut rng);
-        one += uplink_frame_iterative(&cfg(Constellation::Qam16), &ch, 13.0, 1, &mut rng)
-            .client_ok
-            .iter()
-            .filter(|&&ok| ok)
-            .count();
-        let mut rng = StdRng::seed_from_u64(3100 + t);
-        let ch = model.realize(&mut rng);
-        two += uplink_frame_iterative(&cfg(Constellation::Qam16), &ch, 13.0, 2, &mut rng)
-            .client_ok
-            .iter()
-            .filter(|&&ok| ok)
-            .count();
+        one += ok_after(1, t);
+        two += ok_after(2, t);
     }
     assert!(two >= one, "2-iteration turbo ({two}) must not lose to 1 ({one})");
 }
@@ -75,10 +77,12 @@ fn distributed_cluster_beats_single_ap_fer() {
     let joint =
         DistributedChannel::new(tb, DistributedCluster::synchronized(vec![0, 2], 4), clients);
     let det = DetectorKind::Geosphere.build(16.0);
+    let cfg = cfg(Constellation::Qam16);
+    let mut ws = FrameWorkspace::new();
     let mut rng = StdRng::seed_from_u64(3201);
-    let m_single = measure(&cfg(Constellation::Qam16), &single, det.as_ref(), 16.0, 5, &mut rng);
+    let m_single = measure(&cfg, &single, &det, 16.0, 5, &mut rng, 1, &mut ws);
     let mut rng = StdRng::seed_from_u64(3201);
-    let m_joint = measure(&cfg(Constellation::Qam16), &joint, det.as_ref(), 16.0, 5, &mut rng);
+    let m_joint = measure(&cfg, &joint, &det, 16.0, 5, &mut rng, 1, &mut ws);
     assert!(m_joint.fer <= m_single.fer, "joint {} vs single {}", m_joint.fer, m_single.fer);
 }
 
@@ -125,24 +129,12 @@ fn trace_replay_reproduces_measurements_exactly() {
     let restored = ChannelTrace::deserialize(&text).unwrap();
 
     let det = DetectorKind::Geosphere.build(25.0);
+    let cfg = cfg(Constellation::Qam16);
+    let mut ws = FrameWorkspace::new();
     let mut rng1 = StdRng::seed_from_u64(77);
-    let m1 = measure(
-        &cfg(Constellation::Qam16),
-        &TraceReplay::new(trace),
-        det.as_ref(),
-        25.0,
-        4,
-        &mut rng1,
-    );
+    let m1 = measure(&cfg, &TraceReplay::new(trace), &det, 25.0, 4, &mut rng1, 1, &mut ws);
     let mut rng2 = StdRng::seed_from_u64(77);
-    let m2 = measure(
-        &cfg(Constellation::Qam16),
-        &TraceReplay::new(restored),
-        det.as_ref(),
-        25.0,
-        4,
-        &mut rng2,
-    );
+    let m2 = measure(&cfg, &TraceReplay::new(restored), &det, 25.0, 4, &mut rng2, 1, &mut ws);
     assert_eq!(m1.fer, m2.fer);
     assert_eq!(m1.throughput_mbps, m2.throughput_mbps);
     assert!((m1.per_subcarrier.ped_calcs - m2.per_subcarrier.ped_calcs).abs() < 1e-12);

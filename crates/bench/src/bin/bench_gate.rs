@@ -69,14 +69,17 @@
 //!   hundred. Writes `BENCH_pr8.json` including the latency/queue-wait/
 //!   slack histogram summaries.
 //!
-//! All five gates are **machine-relative**: the timing modes compare the
-//! ratio of two modes measured in the same process against the same ratio
-//! from the committed baseline, and the storm mode calibrates its
-//! deadline from in-process measurements. Absolute milliseconds vary with
+//! The timing and storm gates are **machine-relative**: the timing modes
+//! (`frame_decode`, `frame_stream`, `multi_symbol`, `trace`) compare the
+//! ratio of two modes measured in the same process against a committed
+//! baseline ratio or a fixed bound, and the storm mode calibrates its
+//! deadline from in-process measurements; `metrics` and `campaign` are
+//! correctness gates with no timing ratio. Absolute milliseconds vary with
 //! the runner's silicon (ephemeral CI machines span CPU generations); the
 //! ratio cancels the hardware term, so the gate trips on code regressions
 //! rather than on runner lottery. **Failing** = exit code 1 (for the
-//! timing modes, a regression of more than 10%). The absolute means are
+//! baseline-relative timing modes, a regression of more than 10%, or 15%
+//! for `multi_symbol`). The absolute means are
 //! still recorded in the JSON for human inspection.
 //!
 //! The mean is trimmed (middle half of the sorted samples) so one noisy
@@ -89,8 +92,9 @@
 //!   minimum ratio at 1.05 (≤5% fps overhead with the recorder live).
 //!   Both sides carry independent in-process noise tails, so the gate
 //!   uses per-mode minima like `multi_symbol`. Without `--features
-//!   trace` the recorder is compiled out, both runs measure identical
-//!   code, and the gate documents the erasure. Writes `BENCH_pr10.json`.
+//!   gs-prof/trace` the recorder is compiled out, both runs measure
+//!   identical code, and the gate documents the erasure. Writes
+//!   `BENCH_pr10.json`.
 //! * `campaign`: runs the seeded scenario campaign at the fidelity
 //!   `GS_SPEEDUP` selects and hard-gates on any scenario's invariant
 //!   violations (no timing baseline).
@@ -813,7 +817,9 @@ fn trace_gate_main(out_path: &str, samples: usize) {
         println!("{:<18} mean {:8.3} ms   min {:8.3} ms", r.name, r.mean_ms, r.min_ms);
     }
     if !gtrace::recording_enabled() {
-        println!("recorder compiled out (rebuild with --features trace to measure it live)");
+        println!(
+            "recorder compiled out (rebuild with --features gs-prof/trace to measure it live)"
+        );
     }
     println!("results written to {out_path}");
     println!(
@@ -1056,13 +1062,15 @@ fn main() {
         _ => run_all(samples),
     };
     // The per-stage attribution table rides along whenever the binary was
-    // built with `--features profile`; without it the instrumentation is
-    // compiled out and there is nothing to dump.
+    // built with `--features gs-prof/profile`; without it the
+    // instrumentation is compiled out and there is nothing to dump.
     let stage_fragment = if gs_prof::enabled() {
         let (profile, wall) = profile_frames();
         Some(dump_stage_profile(&profile, wall))
     } else {
-        println!("stage profile: compiled out (rebuild with --features profile to dump it)");
+        println!(
+            "stage profile: compiled out (rebuild with --features gs-prof/profile to dump it)"
+        );
         None
     };
     let json = render_json(&results, bench, samples, stage_fragment.as_deref());

@@ -45,8 +45,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Packs on the fly — no heap allocation — but is bit-identical to
 /// `crc32(&pack_bits(bits))`, zero padding included.
 pub fn crc32_bits(bits: &[bool]) -> u32 {
-    let _prof = gs_prof::scope(gs_prof::Stage::Crc);
-    _prof.add_bytes(bits.len() as u64 / 8);
     let mut crc = 0xFFFF_FFFFu32;
     for chunk in bits.chunks(8) {
         let mut byte = 0u8;
@@ -102,6 +100,8 @@ pub fn check_crc_ok(bits: &[bool]) -> bool {
     if bits.len() < 32 {
         return false;
     }
+    let _prof = gs_prof::scope(gs_prof::Stage::Crc);
+    _prof.add_bytes(bits.len() as u64 / 8);
     let (payload, tail) = bits.split_at(bits.len() - 32);
     let got = tail.iter().enumerate().fold(0u32, |acc, (k, &b)| acc | ((b as u32) << k));
     got == crc32_bits(payload)

@@ -511,7 +511,7 @@ fn shard_worker_loop(state: &ShardState, poisoned: &AtomicBool, shard: usize) {
         );
         state.queue_wait.record_duration(task.submitted_wall.elapsed());
         // Stamp the EDF pop and adopt the frame's identity for the span
-        // of the job (the runtime's detect span reads it ambiently).
+        // of the job (the runtime's detect scope reads it ambiently).
         if task.trace_ctx.frame != gs_prof::trace::NO_FRAME {
             gs_prof::trace::emit_for(
                 gs_prof::trace::TracePoint::Pop,

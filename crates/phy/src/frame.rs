@@ -303,7 +303,8 @@ impl FrameWorkspace {
 
     /// Stage 3 prologue — sizes the per-client detected-symbol buffers for
     /// the planned frame. Call once before the
-    /// [`FrameWorkspace::absorb_detection`] sweep.
+    /// [`FrameWorkspace::absorb_detection`] sweep; an instrumented caller
+    /// holds one [`gs_prof::Stage::Scatter`] scope across both.
     pub fn begin_detection_assembly(&mut self) {
         crate::txrx::begin_assemble(self);
     }

@@ -244,8 +244,8 @@ where
         // of the workspace mutably (a pointer move, not an allocation).
         let mut pool = ws.pool.take().expect("pool just ensured");
         pool.run(&arc, &mut ws.rx_channels, &mut ws.jobs, ws.n_jobs, cfg.constellation);
-        begin_assemble(ws);
         let scatter = gs_prof::scope(gs_prof::Stage::Scatter);
+        begin_assemble(ws);
         pool.for_each_result(|idx, det| absorb_detection(&mut ws.detected, &mut stats, idx, det));
         drop(scatter);
         ws.pool = Some(pool);
@@ -272,8 +272,8 @@ fn detect_planned_inline<D: MimoDetector + ?Sized>(
         };
         detector.detect_batch_with(&batch, det_ws, det_out);
     }
-    begin_assemble(ws);
     let _prof = gs_prof::scope(gs_prof::Stage::Scatter);
+    begin_assemble(ws);
     let FrameWorkspace { det_out, detected, .. } = ws;
     for (idx, det) in det_out.iter().enumerate() {
         absorb_detection(detected, stats, idx, det);
@@ -341,7 +341,6 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
     ws: &mut FrameWorkspace,
 ) {
     let _prof = gs_prof::scope(gs_prof::Stage::Plan);
-    let _tspan = gs_prof::trace::span(gs_prof::trace::TracePoint::Stage(gs_prof::Stage::Plan));
     let nc = channel.num_tx();
     let na = channel.num_rx();
     let c = cfg.constellation;
@@ -404,8 +403,9 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
 }
 
 /// Sizes the per-client detected-symbol buffers for the planned frame.
+/// Callers hold the frame's one [`gs_prof::Stage::Scatter`] scope across
+/// this and their `absorb_detection` sweep.
 pub(crate) fn begin_assemble(ws: &mut FrameWorkspace) {
-    let _prof = gs_prof::scope(gs_prof::Stage::Scatter);
     let nc = ws.n_clients;
     if ws.detected.len() < nc {
         ws.detected.resize_with(nc, Vec::new);
@@ -450,8 +450,6 @@ pub(crate) fn finish_outcome<'w>(
         let FrameWorkspace { detected, payloads, rx, out, .. } = ws;
         {
             let _prof = gs_prof::scope(gs_prof::Stage::Recover);
-            let _tspan =
-                gs_prof::trace::span(gs_prof::trace::TracePoint::Stage(gs_prof::Stage::Recover));
             _prof.add_bytes((nc * cfg.payload_bits) as u64 / 8);
             rx.mother_multi.clear();
             for cl in 0..nc {
@@ -460,18 +458,13 @@ pub(crate) fn finish_outcome<'w>(
                 mother_multi.extend_from_slice(mother_cb);
             }
         }
-        {
-            let _tspan =
-                gs_prof::trace::span(gs_prof::trace::TracePoint::Stage(gs_prof::Stage::Viterbi));
-            viterbi::decode_multi_with_erasures_into(
-                &rx.mother_multi,
-                nc,
-                &mut rx.vit,
-                &mut rx.info_multi,
-            );
-        }
+        viterbi::decode_multi_with_erasures_into(
+            &rx.mother_multi,
+            nc,
+            &mut rx.vit,
+            &mut rx.info_multi,
+        );
         let _prof = gs_prof::scope(gs_prof::Stage::Recover);
-        let _tspan = gs_prof::trace::span(gs_prof::trace::TracePoint::Stage(gs_prof::Stage::Crc));
         let info_len = rx.info_multi.len() / nc;
         let frame_len = cfg.payload_bits + 32;
         for cl in 0..nc {
@@ -484,10 +477,8 @@ pub(crate) fn finish_outcome<'w>(
             out.client_ok.push(ok);
         }
     } else {
-        // Per-client fallback: Viterbi/CRC run nested inside the chain,
-        // so the flight recorder sees one recover span per frame here.
-        let _tspan =
-            gs_prof::trace::span(gs_prof::trace::TracePoint::Stage(gs_prof::Stage::Recover));
+        // Per-client fallback: each client's chain opens its own
+        // recover/Viterbi/CRC scopes.
         for cl in 0..nc {
             let FrameWorkspace { detected, payloads, rx, out, .. } = ws;
             let ok = receive_frame_flat_into(cfg, &detected[cl][..n_jobs], rx)

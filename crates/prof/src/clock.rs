@@ -1,8 +1,7 @@
-//! Shared tick clock for the profiler and the flight recorder.
-//!
-//! Compiled whenever either the `profile` or the `trace` feature is on;
-//! both subsystems stamp events with the same counter so a trace dump and
-//! a cycle table taken from the same run line up.
+//! Shared tick clock for the profiler and the flight recorder: both stamp
+//! with the same counter, so a trace dump and a cycle table taken from the
+//! same run line up. Nothing on the hot path reads it when both features
+//! are off.
 
 use std::sync::OnceLock;
 

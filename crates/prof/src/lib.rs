@@ -1,11 +1,18 @@
-//! Stage-attributed cycle profiling for the Geosphere receive chain.
+//! Stage-attributed instrumentation for the Geosphere receive chain.
 //!
 //! The paper's processing-rate-scalability argument turns every further
 //! optimisation into a measurement problem: a perf PR must *name* the
-//! stage it attacks. This crate is the measurement substrate — a
-//! near-zero-overhead per-thread counter table keyed by the fixed
-//! [`Stage`] taxonomy, recording **cycles** (TSC on `x86_64`, a monotonic
-//! nanosecond clock elsewhere), **invocations**, and **bytes** per stage.
+//! stage it attacks. This crate is the measurement substrate. Every
+//! instrumented region opens one guard, [`scope`], keyed by the fixed
+//! [`Stage`] taxonomy, and that one guard feeds two consumers:
+//!
+//! * **the cycle table** (`profile` feature): a near-zero-overhead
+//!   per-thread counter table recording **cycles** (TSC on `x86_64`, a
+//!   monotonic nanosecond clock elsewhere), **invocations**, and
+//!   **bytes** per stage;
+//! * **the flight recorder** (`trace` feature, the [`trace`] module): a
+//!   begin/end span in the thread's event ring when the stage is on
+//!   [`trace::HARD_CHAIN`] and the thread has a frame context.
 //!
 //! # Attribution model: exclusive (self) time
 //!
@@ -21,30 +28,27 @@
 //!
 //! # Compile-time erasure
 //!
-//! Everything is gated on the `profile` cargo feature. With the feature
-//! off (the default), [`ScopeGuard`] is a unit struct, [`scope`] and
-//! [`record`] are empty `#[inline(always)]` functions, and [`snapshot`]
-//! returns an all-zero table — the receive chain compiles to exactly the
-//! same code as before this crate existed. A zero-size type assertion in
-//! the workspace test suite pins this.
+//! With both features off (the default), [`ScopeGuard`] is a zero-size
+//! type, [`scope`] and [`record`] are empty inline functions, and
+//! [`snapshot`] returns an all-zero table — the receive chain compiles to
+//! exactly the same code as before this crate existed. A zero-size type
+//! assertion in the workspace test suite pins this.
 //!
 //! # Threading
 //!
-//! Counters are plain `AtomicU64`s written single-writer (each thread
-//! owns its table; updates are `Relaxed` load+store, not RMW) and read by
-//! [`snapshot`], which sums every table ever registered — including
-//! threads that have since exited, so per-frame attribution survives the
-//! `ShardedDetectionPool` handoff: cycles a shard worker spent on a
-//! frame's jobs are in the global table even after the pool is dropped.
+//! Each thread owns one instrumentation state (counter cells and scope
+//! stack under `profile`, event ring and frame context under `trace`),
+//! registered once in a process-wide registry that keeps it after the
+//! thread exits — so per-frame attribution survives the
+//! `ShardedDetectionPool` handoff. Counters are plain `AtomicU64`s
+//! written single-writer (`Relaxed` load+store, not RMW) and summed by
+//! [`snapshot`]; rings are read by [`trace::snapshot_events`].
 //!
-//! Besides the feature-gated stage profiler, the crate hosts the
-//! **always-compiled** [`hist`] module: zero-allocation log-bucketed
-//! latency histograms ([`hist::LogHistogram`]) that the streaming
-//! runtime's telemetry tier records into on the hot path and the
-//! `gs-telemetry` Prometheus endpoint merges at scrape time — and the
-//! [`trace`] module: the per-frame flight recorder (per-thread event
-//! rings, anomaly-triggered dumps, Chrome trace-event export) gated on
-//! the `trace` cargo feature with the same erasure discipline.
+//! Besides the guard, the crate hosts the **always-compiled** [`hist`]
+//! module: zero-allocation log-bucketed latency histograms
+//! ([`hist::LogHistogram`]) that the streaming runtime's telemetry tier
+//! records into on the hot path and the `gs-telemetry` Prometheus
+//! endpoint merges at scrape time.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,8 +62,9 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
-    /// Frame planning: payload draws, transmit chains, channel refresh,
-    /// per-job assembly, noise (`plan_uplink_frame_into`).
+    /// Frame planning: the transmitter simulator's payload draws, transmit
+    /// chains (their CRC included), channel refresh, per-job assembly, and
+    /// noise (`plan_uplink_frame_into`).
     Plan = 0,
     /// Householder QR / sorted QR factorisations (`gs-linalg`).
     QrDecompose,
@@ -72,26 +77,34 @@ pub enum Stage {
     PedKernel,
     /// Linear/SIC/PIC filter builds through `FilterCache`.
     Filter,
-    /// Detection scatter: routing per-job symbol vectors into per-client
-    /// assembly slots (`begin_detection_assembly` / `absorb_detection`).
+    /// Detection scatter: sizing the per-client assembly slots and routing
+    /// per-job symbol vectors into them. Each decode path opens one scope
+    /// around `begin_detection_assembly` and its `absorb_detection` sweep.
     Scatter,
     /// The per-client receive chain (demap, deinterleave, depuncture,
     /// descramble) excluding the nested Viterbi/CRC scopes.
     Recover,
     /// Viterbi decoding (hard, erasure-aware, and soft paths).
     Viterbi,
-    /// CRC-32 computation and verification.
+    /// CRC-32 verification of a received frame (`check_crc_ok`). The
+    /// transmit chain's CRC is simulator work and counts under
+    /// [`Stage::Plan`].
     Crc,
     /// Time detection tasks spend queued in a worker pool between submit
     /// and pop (wall time, recorded via [`record`] on the popping thread).
     Queue,
     /// Streaming-runtime delivery: completion queue, in-order parking.
     Delivery,
+    /// Detection of one frame's portion on a streaming-runtime shard
+    /// worker (the EDF pop-to-done window). QR, enumeration and kernel
+    /// scopes nest inside, so the row's self-time is the portion's
+    /// dispatch and channel-replica bookkeeping.
+    Detect,
 }
 
 impl Stage {
     /// Number of stages (rows in the counter table).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 13;
     /// Every stage, in table order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Plan,
@@ -106,6 +119,7 @@ impl Stage {
         Stage::Crc,
         Stage::Queue,
         Stage::Delivery,
+        Stage::Detect,
     ];
 
     /// Row index of this stage in the table (`0..COUNT`).
@@ -114,7 +128,8 @@ impl Stage {
         self as usize
     }
 
-    /// Stable snake_case name, used by the `bench_gate` dump and JSON.
+    /// Stable snake_case name, used by the `bench_gate` dump, JSON, and
+    /// the flight recorder's span names.
     pub const fn name(self) -> &'static str {
         match self {
             Stage::Plan => "plan",
@@ -129,6 +144,7 @@ impl Stage {
             Stage::Crc => "crc",
             Stage::Queue => "queue",
             Stage::Delivery => "delivery",
+            Stage::Detect => "detect",
         }
     }
 }
@@ -206,64 +222,118 @@ impl StageProfile {
 pub mod hist;
 pub mod trace;
 
-#[cfg(any(feature = "profile", feature = "trace"))]
 mod clock;
 
-#[cfg(feature = "profile")]
-mod enabled;
+#[cfg(any(feature = "profile", feature = "trace"))]
+mod local;
 
-#[cfg(feature = "profile")]
-pub use enabled::{record, scope, snapshot, ticks, ticks_per_sec, ScopeGuard};
+/// Guard of one instrumented region, returned by [`scope`]: attributes
+/// exclusive self-time to its stage in the cycle table (`profile`) and
+/// closes its flight-recorder span (`trace`) when dropped. With both
+/// features off it is a zero-size type and dropping it does nothing.
+#[must_use = "an instrumentation scope measures until dropped"]
+pub struct ScopeGuard {
+    #[cfg(any(feature = "profile", feature = "trace"))]
+    stage: Stage,
+    /// False when the scope stack was full at entry (the scope still
+    /// counted an invocation but did not push, so drop must not pop).
+    #[cfg(feature = "profile")]
+    pushed: bool,
+    /// The identity the span's begin event carried; `NO_FRAME` when the
+    /// scope opened no span.
+    #[cfg(feature = "trace")]
+    span: trace::FrameCtx,
+}
 
-#[cfg(not(feature = "profile"))]
-mod disabled {
-    use super::{Stage, StageProfile};
-
-    /// Scope handle. With the `profile` feature off this is a unit struct
-    /// — the zero-size assertion in the workspace tests pins that the
-    /// instrumentation erases completely.
-    #[derive(Debug, Default)]
-    #[must_use = "a profiling scope measures until dropped"]
-    pub struct ScopeGuard;
-
-    impl ScopeGuard {
-        /// No-op byte attribution.
-        #[inline(always)]
-        pub fn add_bytes(&self, _n: u64) {}
-    }
-
-    /// No-op scope (profiling compiled out).
-    #[inline(always)]
-    pub fn scope(_stage: Stage) -> ScopeGuard {
-        ScopeGuard
-    }
-
-    /// No-op explicit attribution (profiling compiled out).
-    #[inline(always)]
-    pub fn record(_stage: Stage, _cycles: u64, _invocations: u64, _bytes: u64) {}
-
-    /// Always zero with profiling compiled out (so `ticks()` deltas and
-    /// the [`record`] calls built from them vanish).
-    #[inline(always)]
-    pub fn ticks() -> u64 {
-        0
-    }
-
-    /// Tick rate placeholder; `1.0` keeps conversions finite.
-    #[inline(always)]
-    pub fn ticks_per_sec() -> f64 {
-        1.0
-    }
-
-    /// All-zero profile (profiling compiled out).
-    #[inline(always)]
-    pub fn snapshot() -> StageProfile {
-        StageProfile::empty()
+impl ScopeGuard {
+    /// Attribute `n` bytes to this scope's stage.
+    #[inline]
+    pub fn add_bytes(&self, n: u64) {
+        #[cfg(feature = "profile")]
+        local::record(self.stage, 0, 0, n);
+        #[cfg(not(feature = "profile"))]
+        let _ = n;
     }
 }
 
-#[cfg(not(feature = "profile"))]
-pub use disabled::{record, scope, snapshot, ticks, ticks_per_sec, ScopeGuard};
+#[cfg(any(feature = "profile", feature = "trace"))]
+impl Drop for ScopeGuard {
+    #[inline]
+    fn drop(&mut self) {
+        #[cfg(feature = "trace")]
+        trace::end_span(self.stage, self.span);
+        #[cfg(feature = "profile")]
+        local::pop(self.pushed);
+    }
+}
+
+/// Open an instrumentation scope for `stage` on the current thread.
+///
+/// Under `profile`, entering attributes the ticks elapsed since the last
+/// attribution point to the *enclosing* scope's stage (self-time
+/// accounting), then starts attributing to `stage`; dropping the returned
+/// guard reverses it. Under `trace`, a stage on [`trace::HARD_CHAIN`]
+/// also writes a begin event now and an end event at drop, when the
+/// recorder is armed and the thread has a frame context.
+#[inline]
+pub fn scope(stage: Stage) -> ScopeGuard {
+    #[cfg(not(any(feature = "profile", feature = "trace")))]
+    let _ = stage;
+    ScopeGuard {
+        #[cfg(feature = "profile")]
+        pushed: local::push(stage),
+        #[cfg(feature = "trace")]
+        span: trace::begin_span(stage),
+        #[cfg(any(feature = "profile", feature = "trace"))]
+        stage,
+    }
+}
+
+/// Explicitly attribute pre-measured counters to `stage` on the current
+/// thread's table — for wall-time spans that cross threads, e.g. the
+/// queue wait between a task's submit stamp and its pop. No-op without
+/// `profile`.
+#[inline]
+pub fn record(stage: Stage, cycles: u64, invocations: u64, bytes: u64) {
+    #[cfg(feature = "profile")]
+    local::record(stage, cycles, invocations, bytes);
+    #[cfg(not(feature = "profile"))]
+    let _ = (stage, cycles, invocations, bytes);
+}
+
+/// Raw tick counter (TSC on `x86_64`, monotonic nanoseconds elsewhere);
+/// always zero without `profile`, so `ticks()` deltas and the [`record`]
+/// calls built from them vanish.
+#[inline]
+pub fn ticks() -> u64 {
+    if enabled() {
+        clock::ticks()
+    } else {
+        0
+    }
+}
+
+/// Measured tick rate (ticks per wall-clock second); `1.0` without
+/// `profile`, which keeps conversions finite.
+pub fn ticks_per_sec() -> f64 {
+    if enabled() {
+        clock::ticks_per_sec()
+    } else {
+        1.0
+    }
+}
+
+/// Aggregate every registered thread table (including exited threads)
+/// into one [`StageProfile`]; all zero without `profile`. Allocates
+/// transiently (registry lock + iteration) — an observability call, not
+/// a hot-path one.
+pub fn snapshot() -> StageProfile {
+    #[cfg(feature = "profile")]
+    let out = local::snapshot();
+    #[cfg(not(feature = "profile"))]
+    let out = StageProfile::empty();
+    out
+}
 
 /// Whether stage profiling is compiled in (`profile` cargo feature).
 #[inline(always)]
@@ -311,6 +381,7 @@ mod tests {
     #[cfg(not(feature = "profile"))]
     #[test]
     fn disabled_build_erases_scopes() {
+        #[cfg(not(feature = "trace"))]
         assert_eq!(std::mem::size_of::<ScopeGuard>(), 0);
         assert!(!enabled());
         let g = scope(Stage::Enumerate);

@@ -2,28 +2,30 @@
 //! record where each streaming frame spent its time, anomaly-triggered
 //! snapshot dumps, and a Chrome trace-event exporter.
 //!
-//! The stage cycle table (the rest of this crate) answers "where does the
-//! pipeline spend time *on average*"; this module answers "where did
-//! **that frame** go" — the causal story behind a single deadline miss,
-//! tier switch, or admission refusal.
+//! The stage cycle table answers "where does the pipeline spend time *on
+//! average*"; this module answers "where did **that frame** go" — the
+//! causal story behind a single deadline miss, tier switch, or admission
+//! refusal. Both are fed by the same guard, [`crate::scope`]: a scope
+//! whose stage is on [`HARD_CHAIN`] writes a begin/end span here, so each
+//! stage boundary is marked once and the two views cannot disagree.
 //!
 //! # Recording model
 //!
 //! Each thread owns one fixed-capacity ring of events ([`RING_CAP`]
-//! slots). An event is three words — tsc timestamp, frame id, and a
-//! packed word holding the [`TracePoint`], [`EventKind`], client, shard,
-//! and tier — written with plain `Relaxed` stores plus a per-slot
-//! sequence word (seqlock) so a concurrent snapshot reader detects and
-//! discards torn slots. Recording is **allocation-free and lock-free**
+//! slots), part of the thread's instrumentation state. An event is three
+//! words — tsc timestamp, frame id, and a packed word holding the
+//! [`TracePoint`], [`EventKind`], client, shard, and tier — written with
+//! plain `Relaxed` stores plus a per-slot sequence word (seqlock) so a
+//! concurrent snapshot reader detects and discards torn slots. Recording is **allocation-free and lock-free**
 //! after a thread's first event (which registers the ring); the ring
 //! overwrites oldest-first, so steady state keeps the last `RING_CAP`
 //! events per thread — a black box, not a log.
 //!
 //! Most instrumentation points don't pass identity around: the runtime
 //! sets an ambient per-thread frame context ([`set_context`]) before
-//! calling into plan/detect/recover, and [`emit`]/[`span`] read it. With
-//! no context set, emission is a no-op — serial decode paths record
-//! nothing and pay one TLS read.
+//! calling into plan/detect/recover, and [`emit`] and the hard-chain
+//! scopes read it. With no context set, emission is a no-op — serial
+//! decode paths record nothing and pay one TLS read.
 //!
 //! # Triggers, retention, export
 //!
@@ -41,14 +43,13 @@
 //!
 //! Everything hot is gated on the `trace` cargo feature with the same
 //! discipline as the `profile` feature: with it off (the default),
-//! [`emit`] and [`set_context`] are empty `#[inline(always)]` functions,
-//! [`TraceSpan`] is a unit struct, and [`snapshot_events`] returns
-//! nothing. The *types* (events, timelines, dumps, the assembler and the
-//! Chrome exporter) are always compiled so call sites and tooling never
-//! need `#[cfg]`.
+//! [`emit`] and [`set_context`] are empty inline functions, scopes write
+//! no spans, and [`snapshot_events`] returns nothing. The *types*
+//! (events, timelines, dumps, the assembler and the Chrome exporter) are
+//! always compiled so call sites and tooling never need `#[cfg]`.
 
 use crate::Stage;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Frame-id value meaning "no frame": events carry it when emitted
@@ -75,16 +76,13 @@ pub const RETAIN_DUMPS: usize = 8;
 // Points, kinds, triggers
 // ---------------------------------------------------------------------------
 
-/// Where in the pipeline an event was recorded: one of the 12 profiling
-/// stages (span points), the detect span, or a control-plane point from
-/// the streaming runtime.
+/// Where in the pipeline an event was recorded: a stage span (written by
+/// the stage's [`crate::scope`]) or a control-plane instant from the
+/// streaming runtime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TracePoint {
-    /// A span over one of the 12 profiling stages ([`Stage`]).
+    /// A span over one of the [`HARD_CHAIN`] stages.
     Stage(Stage),
-    /// Detection of one frame's portion on a shard worker (spans the EDF
-    /// pop-to-done window; the per-stage detail nests inside).
-    Detect,
     /// Frame handed to `FrameStream::submit` (instant).
     Submit,
     /// Admission accepted the frame; the policy's tier decision is in the
@@ -111,14 +109,13 @@ pub enum TracePoint {
 
 impl TracePoint {
     /// Number of distinct point codes.
-    pub const COUNT: usize = Stage::COUNT + 11;
+    pub const COUNT: usize = Stage::COUNT + 10;
 
     /// Stable wire code. Stage spans map to their stage index
-    /// (`0..12`); control points follow.
+    /// (`0..13`); control points follow.
     pub const fn code(self) -> u16 {
         match self {
             TracePoint::Stage(s) => s.index() as u16,
-            TracePoint::Detect => 12,
             TracePoint::Submit => 13,
             TracePoint::Admit => 14,
             TracePoint::Refuse => 15,
@@ -138,7 +135,6 @@ impl TracePoint {
             return Some(TracePoint::Stage(Stage::ALL[code as usize]));
         }
         Some(match code {
-            12 => TracePoint::Detect,
             13 => TracePoint::Submit,
             14 => TracePoint::Admit,
             15 => TracePoint::Refuse,
@@ -157,7 +153,6 @@ impl TracePoint {
     pub const fn name(self) -> &'static str {
         match self {
             TracePoint::Stage(s) => s.name(),
-            TracePoint::Detect => "detect",
             TracePoint::Submit => "submit",
             TracePoint::Admit => "admit",
             TracePoint::Refuse => "refuse",
@@ -173,17 +168,35 @@ impl TracePoint {
 }
 
 /// The "hard chain" of span points every delivered streaming frame passes
-/// through, in pipeline order. The causal-order tests and the acceptance
+/// through, in pipeline order. It is also the one list that decides which
+/// stages' scopes write spans; the causal-order tests and the acceptance
 /// check ("submit→delivery with all hard-chain stages present") key off
-/// this list.
+/// it too.
 pub const HARD_CHAIN: [TracePoint; 6] = [
     TracePoint::Stage(Stage::Plan),
-    TracePoint::Detect,
+    TracePoint::Stage(Stage::Detect),
     TracePoint::Stage(Stage::Scatter),
     TracePoint::Stage(Stage::Recover),
     TracePoint::Stage(Stage::Viterbi),
     TracePoint::Stage(Stage::Crc),
 ];
+
+/// Whether `stage`'s scopes write spans: it is on [`HARD_CHAIN`]. One bit
+/// per stage, folded from the list at compile time, so the check is a
+/// shift even in unoptimised builds.
+#[cfg(feature = "trace")]
+const fn traces(stage: Stage) -> bool {
+    const MASK: u32 = {
+        let mut mask = 0;
+        let mut i = 0;
+        while i < HARD_CHAIN.len() {
+            mask |= 1 << HARD_CHAIN[i].code();
+            i += 1;
+        }
+        mask
+    };
+    MASK >> stage.index() & 1 == 1
+}
 
 /// Control-plane instants every delivered frame passes through, in order.
 pub const CONTROL_CHAIN: [TracePoint; 5] = [
@@ -548,7 +561,8 @@ pub fn trigger(trigger: Trigger, frame: u64) -> bool {
         return false;
     }
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dump = TraceDump::from_events(trigger, frame, seq, unix_ms(), ticks_per_us_live(), events);
+    let ticks_per_us = crate::clock::ticks_per_sec() / 1e6;
+    let dump = TraceDump::from_events(trigger, frame, seq, unix_ms(), ticks_per_us, events);
     let mut dumps = DUMPS.lock().expect("trace dump buffer poisoned");
     dumps.push(dump);
     while dumps.len() > RETAIN_DUMPS {
@@ -693,350 +707,210 @@ pub fn chrome_trace_json(dump: &TraceDump) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Live recorder (feature `trace`)
+// Recording (feature `trace`; empty inline functions without it)
 // ---------------------------------------------------------------------------
 
 #[cfg(feature = "trace")]
-mod live {
-    use super::{EventKind, FrameCtx, TraceEvent, TracePoint, NO_CLIENT, NO_FRAME, RING_CAP};
-    use crate::clock;
-    use std::cell::Cell;
-    use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
+use crate::{clock, local::LOCAL};
 
-    pub(super) static ARMED: AtomicBool = AtomicBool::new(true);
+static ARMED: AtomicBool = AtomicBool::new(true);
 
-    fn pack(point: u16, kind: u8, tier: u8, shard: u16, client: u16) -> u64 {
-        (client as u64)
-            | ((shard as u64) << 16)
-            | ((tier as u64) << 32)
-            | ((kind as u64) << 40)
-            | ((point as u64) << 48)
+#[cfg(feature = "trace")]
+fn pack(point: TracePoint, kind: EventKind, ctx: FrameCtx) -> u64 {
+    let client = ctx.client.min(NO_CLIENT) as u64;
+    client
+        | ((ctx.shard as u64) << 16)
+        | ((ctx.tier as u64) << 32)
+        | ((kind.code() as u64) << 40)
+        | ((point.code() as u64) << 48)
+}
+
+#[cfg(feature = "trace")]
+struct RingSlot {
+    gen: AtomicU64,
+    tsc: AtomicU64,
+    frame: AtomicU64,
+    meta: AtomicU64,
+}
+
+/// One thread's event ring, held in its registered instrumentation slot.
+#[cfg(feature = "trace")]
+pub(crate) struct Ring {
+    thread: u16,
+    head: AtomicU64,
+    slots: Box<[RingSlot]>,
+}
+
+#[cfg(feature = "trace")]
+impl Ring {
+    pub(crate) fn new(thread: u16) -> Ring {
+        let slot = || RingSlot {
+            gen: AtomicU64::new(0),
+            tsc: AtomicU64::new(0),
+            frame: AtomicU64::new(0),
+            meta: AtomicU64::new(0),
+        };
+        Ring { thread, head: AtomicU64::new(0), slots: (0..RING_CAP).map(|_| slot()).collect() }
     }
 
-    struct Slot {
-        gen: AtomicU64,
-        tsc: AtomicU64,
-        frame: AtomicU64,
-        meta: AtomicU64,
+    /// Single-writer push with a per-slot seqlock: invalidate, write
+    /// payload, validate. A concurrent reader that straddles the write
+    /// sees a generation mismatch and drops the slot.
+    #[inline]
+    fn push(&self, point: TracePoint, kind: EventKind, ctx: FrameCtx) {
+        let h = self.head.load(Ordering::Relaxed);
+        let slot = &self.slots[(h as usize) & (RING_CAP - 1)];
+        slot.gen.store(0, Ordering::Relaxed);
+        std::sync::atomic::fence(Ordering::Release); // invalidation visible before payload
+        slot.tsc.store(clock::ticks(), Ordering::Relaxed);
+        slot.frame.store(ctx.frame, Ordering::Relaxed);
+        slot.meta.store(pack(point, kind, ctx), Ordering::Relaxed);
+        slot.gen.store(h.wrapping_add(1), Ordering::Release);
+        self.head.store(h.wrapping_add(1), Ordering::Relaxed);
     }
 
-    struct Ring {
-        thread: u16,
-        head: AtomicU64,
-        slots: Box<[Slot]>,
-    }
-
-    impl Ring {
-        /// Single-writer push with a per-slot seqlock: invalidate, write
-        /// payload, validate. A concurrent reader that straddles the
-        /// write sees a generation mismatch and drops the slot.
-        #[inline]
-        fn push(&self, tsc: u64, frame: u64, meta: u64) {
-            let h = self.head.load(Ordering::Relaxed);
-            let slot = &self.slots[(h as usize) & (RING_CAP - 1)];
-            slot.gen.store(0, Ordering::Relaxed);
-            fence(Ordering::Release); // invalidation visible before payload
-            slot.tsc.store(tsc, Ordering::Relaxed);
-            slot.frame.store(frame, Ordering::Relaxed);
-            slot.meta.store(meta, Ordering::Relaxed);
-            slot.gen.store(h.wrapping_add(1), Ordering::Release);
-            self.head.store(h.wrapping_add(1), Ordering::Relaxed);
-        }
-
-        fn read_into(&self, out: &mut Vec<TraceEvent>) {
-            for slot in self.slots.iter() {
-                let g1 = slot.gen.load(Ordering::Acquire);
-                if g1 == 0 {
-                    continue;
-                }
-                let tsc = slot.tsc.load(Ordering::Relaxed);
-                let frame = slot.frame.load(Ordering::Relaxed);
-                let meta = slot.meta.load(Ordering::Relaxed);
-                fence(Ordering::Acquire); // payload reads complete before re-check
-                if slot.gen.load(Ordering::Relaxed) != g1 {
-                    continue; // torn
-                }
-                let point = match TracePoint::from_code((meta >> 48) as u16) {
-                    Some(p) => p,
-                    None => continue,
-                };
-                let kind = match EventKind::from_code((meta >> 40) as u8) {
-                    Some(k) => k,
-                    None => continue,
-                };
-                let client16 = (meta & 0xFFFF) as u32;
-                out.push(TraceEvent {
-                    tsc,
-                    frame,
-                    thread: self.thread,
-                    point,
-                    kind,
-                    client: client16,
-                    shard: ((meta >> 16) & 0xFFFF) as u16,
-                    tier: ((meta >> 32) & 0xFF) as u8,
-                });
+    fn read_into(&self, out: &mut Vec<TraceEvent>) {
+        for slot in self.slots.iter() {
+            let g1 = slot.gen.load(Ordering::Acquire);
+            if g1 == 0 {
+                continue;
             }
-        }
-    }
-
-    static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
-
-    struct TraceLocal {
-        ring: Arc<Ring>,
-        frame: Cell<u64>,
-        client: Cell<u32>,
-        shard: Cell<u16>,
-        tier: Cell<u8>,
-    }
-
-    impl TraceLocal {
-        fn register() -> Self {
-            let mut rings = RINGS.lock().expect("trace ring registry poisoned");
-            let thread = rings.len().min(u16::MAX as usize - 1) as u16;
-            let ring = Arc::new(Ring {
-                thread,
-                head: AtomicU64::new(0),
-                slots: (0..RING_CAP)
-                    .map(|_| Slot {
-                        gen: AtomicU64::new(0),
-                        tsc: AtomicU64::new(0),
-                        frame: AtomicU64::new(0),
-                        meta: AtomicU64::new(0),
-                    })
-                    .collect(),
-            });
-            rings.push(Arc::clone(&ring));
-            let ctx = FrameCtx::NONE;
-            TraceLocal {
-                ring,
-                frame: Cell::new(ctx.frame),
-                client: Cell::new(ctx.client),
-                shard: Cell::new(ctx.shard),
-                tier: Cell::new(ctx.tier),
+            let tsc = slot.tsc.load(Ordering::Relaxed);
+            let frame = slot.frame.load(Ordering::Relaxed);
+            let meta = slot.meta.load(Ordering::Relaxed);
+            std::sync::atomic::fence(Ordering::Acquire); // payload reads complete before re-check
+            if slot.gen.load(Ordering::Relaxed) != g1 {
+                continue; // torn
             }
-        }
-    }
-
-    thread_local! {
-        static TLOCAL: TraceLocal = TraceLocal::register();
-    }
-
-    #[inline]
-    fn clamp_client(c: u32) -> u16 {
-        if c >= NO_CLIENT {
-            u16::MAX
-        } else {
-            c as u16
-        }
-    }
-
-    /// Set the current thread's frame context (registers the thread's
-    /// ring on first use — call once off the measured path to warm up).
-    #[inline]
-    pub fn set_context(ctx: FrameCtx) {
-        let _ = TLOCAL.try_with(|l| {
-            l.frame.set(ctx.frame);
-            l.client.set(ctx.client);
-            l.shard.set(ctx.shard);
-            l.tier.set(ctx.tier);
-        });
-    }
-
-    /// Clear the current thread's frame context.
-    #[inline]
-    pub fn clear_context() {
-        set_context(FrameCtx::NONE);
-    }
-
-    /// The current thread's frame context ([`FrameCtx::NONE`] if unset).
-    #[inline]
-    pub fn context() -> FrameCtx {
-        TLOCAL
-            .try_with(|l| FrameCtx {
-                frame: l.frame.get(),
-                client: l.client.get(),
-                shard: l.shard.get(),
-                tier: l.tier.get(),
-            })
-            .unwrap_or(FrameCtx::NONE)
-    }
-
-    /// Record an instant at `point` under the ambient context. No-op when
-    /// disarmed or no context is set.
-    #[inline]
-    pub fn emit(point: TracePoint) {
-        if !ARMED.load(Ordering::Relaxed) {
-            return;
-        }
-        let _ = TLOCAL.try_with(|l| {
-            let frame = l.frame.get();
-            if frame == NO_FRAME {
-                return;
-            }
-            l.ring.push(
-                clock::ticks(),
+            let (Some(point), Some(kind)) = (
+                TracePoint::from_code((meta >> 48) as u16),
+                EventKind::from_code((meta >> 40) as u8),
+            ) else {
+                continue;
+            };
+            out.push(TraceEvent {
+                tsc,
                 frame,
-                pack(
-                    point.code(),
-                    EventKind::Instant.code(),
-                    l.tier.get(),
-                    l.shard.get(),
-                    clamp_client(l.client.get()),
-                ),
-            );
-        });
-    }
-
-    /// Record an event with explicit identity (cross-thread points where
-    /// the ambient context belongs to a different frame). No-op when
-    /// disarmed.
-    #[inline]
-    pub fn emit_for(point: TracePoint, kind: EventKind, ctx: FrameCtx) {
-        if !ARMED.load(Ordering::Relaxed) {
-            return;
+                thread: self.thread,
+                point,
+                kind,
+                client: (meta & 0xFFFF) as u32,
+                shard: ((meta >> 16) & 0xFFFF) as u16,
+                tier: ((meta >> 32) & 0xFF) as u8,
+            });
         }
-        let _ = TLOCAL.try_with(|l| {
-            l.ring.push(
-                clock::ticks(),
-                ctx.frame,
-                pack(point.code(), kind.code(), ctx.tier, ctx.shard, clamp_client(ctx.client)),
-            );
-        });
     }
+}
 
-    /// Live span guard: begin on creation, end on drop, identity captured
-    /// from the ambient context at begin. Inactive (records nothing) when
-    /// disarmed or no context is set.
-    #[must_use = "a trace span records until dropped"]
-    pub struct TraceSpan {
-        point: TracePoint,
-        ctx: FrameCtx,
-        active: bool,
+/// Writes an event under the ambient context when the recorder is armed
+/// and the thread has a frame context. Returns the context it wrote under
+/// (one with [`NO_FRAME`] when it wrote nothing).
+#[cfg(feature = "trace")]
+#[inline]
+fn push_ambient(point: TracePoint, kind: EventKind) -> FrameCtx {
+    if !armed() {
+        return FrameCtx::NONE;
     }
-
-    impl Drop for TraceSpan {
-        #[inline]
-        fn drop(&mut self) {
-            if self.active {
-                emit_for(self.point, EventKind::End, self.ctx);
+    LOCAL
+        .try_with(|l| {
+            let ctx = l.ctx.get();
+            if ctx.frame != NO_FRAME {
+                l.slot.ring.push(point, kind, ctx);
             }
-        }
-    }
-
-    /// Open a span at `point` under the ambient context.
-    #[inline]
-    pub fn span(point: TracePoint) -> TraceSpan {
-        let ctx = context();
-        let active = ctx.frame != NO_FRAME && ARMED.load(Ordering::Relaxed);
-        if active {
-            emit_for(point, EventKind::Begin, ctx);
-        }
-        TraceSpan { point, ctx, active }
-    }
-
-    /// Snapshot every registered ring into a decoded, tick-ordered event
-    /// list. Allocates; an observability call, not a hot-path one.
-    pub fn snapshot_events() -> Vec<TraceEvent> {
-        let rings = RINGS.lock().expect("trace ring registry poisoned");
-        let mut out = Vec::new();
-        for r in rings.iter() {
-            r.read_into(&mut out);
-        }
-        drop(rings);
-        out.sort_by_key(|e| (e.tsc, e.kind.code()));
-        out
-    }
-
-    /// Tick-to-microsecond rate for live captures.
-    pub fn ticks_per_us_live() -> f64 {
-        clock::ticks_per_sec() / 1e6
-    }
+            ctx
+        })
+        .unwrap_or(FrameCtx::NONE)
 }
 
+/// Span begin for a scope on `stage`, written only for [`HARD_CHAIN`]
+/// stages. Returns the identity to close the span under.
 #[cfg(feature = "trace")]
-pub use live::{
-    clear_context, context, emit, emit_for, set_context, snapshot_events, span, TraceSpan,
-};
-
-#[cfg(feature = "trace")]
-use live::ticks_per_us_live;
-
-#[cfg(feature = "trace")]
-fn armed_impl() -> bool {
-    live::ARMED.load(Ordering::Relaxed)
-}
-
-#[cfg(feature = "trace")]
-fn set_armed_impl(on: bool) {
-    live::ARMED.store(on, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Stub recorder (feature off): identical surface, fully erased.
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "trace"))]
-mod stub {
-    use super::{EventKind, FrameCtx, TraceEvent, TracePoint};
-
-    /// Span handle; a unit struct with the recorder compiled out.
-    #[derive(Debug, Default)]
-    #[must_use = "a trace span records until dropped"]
-    pub struct TraceSpan;
-
-    /// No-op context set (recorder compiled out).
-    #[inline(always)]
-    pub fn set_context(_ctx: FrameCtx) {}
-
-    /// No-op context clear (recorder compiled out).
-    #[inline(always)]
-    pub fn clear_context() {}
-
-    /// Always [`FrameCtx::NONE`] (recorder compiled out).
-    #[inline(always)]
-    pub fn context() -> FrameCtx {
+#[inline]
+pub(crate) fn begin_span(stage: Stage) -> FrameCtx {
+    if traces(stage) {
+        push_ambient(TracePoint::Stage(stage), EventKind::Begin)
+    } else {
         FrameCtx::NONE
     }
+}
 
-    /// No-op instant (recorder compiled out).
-    #[inline(always)]
-    pub fn emit(_point: TracePoint) {}
-
-    /// No-op explicit event (recorder compiled out).
-    #[inline(always)]
-    pub fn emit_for(_point: TracePoint, _kind: EventKind, _ctx: FrameCtx) {}
-
-    /// No-op span (recorder compiled out).
-    #[inline(always)]
-    pub fn span(_point: TracePoint) -> TraceSpan {
-        TraceSpan
-    }
-
-    /// Always empty (recorder compiled out).
-    #[inline(always)]
-    pub fn snapshot_events() -> Vec<TraceEvent> {
-        Vec::new()
+/// Span end for a scope whose [`begin_span`] returned `ctx`.
+#[cfg(feature = "trace")]
+#[inline]
+pub(crate) fn end_span(stage: Stage, ctx: FrameCtx) {
+    if ctx.frame != NO_FRAME {
+        emit_for(TracePoint::Stage(stage), EventKind::End, ctx);
     }
 }
 
-#[cfg(not(feature = "trace"))]
-pub use stub::{
-    clear_context, context, emit, emit_for, set_context, snapshot_events, span, TraceSpan,
-};
-
-#[cfg(not(feature = "trace"))]
-fn ticks_per_us_live() -> f64 {
-    1.0
+/// Set the current thread's frame context (registers the thread's
+/// instrumentation state on first use — call once off the measured path
+/// to warm up).
+#[inline]
+pub fn set_context(ctx: FrameCtx) {
+    #[cfg(feature = "trace")]
+    let _ = LOCAL.try_with(|l| l.ctx.set(ctx));
+    #[cfg(not(feature = "trace"))]
+    let _ = ctx;
 }
 
-#[cfg(not(feature = "trace"))]
-fn armed_impl() -> bool {
-    false
+/// Clear the current thread's frame context.
+#[inline]
+pub fn clear_context() {
+    set_context(FrameCtx::NONE);
 }
 
-#[cfg(not(feature = "trace"))]
-fn set_armed_impl(_on: bool) {}
+/// The current thread's frame context ([`FrameCtx::NONE`] if unset or
+/// the recorder is compiled out).
+#[inline]
+pub fn context() -> FrameCtx {
+    #[cfg(feature = "trace")]
+    let ctx = LOCAL.try_with(|l| l.ctx.get()).unwrap_or(FrameCtx::NONE);
+    #[cfg(not(feature = "trace"))]
+    let ctx = FrameCtx::NONE;
+    ctx
+}
+
+/// Record an instant at `point` under the ambient context. No-op when
+/// disarmed or no context is set.
+#[inline]
+pub fn emit(point: TracePoint) {
+    #[cfg(feature = "trace")]
+    push_ambient(point, EventKind::Instant);
+    #[cfg(not(feature = "trace"))]
+    let _ = point;
+}
+
+/// Record an event with explicit identity (cross-thread points where the
+/// ambient context belongs to a different frame). No-op when disarmed.
+#[inline]
+pub fn emit_for(point: TracePoint, kind: EventKind, ctx: FrameCtx) {
+    #[cfg(feature = "trace")]
+    if armed() {
+        let _ = LOCAL.try_with(|l| l.slot.ring.push(point, kind, ctx));
+    }
+    #[cfg(not(feature = "trace"))]
+    let _ = (point, kind, ctx);
+}
+
+/// Snapshot every registered ring into a decoded, tick-ordered event list
+/// (empty when the recorder is compiled out). Allocates; an observability
+/// call, not a hot-path one.
+pub fn snapshot_events() -> Vec<TraceEvent> {
+    #[cfg(feature = "trace")]
+    let out = {
+        let mut out = Vec::new();
+        for slot in crate::local::REGISTRY.lock().expect("instrumentation registry poisoned").iter()
+        {
+            slot.ring.read_into(&mut out);
+        }
+        out.sort_by_key(|e| (e.tsc, e.kind.code()));
+        out
+    };
+    #[cfg(not(feature = "trace"))]
+    let out = Vec::new();
+    out
+}
 
 /// Whether the flight recorder is compiled in (`trace` cargo feature).
 #[inline(always)]
@@ -1048,14 +922,14 @@ pub const fn recording_enabled() -> bool {
 /// Always `false` when compiled out.
 #[inline]
 pub fn armed() -> bool {
-    armed_impl()
+    recording_enabled() && ARMED.load(Ordering::Relaxed)
 }
 
 /// Arm or disarm the recorder at runtime (armed by default when compiled
 /// in). Disarming stops both event recording and dump capture — the
 /// in-process overhead knob `bench_gate --mode trace` measures against.
 pub fn set_armed(on: bool) {
-    set_armed_impl(on)
+    ARMED.store(on, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -1083,13 +957,14 @@ mod tests {
     #[test]
     fn assembler_pairs_spans_and_orders_frames() {
         let plan = TracePoint::Stage(Stage::Plan);
+        let detect = TracePoint::Stage(Stage::Detect);
         let events = vec![
             ev(50, 2, 0, TracePoint::Submit, EventKind::Instant),
             ev(10, 1, 0, TracePoint::Submit, EventKind::Instant),
             ev(20, 1, 0, plan, EventKind::Begin),
             ev(30, 1, 0, plan, EventKind::End),
-            ev(35, 1, 1, TracePoint::Detect, EventKind::Begin),
-            ev(45, 1, 1, TracePoint::Detect, EventKind::End),
+            ev(35, 1, 1, detect, EventKind::Begin),
+            ev(45, 1, 1, detect, EventKind::End),
             ev(60, 2, 0, plan, EventKind::Begin), // unmatched: closes at last tick
             ev(70, 2, 1, TracePoint::Deliver, EventKind::Instant),
         ];
@@ -1101,7 +976,7 @@ mod tests {
         assert_eq!(t1.spans.len(), 2);
         assert_eq!(t1.spans[0].point, plan);
         assert_eq!((t1.spans[0].begin, t1.spans[0].end), (20, 30));
-        assert_eq!(t1.spans[1].point, TracePoint::Detect);
+        assert_eq!(t1.spans[1].point, detect);
         assert!(t1.has_point(TracePoint::Submit));
         assert_eq!(t1.first_tsc(plan), Some(20));
         let t2 = &tls[1];
@@ -1165,10 +1040,11 @@ mod tests {
     fn disabled_build_erases_recorder() {
         assert!(!recording_enabled());
         assert!(!armed());
-        assert_eq!(std::mem::size_of::<TraceSpan>(), 0);
+        #[cfg(not(feature = "profile"))]
+        assert_eq!(std::mem::size_of::<crate::ScopeGuard>(), 0);
         set_context(FrameCtx { frame: 3, client: 0, shard: 0, tier: 0 });
         emit(TracePoint::Submit);
-        let s = span(TracePoint::Detect);
+        let s = crate::scope(Stage::Detect);
         drop(s);
         clear_context();
         assert!(snapshot_events().is_empty());
@@ -1195,7 +1071,7 @@ mod tests {
         set_context(FrameCtx { frame: 41, client: 2, shard: 1, tier: 0 });
         emit(TracePoint::Submit);
         {
-            let _s = span(TracePoint::Detect);
+            let _s = crate::scope(Stage::Detect);
         }
         clear_context();
         let events = snapshot_events();
@@ -1206,8 +1082,29 @@ mod tests {
         assert!(trigger(Trigger::Manual, 41));
         let dumps = recent_dumps();
         assert!(dumps.iter().any(|d| d.trigger == Trigger::Manual
-            && d.timelines.iter().any(|t| t.frame == 41 && t.has_point(TracePoint::Detect))));
+            && d.timelines
+                .iter()
+                .any(|t| t.frame == 41 && t.has_point(TracePoint::Stage(Stage::Detect)))));
         set_min_dump_gap_ms(200);
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn only_hard_chain_scopes_write_spans() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_armed(true);
+        set_context(FrameCtx { frame: 4242, client: 0, shard: 0, tier: 0 });
+        for stage in Stage::ALL {
+            drop(crate::scope(stage));
+        }
+        clear_context();
+        let spans: Vec<TracePoint> = snapshot_events()
+            .iter()
+            .filter(|e| e.frame == 4242 && e.kind == EventKind::Begin)
+            .map(|e| e.point)
+            .collect();
+        assert_eq!(spans.len(), HARD_CHAIN.len());
+        assert!(HARD_CHAIN.iter().all(|p| spans.contains(p)));
     }
 
     #[cfg(feature = "trace")]
@@ -1217,7 +1114,7 @@ mod tests {
         set_armed(false);
         set_context(FrameCtx { frame: 999_999, client: 0, shard: 0, tier: 0 });
         emit(TracePoint::Submit);
-        let s = span(TracePoint::Detect);
+        let s = crate::scope(Stage::Detect);
         drop(s);
         clear_context();
         set_armed(true);

@@ -431,7 +431,7 @@ impl Shared {
         let slot = &self.slots[slot_idx];
         {
             // The shard worker set the frame context before dispatching.
-            let _tspan = gtrace::span(gtrace::TracePoint::Detect);
+            let _prof = gs_prof::scope(gs_prof::Stage::Detect);
             let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
             let mut portion = lock(&slot.portions[shard]);
             let portion = &mut *portion;
@@ -561,17 +561,15 @@ impl Shared {
             let mut core = slot.core.write().unwrap_or_else(std::sync::PoisonError::into_inner);
             let core = &mut *core;
             core.stats = DetectorStats::default();
+            let scatter = gs_prof::scope(gs_prof::Stage::Scatter);
             core.ws.begin_detection_assembly();
-            let _prof = gs_prof::scope(gs_prof::Stage::Scatter);
-            let _tspan = gtrace::span(gtrace::TracePoint::Stage(gs_prof::Stage::Scatter));
             for portion in &slot.portions {
                 let portion = lock(portion);
                 for (&idx, det) in portion.indices.iter().zip(portion.out.iter()) {
                     core.ws.absorb_detection(&mut core.stats, idx, det);
                 }
             }
-            drop(_tspan);
-            drop(_prof);
+            drop(scatter);
             let cfg = PhyConfig { payload_bits: lock(&slot.meta).payload_bits, ..self.base_cfg };
             core.ws.finish_uplink(&cfg, core.stats);
         }

@@ -353,7 +353,7 @@ fn assert_trace_recording_allocation_free() {
     // Warmup: registers this thread's ring and touches the context slot.
     gtrace::set_context(gtrace::FrameCtx { frame: 1, client: 0, shard: 0, tier: 2 });
     gtrace::emit(gtrace::TracePoint::Submit);
-    drop(gtrace::span(gtrace::TracePoint::Detect));
+    drop(gs_prof::scope(Stage::Detect));
     gtrace::clear_context();
 
     let rounds = (gtrace::RING_CAP * 3) as u64;
@@ -371,7 +371,7 @@ fn assert_trace_recording_allocation_free() {
                 gtrace::EventKind::Instant,
                 gtrace::context(),
             );
-            drop(gtrace::span(gtrace::TracePoint::Stage(Stage::Plan)));
+            drop(gs_prof::scope(Stage::Plan));
             gtrace::clear_context();
         }
     });

@@ -2,14 +2,18 @@
 //!
 //! Two build flavors, two contracts:
 //!
-//! * **`profile` off (the default):** the instrumentation must erase
-//!   completely — [`gs_prof::ScopeGuard`] is a zero-size type, and driving
-//!   a real frame through the receive chain records nothing.
+//! * **`profile` off (the default):** the cycle table must erase
+//!   completely — driving a real frame through the receive chain records
+//!   nothing, and with `trace` off too [`gs_prof::ScopeGuard`] is a
+//!   zero-size type.
 //! * **`profile` on (the CI profiling leg):** per-stage counters are
 //!   monotone across snapshots, their exclusive-time sum stays within the
 //!   wall-clock envelope of the bracketed region (attribution partitions,
 //!   never double-counts), and one decoded frame lights up every stage the
 //!   hard receive chain passes through.
+//! * **`profile` and `trace` on:** the one guard feeds both views, so a
+//!   streamed frame's span count per hard-chain stage equals that stage's
+//!   invocation delta in the cycle table.
 //!
 //! The profile-on checks share one `#[test]` run sequentially: snapshots
 //! aggregate process-global state, so concurrent test threads doing their
@@ -40,8 +44,10 @@ fn decode_one_frame(seed: u64, ws: &mut FrameWorkspace) {
 #[cfg(not(feature = "profile"))]
 #[test]
 fn disabled_build_erases_the_instrumentation() {
-    // The guard must cost nothing to carry: a unit struct, so every
-    // `let _scope = gs_prof::scope(..)` in the hot path compiles away.
+    // With `trace` off too, the guard must cost nothing to carry: a
+    // zero-size type, so every `let _scope = gs_prof::scope(..)` in the
+    // hot path compiles away.
+    #[cfg(not(feature = "trace"))]
     assert_eq!(std::mem::size_of::<gs_prof::ScopeGuard>(), 0);
     assert!(!gs_prof::enabled());
 
@@ -155,11 +161,60 @@ mod enabled {
         }
     }
 
+    /// Streams one frame alone through `FrameStream` and checks, per
+    /// `HARD_CHAIN` stage, that the frame's spans and the table's
+    /// invocations moved together: every scope on a hard-chain stage is a
+    /// span, and nothing else is. Two clients take the lockstep
+    /// multi-stream Viterbi branch, one client the per-client chain.
+    #[cfg(feature = "trace")]
+    fn assert_table_and_trace_agree() {
+        use gs_prof::trace::{self as gtrace, TraceEvent, TracePoint, HARD_CHAIN};
+        use gs_runtime::{FrameStream, StreamConfig, UplinkFrame};
+        use std::collections::HashSet;
+        use std::sync::Arc;
+
+        gtrace::set_armed(true);
+        let key = |e: &TraceEvent| (e.tsc, e.thread, e.frame, e.point.code(), e.kind.code());
+        let cfg = PhyConfig { payload_bits: 256, ..PhyConfig::new(Constellation::Qam16) };
+        for n_tx in [2, 1] {
+            let stream = FrameStream::new(cfg, geosphere_decoder(), StreamConfig::new(1));
+            let channel =
+                RayleighChannel::new(4, n_tx).realize(&mut StdRng::seed_from_u64(n_tx as u64));
+            let events_before: HashSet<_> = gtrace::snapshot_events().iter().map(key).collect();
+            let before = gs_prof::snapshot();
+            stream.submit(UplinkFrame::new(0, Arc::new(channel), 24.0, 7)).expect("stream alive");
+            stream.recv().expect("stream alive");
+            let table = gs_prof::snapshot().delta(&before);
+            let added: Vec<TraceEvent> = gtrace::snapshot_events()
+                .into_iter()
+                .filter(|e| !events_before.contains(&key(e)))
+                .collect();
+            drop(stream);
+
+            let timelines = gtrace::assemble(&added);
+            assert_eq!(timelines.len(), 1, "{n_tx}-client stream: one frame recorded");
+            for point in HARD_CHAIN {
+                let TracePoint::Stage(stage) = point else { unreachable!("hard chain is stages") };
+                let spans = timelines[0].spans.iter().filter(|s| s.point == point).count() as u64;
+                let calls = table.stages[stage.index()].invocations;
+                assert!(spans > 0, "{n_tx}-client frame: no {} span", stage.name());
+                assert_eq!(
+                    spans,
+                    calls,
+                    "{n_tx}-client frame: {} spans vs table invocations",
+                    stage.name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn profiling_enabled_invariants() {
         assert!(gs_prof::enabled());
         counters_are_monotone_across_detections();
         assert_sum_within_wall_clock();
         assert_frame_touches_the_chain();
+        #[cfg(feature = "trace")]
+        assert_table_and_trace_agree();
     }
 }

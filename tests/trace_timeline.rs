@@ -62,8 +62,9 @@ fn synth_frame(frame: u64, shape: &FrameShape, out: &mut Vec<TraceEvent>) {
     ev(step(&mut t), 0, TracePoint::Stage(gs_prof::Stage::Plan), EventKind::End, NO_SHARD);
     ev(step(&mut t), 0, TracePoint::Enqueue, EventKind::Instant, shape.shard);
     ev(step(&mut t), shape.worker, TracePoint::Pop, EventKind::Instant, shape.shard);
-    ev(step(&mut t), shape.worker, TracePoint::Detect, EventKind::Begin, shape.shard);
-    ev(step(&mut t), shape.worker, TracePoint::Detect, EventKind::End, shape.shard);
+    let detect = TracePoint::Stage(gs_prof::Stage::Detect);
+    ev(step(&mut t), shape.worker, detect, EventKind::Begin, shape.shard);
+    ev(step(&mut t), shape.worker, detect, EventKind::End, shape.shard);
     let rec = shape.worker + 8;
     let scatter = TracePoint::Stage(gs_prof::Stage::Scatter);
     ev(step(&mut t), rec, scatter, EventKind::Begin, NO_SHARD);

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geosphere_core::{ethsd_decoder, geosphere_decoder, MimoDetector, MmseSicDetector, ZfDetector};
-use gs_bench::serial_reference_frame;
+use gs_bench::{frame_decode_scenario, serial_reference_frame, FrameDecodeScenario};
 use gs_channel::{
     noise_variance_for_snr_db, sample_cn, ChannelModel, RayleighChannel, SelectiveRayleighChannel,
 };
@@ -72,15 +72,7 @@ fn bench_decoders(cr: &mut Criterion) {
 /// is pure engine overhead/speedup.
 fn bench_frame_decode(cr: &mut Criterion) {
     let mut group = cr.benchmark_group("frame_decode_4x4_qam64_64sc");
-    let cfg =
-        PhyConfig { n_subcarriers: 64, payload_bits: 2048, ..PhyConfig::new(Constellation::Qam64) };
-    let snr_db = 28.0;
-    let model = SelectiveRayleighChannel {
-        n_fft: 64,
-        n_subcarriers: 64,
-        ..SelectiveRayleighChannel::indoor(4, 4)
-    };
-    let ch = model.realize(&mut StdRng::seed_from_u64(2014));
+    let FrameDecodeScenario { cfg, channel: ch, snr_db, .. } = frame_decode_scenario();
     let det = geosphere_decoder();
 
     group.bench_function("serial", |b| {

@@ -16,10 +16,12 @@
 #![warn(missing_docs)]
 
 use geosphere_core::{DetectorStats, MimoDetector};
-use gs_channel::MimoChannel;
+use gs_channel::{ChannelModel, MimoChannel, SelectiveRayleighChannel};
+use gs_modulation::Constellation;
 use gs_phy::{FrameWorkspace, PhyConfig, UplinkOutcome};
 use gs_sim::ExperimentParams;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Parses the common `--quick` / `--full` / `--seed N` flags.
 pub fn params_from_args() -> ExperimentParams {
@@ -77,6 +79,38 @@ pub fn arg_f64(name: &str, default: f64) -> f64 {
 /// Prints a rule line for table output.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
+}
+
+/// The frame the decode benchmarks time: the paper's operating point.
+pub struct FrameDecodeScenario {
+    /// 64 subcarriers, 64-QAM, 2048-bit payload per client.
+    pub cfg: PhyConfig,
+    /// Indoor frequency-selective 4×4 Rayleigh, 64-point FFT.
+    pub model: SelectiveRayleighChannel,
+    /// `model` realized from seed 2014.
+    pub channel: MimoChannel,
+    /// 28 dB.
+    pub snr_db: f64,
+}
+
+/// The one definition of [`FrameDecodeScenario`], shared by the
+/// `frame_decode_4x4_qam64_64sc` Criterion group and `bench_gate`.
+pub fn frame_decode_scenario() -> FrameDecodeScenario {
+    let model = SelectiveRayleighChannel {
+        n_fft: 64,
+        n_subcarriers: 64,
+        ..SelectiveRayleighChannel::indoor(4, 4)
+    };
+    FrameDecodeScenario {
+        cfg: PhyConfig {
+            n_subcarriers: 64,
+            payload_bits: 2048,
+            ..PhyConfig::new(Constellation::Qam64)
+        },
+        channel: model.realize(&mut StdRng::seed_from_u64(2014)),
+        model,
+        snr_db: 28.0,
+    }
 }
 
 /// Decodes one uplink frame the way a subcarrier-at-a-time receiver would:

@@ -260,14 +260,15 @@ struct DeliveryWindow {
     head: usize,
 }
 
-/// Ring capacity. Sized so the ring spans the full [`WINDOW_SPAN`] at any
-/// rate the pipeline can physically sustain (bench_gate saturates in the
-/// 400–1300 fps range; 4096 leaves 3× headroom): a ring shorter than one
+/// Ring capacity. Sized so the ring spans the full [`WINDOW_SPAN`] at the
+/// paper's operating point (4×4 64-QAM 2048-bit frames saturate around
+/// 1200 fps on a 2-vCPU machine, 3× under this): a ring shorter than one
 /// second of deliveries silently **shrank the horizon** of the windowed
 /// rates under load — throughput clamped at `WINDOW_EVENTS` fps and the
 /// miss rate covered only the trailing fraction of a second, exactly when
-/// the control plane needed the true figures. Should deliveries outpace
-/// even this, [`DeliveryWindow::rates`] now divides by the span the
+/// the control plane needed the true figures. Small frames do outpace it
+/// (rxbench's `saturate_small_qam16_flat`, 256-bit 16-QAM frames, sustains
+/// ~5300 fps); there [`DeliveryWindow::rates`] divides by the span the
 /// retained events actually cover, so the rate stays correct and only the
 /// averaging horizon narrows.
 const WINDOW_EVENTS: usize = 4096;

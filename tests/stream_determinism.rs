@@ -72,6 +72,7 @@ use gs_channel::{
 };
 use gs_modulation::Constellation;
 use gs_phy::{decode_frame_batched_into, FrameWorkspace, PhyConfig, UplinkOutcome};
+use gs_prof::trace as gtrace;
 use gs_runtime::{DetectorLadder, FrameStream, PinnedPolicy, StreamConfig, UplinkFrame};
 use proptest::strategy::Strategy;
 use rand::rngs::StdRng;
@@ -382,7 +383,19 @@ fn assert_stream_steady_state_allocation_free() {
     // marks.
     drive(1_000, 18);
 
+    // Every refused `try_submit` fires `Trigger::AdmissionRefusal`, and a
+    // dump capture is a cold path that allocates. The window's contract
+    // excludes capture: one manual capture before it starts the rate
+    // limiter's clock and an unbounded gap holds capture off, while the
+    // refusal events and trigger counting stay inside the window. (Without
+    // the recorder compiled in, nothing captures and this is a no-op.)
+    gtrace::clear_dumps();
+    gtrace::trigger(gtrace::Trigger::Manual, gtrace::NO_FRAME);
+    gtrace::set_min_dump_gap_ms(u64::MAX);
+    let dumps = gtrace::dump_count();
     let (delta, ok) = allocations_during_all_threads(|| drive(2_000, 9));
+    assert_eq!(gtrace::dump_count(), dumps, "a dump was captured inside the measured window");
+    gtrace::set_min_dump_gap_ms(200);
     assert_eq!(
         delta, 0,
         "streaming pipeline allocated {delta} times across 9 warmed frames (pipeline full)"

@@ -41,9 +41,11 @@
 //! Each run writes `BENCH_<mode>.json` (or `--out <path>`): one flat JSON
 //! object of header fields and `"key": number` pairs, with the per-stage
 //! profile as `stage.*` keys when built with `--features gs-prof/profile`.
-//! `campaign` writes `CampaignReport::render_json` instead. A baseline is
-//! a committed copy of a run's output at `crates/bench/baselines/<mode>.json`;
-//! to refresh one, copy a run's output over it. Flags: `--mode <mode>`,
+//! `campaign` writes `CampaignReport::render_json` instead; that report
+//! is timing-independent, and CI `cmp`s the `GS_SPEEDUP=16` run against
+//! its baseline byte for byte. A baseline is a committed copy of a run's
+//! output at `crates/bench/baselines/<mode>.json`; to refresh one, copy a
+//! run's output over it. Flags: `--mode <mode>`,
 //! `--out <path>`, `--samples <n>` (timed samples per measurement, 12).
 
 use geosphere_core::{geosphere_decoder, DetectorTier, MimoDetector, MmseDetector};

@@ -3,8 +3,8 @@
 //!
 //! Every multi-worker detection path runs on [`ShardedDetectionPool`]: the
 //! streaming base-station runtime (`gs-runtime`), where many frames are in
-//! flight at once and the workers must never idle while some other frame
-//! is being planned or recovered, and the frame-synchronous
+//! flight at once and the pool's workers run each of them from plan to
+//! delivery, and the frame-synchronous
 //! [`DetectionPool`](crate::DetectionPool) front (one shard per worker)
 //! that single receive loops lend one frame at a time.
 //!
@@ -27,11 +27,12 @@
 //!
 //! The pool is deliberately **frame-agnostic**: a task is an
 //! `Arc<dyn ShardedJob>` plus an opaque `token`, and [`ShardedJob::run_shard`]
-//! does whatever "detect my shard's portion" means for the embedder
-//! (`gs-runtime` implements it over its slot table, `DetectionPool` over
-//! one lent frame; the runtime's per-shard channel-table replicas live in
-//! its per-shard portions, refreshed by the shard's own workers so
-//! first-touch places them on the right domain).
+//! does whatever "run my shard's part" means for the embedder
+//! (`gs-runtime` implements it over its slot table — plan, detect and
+//! recover — and `DetectionPool` over one lent frame; the runtime's
+//! per-shard channel-table replicas live in its per-shard portions,
+//! refreshed by the shard's own workers so first-touch places them on the
+//! right domain).
 //! Submitting clones the `Arc` (a refcount bump) and pushes into a
 //! fixed-capacity heap — **zero heap allocations per task** once the pool
 //! is constructed, which is what lets the streaming runtime keep PR 3's
@@ -79,7 +80,10 @@ impl std::error::Error for PoolPoisoned {}
 /// Implementations must be safe to invoke from any pool worker and for
 /// several `(shard, token)` pairs concurrently — the pool guarantees only
 /// that each *submitted task* is run exactly once, on a worker pinned to
-/// the task's shard.
+/// the task's shard. A running task may [`ShardedDetectionPool::submit`]
+/// follow-up tasks to any shard (the runtime fans a frame's portions out
+/// this way), but must never wait for them: its own shard's worker may be
+/// the one to run them.
 pub trait ShardedJob: Send + Sync {
     /// Runs the portion. `ws` is the worker's long-lived detector
     /// workspace, reused across every task the worker ever runs — the
@@ -242,7 +246,8 @@ pub struct ShardedDetectionPool {
 
 impl ShardedDetectionPool {
     /// Spawns `workers` threads (≥ 1) spread round-robin over `shards`
-    /// queues, each shard capped at `capacity` queued tasks.
+    /// queues, each shard capped at `capacity` queued tasks. Worker `k` of
+    /// shard `s` is named `gs-shard{s}-w{k}`.
     ///
     /// `shards == 0` resolves to one shard per discovered memory domain
     /// ([`crate::affinity::memory_domains`], honouring `GS_DOMAINS`); any
@@ -308,17 +313,20 @@ impl ShardedDetectionPool {
                 let shard = w % n_shards;
                 let state = Arc::clone(&shard_states[shard]);
                 let poisoned = Arc::clone(&poisoned);
+                let k = w / n_shards;
                 let cpus = &shard_cpus[shard];
-                let cpu =
-                    if cpus.is_empty() { None } else { Some(cpus[(w / n_shards) % cpus.len()]) };
-                std::thread::spawn(move || {
-                    if let Some(cpu) = cpu {
-                        // Best-effort: a rejected mask leaves the worker
-                        // unpinned, never broken.
-                        crate::affinity::pin_current_thread(cpu);
-                    }
-                    shard_worker_loop(&state, &poisoned, shard)
-                })
+                let cpu = if cpus.is_empty() { None } else { Some(cpus[k % cpus.len()]) };
+                std::thread::Builder::new()
+                    .name(format!("gs-shard{shard}-w{k}"))
+                    .spawn(move || {
+                        if let Some(cpu) = cpu {
+                            // Best-effort: a rejected mask leaves the worker
+                            // unpinned, never broken.
+                            crate::affinity::pin_current_thread(cpu);
+                        }
+                        shard_worker_loop(&state, &poisoned, shard)
+                    })
+                    .expect("spawn shard worker")
             })
             .collect();
 
@@ -337,8 +345,8 @@ impl ShardedDetectionPool {
     /// worker is currently running finishes first.
     ///
     /// Must not be called from a pool worker (a worker would join itself);
-    /// pool workers only ever see the pool through [`ShardedJob`], which
-    /// offers no path here.
+    /// embedders whose jobs reach the pool (to submit follow-up tasks) must
+    /// keep this call on their own threads.
     pub fn shutdown_and_join(&self) {
         for state in &self.shards {
             lock_ignoring_poison(&state.q).shutdown = true;
@@ -705,6 +713,30 @@ mod tests {
         let pool = ShardedDetectionPool::new_with_pinning(0, 4, 4, false);
         let domains = crate::affinity::memory_domains();
         assert_eq!(pool.shards(), domains.len().clamp(1, 4));
+    }
+
+    #[test]
+    fn workers_are_named_by_shard_and_rank() {
+        struct Names(Mutex<Vec<(usize, String)>>);
+        impl ShardedJob for Names {
+            fn run_shard(&self, shard: usize, _: usize, _: &mut DetectorWorkspace) {
+                let name = std::thread::current().name().unwrap_or("<unnamed>").to_string();
+                self.0.lock().unwrap().push((shard, name));
+            }
+        }
+        let pool = ShardedDetectionPool::new_with_pinning(2, 2, 4, false);
+        let names = Arc::new(Names(Mutex::new(Vec::new())));
+        let job: Arc<dyn ShardedJob> = names.clone();
+        pool.submit(0, NO_DEADLINE, 0, &job).unwrap();
+        pool.submit(1, NO_DEADLINE, 1, &job).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while names.0.lock().unwrap().len() < 2 {
+            assert!(std::time::Instant::now() < deadline, "tasks never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut seen = names.0.lock().unwrap().clone();
+        seen.sort();
+        assert_eq!(seen, vec![(0, "gs-shard0-w0".into()), (1, "gs-shard1-w0".into())]);
     }
 
     #[test]

@@ -90,8 +90,10 @@ pub enum Stage {
     /// transmit chain's CRC is simulator work and counts under
     /// [`Stage::Plan`].
     Crc,
-    /// Time detection tasks spend queued in a worker pool between submit
-    /// and pop (wall time, recorded via [`record`] on the popping thread).
+    /// Time tasks spend queued in a worker pool between submit and pop
+    /// (wall time, recorded via [`record`] on the popping thread). In the
+    /// streaming runtime this covers a frame's admission task (admission →
+    /// the pop that plans it) as well as its detection portions.
     Queue,
     /// Streaming-runtime delivery: completion queue, in-order parking.
     Delivery,

@@ -8,35 +8,44 @@
 //! is an architecture problem layered above it. The synchronous entry
 //! point (`decode_frame_batched_into`) blocks until one frame fully
 //! drains, so its worker pool idles during planning and payload recovery.
-//! [`FrameStream`] removes that bubble with a three-stage pipeline whose
-//! stages overlap **across frames**:
+//! [`FrameStream`] removes that bubble by running every frame, start to
+//! finish, on the workers of one pool, so frames overlap **across
+//! workers**:
 //!
 //! ```text
-//!   sources ──▶ [admission: bounded slot pool] ──▶ plan ─▶ detect ─▶ recover ──▶ recv()
-//!                (backpressure)                    │         │          │
-//!                                        planner thread(s)   │     recovery thread
+//!   sources ──▶ [admission: bounded slot pool] ──▶ home shard's EDF queue
+//!                (backpressure)                     (frame_id % shards)
 //!                                                            │
-//!                                      ShardedDetectionPool: one EDF queue +
-//!                                      channel-table replica per memory domain,
-//!                                      workers pinned inside their domain
+//!   home shard's worker:   plan ─▶ submit other portions ─▶ detect own portion ─┐
+//!   other shards' workers:                    detect own portion ───────────────┤
+//!                                   last portion done: recover ─▶ in-order delivery ──▶ recv()
+//!
+//!   ShardedDetectionPool: one EDF queue + channel-table replica per
+//!   memory domain, workers pinned inside their domain
 //! ```
 //!
 //! * **Ingress** ([`FrameStream::submit`] / [`FrameStream::try_submit`]):
 //!   any number of threads submit [`UplinkFrame`]s. Admission is bounded
 //!   by the slot pool ([`StreamConfig::capacity`]); `submit` blocks when
-//!   full (backpressure), `try_submit` refuses.
-//! * **Plan**: a planner thread seeds the frame's own RNG, runs the
-//!   transmit chains and packages detection jobs into the slot's recycled
-//!   [`gs_phy::FrameWorkspace`], then splits the channel-grouped job order
-//!   into per-shard portions.
+//!   full (backpressure), `try_submit` refuses. An admitted frame becomes
+//!   one task on its home shard's queue, ordered earliest-deadline-first
+//!   from admission on.
+//! * **Plan**: the worker that pops the home task seeds the frame's own
+//!   RNG, runs the transmit chains and packages detection jobs into the
+//!   slot's recycled [`gs_phy::FrameWorkspace`], splits the
+//!   channel-grouped job order into per-shard portions, and submits the
+//!   other shards' portions.
 //! * **Detect**: `geosphere-core`'s
 //!   [`ShardedDetectionPool`](geosphere_core::ShardedDetectionPool) runs
 //!   each portion on a worker pinned in the shard's memory domain,
 //!   earliest-deadline-first within the shard, through per-worker reusable
-//!   workspaces and per-shard channel-table replicas.
-//! * **Recover**: the recovery thread scatters detections back to job
-//!   order, runs the per-client receive chains (Viterbi/CRC), accounts
-//!   deadlines, and delivers.
+//!   workspaces and per-shard channel-table replicas. The home portion
+//!   runs inline after the plan, so every shard pops exactly once per
+//!   frame.
+//! * **Recover**: the worker whose portion finishes last scatters
+//!   detections back to job order, runs the per-client receive chains
+//!   (Viterbi/CRC), accounts deadlines, and delivers. A panic anywhere in
+//!   a frame poisons the pool, and the stream reports [`StreamDead`].
 //! * **Egress** ([`FrameStream::recv`]): completions arrive in **per-client
 //!   submission order** regardless of internal reordering; dropping the
 //!   [`Completed`] guard recycles the slot.
@@ -72,10 +81,12 @@
 //!
 //! ## Knobs
 //!
-//! [`StreamConfig`] sizes the engine; `GS_DOMAINS` overrides memory-domain
-//! discovery, `GS_NO_PIN` disables worker pinning, `GS_SIMD` selects the
-//! kernel tier — all under the shared warn-and-fallback policy
-//! (`geosphere_core::env`).
+//! [`StreamConfig`] sizes the engine: client lanes, pool workers, shards
+//! and slot capacity (its `planners` field is ignored — the pool workers
+//! plan). A stream spawns no thread but its pool workers, named
+//! `gs-shard{s}-w{k}`. `GS_DOMAINS` overrides memory-domain discovery,
+//! `GS_NO_PIN` disables worker pinning, `GS_SIMD` selects the kernel tier —
+//! all under the shared warn-and-fallback policy (`geosphere_core::env`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

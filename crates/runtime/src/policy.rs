@@ -32,7 +32,10 @@ use geosphere_core::DetectorTier;
 /// decided (the slot is already claimed when the policy runs).
 #[derive(Clone, Copy, Debug)]
 pub struct PressureSignal<'a> {
-    /// Queued detection tasks per shard at admission time.
+    /// Tasks waiting for a worker per shard at admission time: admitted
+    /// frames not yet started (each is one task on its home shard) plus,
+    /// with several shards, portions of started frames. With one shard it
+    /// is exactly the count of admitted frames still waiting for a worker.
     pub shard_queue_depths: &'a [usize],
     /// Fraction of recently delivered frames that missed their deadline
     /// ([`RuntimeStats::windowed_miss_rate`](crate::RuntimeStats::windowed_miss_rate));

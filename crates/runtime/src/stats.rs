@@ -67,7 +67,9 @@ pub struct RuntimeStats {
     pub shards: usize,
     /// Total detection workers across all shards.
     pub workers: usize,
-    /// Queued detection tasks per shard, at snapshot time.
+    /// Tasks waiting for a worker per shard, at snapshot time: admitted
+    /// frames not yet started plus queued portions of started ones (see
+    /// [`PressureSignal::shard_queue_depths`](crate::PressureSignal::shard_queue_depths)).
     pub shard_queue_depths: Vec<usize>,
     /// Wall-clock since the stream was created.
     pub elapsed: Duration,
@@ -90,10 +92,12 @@ pub struct RuntimeStats {
     /// happens, so time parked behind slow predecessors counts. Recorded
     /// allocation-free on the hot path; this snapshot is an owned copy.
     pub latency_per_client: Vec<HistogramSnapshot>,
-    /// Submit→pop queue-wait histogram per detection shard (nanoseconds),
-    /// recorded by the shard workers at the same point the `gs_prof`
-    /// Queue stage is stamped — but always on, not only under
-    /// `--features profile`.
+    /// Submit→pop queue-wait histogram per shard (nanoseconds): admission
+    /// → first pop for a frame's home task, plan → pop for the other
+    /// shards' portions. Recorded by the shard workers at the same point
+    /// the `gs_prof` Queue stage is stamped — but always on, not only
+    /// under `--features profile`. Each frame adds exactly one sample per
+    /// shard.
     pub queue_wait_per_shard: Vec<HistogramSnapshot>,
     /// Deadline slack (deadline − delivery instant, nanoseconds) of
     /// deliveries that made their deadline.

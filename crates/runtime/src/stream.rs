@@ -1,16 +1,16 @@
-//! The [`FrameStream`] engine: slot pool, stage threads, ordering.
+//! The [`FrameStream`] engine: slot pool, frame tasks, ordering.
 //!
 //! See the crate docs for the architecture. This module holds the whole
-//! engine: the bounded slot pool (admission control), the planner and
-//! recovery stage threads, the [`ShardedJob`] adapter that runs the detect
-//! stage on `geosphere-core`'s domain-sharded pool, per-client in-order
-//! completion delivery, and the stats counters.
+//! engine: the bounded slot pool (admission control), the [`ShardedJob`]
+//! that runs each frame from plan to delivery on `geosphere-core`'s
+//! domain-sharded pool, per-client in-order completion delivery, and the
+//! stats counters.
 
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
 use crate::stats::RuntimeStats;
 use geosphere_core::{
     ChannelOrder, Detection, DetectionBatch, DetectorLadder, DetectorStats, DetectorTier,
-    DetectorWorkspace, MimoDetector, ShardedDetectionPool, ShardedJob, NO_DEADLINE,
+    DetectorWorkspace, MimoDetector, PoolPoisoned, ShardedDetectionPool, ShardedJob, NO_DEADLINE,
 };
 use gs_channel::MimoChannel;
 use gs_linalg::Matrix;
@@ -20,9 +20,8 @@ use gs_prof::trace as gtrace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One frame submission: everything the runtime needs to plan, detect,
@@ -48,9 +47,9 @@ pub struct UplinkFrame {
     /// Overrides the stream's base `payload_bits` for this frame
     /// (`None` = the base config's length).
     pub payload_bits: Option<usize>,
-    /// Optional completion deadline. Within a shard, detection is
-    /// scheduled earliest-deadline-first; deadline-free frames run after
-    /// all deadline-bearing ones, FIFO. A missed deadline never drops the
+    /// Optional completion deadline. Within a shard, frames are started
+    /// and detected earliest-deadline-first; deadline-free frames run
+    /// after all deadline-bearing ones, FIFO. A missed deadline never drops the
     /// frame — it is recorded ([`Completed::missed_deadline`],
     /// [`RuntimeStats::deadline_misses`]).
     pub deadline: Option<Instant>,
@@ -63,10 +62,10 @@ impl UplinkFrame {
     }
 }
 
-/// The stream can no longer make progress: a detection worker panicked
-/// (poisoning the [`ShardedDetectionPool`]) or a planner/recovery thread
-/// unwound. Outstanding frames will never complete; the stream must be
-/// torn down. Returned as a typed error (rather than a panic on the
+/// The stream can no longer make progress: a pool worker panicked while
+/// planning, detecting or recovering a frame, poisoning the
+/// [`ShardedDetectionPool`]. Outstanding frames will never complete; the
+/// stream must be torn down. Returned as a typed error (rather than a panic on the
 /// submitting thread) so fault-injection campaigns can record worker loss
 /// as a scenario outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +73,7 @@ pub struct StreamDead;
 
 impl std::fmt::Display for StreamDead {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "frame stream is dead: a detection worker or stage thread panicked")
+        write!(f, "frame stream is dead: a pool worker panicked")
     }
 }
 
@@ -106,21 +105,23 @@ impl TrySubmitError {
 pub struct StreamConfig {
     /// Distinct source lanes (ordering domains). Must be ≥ 1.
     pub clients: usize,
-    /// Detection workers across all shards (`0` = machine parallelism).
+    /// Pool workers across all shards (`0` = machine parallelism); they
+    /// plan, detect and recover every frame.
     pub workers: usize,
-    /// Detection shards (`0` = one per discovered memory domain; clamped
-    /// to `1..=workers`).
+    /// Pool shards (`0` = one per discovered memory domain; clamped to
+    /// `1..=workers`).
     pub shards: usize,
     /// Frames admitted concurrently (the slot-pool bound; `0` resolves to
-    /// `2 × workers + 2`, enough to keep every stage busy). **Admission
+    /// `2 × workers + 2`, enough to keep every worker busy). **Admission
     /// policy:** [`FrameStream::submit`] blocks while all slots are in
     /// flight — backpressure propagates to sources — and
     /// [`FrameStream::try_submit`] refuses instead, for loss-tolerant
     /// sources. A slot is released when the consumer drops the frame's
     /// [`Completed`] guard.
     pub capacity: usize,
-    /// Plan-stage threads (`0` resolves to 1; planning is cheap relative
-    /// to detection, so 1 usually suffices).
+    /// Ignored; removed with the next benchmark PR. Planning (~30% of a
+    /// frame's work) runs on the pool worker that pops the frame's home
+    /// task, so there are no planner threads to size.
     pub planners: usize,
     /// Pin detection workers inside their shard's memory domain (default:
     /// on, unless `GS_NO_PIN` opts out).
@@ -129,8 +130,8 @@ pub struct StreamConfig {
 
 impl StreamConfig {
     /// Defaults for `clients` source lanes: machine-sized workers, one
-    /// shard per memory domain, automatic capacity, one planner, pinning
-    /// per `GS_NO_PIN`.
+    /// shard per memory domain, automatic capacity, pinning per
+    /// `GS_NO_PIN`.
     pub fn new(clients: usize) -> Self {
         StreamConfig {
             clients,
@@ -182,8 +183,8 @@ impl SlotMeta {
     }
 }
 
-/// The frame's plan/assembly state: written by the planner, read by the
-/// shard workers, written again by the recovery stage. Lock order is
+/// The frame's plan/assembly state: written by the home task's plan, read
+/// by every shard's detection, written again by recovery. Lock order is
 /// always core-then-portion.
 struct SlotCore {
     ws: FrameWorkspace,
@@ -196,9 +197,9 @@ struct SlotCore {
 
 /// One shard's portion of a frame: the job indices it owns, its local
 /// channel-table replica, and its detection outputs. The replica is
-/// refreshed by the shard's *own* worker (not the planner), so first-touch
-/// places it in the shard's memory domain; all three buffers are recycled
-/// frame over frame.
+/// refreshed by the shard's *own* worker (not the planning one), so
+/// first-touch places it in the shard's memory domain; all three buffers
+/// are recycled frame over frame.
 struct Portion {
     indices: Vec<usize>,
     channels: Vec<Matrix>,
@@ -217,7 +218,7 @@ struct Slot {
     core: RwLock<SlotCore>,
     portions: Vec<Mutex<Portion>>,
     /// Shards still detecting this frame; the worker that decrements it to
-    /// zero hands the frame to recovery.
+    /// zero recovers and delivers the frame.
     remaining: AtomicU64,
 }
 
@@ -363,45 +364,16 @@ struct Shared {
     n_clients: usize,
     capacity: usize,
     pool: ShardedDetectionPool,
+    /// The one job every pool task runs, built once so submitting never
+    /// allocates.
+    job: Arc<dyn ShardedJob>,
     free: Mutex<Vec<usize>>,
     free_cv: Condvar,
-    plan_q: Mutex<VecDeque<usize>>,
-    plan_cv: Condvar,
-    recover_q: Mutex<VecDeque<usize>>,
-    recover_cv: Condvar,
     done_q: Mutex<VecDeque<usize>>,
     done_cv: Condvar,
     lanes: Mutex<Vec<ClientLane>>,
     stats: StatsInner,
-    shutdown: AtomicBool,
-    /// Set when a planner or recovery thread unwound — the stage-thread
-    /// counterpart of the detection pool's poison flag, so `recv`/`submit`
-    /// fail fast instead of waiting on a frame that can never arrive.
-    stage_panicked: AtomicBool,
     epoch: Instant,
-}
-
-impl Shared {
-    fn is_dead(&self) -> bool {
-        self.pool.is_poisoned() || self.stage_panicked.load(Ordering::SeqCst)
-    }
-}
-
-/// Marks the engine dead when a stage thread unwinds (planner assert,
-/// recovery panic, a detector panicking inside `plan`'s transmit chain…).
-struct StagePoisonOnPanic<'a>(&'a Shared);
-
-impl Drop for StagePoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.stage_panicked.store(true, Ordering::SeqCst);
-            // Black-box the death: record the fault against whatever
-            // frame this stage thread was working (ambient context), then
-            // snapshot the rings before the stream winds down.
-            gtrace::emit(gtrace::TracePoint::Fault);
-            gtrace::trigger(gtrace::Trigger::Fault, gtrace::context().frame);
-        }
-    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -411,23 +383,48 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The [`ShardedJob`] the runtime submits: a weak handle so queued tasks
 /// never keep the engine alive (workers are joined before `Shared` drops;
 /// the upgrade guard is belt-and-braces for mid-teardown pops).
-struct DetectJob {
+struct FrameJob {
     shared: Weak<Shared>,
 }
 
-impl ShardedJob for DetectJob {
+impl ShardedJob for FrameJob {
     fn run_shard(&self, shard: usize, token: usize, ws: &mut DetectorWorkspace) {
         if let Some(shared) = self.shared.upgrade() {
-            shared.detect_portion(shard, token, ws);
+            shared.run_task(shard, token, ws);
         }
     }
 }
 
 impl Shared {
-    /// The detect stage for one `(frame, shard)` portion, run on a pinned
-    /// shard worker: refresh the shard's channel replica, detect its job
-    /// indices through the worker's reusable workspace, and hand the frame
-    /// to recovery when this was the last outstanding shard.
+    /// The shard whose queue takes a frame's admission task.
+    fn home_shard(&self, frame_id: u64) -> usize {
+        (frame_id % self.n_shards as u64) as usize
+    }
+
+    /// One pool task, i.e. one pop of `shard`'s queue for the frame in
+    /// `slot_idx`. The home shard's pop plans the frame and fans the other
+    /// shards' portions out; every pop then detects its own portion, and
+    /// the pop that finishes last recovers and delivers the frame. So each
+    /// shard pops exactly once per frame.
+    fn run_task(&self, shard: usize, slot_idx: usize, ws: &mut DetectorWorkspace) {
+        let slot = &self.slots[slot_idx];
+        let home = self.home_shard(lock(&slot.meta).frame_id);
+        if shard == home && self.plan_frame(slot_idx, home).is_err() {
+            // The pool died under us: the frame is abandoned (its other
+            // shards will never run), and `pool.is_poisoned()` already
+            // reports the poisoning to submit/recv.
+            return;
+        }
+        self.detect_portion(shard, slot_idx, ws);
+        if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.stats.detected.fetch_add(1, Ordering::Relaxed);
+            self.recover_frame(slot_idx);
+        }
+    }
+
+    /// Detection of one `(frame, shard)` portion on a pinned shard worker:
+    /// refresh the shard's channel replica and detect its job indices
+    /// through the worker's reusable workspace.
     fn detect_portion(&self, shard: usize, slot_idx: usize, ws: &mut DetectorWorkspace) {
         let slot = &self.slots[slot_idx];
         {
@@ -444,7 +441,7 @@ impl Shared {
                 // Refresh the shard's channel-table replica so detection
                 // reads domain-local memory. With a single shard the
                 // replica cannot improve locality (same domain as the
-                // planner's table), so the copy is skipped outright; with
+                // planned table), so the copy is skipped outright; with
                 // several, only the shard's own channel range is copied —
                 // the portion is a contiguous slice of the channel-grouped
                 // order, so its channels are exactly `c_lo..=c_hi`
@@ -478,17 +475,15 @@ impl Shared {
                 );
             }
         }
-        if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.stats.detected.fetch_add(1, Ordering::Relaxed);
-            lock(&self.recover_q).push_back(slot_idx);
-            self.recover_cv.notify_one();
-        }
     }
 
-    /// The plan stage for one frame, run on a planner thread.
-    fn plan_frame(&self, slot_idx: usize, job: &Arc<dyn ShardedJob>) {
+    /// Plans one frame on its home shard's worker and submits the other
+    /// shards' portions. The worker's ambient trace context is already the
+    /// frame's (the pool adopted it from the admission task), so the phy
+    /// plan scope and the portions' enqueue instants pick it up.
+    fn plan_frame(&self, slot_idx: usize, home: usize) -> Result<(), PoolPoisoned> {
         let slot = &self.slots[slot_idx];
-        let (channel, cfg, snr_db, seed, deadline_key, tier, frame_id, client) = {
+        let (channel, cfg, snr_db, seed, deadline_key, tier) = {
             let meta = lock(&slot.meta);
             (
                 Arc::clone(meta.channel.as_ref().expect("slot submitted without a channel")),
@@ -497,13 +492,8 @@ impl Shared {
                 meta.seed,
                 meta.deadline_key,
                 meta.tier,
-                meta.frame_id,
-                meta.client,
             )
         };
-        // Ambient frame identity for the recorder: the phy plan scope and
-        // the pool's enqueue instants pick it up without plumbing.
-        gtrace::set_context(trace_ctx(frame_id, client, tier));
         {
             let mut core = slot.core.write().unwrap_or_else(std::sync::PoisonError::into_inner);
             let core = &mut *core;
@@ -531,33 +521,23 @@ impl Shared {
         }
         slot.remaining.store(self.n_shards as u64, Ordering::Release);
         self.stats.planned.fetch_add(1, Ordering::Relaxed);
-        for s in 0..self.n_shards {
-            if self.pool.submit(s, deadline_key, slot_idx, job).is_err() {
-                // The pool died under us: the frame is abandoned (its
-                // remaining shards will never run), and `is_dead()` already
-                // reports the poisoning to submit/recv — nothing further
-                // to do but stop feeding a dead pool.
-                gtrace::clear_context();
-                return;
-            }
+        // The home portion runs inline on this worker, never as a task of
+        // its own: that keeps one pop per shard per frame.
+        for s in (0..self.n_shards).filter(|&s| s != home) {
+            self.pool.submit(s, deadline_key, slot_idx, &self.job)?;
         }
-        gtrace::clear_context();
+        Ok(())
     }
 
-    /// The recover stage for one frame, run on the recovery thread:
-    /// scatter every shard's detections back to job order, run the
-    /// per-client receive chains, and deliver in per-client submission
-    /// order. Deadline accounting happens in [`Shared::deliver`], not
-    /// here — a frame parked behind a slow predecessor can still miss.
+    /// Recovery of one frame, run inline by the shard worker whose portion
+    /// finished last: scatter every shard's detections back to job order,
+    /// run the per-client receive chains, and deliver in per-client
+    /// submission order. Deadline accounting happens in
+    /// [`Shared::deliver`], not here — a frame parked behind a slow
+    /// predecessor can still miss. The worker's ambient trace context is
+    /// the frame's, as for every task.
     fn recover_frame(&self, slot_idx: usize) {
         let slot = &self.slots[slot_idx];
-        {
-            let (frame_id, client, tier) = {
-                let meta = lock(&slot.meta);
-                (meta.frame_id, meta.client, meta.tier)
-            };
-            gtrace::set_context(trace_ctx(frame_id, client, tier));
-        }
         {
             let mut core = slot.core.write().unwrap_or_else(std::sync::PoisonError::into_inner);
             let core = &mut *core;
@@ -602,14 +582,11 @@ impl Shared {
             let cell = &mut lane.parked[(seq % self.capacity as u64) as usize];
             // A hard assert, not a debug one: an occupied cell means a
             // sequencing bug is about to overwrite (lose) a completed
-            // frame. Panicking here trips `StagePoisonOnPanic` — the
-            // recovery thread unwinds and the stream reports dead, the
-            // same fail-fast discipline as the detection pool's
-            // panic-poisoning.
+            // frame. Panicking here poisons the pool like any other worker
+            // panic, and the stream reports dead.
             assert!(cell.is_none(), "parking ring cell already occupied (seq {seq})");
             *cell = Some(slot_idx);
         }
-        gtrace::clear_context();
     }
 
     /// Makes one frame observable: accounts its deadline **now** (a frame
@@ -636,8 +613,8 @@ impl Shared {
             }
             (meta.missed_deadline, meta.frame_id, meta.client, meta.tier)
         };
-        // Explicit identity: the recovery thread's ambient context is the
-        // frame being recovered, which may differ when draining parked
+        // Explicit identity: the recovering worker's ambient context is
+        // the frame being recovered, which may differ when draining parked
         // successors.
         gtrace::emit_for(
             gtrace::TracePoint::Deliver,
@@ -699,56 +676,14 @@ fn trace_ctx(frame_id: u64, client: usize, tier: DetectorTier) -> gtrace::FrameC
     }
 }
 
-fn planner_loop(shared: &Arc<Shared>) {
-    let job: Arc<dyn ShardedJob> = Arc::new(DetectJob { shared: Arc::downgrade(shared) });
-    let _poison = StagePoisonOnPanic(shared);
-    loop {
-        let slot_idx = {
-            let mut q = lock(&shared.plan_q);
-            loop {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(idx) = q.pop_front() {
-                    break idx;
-                }
-                q = shared.plan_cv.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        shared.plan_frame(slot_idx, &job);
-    }
-}
-
-fn recover_loop(shared: &Arc<Shared>) {
-    let _poison = StagePoisonOnPanic(shared);
-    loop {
-        let slot_idx = {
-            let mut q = lock(&shared.recover_q);
-            loop {
-                // Shutdown wins over queued frames — dropping the stream
-                // abandons in-flight work rather than draining it.
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(idx) = q.pop_front() {
-                    break idx;
-                }
-                q = shared.recover_cv.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        shared.recover_frame(slot_idx);
-    }
-}
-
 /// A streaming multi-frame uplink engine: admits [`UplinkFrame`]s from many
-/// concurrent sources and pipelines them through *plan → detect → recover*
-/// with cross-frame overlap. See the crate docs for the architecture and
-/// guarantees, [`StreamConfig`] for sizing, [`FrameStream::submit`] /
-/// [`FrameStream::recv`] for the ingress/egress pair.
+/// concurrent sources and runs each through *plan → detect → recover* on
+/// the pool workers, frames overlapping across workers. See the crate docs
+/// for the architecture and guarantees, [`StreamConfig`] for sizing,
+/// [`FrameStream::submit`] / [`FrameStream::recv`] for the ingress/egress
+/// pair.
 pub struct FrameStream {
     shared: Arc<Shared>,
-    planners: Vec<JoinHandle<()>>,
-    recover: Option<JoinHandle<()>>,
 }
 
 impl FrameStream {
@@ -807,7 +742,6 @@ impl FrameStream {
             sc.workers
         };
         let capacity = if sc.capacity == 0 { 2 * workers + 2 } else { sc.capacity };
-        let planners = sc.planners.max(1);
 
         // Every shard queue can hold every in-flight frame at once.
         let pool = ShardedDetectionPool::new_with_pinning(sc.shards, workers, capacity, sc.pin);
@@ -830,7 +764,7 @@ impl FrameStream {
             .map(|_| ClientLane { next_submit: 0, next_deliver: 0, parked: vec![None; capacity] })
             .collect();
 
-        let shared = Arc::new(Shared {
+        let shared = Arc::new_cyclic(|weak| Shared {
             base_cfg: cfg,
             ladder,
             policy: Mutex::new(policy),
@@ -844,12 +778,9 @@ impl FrameStream {
             n_clients: sc.clients,
             capacity,
             pool,
+            job: Arc::new(FrameJob { shared: weak.clone() }),
             free: Mutex::new((0..capacity).rev().collect()),
             free_cv: Condvar::new(),
-            plan_q: Mutex::new(VecDeque::with_capacity(capacity)),
-            plan_cv: Condvar::new(),
-            recover_q: Mutex::new(VecDeque::with_capacity(capacity)),
-            recover_cv: Condvar::new(),
             done_q: Mutex::new(VecDeque::with_capacity(capacity)),
             done_cv: Condvar::new(),
             lanes: Mutex::new(lanes),
@@ -863,37 +794,17 @@ impl FrameStream {
                 tier_admissions: std::array::from_fn(|_| AtomicU64::new(0)),
                 last_tier: AtomicU8::new(DetectorTier::Sphere as u8),
             },
-            shutdown: AtomicBool::new(false),
-            stage_panicked: AtomicBool::new(false),
             epoch: Instant::now(),
         });
-
-        let planner_handles = (0..planners)
-            .map(|k| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("gs-plan-{k}"))
-                    .spawn(move || planner_loop(&shared))
-                    .expect("spawn planner thread")
-            })
-            .collect();
-        let recover = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("gs-recover".into())
-                .spawn(move || recover_loop(&shared))
-                .expect("spawn recovery thread")
-        };
-
-        FrameStream { shared, planners: planner_handles, recover: Some(recover) }
+        FrameStream { shared }
     }
 
-    /// The resolved shard count of the detect stage.
+    /// The resolved shard count of the worker pool.
     pub fn shards(&self) -> usize {
         self.shared.n_shards
     }
 
-    /// The total detection worker count.
+    /// The total pool worker count.
     pub fn workers(&self) -> usize {
         self.shared.pool.workers()
     }
@@ -908,9 +819,8 @@ impl FrameStream {
     /// sustained rate instead of growing an unbounded queue. Frames of one
     /// client submitted concurrently are ordered by their arrival here.
     ///
-    /// Returns [`StreamDead`] when a detection worker or stage thread has
-    /// panicked — the frame was *not* admitted and never will be; tear the
-    /// stream down.
+    /// Returns [`StreamDead`] when a pool worker has panicked — the frame
+    /// was *not* admitted and never will be; tear the stream down.
     ///
     /// # Panics
     /// Panics when `frame.client` is out of range or the channel shape
@@ -923,7 +833,7 @@ impl FrameStream {
         let slot_idx = {
             let mut free = lock(&self.shared.free);
             loop {
-                if self.shared.is_dead() {
+                if self.shared.pool.is_poisoned() {
                     return Err(StreamDead);
                 }
                 if let Some(idx) = free.pop() {
@@ -937,8 +847,7 @@ impl FrameStream {
                 free = guard;
             }
         };
-        self.install(slot_idx, frame);
-        Ok(())
+        self.install(slot_idx, &frame)
     }
 
     /// Non-blocking admission: returns the frame back when no slot is
@@ -946,7 +855,7 @@ impl FrameStream {
     /// stalling) or the stream is dead ([`TrySubmitError::Dead`]).
     pub fn try_submit(&self, frame: UplinkFrame) -> Result<(), TrySubmitError> {
         self.assert_admissible(&frame);
-        if self.shared.is_dead() {
+        if self.shared.pool.is_poisoned() {
             return Err(TrySubmitError::Dead(frame));
         }
         let slot_idx = match lock(&self.shared.free).pop() {
@@ -969,8 +878,7 @@ impl FrameStream {
                 return Err(TrySubmitError::Full(frame));
             }
         };
-        self.install(slot_idx, frame);
-        Ok(())
+        self.install(slot_idx, &frame).map_err(|StreamDead| TrySubmitError::Dead(frame))
     }
 
     /// Fault injection: arms `shard`'s underlying detection-pool hook so
@@ -984,12 +892,12 @@ impl FrameStream {
         self.shared.pool.inject_worker_panic_after(shard, pops);
     }
 
-    /// Whether the stream is dead — a detection worker or stage thread
-    /// panicked. A dead stream refuses new work
-    /// ([`StreamDead`] / [`TrySubmitError::Dead`]) but [`FrameStream::recv`]
-    /// still drains completions that were already queued.
+    /// Whether the stream is dead — a pool worker panicked. A dead stream
+    /// refuses new work ([`StreamDead`] / [`TrySubmitError::Dead`]) but
+    /// [`FrameStream::recv`] still drains completions that were already
+    /// queued.
     pub fn is_dead(&self) -> bool {
-        self.shared.is_dead()
+        self.shared.pool.is_poisoned()
     }
 
     fn assert_admissible(&self, frame: &UplinkFrame) {
@@ -1000,7 +908,7 @@ impl FrameStream {
             self.shared.n_clients
         );
         // Shape errors must surface on the submitting thread, not as a
-        // planner-thread panic that would poison the whole stream.
+        // pool-worker panic that would poison the whole stream.
         let sc = frame.channel.num_subcarriers();
         assert!(
             sc == 1 || sc == self.shared.base_cfg.n_subcarriers,
@@ -1009,10 +917,13 @@ impl FrameStream {
         );
     }
 
-    fn install(&self, slot_idx: usize, frame: UplinkFrame) {
+    /// Stamps the frame on its claimed slot and queues the slot's home
+    /// task. A pool that died since the caller's liveness check refuses
+    /// the task: the slot goes back to `free` and the stream reports dead.
+    fn install(&self, slot_idx: usize, frame: &UplinkFrame) -> Result<(), StreamDead> {
         let shared = &*self.shared;
-        // One policy consultation per admission, before the frame enters
-        // the plan queue, so the tier reflects pressure at admission time.
+        // One policy consultation per admission, before the frame is
+        // queued, so the tier reflects pressure at admission time.
         let prev_tier = shared.stats.last_tier.load(Ordering::Relaxed);
         let tier = shared.select_tier();
         let client = frame.client;
@@ -1026,6 +937,7 @@ impl FrameStream {
         // The global submission ordinal doubles as the flight recorder's
         // frame id (the pre-increment value, so ids start at 0).
         let frame_id = shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        let deadline_key = shared.deadline_key(frame.deadline);
         {
             let mut meta = lock(&shared.slots[slot_idx].meta);
             meta.client = client;
@@ -1034,8 +946,8 @@ impl FrameStream {
             meta.seed = frame.seed;
             meta.payload_bits = frame.payload_bits.unwrap_or(shared.base_cfg.payload_bits);
             meta.deadline = frame.deadline;
-            meta.deadline_key = shared.deadline_key(frame.deadline);
-            meta.channel = Some(frame.channel);
+            meta.deadline_key = deadline_key;
+            meta.channel = Some(Arc::clone(&frame.channel));
             meta.missed_deadline = false;
             meta.tier = tier;
             meta.submitted_at = Instant::now();
@@ -1048,8 +960,19 @@ impl FrameStream {
             gtrace::emit_for(gtrace::TracePoint::TierSwitch, gtrace::EventKind::Instant, tctx);
             gtrace::trigger(gtrace::Trigger::TierSwitch, frame_id);
         }
-        lock(&shared.plan_q).push_back(slot_idx);
-        shared.plan_cv.notify_one();
+        // The task carries the submitter's ambient context to the worker
+        // that pops it, so the frame's identity rides along for its plan,
+        // portions and recovery.
+        gtrace::set_context(tctx);
+        let queued =
+            shared.pool.submit(shared.home_shard(frame_id), deadline_key, slot_idx, &shared.job);
+        gtrace::clear_context();
+        if queued.is_err() {
+            lock(&shared.free).push(slot_idx);
+            shared.free_cv.notify_one();
+            return Err(StreamDead);
+        }
+        Ok(())
     }
 
     /// Receives the next completed frame, blocking until one is ready.
@@ -1060,8 +983,8 @@ impl FrameStream {
     /// Dropping the returned [`Completed`] guard releases the frame's slot
     /// back to admission — hold it only as long as the outcome is needed.
     ///
-    /// Returns [`StreamDead`] when a detection worker or stage thread has
-    /// panicked and no completed frame is queued — outstanding frames can
+    /// Returns [`StreamDead`] when a pool worker has panicked and no
+    /// completed frame is queued — outstanding frames can
     /// never arrive, so waiting on would hang. Completions already
     /// delivered to the done queue before the failure are still handed
     /// out first.
@@ -1072,7 +995,7 @@ impl FrameStream {
                 if let Some(idx) = q.pop_front() {
                     break idx;
                 }
-                if self.shared.is_dead() {
+                if self.shared.pool.is_poisoned() {
                     return Err(StreamDead);
                 }
                 let (guard, _) = self
@@ -1181,21 +1104,10 @@ fn clamp_stage_counters(submitted: u64, raw: [u64; 5]) -> [u64; 5] {
 
 impl Drop for FrameStream {
     fn drop(&mut self) {
-        // Frames still in flight are abandoned: stop admissions/planning,
-        // join the planners (no new detect tasks after this), join the
-        // detection workers from *this* thread (a worker must never be the
-        // one dropping `Shared`, or it would join itself), then the
-        // recovery thread.
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.plan_cv.notify_all();
-        for h in self.planners.drain(..) {
-            let _ = h.join();
-        }
+        // Frames still in flight are abandoned. The workers are joined
+        // from *this* thread: a worker must never be the one dropping
+        // `Shared`, or it would join itself.
         self.shared.pool.shutdown_and_join();
-        self.shared.recover_cv.notify_all();
-        if let Some(h) = self.recover.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -1250,9 +1162,10 @@ impl Drop for Completed<'_> {
         let shared = &*self.stream.shared;
         lock(&shared.free).push(self.slot_idx);
         shared.free_cv.notify_one();
-        // The core read guard releases right after this body; a planner
-        // that races onto the freed slot blocks those few instructions on
-        // the write lock, never deadlocks (this thread holds nothing else).
+        // The core read guard releases right after this body; a worker
+        // planning a frame that raced onto the freed slot blocks those few
+        // instructions on the write lock, never deadlocks (this thread
+        // holds nothing else).
     }
 }
 
@@ -1358,7 +1271,7 @@ mod tests {
     #[test]
     fn stage_counter_clamp_restores_pipeline_order() {
         // A torn read: detection finished (7) before the scrape saw the
-        // planner's increment (6), and a miss landed before `completed`.
+        // plan's increment (6), and a miss landed before `completed`.
         let [planned, detected, recovered, completed, misses] =
             clamp_stage_counters(8, [6, 7, 7, 5, 6]);
         assert!(planned <= 8 && detected <= planned && recovered <= detected);
@@ -1493,7 +1406,7 @@ mod tests {
     #[test]
     fn bad_channel_shape_fails_on_the_submitting_thread() {
         // A shape error must surface as a submit-side panic, not as a
-        // planner-thread death that would leave recv() hanging.
+        // pool-worker death that would leave recv() hanging.
         let cfg = small_cfg(); // 48 subcarriers
         let mut sc = StreamConfig::new(1);
         sc.workers = 1;
@@ -1546,6 +1459,30 @@ mod tests {
             assert_eq!(done.outcome().client_ok, r.client_ok);
             assert_eq!(done.outcome().stats, r.stats);
         }
+    }
+
+    /// Each shard pops exactly one task per frame: the home shard's pop
+    /// plans and detects its portion inline, every other shard pops its
+    /// portion. Fault campaigns arm a shard's `k`-th pop to kill frame `k`
+    /// under lockstep submission, so they depend on this count.
+    #[test]
+    fn each_shard_pops_once_per_frame() {
+        const FRAMES: u64 = 7;
+        let cfg = small_cfg();
+        let chans = channels(2, 47);
+        let mut sc = StreamConfig::new(1);
+        sc.workers = 3;
+        sc.shards = 3;
+        let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
+        assert_eq!(stream.shards(), 3);
+        for k in 0..FRAMES {
+            let chan = Arc::clone(&chans[k as usize % 2]);
+            stream.submit(UplinkFrame::new(0, chan, 20.0, 700 + k)).unwrap();
+            assert_eq!(stream.recv().unwrap().seq(), k);
+        }
+        let pops: Vec<u64> =
+            stream.stats().queue_wait_per_shard.iter().map(|h| h.count()).collect();
+        assert_eq!(pops, vec![FRAMES; 3], "one pop per shard per frame");
     }
 
     /// An injected worker fault must surface as typed [`StreamDead`]

@@ -11,10 +11,16 @@
 //!   (QR factorization) is computed once per *channel*, not once per
 //!   *detection* — [`SphereDecoder`](crate::SphereDecoder) overrides
 //!   [`MimoDetector::detect_batch_with`] to do exactly that.
-//! * [`ChannelOrder`] is the channel-grouped dispatch order every
-//!   multi-worker path splits a batch by, so each worker's contiguous
-//!   range spans whole channel groups and re-factorizes each channel at
-//!   most once.
+//! * [`ChannelOrder`] is the channel-grouped dispatch order a
+//!   multi-worker frame is split by, so each worker's contiguous range
+//!   spans whole channel groups and re-factorizes each channel at most
+//!   once.
+//! * [`FramePortions`] is the one frame-dispatch core: it cuts a frame's
+//!   order into per-shard ranges (the one splitter), detects each range
+//!   against its shard's channel replica, counts the portions down, and
+//!   owns the one panic rule (a portion that unwinds marks its frame,
+//!   which then never completes). [`DetectionPool`] and `gs-runtime`'s
+//!   `FrameStream` both dispatch through it.
 //! * [`DetectionPool`] runs one batch at a time across a persistent
 //!   [`ShardedDetectionPool`]. Results are bit-identical to detecting each
 //!   job serially, for any worker count: detection consumes no shared
@@ -28,7 +34,7 @@
 //! symbol after warmup.
 
 use crate::detector::{Detection, DetectorWorkspace, MimoDetector};
-use crate::shard::{ShardedDetectionPool, ShardedJob, NO_DEADLINE};
+use crate::shard::{lock_ignoring_poison, ShardedDetectionPool, ShardedJob, NO_DEADLINE};
 use gs_linalg::{Complex, Matrix};
 use gs_modulation::Constellation;
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -111,10 +117,188 @@ impl ChannelOrder {
         }
         &self.order
     }
+}
 
-    /// The order computed by the last [`ChannelOrder::group`].
-    pub fn as_slice(&self) -> &[usize] {
-        &self.order
+/// One frame's channel-grouped job order cut into per-shard portions: the
+/// frame-dispatch core of [`DetectionPool`] and `gs-runtime`'s
+/// `FrameStream`. [`FramePortions::split`] cuts the frame and arms the
+/// countdown, [`FramePortions::submit`] hands the portions to the pool,
+/// each shard's worker runs [`FramePortions::detect`], and the frame's
+/// completer reads the results with [`FramePortions::for_each_result`].
+/// All buffers are recycled frame over frame.
+///
+/// **One panic rule.** A portion that unwinds, or that the pool refused,
+/// still counts down and marks the frame as panicked. A panicked frame
+/// never completes: no `detect` call reports it, and
+/// [`FramePortions::wait`] returns `false`. The mark is sticky
+/// ([`FramePortions::panicked`]): the pool marks itself poisoned only
+/// after the panicking job has unwound, so its own flag can still read
+/// clean when the next frame starts.
+pub struct FramePortions {
+    order: ChannelOrder,
+    /// Per-shard `[lo, hi)` ranges into `order`.
+    ranges: Vec<(usize, usize)>,
+    shards: Vec<Mutex<ShardPortion>>,
+    countdown: Mutex<Countdown>,
+    /// Signalled whenever the countdown reaches zero.
+    settled: Condvar,
+}
+
+/// One shard's recycled buffers.
+#[derive(Default)]
+struct ShardPortion {
+    /// Detections of the shard's range, in range order.
+    out: Vec<Detection>,
+    /// The shard's channel-table replica, refreshed by the shard's own
+    /// worker so first-touch places it in the shard's memory domain.
+    replica: Vec<Matrix>,
+}
+
+#[derive(Default)]
+struct Countdown {
+    /// Portions of the current frame not yet counted down.
+    remaining: usize,
+    /// The sticky panic mark.
+    panicked: bool,
+}
+
+/// Counts a portion down as panicked when its detection unwinds.
+struct UnwindGuard<'a>(&'a FramePortions);
+
+impl Drop for UnwindGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.count_down(true);
+        }
+    }
+}
+
+impl FramePortions {
+    /// A core for a pool of `shards` shards (≥ 1).
+    pub fn new(shards: usize) -> Self {
+        FramePortions {
+            order: ChannelOrder::default(),
+            ranges: vec![(0, 0); shards],
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
+            countdown: Mutex::default(),
+            settled: Condvar::new(),
+        }
+    }
+
+    /// Starts a frame over `jobs`: groups them by channel, cuts the order
+    /// into per-shard ranges of `⌈jobs / shards⌉` (the last ones shorter
+    /// or empty) and arms the countdown. A range is a contiguous slice of
+    /// the channel-grouped order, so its shard re-factorizes each of its
+    /// channels at most once per frame.
+    pub fn split(&mut self, jobs: &[DetectionJob]) {
+        let n = self.order.group(jobs).len();
+        let chunk = n.div_ceil(self.shards.len()).max(1);
+        for (s, range) in self.ranges.iter_mut().enumerate() {
+            *range = ((s * chunk).min(n), ((s + 1) * chunk).min(n));
+        }
+        self.countdown.get_mut().unwrap_or_else(PoisonError::into_inner).remaining =
+            self.shards.len();
+    }
+
+    /// Submits every shard's portion but `home`'s (the caller detects
+    /// that one inline) to `pool` as `job`, with EDF key `key` and `token`.
+    /// A portion the poisoned pool refuses will never run, so it counts
+    /// down as panicked.
+    pub fn submit(
+        &self,
+        pool: &ShardedDetectionPool,
+        home: Option<usize>,
+        key: u64,
+        token: usize,
+        job: &Arc<dyn ShardedJob>,
+    ) {
+        for s in (0..self.shards.len()).filter(|&s| Some(s) != home) {
+            if pool.submit(s, key, token, job).is_err() {
+                self.count_down(true);
+            }
+        }
+    }
+
+    /// Detects shard `shard`'s range through `detect` (called with the
+    /// batch, the range's job indices and the shard's output buffer), then
+    /// counts the portion down. Returns `true` to exactly one caller per
+    /// frame: the last portion of a frame in which no portion panicked.
+    ///
+    /// With several shards the batch reads the shard's channel replica,
+    /// refreshed here on the shard's own worker: only the range's channels
+    /// `c_lo..=c_hi` are copied (the rest stay stale, never indexed). With
+    /// one shard a replica cannot improve locality.
+    pub fn detect(
+        &self,
+        shard: usize,
+        channels: &[Matrix],
+        jobs: &[DetectionJob],
+        c: Constellation,
+        detect: impl FnOnce(&DetectionBatch, &[usize], &mut Vec<Detection>),
+    ) -> bool {
+        let _unwind = UnwindGuard(self);
+        let (lo, hi) = self.ranges[shard];
+        if lo < hi {
+            let indices = &self.order.order[lo..hi];
+            let mut portion = lock_ignoring_poison(&self.shards[shard]);
+            let ShardPortion { out, replica } = &mut *portion;
+            let channels = if self.shards.len() == 1 {
+                channels
+            } else {
+                let c_lo = jobs[indices[0]].channel;
+                let c_hi = jobs[indices[indices.len() - 1]].channel;
+                if replica.len() < channels.len() {
+                    replica.resize_with(channels.len(), Matrix::default);
+                }
+                for (dst, src) in replica[c_lo..=c_hi].iter_mut().zip(&channels[c_lo..=c_hi]) {
+                    dst.copy_from(src);
+                }
+                &replica[..channels.len()]
+            };
+            detect(&DetectionBatch { channels, jobs, c }, indices, out);
+        }
+        self.count_down(false)
+    }
+
+    /// Blocks until every portion of the frame has counted down; `false`
+    /// when the frame panicked.
+    pub fn wait(&self) -> bool {
+        let mut countdown = lock_ignoring_poison(&self.countdown);
+        while countdown.remaining > 0 {
+            countdown = self.settled.wait(countdown).unwrap_or_else(PoisonError::into_inner);
+        }
+        !countdown.panicked
+    }
+
+    /// Whether a portion of any frame so far panicked or was refused.
+    pub fn panicked(&self) -> bool {
+        lock_ignoring_poison(&self.countdown).panicked
+    }
+
+    /// Visits every detection of the completed frame as
+    /// `(job_index, &Detection)`, in per-shard dispatch order. Job indices
+    /// cover the split's jobs exactly once; callers scatter by index.
+    pub fn for_each_result(&self, mut f: impl FnMut(usize, &Detection)) {
+        for (&(lo, hi), portion) in self.ranges.iter().zip(&self.shards) {
+            let portion = lock_ignoring_poison(portion);
+            debug_assert!(portion.out.len() >= hi - lo, "a range under-filled its output");
+            for (&job_idx, det) in self.order.order[lo..hi].iter().zip(&portion.out) {
+                f(job_idx, det);
+            }
+        }
+    }
+
+    /// Counts one portion down, `panicked` marking the frame; `true` when
+    /// it was the last portion of a frame that did not panic.
+    fn count_down(&self, panicked: bool) -> bool {
+        let mut countdown = lock_ignoring_poison(&self.countdown);
+        countdown.panicked |= panicked;
+        countdown.remaining -= 1;
+        if countdown.remaining > 0 {
+            return false;
+        }
+        self.settled.notify_all();
+        !countdown.panicked
     }
 }
 
@@ -124,101 +308,46 @@ impl ChannelOrder {
 /// This is the multi-worker engine of the allocation-free frame pipeline
 /// (`gs-phy`'s `FrameWorkspace`): per frame, the caller *lends* its channel
 /// table and job buffers to the pool ([`DetectionPool::run`] swaps them in
-/// and back out — no copies), workers detect their ranges of the
-/// [`ChannelOrder`] through [`MimoDetector::detect_batch_indexed_with`]
-/// into per-range output slots whose buffers they recycle frame over
-/// frame, and the caller reads the results in place via
+/// and back out — no copies), [`FramePortions`] cuts the frame into one
+/// portion per worker, and the caller reads the results in place via
 /// [`DetectionPool::for_each_result`]. After one warmup frame of a given
 /// shape, a frame costs **zero heap allocations** on every thread involved
 /// (enforced by `tests/alloc_regression.rs`).
 ///
 /// The threads are a [`ShardedDetectionPool`] with one shard per worker:
-/// range `r` always goes to shard `r`, whose only worker is always the
-/// same thread. That fixed mapping is what keeps every worker's search
-/// workspace and output slot warm — with one shared queue, a worker that
-/// happened to pop nothing during warmup would allocate on a later frame.
+/// portion `r` always goes to shard `r`, whose only worker is always the
+/// same thread. That fixed mapping keeps every worker's search workspace,
+/// output buffer and channel replica warm — with one shared queue, a
+/// worker that popped nothing during warmup would allocate later.
 ///
 /// The detector is installed per frame as an `Arc` clone (a refcount bump,
 /// not an allocation), so one pool can serve different detectors over its
 /// lifetime.
 pub struct DetectionPool {
     pool: ShardedDetectionPool,
-    frame: Arc<PoolFrame>,
+    frame: Arc<RwLock<PoolFrame>>,
 }
 
-/// What the coordinator shares with the workers, reused frame over frame.
+/// The frame the caller lends the workers, reused frame over frame. Its
+/// lock is the pool's one job: shard `r` detects portion `r`.
 struct PoolFrame {
-    data: RwLock<FrameData>,
-    /// Per-range result slots: range `r`'s worker writes only slot `r`;
-    /// the coordinator reads them between frames.
-    slots: Vec<Mutex<Vec<Detection>>>,
-    latch: Mutex<Latch>,
-    done: Condvar,
-}
-
-/// Countdown of the frame's unfinished ranges.
-#[derive(Default)]
-struct Latch {
-    remaining: usize,
-    /// Set when a worker unwound mid-frame and never cleared: the worker
-    /// is gone, so [`DetectionPool::run`] panics now and refuses every
-    /// later frame instead of hanging on it.
-    panicked: bool,
-}
-
-struct FrameData {
     detector: Option<Arc<dyn MimoDetector>>,
     channels: Vec<Matrix>,
     jobs: Vec<DetectionJob>,
     n_jobs: usize,
     c: Constellation,
-    order: ChannelOrder,
-    /// Per-range `[lo, hi)` index ranges into `order`.
-    ranges: Vec<(usize, usize)>,
+    portions: FramePortions,
 }
 
-/// Poison-tolerant mutex lock: a panicked worker must not cascade — the
-/// latch's `panicked` flag carries the failure instead.
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Counts a range down even if its detection panicked, so
-/// [`DetectionPool::run`] can never hang waiting on a dead worker.
-struct RangeDone<'a>(&'a PoolFrame);
-
-impl Drop for RangeDone<'_> {
-    fn drop(&mut self) {
-        let mut latch = lock_ignoring_poison(&self.0.latch);
-        latch.panicked |= std::thread::panicking();
-        latch.remaining -= 1;
-        if latch.remaining == 0 {
-            self.0.done.notify_all();
-        }
-    }
-}
-
-impl ShardedJob for PoolFrame {
+impl ShardedJob for RwLock<PoolFrame> {
     fn run_shard(&self, shard: usize, _token: usize, ws: &mut DetectorWorkspace) {
-        // Declared first so it drops last, after the data read lock.
-        let _done = RangeDone(self);
-        let data = self.data.read().unwrap_or_else(PoisonError::into_inner);
-        let (lo, hi) = data.ranges[shard];
-        if lo < hi {
-            let detector = data.detector.as_deref().expect("detector installed for the frame");
-            let batch = DetectionBatch {
-                channels: &data.channels,
-                jobs: &data.jobs[..data.n_jobs],
-                c: data.c,
-            };
-            let mut out = lock_ignoring_poison(&self.slots[shard]);
-            detector.detect_batch_indexed_with(
-                &batch,
-                &data.order.as_slice()[lo..hi],
-                ws,
-                &mut out,
-            );
-        }
+        let frame = self.read().unwrap_or_else(PoisonError::into_inner);
+        let jobs = &frame.jobs[..frame.n_jobs];
+        // Completion needs no action here: the core wakes `run`'s wait.
+        frame.portions.detect(shard, &frame.channels, jobs, frame.c, |batch, indices, out| {
+            let detector = frame.detector.as_deref().expect("detector installed for the frame");
+            detector.detect_batch_indexed_with(batch, indices, ws, out);
+        });
     }
 }
 
@@ -250,20 +379,14 @@ impl DetectionPool {
         // Capacity 1: a shard's queue holds at most the current frame's
         // range, which its worker pops before `run` returns.
         let pool = ShardedDetectionPool::new_with_pinning(n_workers, n_workers, 1, pin);
-        let frame = Arc::new(PoolFrame {
-            data: RwLock::new(FrameData {
-                detector: None,
-                channels: Vec::new(),
-                jobs: Vec::new(),
-                n_jobs: 0,
-                c: Constellation::Qpsk,
-                order: ChannelOrder::default(),
-                ranges: Vec::new(),
-            }),
-            slots: (0..n_workers).map(|_| Mutex::new(Vec::new())).collect(),
-            latch: Mutex::new(Latch::default()),
-            done: Condvar::new(),
-        });
+        let frame = Arc::new(RwLock::new(PoolFrame {
+            detector: None,
+            channels: Vec::new(),
+            jobs: Vec::new(),
+            n_jobs: 0,
+            c: Constellation::Qpsk,
+            portions: FramePortions::new(n_workers),
+        }));
         DetectionPool { pool, frame }
     }
 
@@ -278,7 +401,7 @@ impl DetectionPool {
     /// `channels` and `jobs` are lent to the pool for the duration of the
     /// call (swapped in and back out; their contents are untouched). Read
     /// the detections with [`DetectionPool::for_each_result`] — they stay
-    /// in the per-range slots so the buffers can be recycled next frame.
+    /// in the per-worker buffers so those can be recycled next frame.
     ///
     /// # Panics
     /// Panics when a worker panics during detection, and on every call
@@ -292,71 +415,42 @@ impl DetectionPool {
         c: Constellation,
     ) {
         assert!(n_jobs <= jobs.len(), "n_jobs exceeds the job buffer");
-        let n_workers = self.workers();
         {
-            let mut latch = lock_ignoring_poison(&self.frame.latch);
-            assert!(!latch.panicked, "DetectionPool is dead: a worker panicked earlier");
-            latch.remaining = n_workers;
-        }
-        {
-            let mut guard = self.frame.data.write().unwrap_or_else(PoisonError::into_inner);
-            let data = &mut *guard;
-            data.detector = Some(Arc::clone(detector));
-            std::mem::swap(&mut data.channels, channels);
-            std::mem::swap(&mut data.jobs, jobs);
-            data.n_jobs = n_jobs;
-            data.c = c;
-            data.order.group(&data.jobs[..n_jobs]);
-            let chunk = n_jobs.div_ceil(n_workers).max(1);
-            data.ranges.clear();
-            data.ranges.extend(
-                (0..n_workers).map(|w| ((w * chunk).min(n_jobs), ((w + 1) * chunk).min(n_jobs))),
-            );
+            let mut guard = self.frame.write().unwrap_or_else(PoisonError::into_inner);
+            let frame = &mut *guard;
+            assert!(!frame.portions.panicked(), "DetectionPool is dead: a worker panicked earlier");
+            frame.detector = Some(Arc::clone(detector));
+            std::mem::swap(&mut frame.channels, channels);
+            std::mem::swap(&mut frame.jobs, jobs);
+            frame.n_jobs = n_jobs;
+            frame.c = c;
+            frame.portions.split(&frame.jobs[..n_jobs]);
         }
         let job: Arc<dyn ShardedJob> = self.frame.clone();
-        for r in 0..n_workers {
-            if self.pool.submit(r, NO_DEADLINE, 0, &job).is_err() {
-                // An earlier range of this frame already killed its worker;
-                // the unsubmitted ranges will never run.
-                let mut latch = lock_ignoring_poison(&self.frame.latch);
-                latch.remaining -= n_workers - r;
-                latch.panicked = true;
-                break;
-            }
-        }
-        let panicked = {
-            let mut latch = lock_ignoring_poison(&self.frame.latch);
-            while latch.remaining > 0 {
-                latch = self.frame.done.wait(latch).unwrap_or_else(PoisonError::into_inner);
-            }
-            latch.panicked
+        let clean = {
+            let frame = self.frame.read().unwrap_or_else(PoisonError::into_inner);
+            frame.portions.submit(&self.pool, None, NO_DEADLINE, 0, &job);
+            frame.portions.wait()
         };
         {
-            let mut guard = self.frame.data.write().unwrap_or_else(PoisonError::into_inner);
-            let data = &mut *guard;
-            std::mem::swap(&mut data.channels, channels);
-            std::mem::swap(&mut data.jobs, jobs);
+            let mut guard = self.frame.write().unwrap_or_else(PoisonError::into_inner);
+            let frame = &mut *guard;
+            std::mem::swap(&mut frame.channels, channels);
+            std::mem::swap(&mut frame.jobs, jobs);
             // Release the per-frame detector clone (refcount drop only).
-            data.detector = None;
+            frame.detector = None;
         }
         // Propagate a worker's panic instead of returning a frame with
         // silently missing detections.
-        assert!(!panicked, "DetectionPool worker panicked during detection");
+        assert!(clean, "DetectionPool worker panicked during detection");
     }
 
     /// Visits every detection of the last [`DetectionPool::run`] as
-    /// `(job_index, &Detection)`, in per-range dispatch order. Job indices
-    /// cover `0..n_jobs` exactly once; callers scatter by index.
-    pub fn for_each_result(&self, mut f: impl FnMut(usize, &Detection)) {
-        let data = self.frame.data.read().unwrap_or_else(PoisonError::into_inner);
-        for (r, slot) in self.frame.slots.iter().enumerate() {
-            let out = lock_ignoring_poison(slot);
-            let (lo, hi) = data.ranges[r];
-            debug_assert!(out.len() >= hi - lo, "range {r} under-filled its slot");
-            for (&job_idx, det) in data.order.as_slice()[lo..hi].iter().zip(out.iter()) {
-                f(job_idx, det);
-            }
-        }
+    /// `(job_index, &Detection)` ([`FramePortions::for_each_result`]).
+    /// Job indices cover `0..n_jobs` exactly once; callers scatter by
+    /// index.
+    pub fn for_each_result(&self, f: impl FnMut(usize, &Detection)) {
+        self.frame.read().unwrap_or_else(PoisonError::into_inner).portions.for_each_result(f);
     }
 }
 
@@ -471,7 +565,38 @@ mod tests {
             let mut expect: Vec<usize> = (0..jobs.len()).collect();
             expect.sort_by_key(|&i| jobs[i].channel);
             assert_eq!(order.group(jobs), &expect[..]);
-            assert_eq!(order.as_slice(), &expect[..]);
+            assert_eq!(order.order, expect);
+        }
+    }
+
+    #[test]
+    fn split_partitions_the_order_into_channel_runs() {
+        for n_jobs in 0..=40usize {
+            for shards in 1..=8usize {
+                // Symbol-major jobs over 5 channels, as an OFDM frame
+                // arrives; `y` plays no part in the split.
+                let jobs: Vec<DetectionJob> =
+                    (0..n_jobs).map(|j| DetectionJob { channel: j % 5, y: Vec::new() }).collect();
+                let mut portions = FramePortions::new(shards);
+                portions.split(&jobs);
+                assert_eq!(portions.countdown.get_mut().unwrap().remaining, shards);
+                let order = &portions.order.order;
+                let mut next = 0;
+                for &(lo, hi) in &portions.ranges {
+                    assert_eq!(lo, next, "n {n_jobs} shards {shards}: contiguous ranges");
+                    assert!(hi - lo <= n_jobs.div_ceil(shards), "n {n_jobs} shards {shards}");
+                    // The replica copy assumes `c_lo..=c_hi` covers the
+                    // range: its channels never decrease.
+                    let channels: Vec<usize> =
+                        order[lo..hi].iter().map(|&i| jobs[i].channel).collect();
+                    assert!(channels.windows(2).all(|w| w[0] <= w[1]), "{channels:?}");
+                    next = hi;
+                }
+                assert_eq!(next, n_jobs, "n {n_jobs} shards {shards}: ranges cover the order");
+                let mut seen = order.to_vec();
+                seen.sort_unstable();
+                assert!(seen.iter().copied().eq(0..n_jobs), "every job exactly once");
+            }
         }
     }
 

@@ -58,7 +58,7 @@ pub mod tier;
 /// dependency cycle).
 pub use gs_linalg::env;
 
-pub use batch::{ChannelOrder, DetectionBatch, DetectionJob, DetectionPool};
+pub use batch::{ChannelOrder, DetectionBatch, DetectionJob, DetectionPool, FramePortions};
 pub use detector::{
     apply_channel, apply_channel_into, residual_norm_sqr, slice_vector, Detection,
     DetectorWorkspace, MimoDetector,

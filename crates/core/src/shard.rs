@@ -29,10 +29,10 @@
 //! `Arc<dyn ShardedJob>` plus an opaque `token`, and [`ShardedJob::run_shard`]
 //! does whatever "run my shard's part" means for the embedder
 //! (`gs-runtime` implements it over its slot table — plan, detect and
-//! recover — and `DetectionPool` over one lent frame; the runtime's
-//! per-shard channel-table replicas live in its per-shard portions,
-//! refreshed by the shard's own workers so first-touch places them on the
-//! right domain).
+//! recover — and `DetectionPool` over one lent frame). Both cut a frame
+//! with [`FramePortions`](crate::FramePortions), whose per-shard
+//! channel-table replicas are refreshed by the shard's own worker, so
+//! first-touch places them on the right domain.
 //! Submitting clones the `Arc` (a refcount bump) and pushes into a
 //! fixed-capacity heap — **zero heap allocations per task** once the pool
 //! is constructed, which is what lets the streaming runtime keep PR 3's
@@ -473,7 +473,8 @@ impl Drop for ShardedDetectionPool {
     }
 }
 
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Poison-tolerant lock: poisoning and panic marks carry worker failures.
+pub(crate) fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

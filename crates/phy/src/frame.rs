@@ -257,8 +257,8 @@ impl FrameWorkspace {
 /// The **staged** frame API: the three pipeline stages of
 /// [`decode_frame_batched_into`](crate::txrx::decode_frame_batched_into),
 /// exposed individually so an external scheduler (the `gs-runtime`
-/// streaming engine) can run *plan*, *detect*, and *recover* on different
-/// threads and overlap them across frames.
+/// streaming engine) can run each stage on whichever worker holds the
+/// frame and split detection across shards.
 ///
 /// Contract (all stages allocation-free once the workspace has warmed up
 /// to the frame shape, and bit-identical to the one-call entry points):

@@ -20,8 +20,8 @@
 //!   other shards' workers:                    detect own portion ───────────────┤
 //!                                   last portion done: recover ─▶ in-order delivery ──▶ recv()
 //!
-//!   ShardedDetectionPool: one EDF queue + channel-table replica per
-//!   memory domain, workers pinned inside their domain
+//!   ShardedDetectionPool: one EDF queue per memory domain, workers pinned
+//!   inside their domain; FramePortions: one channel-table replica per shard
 //! ```
 //!
 //! * **Ingress** ([`FrameStream::submit`] / [`FrameStream::try_submit`]):
@@ -32,20 +32,21 @@
 //!   from admission on.
 //! * **Plan**: the worker that pops the home task seeds the frame's own
 //!   RNG, runs the transmit chains and packages detection jobs into the
-//!   slot's recycled [`gs_phy::FrameWorkspace`], splits the
-//!   channel-grouped job order into per-shard portions, and submits the
-//!   other shards' portions.
+//!   slot's recycled [`gs_phy::FrameWorkspace`], splits the jobs into
+//!   per-shard portions ([`FramePortions`](geosphere_core::FramePortions),
+//!   the dispatch core `DetectionPool` shares), and submits the others.
 //! * **Detect**: `geosphere-core`'s
 //!   [`ShardedDetectionPool`](geosphere_core::ShardedDetectionPool) runs
 //!   each portion on a worker pinned in the shard's memory domain,
 //!   earliest-deadline-first within the shard, through per-worker reusable
-//!   workspaces and per-shard channel-table replicas. The home portion
-//!   runs inline after the plan, so every shard pops exactly once per
-//!   frame.
-//! * **Recover**: the worker whose portion finishes last scatters
+//!   workspaces and, with several shards, per-shard channel-table
+//!   replicas. The home portion runs inline after the plan, so every shard
+//!   pops exactly once per frame.
+//! * **Recover**: the portion that completes the frame scatters
 //!   detections back to job order, runs the per-client receive chains
-//!   (Viterbi/CRC), accounts deadlines, and delivers. A panic anywhere in
-//!   a frame poisons the pool, and the stream reports [`StreamDead`].
+//!   (Viterbi/CRC), accounts deadlines, and delivers. A portion that
+//!   panics marks its frame, which is never recovered; the panic poisons
+//!   the pool, and the stream reports [`StreamDead`].
 //! * **Egress** ([`FrameStream::recv`]): completions arrive in **per-client
 //!   submission order** regardless of internal reordering; dropping the
 //!   [`Completed`] guard recycles the slot.

@@ -9,11 +9,10 @@
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
 use crate::stats::RuntimeStats;
 use geosphere_core::{
-    ChannelOrder, Detection, DetectionBatch, DetectorLadder, DetectorStats, DetectorTier,
-    DetectorWorkspace, MimoDetector, PoolPoisoned, ShardedDetectionPool, ShardedJob, NO_DEADLINE,
+    DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace, FramePortions, MimoDetector,
+    ShardedDetectionPool, ShardedJob, NO_DEADLINE,
 };
 use gs_channel::MimoChannel;
-use gs_linalg::Matrix;
 use gs_phy::{FrameWorkspace, PhyConfig, UplinkOutcome};
 use gs_prof::hist::LogHistogram;
 use gs_prof::trace as gtrace;
@@ -183,43 +182,17 @@ impl SlotMeta {
     }
 }
 
-/// The frame's plan/assembly state: written by the home task's plan, read
-/// by every shard's detection, written again by recovery. Lock order is
-/// always core-then-portion.
+/// The frame's plan/assembly state: written by the home task's plan and
+/// split, read by every shard's detection, written again by recovery.
 struct SlotCore {
     ws: FrameWorkspace,
-    /// Channel-grouped dispatch order over the planned jobs (scratch,
-    /// reused every frame).
-    order: ChannelOrder,
-    /// Detector operation counts accumulated during recovery.
-    stats: DetectorStats,
-}
-
-/// One shard's portion of a frame: the job indices it owns, its local
-/// channel-table replica, and its detection outputs. The replica is
-/// refreshed by the shard's *own* worker (not the planning one), so
-/// first-touch places it in the shard's memory domain; all three buffers
-/// are recycled frame over frame.
-struct Portion {
-    indices: Vec<usize>,
-    channels: Vec<Matrix>,
-    n_channels: usize,
-    out: Vec<Detection>,
-}
-
-impl Portion {
-    fn empty() -> Self {
-        Portion { indices: Vec::new(), channels: Vec::new(), n_channels: 0, out: Vec::new() }
-    }
+    /// The planned jobs cut into one portion per shard.
+    portions: FramePortions,
 }
 
 struct Slot {
     meta: Mutex<SlotMeta>,
     core: RwLock<SlotCore>,
-    portions: Vec<Mutex<Portion>>,
-    /// Shards still detecting this frame; the worker that decrements it to
-    /// zero recovers and delivers the frame.
-    remaining: AtomicU64,
 }
 
 /// One client's ordering lane: sequence counters plus a parking ring for
@@ -337,7 +310,7 @@ impl DeliveryWindow {
 
 struct Shared {
     base_cfg: PhyConfig,
-    /// One detector per tier; `detect_portion` dispatches at the tier
+    /// One detector per tier; each portion is detected at the tier
     /// stamped on the frame. A fixed-detector stream is the uniform
     /// ladder.
     ladder: DetectorLadder,
@@ -402,86 +375,37 @@ impl Shared {
     }
 
     /// One pool task, i.e. one pop of `shard`'s queue for the frame in
-    /// `slot_idx`. The home shard's pop plans the frame and fans the other
-    /// shards' portions out; every pop then detects its own portion, and
-    /// the pop that finishes last recovers and delivers the frame. So each
-    /// shard pops exactly once per frame.
+    /// `slot_idx`. The home shard's pop plans and splits the frame and
+    /// submits the other shards' portions; every pop then detects its own
+    /// portion, and the pop that completes the frame recovers and delivers
+    /// it. So each shard pops exactly once per frame.
     fn run_task(&self, shard: usize, slot_idx: usize, ws: &mut DetectorWorkspace) {
         let slot = &self.slots[slot_idx];
-        let home = self.home_shard(lock(&slot.meta).frame_id);
-        if shard == home && self.plan_frame(slot_idx, home).is_err() {
-            // The pool died under us: the frame is abandoned (its other
-            // shards will never run), and `pool.is_poisoned()` already
-            // reports the poisoning to submit/recv.
-            return;
+        if shard == self.home_shard(lock(&slot.meta).frame_id) {
+            self.plan_frame(slot_idx, shard);
         }
-        self.detect_portion(shard, slot_idx, ws);
-        if slot.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        let completed = {
+            let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let _prof = gs_prof::scope(gs_prof::Stage::Detect);
+            let tier = core.ws.detector_tier();
+            let (channels, jobs) = (core.ws.planned_channels(), core.ws.planned_jobs());
+            let c = self.base_cfg.constellation;
+            core.portions.detect(shard, channels, jobs, c, |batch, indices, out| {
+                self.ladder.detect_batch_indexed_with(tier, batch, indices, ws, out);
+            })
+        };
+        if completed {
             self.stats.detected.fetch_add(1, Ordering::Relaxed);
             self.recover_frame(slot_idx);
         }
     }
 
-    /// Detection of one `(frame, shard)` portion on a pinned shard worker:
-    /// refresh the shard's channel replica and detect its job indices
-    /// through the worker's reusable workspace.
-    fn detect_portion(&self, shard: usize, slot_idx: usize, ws: &mut DetectorWorkspace) {
-        let slot = &self.slots[slot_idx];
-        {
-            // The shard worker set the frame context before dispatching.
-            let _prof = gs_prof::scope(gs_prof::Stage::Detect);
-            let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut portion = lock(&slot.portions[shard]);
-            let portion = &mut *portion;
-            if portion.indices.is_empty() {
-                portion.out.clear();
-            } else {
-                let src = core.ws.planned_channels();
-                let jobs = core.ws.planned_jobs();
-                // Refresh the shard's channel-table replica so detection
-                // reads domain-local memory. With a single shard the
-                // replica cannot improve locality (same domain as the
-                // planned table), so the copy is skipped outright; with
-                // several, only the shard's own channel range is copied —
-                // the portion is a contiguous slice of the channel-grouped
-                // order, so its channels are exactly `c_lo..=c_hi`
-                // (entries outside stay stale and are never indexed).
-                let channels: &[Matrix] = if self.n_shards == 1 {
-                    src
-                } else {
-                    let c_lo = jobs[portion.indices[0]].channel;
-                    let c_hi = jobs[portion.indices[portion.indices.len() - 1]].channel;
-                    if portion.channels.len() < src.len() {
-                        portion.channels.resize_with(src.len(), Matrix::default);
-                    }
-                    for (dst, s) in portion.channels[c_lo..=c_hi].iter_mut().zip(&src[c_lo..=c_hi])
-                    {
-                        dst.copy_from(s);
-                    }
-                    portion.n_channels = src.len();
-                    &portion.channels[..portion.n_channels]
-                };
-                let batch = DetectionBatch {
-                    channels,
-                    jobs: core.ws.planned_jobs(),
-                    c: self.base_cfg.constellation,
-                };
-                self.ladder.detect_batch_indexed_with(
-                    core.ws.detector_tier(),
-                    &batch,
-                    &portion.indices,
-                    ws,
-                    &mut portion.out,
-                );
-            }
-        }
-    }
-
-    /// Plans one frame on its home shard's worker and submits the other
-    /// shards' portions. The worker's ambient trace context is already the
-    /// frame's (the pool adopted it from the admission task), so the phy
-    /// plan scope and the portions' enqueue instants pick it up.
-    fn plan_frame(&self, slot_idx: usize, home: usize) -> Result<(), PoolPoisoned> {
+    /// Plans one frame on its home shard's worker, splits it into
+    /// per-shard portions and submits the other shards' portions. The
+    /// worker's ambient trace context is already the frame's (the pool
+    /// adopted it from the admission task), so the phy plan scope and the
+    /// portions' enqueue instants pick it up.
+    fn plan_frame(&self, slot_idx: usize, home: usize) {
         let slot = &self.slots[slot_idx];
         let (channel, cfg, snr_db, seed, deadline_key, tier) = {
             let meta = lock(&slot.meta);
@@ -503,30 +427,13 @@ impl Shared {
             // workers dispatch at it, and `finish_uplink` reports it in
             // the outcome.
             core.ws.set_detector_tier(tier);
-
-            // Channel-grouped dispatch order (the same deterministic
-            // permutation `DetectionPool` uses), split into contiguous
-            // per-shard ranges so each shard re-factorizes each of its
-            // channels at most once per frame.
-            let order = core.order.group(core.ws.planned_jobs());
-            let n_jobs = order.len();
-            let chunk = n_jobs.div_ceil(self.n_shards).max(1);
-            for (s, portion) in slot.portions.iter().enumerate() {
-                let lo = (s * chunk).min(n_jobs);
-                let hi = ((s + 1) * chunk).min(n_jobs);
-                let mut portion = lock(portion);
-                portion.indices.clear();
-                portion.indices.extend_from_slice(&order[lo..hi]);
-            }
+            core.portions.split(core.ws.planned_jobs());
         }
-        slot.remaining.store(self.n_shards as u64, Ordering::Release);
         self.stats.planned.fetch_add(1, Ordering::Relaxed);
-        // The home portion runs inline on this worker, never as a task of
-        // its own: that keeps one pop per shard per frame.
-        for s in (0..self.n_shards).filter(|&s| s != home) {
-            self.pool.submit(s, deadline_key, slot_idx, &self.job)?;
-        }
-        Ok(())
+        // The home portion runs inline after this, never as a task of its
+        // own: that keeps one pop per shard per frame.
+        let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+        core.portions.submit(&self.pool, Some(home), deadline_key, slot_idx, &self.job);
     }
 
     /// Recovery of one frame, run inline by the shard worker whose portion
@@ -541,18 +448,14 @@ impl Shared {
         {
             let mut core = slot.core.write().unwrap_or_else(std::sync::PoisonError::into_inner);
             let core = &mut *core;
-            core.stats = DetectorStats::default();
+            let mut stats = DetectorStats::default();
             let scatter = gs_prof::scope(gs_prof::Stage::Scatter);
             core.ws.begin_detection_assembly();
-            for portion in &slot.portions {
-                let portion = lock(portion);
-                for (&idx, det) in portion.indices.iter().zip(portion.out.iter()) {
-                    core.ws.absorb_detection(&mut core.stats, idx, det);
-                }
-            }
+            core.portions
+                .for_each_result(|idx, det| core.ws.absorb_detection(&mut stats, idx, det));
             drop(scatter);
             let cfg = PhyConfig { payload_bits: lock(&slot.meta).payload_bits, ..self.base_cfg };
-            core.ws.finish_uplink(&cfg, core.stats);
+            core.ws.finish_uplink(&cfg, stats);
         }
 
         self.stats.recovered.fetch_add(1, Ordering::Relaxed);
@@ -752,11 +655,8 @@ impl FrameStream {
                 meta: Mutex::new(SlotMeta::empty()),
                 core: RwLock::new(SlotCore {
                     ws: FrameWorkspace::new(),
-                    order: ChannelOrder::default(),
-                    stats: DetectorStats::default(),
+                    portions: FramePortions::new(n_shards),
                 }),
-                portions: (0..n_shards).map(|_| Mutex::new(Portion::empty())).collect(),
-                remaining: AtomicU64::new(0),
             })
             .collect();
 
@@ -1483,6 +1383,86 @@ mod tests {
         let pops: Vec<u64> =
             stream.stats().queue_wait_per_shard.iter().map(|h| h.count()).collect();
         assert_eq!(pops, vec![FRAMES; 3], "one pop per shard per frame");
+    }
+
+    /// A portion that unwinds inside a multi-shard frame: the frame is
+    /// never recovered or delivered, even by the clean portion that counts
+    /// down after it; the stream reports dead, and teardown does not hang.
+    /// (The injected fault above kills a pop before its job runs; this
+    /// panic happens inside the job.)
+    #[test]
+    fn panicking_portion_is_never_delivered() {
+        use geosphere_core::{Detection, DetectionBatch, GeosphereDecoder};
+        use gs_linalg::{Complex, Matrix};
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Barrier;
+
+        static FINISHED: AtomicUsize = AtomicUsize::new(0);
+        static UNWOUND: AtomicUsize = AtomicUsize::new(0);
+        /// Holds a multi-channel frame's clean portion until the test has
+        /// seen the other portion unwind, so the clean one counts down last.
+        static GATE: Barrier = Barrier::new(2);
+
+        /// Geosphere, except that a batch holding a channel-1 job panics.
+        struct PanicsOnChannelOne(GeosphereDecoder);
+        impl MimoDetector for PanicsOnChannelOne {
+            fn detect(&self, h: &Matrix, y: &[Complex], c: Constellation) -> Detection {
+                self.0.detect(h, y, c)
+            }
+            fn detect_batch_indexed_with(
+                &self,
+                batch: &DetectionBatch,
+                indices: &[usize],
+                ws: &mut DetectorWorkspace,
+                out: &mut Vec<Detection>,
+            ) {
+                if indices.iter().any(|&ix| batch.jobs[ix].channel == 1) {
+                    UNWOUND.fetch_add(1, Ordering::SeqCst);
+                    panic!("intentional test panic on channel 1");
+                }
+                if batch.channels.len() > 1 {
+                    GATE.wait();
+                }
+                self.0.detect_batch_indexed_with(batch, indices, ws, out);
+                FINISHED.fetch_add(1, Ordering::SeqCst);
+            }
+            fn name(&self) -> &'static str {
+                "panics-on-channel-1"
+            }
+        }
+
+        let cfg = small_cfg();
+        let mut sc = StreamConfig::new(1);
+        sc.workers = 2;
+        sc.shards = 2;
+        let stream = FrameStream::new(cfg, PanicsOnChannelOne(geosphere_decoder()), sc);
+        assert_eq!(stream.shards(), 2);
+        // A flat channel plans one channel, index 0: both portions finish.
+        let flat = channels(1, 48);
+        stream.submit(UplinkFrame::new(0, Arc::clone(&flat[0]), 20.0, 1)).unwrap();
+        drop(stream.recv().unwrap());
+        // A selective channel plans one channel per subcarrier. Channel 1
+        // lies in shard 0's range, so frame 1 (home shard 1) loses its
+        // submitted portion while its home portion waits at the gate.
+        let selective = gs_channel::SelectiveRayleighChannel {
+            n_fft: 64,
+            n_subcarriers: cfg.n_subcarriers,
+            ..gs_channel::SelectiveRayleighChannel::indoor(4, 2)
+        };
+        let selective = Arc::new(selective.realize(&mut StdRng::seed_from_u64(49)));
+        stream.submit(UplinkFrame::new(0, selective, 20.0, 2)).unwrap();
+        // The pool reports poisoning only after the portion has unwound.
+        assert_eq!(stream.recv().err(), Some(StreamDead));
+        GATE.wait();
+        // Joining the workers, as `drop` does, waits out the released home
+        // portion: it counts the frame down to zero and must not recover it.
+        stream.shared.pool.shutdown_and_join();
+        assert!(stream.try_recv().is_none(), "the panicked frame is never delivered");
+        let stats = stream.stats();
+        assert_eq!((stats.submitted, stats.recovered, stats.completed), (2, 1, 1));
+        drop(stream);
+        let finished = FINISHED.load(Ordering::SeqCst);
+        assert_eq!((finished, UNWOUND.load(Ordering::SeqCst)), (3, 1), "one portion unwound");
     }
 
     /// An injected worker fault must surface as typed [`StreamDead`]

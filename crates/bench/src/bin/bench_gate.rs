@@ -24,9 +24,10 @@
 //! * `multi_symbol`: both sides carry independent co-tenancy noise, which
 //!   is strictly additive, so the minimum is the stable estimator and the
 //!   band is wider.
-//! * `trace`: the same binary streams with the flight recorder disarmed,
-//!   then armed; minima as in `multi_symbol`. Without `gs-prof/trace`
-//!   both runs measure identical code.
+//! * `trace`: the same binary streams with the flight recorder disarmed
+//!   and armed, alternating one sample of each so host drift hits both
+//!   sides; minima as in `multi_symbol`. Without `gs-prof/trace` both
+//!   sides measure identical code.
 //! * `deadline_storm`: the deadline sits at the slot-pool depth times the
 //!   geometric mean of the measured sphere and MMSE frame times, above
 //!   what the floor sustains and below what sphere-only can, on any
@@ -143,16 +144,23 @@ impl Run {
 fn time_frames(samples: usize, frames: usize, mut f: impl FnMut() -> u64) -> (f64, f64) {
     black_box(f());
     black_box(f());
-    let mut secs: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(f());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
+    let secs: Vec<f64> = (0..samples).map(|_| time_once(&mut f)).collect();
+    per_frame_ms(secs, frames)
+}
+
+/// Seconds taken by one call of `f`.
+fn time_once(f: &mut impl FnMut() -> u64) -> f64 {
+    let t0 = Instant::now();
+    black_box(f());
+    t0.elapsed().as_secs_f64()
+}
+
+/// The trimmed mean (middle half) and minimum per frame, in ms, of
+/// samples covering `frames` frames each.
+fn per_frame_ms(mut secs: Vec<f64>, frames: usize) -> (f64, f64) {
     secs.sort_by(f64::total_cmp);
-    let trim = samples / 4;
-    let mid = &secs[trim..samples - trim];
+    let trim = secs.len() / 4;
+    let mid = &secs[trim..secs.len() - trim];
     let ms = 1e3 / frames as f64;
     (mid.iter().sum::<f64>() / mid.len() as f64 * ms, secs[0] * ms)
 }
@@ -311,21 +319,30 @@ fn multi_symbol(run: &mut Run, samples: usize) {
     run.check("multi_sym/single_sym", ratio, limit);
 }
 
-/// Sustained streaming with the flight recorder disarmed, then armed.
+/// Sustained streaming with the flight recorder disarmed and armed, one
+/// sample of each in turn (after two warmup rounds), so drift in the
+/// host's load lands on both sides alike.
 fn trace(run: &mut Run, samples: usize) {
     use gs_prof::trace as gtrace;
     let s = frame_decode_scenario();
     let ch = Arc::new(s.channel);
+    let sides = [("disarmed", false), ("armed", true)];
+    let streams = sides.map(|_| stream_4w(s.cfg, geosphere_decoder()));
+    let mut secs = [Vec::new(), Vec::new()];
+    for round in 0..samples + 2 {
+        for ((&(_, armed), stream), secs) in sides.iter().zip(&streams).zip(&mut secs) {
+            gtrace::set_armed(armed);
+            let t = time_once(&mut || drive_stream(stream, &ch, s.snr_db, STREAM_FRAMES));
+            if round >= 2 {
+                secs.push(t);
+            }
+        }
+    }
     let mut min_ms = Vec::new();
-    for (name, armed) in [("disarmed", false), ("armed", true)] {
-        gtrace::set_armed(armed);
-        let stream = stream_4w(s.cfg, geosphere_decoder());
-        min_ms.push(
-            run.time(name, samples, STREAM_FRAMES, || {
-                drive_stream(&stream, &ch, s.snr_db, STREAM_FRAMES)
-            })
-            .1,
-        );
+    for ((name, _), secs) in sides.into_iter().zip(secs) {
+        let (mean, min) = per_frame_ms(secs, STREAM_FRAMES);
+        run.set(format!("{name}.mean_ms"), mean);
+        min_ms.push(run.set(format!("{name}.min_ms"), min));
     }
     gtrace::set_armed(true);
     if run.set("recorder_compiled_in", flag(gtrace::recording_enabled())) == 0.0 {

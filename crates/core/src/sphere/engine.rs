@@ -20,7 +20,7 @@
 use crate::batch::DetectionJob;
 use crate::detector::{Detection, MimoDetector};
 use crate::sphere::enumerator::{EnumeratorFactory, NodeEnumerator};
-use crate::sphere::workspace::{Prep, SearchWorkspace};
+use crate::sphere::workspace::{pop_spare, Prep, SearchWorkspace};
 use crate::stats::DetectorStats;
 use gs_linalg::{qr_decompose_into, sorted_qr_decompose_into, Complex, Matrix, Qr, SortedQr};
 use gs_modulation::{Constellation, GridPoint};
@@ -170,7 +170,7 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         } = ws;
         let bit_table = bit_table.as_ref().map(|(_, t)| t);
         *solution_len = 0;
-        let ctx = SearchCtx { factory: &self.factory, r, yhat, c, nc, r_re, r_im };
+        let ctx = SearchCtx { factory: &self.factory, yhat, c, nc, r_re, r_im };
         open_level(&ctx, nc - 1, 0.0, chosen_re, chosen_im, enumerators, dist_above, stats);
         let res = run_search_loop(
             &ctx,
@@ -194,14 +194,13 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
     }
 }
 
-/// The immutable search problem: factorization, rotated receive vector,
-/// constellation, and the workspace's split-`R` mirror. Bundled so the
-/// depth-first loop can be entered both from scratch
-/// ([`SphereDecoder::search_with_qr`]) and from a lockstep first descent's
-/// post-leaf state ([`SphereDecoder::detect_jobs_multi`]'s resume).
+/// The immutable search problem: rotated receive vector, constellation,
+/// and the workspace's split-`R` mirror. Bundled so the depth-first loop
+/// can be entered both from scratch ([`SphereDecoder::search_with_qr`])
+/// and from a lockstep first descent's post-leaf state
+/// ([`SphereDecoder::detect_jobs_multi`]'s resume).
 struct SearchCtx<'a, F> {
     factory: &'a F,
-    r: &'a Matrix,
     yhat: &'a [Complex],
     c: Constellation,
     nc: usize,
@@ -228,6 +227,7 @@ struct SearchState {
 // The arguments are the search context plus the disjoint workspace slab
 // borrows the caller already split; a struct would just rename them.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn open_level<F: EnumeratorFactory>(
     ctx: &SearchCtx<'_, F>,
     i: usize,
@@ -248,7 +248,7 @@ fn open_level<F: EnumeratorFactory>(
     );
     let acc = ctx.yhat[i] - interference;
     stats.complex_mults += (nc - 1 - i) as u64;
-    let rll = ctx.r[(i, i)].re; // real ≥ 0 by QR normalization
+    let rll = ctx.r_re[row + i]; // real ≥ 0 by QR normalization
     let center = if rll > f64::EPSILON { acc / rll } else { Complex::ZERO };
     let gain = rll * rll;
     ctx.factory.reset(&mut enumerators[i], ctx.c, center, gain, stats);
@@ -260,7 +260,12 @@ fn open_level<F: EnumeratorFactory>(
 /// the visited-node budget counter (non-zero when a lockstep descent
 /// already consumed part of it). Returns the best squared distance, with
 /// the solution in `best`, or `None` when nothing lay within the radius.
+///
+/// Inlined into both callers, so the enumerator's steps and the bound
+/// tests inline into the loop and the counters stay in a local until the
+/// one write-back into `stats`.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn run_search_loop<F: EnumeratorFactory>(
     ctx: &SearchCtx<'_, F>,
     constraint: Option<(usize, usize, bool)>,
@@ -278,12 +283,13 @@ fn run_search_loop<F: EnumeratorFactory>(
 ) -> Option<f64> {
     let nc = ctx.nc;
     let SearchState { mut i, mut radius, mut found, mut best_dist } = st;
+    let mut counts = *stats;
     loop {
         if local_nodes >= max_visited_nodes {
             break; // runtime budget exhausted: return best-so-far
         }
         let budget = radius - dist_above[i];
-        match enumerators[i].next_child(budget, stats) {
+        match enumerators[i].next_child(budget, &mut counts) {
             Some(child) if dist_above[i] + child.cost < radius => {
                 local_nodes += 1;
                 // Constrained search: skip children whose required bit
@@ -294,7 +300,7 @@ fn run_search_loop<F: EnumeratorFactory>(
                         continue;
                     }
                 }
-                stats.visited_nodes += 1;
+                counts.visited_nodes += 1;
                 let dist = dist_above[i] + child.cost;
                 chosen[i] = child.point;
                 chosen_re[i] = child.point.i as f64;
@@ -309,7 +315,16 @@ fn run_search_loop<F: EnumeratorFactory>(
                     // the next sibling under the new radius.
                 } else {
                     i -= 1;
-                    open_level(ctx, i, dist, chosen_re, chosen_im, enumerators, dist_above, stats);
+                    open_level(
+                        ctx,
+                        i,
+                        dist,
+                        chosen_re,
+                        chosen_im,
+                        enumerators,
+                        dist_above,
+                        &mut counts,
+                    );
                 }
             }
             // Sorted enumeration: a child at or beyond the radius, or an
@@ -323,10 +338,36 @@ fn run_search_loop<F: EnumeratorFactory>(
             }
         }
     }
+    *stats = counts;
     if found {
         Some(best_dist)
     } else {
         None
+    }
+}
+
+/// The detection at output slot `slot`, for a batch path that fills its
+/// slots in place: when `slot` is the next unfilled one (channel-grouped
+/// input, walked in slot order) it is appended with a recycled symbol
+/// buffer first; otherwise it is a placeholder pre-filled by the caller.
+fn slot_mut<'o>(
+    out: &'o mut Vec<Detection>,
+    slot: usize,
+    spare: &mut Vec<Vec<GridPoint>>,
+) -> &'o mut Detection {
+    if slot == out.len() {
+        out.push(Detection { symbols: pop_spare(spare), stats: DetectorStats::default() });
+    }
+    &mut out[slot]
+}
+
+/// Stores a finished detection at output slot `slot` (see [`slot_mut`]),
+/// recycling the symbol buffer of the placeholder it replaces.
+fn put(out: &mut Vec<Detection>, slot: usize, det: Detection, spare: &mut Vec<Vec<GridPoint>>) {
+    if slot == out.len() {
+        out.push(det);
+    } else {
+        spare.push(std::mem::replace(&mut out[slot], det).symbols);
     }
 }
 
@@ -459,7 +500,9 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
     /// never backtracks, every floating-point expression is evaluated in
     /// the same order per job ([`gs_linalg::simd::cdot_soa_multi`] output
     /// `s` equals `cdot_soa` on job `s`'s column bitwise), and stats are
-    /// per-job, so the interleaving is invisible.
+    /// per-job, so the interleaving is invisible. The one thing the
+    /// straight-line descent cannot model — a NaN branch cost, which the
+    /// per-job loop rejects — sends that job through the per-job path.
     fn detect_jobs_multi(
         &self,
         channels: &[Matrix],
@@ -471,12 +514,25 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
     ) {
         let n = indices.map_or(jobs.len(), <[usize]>::len);
         let job_at = |slot: usize| -> &DetectionJob { &jobs[indices.map_or(slot, |ix| ix[slot])] };
-        // Group output slots by channel with a counting sort, O(n +
-        // channels): channels in ascending order, slots ascending within
-        // each — the grouping a sort of `(channel, slot)` pairs would give.
-        // Counts land at `channel + 1`, the prefix sum turns them into
-        // group starts, and the scatter advances each start to its group's
-        // end.
+        // Channel-grouped input — a `FramePortions` portion, or any batch
+        // already in ascending channel order — is walked run by run in
+        // slot order, so each detection is appended as it completes.
+        if (1..n).all(|t| job_at(t - 1).channel <= job_at(t).channel) {
+            let mut g = 0;
+            while g < n {
+                let ch = job_at(g).channel;
+                let e = (g + 1..n).find(|&t| job_at(t).channel != ch).unwrap_or(n);
+                self.detect_run(channels, ch, g..e, false, jobs, indices, c, ws, out);
+                g = e;
+            }
+            return;
+        }
+        // Otherwise group output slots by channel with a counting sort,
+        // O(n + channels): channels in ascending order, slots ascending
+        // within each — the grouping a sort of `(channel, slot)` pairs
+        // would give. Counts land at `channel + 1`, the prefix sum turns
+        // them into group starts, and the scatter advances each start to
+        // its group's end.
         let n_channels = channels.len();
         ws.channel_end.clear();
         ws.channel_end.resize(n_channels + 1, 0);
@@ -502,35 +558,56 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         let mut g = 0;
         for ch in 0..n_channels {
             let e = ws.channel_end[ch];
-            if e == g {
-                continue; // no jobs on this channel
+            if e > g {
+                self.detect_run(channels, ch, g..e, true, jobs, indices, c, ws, out);
             }
-            let h = &channels[ch];
-            let nc = h.cols();
-            let mut prep = ws.preps[ch].take();
-            if !ws.prep_fresh[ch] {
-                Self::refresh_prep(&mut prep, self.sorted_qr, h, &mut ws.qr_ws);
-                ws.prep_fresh[ch] = true;
-            }
-            let prep = prep.expect("prep just refreshed");
-            let mut s0 = g;
-            while s0 < e {
-                let k = (e - s0).min(MAX_LOCKSTEP);
-                if k >= 2 {
-                    let mut slots = [0u32; MAX_LOCKSTEP];
-                    slots[..k].copy_from_slice(&ws.order[s0..s0 + k]);
-                    self.lockstep_chunk(&prep, nc, c, &slots[..k], jobs, indices, ws, out);
-                } else {
-                    let slot = ws.order[s0] as usize;
-                    let det = self.detect_prepared(&prep, nc, &job_at(slot).y, c, ws);
-                    let old = std::mem::replace(&mut out[slot], det);
-                    ws.spare.push(old.symbols);
-                }
-                s0 += k;
-            }
-            ws.preps[ch] = Some(prep);
             g = e;
         }
+    }
+
+    /// Detects the jobs of one channel run — positions `run` of the slot
+    /// order: the slots themselves, or (`from_order`) entries of the
+    /// workspace's counting-sorted `order` — in lockstep chunks of at most
+    /// [`MAX_LOCKSTEP`] jobs against the channel's QR.
+    #[allow(clippy::too_many_arguments)]
+    fn detect_run(
+        &self,
+        channels: &[Matrix],
+        ch: usize,
+        run: std::ops::Range<usize>,
+        from_order: bool,
+        jobs: &[DetectionJob],
+        indices: Option<&[usize]>,
+        c: Constellation,
+        ws: &mut SearchWorkspace<F::Enumerator>,
+        out: &mut Vec<Detection>,
+    ) {
+        let h = &channels[ch];
+        let nc = h.cols();
+        let mut prep = ws.preps[ch].take();
+        if !ws.prep_fresh[ch] {
+            Self::refresh_prep(&mut prep, self.sorted_qr, h, &mut ws.qr_ws);
+            ws.prep_fresh[ch] = true;
+        }
+        let prep = prep.expect("prep just refreshed");
+        let mut s0 = run.start;
+        while s0 < run.end {
+            let k = (run.end - s0).min(MAX_LOCKSTEP);
+            let mut slots = [0u32; MAX_LOCKSTEP];
+            for (p, slot) in slots[..k].iter_mut().enumerate() {
+                *slot = if from_order { ws.order[s0 + p] } else { (s0 + p) as u32 };
+            }
+            if k >= 2 {
+                self.lockstep_chunk(&prep, nc, c, &slots[..k], jobs, indices, ws, out);
+            } else {
+                let slot = slots[0] as usize;
+                let job = &jobs[indices.map_or(slot, |ix| ix[slot])];
+                let det = self.detect_prepared(&prep, nc, &job.y, c, ws);
+                put(out, slot, det, &mut ws.spare);
+            }
+            s0 += k;
+        }
+        ws.preps[ch] = Some(prep);
     }
 
     /// Runs one lockstep chunk: the shared first descent, then each job's
@@ -545,27 +622,24 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         jobs: &[DetectionJob],
         indices: Option<&[usize]>,
         ws: &mut SearchWorkspace<F::Enumerator>,
-        out: &mut [Detection],
+        out: &mut Vec<Detection>,
     ) {
         let k = slots.len();
         let _prof = gs_prof::scope(gs_prof::Stage::Enumerate);
-        ws.prepare_levels(nc);
         ws.prepare_multi(k, nc);
         let (qr, sorted) = match prep {
             Prep::Plain(qr) => (qr, None),
             Prep::Sorted(sqr) => (&sqr.qr, Some(sqr)),
         };
         ws.load_r_soa(&qr.r);
-        let r = &qr.r;
-        // Rotate each job's receive vector into its ŷ slab entry — one
-        // Rotate scope for the whole chunk (per-vector scopes would cost
-        // more than the 4×4 rotations they bracket).
+        // Rotate each job's receive vector straight into its ŷ slab entry —
+        // one Rotate scope for the whole chunk (per-vector scopes would
+        // cost more than the 4×4 rotations they bracket).
         {
             let _rot = gs_prof::scope(gs_prof::Stage::Rotate);
             for (s, &slot) in slots.iter().enumerate() {
                 let job = &jobs[indices.map_or(slot as usize, |ix| ix[slot as usize])];
-                qr.rotate_into_unscoped(&job.y, &mut ws.yhat);
-                ws.m_yhat[s * nc..s * nc + nc].copy_from_slice(&ws.yhat[..nc]);
+                qr.rotate_into_slice(&job.y, &mut ws.m_yhat[s * nc..s * nc + nc]);
             }
         }
         let mut diverged = false;
@@ -586,13 +660,14 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                 m_stats,
                 r_re,
                 r_im,
+                spare,
                 ..
             } = ws;
             m_stats[..k].fill(DetectorStats::default());
             m_radius[..k].fill(0.0);
             // Lockstep first descent: per level, one batched interference
-            // kernel, then each job opens the level and takes its cheapest
-            // child (always accepted — the radius is infinite).
+            // kernel, then each job opens the level at its cheapest child
+            // (always accepted — the radius is infinite) in one fused step.
             for i in (0..nc).rev() {
                 let m = nc - 1 - i;
                 if m > 0 {
@@ -610,7 +685,7 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                     ix_re[..k].fill(0.0);
                     ix_im[..k].fill(0.0);
                 }
-                let rll = r[(i, i)].re; // real ≥ 0 by QR normalization
+                let rll = r_re[i * nc + i]; // real ≥ 0 by QR normalization
                 let gain = rll * rll;
                 for s in 0..k {
                     if m_radius[s].is_nan() {
@@ -621,9 +696,8 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                     stats.complex_mults += m as u64;
                     let center = if rll > f64::EPSILON { acc / rll } else { Complex::ZERO };
                     let e = &mut m_enum[s * nc + i];
-                    self.factory.reset(e, c, center, gain, stats);
                     m_dist[s * nc + i] = m_radius[s];
-                    match e.next_child(f64::INFINITY, stats) {
+                    match self.factory.reset_to_first(e, c, center, gain, stats) {
                         Some(child) => {
                             stats.visited_nodes += 1;
                             let re = child.point.i as f64;
@@ -647,16 +721,18 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
             }
             // Resume each job's standard loop from its post-leaf state:
             // level 0, radius shrunk to the leaf distance, solution found.
-            for s in 0..k {
+            for (s, &slot) in slots.iter().enumerate() {
+                let det = slot_mut(out, slot as usize, spare);
                 if m_radius[s].is_nan() {
+                    diverged = true; // a NaN leaf distance diverges too
                     continue;
                 }
                 let leaf = m_radius[s];
-                m_best[s * nc..s * nc + nc].copy_from_slice(&m_chosen[s * nc..s * nc + nc]);
+                let job = s * nc..s * nc + nc;
+                m_best[job.clone()].copy_from_slice(&m_chosen[job.clone()]);
                 let ctx = SearchCtx {
                     factory: &self.factory,
-                    r,
-                    yhat: &m_yhat[s * nc..s * nc + nc],
+                    yhat: &m_yhat[job.clone()],
                     c,
                     nc,
                     r_re,
@@ -669,20 +745,19 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                     u64::MAX,
                     nc as u64,
                     SearchState { i: 0, radius: leaf, found: true, best_dist: leaf },
-                    &mut m_enum[s * nc..s * nc + nc],
-                    &mut m_dist[s * nc..s * nc + nc],
-                    &mut m_chosen[s * nc..s * nc + nc],
-                    &mut m_chosen_re[s * nc..s * nc + nc],
-                    &mut m_chosen_im[s * nc..s * nc + nc],
-                    &mut m_best[s * nc..s * nc + nc],
+                    &mut m_enum[job.clone()],
+                    &mut m_dist[job.clone()],
+                    &mut m_chosen[job.clone()],
+                    &mut m_chosen_re[job.clone()],
+                    &mut m_chosen_im[job.clone()],
+                    &mut m_best[job.clone()],
                     &mut m_stats[s],
                 );
                 debug_assert!(res.is_some(), "resume starts from a found solution");
-                let det = &mut out[slots[s] as usize];
                 det.symbols.clear();
                 match sorted {
-                    None => det.symbols.extend_from_slice(&m_best[s * nc..s * nc + nc]),
-                    Some(sqr) => sqr.unpermute_into(&m_best[s * nc..s * nc + nc], &mut det.symbols),
+                    None => det.symbols.extend_from_slice(&m_best[job]),
+                    Some(sqr) => sqr.unpermute_into(&m_best[job], &mut det.symbols),
                 }
                 det.stats = m_stats[s];
             }
@@ -694,8 +769,7 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                 }
                 let job = &jobs[indices.map_or(slot as usize, |ix| ix[slot as usize])];
                 let det = self.detect_prepared(prep, nc, &job.y, c, ws);
-                let old = std::mem::replace(&mut out[slot as usize], det);
-                ws.spare.push(old.symbols);
+                put(out, slot as usize, det, &mut ws.spare);
             }
         }
     }
@@ -924,6 +998,44 @@ mod tests {
                     assert_eq!(m.symbols, s.symbols, "trial {trial} sorted {sorted} job {j}");
                     assert_eq!(m.stats, s.stats, "trial {trial} sorted {sorted} job {j}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_matches_single_symbol_on_a_nan_receive_vector() {
+        // A NaN branch cost makes the per-job search reject every child and
+        // fall back to per-level slicing; the lockstep descent, which
+        // accepts its first children unconditionally, must notice the NaN
+        // leaf and hand that job to the per-job path, in grouped and
+        // ungrouped job orders alike.
+        use crate::batch::{DetectionBatch, DetectionJob};
+        let mut rng = StdRng::seed_from_u64(150);
+        let c = Constellation::Qam16;
+        let channels: Vec<Matrix> = (0..2)
+            .map(|_| RayleighChannel::new(4, 4).sample_matrix(&mut rng).scale(c.scale()))
+            .collect();
+        let mut jobs: Vec<DetectionJob> = (0..6)
+            .map(|j| {
+                let (_, y, _) = random_instance(&mut rng, c, 4, 4, 0.1);
+                DetectionJob { channel: j % 2, y }
+            })
+            .collect();
+        jobs[2].y[1] = Complex::new(f64::NAN, 0.0);
+        for grouped in [false, true] {
+            if grouped {
+                jobs.sort_by_key(|j| j.channel);
+            }
+            let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
+            let multi = SphereDecoder::new(GeosphereFactory::full());
+            let single = multi.with_single_symbol();
+            let (mut out_m, mut out_s) = (Vec::new(), Vec::new());
+            multi.detect_batch_into(&batch, &mut multi.make_workspace(), &mut out_m);
+            single.detect_batch_into(&batch, &mut single.make_workspace(), &mut out_s);
+            for (j, (m, s)) in out_m.iter().zip(&out_s).enumerate() {
+                assert_eq!(m.symbols.len(), 4, "grouped {grouped} job {j}");
+                assert_eq!(m.symbols, s.symbols, "grouped {grouped} job {j}");
+                assert_eq!(m.stats, s.stats, "grouped {grouped} job {j}");
             }
         }
     }

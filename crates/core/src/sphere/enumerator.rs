@@ -99,6 +99,26 @@ pub trait EnumeratorFactory: Send + Sync {
         stats: &mut DetectorStats,
     );
 
+    /// Opens a node and yields its first child under an infinite budget:
+    /// behaviourally `self.reset(e, ..)` followed by
+    /// `e.next_child(f64::INFINITY, stats)` — the same child, the same
+    /// counts, and `e` left in the same state. The engine's lockstep first
+    /// descent opens every level through this; a family whose first child
+    /// is known without its queue (Geosphere's slice) overrides it with a
+    /// fused step.
+    #[inline]
+    fn reset_to_first(
+        &self,
+        e: &mut Self::Enumerator,
+        c: Constellation,
+        center: Complex,
+        gain: f64,
+        stats: &mut DetectorStats,
+    ) -> Option<Child> {
+        self.reset(e, c, center, gain, stats);
+        e.next_child(f64::INFINITY, stats)
+    }
+
     /// Resets the enumerator in `slot` for a new node, making one on first
     /// use: the reuse protocol's entry point for callers that hold an
     /// `Option` slot.

@@ -124,17 +124,18 @@ impl Default for GeosphereEnumerator {
 }
 
 impl GeosphereEnumerator {
-    /// Re-initializes for a new node (the reuse protocol's `reset`):
-    /// behaviorally identical to a fresh enumerator, and O(1) — the queue
-    /// and the column cursors are overwritten lazily, never cleared.
-    fn reset_for(
+    /// Opens a node: stores its per-node constants (constellation, center,
+    /// gain, pruning switch) and both axis cursors, and empties the queue.
+    /// Returns the slice column.
+    #[inline(always)]
+    fn open(
         &mut self,
         c: Constellation,
         center: Complex,
         gain: f64,
         geoprune: bool,
         stats: &mut DetectorStats,
-    ) {
+    ) -> usize {
         self.c = c;
         self.center = center;
         self.gain = gain;
@@ -150,25 +151,97 @@ impl GeosphereEnumerator {
         self.slice_row = first_row as u8;
         self.horizontal = horizontal;
         self.column_start = column_start;
+        first_column
+    }
+
+    /// Re-initializes for a new node (the reuse protocol's `reset`):
+    /// behaviorally identical to a fresh enumerator, and O(1) — the queue
+    /// and the column cursors are overwritten lazily, never cleared.
+    #[inline(always)]
+    fn reset_for(
+        &mut self,
+        c: Constellation,
+        center: Complex,
+        gain: f64,
+        geoprune: bool,
+        stats: &mut DetectorStats,
+    ) {
+        let column = self.open(c, center, gain, geoprune, stats);
         // Activate the slice's own column (the horizontal zigzag's first
         // level); under an infinite budget its head always survives.
-        self.activate_column(first_column, f64::INFINITY, stats);
+        self.activate_column(column, f64::INFINITY, stats);
+    }
+
+    /// [`GeosphereEnumerator::reset_for`] then `next_child(∞)` in one step.
+    /// After the reset the slice column's head is the only queued
+    /// candidate, so it is the first child: it is returned without the
+    /// push and the pop, and the enumerator is left exactly as the pop
+    /// leaves it — queue empty, the slice column armed, its successors
+    /// pending — with the same counts.
+    #[inline(always)]
+    fn open_at_slice(
+        &mut self,
+        c: Constellation,
+        center: Complex,
+        gain: f64,
+        geoprune: bool,
+        stats: &mut DetectorStats,
+    ) -> Child {
+        let column = self.open(c, center, gain, geoprune, stats);
+        let row = self.slice_row as usize;
+        if geoprune {
+            // The head's Eq. 9 bound is `gain · (T[0] + T[0])`, zero (or
+            // NaN), which is never ≥ the infinite activation budget: the
+            // check is counted and never prunes.
+            stats.bound_checks += 1;
+        }
+        let cost = self.ped(column, row);
+        stats.ped_calcs += 1;
+        self.columns[column] = self.column_start;
+        self.pending_explore = Some(column as u8);
+        Child { point: self.point(column, row), cost }
+    }
+
+    /// The exact branch cost of the point at the given level indices,
+    /// through the shared per-point unit — the same expression `ped_soa`
+    /// evaluates per lane, so Geosphere's lazy one-at-a-time enumeration
+    /// and ETH-SD's row-head batches agree bit for bit on every cost.
+    #[inline]
+    fn ped(&self, column: usize, row: usize) -> f64 {
+        gs_linalg::simd::ped_point(
+            self.c.coord_of_index(column) as f64,
+            self.c.coord_of_index(row) as f64,
+            self.center,
+            self.gain,
+        )
+    }
+
+    /// The constellation point at the given level indices.
+    #[inline]
+    fn point(&self, column: usize, row: usize) -> GridPoint {
+        GridPoint { i: self.c.coord_of_index(column), q: self.c.coord_of_index(row) }
     }
 
     /// Lower-bounds the branch cost of a point at the given level indices
     /// (Eq. 9 offsets from the slice).
     #[inline]
     fn bound(&self, column: usize, row: usize) -> f64 {
-        self.gain
-            * distance_lower_bound(
-                column.abs_diff(self.slice_column as usize),
-                row.abs_diff(self.slice_row as usize),
-            )
+        self.bound_at(
+            column.abs_diff(self.slice_column as usize),
+            row.abs_diff(self.slice_row as usize),
+        )
+    }
+
+    /// The Eq. 9 bound `gain · (T[dI] + T[dQ])` at grid-step offsets
+    /// `(dI, dQ)` from the slice. Monotone in each offset.
+    #[inline]
+    fn bound_at(&self, d_i: usize, d_q: usize) -> f64 {
+        self.gain * distance_lower_bound(d_i, d_q)
     }
 
     /// Pushes a candidate after the (optional) bound test and the exact
     /// PED computation. Returns `false` when the bound killed it.
-    #[inline]
+    #[inline(always)]
     fn try_push(
         &mut self,
         column: usize,
@@ -183,16 +256,7 @@ impl GeosphereEnumerator {
                 return false;
             }
         }
-        // One exact PED through the shared per-point unit — the same
-        // expression `ped_soa` evaluates per lane, so Geosphere's lazy
-        // one-at-a-time enumeration and ETH-SD's row-head batches agree
-        // bit for bit on every cost.
-        let cost = gs_linalg::simd::ped_point(
-            self.c.coord_of_index(column) as f64,
-            self.c.coord_of_index(row) as f64,
-            self.center,
-            self.gain,
-        );
+        let cost = self.ped(column, row);
         stats.ped_calcs += 1;
         // At most one candidate per column, so `len < side ≤ MAX_SIDE`.
         debug_assert!((self.len as usize) < self.c.side(), "queue grew past √|O|");
@@ -204,7 +268,22 @@ impl GeosphereEnumerator {
     /// Vertical zigzag: advance `column`'s cursor and enqueue the next
     /// point of that column. A bound kill exhausts the column (the bound is
     /// monotone along the vertical zigzag).
+    #[inline(always)]
     fn advance_column(&mut self, column: usize, budget: f64, stats: &mut DetectorStats) {
+        if self.columns[column].is_done() {
+            return;
+        }
+        // Every row after a column's head is at least one grid step from
+        // the slice row. A bound that prunes at dQ = 1 therefore prunes
+        // whichever row the zigzag yields next, so the column dies without
+        // taking the step (the head's successor is exactly at dQ = 1).
+        if self.geoprune && self.bound_at(column.abs_diff(self.slice_column as usize), 1) >= budget
+        {
+            stats.bound_checks += 1;
+            stats.bound_prunes += 1;
+            self.columns[column] = AxisZigzag::default();
+            return;
+        }
         let Some(row) = self.columns[column].next_index(self.c, self.center.im) else { return };
         if !self.try_push(column, row, budget, stats) {
             self.columns[column] = AxisZigzag::default(); // rest of column dead
@@ -213,7 +292,20 @@ impl GeosphereEnumerator {
 
     /// Horizontal zigzag: activate the next column in I-zigzag order. A
     /// bound kill exhausts the horizontal direction entirely.
+    #[inline(always)]
     fn advance_horizontal(&mut self, budget: f64, stats: &mut DetectorStats) {
+        if self.horizontal.is_done() {
+            return;
+        }
+        // Every column after the slice's is at least one grid step from it:
+        // a bound that prunes at dI = 1 prunes the next column on either
+        // side, so the direction dies without taking the zigzag step.
+        if self.geoprune && self.bound_at(1, 0) >= budget {
+            stats.bound_checks += 1;
+            stats.bound_prunes += 1;
+            self.horizontal = AxisZigzag::default();
+            return;
+        }
         let Some(column) = self.horizontal.next_index(self.c, self.center.re) else { return };
         // The paper's Step 3(b) guard — "if no other constellation point in
         // zh's PAM subconstellation is in Q" — holds by construction here:
@@ -235,22 +327,28 @@ impl GeosphereEnumerator {
     /// Enqueues `column`'s head (the slice row) and arms its vertical
     /// cursor — only if the head survived: a bound kill on the column head
     /// (its dQ term is 0, so only the dI term can fire) dooms the column.
+    #[inline(always)]
     fn activate_column(&mut self, column: usize, budget: f64, stats: &mut DetectorStats) {
         let pushed = self.try_push(column, self.slice_row as usize, budget, stats);
         self.columns[column] = if pushed { self.column_start } else { AxisZigzag::default() };
     }
 
     /// Removes and returns the first live candidate in pop order.
-    #[inline]
+    #[inline(always)]
     fn pop(&mut self) -> Option<Candidate> {
         let live = &self.queue[..self.len as usize];
         let first = *live.first()?;
+        // The scan selects rather than branches: which candidate wins is
+        // data-dependent, and a mispredicted branch per comparison would
+        // cost more than the comparison.
         let (mut at, mut best) = (0, first);
         for (k, cand) in live.iter().enumerate().skip(1) {
-            if cand.precedes(&best) {
-                (at, best) = (k, *cand);
-            }
+            let wins = cand.precedes(&best);
+            at = if wins { k } else { at };
+            best.cost = if wins { cand.cost } else { best.cost };
+            best.column = if wins { cand.column } else { best.column };
         }
+        let best = live[at];
         self.len -= 1;
         self.queue[at] = self.queue[self.len as usize];
         Some(best)
@@ -264,6 +362,7 @@ impl GeosphereEnumerator {
 }
 
 impl NodeEnumerator for GeosphereEnumerator {
+    #[inline(always)]
     fn next_child(&mut self, budget: f64, stats: &mut DetectorStats) -> Option<Child> {
         // Deferred successor generation for the previously explored point
         // (paper Step 3a/3b) — runs only when the decoder actually needs
@@ -279,11 +378,7 @@ impl NodeEnumerator for GeosphereEnumerator {
         }
         let cand = self.pop()?;
         self.pending_explore = Some(cand.column);
-        let point = GridPoint {
-            i: self.c.coord_of_index(cand.column as usize),
-            q: self.c.coord_of_index(cand.row as usize),
-        };
-        Some(Child { point, cost: cand.cost })
+        Some(Child { point: self.point(cand.column as usize, cand.row as usize), cost: cand.cost })
     }
 }
 
@@ -302,6 +397,7 @@ impl EnumeratorFactory for GeosphereFactory {
         e
     }
 
+    #[inline]
     fn reset(
         &self,
         e: &mut GeosphereEnumerator,
@@ -311,6 +407,18 @@ impl EnumeratorFactory for GeosphereFactory {
         stats: &mut DetectorStats,
     ) {
         e.reset_for(c, center, gain, self.geometric_pruning, stats);
+    }
+
+    #[inline]
+    fn reset_to_first(
+        &self,
+        e: &mut GeosphereEnumerator,
+        c: Constellation,
+        center: Complex,
+        gain: f64,
+        stats: &mut DetectorStats,
+    ) -> Option<Child> {
+        Some(e.open_at_slice(c, center, gain, self.geometric_pruning, stats))
     }
 
     fn name(&self) -> &'static str {
@@ -484,6 +592,56 @@ mod tests {
                         assert_eq!(x.cost.to_bits(), y.cost.to_bits());
                     }
                     _ => panic!("fresh and reset enumerations diverged"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reset_to_first_matches_reset_then_next_child() {
+        // The fused first step must be invisible: the same first child, the
+        // same counts, and an enumerator that then continues exactly like
+        // one that was reset and popped — under finite budgets too, where
+        // the deferred successors are bound-pruned.
+        for geoprune in [false, true] {
+            let factory =
+                if geoprune { GeosphereFactory::full() } else { GeosphereFactory::zigzag_only() };
+            for c in Constellation::ALL {
+                for &(re, im, gain, budget) in &[
+                    (0.3, -0.8, 1.0, f64::INFINITY),
+                    (2.9, 1.1, 0.7, 3.0),
+                    (-20.0, 20.0, 2.5, 50.0),
+                    (0.0, 0.0, 4.0, 0.5),
+                    (-1.0, 1.0, 0.0, 1.0),
+                ] {
+                    let center = Complex::new(re, im);
+                    let mut stats_ref = DetectorStats::default();
+                    let mut stats_fused = DetectorStats::default();
+                    let mut reference = GeosphereEnumerator::default();
+                    let mut fused = factory.make(c, Complex::new(5.0, -5.0), 3.0, &mut stats_fused);
+                    fused.next_child(f64::INFINITY, &mut stats_fused);
+                    stats_fused = DetectorStats::default();
+                    factory.reset(&mut reference, c, center, gain, &mut stats_ref);
+                    let a = reference.next_child(f64::INFINITY, &mut stats_ref).unwrap();
+                    let b = factory
+                        .reset_to_first(&mut fused, c, center, gain, &mut stats_fused)
+                        .unwrap();
+                    assert_eq!(a.point, b.point);
+                    assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+                    assert_eq!(stats_ref, stats_fused, "{c:?} geoprune {geoprune}");
+                    loop {
+                        let a = reference.next_child(budget, &mut stats_ref);
+                        let b = fused.next_child(budget, &mut stats_fused);
+                        assert_eq!(stats_ref, stats_fused, "{c:?} geoprune {geoprune}");
+                        match (a, b) {
+                            (None, None) => break,
+                            (Some(x), Some(y)) => {
+                                assert_eq!(x.point, y.point);
+                                assert_eq!(x.cost.to_bits(), y.cost.to_bits());
+                            }
+                            _ => panic!("fused and reset enumerations diverged"),
+                        }
+                    }
                 }
             }
         }

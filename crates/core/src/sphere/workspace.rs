@@ -110,7 +110,8 @@ pub struct SearchWorkspace<E> {
     pub(crate) m_chosen_im: Vec<f64>,
     /// Per-job best solutions.
     pub(crate) m_best: Vec<GridPoint>,
-    /// Per-job Q*-rotated receive vectors (truncated to `nc`).
+    /// Per-job Q*-rotated receive vectors (`nc` entries each), written by
+    /// the rotation directly.
     pub(crate) m_yhat: Vec<Complex>,
     /// Level-major interleaved split-re mirror of the chosen points.
     pub(crate) il_re: Vec<f64>,
@@ -127,7 +128,8 @@ pub struct SearchWorkspace<E> {
     /// Per-job operation counters.
     pub(crate) m_stats: Vec<DetectorStats>,
     /// Channel-grouping scratch for the batched path: output slots
-    /// counting-sorted by channel (ascending slots within a channel).
+    /// counting-sorted by channel (ascending slots within a channel), for
+    /// input that is not already in channel order.
     pub(crate) order: Vec<u32>,
     /// Per-channel group ends into `order` after the counting sort.
     pub(crate) channel_end: Vec<usize>,
@@ -286,12 +288,9 @@ impl<E: Default> SearchWorkspace<E> {
         }
     }
 
-    /// Pops a recycled symbol buffer (or a fresh one on cold start),
-    /// cleared and ready to fill.
+    /// Pops a recycled symbol buffer (see [`pop_spare`]).
     pub(crate) fn take_spare(&mut self) -> Vec<GridPoint> {
-        let mut v = self.spare.pop().unwrap_or_default();
-        v.clear();
-        v
+        pop_spare(&mut self.spare)
     }
 
     /// Sizes the per-channel prep slab for a batch and marks every slot
@@ -304,4 +303,12 @@ impl<E: Default> SearchWorkspace<E> {
         self.prep_fresh.clear();
         self.prep_fresh.resize(n_channels, false);
     }
+}
+
+/// Pops a recycled symbol buffer from `spare` (or a fresh one on cold
+/// start), cleared and ready to fill.
+pub(crate) fn pop_spare(spare: &mut Vec<Vec<GridPoint>>) -> Vec<GridPoint> {
+    let mut v = spare.pop().unwrap_or_default();
+    v.clear();
+    v
 }

@@ -43,23 +43,31 @@ impl Qr {
     /// Panics when `y.len()` differs from the number of rows of `Q`.
     pub fn rotate_into(&self, y: &[Complex], out: &mut Vec<Complex>) {
         let _prof = gs_prof::scope(gs_prof::Stage::Rotate);
-        self.rotate_into_unscoped(y, out);
+        out.clear();
+        out.resize(self.q.cols(), Complex::ZERO);
+        self.rotate_into_slice(y, out);
     }
 
-    /// [`Qr::rotate_into`] without opening a `Rotate` profiling scope.
+    /// [`Qr::rotate`] into a slice of exactly `q.cols()` entries, without
+    /// opening a `Rotate` profiling scope.
     ///
     /// For a small `nc` the scope entry/exit costs a visible fraction of
     /// the rotation itself, so batched callers (the multi-symbol lockstep
-    /// rotates up to 16 vectors back-to-back) bracket the whole run under
-    /// one caller-held scope and call this per vector.
-    pub fn rotate_into_unscoped(&self, y: &[Complex], out: &mut Vec<Complex>) {
+    /// rotates up to 16 vectors back-to-back straight into its ŷ slab)
+    /// bracket the whole run under one caller-held scope and call this
+    /// per vector.
+    ///
+    /// # Panics
+    /// Panics when `y.len()` differs from the number of rows of `Q` or
+    /// `out.len()` from its number of columns.
+    #[inline]
+    pub fn rotate_into_slice(&self, y: &[Complex], out: &mut [Complex]) {
         assert_eq!(y.len(), self.q.rows(), "rotate dimension mismatch");
-        out.clear();
-        out.resize(self.q.cols(), Complex::ZERO);
+        assert_eq!(out.len(), self.q.cols(), "rotate output length mismatch");
         // Accumulate row-by-row: `out[i] += conj(q[j, i]) · y_j` for j in
-        // ascending order — the same per-element accumulation order as the
-        // old column-walk, but with contiguous row loads the SIMD axpy
-        // kernel can vectorize across `i`.
+        // ascending order, with contiguous row loads the SIMD axpy kernel
+        // can vectorize across `i`.
+        out.fill(Complex::ZERO);
         for (j, &yj) in y.iter().enumerate() {
             crate::simd::caxpy_conj(self.q.row(j), yj, out);
         }
@@ -122,6 +130,13 @@ pub fn qr_decompose_into(h: &Matrix, ws: &mut QrWorkspace, out: &mut Qr) {
 
 /// The Householder reduction shared by the plain and sorted variants,
 /// parameterized over its scratch buffers so callers control reuse.
+///
+/// The working copies are walked as flat row-major slices (`r[i·n + c]`,
+/// `q[row·m + i]`), and every magnitude is taken once. The per-element
+/// operation sequence is fixed: each dot product folds from
+/// [`Complex::ZERO`] in ascending row order, each update subtracts one
+/// rounded product, so the factors are reproducible to the bit
+/// (`tests/qr_rotation_bits.rs` pins them).
 fn qr_core(
     h: &Matrix,
     r_full: &mut Matrix,
@@ -135,11 +150,13 @@ fn qr_core(
     // Work on a full copy; accumulate the reflections into q_full.
     r_full.copy_from(h);
     q_full.reset_identity(m);
+    let r = r_full.as_mut_slice();
+    let q = q_full.as_mut_slice();
 
     for k in 0..n {
         // Householder vector for column k, rows k..m.
         x.clear();
-        x.extend((k..m).map(|i| r_full[(i, k)]));
+        x.extend((k..m).map(|i| r[i * n + k]));
         let xnorm = x.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
         if xnorm < f64::EPSILON {
             continue;
@@ -147,62 +164,68 @@ fn qr_core(
         // alpha = -sign(x0) * |x|, where sign(z) = z/|z| (phase); this choice
         // avoids cancellation and makes the pivot -phase(x0)*|x|.
         let x0 = x[0];
-        let phase = if x0.abs() < f64::EPSILON { Complex::ONE } else { x0 / x0.abs() };
+        let x0_abs = x0.abs();
+        let phase = if x0_abs < f64::EPSILON { Complex::ONE } else { x0 / x0_abs };
         let alpha = -phase * xnorm;
         x[0] -= alpha;
         let vnorm_sqr: f64 = x.iter().map(|z| z.norm_sqr()).sum();
         if vnorm_sqr < f64::EPSILON * f64::EPSILON {
             continue;
         }
+        let two_over_vnorm = 2.0 / vnorm_sqr;
+        let v = &x[..m - k];
 
         // Apply I - 2 v v*/|v|^2 to the trailing block of R (columns k..n).
         for c in k..n {
-            let dot: Complex = (k..m).map(|i| x[i - k].conj() * r_full[(i, c)]).sum();
-            let f = dot.scale(2.0 / vnorm_sqr);
+            let mut dot = Complex::ZERO;
             for i in k..m {
-                let delta = x[i - k] * f;
-                r_full[(i, c)] -= delta;
+                dot += v[i - k].conj() * r[i * n + c];
+            }
+            let f = dot.scale(two_over_vnorm);
+            for i in k..m {
+                r[i * n + c] -= v[i - k] * f;
             }
         }
         // Accumulate into Q (apply reflection on the right of q_full).
-        for rrow in 0..m {
-            let dot: Complex = (k..m).map(|i| q_full[(rrow, i)] * x[i - k]).sum();
-            let f = dot.scale(2.0 / vnorm_sqr);
-            for i in k..m {
-                let delta = f * x[i - k].conj();
-                q_full[(rrow, i)] -= delta;
+        for row in 0..m {
+            let tail = &mut q[row * m + k..(row + 1) * m];
+            let mut dot = Complex::ZERO;
+            for (qi, vi) in tail.iter().zip(v) {
+                dot += *qi * *vi;
+            }
+            let f = dot.scale(two_over_vnorm);
+            for (qi, vi) in tail.iter_mut().zip(v) {
+                *qi -= f * vi.conj();
             }
         }
     }
 
     // Thin factors, written into the reused output storage.
     out.q.reset_zeros(m, n);
-    for r in 0..m {
-        for c in 0..n {
-            out.q[(r, c)] = q_full[(r, c)];
-        }
-    }
     out.r.reset_zeros(n, n);
+    let (oq, or) = (out.q.as_mut_slice(), out.r.as_mut_slice());
+    for rr in 0..m {
+        oq[rr * n..(rr + 1) * n].copy_from_slice(&q[rr * m..rr * m + n]);
+    }
     for rr in 0..n {
-        for cc in rr..n {
-            out.r[(rr, cc)] = r_full[(rr, cc)];
-        }
+        or[rr * n + rr..(rr + 1) * n].copy_from_slice(&r[rr * n + rr..(rr + 1) * n]);
     }
 
     // Normalize so diag(R) is real and non-negative: R <- D* R, Q <- Q D,
     // with D = diag(phase(r_kk)).
     for k in 0..n {
-        let d = out.r[(k, k)];
-        if d.abs() < f64::EPSILON {
+        let d = or[k * n + k];
+        let d_abs = d.abs();
+        if d_abs < f64::EPSILON {
             continue;
         }
-        let phase = d / d.abs();
+        let phase = d / d_abs;
         let phase_conj = phase.conj();
-        for c in k..n {
-            out.r[(k, c)] = phase_conj * out.r[(k, c)];
+        for z in &mut or[k * n + k..(k + 1) * n] {
+            *z = phase_conj * *z;
         }
         for rr in 0..m {
-            out.q[(rr, k)] *= phase;
+            oq[rr * n + k] *= phase;
         }
     }
 }

@@ -64,10 +64,13 @@
 //! A batched kernel would not speed Geosphere up either: its per-node cost
 //! is bookkeeping-bound, not PED-bound. A 64-QAM node under a budget that
 //! fits about 1.5 children (reset, first child, drain: 3.6 PEDs and 5.4
-//! bound lookups on average) takes ~75 ns on a shared 2-vCPU Xeon VM
-//! (`zigzag_vs_hess`, `node_reuse_Qam64`), ~13 ns of it the reset. The
-//! PEDs themselves, three multiplies and three adds each, are a few ns of
-//! that; the rest is zigzag steps, bound lookups and the queue scan.
+//! bound lookups on average) takes ~73 ns on a shared 2-vCPU Xeon VM
+//! (`zigzag_vs_hess`, `node_reuse_Qam64`, best of five runs). The PEDs
+//! themselves, three multiplies and three adds each, are a few ns of
+//! that; the rest is zigzag steps, bound lookups and the queue scan. In
+//! the batched engine a node the search only descends through costs less
+//! still: its first child is the slice, taken in one fused step without
+//! the queue.
 
 use crate::complex::Complex;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -305,11 +308,19 @@ pub fn cdotc_with(tier: Tier, a: &[Complex], b: &[Complex]) -> Complex {
 ///
 /// # Panics
 /// Panics when the four slices' lengths differ.
+#[inline]
 pub fn cdot_soa(ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) -> Complex {
     assert!(
         ar.len() == ai.len() && ar.len() == br.len() && ar.len() == bi.len(),
         "cdot_soa length mismatch"
     );
+    // Shorter than one four-lane block, every backend computes the same
+    // thing — the zero lane reduction plus the sequential tail — so the
+    // specification runs inline: for the sphere engine's short rows (at
+    // most `nc − 1` entries) the dispatch would cost more than the dot.
+    if ar.len() < 4 {
+        return scalar::cdot_soa(ar, ai, br, bi);
+    }
     dispatch!(cdot_soa(ar, ai, br, bi))
 }
 
@@ -399,15 +410,26 @@ fn assert_cdot_soa_multi(
 }
 
 /// Elementwise conjugated axpy `out_j += conj(a_j) · y` — one row step of
-/// the Q*-rotation ([`crate::Qr::rotate_into`]). Elementwise, so every
-/// backend is trivially bit-identical.
+/// the Q*-rotation ([`crate::Qr::rotate_into_slice`]). Elementwise, so
+/// every backend is trivially bit-identical.
 ///
 /// # Panics
 /// Panics when lengths differ.
+#[inline]
 pub fn caxpy_conj(a: &[Complex], y: Complex, out: &mut [Complex]) {
     assert_eq!(a.len(), out.len(), "caxpy_conj length mismatch");
+    // A row of a MIMO channel's Q has as many entries as the channel has
+    // streams (four at the paper's operating point), and a row that short
+    // costs less than a dispatched call: it runs the specification inline,
+    // which, elementwise, every backend matches bit for bit.
+    if a.len() <= INLINE_AXPY_MAX {
+        return scalar::caxpy_conj(a, y, out);
+    }
     dispatch!(caxpy_conj(a, y, out))
 }
+
+/// Longest row [`caxpy_conj`] evaluates inline instead of dispatching.
+const INLINE_AXPY_MAX: usize = 8;
 
 /// [`caxpy_conj`] forced onto a specific tier.
 pub fn caxpy_conj_with(tier: Tier, a: &[Complex], y: Complex, out: &mut [Complex]) {

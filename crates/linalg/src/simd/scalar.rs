@@ -50,6 +50,7 @@ pub(super) fn cdotc(a: &[Complex], b: &[Complex]) -> Complex {
 /// (the AVX2/NEON half-then-horizontal tree); tail elements are added
 /// sequentially afterwards. Products are `re = ar·br − ai·bi`,
 /// `im = ar·bi + ai·br`, each rounding once — no FMA.
+#[inline]
 pub(super) fn cdot_soa(ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) -> Complex {
     let n = ar.len();
     let blocks = n / 4;
@@ -136,6 +137,7 @@ pub(super) fn cdot_soa_multi_tail(
 /// Elementwise `out_j += conj(a_j) · y`: per element
 /// `re += ar·yr + ai·yi`, `im += ar·yi − ai·yr` — no cross-element
 /// reduction, so lane width cannot matter.
+#[inline]
 pub(super) fn caxpy_conj(a: &[Complex], y: Complex, out: &mut [Complex]) {
     for (o, &aj) in out.iter_mut().zip(a) {
         *o += aj.conj() * y;

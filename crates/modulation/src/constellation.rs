@@ -51,15 +51,13 @@ impl Constellation {
         }
     }
 
-    /// PAM levels per axis, `m = √|O|`.
+    /// PAM levels per axis, `m = √|O|`: 2, 4, 8 and 16 in declaration
+    /// order. Computed from the variant's position instead of matched on,
+    /// so the zigzag steps of the sphere enumerators, which call it per
+    /// step, never branch on the constellation.
     #[inline]
     pub const fn side(self) -> usize {
-        match self {
-            Constellation::Qpsk => 2,
-            Constellation::Qam16 => 4,
-            Constellation::Qam64 => 8,
-            Constellation::Qam256 => 16,
-        }
+        2 << self as usize
     }
 
     /// Bits per axis, `Q/2`.

@@ -45,23 +45,25 @@ impl AxisZigzag {
 
     /// Yields the next level index (`0..c.side()`), or `None` once every
     /// level has been yielded.
+    ///
+    /// The side choice is computed without branching on the data: both
+    /// candidates' distances are always evaluated (an empty side's index
+    /// is clamped to a valid level and never wins), so the pick — a coin
+    /// flip for a target inside the grid — costs no branch misprediction.
     #[inline]
     pub fn next_index(&mut self, c: Constellation, target: f64) -> Option<usize> {
-        let dist = |idx: usize| (c.coord_of_index(idx) as f64 - target).abs();
-        let pick_below = match (self.below, self.above) {
-            (0, 0) => return None,
-            (_, 0) => true,
-            (0, _) => false,
-            (b, a) => dist(b as usize - 1) < dist(c.side() - a as usize),
-        };
-        if pick_below {
-            self.below -= 1;
-            Some(self.below as usize)
-        } else {
-            let idx = c.side() - self.above as usize;
-            self.above -= 1;
-            Some(idx)
+        let (below, above) = (self.below as usize, self.above as usize);
+        if below + above == 0 {
+            return None;
         }
+        let side = c.side();
+        let lower = below.saturating_sub(1);
+        let upper = (side - above).min(side - 1);
+        let dist = |idx: usize| (c.coord_of_index(idx) as f64 - target).abs();
+        let pick_below = (above == 0) | ((below != 0) & (dist(lower) < dist(upper)));
+        self.below -= u8::from(pick_below);
+        self.above -= u8::from(!pick_below);
+        Some(if pick_below { lower } else { upper })
     }
 
     /// Yields the next axis coordinate, or `None` once exhausted.
@@ -147,6 +149,45 @@ mod tests {
         // Target 0 is equidistant from ±1, ±3, …: every pair breaks upward.
         let order: Vec<i32> = AxisZigzag::order(Constellation::Qam64, 0.0).collect();
         assert_eq!(order, vec![1, -1, 3, -3, 5, -5, 7, -7]);
+    }
+
+    #[test]
+    fn branchless_step_matches_the_branching_rule() {
+        // The side choice as a plain branch: an exhausted side loses, else
+        // the strictly closer lower level wins, else the upper one.
+        fn reference(c: Constellation, target: f64) -> Vec<usize> {
+            let first = c.slice_index(target);
+            let (mut below, mut above) = (first, c.side() - first - 1);
+            let dist = |idx: usize| (c.coord_of_index(idx) as f64 - target).abs();
+            let mut order = vec![first];
+            while below + above > 0 {
+                let pick_below = match (below, above) {
+                    (_, 0) => true,
+                    (0, _) => false,
+                    (b, a) => dist(b - 1) < dist(c.side() - a),
+                };
+                if pick_below {
+                    below -= 1;
+                    order.push(below);
+                } else {
+                    order.push(c.side() - above);
+                    above -= 1;
+                }
+            }
+            order
+        }
+        let mut targets = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        targets.extend((-170..=170).map(|k| k as f64 / 10.0));
+        targets.extend((-17..=17).map(|k| (k as f64).next_up()));
+        for c in Constellation::ALL {
+            for &t in &targets {
+                let (first, mut z) = AxisZigzag::start(c, t);
+                let got: Vec<usize> = std::iter::once(first)
+                    .chain(std::iter::from_fn(|| z.next_index(c, t)))
+                    .collect();
+                assert_eq!(got, reference(c, t), "{c:?} target {t}");
+            }
+        }
     }
 
     #[test]

@@ -291,9 +291,10 @@ fn frame_held_in_parking_ring_past_deadline_is_a_miss() {
     stream.submit(frame_a0).expect("submit A0");
     stream.submit(frame_a1).expect("submit A1");
 
-    // Let the planner queue A0 and A1 behind the gated worker, then free
-    // it: EDF runs A1 (deadline beats A0's NO_DEADLINE key), which
-    // recovers quickly and parks behind the still-gated A0.
+    // Let A0's and A1's home tasks (each plans its own frame when it runs)
+    // queue behind the gated worker, then free it: EDF runs A1 (deadline
+    // beats A0's NO_DEADLINE key), which recovers quickly and parks behind
+    // the still-gated A0.
     std::thread::sleep(Duration::from_millis(20));
     open_gate(&g);
 

@@ -7,8 +7,8 @@ use geosphere::channel::{sample_cn, RayleighChannel};
 use geosphere::core::sphere::{ExhaustiveSortFactory, GeosphereFactory};
 use geosphere::core::{
     ethsd_decoder, geosphere_decoder, geosphere_zigzag_only_decoder, residual_norm_sqr,
-    FsdDetector, KBestDetector, MimoDetector, MlDetector, MmseSicDetector, SphereDecoder,
-    ZfDetector,
+    DetectionBatch, DetectionJob, FsdDetector, KBestDetector, MimoDetector, MlDetector,
+    MmseSicDetector, SphereDecoder, ZfDetector,
 };
 use geosphere::linalg::{Complex, Matrix};
 use geosphere::modulation::Constellation;
@@ -23,13 +23,19 @@ fn random_problem(
     noise: f64,
 ) -> (Matrix, Vec<Complex>) {
     let h = RayleighChannel::new(na, nc).sample_matrix(rng).scale(c.scale());
+    let y = random_observation(rng, &h, c, noise);
+    (h, y)
+}
+
+/// A random symbol vector sent through `h`, plus noise.
+fn random_observation(rng: &mut StdRng, h: &Matrix, c: Constellation, noise: f64) -> Vec<Complex> {
     let pts = c.points();
-    let s: Vec<_> = (0..nc).map(|_| pts[rng.gen_range(0..pts.len())]).collect();
-    let mut y = geosphere::core::apply_channel(&h, &s);
+    let s: Vec<_> = (0..h.cols()).map(|_| pts[rng.gen_range(0..pts.len())]).collect();
+    let mut y = geosphere::core::apply_channel(h, &s);
     for v in y.iter_mut() {
         *v += sample_cn(rng, noise);
     }
-    (h, y)
+    y
 }
 
 fn assert_ml<D: MimoDetector>(det: &D, h: &Matrix, y: &[Complex], c: Constellation, label: &str) {
@@ -192,6 +198,74 @@ fn matrix_exact_detectors_match_oracle() {
                         (got - ml).abs() < 1e-9,
                         "ethsd {c:?} {na}x{nc} high={high} trial={trial}: {got} vs ML {ml}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// Receive vectors per channel in the batch leg: at least two, so sibling
+/// jobs share a channel's QR and the lockstep first descent engages.
+const BATCH_JOBS_PER_CHANNEL: usize = 3;
+
+#[test]
+fn matrix_batch_path_matches_oracle() {
+    // The same oracle matrix through `detect_batch_with`: one channel per
+    // trial, several jobs per channel, in interleaved (counting-sorted)
+    // and channel-grouped (walked in place) job orders, for the lockstep
+    // and the per-job paths, plain and sorted QR.
+    for c in MATRIX_CONSTELLATIONS {
+        for (na, nc) in MATRIX_SIZES {
+            for high in [false, true] {
+                let noise = matrix_noise(c, high);
+                let mut channels = Vec::new();
+                let mut per_channel = Vec::new();
+                for trial in 0..MATRIX_TRIALS {
+                    let mut rng = StdRng::seed_from_u64(matrix_seed(c, na, nc, high, trial) + 700);
+                    let h = RayleighChannel::new(na, nc).sample_matrix(&mut rng).scale(c.scale());
+                    per_channel.push(
+                        (0..BATCH_JOBS_PER_CHANNEL)
+                            .map(|_| random_observation(&mut rng, &h, c, noise))
+                            .collect::<Vec<_>>(),
+                    );
+                    channels.push(h);
+                }
+                let interleaved: Vec<DetectionJob> = (0..BATCH_JOBS_PER_CHANNEL)
+                    .flat_map(|k| {
+                        per_channel
+                            .iter()
+                            .enumerate()
+                            .map(move |(channel, ys)| DetectionJob { channel, y: ys[k].clone() })
+                    })
+                    .collect();
+                let mut grouped = interleaved.clone();
+                grouped.sort_by_key(|job| job.channel);
+                for jobs in [&interleaved, &grouped] {
+                    let oracle: Vec<f64> = jobs
+                        .iter()
+                        .map(|j| oracle_residual(&channels[j.channel], &j.y, c))
+                        .collect();
+                    let batch = DetectionBatch { channels: &channels, jobs, c };
+                    for sorted in [false, true] {
+                        let mut lockstep = SphereDecoder::new(GeosphereFactory::full());
+                        lockstep.sorted_qr = sorted;
+                        for det in [lockstep, lockstep.with_single_symbol()] {
+                            let mut ws = det.make_batch_workspace();
+                            let mut out = Vec::new();
+                            det.detect_batch_with(&batch, &mut ws, &mut out);
+                            assert_eq!(out.len(), jobs.len());
+                            for (t, (job, ml)) in jobs.iter().zip(&oracle).enumerate() {
+                                let h = &channels[job.channel];
+                                let got = residual_norm_sqr(h, &job.y, &out[t].symbols);
+                                assert!(
+                                    (got - ml).abs() < 1e-9,
+                                    "{c:?} {na}x{nc} high={high} sorted={sorted} lockstep={} \
+                                     job {t}: {got} vs ML {ml}",
+                                    det.multi_symbol
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -211,8 +211,8 @@ const KERNEL_SYMBOLS: usize = 12;
 const KERNEL_REPS: usize = 20;
 
 /// One `detect_4x4` batch: `KERNEL_CHANNELS` i.i.d. 4×4 Rayleigh channels
-/// and `KERNEL_SYMBOLS` jobs per channel, in symbol-major order like a
-/// frame's detection batch.
+/// and `KERNEL_SYMBOLS` jobs per channel, in channel-major order like a
+/// frame's detection batch (drawn symbol-major, then stably grouped).
 fn kernel_batch(c: Constellation, snr_db: f64) -> (Vec<Matrix>, Vec<DetectionJob>) {
     let mut rng = StdRng::seed_from_u64(2204);
     let sigma2 = noise_variance_for_snr_db(snr_db);
@@ -231,6 +231,7 @@ fn kernel_batch(c: Constellation, snr_db: f64) -> (Vec<Matrix>, Vec<DetectionJob
             jobs.push(DetectionJob { channel: k, y });
         }
     }
+    jobs.sort_by_key(|job| job.channel);
     (channels, jobs)
 }
 

@@ -11,16 +11,18 @@
 //!   (QR factorization) is computed once per *channel*, not once per
 //!   *detection* — [`SphereDecoder`](crate::SphereDecoder) overrides
 //!   [`MimoDetector::detect_batch_with`] to do exactly that.
-//! * [`ChannelOrder`] is the channel-grouped dispatch order a
-//!   multi-worker frame is split by, so each worker's contiguous range
-//!   spans whole channel groups and re-factorizes each channel at most
-//!   once.
+//! * A frame's jobs arrive **channel-major**: `gs-phy`'s planner writes
+//!   every OFDM symbol of subcarrier 0, then of subcarrier 1, and so on,
+//!   so a contiguous job range spans whole channel runs and its detector
+//!   factorizes each of its channels once. Batches in any other order
+//!   decode bit-identically; they only lose the amortization across
+//!   same-channel jobs that are not adjacent.
 //! * [`FramePortions`] is the one frame-dispatch core: it cuts a frame's
-//!   order into per-shard ranges (the one splitter), detects each range
-//!   against its shard's channel replica, counts the portions down, and
-//!   owns the one panic rule (a portion that unwinds marks its frame,
-//!   which then never completes). [`DetectionPool`] and `gs-runtime`'s
-//!   `FrameStream` both dispatch through it.
+//!   jobs into contiguous per-shard ranges (the one splitter), detects
+//!   each range against its shard's channel replica, counts the portions
+//!   down, and owns the one panic rule (a portion that unwinds marks its
+//!   frame, which then never completes). [`DetectionPool`] and
+//!   `gs-runtime`'s `FrameStream` both dispatch through it.
 //! * [`DetectionPool`] runs one batch at a time across a persistent
 //!   [`ShardedDetectionPool`]. Results are bit-identical to detecting each
 //!   job serially, for any worker count: detection consumes no shared
@@ -77,49 +79,7 @@ impl DetectionBatch<'_> {
     }
 }
 
-/// The channel-grouped dispatch order of a batch: job indices sorted by
-/// channel, submission order kept within each channel — the permutation a
-/// stable sort by `(channel, index)` gives. An OFDM frame's jobs arrive
-/// symbol-major (the channel cycles every subcarrier), so splitting the
-/// raw job order across workers would make every worker touch, and
-/// re-factorize, every channel.
-///
-/// Computed by a counting sort, O(jobs + channels), into buffers kept
-/// across calls: allocation-free once warm.
-#[derive(Clone, Debug, Default)]
-pub struct ChannelOrder {
-    order: Vec<usize>,
-    /// Counting-sort scratch: per-channel group starts, advanced to the
-    /// group ends by the scatter.
-    ends: Vec<usize>,
-}
-
-impl ChannelOrder {
-    /// Recomputes the order over `jobs` and returns it.
-    pub fn group(&mut self, jobs: &[DetectionJob]) -> &[usize] {
-        let n_channels = jobs.iter().map(|job| job.channel + 1).max().unwrap_or(0);
-        // Counts land at `channel + 1`; the prefix sum turns them into
-        // group starts.
-        self.ends.clear();
-        self.ends.resize(n_channels + 1, 0);
-        for job in jobs {
-            self.ends[job.channel + 1] += 1;
-        }
-        for ch in 0..n_channels {
-            self.ends[ch + 1] += self.ends[ch];
-        }
-        self.order.clear();
-        self.order.resize(jobs.len(), 0);
-        for (i, job) in jobs.iter().enumerate() {
-            let at = &mut self.ends[job.channel];
-            self.order[*at] = i;
-            *at += 1;
-        }
-        &self.order
-    }
-}
-
-/// One frame's channel-grouped job order cut into per-shard portions: the
+/// One frame's jobs cut into contiguous per-shard portions: the
 /// frame-dispatch core of [`DetectionPool`] and `gs-runtime`'s
 /// `FrameStream`. [`FramePortions::split`] cuts the frame and arms the
 /// countdown, [`FramePortions::submit`] hands the portions to the pool,
@@ -135,8 +95,7 @@ impl ChannelOrder {
 /// after the panicking job has unwound, so its own flag can still read
 /// clean when the next frame starts.
 pub struct FramePortions {
-    order: ChannelOrder,
-    /// Per-shard `[lo, hi)` ranges into `order`.
+    /// Per-shard `[lo, hi)` job ranges.
     ranges: Vec<(usize, usize)>,
     shards: Vec<Mutex<ShardPortion>>,
     countdown: Mutex<Countdown>,
@@ -177,7 +136,6 @@ impl FramePortions {
     /// A core for a pool of `shards` shards (≥ 1).
     pub fn new(shards: usize) -> Self {
         FramePortions {
-            order: ChannelOrder::default(),
             ranges: vec![(0, 0); shards],
             shards: (0..shards).map(|_| Mutex::default()).collect(),
             countdown: Mutex::default(),
@@ -185,13 +143,11 @@ impl FramePortions {
         }
     }
 
-    /// Starts a frame over `jobs`: groups them by channel, cuts the order
-    /// into per-shard ranges of `⌈jobs / shards⌉` (the last ones shorter
-    /// or empty) and arms the countdown. A range is a contiguous slice of
-    /// the channel-grouped order, so its shard re-factorizes each of its
-    /// channels at most once per frame.
-    pub fn split(&mut self, jobs: &[DetectionJob]) {
-        let n = self.order.group(jobs).len();
+    /// Starts a frame of `n` jobs: cuts `[0, n)` into per-shard ranges of
+    /// `⌈n / shards⌉` (the last ones shorter or empty) and arms the
+    /// countdown. Over a channel-major frame a range spans whole channel
+    /// runs, so its shard factorizes each of its channels once per frame.
+    pub fn split(&mut self, n: usize) {
         let chunk = n.div_ceil(self.shards.len()).max(1);
         for (s, range) in self.ranges.iter_mut().enumerate() {
             *range = ((s * chunk).min(n), ((s + 1) * chunk).min(n));
@@ -220,33 +176,34 @@ impl FramePortions {
     }
 
     /// Detects shard `shard`'s range through `detect` (called with the
-    /// batch, the range's job indices and the shard's output buffer), then
-    /// counts the portion down. Returns `true` to exactly one caller per
-    /// frame: the last portion of a frame in which no portion panicked.
+    /// range's jobs as a batch and the shard's output buffer), then counts
+    /// the portion down. Returns `true` to exactly one caller per frame:
+    /// the last portion of a frame in which no portion panicked.
     ///
     /// With several shards the batch reads the shard's channel replica,
-    /// refreshed here on the shard's own worker: only the range's channels
-    /// `c_lo..=c_hi` are copied (the rest stay stale, never indexed). With
-    /// one shard a replica cannot improve locality.
+    /// refreshed here on the shard's own worker: only the channels from
+    /// the range's lowest to its highest are copied (the rest stay stale,
+    /// never indexed). With one shard a replica cannot improve locality.
     pub fn detect(
         &self,
         shard: usize,
         channels: &[Matrix],
         jobs: &[DetectionJob],
         c: Constellation,
-        detect: impl FnOnce(&DetectionBatch, &[usize], &mut Vec<Detection>),
+        detect: impl FnOnce(&DetectionBatch, &mut Vec<Detection>),
     ) -> bool {
         let _unwind = UnwindGuard(self);
         let (lo, hi) = self.ranges[shard];
         if lo < hi {
-            let indices = &self.order.order[lo..hi];
+            let jobs = &jobs[lo..hi];
             let mut portion = lock_ignoring_poison(&self.shards[shard]);
             let ShardPortion { out, replica } = &mut *portion;
             let channels = if self.shards.len() == 1 {
                 channels
             } else {
-                let c_lo = jobs[indices[0]].channel;
-                let c_hi = jobs[indices[indices.len() - 1]].channel;
+                let (c_lo, c_hi) = jobs.iter().fold((usize::MAX, 0), |(lo, hi), job| {
+                    (lo.min(job.channel), hi.max(job.channel))
+                });
                 if replica.len() < channels.len() {
                     replica.resize_with(channels.len(), Matrix::default);
                 }
@@ -255,7 +212,7 @@ impl FramePortions {
                 }
                 &replica[..channels.len()]
             };
-            detect(&DetectionBatch { channels, jobs, c }, indices, out);
+            detect(&DetectionBatch { channels, jobs, c }, out);
         }
         self.count_down(false)
     }
@@ -276,14 +233,14 @@ impl FramePortions {
     }
 
     /// Visits every detection of the completed frame as
-    /// `(job_index, &Detection)`, in per-shard dispatch order. Job indices
-    /// cover the split's jobs exactly once; callers scatter by index.
+    /// `(job_index, &Detection)`, in job order. Job indices cover the
+    /// split's jobs exactly once; callers scatter by index.
     pub fn for_each_result(&self, mut f: impl FnMut(usize, &Detection)) {
         for (&(lo, hi), portion) in self.ranges.iter().zip(&self.shards) {
             let portion = lock_ignoring_poison(portion);
             debug_assert!(portion.out.len() >= hi - lo, "a range under-filled its output");
-            for (&job_idx, det) in self.order.order[lo..hi].iter().zip(&portion.out) {
-                f(job_idx, det);
+            for (i, det) in portion.out[..hi - lo].iter().enumerate() {
+                f(lo + i, det);
             }
         }
     }
@@ -344,9 +301,9 @@ impl ShardedJob for RwLock<PoolFrame> {
         let frame = self.read().unwrap_or_else(PoisonError::into_inner);
         let jobs = &frame.jobs[..frame.n_jobs];
         // Completion needs no action here: the core wakes `run`'s wait.
-        frame.portions.detect(shard, &frame.channels, jobs, frame.c, |batch, indices, out| {
+        frame.portions.detect(shard, &frame.channels, jobs, frame.c, |batch, out| {
             let detector = frame.detector.as_deref().expect("detector installed for the frame");
-            detector.detect_batch_indexed_with(batch, indices, ws, out);
+            detector.detect_batch_with(batch, ws, out);
         });
     }
 }
@@ -424,7 +381,7 @@ impl DetectionPool {
             std::mem::swap(&mut frame.jobs, jobs);
             frame.n_jobs = n_jobs;
             frame.c = c;
-            frame.portions.split(&frame.jobs[..n_jobs]);
+            frame.portions.split(n_jobs);
         }
         let job: Arc<dyn ShardedJob> = self.frame.clone();
         let clean = {
@@ -554,48 +511,20 @@ mod tests {
     }
 
     #[test]
-    fn channel_order_is_the_stable_grouping() {
-        let c = Constellation::Qpsk;
-        // Symbol-major jobs over 5 channels, plus a grouped and an empty
-        // batch: the counting sort must equal a stable sort by channel.
-        let (_, jobs) = random_batch(307, c, 2, 2, 5, 23, 0.01);
-        let (_, grouped) = random_batch(308, c, 2, 2, 1, 7, 0.01);
-        let mut order = ChannelOrder::default();
-        for jobs in [&jobs[..], &grouped[..], &[], &jobs[3..11]] {
-            let mut expect: Vec<usize> = (0..jobs.len()).collect();
-            expect.sort_by_key(|&i| jobs[i].channel);
-            assert_eq!(order.group(jobs), &expect[..]);
-            assert_eq!(order.order, expect);
-        }
-    }
-
-    #[test]
     fn split_partitions_the_order_into_channel_runs() {
         for n_jobs in 0..=40usize {
             for shards in 1..=8usize {
-                // Symbol-major jobs over 5 channels, as an OFDM frame
-                // arrives; `y` plays no part in the split.
-                let jobs: Vec<DetectionJob> =
-                    (0..n_jobs).map(|j| DetectionJob { channel: j % 5, y: Vec::new() }).collect();
                 let mut portions = FramePortions::new(shards);
-                portions.split(&jobs);
+                portions.split(n_jobs);
                 assert_eq!(portions.countdown.get_mut().unwrap().remaining, shards);
-                let order = &portions.order.order;
                 let mut next = 0;
                 for &(lo, hi) in &portions.ranges {
                     assert_eq!(lo, next, "n {n_jobs} shards {shards}: contiguous ranges");
+                    assert!(hi >= lo, "n {n_jobs} shards {shards}: {lo}..{hi}");
                     assert!(hi - lo <= n_jobs.div_ceil(shards), "n {n_jobs} shards {shards}");
-                    // The replica copy assumes `c_lo..=c_hi` covers the
-                    // range: its channels never decrease.
-                    let channels: Vec<usize> =
-                        order[lo..hi].iter().map(|&i| jobs[i].channel).collect();
-                    assert!(channels.windows(2).all(|w| w[0] <= w[1]), "{channels:?}");
                     next = hi;
                 }
-                assert_eq!(next, n_jobs, "n {n_jobs} shards {shards}: ranges cover the order");
-                let mut seen = order.to_vec();
-                seen.sort_unstable();
-                assert!(seen.iter().copied().eq(0..n_jobs), "every job exactly once");
+                assert_eq!(next, n_jobs, "n {n_jobs} shards {shards}: ranges cover 0..n");
             }
         }
     }

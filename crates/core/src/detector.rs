@@ -106,8 +106,12 @@ pub trait MimoDetector: Send + Sync {
     ///
     /// `out` is cleared and refilled in job order. The default loops
     /// [`MimoDetector::detect`]; detectors with per-channel preprocessing
-    /// override this (and [`MimoDetector::detect_batch_indexed_with`]) so
-    /// that a warmed workspace makes the whole call allocation-free.
+    /// override this so that a warmed workspace makes the whole call
+    /// allocation-free. This is also the worker pools' entry point: each
+    /// worker detects its contiguous range of a frame as one batch. A
+    /// frame's jobs are channel-major (see [`crate::batch`]), which is the
+    /// order that lets an override amortize across same-channel jobs;
+    /// results never depend on the order.
     fn detect_batch_with(
         &self,
         batch: &crate::batch::DetectionBatch,
@@ -119,27 +123,6 @@ pub trait MimoDetector: Send + Sync {
         out.extend(
             batch.jobs.iter().map(|job| self.detect(&batch.channels[job.channel], &job.y, batch.c)),
         );
-    }
-
-    /// Detects the jobs selected by `indices` into a recycled output vector
-    /// (results in `indices` order), reusing `ws` across calls — the
-    /// scattered-dispatch form worker pools use to hand each worker a
-    /// channel-grouped job subset without materializing a reordered job
-    /// list. Bit-identical, job for job, to
-    /// [`MimoDetector::detect_batch_with`].
-    fn detect_batch_indexed_with(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        indices: &[usize],
-        ws: &mut DetectorWorkspace,
-        out: &mut Vec<Detection>,
-    ) {
-        let _ = ws;
-        out.clear();
-        out.extend(indices.iter().map(|&ix| {
-            let job = &batch.jobs[ix];
-            self.detect(&batch.channels[job.channel], &job.y, batch.c)
-        }));
     }
 
     /// A short display name ("ZF", "Geosphere", "ETH-SD", …).
@@ -171,16 +154,6 @@ impl MimoDetector for std::sync::Arc<dyn MimoDetector> {
         out: &mut Vec<Detection>,
     ) {
         (**self).detect_batch_with(batch, ws, out)
-    }
-
-    fn detect_batch_indexed_with(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        indices: &[usize],
-        ws: &mut DetectorWorkspace,
-        out: &mut Vec<Detection>,
-    ) {
-        (**self).detect_batch_indexed_with(batch, indices, ws, out)
     }
 
     fn name(&self) -> &'static str {

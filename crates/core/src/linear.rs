@@ -64,19 +64,17 @@ fn detect_linear(
     Detection { symbols, stats }
 }
 
-/// Runs a batch (or an indexed subset) through [`detect_linear`] with one
-/// shared cache — the common body of both linear detectors' batch
-/// overrides.
-fn detect_batch_linear<'j>(
+/// Runs a batch through [`detect_linear`] with one shared cache — the
+/// common body of both linear detectors' batch overrides.
+fn detect_batch_linear(
     batch: &crate::batch::DetectionBatch,
-    jobs: impl Iterator<Item = &'j crate::batch::DetectionJob>,
     lambda: Option<f64>,
     ws: &mut DetectorWorkspace,
     out: &mut Vec<Detection>,
 ) {
     let scratch = ws.get_or_insert(LinearScratch::default);
     out.clear();
-    for job in jobs {
+    for job in batch.jobs {
         out.push(detect_linear(
             &batch.channels[job.channel],
             &job.y,
@@ -106,17 +104,7 @@ impl MimoDetector for ZfDetector {
         ws: &mut DetectorWorkspace,
         out: &mut Vec<Detection>,
     ) {
-        detect_batch_linear(batch, batch.jobs.iter(), None, ws, out);
-    }
-
-    fn detect_batch_indexed_with(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        indices: &[usize],
-        ws: &mut DetectorWorkspace,
-        out: &mut Vec<Detection>,
-    ) {
-        detect_batch_linear(batch, indices.iter().map(|&ix| &batch.jobs[ix]), None, ws, out);
+        detect_batch_linear(batch, None, ws, out);
     }
 
     fn name(&self) -> &'static str {
@@ -156,23 +144,7 @@ impl MimoDetector for MmseDetector {
         ws: &mut DetectorWorkspace,
         out: &mut Vec<Detection>,
     ) {
-        detect_batch_linear(batch, batch.jobs.iter(), Some(self.lambda(batch.c)), ws, out);
-    }
-
-    fn detect_batch_indexed_with(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        indices: &[usize],
-        ws: &mut DetectorWorkspace,
-        out: &mut Vec<Detection>,
-    ) {
-        detect_batch_linear(
-            batch,
-            indices.iter().map(|&ix| &batch.jobs[ix]),
-            Some(self.lambda(batch.c)),
-            ws,
-            out,
-        );
+        detect_batch_linear(batch, Some(self.lambda(batch.c)), ws, out);
     }
 
     fn name(&self) -> &'static str {

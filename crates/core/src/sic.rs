@@ -98,16 +98,15 @@ impl MmseSicDetector {
         apply_sic(filters, h, y, c, residual)
     }
 
-    fn detect_batch_cached<'j>(
+    fn detect_batch_cached(
         &self,
         batch: &crate::batch::DetectionBatch,
-        jobs: impl Iterator<Item = &'j crate::batch::DetectionJob>,
         ws: &mut DetectorWorkspace,
         out: &mut Vec<Detection>,
     ) {
         let scratch = ws.get_or_insert(SicScratch::default);
         out.clear();
-        for job in jobs {
+        for job in batch.jobs {
             out.push(self.detect_cached(
                 &batch.channels[job.channel],
                 &job.y,
@@ -134,17 +133,7 @@ impl MimoDetector for MmseSicDetector {
         ws: &mut DetectorWorkspace,
         out: &mut Vec<Detection>,
     ) {
-        self.detect_batch_cached(batch, batch.jobs.iter(), ws, out);
-    }
-
-    fn detect_batch_indexed_with(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        indices: &[usize],
-        ws: &mut DetectorWorkspace,
-        out: &mut Vec<Detection>,
-    ) {
-        self.detect_batch_cached(batch, indices.iter().map(|&ix| &batch.jobs[ix]), ws, out);
+        self.detect_batch_cached(batch, ws, out);
     }
 
     fn name(&self) -> &'static str {

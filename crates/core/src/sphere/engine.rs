@@ -39,7 +39,7 @@ pub struct SphereDecoder<F> {
     /// a triggered budget almost always coincides with operating points
     /// whose frames would fail anyway (hopeless SNR/constellation pairs).
     pub max_visited_nodes: u64,
-    /// Batched paths: walk sibling jobs sharing one channel's QR through
+    /// Batched paths: walk adjacent jobs sharing one channel's QR through
     /// their first descents in lockstep, one [`gs_linalg::simd::cdot_soa_multi`]
     /// interference kernel per tree level across all of them (default
     /// `true`). Bit-identical to the per-job search — symbols and stats —
@@ -198,7 +198,7 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
 /// and the workspace's split-`R` mirror. Bundled so the depth-first loop
 /// can be entered both from scratch ([`SphereDecoder::search_with_qr`])
 /// and from a lockstep first descent's post-leaf state
-/// ([`SphereDecoder::detect_jobs_multi`]'s resume).
+/// ([`SphereDecoder::lockstep_chunk`]'s resume).
 struct SearchCtx<'a, F> {
     factory: &'a F,
     yhat: &'a [Complex],
@@ -346,31 +346,6 @@ fn run_search_loop<F: EnumeratorFactory>(
     }
 }
 
-/// The detection at output slot `slot`, for a batch path that fills its
-/// slots in place: when `slot` is the next unfilled one (channel-grouped
-/// input, walked in slot order) it is appended with a recycled symbol
-/// buffer first; otherwise it is a placeholder pre-filled by the caller.
-fn slot_mut<'o>(
-    out: &'o mut Vec<Detection>,
-    slot: usize,
-    spare: &mut Vec<Vec<GridPoint>>,
-) -> &'o mut Detection {
-    if slot == out.len() {
-        out.push(Detection { symbols: pop_spare(spare), stats: DetectorStats::default() });
-    }
-    &mut out[slot]
-}
-
-/// Stores a finished detection at output slot `slot` (see [`slot_mut`]),
-/// recycling the symbol buffer of the placeholder it replaces.
-fn put(out: &mut Vec<Detection>, slot: usize, det: Detection, spare: &mut Vec<Vec<GridPoint>>) {
-    if slot == out.len() {
-        out.push(det);
-    } else {
-        spare.push(std::mem::replace(&mut out[slot], det).symbols);
-    }
-}
-
 impl<F: EnumeratorFactory> SphereDecoder<F> {
     /// (Re)computes the QR slot for one channel, reusing the slot's matrix
     /// storage and the workspace's factorization scratch.
@@ -428,8 +403,17 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         Detection { symbols, stats }
     }
 
-    /// Detects a sequence of jobs into `out`, amortizing per-channel QR and
-    /// reusing every buffer in `ws` — the batched frame-decode inner loop.
+    /// Detects a batch into `out`, amortizing per-channel QR and reusing
+    /// every buffer in `ws` — the batched frame-decode inner loop.
+    ///
+    /// One walk in job order: consecutive jobs on one channel are taken in
+    /// chunks of at most `MAX_LOCKSTEP` (16); a chunk of two or more walks
+    /// its first descents in lockstep when the search is unconstrained
+    /// (see [`SphereDecoder::multi_symbol`]), otherwise each job runs the
+    /// per-job search. A frame's channel-major jobs therefore share each
+    /// subcarrier's QR and first descents; jobs in any other order decode
+    /// bit-identically, only without lockstep across same-channel jobs
+    /// that are not adjacent.
     ///
     /// Per-channel factors are recomputed once per call (channel contents
     /// may change between batches) into storage that persists in the
@@ -443,55 +427,51 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         ws: &mut SearchWorkspace<F::Enumerator>,
         out: &mut Vec<Detection>,
     ) {
-        self.detect_jobs_into(batch.channels, batch.jobs, None, batch.c, ws, out);
+        let (jobs, c) = (batch.jobs, batch.c);
+        ws.recycle(out);
+        ws.begin_batch(batch.channels.len());
+        let lockstep = self.multi_symbol_eligible();
+        let mut g = 0;
+        while g < jobs.len() {
+            let ch = jobs[g].channel;
+            let end = jobs.len().min(g + MAX_LOCKSTEP);
+            let e = (g + 1..end).find(|&t| jobs[t].channel != ch).unwrap_or(end);
+            let h = &batch.channels[ch];
+            // Take the prep out of its slot so the workspace stays
+            // borrowable during the search; put it back afterwards.
+            let mut prep = ws.preps[ch].take();
+            if !ws.prep_fresh[ch] {
+                Self::refresh_prep(&mut prep, self.sorted_qr, h, &mut ws.qr_ws);
+                ws.prep_fresh[ch] = true;
+            }
+            let prep = prep.expect("prep just refreshed");
+            if lockstep && e - g >= 2 {
+                self.lockstep_chunk(&prep, h.cols(), c, &jobs[g..e], ws, out);
+            } else {
+                for job in &jobs[g..e] {
+                    out.push(self.detect_prepared(&prep, h.cols(), &job.y, c, ws));
+                }
+            }
+            ws.preps[ch] = Some(prep);
+            g = e;
+        }
     }
 
     /// Whether the lockstep multi-symbol path may run: it models the
     /// unconstrained search's first descent as a straight line (with an
     /// infinite radius and no node budget the cheapest child is always
     /// accepted), which a finite radius or budget would falsify.
-    fn multi_symbol_eligible(&self, n_jobs: usize) -> bool {
+    fn multi_symbol_eligible(&self) -> bool {
         self.multi_symbol
-            && n_jobs >= 2
             && self.initial_radius_sqr == f64::INFINITY
             && self.max_visited_nodes == u64::MAX
     }
 
-    fn detect_jobs_into(
-        &self,
-        channels: &[Matrix],
-        jobs: &[DetectionJob],
-        indices: Option<&[usize]>,
-        c: Constellation,
-        ws: &mut SearchWorkspace<F::Enumerator>,
-        out: &mut Vec<Detection>,
-    ) {
-        ws.recycle(out);
-        ws.begin_batch(channels.len());
-        let n = indices.map_or(jobs.len(), <[usize]>::len);
-        if self.multi_symbol_eligible(n) {
-            return self.detect_jobs_multi(channels, jobs, indices, c, ws, out);
-        }
-        for t in 0..n {
-            let job = &jobs[indices.map_or(t, |ix| ix[t])];
-            let h = &channels[job.channel];
-            // Take the prep out of its slot so the workspace stays
-            // borrowable during the search; put it back afterwards.
-            let mut prep = ws.preps[job.channel].take();
-            if !ws.prep_fresh[job.channel] {
-                Self::refresh_prep(&mut prep, self.sorted_qr, h, &mut ws.qr_ws);
-                ws.prep_fresh[job.channel] = true;
-            }
-            let prep = prep.expect("prep just refreshed");
-            out.push(self.detect_prepared(&prep, h.cols(), &job.y, c, ws));
-            ws.preps[job.channel] = Some(prep);
-        }
-    }
-
-    /// The lockstep multi-symbol batch path: jobs are grouped by channel,
-    /// and each group's first descents run level-by-level together — one
+    /// Runs one lockstep chunk of jobs sharing one channel's QR, appending
+    /// their detections to `out` in job order: the chunk's first descents
+    /// run level-by-level together — one
     /// [`gs_linalg::simd::cdot_soa_multi`] interference kernel per tree
-    /// level across the whole group — before each job resumes the standard
+    /// level across the chunk — before each job resumes the standard
     /// Schnorr–Euchner loop from its post-leaf state.
     ///
     /// Bit-identical to the per-job path, symbols and stats: with an
@@ -503,128 +483,17 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
     /// per-job, so the interleaving is invisible. The one thing the
     /// straight-line descent cannot model — a NaN branch cost, which the
     /// per-job loop rejects — sends that job through the per-job path.
-    fn detect_jobs_multi(
-        &self,
-        channels: &[Matrix],
-        jobs: &[DetectionJob],
-        indices: Option<&[usize]>,
-        c: Constellation,
-        ws: &mut SearchWorkspace<F::Enumerator>,
-        out: &mut Vec<Detection>,
-    ) {
-        let n = indices.map_or(jobs.len(), <[usize]>::len);
-        let job_at = |slot: usize| -> &DetectionJob { &jobs[indices.map_or(slot, |ix| ix[slot])] };
-        // Channel-grouped input — a `FramePortions` portion, or any batch
-        // already in ascending channel order — is walked run by run in
-        // slot order, so each detection is appended as it completes.
-        if (1..n).all(|t| job_at(t - 1).channel <= job_at(t).channel) {
-            let mut g = 0;
-            while g < n {
-                let ch = job_at(g).channel;
-                let e = (g + 1..n).find(|&t| job_at(t).channel != ch).unwrap_or(n);
-                self.detect_run(channels, ch, g..e, false, jobs, indices, c, ws, out);
-                g = e;
-            }
-            return;
-        }
-        // Otherwise group output slots by channel with a counting sort,
-        // O(n + channels): channels in ascending order, slots ascending
-        // within each — the grouping a sort of `(channel, slot)` pairs
-        // would give. Counts land at `channel + 1`, the prefix sum turns
-        // them into group starts, and the scatter advances each start to
-        // its group's end.
-        let n_channels = channels.len();
-        ws.channel_end.clear();
-        ws.channel_end.resize(n_channels + 1, 0);
-        for t in 0..n {
-            ws.channel_end[job_at(t).channel + 1] += 1;
-        }
-        for ch in 0..n_channels {
-            ws.channel_end[ch + 1] += ws.channel_end[ch];
-        }
-        ws.order.clear();
-        ws.order.resize(n, 0);
-        for t in 0..n {
-            let at = &mut ws.channel_end[job_at(t).channel];
-            ws.order[*at] = t as u32;
-            *at += 1;
-        }
-        // Results land out of submission order; pre-fill `out` with
-        // recycled placeholders so each detection writes into its slot.
-        for _ in 0..n {
-            let symbols = ws.take_spare();
-            out.push(Detection { symbols, stats: DetectorStats::default() });
-        }
-        let mut g = 0;
-        for ch in 0..n_channels {
-            let e = ws.channel_end[ch];
-            if e > g {
-                self.detect_run(channels, ch, g..e, true, jobs, indices, c, ws, out);
-            }
-            g = e;
-        }
-    }
-
-    /// Detects the jobs of one channel run — positions `run` of the slot
-    /// order: the slots themselves, or (`from_order`) entries of the
-    /// workspace's counting-sorted `order` — in lockstep chunks of at most
-    /// [`MAX_LOCKSTEP`] jobs against the channel's QR.
-    #[allow(clippy::too_many_arguments)]
-    fn detect_run(
-        &self,
-        channels: &[Matrix],
-        ch: usize,
-        run: std::ops::Range<usize>,
-        from_order: bool,
-        jobs: &[DetectionJob],
-        indices: Option<&[usize]>,
-        c: Constellation,
-        ws: &mut SearchWorkspace<F::Enumerator>,
-        out: &mut Vec<Detection>,
-    ) {
-        let h = &channels[ch];
-        let nc = h.cols();
-        let mut prep = ws.preps[ch].take();
-        if !ws.prep_fresh[ch] {
-            Self::refresh_prep(&mut prep, self.sorted_qr, h, &mut ws.qr_ws);
-            ws.prep_fresh[ch] = true;
-        }
-        let prep = prep.expect("prep just refreshed");
-        let mut s0 = run.start;
-        while s0 < run.end {
-            let k = (run.end - s0).min(MAX_LOCKSTEP);
-            let mut slots = [0u32; MAX_LOCKSTEP];
-            for (p, slot) in slots[..k].iter_mut().enumerate() {
-                *slot = if from_order { ws.order[s0 + p] } else { (s0 + p) as u32 };
-            }
-            if k >= 2 {
-                self.lockstep_chunk(&prep, nc, c, &slots[..k], jobs, indices, ws, out);
-            } else {
-                let slot = slots[0] as usize;
-                let job = &jobs[indices.map_or(slot, |ix| ix[slot])];
-                let det = self.detect_prepared(&prep, nc, &job.y, c, ws);
-                put(out, slot, det, &mut ws.spare);
-            }
-            s0 += k;
-        }
-        ws.preps[ch] = Some(prep);
-    }
-
-    /// Runs one lockstep chunk: the shared first descent, then each job's
-    /// resumed search, writing detections into their `out` slots.
-    #[allow(clippy::too_many_arguments)]
     fn lockstep_chunk(
         &self,
         prep: &Prep,
         nc: usize,
         c: Constellation,
-        slots: &[u32],
         jobs: &[DetectionJob],
-        indices: Option<&[usize]>,
         ws: &mut SearchWorkspace<F::Enumerator>,
         out: &mut Vec<Detection>,
     ) {
-        let k = slots.len();
+        let k = jobs.len();
+        let base = out.len();
         let _prof = gs_prof::scope(gs_prof::Stage::Enumerate);
         ws.prepare_multi(k, nc);
         let (qr, sorted) = match prep {
@@ -637,8 +506,7 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         // cost more than the 4×4 rotations they bracket).
         {
             let _rot = gs_prof::scope(gs_prof::Stage::Rotate);
-            for (s, &slot) in slots.iter().enumerate() {
-                let job = &jobs[indices.map_or(slot as usize, |ix| ix[slot as usize])];
+            for (s, job) in jobs.iter().enumerate() {
                 qr.rotate_into_slice(&job.y, &mut ws.m_yhat[s * nc..s * nc + nc]);
             }
         }
@@ -721,10 +589,13 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
             }
             // Resume each job's standard loop from its post-leaf state:
             // level 0, radius shrunk to the leaf distance, solution found.
-            for (s, &slot) in slots.iter().enumerate() {
-                let det = slot_mut(out, slot as usize, spare);
+            for s in 0..k {
+                let mut symbols = pop_spare(spare);
                 if m_radius[s].is_nan() {
-                    diverged = true; // a NaN leaf distance diverges too
+                    // A NaN leaf distance diverges too; a placeholder keeps
+                    // the job's slot until the per-job path replaces it.
+                    diverged = true;
+                    out.push(Detection { symbols, stats: DetectorStats::default() });
                     continue;
                 }
                 let leaf = m_radius[s];
@@ -754,22 +625,19 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                     &mut m_stats[s],
                 );
                 debug_assert!(res.is_some(), "resume starts from a found solution");
-                det.symbols.clear();
                 match sorted {
-                    None => det.symbols.extend_from_slice(&m_best[job]),
-                    Some(sqr) => sqr.unpermute_into(&m_best[job], &mut det.symbols),
+                    None => symbols.extend_from_slice(&m_best[job]),
+                    Some(sqr) => sqr.unpermute_into(&m_best[job], &mut symbols),
                 }
-                det.stats = m_stats[s];
+                out.push(Detection { symbols, stats: m_stats[s] });
             }
         }
         if diverged {
-            for (s, &slot) in slots.iter().enumerate() {
-                if !ws.m_radius[s].is_nan() {
-                    continue;
+            for (s, job) in jobs.iter().enumerate() {
+                if ws.m_radius[s].is_nan() {
+                    let det = self.detect_prepared(prep, nc, &job.y, c, ws);
+                    ws.spare.push(std::mem::replace(&mut out[base + s], det).symbols);
                 }
-                let job = &jobs[indices.map_or(slot as usize, |ix| ix[slot as usize])];
-                let det = self.detect_prepared(prep, nc, &job.y, c, ws);
-                put(out, slot as usize, det, &mut ws.spare);
             }
         }
     }
@@ -813,20 +681,6 @@ impl<F: EnumeratorFactory> MimoDetector for SphereDecoder<F> {
     ) {
         let sws = ws.get_or_insert(SearchWorkspace::<F::Enumerator>::new);
         self.detect_batch_into(batch, sws, out);
-    }
-
-    /// Indexed variant of [`MimoDetector::detect_batch_with`], used by the
-    /// persistent worker pool: same amortization, same zero-allocation
-    /// steady state.
-    fn detect_batch_indexed_with(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        indices: &[usize],
-        ws: &mut crate::detector::DetectorWorkspace,
-        out: &mut Vec<Detection>,
-    ) {
-        let sws = ws.get_or_insert(SearchWorkspace::<F::Enumerator>::new);
-        self.detect_jobs_into(batch.channels, batch.jobs, Some(indices), batch.c, sws, out);
     }
 
     fn name(&self) -> &'static str {
@@ -958,9 +812,11 @@ mod tests {
     #[test]
     fn multi_symbol_lockstep_matches_single_symbol_bitwise() {
         // The lockstep first descent must be invisible: same symbols, same
-        // stats, for plain and sorted QR, across group sizes that exercise
-        // singleton groups (k = 1), chunk splits (> MAX_LOCKSTEP), and the
-        // AVX2 kernel's symbol remainder (k mod 4 ≠ 0).
+        // stats, for plain and sorted QR, across run lengths that exercise
+        // chunk splits (> MAX_LOCKSTEP) and the AVX2 kernel's symbol
+        // remainder (k mod 4 ≠ 0). Each batch runs channel-major (a frame's
+        // order: same-channel runs walk in lockstep) and symbol-major
+        // (no adjacent same-channel jobs: the per-job path).
         use crate::batch::{DetectionBatch, DetectionJob};
         let mut rng = StdRng::seed_from_u64(149);
         for (trial, &(n_channels, n_jobs)) in
@@ -971,7 +827,7 @@ mod tests {
                 .map(|_| RayleighChannel::new(4, 4).sample_matrix(&mut rng).scale(c.scale()))
                 .collect();
             let pts = c.points();
-            let jobs: Vec<DetectionJob> = (0..n_jobs)
+            let symbol_major: Vec<DetectionJob> = (0..n_jobs)
                 .map(|j| {
                     let s: Vec<GridPoint> =
                         (0..4).map(|_| pts[rng.gen_range(0..pts.len())]).collect();
@@ -982,21 +838,28 @@ mod tests {
                     DetectionJob { channel: j % n_channels, y }
                 })
                 .collect();
-            let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
-            for sorted in [false, true] {
-                let mut multi = SphereDecoder::new(GeosphereFactory::full());
-                multi.sorted_qr = sorted;
-                let single = multi.with_single_symbol();
-                assert!(multi.multi_symbol && !single.multi_symbol);
-                let mut ws_m = multi.make_workspace();
-                let mut ws_s = single.make_workspace();
-                let (mut out_m, mut out_s) = (Vec::new(), Vec::new());
-                multi.detect_batch_into(&batch, &mut ws_m, &mut out_m);
-                single.detect_batch_into(&batch, &mut ws_s, &mut out_s);
-                assert_eq!(out_m.len(), out_s.len());
-                for (j, (m, s)) in out_m.iter().zip(&out_s).enumerate() {
-                    assert_eq!(m.symbols, s.symbols, "trial {trial} sorted {sorted} job {j}");
-                    assert_eq!(m.stats, s.stats, "trial {trial} sorted {sorted} job {j}");
+            let mut channel_major = symbol_major.clone();
+            channel_major.sort_by_key(|job| job.channel);
+            for (order, jobs) in
+                [("channel-major", &channel_major), ("symbol-major", &symbol_major)]
+            {
+                let batch = DetectionBatch { channels: &channels, jobs, c };
+                for sorted in [false, true] {
+                    let mut multi = SphereDecoder::new(GeosphereFactory::full());
+                    multi.sorted_qr = sorted;
+                    let single = multi.with_single_symbol();
+                    assert!(multi.multi_symbol && !single.multi_symbol);
+                    let mut ws_m = multi.make_workspace();
+                    let mut ws_s = single.make_workspace();
+                    let (mut out_m, mut out_s) = (Vec::new(), Vec::new());
+                    multi.detect_batch_into(&batch, &mut ws_m, &mut out_m);
+                    single.detect_batch_into(&batch, &mut ws_s, &mut out_s);
+                    assert_eq!(out_m.len(), out_s.len());
+                    for (j, (m, s)) in out_m.iter().zip(&out_s).enumerate() {
+                        let at = format!("trial {trial} {order} sorted {sorted} job {j}");
+                        assert_eq!(m.symbols, s.symbols, "{at}");
+                        assert_eq!(m.stats, s.stats, "{at}");
+                    }
                 }
             }
         }

@@ -93,7 +93,7 @@ pub struct SearchWorkspace<E> {
     pub(crate) spare: Vec<Vec<GridPoint>>,
     // --- Multi-symbol lockstep slabs (sibling jobs sharing one channel's
     // QR walk their first descents level-by-level together; see
-    // `SphereDecoder::detect_jobs_multi`). Job-major slabs index
+    // `SphereDecoder::lockstep_chunk`). Job-major slabs index
     // `[s·nc + i]` for job `s`, level `i`; the `il_*` pair mirrors the
     // chosen points level-major (`[i·k + s]`) so one level's entries
     // across all jobs are a contiguous `cdot_soa_multi` input. ---
@@ -127,12 +127,6 @@ pub struct SearchWorkspace<E> {
     pub(crate) m_radius: Vec<f64>,
     /// Per-job operation counters.
     pub(crate) m_stats: Vec<DetectorStats>,
-    /// Channel-grouping scratch for the batched path: output slots
-    /// counting-sorted by channel (ascending slots within a channel), for
-    /// input that is not already in channel order.
-    pub(crate) order: Vec<u32>,
-    /// Per-channel group ends into `order` after the counting sort.
-    pub(crate) channel_end: Vec<usize>,
 }
 
 /// The workspace type for a given enumerator factory, e.g.
@@ -178,8 +172,6 @@ impl<E: Default> SearchWorkspace<E> {
             ix_im: Vec::new(),
             m_radius: Vec::new(),
             m_stats: Vec::new(),
-            order: Vec::new(),
-            channel_end: Vec::new(),
         }
     }
 

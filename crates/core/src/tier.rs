@@ -91,7 +91,7 @@ struct TierWorkspace {
 }
 
 /// One detector per [`DetectorTier`] rung, behind a single batched
-/// dispatch point ([`DetectorLadder::detect_batch_indexed_with`]).
+/// dispatch point ([`DetectorLadder::detect_batch_with`]).
 ///
 /// Cloning a ladder clones three `Arc` handles — ladders are cheap to
 /// share across a worker pool.
@@ -134,22 +134,20 @@ impl DetectorLadder {
         &self.rungs[tier.index()]
     }
 
-    /// Detects the jobs selected by `indices` with `tier`'s detector,
-    /// through that rung's own sub-workspace inside `ws` — bit-identical
-    /// to calling the rung detector's
-    /// [`MimoDetector::detect_batch_indexed_with`] directly, and
+    /// Detects `batch` with `tier`'s detector, through that rung's own
+    /// sub-workspace inside `ws` — bit-identical to calling the rung
+    /// detector's [`MimoDetector::detect_batch_with`] directly, and
     /// allocation-free once the rung has warmed (for rung detectors whose
     /// batch path is).
-    pub fn detect_batch_indexed_with(
+    pub fn detect_batch_with(
         &self,
         tier: DetectorTier,
         batch: &DetectionBatch,
-        indices: &[usize],
         ws: &mut DetectorWorkspace,
         out: &mut Vec<Detection>,
     ) {
         let rung_ws = &mut ws.get_or_insert(TierWorkspace::default).rungs[tier.index()];
-        self.rungs[tier.index()].detect_batch_indexed_with(batch, indices, rung_ws, out);
+        self.rungs[tier.index()].detect_batch_with(batch, rung_ws, out);
     }
 }
 
@@ -204,7 +202,6 @@ mod tests {
             })
             .collect();
         let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
-        let indices: Vec<usize> = (0..jobs.len()).collect();
 
         let ladder = DetectorLadder::geosphere_default(0.05);
         let mut ws = DetectorWorkspace::new();
@@ -213,15 +210,10 @@ mod tests {
         // interleaving tier switches.
         for _ in 0..2 {
             for tier in DetectorTier::ALL {
-                ladder.detect_batch_indexed_with(tier, &batch, &indices, &mut ws, &mut out);
+                ladder.detect_batch_with(tier, &batch, &mut ws, &mut out);
                 let det = ladder.detector(tier);
                 let mut direct = Vec::new();
-                det.detect_batch_indexed_with(
-                    &batch,
-                    &indices,
-                    &mut det.make_batch_workspace(),
-                    &mut direct,
-                );
+                det.detect_batch_with(&batch, &mut det.make_batch_workspace(), &mut direct);
                 assert_eq!(out.len(), direct.len());
                 for (a, b) in out.iter().zip(direct.iter()) {
                     assert_eq!(a.symbols, b.symbols, "{tier:?} symbols diverge");

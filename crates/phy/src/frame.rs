@@ -264,10 +264,12 @@ impl FrameWorkspace {
 /// to the frame shape, and bit-identical to the one-call entry points):
 ///
 /// 1. [`FrameWorkspace::plan_uplink`] draws the frame's randomness and
-///    fills the pooled detection jobs;
+///    fills the pooled detection jobs, channel-major (job `k * n_sym + t`
+///    is subcarrier `k` of OFDM symbol `t`);
 /// 2. the caller detects [`FrameWorkspace::planned_jobs`] against
 ///    [`FrameWorkspace::planned_channels`] however it likes (inline,
-///    pooled, sharded) — detection is a pure per-job function;
+///    pooled, sharded) — detection is a pure per-job function, and a
+///    contiguous range of jobs spans whole subcarriers;
 /// 3. [`FrameWorkspace::begin_detection_assembly`], one
 ///    [`FrameWorkspace::absorb_detection`] per job index (any order, each
 ///    exactly once), then [`FrameWorkspace::finish_uplink`] runs the
@@ -289,8 +291,10 @@ impl FrameWorkspace {
         crate::txrx::plan_uplink_frame_into(cfg, channel, None, snr_db, rng, self);
     }
 
-    /// The detection jobs of the last planned frame (one per OFDM symbol ×
-    /// subcarrier; `channel` fields index [`FrameWorkspace::planned_channels`]).
+    /// The detection jobs of the last planned frame, one per OFDM symbol ×
+    /// subcarrier, channel-major: job `k * n_sym + t` is subcarrier `k` of
+    /// OFDM symbol `t`, so all of a subcarrier's jobs are adjacent.
+    /// `channel` fields index [`FrameWorkspace::planned_channels`].
     pub fn planned_jobs(&self) -> &[DetectionJob] {
         &self.jobs[..self.n_jobs]
     }
@@ -309,13 +313,14 @@ impl FrameWorkspace {
         crate::txrx::begin_assemble(self);
     }
 
-    /// Stage 3 — scatters the detection for job `idx` into the per-client
-    /// symbol buffers and accumulates its operation counts into `stats`.
-    /// Every job index of the planned frame must be absorbed exactly once,
-    /// in any order (results are index-scattered, so internal reordering
-    /// cannot change the outcome).
+    /// Stage 3 — scatters the detection for job `idx` (its index into
+    /// [`FrameWorkspace::planned_jobs`]) into the per-client symbol
+    /// buffers, at that job's OFDM symbol and subcarrier, and accumulates
+    /// its operation counts into `stats`. Every job index of the planned
+    /// frame must be absorbed exactly once, in any order (results are
+    /// index-scattered, so internal reordering cannot change the outcome).
     pub fn absorb_detection(&mut self, stats: &mut DetectorStats, idx: usize, det: &Detection) {
-        crate::txrx::absorb_detection(&mut self.detected, stats, idx, det);
+        crate::txrx::absorb_detection(self, stats, idx, det);
     }
 
     /// Stage 3 epilogue — inverts the per-client receive chains over the

@@ -198,6 +198,9 @@ where
 /// antenna and stream counts. Draws the same randomness as
 /// [`decode_frame_batched_into`], so `csi = channel` reproduces it
 /// exactly.
+///
+/// # Panics
+/// Panics when `csi` has another subcarrier, antenna or stream count.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_frame_with_csi_into<'w, R, D>(
     cfg: &PhyConfig,
@@ -246,7 +249,7 @@ where
         pool.run(&arc, &mut ws.rx_channels, &mut ws.jobs, ws.n_jobs, cfg.constellation);
         let scatter = gs_prof::scope(gs_prof::Stage::Scatter);
         begin_assemble(ws);
-        pool.for_each_result(|idx, det| absorb_detection(&mut ws.detected, &mut stats, idx, det));
+        pool.for_each_result(|idx, det| absorb_detection(ws, &mut stats, idx, det));
         drop(scatter);
         ws.pool = Some(pool);
     }
@@ -274,10 +277,13 @@ fn detect_planned_inline<D: MimoDetector + ?Sized>(
     }
     let _prof = gs_prof::scope(gs_prof::Stage::Scatter);
     begin_assemble(ws);
-    let FrameWorkspace { det_out, detected, .. } = ws;
+    // Detach the outputs so the scatter can borrow the workspace (a
+    // pointer move, not an allocation).
+    let det_out = std::mem::take(&mut ws.det_out);
     for (idx, det) in det_out.iter().enumerate() {
-        absorb_detection(detected, stats, idx, det);
+        absorb_detection(ws, stats, idx, det);
     }
+    ws.det_out = det_out;
 }
 
 /// The frame-plan prologue shared by the hard, soft, and iterative entry
@@ -328,10 +334,13 @@ pub(crate) fn plan_transmit_into<R: Rng + ?Sized>(
 }
 
 /// Draws every random quantity of the frame — client payloads, then
-/// per-(symbol, subcarrier) noise — in the fixed order all receive paths
-/// share, and packages the resulting detection problems into the
-/// workspace's pooled buffers. Allocation-free once the workspace has
-/// warmed up to this frame shape.
+/// per-(symbol, subcarrier) noise, OFDM-symbol-major — in the fixed order
+/// all receive paths share, and packages the resulting detection problems
+/// into the workspace's pooled buffers **channel-major**: job
+/// `k * n_sym + t` is subcarrier `k` of OFDM symbol `t`, so every OFDM
+/// symbol on one subcarrier is adjacent and a detector shares that
+/// subcarrier's QR and lockstep first descents across them.
+/// Allocation-free once the workspace has warmed up to this frame shape.
 pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
     cfg: &PhyConfig,
     channel: &MimoChannel,
@@ -354,6 +363,11 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
             assert_eq!(est.num_rx(), na, "CSI antenna mismatch");
             assert_eq!(est.num_tx(), nc, "CSI stream mismatch");
             let n = est.num_subcarriers();
+            assert!(
+                n == 1 || n == cfg.n_subcarriers,
+                "CSI subcarrier count must be 1 or {}",
+                cfg.n_subcarriers
+            );
             if ws.rx_channels.len() < n {
                 ws.rx_channels.resize_with(n, Matrix::default);
             }
@@ -379,21 +393,19 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
     if ws.jobs.len() < n_jobs {
         ws.jobs.resize_with(n_jobs, || DetectionJob { channel: 0, y: Vec::new() });
     }
-    let mut idx = 0;
     for t in 0..n_sym {
         for k in 0..cfg.n_subcarriers {
             let FrameWorkspace { symbols, grid_channels, jobs, s_buf, .. } = ws;
             let h = &grid_channels[k % n_grid];
             s_buf.clear();
             s_buf.extend((0..nc).map(|cl| symbols[cl][t * cfg.n_subcarriers + k]));
-            let job = &mut jobs[idx];
+            let job = &mut jobs[k * n_sym + t];
             job.channel = k % n_rx;
             apply_channel_into(h, s_buf, &mut job.y);
             for v in job.y.iter_mut() {
                 *v += sample_cn(rng, sigma2);
             }
             debug_assert_eq!(job.y.len(), na);
-            idx += 1;
         }
     }
 
@@ -416,17 +428,21 @@ pub(crate) fn begin_assemble(ws: &mut FrameWorkspace) {
     }
 }
 
-/// Scatters one detection's symbols to the per-client buffers and
-/// accumulates its operation counts.
+/// Scatters the detection of job `idx` to the per-client buffers and
+/// accumulates its operation counts. Jobs are channel-major
+/// (`idx = k * n_sym + t`) and the buffers symbol-major, so the job lands
+/// in grid slot `t * n_subcarriers + k`.
 pub(crate) fn absorb_detection(
-    detected: &mut [Vec<GridPoint>],
+    ws: &mut FrameWorkspace,
     stats: &mut DetectorStats,
     idx: usize,
     det: &geosphere_core::Detection,
 ) {
     *stats += det.stats;
+    let (k, t) = (idx / ws.n_sym, idx % ws.n_sym);
+    let slot = t * (ws.n_jobs / ws.n_sym) + k;
     for (cl, &p) in det.symbols.iter().enumerate() {
-        detected[cl][idx] = p;
+        ws.detected[cl][slot] = p;
     }
 }
 
@@ -599,6 +615,76 @@ mod tests {
             assert_eq!(pooled.stats, serial.stats, "pooled workers {workers}");
             assert_eq!(pooled.detections, serial.detections, "pooled workers {workers}");
         }
+    }
+
+    #[test]
+    fn planned_jobs_are_channel_major() {
+        // Job `k * n_sym + t` is subcarrier `k` of OFDM symbol `t`: it
+        // references channel `k` and, noise aside, carries `H_k` times the
+        // clients' symbols at grid slot `t * n_subcarriers + k`.
+        let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
+        let mut rng = StdRng::seed_from_u64(174);
+        let ch = gs_channel::SelectiveRayleighChannel::indoor(4, 2).realize(&mut rng);
+        assert_eq!(ch.num_subcarriers(), cfg.n_subcarriers);
+        let mut ws = FrameWorkspace::new();
+        ws.plan_uplink(&cfg, &ch, 300.0, &mut rng);
+        let (n_sym, n_sc) = (ws.n_sym, cfg.n_subcarriers);
+        assert!(n_sym >= 2, "the check needs several OFDM symbols per subcarrier");
+        assert_eq!(ws.planned_jobs().len(), n_sym * n_sc);
+        for k in 0..n_sc {
+            for t in 0..n_sym {
+                let job = &ws.planned_jobs()[k * n_sym + t];
+                assert_eq!(job.channel, k, "job of subcarrier {k}, symbol {t}");
+                let s: Vec<GridPoint> = (0..2).map(|cl| ws.symbols[cl][t * n_sc + k]).collect();
+                let clean = geosphere_core::apply_channel(&ws.planned_channels()[k], &s);
+                for (a, b) in job.y.iter().zip(&clean) {
+                    assert!((*a - *b).abs() < 1e-9, "subcarrier {k} symbol {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn absorb_order_does_not_change_the_outcome() {
+        let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
+        let mut chan_rng = StdRng::seed_from_u64(175);
+        let ch = gs_channel::SelectiveRayleighChannel::indoor(4, 2).realize(&mut chan_rng);
+        let det = geosphere_decoder();
+        let decode = |reverse: bool| {
+            let mut ws = FrameWorkspace::new();
+            ws.plan_uplink(&cfg, &ch, 22.0, &mut StdRng::seed_from_u64(176));
+            ws.begin_detection_assembly();
+            let mut stats = DetectorStats::default();
+            let mut order: Vec<usize> = (0..ws.planned_jobs().len()).collect();
+            if reverse {
+                order.reverse();
+            }
+            for idx in order {
+                let job = &ws.planned_jobs()[idx];
+                let d = det.detect(&ws.planned_channels()[job.channel], &job.y, cfg.constellation);
+                ws.absorb_detection(&mut stats, idx, &d);
+            }
+            let out = ws.finish_uplink(&cfg, stats).clone();
+            (out, ws.detected)
+        };
+        let (forward, forward_symbols) = decode(false);
+        let (reverse, reverse_symbols) = decode(true);
+        assert!(forward.client_ok.iter().all(|&ok| ok), "22 dB, 2x4 16-QAM should decode");
+        assert_eq!(forward.client_ok, reverse.client_ok);
+        assert_eq!(forward.stats, reverse.stats);
+        assert_eq!(forward.detections, reverse.detections);
+        assert_eq!(forward_symbols, reverse_symbols);
+    }
+
+    #[test]
+    #[should_panic(expected = "CSI subcarrier count must be 1 or 48")]
+    fn csi_with_a_foreign_subcarrier_count_is_refused() {
+        let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qpsk) };
+        let mut rng = StdRng::seed_from_u64(177);
+        let ch = gs_channel::SelectiveRayleighChannel::indoor(2, 2).realize(&mut rng);
+        let csi = gs_channel::MimoChannel::new(ch.iter().take(2).cloned().collect());
+        let mut ws = FrameWorkspace::new();
+        decode_frame_with_csi_into(&cfg, &ch, &csi, &ZfDetector, 30.0, &mut rng, 1, &mut ws);
     }
 
     #[test]

@@ -390,8 +390,8 @@ impl Shared {
             let tier = core.ws.detector_tier();
             let (channels, jobs) = (core.ws.planned_channels(), core.ws.planned_jobs());
             let c = self.base_cfg.constellation;
-            core.portions.detect(shard, channels, jobs, c, |batch, indices, out| {
-                self.ladder.detect_batch_indexed_with(tier, batch, indices, ws, out);
+            core.portions.detect(shard, channels, jobs, c, |batch, out| {
+                self.ladder.detect_batch_with(tier, batch, ws, out);
             })
         };
         if completed {
@@ -427,7 +427,7 @@ impl Shared {
             // workers dispatch at it, and `finish_uplink` reports it in
             // the outcome.
             core.ws.set_detector_tier(tier);
-            core.portions.split(core.ws.planned_jobs());
+            core.portions.split(core.ws.planned_jobs().len());
         }
         self.stats.planned.fetch_add(1, Ordering::Relaxed);
         // The home portion runs inline after this, never as a task of its
@@ -1409,21 +1409,20 @@ mod tests {
             fn detect(&self, h: &Matrix, y: &[Complex], c: Constellation) -> Detection {
                 self.0.detect(h, y, c)
             }
-            fn detect_batch_indexed_with(
+            fn detect_batch_with(
                 &self,
                 batch: &DetectionBatch,
-                indices: &[usize],
                 ws: &mut DetectorWorkspace,
                 out: &mut Vec<Detection>,
             ) {
-                if indices.iter().any(|&ix| batch.jobs[ix].channel == 1) {
+                if batch.jobs.iter().any(|job| job.channel == 1) {
                     UNWOUND.fetch_add(1, Ordering::SeqCst);
                     panic!("intentional test panic on channel 1");
                 }
                 if batch.channels.len() > 1 {
                     GATE.wait();
                 }
-                self.0.detect_batch_indexed_with(batch, indices, ws, out);
+                self.0.detect_batch_with(batch, ws, out);
                 FINISHED.fetch_add(1, Ordering::SeqCst);
             }
             fn name(&self) -> &'static str {

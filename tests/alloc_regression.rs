@@ -175,8 +175,9 @@ fn assert_detect_with_qr_allocation_free() {
 
 /// The batched frame-decode inner loop (`detect_batch_into` with a kept
 /// workspace and recycled output) must not touch the allocator — including
-/// its per-channel QR refresh and, in the sorted-QR configuration, the
-/// permutation handling.
+/// its per-channel QR refresh, the lockstep walk of a channel-major batch
+/// (a frame's order) as well as the per-job walk of a symbol-major one,
+/// and, in the sorted-QR configuration, the permutation handling.
 fn assert_detect_batch_into_allocation_free() {
     let c = Constellation::Qam16;
     let mut rng = StdRng::seed_from_u64(9002);
@@ -197,11 +198,19 @@ fn assert_detect_batch_into_allocation_free() {
             DetectionJob { channel, y }
         })
         .collect();
-    let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
+    let mut channel_major = jobs.clone();
+    channel_major.sort_by_key(|job| job.channel);
+    for jobs in [&channel_major, &jobs] {
+        assert_batch_allocation_free(&DetectionBatch { channels: &channels, jobs, c });
+    }
+}
 
+/// [`assert_detect_batch_into_allocation_free`] on one batch order.
+fn assert_batch_allocation_free(batch: &DetectionBatch) {
+    let n_jobs = batch.jobs.len();
     let plain = geosphere_decoder();
     let sorted = geosphere_decoder().with_sorted_qr();
-    let reference_plain = plain.detect_batch(&batch);
+    let reference_plain = plain.detect_batch(batch);
 
     let mut plain_ws = plain.make_workspace();
     let mut sorted_ws = sorted.make_workspace();
@@ -211,13 +220,13 @@ fn assert_detect_batch_into_allocation_free() {
     // second warms the recycling pool (spare buffers only exist after a
     // previous round's outputs are reclaimed).
     for _ in 0..2 {
-        plain.detect_batch_into(&batch, &mut plain_ws, &mut plain_out);
-        sorted.detect_batch_into(&batch, &mut sorted_ws, &mut sorted_out);
+        plain.detect_batch_into(batch, &mut plain_ws, &mut plain_out);
+        sorted.detect_batch_into(batch, &mut sorted_ws, &mut sorted_out);
     }
 
     let (delta, ()) = allocations_during(|| {
-        plain.detect_batch_into(&batch, &mut plain_ws, &mut plain_out);
-        sorted.detect_batch_into(&batch, &mut sorted_ws, &mut sorted_out);
+        plain.detect_batch_into(batch, &mut plain_ws, &mut plain_out);
+        sorted.detect_batch_into(batch, &mut sorted_ws, &mut sorted_out);
     });
     assert_eq!(
         delta,
@@ -245,8 +254,8 @@ fn assert_detect_batch_into_allocation_free() {
 fn assert_hard_frame_chain_allocation_free(workers: usize) {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
     // A frequency-selective channel so the plan carries one matrix per
-    // subcarrier: exercises per-channel QR refresh, the channel-grouped
-    // dispatch sort, and multi-entry prep slabs.
+    // subcarrier: exercises per-channel QR refresh, the channel-major
+    // plan's lockstep runs, and multi-entry prep slabs.
     let model = SelectiveRayleighChannel {
         n_fft: 64,
         n_subcarriers: cfg.n_subcarriers,

@@ -135,7 +135,7 @@ fn core_batch_detector_is_deterministic() {
         .map(|_| RayleighChannel::new(4, 4).sample_matrix(&mut rng).scale(c.scale()))
         .collect();
     let pts = c.points();
-    let mut jobs: Vec<DetectionJob> = (0..96)
+    let symbol_major: Vec<DetectionJob> = (0..96)
         .map(|j| {
             let channel = j % channels.len();
             let s: Vec<_> = (0..4).map(|_| pts[rng.gen_range(0..pts.len())]).collect();
@@ -146,22 +146,26 @@ fn core_batch_detector_is_deterministic() {
             DetectionJob { channel, y }
         })
         .collect();
-    let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
-    let det = geosphere_decoder();
-
-    let reference = batch.detect_serial(&det);
-    let det: Arc<dyn MimoDetector> = Arc::new(det);
-    for workers in [1usize, 3, 8] {
-        let mut pool = DetectionPool::new(workers);
-        let n = jobs.len();
-        pool.run(&det, &mut channels, &mut jobs, n, c);
-        let mut seen = vec![false; n];
-        pool.for_each_result(|k, a| {
-            assert!(!seen[k], "job {k} visited twice, workers {workers}");
-            seen[k] = true;
-            assert_eq!(a.symbols, reference[k].symbols, "job {k} workers {workers}");
-            assert_eq!(a.stats, reference[k].stats, "job {k} workers {workers}");
-        });
-        assert!(seen.iter().all(|&s| s), "workers {workers}: every job covered");
+    // A frame's jobs are channel-major (each worker's range then walks
+    // same-channel runs in lockstep); any other order must match too.
+    let mut channel_major = symbol_major.clone();
+    channel_major.sort_by_key(|job| job.channel);
+    let geo = geosphere_decoder();
+    let det: Arc<dyn MimoDetector> = Arc::new(geo);
+    for (order, mut jobs) in [("channel-major", channel_major), ("symbol-major", symbol_major)] {
+        let reference = DetectionBatch { channels: &channels, jobs: &jobs, c }.detect_serial(&geo);
+        for workers in [1usize, 3, 8] {
+            let mut pool = DetectionPool::new(workers);
+            let n = jobs.len();
+            pool.run(&det, &mut channels, &mut jobs, n, c);
+            let mut seen = vec![false; n];
+            pool.for_each_result(|k, a| {
+                assert!(!seen[k], "{order}: job {k} visited twice, workers {workers}");
+                seen[k] = true;
+                assert_eq!(a.symbols, reference[k].symbols, "{order}: job {k} workers {workers}");
+                assert_eq!(a.stats, reference[k].stats, "{order}: job {k} workers {workers}");
+            });
+            assert!(seen.iter().all(|&s| s), "{order}, workers {workers}: every job covered");
+        }
     }
 }

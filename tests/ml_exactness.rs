@@ -211,9 +211,9 @@ const BATCH_JOBS_PER_CHANNEL: usize = 3;
 #[test]
 fn matrix_batch_path_matches_oracle() {
     // The same oracle matrix through `detect_batch_with`: one channel per
-    // trial, several jobs per channel, in interleaved (counting-sorted)
-    // and channel-grouped (walked in place) job orders, for the lockstep
-    // and the per-job paths, plain and sorted QR.
+    // trial, several jobs per channel, in interleaved (no adjacent
+    // same-channel jobs) and channel-grouped (lockstep runs) job orders,
+    // for the lockstep and the per-job paths, plain and sorted QR.
     for c in MATRIX_CONSTELLATIONS {
         for (na, nc) in MATRIX_SIZES {
             for high in [false, true] {

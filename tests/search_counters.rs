@@ -33,7 +33,8 @@ struct Workload {
 }
 
 /// `n_symbols` OFDM symbols over every subcarrier of `channel`, job order
-/// symbol-major like a frame's detection batch.
+/// symbol-major (`totals` also runs the channel-major order a frame's
+/// detection batch has).
 fn workload(
     c: Constellation,
     channel: geosphere::channel::MimoChannel,
@@ -80,15 +81,26 @@ fn total(dets: &[Detection]) -> DetectorStats {
 }
 
 /// Counter totals of `dec` on `w`, checked equal between the per-job
-/// `detect` path and the batched path (lockstep first descents on).
+/// `detect` path and the batched path (lockstep first descents on) over
+/// the jobs in symbol-major order and in channel-major order, where
+/// same-channel runs walk in lockstep.
 fn totals<F: EnumeratorFactory>(dec: &SphereDecoder<F>, w: &Workload) -> DetectorStats {
     let serial: Vec<Detection> =
         w.jobs.iter().map(|j| dec.detect(&w.channels[j.channel], &j.y, w.c)).collect();
-    let batch = DetectionBatch { channels: &w.channels, jobs: &w.jobs, c: w.c };
-    let mut ws = dec.make_workspace();
-    let mut out = Vec::new();
-    dec.detect_batch_into(&batch, &mut ws, &mut out);
-    assert_eq!(total(&serial), total(&out), "{}: batched and per-job counters differ", dec.name());
+    let mut channel_major = w.jobs.clone();
+    channel_major.sort_by_key(|j| j.channel);
+    for (order, jobs) in [("symbol-major", &w.jobs), ("channel-major", &channel_major)] {
+        let batch = DetectionBatch { channels: &w.channels, jobs, c: w.c };
+        let mut ws = dec.make_workspace();
+        let mut out = Vec::new();
+        dec.detect_batch_into(&batch, &mut ws, &mut out);
+        assert_eq!(
+            total(&serial),
+            total(&out),
+            "{} {order}: batched and per-job counters differ",
+            dec.name()
+        );
+    }
     total(&serial)
 }
 

@@ -74,20 +74,6 @@ pub fn encode_into(bits: &[bool], out: &mut Vec<bool>) {
     }
 }
 
-/// Encodes without tail bits (for streaming uses where the caller manages
-/// termination). Output length is exactly `2·bits.len()`.
-pub fn encode_unterminated(bits: &[bool]) -> Vec<bool> {
-    let mut out = Vec::with_capacity(2 * bits.len());
-    let mut state = 0usize;
-    for &b in bits {
-        let (o0, o1) = branch_output(state, b);
-        out.push(o0);
-        out.push(o1);
-        state = next_state(state, b);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,10 +124,5 @@ mod tests {
             state = next_state(state, b);
         }
         assert_eq!(state, 0);
-    }
-
-    #[test]
-    fn unterminated_length() {
-        assert_eq!(encode_unterminated(&[true; 5]).len(), 10);
     }
 }

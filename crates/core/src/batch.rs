@@ -479,7 +479,6 @@ mod tests {
         let detectors: Vec<Arc<dyn MimoDetector>> = vec![
             Arc::new(geosphere_decoder()),
             Arc::new(ethsd_decoder()),
-            Arc::new(geosphere_decoder().with_sorted_qr()),
             Arc::new(ZfDetector),
             Arc::new(MmseSicDetector::new(0.05)),
             // The rest of what the experiments build (`DetectorKind::build`).

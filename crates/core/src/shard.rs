@@ -240,8 +240,6 @@ pub struct ShardedDetectionPool {
     /// end up joining itself out of `Drop`).
     handles: Mutex<Vec<JoinHandle<()>>>,
     n_workers: usize,
-    /// CPU list per shard (empty when unpinned) — surfaced for stats.
-    shard_cpus: Vec<Vec<usize>>,
 }
 
 impl ShardedDetectionPool {
@@ -335,7 +333,6 @@ impl ShardedDetectionPool {
             poisoned,
             handles: Mutex::new(handles),
             n_workers,
-            shard_cpus,
         }
     }
 
@@ -366,12 +363,6 @@ impl ShardedDetectionPool {
     /// The pool's total worker count.
     pub fn workers(&self) -> usize {
         self.n_workers
-    }
-
-    /// The CPUs shard `shard`'s workers were pinned over (empty when
-    /// pinning is off or unavailable).
-    pub fn shard_cpus(&self, shard: usize) -> &[usize] {
-        &self.shard_cpus[shard]
     }
 
     /// Whether a worker has panicked. A poisoned pool rejects further

@@ -20,19 +20,15 @@
 use crate::batch::DetectionJob;
 use crate::detector::{Detection, MimoDetector};
 use crate::sphere::enumerator::{EnumeratorFactory, NodeEnumerator};
-use crate::sphere::workspace::{pop_spare, Prep, SearchWorkspace};
+use crate::sphere::workspace::{pop_spare, SearchWorkspace};
 use crate::stats::DetectorStats;
-use gs_linalg::{qr_decompose_into, sorted_qr_decompose_into, Complex, Matrix, Qr, SortedQr};
+use gs_linalg::{qr_decompose, qr_decompose_into, Complex, Matrix, Qr};
 use gs_modulation::{Constellation, GridPoint};
 
 /// A depth-first sphere decoder built from an enumerator family.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SphereDecoder<F> {
     factory: F,
-    /// Use column-norm sorted QR preprocessing (V-BLAST-style ordering).
-    pub sorted_qr: bool,
-    /// Optional initial squared radius (`∞` in the paper's §2.1 default).
-    pub initial_radius_sqr: f64,
     /// Runtime guard: abandon the search after visiting this many tree
     /// nodes and return the best solution found so far. `u64::MAX` (the
     /// default) preserves exact ML; real-time receivers set a budget, and
@@ -44,27 +40,16 @@ pub struct SphereDecoder<F> {
     /// interference kernel per tree level across all of them (default
     /// `true`). Bit-identical to the per-job search — symbols and stats —
     /// so this is a diagnostic/bench knob, not a quality trade-off. Only
-    /// engaged when the search is unconstrained (infinite initial radius,
-    /// no node budget); otherwise the per-job path runs regardless.
+    /// engaged without a node budget; otherwise the per-job path runs
+    /// regardless.
     pub multi_symbol: bool,
 }
 
 impl<F: EnumeratorFactory> SphereDecoder<F> {
-    /// Creates a decoder with unsorted QR and infinite initial radius.
+    /// Creates a decoder that searches from an infinite initial radius
+    /// (the paper's §2.1 default) over one plain QR per channel.
     pub fn new(factory: F) -> Self {
-        SphereDecoder {
-            factory,
-            sorted_qr: false,
-            initial_radius_sqr: f64::INFINITY,
-            max_visited_nodes: u64::MAX,
-            multi_symbol: true,
-        }
-    }
-
-    /// Enables sorted-QR preprocessing.
-    pub fn with_sorted_qr(mut self) -> Self {
-        self.sorted_qr = true;
-        self
+        SphereDecoder { factory, max_visited_nodes: u64::MAX, multi_symbol: true }
     }
 
     /// Disables multi-symbol lockstep batching (the per-job reference
@@ -102,10 +87,10 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         stats: &mut DetectorStats,
     ) -> &'w [GridPoint] {
         let nc = r.cols();
-        if self.search_with_qr(r, yhat, c, None, self.initial_radius_sqr, ws, stats).is_none() {
-            // Infinite initial radius always yields a solution; a finite one
-            // may not — fall back to per-level slicing so callers always get
-            // valid symbols.
+        if self.search_with_qr(r, yhat, c, None, f64::INFINITY, ws, stats).is_none() {
+            // Only a NaN branch cost or an exhausted node budget leaves the
+            // infinite sphere empty — fall back to per-level slicing so
+            // callers always get valid symbols.
             for i in (0..nc).rev() {
                 let mut acc = yhat[i];
                 for j in (i + 1)..nc {
@@ -347,35 +332,11 @@ fn run_search_loop<F: EnumeratorFactory>(
 }
 
 impl<F: EnumeratorFactory> SphereDecoder<F> {
-    /// (Re)computes the QR slot for one channel, reusing the slot's matrix
-    /// storage and the workspace's factorization scratch.
-    fn refresh_prep(
-        slot: &mut Option<Prep>,
-        sorted: bool,
-        h: &Matrix,
-        qr_ws: &mut gs_linalg::QrWorkspace,
-    ) {
-        match (sorted, &mut *slot) {
-            (false, Some(Prep::Plain(qr))) => qr_decompose_into(h, qr_ws, qr),
-            (true, Some(Prep::Sorted(sqr))) => sorted_qr_decompose_into(h, qr_ws, sqr),
-            (false, s) => {
-                let mut qr = Qr::default();
-                qr_decompose_into(h, qr_ws, &mut qr);
-                *s = Some(Prep::Plain(qr));
-            }
-            (true, s) => {
-                let mut sqr = SortedQr::default();
-                sorted_qr_decompose_into(h, qr_ws, &mut sqr);
-                *s = Some(Prep::Sorted(sqr));
-            }
-        }
-    }
-
-    /// Detects one job against prepared QR factors, recycling the
+    /// Detects one job against a channel's QR factors, recycling the
     /// workspace's rotation scratch and a spare output buffer.
     fn detect_prepared(
         &self,
-        prep: &Prep,
+        qr: &Qr,
         nc: usize,
         y: &[Complex],
         c: Constellation,
@@ -387,18 +348,8 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         // mutably by the search; reattached below (a pointer move, not an
         // allocation).
         let mut yhat = std::mem::take(&mut ws.yhat);
-        match prep {
-            Prep::Plain(qr) => {
-                qr.rotate_into(y, &mut yhat);
-                let best = self.detect_with_qr(&qr.r, &yhat[..nc], c, ws, &mut stats);
-                symbols.extend_from_slice(best);
-            }
-            Prep::Sorted(sqr) => {
-                sqr.qr.rotate_into(y, &mut yhat);
-                let best = self.detect_with_qr(&sqr.qr.r, &yhat[..nc], c, ws, &mut stats);
-                sqr.unpermute_into(best, &mut symbols);
-            }
-        }
+        qr.rotate_into(y, &mut yhat);
+        symbols.extend_from_slice(self.detect_with_qr(&qr.r, &yhat[..nc], c, ws, &mut stats));
         ws.yhat = yhat;
         Detection { symbols, stats }
     }
@@ -437,22 +388,21 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
             let end = jobs.len().min(g + MAX_LOCKSTEP);
             let e = (g + 1..end).find(|&t| jobs[t].channel != ch).unwrap_or(end);
             let h = &batch.channels[ch];
-            // Take the prep out of its slot so the workspace stays
-            // borrowable during the search; put it back afterwards.
-            let mut prep = ws.preps[ch].take();
-            if !ws.prep_fresh[ch] {
-                Self::refresh_prep(&mut prep, self.sorted_qr, h, &mut ws.qr_ws);
-                ws.prep_fresh[ch] = true;
+            // Take the QR out of its slot so the workspace stays borrowable
+            // during the search; put it back (storage and all) afterwards.
+            let mut qr = std::mem::take(&mut ws.qrs[ch]);
+            if !ws.qr_fresh[ch] {
+                qr_decompose_into(h, &mut ws.qr_ws, &mut qr);
+                ws.qr_fresh[ch] = true;
             }
-            let prep = prep.expect("prep just refreshed");
             if lockstep && e - g >= 2 {
-                self.lockstep_chunk(&prep, h.cols(), c, &jobs[g..e], ws, out);
+                self.lockstep_chunk(&qr, h.cols(), c, &jobs[g..e], ws, out);
             } else {
                 for job in &jobs[g..e] {
-                    out.push(self.detect_prepared(&prep, h.cols(), &job.y, c, ws));
+                    out.push(self.detect_prepared(&qr, h.cols(), &job.y, c, ws));
                 }
             }
-            ws.preps[ch] = Some(prep);
+            ws.qrs[ch] = qr;
             g = e;
         }
     }
@@ -460,11 +410,9 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
     /// Whether the lockstep multi-symbol path may run: it models the
     /// unconstrained search's first descent as a straight line (with an
     /// infinite radius and no node budget the cheapest child is always
-    /// accepted), which a finite radius or budget would falsify.
+    /// accepted), which a budget would falsify.
     fn multi_symbol_eligible(&self) -> bool {
-        self.multi_symbol
-            && self.initial_radius_sqr == f64::INFINITY
-            && self.max_visited_nodes == u64::MAX
+        self.multi_symbol && self.max_visited_nodes == u64::MAX
     }
 
     /// Runs one lockstep chunk of jobs sharing one channel's QR, appending
@@ -485,7 +433,7 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
     /// per-job loop rejects — sends that job through the per-job path.
     fn lockstep_chunk(
         &self,
-        prep: &Prep,
+        qr: &Qr,
         nc: usize,
         c: Constellation,
         jobs: &[DetectionJob],
@@ -496,10 +444,6 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
         let base = out.len();
         let _prof = gs_prof::scope(gs_prof::Stage::Enumerate);
         ws.prepare_multi(k, nc);
-        let (qr, sorted) = match prep {
-            Prep::Plain(qr) => (qr, None),
-            Prep::Sorted(sqr) => (&sqr.qr, Some(sqr)),
-        };
         ws.load_r_soa(&qr.r);
         // Rotate each job's receive vector straight into its ŷ slab entry —
         // one Rotate scope for the whole chunk (per-vector scopes would
@@ -625,17 +569,14 @@ impl<F: EnumeratorFactory> SphereDecoder<F> {
                     &mut m_stats[s],
                 );
                 debug_assert!(res.is_some(), "resume starts from a found solution");
-                match sorted {
-                    None => symbols.extend_from_slice(&m_best[job]),
-                    Some(sqr) => sqr.unpermute_into(&m_best[job], &mut symbols),
-                }
+                symbols.extend_from_slice(&m_best[job]);
                 out.push(Detection { symbols, stats: m_stats[s] });
             }
         }
         if diverged {
             for (s, job) in jobs.iter().enumerate() {
                 if ws.m_radius[s].is_nan() {
-                    let det = self.detect_prepared(prep, nc, &job.y, c, ws);
+                    let det = self.detect_prepared(qr, nc, &job.y, c, ws);
                     ws.spare.push(std::mem::replace(&mut out[base + s], det).symbols);
                 }
             }
@@ -650,10 +591,7 @@ const MAX_LOCKSTEP: usize = 16;
 
 impl<F: EnumeratorFactory> MimoDetector for SphereDecoder<F> {
     fn detect(&self, h: &Matrix, y: &[Complex], c: Constellation) -> Detection {
-        let mut ws = self.make_workspace();
-        let mut prep = None;
-        Self::refresh_prep(&mut prep, self.sorted_qr, h, &mut ws.qr_ws);
-        self.detect_prepared(&prep.expect("prep just refreshed"), h.cols(), y, c, &mut ws)
+        self.detect_prepared(&qr_decompose(h), h.cols(), y, c, &mut self.make_workspace())
     }
 
     /// Seeds the opaque workspace with this decoder's
@@ -750,12 +688,6 @@ mod tests {
                 }),
             ),
             ("hess", Box::new(|h, y, c| SphereDecoder::new(HessFactory).detect(h, y, c))),
-            (
-                "geo-sortedqr",
-                Box::new(|h, y, c| {
-                    SphereDecoder::new(GeosphereFactory::full()).with_sorted_qr().detect(h, y, c)
-                }),
-            ),
         ];
         for trial in 0..60 {
             let c = if trial % 2 == 0 { Constellation::Qpsk } else { Constellation::Qam16 };
@@ -812,7 +744,7 @@ mod tests {
     #[test]
     fn multi_symbol_lockstep_matches_single_symbol_bitwise() {
         // The lockstep first descent must be invisible: same symbols, same
-        // stats, for plain and sorted QR, across run lengths that exercise
+        // stats, across run lengths that exercise
         // chunk splits (> MAX_LOCKSTEP) and the AVX2 kernel's symbol
         // remainder (k mod 4 ≠ 0). Each batch runs channel-major (a frame's
         // order: same-channel runs walk in lockstep) and symbol-major
@@ -844,22 +776,19 @@ mod tests {
                 [("channel-major", &channel_major), ("symbol-major", &symbol_major)]
             {
                 let batch = DetectionBatch { channels: &channels, jobs, c };
-                for sorted in [false, true] {
-                    let mut multi = SphereDecoder::new(GeosphereFactory::full());
-                    multi.sorted_qr = sorted;
-                    let single = multi.with_single_symbol();
-                    assert!(multi.multi_symbol && !single.multi_symbol);
-                    let mut ws_m = multi.make_workspace();
-                    let mut ws_s = single.make_workspace();
-                    let (mut out_m, mut out_s) = (Vec::new(), Vec::new());
-                    multi.detect_batch_into(&batch, &mut ws_m, &mut out_m);
-                    single.detect_batch_into(&batch, &mut ws_s, &mut out_s);
-                    assert_eq!(out_m.len(), out_s.len());
-                    for (j, (m, s)) in out_m.iter().zip(&out_s).enumerate() {
-                        let at = format!("trial {trial} {order} sorted {sorted} job {j}");
-                        assert_eq!(m.symbols, s.symbols, "{at}");
-                        assert_eq!(m.stats, s.stats, "{at}");
-                    }
+                let multi = SphereDecoder::new(GeosphereFactory::full());
+                let single = multi.with_single_symbol();
+                assert!(multi.multi_symbol && !single.multi_symbol);
+                let mut ws_m = multi.make_workspace();
+                let mut ws_s = single.make_workspace();
+                let (mut out_m, mut out_s) = (Vec::new(), Vec::new());
+                multi.detect_batch_into(&batch, &mut ws_m, &mut out_m);
+                single.detect_batch_into(&batch, &mut ws_s, &mut out_s);
+                assert_eq!(out_m.len(), out_s.len());
+                for (j, (m, s)) in out_m.iter().zip(&out_s).enumerate() {
+                    let at = format!("trial {trial} {order} job {j}");
+                    assert_eq!(m.symbols, s.symbols, "{at}");
+                    assert_eq!(m.stats, s.stats, "{at}");
                 }
             }
         }

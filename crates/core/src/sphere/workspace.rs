@@ -27,20 +27,8 @@
 
 use crate::detector::Detection;
 use crate::stats::DetectorStats;
-use gs_linalg::{Complex, Qr, QrWorkspace, SortedQr};
+use gs_linalg::{Complex, Qr, QrWorkspace};
 use gs_modulation::{BitTable, Constellation, GridPoint};
-
-/// Per-channel preprocessing shared across a batch (plain or sorted QR).
-///
-/// Slots live in the workspace so their matrix storage is reused when the
-/// batch path re-factorizes a channel on a later call.
-#[derive(Clone, Debug)]
-pub(crate) enum Prep {
-    /// Unsorted Householder QR.
-    Plain(Qr),
-    /// Column-norm-sorted QR with its stream permutation.
-    Sorted(SortedQr),
-}
 
 /// Reusable scratch for [`SphereDecoder`](crate::SphereDecoder) searches:
 /// the per-level enumerator slab, candidate/best symbol buffers, rotation
@@ -82,12 +70,12 @@ pub struct SearchWorkspace<E> {
     /// Scratch for in-place QR factorization.
     pub(crate) qr_ws: QrWorkspace,
     /// Per-channel QR slots for the batched path (storage reused across
-    /// calls; contents are recomputed per batch — see `prep_fresh`).
-    pub(crate) preps: Vec<Option<Prep>>,
-    /// Whether `preps[k]` has been (re)computed during the current batch
+    /// calls; contents are recomputed per batch — see `qr_fresh`).
+    pub(crate) qrs: Vec<Qr>,
+    /// Whether `qrs[k]` has been (re)computed during the current batch
     /// call. Cleared at the start of every batch: channel contents may
     /// change between batches even when the table shape doesn't.
-    pub(crate) prep_fresh: Vec<bool>,
+    pub(crate) qr_fresh: Vec<bool>,
     /// Recycled per-detection symbol buffers (see
     /// [`SearchWorkspace::recycle`]).
     pub(crate) spare: Vec<Vec<GridPoint>>,
@@ -156,8 +144,8 @@ impl<E: Default> SearchWorkspace<E> {
             yhat: Vec::new(),
             bit_table: None,
             qr_ws: QrWorkspace::new(),
-            preps: Vec::new(),
-            prep_fresh: Vec::new(),
+            qrs: Vec::new(),
+            qr_fresh: Vec::new(),
             spare: Vec::new(),
             m_enum: Vec::new(),
             m_dist: Vec::new(),
@@ -285,15 +273,15 @@ impl<E: Default> SearchWorkspace<E> {
         pop_spare(&mut self.spare)
     }
 
-    /// Sizes the per-channel prep slab for a batch and marks every slot
+    /// Sizes the per-channel QR slab for a batch and marks every slot
     /// stale (channel contents may differ from the previous batch even
     /// when the table shape matches).
     pub(crate) fn begin_batch(&mut self, n_channels: usize) {
-        if self.preps.len() < n_channels {
-            self.preps.resize_with(n_channels, || None);
+        if self.qrs.len() < n_channels {
+            self.qrs.resize_with(n_channels, Qr::default);
         }
-        self.prep_fresh.clear();
-        self.prep_fresh.resize(n_channels, false);
+        self.qr_fresh.clear();
+        self.qr_fresh.resize(n_channels, false);
     }
 }
 

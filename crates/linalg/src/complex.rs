@@ -111,12 +111,6 @@ impl Complex {
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
     }
-
-    /// Fused multiply-add: `self * b + c`.
-    #[inline]
-    pub fn mul_add(self, b: Complex, c: Complex) -> Complex {
-        self * b + c
-    }
 }
 
 impl fmt::Debug for Complex {

@@ -29,7 +29,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cholesky;
 pub mod complex;
 pub mod env;
 pub mod fft;
@@ -39,15 +38,11 @@ pub mod qr;
 pub mod simd;
 pub mod svd;
 
-pub use cholesky::{cholesky, Cholesky};
 pub use complex::Complex;
 pub use fft::{fft, frequency_response, ifft};
 pub use inverse::{
     invert, lu_decompose, pseudo_inverse, regularized_pseudo_inverse, LinalgError, Lu,
 };
 pub use matrix::{vec_dist_sqr, vec_dot, vec_norm_sqr, Matrix};
-pub use qr::{
-    qr_decompose, qr_decompose_into, sorted_qr_decompose, sorted_qr_decompose_into, Qr,
-    QrWorkspace, SortedQr,
-};
-pub use svd::{condition_number, condition_number_sqr_db, singular_values, spectral_norm};
+pub use qr::{qr_decompose, qr_decompose_into, Qr, QrWorkspace};
+pub use svd::{condition_number, condition_number_sqr_db, singular_values};

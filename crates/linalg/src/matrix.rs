@@ -233,12 +233,6 @@ impl Matrix {
         self.data.iter().zip(&other.data).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max)
     }
 
-    /// Extracts the upper-left `rows × cols` block.
-    pub fn submatrix(&self, rows: usize, cols: usize) -> Matrix {
-        assert!(rows <= self.rows && cols <= self.cols);
-        Matrix::from_fn(rows, cols, |r, c| self[(r, c)])
-    }
-
     /// Returns a copy with row `a` and row `b` swapped.
     pub fn with_swapped_rows(&self, a: usize, b: usize) -> Matrix {
         let mut m = self.clone();

@@ -93,10 +93,6 @@ pub struct QrWorkspace {
     q_full: Matrix,
     /// Householder vector for the current column.
     x: Vec<Complex>,
-    /// Column-norm scratch for the sorted variant.
-    norms: Vec<f64>,
-    /// Column-permuted copy of the input for the sorted variant.
-    permuted: Matrix,
 }
 
 impl QrWorkspace {
@@ -123,13 +119,6 @@ pub fn qr_decompose(h: &Matrix) -> Qr {
 /// `ws`: zero heap allocations once both have warmed up on this shape.
 /// Factors are bit-identical to [`qr_decompose`] (same arithmetic, same
 /// operation order).
-pub fn qr_decompose_into(h: &Matrix, ws: &mut QrWorkspace, out: &mut Qr) {
-    let _prof = gs_prof::scope(gs_prof::Stage::QrDecompose);
-    qr_core(h, &mut ws.r_full, &mut ws.q_full, &mut ws.x, out);
-}
-
-/// The Householder reduction shared by the plain and sorted variants,
-/// parameterized over its scratch buffers so callers control reuse.
 ///
 /// The working copies are walked as flat row-major slices (`r[i·n + c]`,
 /// `q[row·m + i]`), and every magnitude is taken once. The per-element
@@ -137,13 +126,9 @@ pub fn qr_decompose_into(h: &Matrix, ws: &mut QrWorkspace, out: &mut Qr) {
 /// [`Complex::ZERO`] in ascending row order, each update subtracts one
 /// rounded product, so the factors are reproducible to the bit
 /// (`tests/qr_rotation_bits.rs` pins them).
-fn qr_core(
-    h: &Matrix,
-    r_full: &mut Matrix,
-    q_full: &mut Matrix,
-    x: &mut Vec<Complex>,
-    out: &mut Qr,
-) {
+pub fn qr_decompose_into(h: &Matrix, ws: &mut QrWorkspace, out: &mut Qr) {
+    let _prof = gs_prof::scope(gs_prof::Stage::QrDecompose);
+    let QrWorkspace { r_full, q_full, x } = ws;
     let (m, n) = h.shape();
     assert!(m >= n, "QR requires rows >= cols (na >= nc), got {m}x{n}");
 
@@ -228,77 +213,6 @@ fn qr_core(
             oq[rr * n + k] *= phase;
         }
     }
-}
-
-/// A sorted QR decomposition: columns of `H` are permuted before QR so that
-/// detection proceeds from the strongest stream (largest post-QR diagonal)
-/// at the tree root. `perm[i]` gives the original column index of permuted
-/// column `i`.
-///
-/// Sorted QR (V-BLAST style norm ordering) is the standard preprocessing for
-/// SIC-type and sphere detectors; the sphere decoders in this workspace can
-/// run with or without it.
-#[derive(Clone, Debug, Default)]
-pub struct SortedQr {
-    /// The QR factors of the permuted matrix.
-    pub qr: Qr,
-    /// `perm[i]` = original column of permuted column `i`.
-    pub perm: Vec<usize>,
-}
-
-impl SortedQr {
-    /// Restores a detected symbol vector to the original stream order.
-    pub fn unpermute<T: Copy + Default>(&self, s: &[T]) -> Vec<T> {
-        let mut out = Vec::new();
-        self.unpermute_into(s, &mut out);
-        out
-    }
-
-    /// [`SortedQr::unpermute`] into a caller-owned buffer (cleared first);
-    /// allocation-free once `out`'s capacity has warmed up.
-    pub fn unpermute_into<T: Copy + Default>(&self, s: &[T], out: &mut Vec<T>) {
-        out.clear();
-        out.resize(s.len(), T::default());
-        for (i, &p) in self.perm.iter().enumerate() {
-            out[p] = s[i];
-        }
-    }
-}
-
-/// QR with column-norm sorting: weakest column first so the *last* detected
-/// level (tree root) carries the largest diagonal.
-///
-/// Sorting ascending by column norm puts low-confidence streams deep in the
-/// tree where the sphere search can compensate, which empirically reduces
-/// visited nodes for every Schnorr–Euchner decoder.
-pub fn sorted_qr_decompose(h: &Matrix) -> SortedQr {
-    let mut ws = QrWorkspace::new();
-    let mut out = SortedQr::default();
-    sorted_qr_decompose_into(h, &mut ws, &mut out);
-    out
-}
-
-/// [`sorted_qr_decompose`] into a caller-owned output with scratch from
-/// `ws`; allocation-free after shape warmup, bit-identical factors.
-pub fn sorted_qr_decompose_into(h: &Matrix, ws: &mut QrWorkspace, out: &mut SortedQr) {
-    let _prof = gs_prof::scope(gs_prof::Stage::QrDecompose);
-    let n = h.cols();
-    out.perm.clear();
-    out.perm.extend(0..n);
-    ws.norms.clear();
-    ws.norms.extend((0..n).map(|c| (0..h.rows()).map(|r| h[(r, c)].norm_sqr()).sum::<f64>()));
-    // Ascending column norms: weakest stream detected first in natural
-    // column order = last in the tree walk.
-    let norms = &ws.norms;
-    out.perm.sort_by(|&a, &b| norms[a].partial_cmp(&norms[b]).unwrap());
-
-    ws.permuted.reset_zeros(h.rows(), n);
-    for r in 0..h.rows() {
-        for c in 0..n {
-            ws.permuted[(r, c)] = h[(r, out.perm[c])];
-        }
-    }
-    qr_core(&ws.permuted, &mut ws.r_full, &mut ws.q_full, &mut ws.x, &mut out.qr);
 }
 
 #[cfg(test)]
@@ -428,59 +342,6 @@ mod tests {
                 assert_eq!(a.re.to_bits(), b.re.to_bits());
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn sorted_decompose_into_matches() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut ws = QrWorkspace::new();
-        let mut out = SortedQr::default();
-        for _ in 0..5 {
-            let h = random_matrix(&mut rng, 4, 4);
-            sorted_qr_decompose_into(&h, &mut ws, &mut out);
-            let reference = sorted_qr_decompose(&h);
-            assert_eq!(out.perm, reference.perm);
-            for (a, b) in out.qr.r.as_slice().iter().zip(reference.qr.r.as_slice()) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_qr_unpermute_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let h = random_matrix(&mut rng, 4, 4);
-        let sqr = sorted_qr_decompose(&h);
-        // Reconstruct permuted H and check column mapping.
-        let rec = sqr.qr.reconstruct();
-        for c in 0..4 {
-            for r in 0..4 {
-                assert!((rec[(r, c)] - h[(r, sqr.perm[c])]).abs() < 1e-10);
-            }
-        }
-        // unpermute puts values back.
-        let vals: Vec<usize> = (0..4).collect();
-        let restored = sqr.unpermute(&vals);
-        for (i, &p) in sqr.perm.iter().enumerate() {
-            assert_eq!(restored[p], vals[i]);
-        }
-    }
-
-    #[test]
-    fn sorted_qr_diagonal_ordering_tends_ascending() {
-        // With ascending column-norm sorting the first diagonal entry should
-        // not exceed the norm of the largest column.
-        let mut rng = StdRng::seed_from_u64(12);
-        for _ in 0..10 {
-            let h = random_matrix(&mut rng, 4, 4);
-            let sqr = sorted_qr_decompose(&h);
-            let d0 = sqr.qr.r[(0, 0)].re;
-            let max_norm = (0..4)
-                .map(|c| h.col(c).iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt())
-                .fold(0.0, f64::max);
-            assert!(d0 <= max_norm + 1e-9);
         }
     }
 

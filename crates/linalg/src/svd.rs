@@ -95,11 +95,6 @@ pub fn condition_number_sqr_db(a: &Matrix) -> f64 {
     20.0 * condition_number(a).log10()
 }
 
-/// Spectral (2-) norm: the largest singular value.
-pub fn spectral_norm(a: &Matrix) -> f64 {
-    singular_values(a).first().copied().unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,7 +49,7 @@ use geosphere_core::{
 };
 use gs_channel::MimoChannel;
 use gs_coding::{CodedBit, Interleaver, ViterbiWorkspace};
-use gs_linalg::{Complex, Matrix};
+use gs_linalg::Matrix;
 use gs_modulation::GridPoint;
 use rand::Rng;
 use std::any::Any;
@@ -145,8 +145,6 @@ pub struct FrameWorkspace {
     pub(crate) n_clients: usize,
     /// Per-job stacked symbol scratch.
     pub(crate) s_buf: Vec<GridPoint>,
-    /// Per-resource-element receive scratch (soft/iterative paths).
-    pub(crate) y_buf: Vec<Complex>,
 
     // --- detection ---
     /// Detector workspace for the single-worker inline path.

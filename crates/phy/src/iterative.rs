@@ -19,9 +19,9 @@
 
 use crate::config::PhyConfig;
 use crate::frame::{interleaver_for, FrameWorkspace};
-use crate::txrx::{plan_transmit_into, UplinkOutcome};
-use geosphere_core::{apply_channel_into, DetectorStats, FilterCache};
-use gs_channel::{sample_cn, MimoChannel};
+use crate::txrx::{plan_uplink_frame_into, UplinkOutcome};
+use geosphere_core::{DetectorStats, FilterCache};
+use gs_channel::MimoChannel;
 use gs_coding::{bcjr, depuncture_soft_into, puncture_into, scramble::Scrambler};
 use gs_linalg::{invert, Complex, Matrix};
 use gs_modulation::{BitTable, Constellation};
@@ -35,12 +35,10 @@ struct SymbolPrior {
 }
 
 /// Reusable scratch for the iterative receiver, owned by
-/// [`FrameWorkspace`]: the received grid, prior/LLR streams, the
-/// covariance matrices, and the per-channel Gram cache.
+/// [`FrameWorkspace`]: prior/LLR streams, the covariance matrices, and
+/// the per-channel Gram cache.
 #[derive(Default)]
 pub(crate) struct IterScratch {
-    /// Received vectors, flattened `[(t * n_subcarriers + k) * na ..][..na]`.
-    received: Vec<Complex>,
     /// Per-client coded-bit priors in transmitted order.
     priors: Vec<Vec<f64>>,
     /// Per-client posterior channel LLRs (transmitted order).
@@ -117,7 +115,7 @@ fn scalar_llrs(
 }
 
 /// Runs one uplink frame through the iterative MMSE-PIC receiver,
-/// recycling a [`FrameWorkspace`] across frames: the received grid, prior
+/// recycling a [`FrameWorkspace`] across frames: the planned frame, prior
 /// and LLR streams, covariance scratch, and the per-subcarrier Gram cache
 /// are reused in place (the cache self-invalidates when the channel
 /// changes).
@@ -141,25 +139,10 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
     let es = c.energy();
     let sigma2 = gs_channel::noise_variance_for_snr_db(snr_db);
 
-    // Transmit: payload draws + transmit chains + grid-channel refresh,
-    // in the seed RNG order shared with the hard and soft paths.
-    let (n_sym, n_grid) = plan_transmit_into(cfg, channel, rng, ws);
-
-    // Air: one received vector per (OFDM symbol, subcarrier), flattened.
-    ws.iter.received.clear();
-    for t in 0..n_sym {
-        for k in 0..cfg.n_subcarriers {
-            let FrameWorkspace { symbols, grid_channels, s_buf, y_buf, iter, .. } = ws;
-            let h = &grid_channels[k % n_grid];
-            s_buf.clear();
-            s_buf.extend((0..nc).map(|cl| symbols[cl][t * cfg.n_subcarriers + k]));
-            apply_channel_into(h, s_buf, y_buf);
-            for v in y_buf.iter_mut() {
-                *v += sample_cn(rng, sigma2);
-            }
-            iter.received.extend_from_slice(y_buf);
-        }
-    }
+    // The hard path's plan: the same payload and noise draws, in the same
+    // RNG order, so all three receive paths see one air.
+    plan_uplink_frame_into(cfg, channel, None, snr_db, rng, ws);
+    let (n_sym, n_grid) = (ws.n_sym, ws.n_grid_channels);
 
     // Iterate. priors[cl] = coded-bit LLRs in *transmitted* (interleaved)
     // order; zeros initially.
@@ -187,25 +170,15 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
         }
         for t in 0..n_sym {
             for k in 0..cfg.n_subcarriers {
-                let FrameWorkspace { grid_channels, iter, .. } = ws;
-                let IterScratch {
-                    cache,
-                    received,
-                    priors,
-                    channel_llrs,
-                    sp,
-                    cov,
-                    cov_cl,
-                    yc,
-                    h_cl,
-                    ..
-                } = iter;
+                let FrameWorkspace { grid_channels, jobs, iter, .. } = ws;
+                let IterScratch { cache, priors, channel_llrs, sp, cov, cov_cl, yc, h_cl, .. } =
+                    iter;
                 let h = &grid_channels[k % n_grid];
                 // Cached column outer products for this subcarrier:
                 // gram[cl][(r1, r2)] = h[(r1, cl)] · h[(r2, cl)]*.
                 let gram = &cache.pic_gram(k % n_grid, h).outer;
                 let re_idx = t * cfg.n_subcarriers + k;
-                let y = &received[re_idx * na..(re_idx + 1) * na];
+                let y = &jobs[k * n_sym + t].y;
                 detections += 1;
                 // Symbol priors for every stream at this resource element.
                 let base = re_idx * q;

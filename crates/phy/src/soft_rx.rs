@@ -14,9 +14,9 @@
 
 use crate::config::PhyConfig;
 use crate::frame::{interleaver_for, FrameWorkspace, RxScratch};
-use crate::txrx::{plan_transmit_into, UplinkOutcome};
-use geosphere_core::{apply_channel_into, DetectorStats, SoftGeosphereDetector};
-use gs_channel::{sample_cn, MimoChannel};
+use crate::txrx::{plan_uplink_frame_into, UplinkOutcome};
+use geosphere_core::{DetectorStats, SoftGeosphereDetector};
+use gs_channel::MimoChannel;
 use gs_coding::{check_crc_ok, depuncture_soft_into, scramble::Scrambler, viterbi};
 use rand::Rng;
 
@@ -52,11 +52,11 @@ pub fn uplink_frame_soft_into<'w, R: Rng + ?Sized>(
     let nc = channel.num_tx();
     let c = cfg.constellation;
     let q = c.bits_per_symbol();
-    // Payload draws + transmit chains + grid-channel refresh, in the seed
-    // RNG order shared with the hard and iterative paths.
-    let (n_sym, n_grid) = plan_transmit_into(cfg, channel, rng, ws);
-    let sigma2 = gs_channel::noise_variance_for_snr_db(snr_db);
-    let detector = SoftGeosphereDetector::new(sigma2);
+    // The hard path's plan: the same payload and noise draws, in the same
+    // RNG order, so all three receive paths see one air.
+    plan_uplink_frame_into(cfg, channel, None, snr_db, rng, ws);
+    let n_sym = ws.n_sym;
+    let detector = SoftGeosphereDetector::new(gs_channel::noise_variance_for_snr_db(snr_db));
 
     let mut stats = DetectorStats::default();
     let mut detections = 0u64;
@@ -70,27 +70,13 @@ pub fn uplink_frame_soft_into<'w, R: Rng + ?Sized>(
     // One workspace + output pair for the whole frame: every per-symbol
     // soft detection reuses the same search state, QR factors, and LLR
     // buffers (bit-identical to per-call `detect_soft`, without its
-    // allocations).
+    // allocations). Symbol-major visits keep each client's LLR stream in
+    // frame order over the channel-major jobs.
     for t in 0..n_sym {
         for k in 0..cfg.n_subcarriers {
-            let FrameWorkspace {
-                symbols,
-                grid_channels,
-                s_buf,
-                y_buf,
-                soft_ws,
-                soft_out,
-                llrs,
-                ..
-            } = ws;
-            let h = &grid_channels[k % n_grid];
-            s_buf.clear();
-            s_buf.extend((0..nc).map(|cl| symbols[cl][t * cfg.n_subcarriers + k]));
-            apply_channel_into(h, s_buf, y_buf);
-            for v in y_buf.iter_mut() {
-                *v += sample_cn(rng, sigma2);
-            }
-            detector.detect_soft_into(h, y_buf, c, soft_ws, soft_out);
+            let FrameWorkspace { rx_channels, jobs, soft_ws, soft_out, llrs, .. } = ws;
+            let job = &jobs[k * n_sym + t];
+            detector.detect_soft_into(&rx_channels[job.channel], &job.y, c, soft_ws, soft_out);
             stats += soft_out.stats;
             detections += 1;
             for cl in 0..nc {

@@ -286,21 +286,31 @@ fn detect_planned_inline<D: MimoDetector + ?Sized>(
     ws.det_out = det_out;
 }
 
-/// The frame-plan prologue shared by the hard, soft, and iterative entry
-/// points: draws every client payload (the first RNG consumer, client by
-/// client — the draw order all paths' bit-identity rests on), runs the
-/// transmit chains into the workspace's flat symbol grids, and refreshes
-/// the grid-domain channel table (constellation scale folded in so grid
-/// symbols fly at unit average power). Returns `(n_sym, n_grid)`.
-/// Allocation-free once the workspace has warmed up to this frame shape.
-pub(crate) fn plan_transmit_into<R: Rng + ?Sized>(
+/// The one air model behind the hard, soft, and iterative entry points.
+/// Draws every random quantity of the frame in one fixed order — client
+/// payloads first (client by client), then per-(symbol, subcarrier) noise,
+/// OFDM-symbol-major — runs the transmit chains into the workspace's flat
+/// symbol grids, refreshes the grid-domain channel table (constellation
+/// scale folded in so grid symbols fly at unit average power), and
+/// packages the resulting detection problems into the workspace's pooled
+/// buffers **channel-major**: job `k * n_sym + t` is subcarrier `k` of
+/// OFDM symbol `t`, so every OFDM symbol on one subcarrier is adjacent and
+/// a detector shares that subcarrier's QR and lockstep first descents
+/// across them. Allocation-free once the workspace has warmed up to this
+/// frame shape.
+pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
     cfg: &PhyConfig,
     channel: &MimoChannel,
+    csi: Option<&MimoChannel>,
+    snr_db: f64,
     rng: &mut R,
     ws: &mut FrameWorkspace,
-) -> (usize, usize) {
+) {
+    let _prof = gs_prof::scope(gs_prof::Stage::Plan);
     let nc = channel.num_tx();
+    let na = channel.num_rx();
     let c = cfg.constellation;
+    _prof.add_bytes((nc * cfg.payload_bits) as u64 / 8);
     assert!(
         channel.num_subcarriers() == 1 || channel.num_subcarriers() == cfg.n_subcarriers,
         "channel subcarrier count must be 1 or {}",
@@ -330,31 +340,6 @@ pub(crate) fn plan_transmit_into<R: Rng + ?Sized>(
     for (k, m) in channel.iter().enumerate() {
         ws.grid_channels[k].scale_from(m, c.scale());
     }
-    (n_sym, n_grid)
-}
-
-/// Draws every random quantity of the frame — client payloads, then
-/// per-(symbol, subcarrier) noise, OFDM-symbol-major — in the fixed order
-/// all receive paths share, and packages the resulting detection problems
-/// into the workspace's pooled buffers **channel-major**: job
-/// `k * n_sym + t` is subcarrier `k` of OFDM symbol `t`, so every OFDM
-/// symbol on one subcarrier is adjacent and a detector shares that
-/// subcarrier's QR and lockstep first descents across them.
-/// Allocation-free once the workspace has warmed up to this frame shape.
-pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
-    cfg: &PhyConfig,
-    channel: &MimoChannel,
-    csi: Option<&MimoChannel>,
-    snr_db: f64,
-    rng: &mut R,
-    ws: &mut FrameWorkspace,
-) {
-    let _prof = gs_prof::scope(gs_prof::Stage::Plan);
-    let nc = channel.num_tx();
-    let na = channel.num_rx();
-    let c = cfg.constellation;
-    _prof.add_bytes((nc * cfg.payload_bits) as u64 / 8);
-    let (n_sym, n_grid) = plan_transmit_into(cfg, channel, rng, ws);
     let sigma2 = gs_channel::noise_variance_for_snr_db(snr_db);
     ws.n_grid_channels = n_grid;
     // The detector's view of the channel: genie (the truth) or supplied CSI.
@@ -642,6 +627,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn hard_soft_and_iterative_paths_share_one_draw_order() {
+        // All three receive paths plan through one air model: from one
+        // seed they leave the caller's RNG in the same state and detect
+        // one problem per (OFDM symbol, subcarrier).
+        use crate::iterative::uplink_frame_iterative_into;
+        use crate::soft_rx::uplink_frame_soft_into;
+        let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
+        let ch = gs_channel::SelectiveRayleighChannel::indoor(4, 2)
+            .realize(&mut StdRng::seed_from_u64(177));
+        let mut ws = FrameWorkspace::new();
+        let mut rngs: Vec<StdRng> = (0..3).map(|_| StdRng::seed_from_u64(178)).collect();
+        let det = geosphere_decoder();
+        let hard =
+            decode_frame_batched_into(&cfg, &ch, &det, 18.0, &mut rngs[0], 1, &mut ws).detections;
+        assert_eq!(hard, (ws.n_sym * cfg.n_subcarriers) as u64);
+        let soft = uplink_frame_soft_into(&cfg, &ch, 18.0, &mut rngs[1], &mut ws).detections;
+        let iter =
+            uplink_frame_iterative_into(&cfg, &ch, 18.0, 1, &mut rngs[2], &mut ws).detections;
+        assert_eq!((soft, iter), (hard, hard), "detections per frame");
+        let next: Vec<u64> = rngs.iter_mut().map(|r| r.gen()).collect();
+        assert!(next.iter().all(|&x| x == next[0]), "RNG states diverged: {next:x?}");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub enum Stage {
     /// chains (their CRC included), channel refresh, per-job assembly, and
     /// noise (`plan_uplink_frame_into`).
     Plan = 0,
-    /// Householder QR / sorted QR factorisations (`gs-linalg`).
+    /// Householder QR factorisations (`gs-linalg`).
     QrDecompose,
     /// `Qᴴ·y` rotations of received vectors into the triangular frame.
     Rotate,

@@ -40,7 +40,6 @@
 
 use crate::faults::FaultSpec;
 use crate::scenario::{DeadlineKind, PlannedFrame, Scenario};
-use geosphere_core::{geosphere_decoder, DetectorTier, FsdDetector, MmseDetector};
 use gs_channel::noise_variance_for_snr_db;
 use gs_modulation::Constellation;
 use gs_phy::{decode_frame_batched_into, FrameWorkspace, PhyConfig};
@@ -276,6 +275,45 @@ pub fn run_scenario_by_index(
     run_scenario(&scenario, index, &mut FrameWorkspace::new())
 }
 
+/// The healthy / deadline-storm drive over `plan`: admit until the pool
+/// refuses, then consume one completion — the pipeline stays full, slots
+/// recycle mid-scenario, and every admitted frame is delivered. Returns
+/// the number of frames admitted.
+fn drive_full(
+    stream: &FrameStream,
+    plan: &[PlannedFrame],
+    records: &mut [FrameRec],
+    violations: &mut Vec<String>,
+    mut absorb: impl FnMut(gs_runtime::Completed<'_>, &mut [FrameRec], &mut Vec<String>),
+) -> u64 {
+    let mut submitted = 0usize;
+    let mut received = 0usize;
+    while received < plan.len() {
+        if let Some(pf) = plan.get(submitted) {
+            match stream.try_submit(make_frame(pf, pf.client)) {
+                Ok(()) => {
+                    submitted += 1;
+                    continue;
+                }
+                Err(TrySubmitError::Full(_)) => {}
+                Err(TrySubmitError::Dead(_)) => {
+                    violations.push("stream died without a lethal fault".into());
+                    break;
+                }
+            }
+        }
+        match stream.recv() {
+            Ok(done) => absorb(done, records, violations),
+            Err(_) => {
+                violations.push("stream died without a lethal fault".into());
+                break;
+            }
+        }
+        received += 1;
+    }
+    submitted as u64
+}
+
 fn run_scenario_cached(
     scenario: &Scenario,
     index: usize,
@@ -416,67 +454,12 @@ fn run_scenario_cached(
                 }
             }
             // The tail (if the burst did not cover the plan) runs through
-            // the normal interleaved driver below via this shared loop.
-            let mut received = 0usize;
-            let mut submitted = burst_n;
-            let mut delivered_tail = 0usize;
-            while received < n - burst_n {
-                if submitted < n {
-                    match stream.try_submit(make_frame(&plan[submitted], plan[submitted].client)) {
-                        Ok(()) => {
-                            submitted += 1;
-                            accepted += 1;
-                            continue;
-                        }
-                        Err(TrySubmitError::Full(_)) => {}
-                        Err(TrySubmitError::Dead(_)) => {
-                            violations.push("stream died without a lethal fault".into());
-                            break;
-                        }
-                    }
-                }
-                match stream.recv() {
-                    Ok(done) => absorb(done, &mut records, &mut violations),
-                    Err(_) => {
-                        violations.push("stream died without a lethal fault".into());
-                        break;
-                    }
-                }
-                received += 1;
-                delivered_tail += 1;
-            }
-            let _ = delivered_tail;
+            // the healthy driver.
+            accepted +=
+                drive_full(stream, &plan[burst_n..], &mut records, &mut violations, &mut absorb);
         }
         _ => {
-            // Healthy / deadline-storm drive: admit until the pool
-            // refuses, then consume one — the pipeline stays full, slots
-            // recycle mid-scenario, and every offered frame is delivered.
-            let mut submitted = 0usize;
-            let mut received = 0usize;
-            while received < n {
-                if submitted < n {
-                    match stream.try_submit(make_frame(&plan[submitted], plan[submitted].client)) {
-                        Ok(()) => {
-                            submitted += 1;
-                            accepted += 1;
-                            continue;
-                        }
-                        Err(TrySubmitError::Full(_)) => {}
-                        Err(TrySubmitError::Dead(_)) => {
-                            violations.push("stream died without a lethal fault".into());
-                            break;
-                        }
-                    }
-                }
-                match stream.recv() {
-                    Ok(done) => absorb(done, &mut records, &mut violations),
-                    Err(_) => {
-                        violations.push("stream died without a lethal fault".into());
-                        break;
-                    }
-                }
-                received += 1;
-            }
+            accepted = drive_full(stream, &plan, &mut records, &mut violations, &mut absorb);
         }
     }
 
@@ -533,44 +516,19 @@ fn run_scenario_cached(
     }
 
     // Bit-identity: every delivered frame equals the serial reference
-    // decode at the pinned tier. The reference uses the same concrete
-    // detectors (same parameters) the stream's default ladder holds.
+    // decode at the pinned tier, by the rung of the same default ladder
+    // the stream was built with.
     let cfg = campaign_phy_config();
-    let sigma2 = noise_variance_for_snr_db(scenario.snr.base_db());
+    let ladder =
+        DetectorLadder::geosphere_default(noise_variance_for_snr_db(scenario.snr.base_db()));
+    let reference = ladder.detector(scenario.tier);
     for (idx, (pf, rec)) in plan.iter().zip(&records).enumerate() {
         if !rec.delivered {
             continue;
         }
         let mut rng = StdRng::seed_from_u64(pf.seed);
-        let serial = match scenario.tier {
-            DetectorTier::Sphere => decode_frame_batched_into(
-                &cfg,
-                &pf.channel,
-                &geosphere_decoder(),
-                pf.snr_db,
-                &mut rng,
-                1,
-                ws,
-            ),
-            DetectorTier::Fsd => decode_frame_batched_into(
-                &cfg,
-                &pf.channel,
-                &FsdDetector::new(),
-                pf.snr_db,
-                &mut rng,
-                1,
-                ws,
-            ),
-            DetectorTier::Mmse => decode_frame_batched_into(
-                &cfg,
-                &pf.channel,
-                &MmseDetector::new(sigma2),
-                pf.snr_db,
-                &mut rng,
-                1,
-                ws,
-            ),
-        };
+        let serial =
+            decode_frame_batched_into(&cfg, &pf.channel, reference, pf.snr_db, &mut rng, 1, ws);
         let mut serial_mask = 0u64;
         for (i, &ok) in serial.client_ok.iter().enumerate() {
             if ok {

@@ -38,6 +38,12 @@ pub struct ExperimentParams {
     /// [`snr_for_target_fer()`] call, so per-frame planning and
     /// receive-chain buffers — and the worker pool — warm up once per run,
     /// not once per point.
+    ///
+    /// More workers are not always faster: on a 2-vCPU host, 2 pool
+    /// workers were slower than inline detection in all 9 Criterion runs
+    /// that timed both (`frame_decode_4x4_qam64_64sc`: `batched/1w`
+    /// 1.28 ms, `batched/2w` 2.44 ms). Measure on the target host before
+    /// raising the count.
     pub workers: usize,
 }
 

@@ -15,7 +15,6 @@ pub mod campaign;
 pub mod distributed;
 pub mod experiments;
 pub mod faults;
-pub mod rate_adapt;
 pub mod scenario;
 pub mod selection;
 pub mod storm;
@@ -31,12 +30,9 @@ pub use experiments::{
     ComplexityPoint, DetectorKind, ExperimentParams, ThroughputPoint, PAPER_CONFIGS, PAPER_SNRS,
 };
 pub use faults::FaultSpec;
-pub use rate_adapt::{decoding_threshold_db, RateAdapter};
 pub use scenario::{ChannelSpec, DeadlineSpec, PlannedFrame, Scenario, SnrSpec};
 pub use selection::{select_groups, UserGroup};
 pub use storm::{
     run_deadline_storm, run_drain_recovery, DrainRecoveryReport, StormComparison, StormConfig,
 };
-pub use traffic::{
-    run_poisson_uplink, run_traffic_uplink, PoissonParams, TrafficMix, TrafficParams, TrafficReport,
-};
+pub use traffic::{run_poisson_uplink, PoissonParams, TrafficMix, TrafficReport};

@@ -147,28 +147,7 @@ fn exp_gap<R: Rng + ?Sized>(rng: &mut R, rate_hz: f64) -> f64 {
     -(1.0 - u).ln() / rate_hz.max(1e-9)
 }
 
-/// Traffic-shape parameters for [`run_traffic_uplink`].
-#[derive(Clone, Debug)]
-pub struct TrafficParams {
-    /// Concurrent traffic sources. Must match (or not exceed) the
-    /// stream's configured client-lane count.
-    pub clients: usize,
-    /// Frames each client offers.
-    pub frames_per_client: usize,
-    /// The arrival process family.
-    pub mix: TrafficMix,
-    /// Operating SNR for every frame.
-    pub snr_db: f64,
-    /// Relative completion deadline applied to each frame at submission
-    /// (`None` = deadline-free).
-    pub deadline: Option<Duration>,
-    /// Seed for arrival gaps, channel realizations, and frame seeds.
-    pub seed: u64,
-}
-
-/// Traffic-shape parameters for [`run_poisson_uplink`] — the original
-/// Poisson-only surface, kept as the stable entry the storm scenarios and
-/// benches drive.
+/// Traffic-shape parameters for [`run_poisson_uplink`].
 #[derive(Clone, Debug)]
 pub struct PoissonParams {
     /// Concurrent traffic sources. Must match (or not exceed) the
@@ -186,26 +165,6 @@ pub struct PoissonParams {
     pub deadline: Option<Duration>,
     /// Seed for arrival gaps, channel realizations, and frame seeds.
     pub seed: u64,
-}
-
-impl PoissonParams {
-    /// The equivalent [`TrafficParams`]: finite positive rates are
-    /// Poisson pacing, anything else saturation.
-    pub fn traffic(&self) -> TrafficParams {
-        let mix = if self.rate_hz.is_finite() && self.rate_hz > 0.0 {
-            TrafficMix::Poisson { rate_hz: self.rate_hz }
-        } else {
-            TrafficMix::Saturation
-        };
-        TrafficParams {
-            clients: self.clients,
-            frames_per_client: self.frames_per_client,
-            mix,
-            snr_db: self.snr_db,
-            deadline: self.deadline,
-            seed: self.seed,
-        }
-    }
 }
 
 /// What the traffic run observed.
@@ -235,14 +194,18 @@ struct Arrival {
 }
 
 /// Builds the merged multi-client arrival schedule for `params`:
-/// per-client offsets from the mix, channel realizations from `model`,
+/// per-client offsets from `mix`, channel realizations from `model`,
 /// per-frame seeds derived from the run seed — all before any clock
 /// starts, and a pure function of `params.seed`.
-fn build_arrivals<M: ChannelModel>(model: &M, params: &TrafficParams) -> Vec<Arrival> {
+fn build_arrivals<M: ChannelModel>(
+    model: &M,
+    params: &PoissonParams,
+    mix: &TrafficMix,
+) -> Vec<Arrival> {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut arrivals: Vec<Arrival> = Vec::with_capacity(params.clients * params.frames_per_client);
     for client in 0..params.clients {
-        let offsets = params.mix.schedule(params.frames_per_client, &mut rng);
+        let offsets = mix.schedule(params.frames_per_client, &mut rng);
         for (k, at) in offsets.into_iter().enumerate() {
             let channel = Arc::new(model.realize(&mut rng));
             let seed = params
@@ -259,9 +222,11 @@ fn build_arrivals<M: ChannelModel>(model: &M, params: &TrafficParams) -> Vec<Arr
     arrivals
 }
 
-/// Drives `params.clients` sources of the configured [`TrafficMix`]
-/// through `stream` and drains every completion, returning the aggregate
-/// [`TrafficReport`].
+/// Drives `params.clients` sources through `stream` and drains every
+/// completion, returning the aggregate [`TrafficReport`]. A finite
+/// positive `params.rate_hz` paces each client as a
+/// [`TrafficMix::Poisson`] process; anything else is
+/// [`TrafficMix::Saturation`].
 ///
 /// The submitting side runs on a scoped thread ("many concurrent sources"
 /// collapsed onto one pacing thread — arrival times are already merged);
@@ -272,13 +237,18 @@ fn build_arrivals<M: ChannelModel>(model: &M, params: &TrafficParams) -> Vec<Arr
 /// Panics when the stream dies mid-run (a worker or stage-thread panic is
 /// an infrastructure failure here, not a scenario outcome — the
 /// fault-injection campaigns use their own lockstep driver).
-pub fn run_traffic_uplink<M: ChannelModel>(
+pub fn run_poisson_uplink<M: ChannelModel>(
     stream: &FrameStream,
     model: &M,
-    params: &TrafficParams,
+    params: &PoissonParams,
 ) -> TrafficReport {
-    let paced = params.mix.is_paced();
-    let arrivals = build_arrivals(model, params);
+    let mix = if params.rate_hz.is_finite() && params.rate_hz > 0.0 {
+        TrafficMix::Poisson { rate_hz: params.rate_hz }
+    } else {
+        TrafficMix::Saturation
+    };
+    let paced = mix.is_paced();
+    let arrivals = build_arrivals(model, params, &mix);
 
     let offered = arrivals.len() as u64;
     let start = Instant::now();
@@ -364,17 +334,6 @@ pub fn run_traffic_uplink<M: ChannelModel>(
         elapsed,
         frames_per_sec: submitted as f64 / elapsed.as_secs_f64().max(1e-9),
     }
-}
-
-/// Drives `params.clients` Poisson sources through `stream` — the
-/// original Poisson-only entry, now a thin wrapper over
-/// [`run_traffic_uplink`].
-pub fn run_poisson_uplink<M: ChannelModel>(
-    stream: &FrameStream,
-    model: &M,
-    params: &PoissonParams,
-) -> TrafficReport {
-    run_traffic_uplink(stream, model, &params.traffic())
 }
 
 #[cfg(test)]

@@ -176,8 +176,7 @@ fn assert_detect_with_qr_allocation_free() {
 /// The batched frame-decode inner loop (`detect_batch_into` with a kept
 /// workspace and recycled output) must not touch the allocator — including
 /// its per-channel QR refresh, the lockstep walk of a channel-major batch
-/// (a frame's order) as well as the per-job walk of a symbol-major one,
-/// and, in the sorted-QR configuration, the permutation handling.
+/// (a frame's order) as well as the per-job walk of a symbol-major one.
 fn assert_detect_batch_into_allocation_free() {
     let c = Constellation::Qam16;
     let mut rng = StdRng::seed_from_u64(9002);
@@ -208,36 +207,27 @@ fn assert_detect_batch_into_allocation_free() {
 /// [`assert_detect_batch_into_allocation_free`] on one batch order.
 fn assert_batch_allocation_free(batch: &DetectionBatch) {
     let n_jobs = batch.jobs.len();
-    let plain = geosphere_decoder();
-    let sorted = geosphere_decoder().with_sorted_qr();
-    let reference_plain = plain.detect_batch(batch);
+    let det = geosphere_decoder();
+    let reference = det.detect_batch(batch);
 
-    let mut plain_ws = plain.make_workspace();
-    let mut sorted_ws = sorted.make_workspace();
-    let mut plain_out = Vec::new();
-    let mut sorted_out = Vec::new();
-    // Two warmup rounds: the first grows the search/prep buffers, the
+    let mut ws = det.make_workspace();
+    let mut out = Vec::new();
+    // Two warmup rounds: the first grows the search/QR buffers, the
     // second warms the recycling pool (spare buffers only exist after a
     // previous round's outputs are reclaimed).
     for _ in 0..2 {
-        plain.detect_batch_into(batch, &mut plain_ws, &mut plain_out);
-        sorted.detect_batch_into(batch, &mut sorted_ws, &mut sorted_out);
+        det.detect_batch_into(batch, &mut ws, &mut out);
     }
 
-    let (delta, ()) = allocations_during(|| {
-        plain.detect_batch_into(batch, &mut plain_ws, &mut plain_out);
-        sorted.detect_batch_into(batch, &mut sorted_ws, &mut sorted_out);
-    });
+    let (delta, ()) = allocations_during(|| det.detect_batch_into(batch, &mut ws, &mut out));
     assert_eq!(
-        delta,
-        0,
-        "batched frame-decode inner loop allocated {delta} times across {} warmed jobs",
-        2 * n_jobs
+        delta, 0,
+        "batched frame-decode inner loop allocated {delta} times across {n_jobs} warmed jobs"
     );
 
     // The allocation-free path must still produce the reference output.
-    assert_eq!(plain_out.len(), reference_plain.len());
-    for (a, b) in plain_out.iter().zip(&reference_plain) {
+    assert_eq!(out.len(), reference.len());
+    for (a, b) in out.iter().zip(&reference) {
         assert_eq!(a.symbols, b.symbols);
         assert_eq!(a.stats, b.stats);
     }
@@ -255,7 +245,7 @@ fn assert_hard_frame_chain_allocation_free(workers: usize) {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
     // A frequency-selective channel so the plan carries one matrix per
     // subcarrier: exercises per-channel QR refresh, the channel-major
-    // plan's lockstep runs, and multi-entry prep slabs.
+    // plan's lockstep runs, and multi-entry QR slabs.
     let model = SelectiveRayleighChannel {
         n_fft: 64,
         n_subcarriers: cfg.n_subcarriers,

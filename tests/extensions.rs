@@ -1,6 +1,6 @@
 //! Integration tests for the beyond-the-paper extensions: soft output,
-//! iterative reception, distributed MIMO, precoding, rate adaptation, and
-//! trace-driven replay — each exercised across crate boundaries.
+//! iterative reception, distributed MIMO, precoding, and trace-driven
+//! replay — each exercised across crate boundaries.
 
 use geosphere::channel::{ChannelModel, ChannelTrace, RayleighChannel, Testbed, TraceReplay};
 use geosphere::core::{SoftGeosphereDetector, VectorPerturbationPrecoder};
@@ -8,7 +8,7 @@ use geosphere::modulation::{unmap_points, Constellation};
 use geosphere::phy::{
     measure, uplink_frame_iterative_into, uplink_frame_soft_into, FrameWorkspace, PhyConfig,
 };
-use geosphere::sim::{DetectorKind, DistributedChannel, DistributedCluster, RateAdapter};
+use geosphere::sim::{DetectorKind, DistributedChannel, DistributedCluster};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,21 +102,6 @@ fn precoder_and_uplink_share_grid_conventions() {
         for (k, &want) in s.iter().enumerate() {
             assert_eq!(pre.demodulate(rx[k] / p.gamma.sqrt(), p.gamma, c), want);
         }
-    }
-}
-
-#[test]
-fn rate_adapter_consistent_with_detector_quality() {
-    // On the same channel and SNR, the ML detector's pick must be at least
-    // as dense as zero-forcing's.
-    let tb = Testbed::office();
-    let adapter = RateAdapter::default();
-    let mut rng = StdRng::seed_from_u64(3401);
-    for subset in tb.client_subsets(4).into_iter().step_by(131).take(8) {
-        let ch = tb.channel(0, &subset, 4).realize(&mut rng);
-        let zf = adapter.select(&ch, DetectorKind::Zf, 24.0);
-        let geo = adapter.select(&ch, DetectorKind::Geosphere, 24.0);
-        assert!(geo.size() >= zf.size(), "geo {geo:?} vs zf {zf:?}");
     }
 }
 

@@ -94,16 +94,6 @@ fn zigzag_only_and_ethsd_are_ml_too() {
 }
 
 #[test]
-fn sorted_qr_preserves_ml() {
-    let mut rng = StdRng::seed_from_u64(1005);
-    let det = SphereDecoder::new(GeosphereFactory::full()).with_sorted_qr();
-    for _ in 0..30 {
-        let (h, y) = random_problem(&mut rng, Constellation::Qam16, 4, 3, 0.5);
-        assert_ml(&det, &h, &y, Constellation::Qam16, "sorted-qr");
-    }
-}
-
-#[test]
 fn extreme_noise_still_ml() {
     // With noise ≫ signal, the ML point is far from the transmitted one and
     // the radius shrinks slowly — the hardest case for pruning soundness.
@@ -213,7 +203,7 @@ fn matrix_batch_path_matches_oracle() {
     // The same oracle matrix through `detect_batch_with`: one channel per
     // trial, several jobs per channel, in interleaved (no adjacent
     // same-channel jobs) and channel-grouped (lockstep runs) job orders,
-    // for the lockstep and the per-job paths, plain and sorted QR.
+    // for the lockstep and the per-job paths.
     for c in MATRIX_CONSTELLATIONS {
         for (na, nc) in MATRIX_SIZES {
             for high in [false, true] {
@@ -246,24 +236,20 @@ fn matrix_batch_path_matches_oracle() {
                         .map(|j| oracle_residual(&channels[j.channel], &j.y, c))
                         .collect();
                     let batch = DetectionBatch { channels: &channels, jobs, c };
-                    for sorted in [false, true] {
-                        let mut lockstep = SphereDecoder::new(GeosphereFactory::full());
-                        lockstep.sorted_qr = sorted;
-                        for det in [lockstep, lockstep.with_single_symbol()] {
-                            let mut ws = det.make_batch_workspace();
-                            let mut out = Vec::new();
-                            det.detect_batch_with(&batch, &mut ws, &mut out);
-                            assert_eq!(out.len(), jobs.len());
-                            for (t, (job, ml)) in jobs.iter().zip(&oracle).enumerate() {
-                                let h = &channels[job.channel];
-                                let got = residual_norm_sqr(h, &job.y, &out[t].symbols);
-                                assert!(
-                                    (got - ml).abs() < 1e-9,
-                                    "{c:?} {na}x{nc} high={high} sorted={sorted} lockstep={} \
-                                     job {t}: {got} vs ML {ml}",
-                                    det.multi_symbol
-                                );
-                            }
+                    let lockstep = SphereDecoder::new(GeosphereFactory::full());
+                    for det in [lockstep, lockstep.with_single_symbol()] {
+                        let mut ws = det.make_batch_workspace();
+                        let mut out = Vec::new();
+                        det.detect_batch_with(&batch, &mut ws, &mut out);
+                        assert_eq!(out.len(), jobs.len());
+                        for (t, (job, ml)) in jobs.iter().zip(&oracle).enumerate() {
+                            let h = &channels[job.channel];
+                            let got = residual_norm_sqr(h, &job.y, &out[t].symbols);
+                            assert!(
+                                (got - ml).abs() < 1e-9,
+                                "{c:?} {na}x{nc} high={high} lockstep={} job {t}: {got} vs ML {ml}",
+                                det.multi_symbol
+                            );
                         }
                     }
                 }

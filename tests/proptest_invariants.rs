@@ -160,23 +160,6 @@ proptest! {
         prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
     }
 
-    #[test]
-    fn cholesky_reconstructs_gram_matrix(
-        entries in proptest::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 16),
-    ) {
-        // H*·H + εI is Hermitian positive definite for any H, the shape the
-        // MMSE front-ends feed to the Cholesky solver.
-        let data: Vec<Complex> = entries.iter().map(|&(re, im)| Complex::new(re, im)).collect();
-        let h = Matrix::from_rows(4, 4, &data);
-        let mut a = h.gram();
-        for i in 0..4 {
-            a[(i, i)] += Complex::new(1e-3, 0.0);
-        }
-        let chol = geosphere::linalg::cholesky(&a).expect("PD by construction");
-        prop_assert!(chol.reconstruct().max_abs_diff(&a) < 1e-9);
-        prop_assert!(chol.det() > 0.0);
-    }
-
     // --- batched decoding engine ---
 
     #[test]

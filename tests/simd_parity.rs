@@ -239,7 +239,6 @@ fn detect_symbols_bit_identical_across_tiers() {
     let mut rng = StdRng::seed_from_u64(4711);
     let detectors: Vec<Box<dyn MimoDetector>> = vec![
         Box::new(geosphere_decoder()),
-        Box::new(geosphere_decoder().with_sorted_qr()),
         Box::new(ethsd_decoder()),
         Box::new(ZfDetector),
         Box::new(MmseSicDetector::new(0.05)),

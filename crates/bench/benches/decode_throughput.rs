@@ -70,9 +70,9 @@ fn bench_decoders(cr: &mut Criterion) {
 /// Frame-level decode: the per-job serial oracle
 /// (`gs_bench::serial_reference_frame`) vs `decode_frame_batched_into` on
 /// a fresh workspace per frame (per-subcarrier QR amortized across the
-/// frame's OFDM symbols, fanned out over a worker pool). One 64-subcarrier
-/// 4×4 64-QAM frame per iteration; outputs are bit-identical, so any gap
-/// is pure engine overhead/speedup.
+/// frame's OFDM symbols). One 64-subcarrier 4×4 64-QAM frame per
+/// iteration; outputs are bit-identical, so any gap is pure engine
+/// overhead/speedup.
 fn bench_frame_decode(cr: &mut Criterion) {
     let mut group = cr.benchmark_group("frame_decode_4x4_qam64_64sc");
     let FrameDecodeScenario { cfg, channel: ch, snr_db, .. } = frame_decode_scenario();
@@ -84,39 +84,24 @@ fn bench_frame_decode(cr: &mut Criterion) {
             serial_reference_frame(&cfg, &ch, &det, snr_db, &mut rng).stats.ped_calcs
         })
     });
-    for workers in [1usize, 2, 4, 8] {
-        // The worker count is taken as given (never clamped to the
-        // hardware), so on small machines the larger series are
-        // oversubscribed rather than merged.
-        group.bench_function(BenchmarkId::new("batched", format!("{workers}w")), |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(77);
-                let mut ws = FrameWorkspace::new();
-                decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, workers, &mut ws)
-                    .stats
-                    .ped_calcs
-            })
-        });
-    }
+    group.bench_function(BenchmarkId::new("batched", "1w"), |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut ws = FrameWorkspace::new();
+            decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, 1, &mut ws).stats.ped_calcs
+        })
+    });
     // The steady-state receive loop: one FrameWorkspace held across frames
     // (decode_frame_batched_into), so planning, detection, and the receive
     // chain are allocation-free per frame. Outputs are bit-identical to the
-    // series above; any gap is pure allocator/reuse savings (plus, at >1
-    // worker, the persistent pool replacing per-frame thread spawns).
-    for workers in [1usize, 4] {
-        group.bench_function(
-            BenchmarkId::new("batched_into_reused_ws", format!("{workers}w")),
-            |b| {
-                let mut ws = FrameWorkspace::new();
-                b.iter(|| {
-                    let mut rng = StdRng::seed_from_u64(77);
-                    decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, workers, &mut ws)
-                        .stats
-                        .ped_calcs
-                })
-            },
-        );
-    }
+    // series above; any gap is pure allocator/reuse savings.
+    group.bench_function(BenchmarkId::new("batched_into_reused_ws", "1w"), |b| {
+        let mut ws = FrameWorkspace::new();
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(77);
+            decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, 1, &mut ws).stats.ped_calcs
+        })
+    });
     group.finish();
 }
 

@@ -24,10 +24,9 @@ fn main() {
     );
     rule(72);
 
-    let cdfs: Vec<_> = PAPER_CONFIGS
-        .iter()
-        .map(|&(nc, na)| conditioning_cdfs(&params, &tb, nc, na, max_links).1)
-        .collect();
+    let cdfs = params.map_points(&PAPER_CONFIGS, |&(nc, na)| {
+        conditioning_cdfs(&params, &tb, nc, na, max_links).1
+    });
 
     for pct in [5, 10, 25, 50, 75, 90, 95] {
         let p = pct as f64 / 100.0;

@@ -19,10 +19,20 @@ fn main() {
         "config", "SNR dB", "ZF Mbps", "Geo Mbps", "gain", "Geo const."
     );
     rule(86);
+    let points: Vec<_> = PAPER_CONFIGS
+        .iter()
+        .flat_map(|&(nc, na)| PAPER_SNRS.map(|snr| (nc, na, snr)))
+        .flat_map(|(nc, na, snr)| {
+            [DetectorKind::Zf, DetectorKind::Geosphere].map(|d| (nc, na, snr, d))
+        })
+        .collect();
+    let mut results = params
+        .map_points(&points, |&(nc, na, snr, d)| testbed_throughput(&params, &tb, nc, na, snr, d))
+        .into_iter();
+    let mut next = || results.next().expect("one result per point");
     for &(nc, na) in &PAPER_CONFIGS {
         for &snr in &PAPER_SNRS {
-            let zf = testbed_throughput(&params, &tb, nc, na, snr, DetectorKind::Zf);
-            let geo = testbed_throughput(&params, &tb, nc, na, snr, DetectorKind::Geosphere);
+            let (zf, geo) = (next(), next());
             let gain = if zf.throughput_mbps > 0.0 {
                 geo.throughput_mbps / zf.throughput_mbps
             } else {

@@ -18,11 +18,17 @@ fn main() {
     rule(70);
     println!("{:>8} | {:>12} {:>12} {:>8}", "clients", "ZF Mbps", "Geo Mbps", "gain");
     rule(70);
+    let points: Vec<_> = (1..=4usize)
+        .flat_map(|nc| [DetectorKind::Zf, DetectorKind::Geosphere].map(|d| (nc, d)))
+        .collect();
+    let mut results = params
+        .map_points(&points, |&(nc, d)| testbed_throughput(&params, &tb, nc, 4, snr, d))
+        .into_iter();
+    let mut next = || results.next().expect("one result per point");
     let mut zf3 = 0.0;
     let mut geo4 = 0.0;
     for nc in 1..=4usize {
-        let zf = testbed_throughput(&params, &tb, nc, 4, snr, DetectorKind::Zf);
-        let geo = testbed_throughput(&params, &tb, nc, 4, snr, DetectorKind::Geosphere);
+        let (zf, geo) = (next(), next());
         if nc == 3 {
             zf3 = zf.throughput_mbps;
         }

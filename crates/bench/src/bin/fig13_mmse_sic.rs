@@ -22,10 +22,18 @@ fn main() {
         "clients", "ZF Mbps", "SIC Mbps", "Geo Mbps", "Geo/ZF"
     );
     rule(78);
+    let points: Vec<_> = (2..=na)
+        .step_by(2)
+        .flat_map(|nc| {
+            [DetectorKind::Zf, DetectorKind::MmseSic, DetectorKind::Geosphere].map(|d| (nc, d))
+        })
+        .collect();
+    let mut results = params
+        .map_points(&points, |&(nc, d)| rayleigh_throughput(&params, nc, na, snr, d))
+        .into_iter();
+    let mut next = || results.next().expect("one result per point");
     for nc in (2..=na).step_by(2) {
-        let zf = rayleigh_throughput(&params, nc, na, snr, DetectorKind::Zf);
-        let sic = rayleigh_throughput(&params, nc, na, snr, DetectorKind::MmseSic);
-        let geo = rayleigh_throughput(&params, nc, na, snr, DetectorKind::Geosphere);
+        let (zf, sic, geo) = (next(), next(), next());
         let gain = if zf.throughput_mbps > 0.0 {
             geo.throughput_mbps / zf.throughput_mbps
         } else {

@@ -21,13 +21,23 @@ fn main() {
         "config", "SNR dB", "ETH-SD", "Geosphere", "savings", "const."
     );
     rule(90);
+    // Complexity corresponding to the Fig. 11 throughput runs: both
+    // decoders are ML-equivalent, so they share the oracle constellation
+    // choice.
+    let points: Vec<_> = PAPER_CONFIGS
+        .iter()
+        .flat_map(|&(nc, na)| PAPER_SNRS.map(|snr| (nc, na, snr)))
+        .flat_map(|(nc, na, snr)| {
+            [DetectorKind::EthSd, DetectorKind::Geosphere].map(|d| (nc, na, snr, d))
+        })
+        .collect();
+    let mut results = params
+        .map_points(&points, |&(nc, na, snr, d)| testbed_throughput(&params, &tb, nc, na, snr, d))
+        .into_iter();
+    let mut next = || results.next().expect("one result per point");
     for &(nc, na) in &PAPER_CONFIGS {
         for &snr in &PAPER_SNRS {
-            // Complexity corresponding to the Fig. 11 throughput runs: both
-            // decoders are ML-equivalent, so they share the oracle
-            // constellation choice.
-            let eth = testbed_throughput(&params, &tb, nc, na, snr, DetectorKind::EthSd);
-            let geo = testbed_throughput(&params, &tb, nc, na, snr, DetectorKind::Geosphere);
+            let (eth, geo) = (next(), next());
             let savings = 100.0 * (1.0 - geo.ped_per_subcarrier / eth.ped_per_subcarrier.max(1e-9));
             println!(
                 "{:<16} {:>6.0} | {:>12.1} {:>12.1} {:>8.0}% | {:>12?}",

@@ -29,27 +29,31 @@ fn main() {
         "const.", "channel", "ETH-SD", "2D-zigzag", "Geosphere", "Geo/ETH", "nodes"
     );
     rule(100);
-    for c in [Constellation::Qam16, Constellation::Qam64, Constellation::Qam256] {
-        for tb_opt in [None, Some(&tb)] {
-            let pts = complexity_at_target_fer(&params, tb_opt, clients, 4, c, target_fer);
-            let (eth, zz, full) = (&pts[0], &pts[1], &pts[2]);
-            println!(
-                "{:>8} {:>9} | {:>10.1} {:>12.1} {:>12.1} | {:>11.0}% {:>10.1}",
-                format!("{:?}", c),
-                eth.channel,
-                eth.ped_per_subcarrier,
-                zz.ped_per_subcarrier,
-                full.ped_per_subcarrier,
-                100.0 * full.ped_per_subcarrier / eth.ped_per_subcarrier.max(1e-9),
-                full.nodes_per_subcarrier,
-            );
-            // The paper's invariant: identical visited nodes across decoders.
-            let max_dev = (eth.nodes_per_subcarrier - full.nodes_per_subcarrier)
-                .abs()
-                .max((zz.nodes_per_subcarrier - full.nodes_per_subcarrier).abs());
-            if max_dev > 1e-6 {
-                println!("  !! visited-node mismatch: {max_dev}");
-            }
+    let points: Vec<_> = [Constellation::Qam16, Constellation::Qam64, Constellation::Qam256]
+        .into_iter()
+        .flat_map(|c| [None, Some(&tb)].map(|tb_opt| (c, tb_opt)))
+        .collect();
+    let results = params.map_points(&points, |&(c, tb_opt)| {
+        complexity_at_target_fer(&params, tb_opt, clients, 4, c, target_fer)
+    });
+    for (&(c, _), pts) in points.iter().zip(&results) {
+        let (eth, zz, full) = (&pts[0], &pts[1], &pts[2]);
+        println!(
+            "{:>8} {:>9} | {:>10.1} {:>12.1} {:>12.1} | {:>11.0}% {:>10.1}",
+            format!("{:?}", c),
+            eth.channel,
+            eth.ped_per_subcarrier,
+            zz.ped_per_subcarrier,
+            full.ped_per_subcarrier,
+            100.0 * full.ped_per_subcarrier / eth.ped_per_subcarrier.max(1e-9),
+            full.nodes_per_subcarrier,
+        );
+        // The paper's invariant: identical visited nodes across decoders.
+        let max_dev = (eth.nodes_per_subcarrier - full.nodes_per_subcarrier)
+            .abs()
+            .max((zz.nodes_per_subcarrier - full.nodes_per_subcarrier).abs());
+        if max_dev > 1e-6 {
+            println!("  !! visited-node mismatch: {max_dev}");
         }
     }
     rule(100);

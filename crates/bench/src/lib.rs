@@ -23,7 +23,8 @@ use gs_sim::ExperimentParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Parses the common `--quick` / `--full` / `--seed N` flags.
+/// Parses the common `--quick` / `--full` / `--seed N` / `--workers N`
+/// flags.
 pub fn params_from_args() -> ExperimentParams {
     let args: Vec<String> = std::env::args().collect();
     let mut params = if args.iter().any(|a| a == "--quick") {
@@ -46,8 +47,9 @@ pub fn params_from_args() -> ExperimentParams {
             params.seed = v;
         }
     }
-    // `--workers N` fans frame decoding out across N threads (0 = machine
-    // parallelism); measured numbers are bit-identical to serial.
+    // `--workers N` runs N operating points at once (0 = machine
+    // parallelism, `ExperimentParams::map_points`); printed numbers are
+    // bit-identical at every count.
     if let Some(pos) = args.iter().position(|a| a == "--workers") {
         if let Some(v) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
             params.workers = v;
@@ -119,7 +121,7 @@ pub fn frame_decode_scenario() -> FrameDecodeScenario {
 /// [`MimoDetector::detect`] per (OFDM symbol, subcarrier) job with fresh
 /// channel preprocessing each time, then the receive chains. It draws the
 /// same randomness as [`gs_phy::decode_frame_batched_into`], which must
-/// match it bit for bit at every worker count.
+/// match it bit for bit.
 pub fn serial_reference_frame<R: Rng + ?Sized>(
     cfg: &PhyConfig,
     ch: &MimoChannel,

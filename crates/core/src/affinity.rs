@@ -1,8 +1,8 @@
 //! Worker-thread CPU affinity.
 //!
-//! The detection threads ([`crate::ShardedDetectionPool`], which also
-//! serves [`DetectionPool`](crate::DetectionPool)) are long-lived —
-//! spawned once and reused across every frame a receiver decodes — so
+//! The detection threads ([`crate::ShardedDetectionPool`], the streaming
+//! runtime's pool) are long-lived — spawned once and reused across every
+//! frame a receiver decodes — so
 //! pinning each worker to one core is a cheap, stable win: the worker's
 //! search workspace (enumerator slabs, QR factors, recycled output
 //! buffers) stays in one core's cache instead of migrating with the

@@ -64,10 +64,9 @@ impl DetectorWorkspace {
 /// A hard-output MIMO detector.
 ///
 /// `Send + Sync` is part of the contract: detection is a pure function of
-/// `(h, y, c)` with no interior mutability, which is what lets the worker
-/// pools ([`DetectionPool`](crate::DetectionPool), the streaming runtime's
-/// [`ShardedDetectionPool`](crate::ShardedDetectionPool) jobs) share one
-/// detector across threads behind an `Arc`.
+/// `(h, y, c)` with no interior mutability, which is what lets the
+/// streaming runtime's [`ShardedDetectionPool`](crate::ShardedDetectionPool)
+/// workers share one detector behind an `Arc`.
 pub trait MimoDetector: Send + Sync {
     /// Detects the transmitted symbol vector.
     ///
@@ -107,11 +106,11 @@ pub trait MimoDetector: Send + Sync {
     /// `out` is cleared and refilled in job order. The default loops
     /// [`MimoDetector::detect`]; detectors with per-channel preprocessing
     /// override this so that a warmed workspace makes the whole call
-    /// allocation-free. This is also the worker pools' entry point: each
-    /// worker detects its contiguous range of a frame as one batch. A
-    /// frame's jobs are channel-major (see [`crate::batch`]), which is the
-    /// order that lets an override amortize across same-channel jobs;
-    /// results never depend on the order.
+    /// allocation-free. This is also the streaming runtime's entry point:
+    /// each shard's worker detects its contiguous range of a frame as one
+    /// batch. A frame's jobs are channel-major (see [`crate::batch`]),
+    /// which is the order that lets an override amortize across
+    /// same-channel jobs; results never depend on the order.
     fn detect_batch_with(
         &self,
         batch: &crate::batch::DetectionBatch,
@@ -127,47 +126,6 @@ pub trait MimoDetector: Send + Sync {
 
     /// A short display name ("ZF", "Geosphere", "ETH-SD", …).
     fn name(&self) -> &'static str;
-}
-
-/// A shared detector is a detector: every call forwards to the pointee, so
-/// the pointee's batch overrides (and their amortization) are kept. This is
-/// what lets callers that only hold a type-erased detector — experiment
-/// sweeps choosing one at run time — use the same multi-worker decode path
-/// as callers with a concrete type.
-impl MimoDetector for std::sync::Arc<dyn MimoDetector> {
-    fn detect(&self, h: &Matrix, y: &[Complex], c: Constellation) -> Detection {
-        (**self).detect(h, y, c)
-    }
-
-    fn detect_batch(&self, batch: &crate::batch::DetectionBatch) -> Vec<Detection> {
-        (**self).detect_batch(batch)
-    }
-
-    fn make_batch_workspace(&self) -> DetectorWorkspace {
-        (**self).make_batch_workspace()
-    }
-
-    fn detect_batch_with(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        ws: &mut DetectorWorkspace,
-        out: &mut Vec<Detection>,
-    ) {
-        (**self).detect_batch_with(batch, ws, out)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-/// Type-erased detectors compare by identity (the same object), which is
-/// exactly what a cache keyed on "is this still the installed detector?"
-/// needs: a shared `Arc<dyn MimoDetector>` equals its own clones.
-impl PartialEq for dyn MimoDetector {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::addr_eq(self, other)
-    }
 }
 
 /// Computes `y = h·s + noise`-free transmit hypothesis `h·s` for a grid

@@ -1,12 +1,12 @@
 //! Domain-sharded detection dispatch — the workspace's one detection
 //! thread pool.
 //!
-//! Every multi-worker detection path runs on [`ShardedDetectionPool`]: the
-//! streaming base-station runtime (`gs-runtime`), where many frames are in
-//! flight at once and the pool's workers run each of them from plan to
-//! delivery, and the frame-synchronous
-//! [`DetectionPool`](crate::DetectionPool) front (one shard per worker)
-//! that single receive loops lend one frame at a time.
+//! The streaming base-station runtime (`gs-runtime`) runs on
+//! [`ShardedDetectionPool`]: many frames are in flight at once, and the
+//! pool's workers run each of them from plan to delivery. A one-frame
+//! decode (`gs-phy`'s `decode_frame_batched_into`) detects inline on the
+//! calling thread; experiment sweeps parallelize across independent
+//! operating points instead (`gs-sim`'s `ExperimentParams::map_points`).
 //!
 //! The pool is split along the machine's **memory domains** (NUMA nodes —
 //! [`crate::affinity::memory_domains`], with a flat single-domain fallback
@@ -29,8 +29,7 @@
 //! `Arc<dyn ShardedJob>` plus an opaque `token`, and [`ShardedJob::run_shard`]
 //! does whatever "run my shard's part" means for the embedder
 //! (`gs-runtime` implements it over its slot table — plan, detect and
-//! recover — and `DetectionPool` over one lent frame). Both cut a frame
-//! with [`FramePortions`](crate::FramePortions), whose per-shard
+//! recover). The runtime cuts each frame into per-shard portions whose
 //! channel-table replicas are refreshed by the shard's own worker, so
 //! first-touch places them on the right domain.
 //! Submitting clones the `Arc` (a refcount bump) and pushes into a

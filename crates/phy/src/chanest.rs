@@ -178,9 +178,9 @@ mod tests {
             &geosphere_decoder(),
             35.0,
             &mut rng,
-            1,
             &mut ws,
-        );
+        )
+        .expect("the estimate has the channel's shape");
         assert!(out.client_ok.iter().all(|&ok| ok));
     }
 
@@ -203,9 +203,9 @@ mod tests {
             &geosphere_decoder(),
             35.0,
             &mut rng,
-            1,
             &mut ws,
-        );
+        )
+        .expect("the garbage has the channel's shape");
         assert!(out.client_ok.iter().all(|&ok| !ok), "wrong CSI must kill detection");
     }
 }

@@ -7,17 +7,14 @@
 //! per-client symbol grids, the pooled [`DetectionJob`] `y` buffers, the
 //! detection outputs, the per-client LLR streams of the soft path, and the
 //! receive-chain (deinterleave/depuncture/Viterbi) scratch — plus the
-//! persistent [`DetectionPool`] every multi-worker decode runs on (the
-//! frame-synchronous front over `geosphere-core`'s one detection thread
-//! pool, [`ShardedDetectionPool`](geosphere_core::ShardedDetectionPool)).
-//! The pool holds the detector as an `Arc`, which is why the hard entry
-//! points take `Clone + PartialEq` detectors: concrete values, or a
-//! shared `Arc<dyn MimoDetector>` for callers that pick one at run time.
+//! detector workspace that detection runs on, inline on the calling
+//! thread. A workspace is single-threaded: parallel callers (the
+//! experiment sweeps, one thread per operating point; the streaming
+//! runtime, one workspace per frame slot) each hold their own.
 //!
 //! ## Ownership model
 //!
-//! **One `FrameWorkspace` per receive loop, one
-//! [`SearchWorkspace`](geosphere_core::SearchWorkspace) per worker.** Every
+//! **One `FrameWorkspace` per receive loop.** Every
 //! frame entry point takes the workspace as an argument: a one-off decode
 //! uses a fresh [`FrameWorkspace::new`], and a long-lived receiver holds
 //! one `FrameWorkspace` across frames and drives
@@ -30,8 +27,8 @@
 //! [`uplink_frame_iterative_into`](crate::iterative::uplink_frame_iterative_into)
 //! (turbo path): after one warmup frame of a given shape, a hard or soft
 //! frame performs **zero heap allocations** end to end — planning,
-//! detection (at any worker count: pool threads recycle their own search
-//! state and output buffers), and payload recovery. `tests/alloc_regression.rs` enforces
+//! detection (the workspace recycles its search state and output
+//! buffers), and payload recovery. `tests/alloc_regression.rs` enforces
 //! this with a counting global allocator; `tests/frame_workspace_reuse.rs`
 //! proves reuse is bit-identical to fresh-workspace decoding, shrinking
 //! and growing frame shapes included.
@@ -44,16 +41,14 @@ use crate::config::PhyConfig;
 use crate::iterative::IterScratch;
 use crate::txrx::UplinkOutcome;
 use geosphere_core::{
-    Detection, DetectionJob, DetectionPool, DetectorStats, DetectorTier, DetectorWorkspace,
-    MimoDetector, SoftDetection, SoftWorkspace,
+    Detection, DetectionJob, DetectorStats, DetectorTier, DetectorWorkspace, SoftDetection,
+    SoftWorkspace,
 };
 use gs_channel::MimoChannel;
 use gs_coding::{CodedBit, Interleaver, ViterbiWorkspace};
 use gs_linalg::Matrix;
 use gs_modulation::GridPoint;
 use rand::Rng;
-use std::any::Any;
-use std::sync::Arc;
 
 /// Transmit-chain scratch shared by all clients of a frame (each client's
 /// chain runs start-to-finish before the next client's).
@@ -110,14 +105,6 @@ pub(crate) fn interleaver_for<'a>(
     il
 }
 
-/// The detector identity installed into the worker pool: the caller's
-/// concrete detector value (for change detection) plus the type-erased
-/// `Arc` the pool workers hold.
-pub(crate) struct PoolDetector {
-    src: Box<dyn Any + Send + Sync>,
-    arc: Arc<dyn MimoDetector>,
-}
-
 /// Reusable whole-frame state for the uplink receive loop. See the module
 /// docs for the ownership model; create with [`FrameWorkspace::new`] and
 /// pass to the frame entry points in [`crate::txrx`], [`crate::soft_rx`],
@@ -147,17 +134,10 @@ pub struct FrameWorkspace {
     pub(crate) s_buf: Vec<GridPoint>,
 
     // --- detection ---
-    /// Detector workspace for the single-worker inline path.
+    /// Detector workspace of the inline detection.
     pub(crate) det_ws: DetectorWorkspace,
-    /// Detection outputs of the single-worker inline path (recycled).
+    /// Detection outputs of the inline detection (recycled).
     pub(crate) det_out: Vec<Detection>,
-    /// Persistent multi-worker pool, built on first multi-worker decode.
-    pub(crate) pool: Option<DetectionPool>,
-    /// The worker count `pool` was built for, as requested (`0` stays `0`,
-    /// so machine parallelism is resolved once, at build).
-    pub(crate) pool_request: usize,
-    /// The detector currently installed for the pool.
-    pub(crate) pool_detector: Option<PoolDetector>,
 
     // --- soft path ---
     pub(crate) soft_ws: SoftWorkspace,
@@ -218,37 +198,6 @@ impl FrameWorkspace {
     /// way; a measurement knob for the bench harness, not a tuning one.
     pub fn set_per_client_viterbi(&mut self, on: bool) {
         self.per_client_viterbi = on;
-    }
-
-    /// The `Arc` handle for `detector`, rebuilding it only when the
-    /// detector value (or type) changed since the pool last saw it — a
-    /// refcount bump per frame in steady state, never an allocation. A
-    /// shared `Arc<dyn MimoDetector>` is cached by identity, so the same
-    /// handle stays warm across frames.
-    pub(crate) fn pool_detector_for<D>(&mut self, detector: &D) -> Arc<dyn MimoDetector>
-    where
-        D: MimoDetector + Clone + PartialEq + 'static,
-    {
-        let fresh = matches!(
-            &self.pool_detector,
-            Some(pd) if pd.src.downcast_ref::<D>() == Some(detector)
-        );
-        if !fresh {
-            let arc: Arc<dyn MimoDetector> = Arc::new(detector.clone());
-            self.pool_detector =
-                Some(PoolDetector { src: Box::new(detector.clone()), arc: Arc::clone(&arc) });
-        }
-        Arc::clone(&self.pool_detector.as_ref().expect("detector just installed").arc)
-    }
-
-    /// The persistent pool for a `workers` request ([`DetectionPool::new`]
-    /// semantics), (re)built only when the request changes.
-    pub(crate) fn pool_with_workers(&mut self, workers: usize) -> &mut DetectionPool {
-        if self.pool.is_none() || self.pool_request != workers {
-            self.pool = Some(DetectionPool::new(workers));
-            self.pool_request = workers;
-        }
-        self.pool.as_mut().expect("pool just built")
     }
 }
 

@@ -34,17 +34,16 @@ pub struct Measurement {
 
 /// Measures FER/throughput/complexity for one (channel model, detector,
 /// SNR, PHY config) operating point: `frames` fresh channel realizations,
-/// each decoded through [`decode_frame_batched_into`] on `workers` threads
-/// (`1` = inline on the calling thread, `0` = machine parallelism).
+/// each decoded through [`decode_frame_batched_into`] on the calling
+/// thread. The result is a pure function of the arguments and the `rng`
+/// state, so independent operating points can run on threads of their
+/// own, each with its own `rng` and workspace.
 ///
-/// Results are bit-identical at every worker count for the same `rng`
-/// state — the decode path is deterministic — so only wall-clock depends
-/// on `workers`. A caller-held `ws` carried across a whole sweep (SNR
-/// grids, constellation scans, per-group loops) keeps its plan/receive
-/// buffers and worker pool warm: after the first frame each further
-/// frame's decode performs zero heap allocations, and only the per-frame
-/// channel realization still allocates.
-#[allow(clippy::too_many_arguments)]
+/// A caller-held `ws` carried across a whole sweep (SNR grids,
+/// constellation scans, per-group loops) keeps its plan/receive buffers
+/// warm: after the first frame each further frame's decode performs zero
+/// heap allocations, and only the per-frame channel realization still
+/// allocates.
 pub fn measure<R, M, D>(
     cfg: &PhyConfig,
     model: &M,
@@ -52,18 +51,17 @@ pub fn measure<R, M, D>(
     snr_db: f64,
     frames: usize,
     rng: &mut R,
-    workers: usize,
     ws: &mut FrameWorkspace,
 ) -> Measurement
 where
     R: Rng + ?Sized,
     M: ChannelModel,
-    D: MimoDetector + Clone + PartialEq + 'static,
+    D: MimoDetector + ?Sized,
 {
     let mut acc = MeasureAccum::new(model.num_tx());
     for _ in 0..frames {
         let ch = model.realize(rng);
-        let out = decode_frame_batched_into(cfg, &ch, detector, snr_db, rng, workers, ws);
+        let out = decode_frame_batched_into(cfg, &ch, detector, snr_db, rng, 1, ws);
         acc.absorb(out);
     }
     acc.finish(cfg, frames)
@@ -118,9 +116,7 @@ impl MeasureAccum {
 /// Finds (by bisection over a dB grid) the SNR at which `detector` reaches
 /// a target FER — used by the Fig. 15 methodology ("an SNR such that each
 /// constellation reaches a frame error rate of approximately 10%"). Every
-/// probe is a [`measure`] on `workers` threads through `ws`, so the result
-/// does not depend on the worker count.
-#[allow(clippy::too_many_arguments)]
+/// probe is a [`measure`] through `ws`.
 pub fn snr_for_target_fer<R, M, D>(
     cfg: &PhyConfig,
     model: &M,
@@ -128,20 +124,19 @@ pub fn snr_for_target_fer<R, M, D>(
     target_fer: f64,
     frames: usize,
     rng: &mut R,
-    workers: usize,
     ws: &mut FrameWorkspace,
 ) -> f64
 where
     R: Rng + ?Sized,
     M: ChannelModel,
-    D: MimoDetector + Clone + PartialEq + 'static,
+    D: MimoDetector + ?Sized,
 {
     // Seven bisection steps over [0, 50] dB.
     let mut lo = 0.0f64;
     let mut hi = 50.0f64;
     for _ in 0..7 {
         let mid = (lo + hi) / 2.0;
-        if measure(cfg, model, detector, mid, frames, rng, workers, ws).fer > target_fer {
+        if measure(cfg, model, detector, mid, frames, rng, ws).fer > target_fer {
             lo = mid;
         } else {
             hi = mid;
@@ -163,19 +158,16 @@ mod tests {
         PhyConfig { payload_bits: 256, ..PhyConfig::new(c) }
     }
 
-    /// One-off measurement on a fresh workspace, inline detection.
-    fn measure_once<D>(
+    /// One-off measurement on a fresh workspace.
+    fn measure_once(
         cfg: &PhyConfig,
         model: &RayleighChannel,
-        det: &D,
+        det: &dyn MimoDetector,
         snr_db: f64,
         frames: usize,
         rng: &mut StdRng,
-    ) -> Measurement
-    where
-        D: MimoDetector + Clone + PartialEq + 'static,
-    {
-        measure(cfg, model, det, snr_db, frames, rng, 1, &mut FrameWorkspace::new())
+    ) -> Measurement {
+        measure(cfg, model, det, snr_db, frames, rng, &mut FrameWorkspace::new())
     }
 
     #[test]
@@ -214,44 +206,44 @@ mod tests {
 
     #[test]
     fn measure_batched_into_matches_measure_batched() {
-        // A fresh workspace per measurement vs one recycled across worker
-        // counts: identical results at every count.
+        // A fresh workspace per measurement vs one recycled across
+        // measurements: identical results every time.
         let cfg = small_cfg(Constellation::Qam16);
         let model = RayleighChannel::new(4, 2);
         let det = geosphere_decoder();
         let mut ws = FrameWorkspace::new();
-        for workers in [1usize, 3] {
+        for round in 0..2 {
             let mut rng = StdRng::seed_from_u64(185);
             let mut fresh_ws = FrameWorkspace::new();
-            let reference = measure(&cfg, &model, &det, 20.0, 4, &mut rng, workers, &mut fresh_ws);
+            let reference = measure(&cfg, &model, &det, 20.0, 4, &mut rng, &mut fresh_ws);
             let mut rng = StdRng::seed_from_u64(185);
-            let pooled = measure(&cfg, &model, &det, 20.0, 4, &mut rng, workers, &mut ws);
-            assert_eq!(pooled.client_fer, reference.client_fer, "workers {workers}");
-            assert_eq!(pooled.fer, reference.fer, "workers {workers}");
+            let reused = measure(&cfg, &model, &det, 20.0, 4, &mut rng, &mut ws);
+            assert_eq!(reused.client_fer, reference.client_fer, "round {round}");
+            assert_eq!(reused.fer, reference.fer, "round {round}");
             assert_eq!(
-                pooled.per_subcarrier.ped_calcs, reference.per_subcarrier.ped_calcs,
-                "workers {workers}"
+                reused.per_subcarrier.ped_calcs, reference.per_subcarrier.ped_calcs,
+                "round {round}"
             );
         }
     }
 
     #[test]
     fn sweep_reused_workspace_matches_fresh() {
-        // A workspace carried across a whole sweep (several SNR points,
-        // inline and pooled) must be bit-identical to fresh-workspace
-        // measurement at every point.
+        // A workspace carried across a whole sweep (several SNR points
+        // and seeds) must be bit-identical to fresh-workspace measurement
+        // at every point.
         let cfg = small_cfg(Constellation::Qam16);
         let model = RayleighChannel::new(4, 2);
         let det = geosphere_decoder();
         let mut ws = FrameWorkspace::new();
         for snr in [10.0, 18.0, 26.0] {
-            for (seed, workers) in [(186, 1), (187, 2)] {
+            for seed in [186, 187] {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut fresh_ws = FrameWorkspace::new();
-                let fresh = measure(&cfg, &model, &det, snr, 3, &mut rng, workers, &mut fresh_ws);
+                let fresh = measure(&cfg, &model, &det, snr, 3, &mut rng, &mut fresh_ws);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let reused = measure(&cfg, &model, &det, snr, 3, &mut rng, workers, &mut ws);
-                assert_eq!(reused.client_fer, fresh.client_fer, "snr {snr} workers {workers}");
+                let reused = measure(&cfg, &model, &det, snr, 3, &mut rng, &mut ws);
+                assert_eq!(reused.client_fer, fresh.client_fer, "snr {snr} seed {seed}");
                 assert_eq!(reused.per_subcarrier.ped_calcs, fresh.per_subcarrier.ped_calcs);
             }
         }
@@ -264,10 +256,10 @@ mod tests {
         let model = RayleighChannel::new(4, 2);
         let det = geosphere_decoder();
         let mut ws = FrameWorkspace::new();
-        let snr = snr_for_target_fer(&cfg, &model, &det, 0.1, 6, &mut rng, 1, &mut ws);
+        let snr = snr_for_target_fer(&cfg, &model, &det, 0.1, 6, &mut rng, &mut ws);
         assert!((0.0..50.0).contains(&snr), "snr {snr}");
         // At snr+10 dB the FER must be clearly below target.
-        let m = measure(&cfg, &model, &det, snr + 10.0, 10, &mut rng, 1, &mut ws);
+        let m = measure(&cfg, &model, &det, snr + 10.0, 10, &mut rng, &mut ws);
         assert!(m.fer <= 0.35, "fer {} at {} dB", m.fer, snr + 10.0);
     }
 }

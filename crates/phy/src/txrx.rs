@@ -15,7 +15,7 @@
 //! over the same body. Every pipeline stage writes into buffers owned by
 //! a caller-held [`FrameWorkspace`] (a one-off decode uses a fresh
 //! [`FrameWorkspace::new`]), so a long-lived receiver performs **zero
-//! heap allocations per frame** after warmup, at any worker count.
+//! heap allocations per frame** after warmup.
 
 use crate::config::PhyConfig;
 use crate::frame::{interleaver_for, FrameWorkspace, RxScratch, TxScratch};
@@ -153,26 +153,21 @@ pub struct UplinkOutcome {
 /// under genie CSI, amortizing per-subcarrier channel preprocessing across
 /// the frame's OFDM symbols via [`MimoDetector::detect_batch_with`].
 ///
-/// The outcome is **bit-identical** at every worker count for the same
-/// `rng` state — all randomness (payloads, then noise in OFDM-symbol-major
-/// order) is drawn before detection begins, and detection is a pure
-/// function of the planned problems — and each frame is
-/// **allocation-free** after one warmup frame of the same shape:
+/// The outcome is **bit-identical** to the per-job serial reference for
+/// the same `rng` state — all randomness (payloads, then noise in
+/// OFDM-symbol-major order) is drawn before detection begins, and
+/// detection is a pure function of the planned problems — and each frame
+/// is **allocation-free** after one warmup frame of the same shape: the
+/// frame plan refills pooled payload/symbol/job buffers, detection runs
+/// inline through the workspace's
+/// [`DetectorWorkspace`](geosphere_core::DetectorWorkspace) with recycled
+/// outputs, and the receive chain decodes into reused
+/// Viterbi/deinterleave scratch.
 ///
-/// * the frame plan refills pooled payload/symbol/job buffers,
-/// * `workers == 1` detects inline through the workspace's
-///   [`DetectorWorkspace`](geosphere_core::DetectorWorkspace) with
-///   recycled outputs,
-/// * any other count dispatches through the workspace's persistent
-///   [`DetectionPool`](geosphere_core::DetectionPool) of exactly `workers`
-///   threads (`0` = machine parallelism, resolved once, when the pool is
-///   built) — job and channel buffers are lent to the pool and returned,
-///   results are read in place,
-/// * the receive chain decodes into reused Viterbi/deinterleave scratch.
-///
-/// The detector must be `Clone + PartialEq` so the pool can keep a cheap
-/// `Arc` of it and rebuild only when the detector actually changes. A
-/// shared `Arc<dyn MimoDetector>` qualifies (it compares by identity).
+/// `workers` is ignored; removed with the next benchmark PR (rxbench
+/// passes it). A frame is detected on the calling thread: callers that
+/// want parallelism run independent frames or operating points on
+/// threads of their own, each with its own workspace.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_frame_batched_into<'w, R, D>(
     cfg: &PhyConfig,
@@ -185,9 +180,73 @@ pub fn decode_frame_batched_into<'w, R, D>(
 ) -> &'w UplinkOutcome
 where
     R: Rng + ?Sized,
-    D: MimoDetector + Clone + PartialEq + 'static,
+    D: MimoDetector + ?Sized,
 {
-    decode_frame_into(cfg, channel, None, detector, snr_db, rng, workers, ws)
+    let _ = workers;
+    decode_frame_into(cfg, channel, None, detector, snr_db, rng, ws)
+}
+
+/// Why [`decode_frame_with_csi_into`] refused a channel estimate: its
+/// shape does not fit the frame. Checked before any randomness is drawn.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CsiMismatch {
+    /// The estimate has `csi` receive antennas; the air channel has
+    /// `channel`.
+    Antennas {
+        /// Receive antennas of the estimate.
+        csi: usize,
+        /// Receive antennas of the air channel.
+        channel: usize,
+    },
+    /// The estimate has `csi` transmit streams; the air channel has
+    /// `channel`.
+    Streams {
+        /// Streams of the estimate.
+        csi: usize,
+        /// Streams of the air channel.
+        channel: usize,
+    },
+    /// The estimate has `csi` subcarriers; the frame needs 1 or
+    /// `frame`.
+    Subcarriers {
+        /// Subcarriers of the estimate.
+        csi: usize,
+        /// The frame's subcarrier count.
+        frame: usize,
+    },
+}
+
+impl std::fmt::Display for CsiMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            CsiMismatch::Antennas { csi, channel } => {
+                write!(f, "CSI has {csi} receive antennas, the channel {channel}")
+            }
+            CsiMismatch::Streams { csi, channel } => {
+                write!(f, "CSI has {csi} streams, the channel {channel}")
+            }
+            CsiMismatch::Subcarriers { csi, frame } => {
+                write!(f, "CSI has {csi} subcarriers; the frame needs 1 or {frame}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CsiMismatch {}
+
+/// Checks that `csi` can stand for `channel` in a frame of `cfg`'s shape.
+fn check_csi(cfg: &PhyConfig, channel: &MimoChannel, csi: &MimoChannel) -> Result<(), CsiMismatch> {
+    if csi.num_rx() != channel.num_rx() {
+        return Err(CsiMismatch::Antennas { csi: csi.num_rx(), channel: channel.num_rx() });
+    }
+    if csi.num_tx() != channel.num_tx() {
+        return Err(CsiMismatch::Streams { csi: csi.num_tx(), channel: channel.num_tx() });
+    }
+    let n = csi.num_subcarriers();
+    if n != 1 && n != cfg.n_subcarriers {
+        return Err(CsiMismatch::Subcarriers { csi: n, frame: cfg.n_subcarriers });
+    }
+    Ok(())
 }
 
 /// [`decode_frame_batched_into`] with the detector working from (possibly
@@ -199,9 +258,10 @@ where
 /// [`decode_frame_batched_into`], so `csi = channel` reproduces it
 /// exactly.
 ///
-/// # Panics
-/// Panics when `csi` has another subcarrier, antenna or stream count.
-#[allow(clippy::too_many_arguments)]
+/// # Errors
+/// [`CsiMismatch`] when `csi` has another antenna, stream or subcarrier
+/// count. The check runs first: a refused call draws nothing from `rng`
+/// and leaves `ws` (and its [`FrameWorkspace::outcome`]) untouched.
 pub fn decode_frame_with_csi_into<'w, R, D>(
     cfg: &PhyConfig,
     channel: &MimoChannel,
@@ -209,19 +269,18 @@ pub fn decode_frame_with_csi_into<'w, R, D>(
     detector: &D,
     snr_db: f64,
     rng: &mut R,
-    workers: usize,
     ws: &'w mut FrameWorkspace,
-) -> &'w UplinkOutcome
+) -> Result<&'w UplinkOutcome, CsiMismatch>
 where
     R: Rng + ?Sized,
-    D: MimoDetector + Clone + PartialEq + 'static,
+    D: MimoDetector + ?Sized,
 {
-    decode_frame_into(cfg, channel, Some(csi), detector, snr_db, rng, workers, ws)
+    check_csi(cfg, channel, csi)?;
+    Ok(decode_frame_into(cfg, channel, Some(csi), detector, snr_db, rng, ws))
 }
 
 /// The one hard receive body behind both public fronts: plan (genie or
-/// supplied CSI), detect inline or on the pool, then the receive chains.
-#[allow(clippy::too_many_arguments)]
+/// supplied CSI), detect inline, then the receive chains.
 fn decode_frame_into<'w, R, D>(
     cfg: &PhyConfig,
     channel: &MimoChannel,
@@ -229,35 +288,20 @@ fn decode_frame_into<'w, R, D>(
     detector: &D,
     snr_db: f64,
     rng: &mut R,
-    workers: usize,
     ws: &'w mut FrameWorkspace,
 ) -> &'w UplinkOutcome
 where
     R: Rng + ?Sized,
-    D: MimoDetector + Clone + PartialEq + 'static,
+    D: MimoDetector + ?Sized,
 {
     plan_uplink_frame_into(cfg, channel, csi, snr_db, rng, ws);
     let mut stats = DetectorStats::default();
-    if workers == 1 {
-        detect_planned_inline(cfg, detector, ws, &mut stats);
-    } else {
-        let arc = ws.pool_detector_for(detector);
-        ws.pool_with_workers(workers);
-        // Detach the pool so the result visitor below can borrow the rest
-        // of the workspace mutably (a pointer move, not an allocation).
-        let mut pool = ws.pool.take().expect("pool just ensured");
-        pool.run(&arc, &mut ws.rx_channels, &mut ws.jobs, ws.n_jobs, cfg.constellation);
-        let scatter = gs_prof::scope(gs_prof::Stage::Scatter);
-        begin_assemble(ws);
-        pool.for_each_result(|idx, det| absorb_detection(ws, &mut stats, idx, det));
-        drop(scatter);
-        ws.pool = Some(pool);
-    }
+    detect_planned_inline(cfg, detector, ws, &mut stats);
     finish_outcome(cfg, ws, stats)
 }
 
-/// Single-worker amortized detection on the calling thread: the batch runs
-/// through the detector's reusable workspace with recycled outputs.
+/// Amortized detection on the calling thread: the batch runs through the
+/// detector's reusable workspace with recycled outputs.
 fn detect_planned_inline<D: MimoDetector + ?Sized>(
     cfg: &PhyConfig,
     detector: &D,
@@ -345,14 +389,10 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
     // The detector's view of the channel: genie (the truth) or supplied CSI.
     let n_rx = match csi {
         Some(est) => {
-            assert_eq!(est.num_rx(), na, "CSI antenna mismatch");
-            assert_eq!(est.num_tx(), nc, "CSI stream mismatch");
+            // `decode_frame_with_csi_into` refuses a foreign shape before
+            // any draw.
+            debug_assert_eq!(check_csi(cfg, channel, est), Ok(()));
             let n = est.num_subcarriers();
-            assert!(
-                n == 1 || n == cfg.n_subcarriers,
-                "CSI subcarrier count must be 1 or {}",
-                cfg.n_subcarriers
-            );
             if ws.rx_channels.len() < n {
                 ws.rx_channels.resize_with(n, Matrix::default);
             }
@@ -563,42 +603,42 @@ mod tests {
 
     #[test]
     fn batched_decode_bit_identical_to_serial() {
-        // Same RNG seed → the inline single-worker decode and the pooled
-        // decode must agree exactly, at every worker count, including op
-        // counts — through fresh and recycled workspaces alike. (The
-        // per-job serial oracle lives in `tests/batch_determinism.rs`.)
+        // Same RNG seed → the batched decode matches a per-job `detect`
+        // sweep over the same plan exactly, op counts included, through
+        // fresh and recycled workspaces alike. (The full serial oracle
+        // lives in `tests/batch_determinism.rs`.)
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
         let mut chan_rng = StdRng::seed_from_u64(271);
         let ch = RayleighChannel::new(4, 2).realize(&mut chan_rng);
         let det = geosphere_decoder();
 
-        let mut rng = StdRng::seed_from_u64(272);
-        let serial = decode_frame_batched_into(
-            &cfg,
-            &ch,
-            &det,
-            18.0,
-            &mut rng,
-            1,
-            &mut FrameWorkspace::new(),
-        )
-        .clone();
+        let mut serial_ws = FrameWorkspace::new();
+        serial_ws.plan_uplink(&cfg, &ch, 18.0, &mut StdRng::seed_from_u64(272));
+        serial_ws.begin_detection_assembly();
+        let mut stats = DetectorStats::default();
+        for idx in 0..serial_ws.planned_jobs().len() {
+            let job = &serial_ws.planned_jobs()[idx];
+            let d =
+                det.detect(&serial_ws.planned_channels()[job.channel], &job.y, cfg.constellation);
+            serial_ws.absorb_detection(&mut stats, idx, &d);
+        }
+        let serial = serial_ws.finish_uplink(&cfg, stats).clone();
+
         let mut ws = FrameWorkspace::new();
-        for workers in [1, 2, 4] {
+        for round in 0..3 {
             let mut rng = StdRng::seed_from_u64(272);
             let mut fresh_ws = FrameWorkspace::new();
             let batched =
-                decode_frame_batched_into(&cfg, &ch, &det, 18.0, &mut rng, workers, &mut fresh_ws);
-            assert_eq!(batched.client_ok, serial.client_ok, "workers {workers}");
-            assert_eq!(batched.stats, serial.stats, "workers {workers}");
-            assert_eq!(batched.detections, serial.detections, "workers {workers}");
+                decode_frame_batched_into(&cfg, &ch, &det, 18.0, &mut rng, 1, &mut fresh_ws);
+            assert_eq!(batched.client_ok, serial.client_ok, "fresh, round {round}");
+            assert_eq!(batched.stats, serial.stats, "fresh, round {round}");
+            assert_eq!(batched.detections, serial.detections, "fresh, round {round}");
 
             let mut rng = StdRng::seed_from_u64(272);
-            let pooled =
-                decode_frame_batched_into(&cfg, &ch, &det, 18.0, &mut rng, workers, &mut ws);
-            assert_eq!(pooled.client_ok, serial.client_ok, "pooled workers {workers}");
-            assert_eq!(pooled.stats, serial.stats, "pooled workers {workers}");
-            assert_eq!(pooled.detections, serial.detections, "pooled workers {workers}");
+            let reused = decode_frame_batched_into(&cfg, &ch, &det, 18.0, &mut rng, 1, &mut ws);
+            assert_eq!(reused.client_ok, serial.client_ok, "reused, round {round}");
+            assert_eq!(reused.stats, serial.stats, "reused, round {round}");
+            assert_eq!(reused.detections, serial.detections, "reused, round {round}");
         }
     }
 
@@ -685,15 +725,49 @@ mod tests {
         assert_eq!(forward_symbols, reverse_symbols);
     }
 
-    #[test]
-    #[should_panic(expected = "CSI subcarrier count must be 1 or 48")]
-    fn csi_with_a_foreign_subcarrier_count_is_refused() {
+    /// Decodes a frame into a workspace, then offers `csi` for `channel`:
+    /// the call must return `expected` without drawing from the RNG or
+    /// touching the previous frame's outcome.
+    fn assert_csi_refused(channel: &MimoChannel, csi: &MimoChannel, expected: CsiMismatch) {
         let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qpsk) };
-        let mut rng = StdRng::seed_from_u64(177);
-        let ch = gs_channel::SelectiveRayleighChannel::indoor(2, 2).realize(&mut rng);
-        let csi = gs_channel::MimoChannel::new(ch.iter().take(2).cloned().collect());
         let mut ws = FrameWorkspace::new();
-        decode_frame_with_csi_into(&cfg, &ch, &csi, &ZfDetector, 30.0, &mut rng, 1, &mut ws);
+        let mut rng = StdRng::seed_from_u64(178);
+        let before =
+            decode_frame_batched_into(&cfg, channel, &ZfDetector, 30.0, &mut rng, 1, &mut ws)
+                .clone();
+        let mut untouched = rng.clone();
+        let refused =
+            decode_frame_with_csi_into(&cfg, channel, csi, &ZfDetector, 30.0, &mut rng, &mut ws);
+        assert_eq!(refused.map(|_| ()), Err(expected));
+        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>(), "the RNG was drawn from");
+        let after = ws.outcome();
+        assert_eq!(
+            (&after.client_ok, after.stats, after.detections),
+            (&before.client_ok, before.stats, before.detections),
+            "the outcome changed"
+        );
+    }
+
+    #[test]
+    fn csi_with_a_foreign_subcarrier_count_is_refused() {
+        let ch = gs_channel::SelectiveRayleighChannel::indoor(2, 2)
+            .realize(&mut StdRng::seed_from_u64(177));
+        let csi = MimoChannel::new(ch.iter().take(2).cloned().collect());
+        assert_csi_refused(&ch, &csi, CsiMismatch::Subcarriers { csi: 2, frame: 48 });
+    }
+
+    #[test]
+    fn csi_with_a_foreign_antenna_count_is_refused() {
+        let ch = RayleighChannel::new(4, 2).realize(&mut StdRng::seed_from_u64(179));
+        let csi = RayleighChannel::new(2, 2).realize(&mut StdRng::seed_from_u64(180));
+        assert_csi_refused(&ch, &csi, CsiMismatch::Antennas { csi: 2, channel: 4 });
+    }
+
+    #[test]
+    fn csi_with_a_foreign_stream_count_is_refused() {
+        let ch = RayleighChannel::new(4, 2).realize(&mut StdRng::seed_from_u64(181));
+        let csi = RayleighChannel::new(4, 3).realize(&mut StdRng::seed_from_u64(182));
+        assert_csi_refused(&ch, &csi, CsiMismatch::Streams { csi: 3, channel: 2 });
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //!
 //! The paper's detector is a per-subcarrier kernel; serving heavy traffic
 //! is an architecture problem layered above it. The synchronous entry
-//! point (`decode_frame_batched_into`) blocks until one frame fully
-//! drains, so its worker pool idles during planning and payload recovery.
-//! [`FrameStream`] removes that bubble by running every frame, start to
-//! finish, on the workers of one pool, so frames overlap **across
-//! workers**:
+//! point (`decode_frame_batched_into`) decodes one frame at a time on the
+//! calling thread. [`FrameStream`] serves many sources at once by running
+//! every frame, start to finish, on the workers of one pool, so frames
+//! overlap **across workers**:
 //!
 //! ```text
 //!   sources ──▶ [admission: bounded slot pool] ──▶ home shard's EDF queue
@@ -21,7 +20,7 @@
 //!                                   last portion done: recover ─▶ in-order delivery ──▶ recv()
 //!
 //!   ShardedDetectionPool: one EDF queue per memory domain, workers pinned
-//!   inside their domain; FramePortions: one channel-table replica per shard
+//!   inside their domain; one channel-table replica per shard
 //! ```
 //!
 //! * **Ingress** ([`FrameStream::submit`] / [`FrameStream::try_submit`]):
@@ -33,8 +32,8 @@
 //! * **Plan**: the worker that pops the home task seeds the frame's own
 //!   RNG, runs the transmit chains and packages detection jobs into the
 //!   slot's recycled [`gs_phy::FrameWorkspace`], splits the jobs into
-//!   per-shard portions ([`FramePortions`](geosphere_core::FramePortions),
-//!   the dispatch core `DetectionPool` shares), and submits the others.
+//!   contiguous per-shard portions (one equal-count splitter, one
+//!   countdown, one panic rule), and submits the others.
 //! * **Detect**: `geosphere-core`'s
 //!   [`ShardedDetectionPool`](geosphere_core::ShardedDetectionPool) runs
 //!   each portion on a worker pinned in the shard's memory domain,
@@ -93,6 +92,7 @@
 #![warn(missing_docs)]
 
 pub mod policy;
+mod portions;
 pub mod stats;
 pub mod stream;
 

@@ -7,9 +7,10 @@
 //! stats counters.
 
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
+use crate::portions::FramePortions;
 use crate::stats::RuntimeStats;
 use geosphere_core::{
-    DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace, FramePortions, MimoDetector,
+    DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace, MimoDetector,
     ShardedDetectionPool, ShardedJob, NO_DEADLINE,
 };
 use gs_channel::MimoChannel;
@@ -349,7 +350,7 @@ struct Shared {
     epoch: Instant,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -433,7 +434,7 @@ impl Shared {
         // The home portion runs inline after this, never as a task of its
         // own: that keeps one pop per shard per frame.
         let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.portions.submit(&self.pool, Some(home), deadline_key, slot_idx, &self.job);
+        core.portions.submit(&self.pool, home, deadline_key, slot_idx, &self.job);
     }
 
     /// Recovery of one frame, run inline by the shard worker whose portion

@@ -528,7 +528,7 @@ fn run_scenario_cached(
         }
         let mut rng = StdRng::seed_from_u64(pf.seed);
         let serial =
-            decode_frame_batched_into(&cfg, &pf.channel, reference, pf.snr_db, &mut rng, 1, ws);
+            decode_frame_batched_into(&cfg, &pf.channel, &**reference, pf.snr_db, &mut rng, 1, ws);
         let mut serial_mask = 0u64;
         for (i, &ok) in serial.client_ok.iter().enumerate() {
             if ok {

@@ -1,9 +1,10 @@
 //! Experiment runners for every figure and table in the paper's §5.
 //!
-//! Each function reproduces one evaluation artifact; the `gs-bench` binaries
-//! are thin printers over these. Parameters are scaled by
-//! [`ExperimentParams`] so the same code serves quick smoke tests and
-//! full-fidelity runs.
+//! Each function computes one independent operating point of an
+//! evaluation artifact; the `gs-bench` binaries list their points, run
+//! them through [`ExperimentParams::map_points`], and print the results.
+//! Parameters are scaled by [`ExperimentParams`] so the same code serves
+//! quick smoke tests and full-fidelity runs.
 
 use crate::selection::{select_groups, UserGroup};
 use geosphere_core::{
@@ -15,6 +16,7 @@ use gs_modulation::Constellation;
 use gs_phy::{measure, snr_for_target_fer, FrameWorkspace, Measurement, PhyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Scale knobs shared by all experiments.
@@ -28,22 +30,12 @@ pub struct ExperimentParams {
     pub groups_per_point: usize,
     /// Payload bits per client frame.
     pub payload_bits: usize,
-    /// Decode worker threads for [`gs_phy::decode_frame_batched_into`]:
-    /// `1` = detect inline on the calling thread, any other count = fan
-    /// per-subcarrier detections out across that many pool threads (`0` =
-    /// machine parallelism). Measured numbers are bit-identical at every
-    /// count; only wall-clock changes. Each experiment holds one
-    /// [`gs_phy::FrameWorkspace`] for its *entire* sweep (every SNR point,
-    /// constellation, and group) and passes it to every [`measure()`] and
-    /// [`snr_for_target_fer()`] call, so per-frame planning and
-    /// receive-chain buffers — and the worker pool — warm up once per run,
-    /// not once per point.
-    ///
-    /// More workers are not always faster: on a 2-vCPU host, 2 pool
-    /// workers were slower than inline detection in all 9 Criterion runs
-    /// that timed both (`frame_decode_4x4_qam64_64sc`: `batched/1w`
-    /// 1.28 ms, `batched/2w` 2.44 ms). Measure on the target host before
-    /// raising the count.
+    /// Operating points in flight at once ([`ExperimentParams::map_points`]):
+    /// `1` = one after another on the calling thread, `n` = `n` threads,
+    /// `0` = the machine's available parallelism. Every point seeds its own
+    /// RNG and holds its own [`gs_phy::FrameWorkspace`] across its
+    /// [`measure()`] and [`snr_for_target_fer()`] calls, so measured
+    /// numbers are bit-identical at every count; only wall-clock changes.
     pub workers: usize,
 }
 
@@ -68,6 +60,58 @@ impl ExperimentParams {
             payload_bits: 2048,
             workers: 0,
         }
+    }
+
+    /// Maps `f` over independent operating points on `self.workers`
+    /// threads (`0` = the machine's available parallelism, never more
+    /// threads than items), returning the results in item order. `1` runs
+    /// a plain loop on the calling thread. Each thread pulls the next item
+    /// index from one shared counter, so a slow point does not hold up a
+    /// precomputed share of the rest. A panicking point panics the call
+    /// once every thread has stopped.
+    ///
+    /// The results do not depend on the worker count as long as `f` is a
+    /// pure function of its item — which every experiment runner here is:
+    /// each seeds its own RNG from the item and builds its own workspace.
+    pub fn map_points<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        let workers = match self.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+        .min(items.len());
+        if workers <= 1 {
+            return items.iter().map(f).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            // Relaxed: the counter only hands out indices;
+                            // results reach the caller through `join`.
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else { break done };
+                            done.push((i, f(item)));
+                        }
+                    })
+                })
+                .collect();
+            for thread in threads {
+                let done = thread.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (i, r) in done {
+                    results[i] = Some(r);
+                }
+            }
+        });
+        results.into_iter().map(|r| r.expect("every point mapped")).collect()
     }
 
     fn rng(&self, salt: u64) -> StdRng {
@@ -110,8 +154,7 @@ impl DetectorKind {
     }
 
     /// Builds the detector for a given operating SNR, as the shared handle
-    /// the multi-worker decode path, [`geosphere_core::DetectorLadder`],
-    /// and the streaming runtime all take.
+    /// [`geosphere_core::DetectorLadder`] and the streaming runtime take.
     pub fn build(self, snr_db: f64) -> Arc<dyn MimoDetector> {
         let sigma2 = noise_variance_for_snr_db(snr_db);
         match self {
@@ -186,16 +229,7 @@ pub fn testbed_throughput(
             .iter()
             .map(|g: &UserGroup| {
                 let model = tb.channel(g.ap, &g.clients, ap_antennas);
-                measure(
-                    &cfg,
-                    &model,
-                    &det,
-                    snr_db,
-                    params.frames_per_point,
-                    &mut rng,
-                    params.workers,
-                    &mut ws,
-                )
+                measure(&cfg, &model, &*det, snr_db, params.frames_per_point, &mut rng, &mut ws)
             })
             .collect();
         let (mbps, _, _, _) = merge_measurements(&ms);
@@ -242,11 +276,10 @@ pub fn rayleigh_throughput(
         let m = measure(
             &cfg,
             &model,
-            &det,
+            &*det,
             snr_db,
             params.frames_per_point * params.groups_per_point,
             &mut rng,
-            params.workers,
             &mut ws,
         );
         let better = match &best {
@@ -319,7 +352,6 @@ pub fn complexity_at_target_fer(
                 target_fer,
                 params.frames_per_point,
                 &mut rng,
-                params.workers,
                 &mut ws,
             )
         }
@@ -332,7 +364,6 @@ pub fn complexity_at_target_fer(
                 target_fer,
                 params.frames_per_point,
                 &mut rng,
-                params.workers,
                 &mut ws,
             )
         }
@@ -350,29 +381,11 @@ pub fn complexity_at_target_fer(
                 Some(tb) => {
                     let groups = select_groups(tb, n_clients, 22.0, 20.0, 1);
                     let model = tb.channel(groups[0].ap, &groups[0].clients, ap_antennas);
-                    measure(
-                        &cfg,
-                        &model,
-                        &det,
-                        snr_db,
-                        params.frames_per_point,
-                        &mut rng,
-                        params.workers,
-                        &mut ws,
-                    )
+                    measure(&cfg, &model, &*det, snr_db, params.frames_per_point, &mut rng, &mut ws)
                 }
                 None => {
                     let model = RayleighChannel::new(ap_antennas, n_clients);
-                    measure(
-                        &cfg,
-                        &model,
-                        &det,
-                        snr_db,
-                        params.frames_per_point,
-                        &mut rng,
-                        params.workers,
-                        &mut ws,
-                    )
+                    measure(&cfg, &model, &*det, snr_db, params.frames_per_point, &mut rng, &mut ws)
                 }
             };
             ComplexityPoint {
@@ -464,18 +477,51 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_results() {
-        // The multi-worker path (pooled decode of shared `dyn` detectors,
-        // pooled SNR calibration) must reproduce the inline single-worker
-        // decode exactly; Debug output covers every field, floats bit for
-        // bit.
+        // Experiment points mapped on several threads come back in item
+        // order and equal to the plain loop's; Debug output covers every
+        // field, floats bit for bit.
+        let points =
+            [(Constellation::Qpsk, 2), (Constellation::Qam16, 2), (Constellation::Qpsk, 3)];
         let run = |workers| {
             let params = ExperimentParams { workers, ..ExperimentParams::quick() };
-            format!(
-                "{:?}",
-                complexity_at_target_fer(&params, None, 2, 4, Constellation::Qam16, 0.1)
-            )
+            params.map_points(&points, |&(c, nc)| {
+                format!("{:?}", complexity_at_target_fer(&params, None, nc, 4, c, 0.1))
+            })
         };
-        assert_eq!(run(1), run(3));
+        let reference = run(1);
+        assert_eq!(reference.len(), points.len());
+        for workers in [2, 3, 0] {
+            assert_eq!(run(workers), reference, "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn map_points_with_more_workers_than_items() {
+        let params = ExperimentParams { workers: 16, ..ExperimentParams::quick() };
+        let squares = params.map_points(&[1u64, 2, 3], |&x| x * x);
+        assert_eq!(squares, [1, 4, 9]);
+    }
+
+    #[test]
+    fn map_points_over_no_items_is_empty() {
+        for workers in [0, 1, 4] {
+            let params = ExperimentParams { workers, ..ExperimentParams::quick() };
+            let out: Vec<u64> = params.map_points(&[] as &[u64], |&x| x);
+            assert!(out.is_empty(), "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn map_points_propagates_a_panicking_point() {
+        let params = ExperimentParams { workers: 3, ..ExperimentParams::quick() };
+        let items: Vec<u64> = (0..12).collect();
+        let run = std::panic::catch_unwind(|| {
+            params.map_points(&items, |&x| {
+                assert_ne!(x, 7, "intentional test panic");
+                x
+            })
+        });
+        assert!(run.is_err(), "a panicking point must panic the call, not hang or drop it");
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn main() {
             (0..8).map(|_| lambda_max_db(model.realize(&mut rng).subcarrier(24))).sum::<f64>()
                 / 8.0;
         let mut rng = StdRng::seed_from_u64(34);
-        let m = measure(&cfg, &model, &det, snr, 8, &mut rng, 1, &mut ws);
+        let m = measure(&cfg, &model, &det, snr, 8, &mut rng, &mut ws);
         println!(
             "{:<26} {:>8} {:>12.1} {:>10.2} {:>12.1}",
             label,

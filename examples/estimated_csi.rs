@@ -52,9 +52,9 @@ fn main() {
                 &det,
                 snr,
                 &mut rng,
-                1,
                 &mut ws,
-            );
+            )
+            .expect("the estimate has the channel's shape");
             est_fail += with_est.client_ok.iter().filter(|&&ok| !ok).count();
         }
         let denom = (trials * 4) as f64;

@@ -35,7 +35,7 @@ fn main() {
         for kind in [DetectorKind::Zf, DetectorKind::MmseSic, DetectorKind::Geosphere] {
             let det = kind.build(snr_db);
             let mut rng = StdRng::seed_from_u64(99);
-            let m = measure(&cfg, &model, &det, snr_db, 10, &mut rng, 1, &mut ws);
+            let m = measure(&cfg, &model, &*det, snr_db, 10, &mut rng, &mut ws);
             println!(
                 "{:<12} throughput {:>6.1} Mbps   FER {:>5.2}   per-client FER {:?}",
                 kind.name(),

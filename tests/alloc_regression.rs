@@ -26,11 +26,10 @@ thread_local! {
 }
 
 /// Armed around regions where **every** thread's allocations count — used
-/// by the frame-chain case to also catch allocator traffic on the
-/// persistent detection-pool workers. Only sound while nothing else in the
-/// process allocates concurrently, which holds here: this file has a
-/// single `#[test]`, so the only live threads are the libtest runner
-/// (parked in `join`) and the pool workers under test.
+/// by the frame-chain case so a helper thread could not hide allocator
+/// traffic. Only sound while nothing else in the process allocates
+/// concurrently, which holds here: this file has a single `#[test]`, so
+/// the only other live thread is the libtest runner (parked in `join`).
 static COUNT_ALL_THREADS: AtomicBool = AtomicBool::new(false);
 
 /// Counts allocations (and reallocations) made by threads that have armed
@@ -87,7 +86,7 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Runs `f` with **all threads'** allocation counting armed, returning how
 /// many allocations the whole process made — the measurement mode for the
-/// multi-worker frame chain.
+/// frame chain.
 fn allocations_during_all_threads<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     COUNT_ALL_THREADS.store(true, Ordering::SeqCst);
@@ -234,14 +233,13 @@ fn assert_batch_allocation_free(batch: &DetectionBatch) {
 }
 
 /// The whole hard-decision frame chain — payload drawing, transmit
-/// encoding, channel application + noise, batched sphere detection (inline
-/// or across the persistent worker pool), and the per-client
+/// encoding, channel application + noise, batched sphere detection, and
+/// the per-client
 /// deinterleave/depuncture/Viterbi/CRC receive chain — must not touch the
 /// allocator per frame once a [`FrameWorkspace`] has warmed up.
 ///
-/// Counting is process-wide, so the pool's worker threads are measured
-/// too, not just the coordinating thread.
-fn assert_hard_frame_chain_allocation_free(workers: usize) {
+/// Counting is process-wide, not just the calling thread's.
+fn assert_hard_frame_chain_allocation_free() {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
     // A frequency-selective channel so the plan carries one matrix per
     // subcarrier: exercises per-channel QR refresh, the channel-major
@@ -262,7 +260,7 @@ fn assert_hard_frame_chain_allocation_free(workers: usize) {
     // high-water marks depend only on the frame shape, not on the noise, so
     // a third frame needs nothing new.
     for _ in 0..2 {
-        decode_frame_batched_into(&cfg, &ch, &det, 22.0, &mut rng, workers, &mut ws);
+        decode_frame_batched_into(&cfg, &ch, &det, 22.0, &mut rng, 1, &mut ws);
     }
 
     // With the `profile` feature on, the per-thread counter tables are
@@ -272,12 +270,9 @@ fn assert_hard_frame_chain_allocation_free(workers: usize) {
     #[cfg(feature = "profile")]
     let profile_before = gs_prof::snapshot();
     let (delta, detections) = allocations_during_all_threads(|| {
-        decode_frame_batched_into(&cfg, &ch, &det, 22.0, &mut rng, workers, &mut ws).detections
+        decode_frame_batched_into(&cfg, &ch, &det, 22.0, &mut rng, 1, &mut ws).detections
     });
-    assert_eq!(
-        delta, 0,
-        "hard frame chain ({workers} workers) allocated {delta} times for one warmed frame"
-    );
+    assert_eq!(delta, 0, "hard frame chain allocated {delta} times for one warmed frame");
     #[cfg(feature = "profile")]
     {
         assert!(gs_prof::enabled());
@@ -392,13 +387,9 @@ fn assert_trace_recording_allocation_free() {
 fn detection_hot_path_is_allocation_free_after_warmup() {
     assert_detect_with_qr_allocation_free();
     assert_detect_batch_into_allocation_free();
-    // Frame chain (tentpole of the FrameWorkspace refactor): hard path at
-    // one worker (inline), four workers (persistent pool), and zero
-    // (machine parallelism, resolved once when the pool is built — never
-    // per frame), soft path.
-    assert_hard_frame_chain_allocation_free(1);
-    assert_hard_frame_chain_allocation_free(4);
-    assert_hard_frame_chain_allocation_free(0);
+    // Frame chain (tentpole of the FrameWorkspace refactor): hard path,
+    // soft path.
+    assert_hard_frame_chain_allocation_free();
     assert_soft_frame_chain_allocation_free();
     // Telemetry tier: histogram recording shares the hot path's contract.
     assert_histogram_recording_allocation_free();

@@ -1,13 +1,11 @@
 //! The batched decode path must be bit-identical to the per-job serial
 //! reference (`gs_bench::serial_reference_frame`) — same seed, same
-//! outcome — at every worker count. This is the contract that makes the
-//! worker pool safe to enable everywhere: parallelism can change
+//! outcome, same RNG state afterwards. Amortizing QR across a frame's
+//! OFDM symbols, or cutting a frame into contiguous batches, can change
 //! wall-clock, never results.
 
 use geosphere::channel::{ChannelModel, RayleighChannel, SelectiveRayleighChannel};
-use geosphere::core::{
-    geosphere_decoder, DetectionBatch, DetectionJob, DetectionPool, MimoDetector,
-};
+use geosphere::core::{geosphere_decoder, DetectionBatch, DetectionJob, MimoDetector};
 use geosphere::linalg::Matrix;
 use geosphere::modulation::Constellation;
 use geosphere::phy::{
@@ -17,10 +15,11 @@ use geosphere::phy::{
 use gs_bench::serial_reference_frame;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Serial and batched uplink decodes of the same seeded frame must agree
-/// exactly — symbols, CRC outcomes, and op counts — for ≥2 thread counts.
+/// exactly — symbols, CRC outcomes, op counts and the RNG state after the
+/// frame. (`decode_frame_batched_into` detects on the calling thread; its
+/// `workers` argument is inert.)
 #[test]
 fn batched_frame_decode_is_bit_identical_across_worker_counts() {
     for (c, na, nc, snr_db, seed) in [
@@ -38,20 +37,13 @@ fn batched_frame_decode_is_bit_identical_across_worker_counts() {
         // same generator state whichever path decoded the frame.
         let serial_next = rng_serial.gen_range(0..u64::MAX);
 
-        for workers in [1usize, 2, 4, 8] {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-            let mut ws = FrameWorkspace::new();
-            let batched =
-                decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, workers, &mut ws);
-            assert_eq!(batched.client_ok, serial.client_ok, "{c:?} {na}x{nc} workers={workers}");
-            assert_eq!(batched.stats, serial.stats, "{c:?} {na}x{nc} workers={workers}");
-            assert_eq!(batched.detections, serial.detections, "{c:?} workers={workers}");
-            assert_eq!(
-                rng.gen_range(0..u64::MAX),
-                serial_next,
-                "{c:?} workers={workers}: RNG stream diverged"
-            );
-        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
+        let mut ws = FrameWorkspace::new();
+        let batched = decode_frame_batched_into(&cfg, &ch, &det, snr_db, &mut rng, 1, &mut ws);
+        assert_eq!(batched.client_ok, serial.client_ok, "{c:?} {na}x{nc}");
+        assert_eq!(batched.stats, serial.stats, "{c:?} {na}x{nc}");
+        assert_eq!(batched.detections, serial.detections, "{c:?} {na}x{nc}");
+        assert_eq!(rng.gen_range(0..u64::MAX), serial_next, "{c:?}: RNG stream diverged");
     }
 }
 
@@ -68,18 +60,16 @@ fn batched_decode_matches_serial_on_selective_channel() {
 
     let mut rng = StdRng::seed_from_u64(78);
     let serial = serial_reference_frame(&cfg, &ch, &det, 24.0, &mut rng);
-    for workers in [2usize, 5] {
-        let mut rng = StdRng::seed_from_u64(78);
-        let mut ws = FrameWorkspace::new();
-        let batched = decode_frame_batched_into(&cfg, &ch, &det, 24.0, &mut rng, workers, &mut ws);
-        assert_eq!(batched.client_ok, serial.client_ok, "workers={workers}");
-        assert_eq!(batched.stats, serial.stats, "workers={workers}");
-    }
+    let mut rng = StdRng::seed_from_u64(78);
+    let mut ws = FrameWorkspace::new();
+    let batched = decode_frame_batched_into(&cfg, &ch, &det, 24.0, &mut rng, 1, &mut ws);
+    assert_eq!(batched.client_ok, serial.client_ok);
+    assert_eq!(batched.stats, serial.stats);
 }
 
-/// Decoding against an estimated channel runs on the same pool: the
-/// outcome and the post-frame RNG state do not depend on the worker
-/// count, on flat and selective channels alike, and `csi = truth`
+/// Decoding against an estimated channel is deterministic: the outcome
+/// and the post-frame RNG state repeat through a fresh or a reused
+/// workspace, on flat and selective channels alike, and `csi = truth`
 /// reproduces the genie-CSI decode exactly.
 #[test]
 fn estimated_csi_decode_is_bit_identical_across_worker_counts() {
@@ -93,36 +83,32 @@ fn estimated_csi_decode_is_bit_identical_across_worker_counts() {
         let det = geosphere_decoder();
         let est = estimate_channel(&truth, snr_db, &mut StdRng::seed_from_u64(503)).channel;
 
-        let decode = |csi: &_, workers| {
+        let decode = |csi: &_, ws: &mut FrameWorkspace| {
             let mut rng = StdRng::seed_from_u64(504);
-            let mut ws = FrameWorkspace::new();
-            let out = decode_frame_with_csi_into(
-                &cfg, &truth, csi, &det, snr_db, &mut rng, workers, &mut ws,
-            )
-            .clone();
+            let out = decode_frame_with_csi_into(&cfg, &truth, csi, &det, snr_db, &mut rng, ws)
+                .expect("the CSI has the channel's shape")
+                .clone();
             (out, rng.gen_range(0..u64::MAX))
         };
-        let (reference, reference_next) = decode(&est, 1);
+        let mut reused = FrameWorkspace::new();
+        let (reference, reference_next) = decode(&est, &mut FrameWorkspace::new());
         assert!(reference.stats.ped_calcs > 0, "{label}: the search must run");
-        for workers in [2usize, 5] {
-            let (out, next) = decode(&est, workers);
-            assert_eq!(out.client_ok, reference.client_ok, "{label} workers={workers}");
-            assert_eq!(out.stats, reference.stats, "{label} workers={workers}");
-            assert_eq!(out.detections, reference.detections, "{label} workers={workers}");
-            assert_eq!(next, reference_next, "{label} workers={workers}: RNG stream diverged");
+        for round in 0..2 {
+            let (out, next) = decode(&est, &mut reused);
+            assert_eq!(out.client_ok, reference.client_ok, "{label} round {round}");
+            assert_eq!(out.stats, reference.stats, "{label} round {round}");
+            assert_eq!(out.detections, reference.detections, "{label} round {round}");
+            assert_eq!(next, reference_next, "{label} round {round}: RNG stream diverged");
         }
 
-        for workers in [1usize, 2, 5] {
-            let (with_truth, truth_next) = decode(&truth, workers);
-            let mut rng = StdRng::seed_from_u64(504);
-            let mut ws = FrameWorkspace::new();
-            let genie =
-                decode_frame_batched_into(&cfg, &truth, &det, snr_db, &mut rng, workers, &mut ws);
-            assert_eq!(with_truth.client_ok, genie.client_ok, "{label} workers={workers}");
-            assert_eq!(with_truth.stats, genie.stats, "{label} workers={workers}");
-            assert_eq!(with_truth.detections, genie.detections, "{label} workers={workers}");
-            assert_eq!(truth_next, rng.gen_range(0..u64::MAX), "{label} workers={workers}");
-        }
+        let (with_truth, truth_next) = decode(&truth, &mut reused);
+        let mut rng = StdRng::seed_from_u64(504);
+        let mut ws = FrameWorkspace::new();
+        let genie = decode_frame_batched_into(&cfg, &truth, &det, snr_db, &mut rng, 1, &mut ws);
+        assert_eq!(with_truth.client_ok, genie.client_ok, "{label}");
+        assert_eq!(with_truth.stats, genie.stats, "{label}");
+        assert_eq!(with_truth.detections, genie.detections, "{label}");
+        assert_eq!(truth_next, rng.gen_range(0..u64::MAX), "{label}");
     }
 }
 
@@ -131,7 +117,7 @@ fn estimated_csi_decode_is_bit_identical_across_worker_counts() {
 fn core_batch_detector_is_deterministic() {
     let c = Constellation::Qam16;
     let mut rng = StdRng::seed_from_u64(91);
-    let mut channels: Vec<Matrix> = (0..8)
+    let channels: Vec<Matrix> = (0..8)
         .map(|_| RayleighChannel::new(4, 4).sample_matrix(&mut rng).scale(c.scale()))
         .collect();
     let pts = c.points();
@@ -151,21 +137,31 @@ fn core_batch_detector_is_deterministic() {
     let mut channel_major = symbol_major.clone();
     channel_major.sort_by_key(|job| job.channel);
     let geo = geosphere_decoder();
-    let det: Arc<dyn MimoDetector> = Arc::new(geo);
-    for (order, mut jobs) in [("channel-major", channel_major), ("symbol-major", symbol_major)] {
-        let reference = DetectionBatch { channels: &channels, jobs: &jobs, c }.detect_serial(&geo);
-        for workers in [1usize, 3, 8] {
-            let mut pool = DetectionPool::new(workers);
-            let n = jobs.len();
-            pool.run(&det, &mut channels, &mut jobs, n, c);
-            let mut seen = vec![false; n];
-            pool.for_each_result(|k, a| {
-                assert!(!seen[k], "{order}: job {k} visited twice, workers {workers}");
-                seen[k] = true;
-                assert_eq!(a.symbols, reference[k].symbols, "{order}: job {k} workers {workers}");
-                assert_eq!(a.stats, reference[k].stats, "{order}: job {k} workers {workers}");
-            });
-            assert!(seen.iter().all(|&s| s), "{order}, workers {workers}: every job covered");
+    let mut ws = geo.make_batch_workspace();
+    let mut out = Vec::new();
+    for (order, jobs) in [("channel-major", channel_major), ("symbol-major", symbol_major)] {
+        let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
+        let reference = batch.detect_serial(&geo);
+        // The whole batch, then contiguous ranges of it as separate
+        // batches (how the streaming runtime cuts a frame across shards),
+        // through one recycled workspace.
+        for parts in [1usize, 3, 8] {
+            let chunk = jobs.len().div_ceil(parts);
+            let mut k = 0;
+            for range in jobs.chunks(chunk) {
+                geo.detect_batch_with(
+                    &DetectionBatch { channels: &channels, jobs: range, c },
+                    &mut ws,
+                    &mut out,
+                );
+                assert_eq!(out.len(), range.len(), "{order}, {parts} parts");
+                for a in &out {
+                    assert_eq!(a.symbols, reference[k].symbols, "{order}: job {k}, {parts} parts");
+                    assert_eq!(a.stats, reference[k].stats, "{order}: job {k}, {parts} parts");
+                    k += 1;
+                }
+            }
+            assert_eq!(k, jobs.len(), "{order}, {parts} parts: every job covered");
         }
     }
 }

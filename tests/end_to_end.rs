@@ -27,7 +27,7 @@ fn frames_survive_good_channels_with_every_detector() {
         let out = decode_frame_batched_into(
             &cfg(Constellation::Qam16),
             &ch,
-            det,
+            det.as_ref(),
             35.0,
             &mut rng,
             1,
@@ -50,9 +50,9 @@ fn geosphere_outperforms_zf_on_ill_conditioned_testbed() {
     for (gi, g) in groups.iter().enumerate() {
         let model = tb.channel(g.ap, &g.clients, 4);
         let mut rng = StdRng::seed_from_u64(2002 + gi as u64);
-        let zf = measure(&cfg, &model, &ZfDetector, 20.0, 5, &mut rng, 1, &mut ws);
+        let zf = measure(&cfg, &model, &ZfDetector, 20.0, 5, &mut rng, &mut ws);
         let mut rng = StdRng::seed_from_u64(2002 + gi as u64);
-        let geo = measure(&cfg, &model, &geosphere, 20.0, 5, &mut rng, 1, &mut ws);
+        let geo = measure(&cfg, &model, &geosphere, 20.0, 5, &mut rng, &mut ws);
         zf_ok += ((1.0 - zf.fer) * 100.0) as usize;
         geo_ok += ((1.0 - geo.fer) * 100.0) as usize;
     }
@@ -67,9 +67,9 @@ fn complexity_ordering_holds_through_the_phy() {
     let model = RayleighChannel::new(4, 4);
     let c = Constellation::Qam64;
     let mut ws = FrameWorkspace::new();
-    let geo = measure(&cfg(c), &model, &geosphere_decoder(), 33.0, 3, &mut rng, 1, &mut ws);
+    let geo = measure(&cfg(c), &model, &geosphere_decoder(), 33.0, 3, &mut rng, &mut ws);
     let mut rng = StdRng::seed_from_u64(2003);
-    let eth = measure(&cfg(c), &model, &ethsd_decoder(), 33.0, 3, &mut rng, 1, &mut ws);
+    let eth = measure(&cfg(c), &model, &ethsd_decoder(), 33.0, 3, &mut rng, &mut ws);
     assert!(
         geo.per_subcarrier.ped_calcs < eth.per_subcarrier.ped_calcs,
         "geo {} vs eth {}",

@@ -80,9 +80,9 @@ fn distributed_cluster_beats_single_ap_fer() {
     let cfg = cfg(Constellation::Qam16);
     let mut ws = FrameWorkspace::new();
     let mut rng = StdRng::seed_from_u64(3201);
-    let m_single = measure(&cfg, &single, &det, 16.0, 5, &mut rng, 1, &mut ws);
+    let m_single = measure(&cfg, &single, &*det, 16.0, 5, &mut rng, &mut ws);
     let mut rng = StdRng::seed_from_u64(3201);
-    let m_joint = measure(&cfg, &joint, &det, 16.0, 5, &mut rng, 1, &mut ws);
+    let m_joint = measure(&cfg, &joint, &*det, 16.0, 5, &mut rng, &mut ws);
     assert!(m_joint.fer <= m_single.fer, "joint {} vs single {}", m_joint.fer, m_single.fer);
 }
 
@@ -117,9 +117,9 @@ fn trace_replay_reproduces_measurements_exactly() {
     let cfg = cfg(Constellation::Qam16);
     let mut ws = FrameWorkspace::new();
     let mut rng1 = StdRng::seed_from_u64(77);
-    let m1 = measure(&cfg, &TraceReplay::new(trace), &det, 25.0, 4, &mut rng1, 1, &mut ws);
+    let m1 = measure(&cfg, &TraceReplay::new(trace), &*det, 25.0, 4, &mut rng1, &mut ws);
     let mut rng2 = StdRng::seed_from_u64(77);
-    let m2 = measure(&cfg, &TraceReplay::new(restored), &det, 25.0, 4, &mut rng2, 1, &mut ws);
+    let m2 = measure(&cfg, &TraceReplay::new(restored), &*det, 25.0, 4, &mut rng2, &mut ws);
     assert_eq!(m1.fer, m2.fer);
     assert_eq!(m1.throughput_mbps, m2.throughput_mbps);
     assert!((m1.per_subcarrier.ped_calcs - m2.per_subcarrier.ped_calcs).abs() < 1e-12);

@@ -7,7 +7,7 @@
 //! detection outputs, or LLR streams leaking into a later (smaller or
 //! differently-shaped) frame. This suite drives one long-lived workspace
 //! through random sequences of (modulation, client/antenna counts, SNR,
-//! payload length, worker count) — shrinking and growing between frames —
+//! payload length) — shrinking and growing between frames —
 //! and demands exact equality (`client_ok`, operation counts, detection
 //! counts) with a fresh workspace per frame, for the hard batched, soft,
 //! and iterative receive paths.
@@ -28,7 +28,7 @@ fn constellation_strategy() -> impl Strategy<Value = Constellation> {
 }
 
 /// One randomized frame scenario: modulation, MIMO size, SNR, frame
-/// length, worker count, and an RNG seed.
+/// length, and an RNG seed.
 type Scenario = (Constellation, (usize, usize), f64, usize, u64);
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -55,9 +55,8 @@ fn cfg_for(c: Constellation, payload_bits: usize, seed: u64) -> PhyConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Hard batched path: reused workspace ≡ fresh workspace, at a worker
-    /// count that alternates between inline (1) and pooled (3) across the
-    /// sequence.
+    /// Hard batched path: reused workspace ≡ fresh workspace across shape
+    /// changes.
     #[test]
     fn reused_workspace_matches_fresh_hard(
         scenarios in proptest::collection::vec(scenario_strategy(), 3..6)
@@ -67,21 +66,20 @@ proptest! {
         for (step, &(c, (nc, spare), snr_db, payload_bits, seed)) in scenarios.iter().enumerate() {
             let cfg = cfg_for(c, payload_bits, seed);
             let na = nc + spare;
-            let workers = 1 + 2 * (step % 2); // 1, 3, 1, ...
             let ch = RayleighChannel::new(na, nc).realize(&mut StdRng::seed_from_u64(seed));
 
             let mut fresh_ws = FrameWorkspace::new();
             let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
             let fresh = decode_frame_batched_into(
-                &cfg, &ch, &det, snr_db, &mut rng, workers, &mut fresh_ws,
+                &cfg, &ch, &det, snr_db, &mut rng, 1, &mut fresh_ws,
             ).clone();
 
             let mut rng = StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF);
             let reused = decode_frame_batched_into(
-                &cfg, &ch, &det, snr_db, &mut rng, workers, &mut shared,
+                &cfg, &ch, &det, snr_db, &mut rng, 1, &mut shared,
             );
             prop_assert_eq!(&reused.client_ok, &fresh.client_ok,
-                "step {} ({:?} {}x{} @ {:.1} dB, {} workers)", step, c, nc, na, snr_db, workers);
+                "step {} ({:?} {}x{} @ {:.1} dB)", step, c, nc, na, snr_db);
             prop_assert_eq!(reused.stats, fresh.stats, "step {} stats", step);
             prop_assert_eq!(reused.detections, fresh.detections, "step {} detections", step);
         }

@@ -166,10 +166,8 @@ proptest! {
     fn batched_detection_matches_serial(
         entries in proptest::collection::vec((-1.5f64..1.5, -1.5f64..1.5), 4),
         noise in proptest::collection::vec((-0.2f64..0.2, -0.2f64..0.2), 8),
-        workers in 1usize..6,
     ) {
-        use geosphere::core::{DetectionBatch, DetectionJob, DetectionPool, MimoDetector};
-        use std::sync::Arc;
+        use geosphere::core::{DetectionBatch, DetectionJob, MimoDetector};
 
         let c = Constellation::Qam16;
         let data: Vec<Complex> = entries.iter().map(|&(re, im)| Complex::new(re, im)).collect();
@@ -178,9 +176,9 @@ proptest! {
         // fast; degenerate matrices are covered by the seeded suites.
         h[(0, 0)] += Complex::new(1.0, 0.0);
         h[(1, 1)] += Complex::new(1.0, 0.0);
-        let mut channels = vec![h];
+        let channels = vec![h];
         let pts = c.points();
-        let mut jobs: Vec<DetectionJob> = noise
+        let jobs: Vec<DetectionJob> = noise
             .chunks(2)
             .enumerate()
             .map(|(j, w)| {
@@ -196,21 +194,11 @@ proptest! {
         let det = geosphere::core::geosphere_decoder();
         let serial = batch.detect_serial(&det);
         let amortized = det.detect_batch(&batch);
+        prop_assert_eq!(amortized.len(), serial.len());
         for (s, a) in serial.iter().zip(&amortized) {
             prop_assert_eq!(&s.symbols, &a.symbols);
             prop_assert_eq!(s.stats, a.stats);
         }
-        let mut pool = DetectionPool::new_with_pinning(workers, false);
-        let arc: Arc<dyn MimoDetector> = Arc::new(det);
-        let n = jobs.len();
-        pool.run(&arc, &mut channels, &mut jobs, n, c);
-        let mut visited = 0;
-        pool.for_each_result(|idx, p| {
-            assert_eq!(serial[idx].symbols, p.symbols, "job {idx}");
-            assert_eq!(serial[idx].stats, p.stats, "job {idx}");
-            visited += 1;
-        });
-        prop_assert_eq!(visited, n);
     }
 
     // --- coding ---

@@ -11,9 +11,9 @@
 //!   AVX2/NEON both sides resolve to scalar and the tests trivially hold —
 //!   the CI scalar/SIMD matrix supplies the vectorized leg);
 //! * frame-level: a full `decode_frame_batched_into` uplink frame decoded
-//!   with the tier forced to scalar and then to the native tier, at 1 and
-//!   4 workers, must agree exactly — CRC verdicts, operation counts, and
-//!   per-detection symbol streams.
+//!   with the tier forced to scalar and then to the native tier must agree
+//!   exactly — CRC verdicts, operation counts, and per-detection symbol
+//!   streams.
 
 use gs_linalg::simd::{
     self, caxpy_conj_with, cdot_soa_multi_with, cdot_soa_with, cdot_with, cdotc_with, ped_soa_with,
@@ -168,8 +168,8 @@ proptest! {
 
 /// Frame-level cross-tier parity: the full batched uplink decode must be
 /// bit-identical with the tier forced to scalar (`GS_SIMD=off`'s effect)
-/// and to the native tier, at 1 and 4 workers — CRC verdicts and operation
-/// counts both. Runs the whole toggle under the tier lock so the global
+/// and to the native tier, through a fresh and then a warmed workspace —
+/// CRC verdicts and operation counts both. Runs the whole toggle under the tier lock so the global
 /// dispatch override cannot race other tests in this binary.
 #[test]
 fn frame_decode_bit_identical_across_tiers_and_workers() {
@@ -198,25 +198,24 @@ fn frame_decode_bit_identical_across_tiers_and_workers() {
     let mut outcomes = Vec::new();
     for tier in [Tier::Scalar, native] {
         assert!(simd::force_tier(tier), "{tier:?} must be available");
-        // Fresh workspace per tier: its pool workers must run the tier
-        // under test from their first frame.
+        // Fresh workspace per tier, decoded twice: cold, then warmed.
         let mut ws = FrameWorkspace::new();
-        for workers in [1usize, 4] {
+        for round in 0..2 {
             let mut rng = StdRng::seed_from_u64(77);
-            let out = decode_frame_batched_into(&cfg, &ch, &det, 24.0, &mut rng, workers, &mut ws);
-            outcomes.push((tier, workers, out.client_ok.clone(), out.stats, out.detections));
+            let out = decode_frame_batched_into(&cfg, &ch, &det, 24.0, &mut rng, 1, &mut ws);
+            outcomes.push((tier, round, out.client_ok.clone(), out.stats, out.detections));
         }
     }
     simd::reset_tier();
 
     let half = outcomes.len() / 2;
     for k in 0..half {
-        let (ta, wa, ok_a, stats_a, det_a) = &outcomes[k];
-        let (tb, wb, ok_b, stats_b, det_b) = &outcomes[k + half];
-        assert_eq!(wa, wb);
-        assert_eq!(ok_a, ok_b, "{ta:?} vs {tb:?} at {wa} workers: CRC verdicts differ");
-        assert_eq!(stats_a, stats_b, "{ta:?} vs {tb:?} at {wa} workers: op counts differ");
-        assert_eq!(det_a, det_b, "{ta:?} vs {tb:?} at {wa} workers: detection counts differ");
+        let (ta, ra, ok_a, stats_a, det_a) = &outcomes[k];
+        let (tb, rb, ok_b, stats_b, det_b) = &outcomes[k + half];
+        assert_eq!(ra, rb);
+        assert_eq!(ok_a, ok_b, "{ta:?} vs {tb:?} in round {ra}: CRC verdicts differ");
+        assert_eq!(stats_a, stats_b, "{ta:?} vs {tb:?} in round {ra}: op counts differ");
+        assert_eq!(det_a, det_b, "{ta:?} vs {tb:?} in round {ra}: detection counts differ");
     }
 }
 

@@ -19,11 +19,11 @@
 //!   same-channel jobs that are not adjacent.
 //!
 //! The first property is used one layer up: `gs-runtime`'s `FrameStream`
-//! cuts a frame's jobs into contiguous per-shard ranges of a
-//! [`ShardedDetectionPool`](crate::ShardedDetectionPool), and each range
-//! is one batch here. Results are bit-identical to detecting each job
-//! serially however the jobs are cut: detection consumes no shared
-//! mutable state and QR factorization is deterministic.
+//! cuts a frame's jobs into contiguous per-shard ranges of its worker
+//! pool, and each range is one batch here. Results are bit-identical to
+//! detecting each job serially however the jobs are cut: detection
+//! consumes no shared mutable state and QR factorization is
+//! deterministic.
 //!
 //! Workspace ownership: a caller holds one [`DetectorWorkspace`](crate::DetectorWorkspace) per
 //! thread for its whole life (see [`MimoDetector::detect_batch_with`]),

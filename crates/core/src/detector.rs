@@ -65,8 +65,7 @@ impl DetectorWorkspace {
 ///
 /// `Send + Sync` is part of the contract: detection is a pure function of
 /// `(h, y, c)` with no interior mutability, which is what lets the
-/// streaming runtime's [`ShardedDetectionPool`](crate::ShardedDetectionPool)
-/// workers share one detector behind an `Arc`.
+/// streaming runtime's pool workers share one detector behind an `Arc`.
 pub trait MimoDetector: Send + Sync {
     /// Detects the transmitted symbol vector.
     ///

@@ -25,15 +25,12 @@
 //! assert_eq!(det.symbols, s);
 //! ```
 
-// Unsafe code is denied everywhere except the thread-affinity shim, which
-// needs one libc syscall (`sched_setaffinity`); see `affinity`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 // Trellis/detector inner loops index several arrays by the same state or
 // stream variable; iterator rewrites obscure the recurrences.
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-pub mod affinity;
 pub mod batch;
 pub mod detector;
 pub mod filter_cache;
@@ -44,19 +41,12 @@ pub mod kbest;
 pub mod linear;
 pub mod ml;
 pub mod precode;
-pub mod shard;
 pub mod sic;
 pub mod soft;
 pub mod sphere;
 pub mod statprune;
 pub mod stats;
 pub mod tier;
-
-/// The shared `GS_*` env-knob parse-warn-fallback policy, re-exported
-/// from [`gs_linalg::env`] (the lowest layer that reads a knob — `GS_SIMD`
-/// — so one helper serves `GS_NO_PIN` and `GS_DOMAINS` here too without a
-/// dependency cycle).
-pub use gs_linalg::env;
 
 pub use batch::{DetectionBatch, DetectionJob};
 pub use detector::{
@@ -70,7 +60,6 @@ pub use kbest::KBestDetector;
 pub use linear::{MmseDetector, ZfDetector};
 pub use ml::MlDetector;
 pub use precode::{mod_tau, Precoded, VectorPerturbationPrecoder};
-pub use shard::{PoolPoisoned, ShardedDetectionPool, ShardedJob, NO_DEADLINE};
 pub use sic::MmseSicDetector;
 pub use soft::{SoftDetection, SoftGeosphereDetector, SoftWorkspace};
 pub use sphere::{GeosphereFactory, HessFactory, SearchWorkspace, SphereDecoder, WorkspaceFor};

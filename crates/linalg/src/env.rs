@@ -1,19 +1,17 @@
 //! Shared parse-warn-fallback handling for the `GS_*` environment knobs.
 //!
-//! The workspace exposes a small family of runtime knobs — `GS_SIMD`
-//! (kernel tier, [`crate::simd`]), `GS_NO_PIN` (worker pinning opt-out)
-//! and `GS_DOMAINS` (memory-domain override), both consumed by
-//! `geosphere-core`'s affinity module — and they must all behave the same
-//! way when misused: **warn on stderr and fall back to a safe value**,
-//! never silently ignore a typo (a mistyped `GS_SIMD=of` must not quietly
-//! re-enable vector code, a mistyped `GS_NO_PIN=flase` must not quietly
-//! re-enable pinning).
+//! The workspace's runtime knobs — `GS_SIMD` (kernel tier,
+//! [`crate::simd`]), `GS_NO_PIN` (worker pinning opt-out, read by
+//! `gs-runtime`'s `StreamConfig::new`) and `GS_SPEEDUP` (campaign scale,
+//! `gs-sim`) — must all behave the same way when misused: **warn on
+//! stderr and fall back to a safe value**, never silently ignore a typo (a
+//! mistyped `GS_SIMD=of` must not quietly re-enable vector code, a
+//! mistyped `GS_NO_PIN=flase` must not quietly re-enable pinning).
 //!
-//! This module lives in `gs-linalg` rather than `geosphere-core` because
-//! it is the lowest layer that reads a knob (`GS_SIMD`); `geosphere-core`
-//! depends on `gs-linalg`, so one helper can serve every knob without a
-//! dependency cycle. `geosphere-core` re-exports it as
-//! `geosphere_core::env`.
+//! This module lives in `gs-linalg` because it is the lowest layer that
+//! reads a knob (`GS_SIMD`); every crate that reads one depends on
+//! `gs-linalg`, so one helper serves every knob without a dependency
+//! cycle.
 
 /// Reads and parses the environment knob `name` with one shared policy:
 ///

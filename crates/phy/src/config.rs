@@ -78,7 +78,79 @@ impl PhyConfig {
     pub fn airtime_seconds(&self) -> f64 {
         self.n_ofdm_symbols() as f64 * OFDM_SYMBOL_SECONDS
     }
+
+    /// Checks that the frame geometry can be built: the interleaver needs
+    /// `n_cbps` to be a positive multiple of 16 with `n_cbps / 16` a
+    /// multiple of `max(bits per symbol / 2, 1)`, and the code rate must
+    /// leave a whole number of data bits per OFDM symbol. Callers that
+    /// hand a config to other threads check it first, so a bad geometry
+    /// is refused where it was made.
+    pub fn validate(&self) -> Result<(), PhyConfigError> {
+        let n_cbps = self.n_cbps();
+        let q = self.constellation.bits_per_symbol();
+        if n_cbps == 0 || !n_cbps.is_multiple_of(16) {
+            Err(PhyConfigError::InterleaverColumns { n_cbps })
+        } else if !(n_cbps / 16).is_multiple_of((q / 2).max(1)) {
+            Err(PhyConfigError::InterleaverPermutation { n_cbps, bits_per_symbol: q })
+        } else if !(n_cbps * self.code_rate.numerator())
+            .is_multiple_of(self.code_rate.denominator())
+        {
+            Err(PhyConfigError::FractionalDataBits { n_cbps, code_rate: self.code_rate })
+        } else {
+            Ok(())
+        }
+    }
 }
+
+/// Why [`PhyConfig::validate`] refused a frame geometry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PhyConfigError {
+    /// Coded bits per OFDM symbol are not a positive multiple of the
+    /// interleaver's 16 columns.
+    InterleaverColumns {
+        /// Coded bits per OFDM symbol per stream.
+        n_cbps: usize,
+    },
+    /// `n_cbps / 16` is not a multiple of `max(bits_per_symbol / 2, 1)`,
+    /// so the interleaver's second permutation is not a permutation.
+    InterleaverPermutation {
+        /// Coded bits per OFDM symbol per stream.
+        n_cbps: usize,
+        /// Bits per constellation symbol.
+        bits_per_symbol: usize,
+    },
+    /// The code rate leaves a fractional number of data bits per OFDM
+    /// symbol.
+    FractionalDataBits {
+        /// Coded bits per OFDM symbol per stream.
+        n_cbps: usize,
+        /// The configured code rate.
+        code_rate: CodeRate,
+    },
+}
+
+impl std::fmt::Display for PhyConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            PhyConfigError::InterleaverColumns { n_cbps } => {
+                write!(f, "{n_cbps} coded bits per OFDM symbol is not a positive multiple of 16")
+            }
+            PhyConfigError::InterleaverPermutation { n_cbps, bits_per_symbol } => write!(
+                f,
+                "{n_cbps} coded bits per OFDM symbol: n_cbps / 16 is not a multiple of \
+                 max({bits_per_symbol} / 2, 1)"
+            ),
+            PhyConfigError::FractionalDataBits { n_cbps, code_rate } => write!(
+                f,
+                "code rate {}/{} leaves a fractional number of data bits in {n_cbps} coded bits",
+                code_rate.numerator(),
+                code_rate.denominator()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PhyConfigError {}
 
 #[cfg(test)]
 mod tests {

@@ -22,7 +22,7 @@ pub mod soft_rx;
 pub mod txrx;
 
 pub use chanest::{estimate_channel, estimation_mse, ChannelEstimate};
-pub use config::{PhyConfig, DATA_SUBCARRIERS, OFDM_SYMBOL_SECONDS};
+pub use config::{PhyConfig, PhyConfigError, DATA_SUBCARRIERS, OFDM_SYMBOL_SECONDS};
 pub use frame::FrameWorkspace;
 pub use iterative::uplink_frame_iterative_into;
 pub use measure::{measure, snr_for_target_fer, Measurement};

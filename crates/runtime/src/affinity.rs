@@ -1,79 +1,16 @@
-//! Worker-thread CPU affinity.
-//!
-//! The detection threads ([`crate::ShardedDetectionPool`], the streaming
-//! runtime's pool) are long-lived — spawned once and reused across every
-//! frame a receiver decodes — so
-//! pinning each worker to one core is a cheap, stable win: the worker's
-//! search workspace (enumerator slabs, QR factors, recycled output
-//! buffers) stays in one core's cache instead of migrating with the
-//! scheduler. Each shard's workers are pinned round-robin over the CPUs
-//! of the shard's memory domain; set `GS_NO_PIN` (or `GS_NO_PIN=1`) to
-//! opt out, e.g. when sharing a box with other pinned workloads.
-//!
-//! This module also discovers the machine's **memory domains**
-//! ([`memory_domains`]): the NUMA topology read from sysfs, a flat
-//! single-domain fallback where sysfs is unavailable, and a `GS_DOMAINS`
-//! synthetic override. Domains are the shard axis of the pool: one job
-//! queue (and, in the streaming runtime, one channel-table replica) per
-//! domain, served by workers pinned inside it.
-//!
-//! Pinning is best-effort and Linux-only: on other platforms, or when the
-//! syscall fails (containers with restricted affinity masks), workers
-//! simply run unpinned — placement never affects correctness, only cache
+//! Memory-domain discovery and best-effort worker pinning (Linux; other
+//! platforms run unpinned). Placement never affects results, only cache
 //! locality.
 
-/// Whether `GS_NO_PIN` disables worker pinning for this process.
-///
-/// Parsed through the workspace's shared knob policy
-/// ([`gs_linalg::env::env_flag`]): unset keeps pinning on; empty or
-/// `1`/`true`/`yes`/`on` disables it; `0`/`false`/`no`/`off` keeps it on;
-/// anything else warns on stderr and disables pinning (the safe reading of
-/// a mistyped opt-out).
-pub fn pinning_disabled_by_env() -> bool {
-    gs_linalg::env::env_flag("GS_NO_PIN")
-}
-
-/// The machine's memory domains, as ascending CPU lists — the shard axis
-/// of [`crate::ShardedDetectionPool`].
-///
-/// Resolution order:
-///
-/// 1. `GS_DOMAINS=<n>` (a positive integer) splits the process's allowed
-///    CPUs into `n` contiguous synthetic domains — the debugging/benching
-///    override, and the way to exercise sharding on a single-domain box.
-///    `GS_DOMAINS=auto` (or `0`, or unset) defers to discovery; an
-///    unrecognized value warns on stderr and defers to discovery.
-/// 2. sysfs NUMA discovery: each online `/sys/devices/system/node/node*`
-///    whose `cpulist` intersects the allowed set becomes one domain.
-/// 3. Flat fallback: one domain holding every allowed CPU (non-Linux, or
-///    sysfs unreadable).
-///
-/// Every returned domain is non-empty and the union covers exactly the
-/// allowed CPUs visible through some domain; domains are ordered by node
-/// id (or contiguously for the synthetic split).
-pub fn memory_domains() -> Vec<Vec<usize>> {
-    let allowed = {
-        let a = allowed_cpus();
-        if a.is_empty() {
-            let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            (0..n).collect()
-        } else {
-            a
-        }
-    };
-    let forced = gs_linalg::env::env_knob(
-        "GS_DOMAINS",
-        "a positive integer|auto",
-        "using sysfs domain discovery",
-        0usize,
-        0usize,
-        |v| match v {
-            "" | "auto" | "0" => Some(0),
-            _ => v.parse::<usize>().ok(),
-        },
-    );
-    if forced > 0 {
-        return split_domains(&allowed, forced);
+/// The machine's memory domains, as ascending CPU lists: each online
+/// sysfs NUMA node whose `cpulist` intersects the allowed CPUs, ordered by
+/// node id; or one domain of every allowed CPU where sysfs is unreadable.
+/// Every domain is non-empty, and no CPU is in two.
+pub(crate) fn memory_domains() -> Vec<Vec<usize>> {
+    let mut allowed = imp::allowed_cpus();
+    if allowed.is_empty() {
+        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        allowed = (0..n).collect();
     }
     let discovered = sysfs_domains(&allowed);
     if discovered.is_empty() {
@@ -81,19 +18,6 @@ pub fn memory_domains() -> Vec<Vec<usize>> {
     } else {
         discovered
     }
-}
-
-/// Splits `allowed` into **exactly** `n` contiguous, non-empty synthetic
-/// domains (clamped to the CPU count), balanced to within one CPU — the
-/// `k*len/n` partition, so a requested count is always honoured when
-/// enough CPUs exist (fixed-size chunking could merge the tail and return
-/// fewer domains than the operator configured).
-fn split_domains(allowed: &[usize], n: usize) -> Vec<Vec<usize>> {
-    if allowed.is_empty() {
-        return vec![Vec::new()];
-    }
-    let n = n.clamp(1, allowed.len());
-    (0..n).map(|k| allowed[k * allowed.len() / n..(k + 1) * allowed.len() / n].to_vec()).collect()
 }
 
 /// NUMA domains from sysfs, intersected with `allowed`; empty when sysfs
@@ -123,9 +47,9 @@ fn sysfs_domains(allowed: &[usize]) -> Vec<Vec<usize>> {
 }
 
 /// Parses a kernel CPU list (`"0-3,8,10-11"`) into ascending CPU ids.
-/// Malformed tokens are skipped — sysfs is trusted input, and a partial
+/// Malformed tokens are skipped: sysfs is trusted input, and a partial
 /// parse degrades to a smaller domain rather than a crash.
-pub fn parse_cpu_list(s: &str) -> Vec<usize> {
+fn parse_cpu_list(s: &str) -> Vec<usize> {
     let mut cpus = Vec::new();
     for token in s.trim().split(',') {
         let token = token.trim();
@@ -150,20 +74,10 @@ pub fn parse_cpu_list(s: &str) -> Vec<usize> {
     cpus
 }
 
-/// The CPUs this process is allowed to run on, in ascending order —
-/// the domain the round-robin pinning indexes into. Respecting the
-/// inherited mask matters precisely in the restricted deployments
-/// (taskset, container cpusets): pinning to absolute core 0 from inside
-/// `taskset -c 4-7` would be rejected and silently lose the feature.
-/// Returns an empty vector when the mask cannot be read (non-Linux).
-pub fn allowed_cpus() -> Vec<usize> {
-    imp::allowed_cpus()
-}
-
-/// Pins the calling thread to `cpu` (an entry of [`allowed_cpus`], modulo
-/// the platform mask width). Returns whether the kernel accepted the
-/// mask; always `false` on non-Linux targets.
-pub fn pin_current_thread(cpu: usize) -> bool {
+/// Pins the calling thread to `cpu` (modulo the platform mask width).
+/// Returns whether the kernel accepted the mask; always `false` on
+/// non-Linux targets.
+pub(crate) fn pin_current_thread(cpu: usize) -> bool {
     imp::pin_current_thread(cpu)
 }
 
@@ -180,6 +94,9 @@ mod imp {
         fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
     }
 
+    /// The CPUs this process may run on, ascending: its inherited mask
+    /// (taskset, container cpusets), so pinning never targets a CPU the
+    /// kernel would reject. Empty when the mask cannot be read.
     pub fn allowed_cpus() -> Vec<usize> {
         let mut mask = [0u64; MASK_WORDS];
         // Safety: the mask buffer outlives the call and its length is
@@ -254,26 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_split_covers_all_cpus() {
-        for len in [1usize, 5, 6, 8] {
-            let allowed: Vec<usize> = (0..len).collect();
-            for n in 1..=8 {
-                let doms = split_domains(&allowed, n);
-                assert!(doms.iter().all(|d| !d.is_empty()), "len={len} n={n}: no empty domain");
-                let flat: Vec<usize> = doms.iter().flatten().copied().collect();
-                assert_eq!(flat, allowed, "len={len} n={n}: covers the allowed set, in order");
-                // The requested count is honoured exactly whenever enough
-                // CPUs exist (GS_DOMAINS=4 on a 6-CPU box must give 4
-                // domains, not 3).
-                assert_eq!(doms.len(), n.min(len), "len={len} n={n}");
-            }
-        }
-    }
-
-    #[test]
     fn memory_domains_cover_a_nonempty_cpu_set() {
-        // Whatever the discovery path (sysfs, flat fallback, or a
-        // GS_DOMAINS override inherited from the environment), the
+        // Whatever the discovery path (sysfs or flat fallback), the
         // contract is: at least one domain, every domain non-empty, no CPU
         // in two domains.
         let doms = memory_domains();
@@ -289,7 +188,7 @@ mod tests {
 
     #[test]
     fn allowed_cpus_matches_parallelism_shape() {
-        let cpus = allowed_cpus();
+        let cpus = imp::allowed_cpus();
         if cfg!(target_os = "linux") {
             // At least the CPU we are running on is allowed, the list is
             // ascending and duplicate-free, and pinning to an allowed CPU

@@ -19,8 +19,8 @@
 //!   other shards' workers:                    detect own portion ───────────────┤
 //!                                   last portion done: recover ─▶ in-order delivery ──▶ recv()
 //!
-//!   ShardedDetectionPool: one EDF queue per memory domain, workers pinned
-//!   inside their domain; one channel-table replica per shard
+//!   pool: one EDF queue per shard, workers pinned inside the shard's
+//!   memory domain; one channel-table replica per shard
 //! ```
 //!
 //! * **Ingress** ([`FrameStream::submit`] / [`FrameStream::try_submit`]):
@@ -34,21 +34,47 @@
 //!   slot's recycled [`gs_phy::FrameWorkspace`], splits the jobs into
 //!   contiguous per-shard portions (one equal-count splitter, one
 //!   countdown, one panic rule), and submits the others.
-//! * **Detect**: `geosphere-core`'s
-//!   [`ShardedDetectionPool`](geosphere_core::ShardedDetectionPool) runs
-//!   each portion on a worker pinned in the shard's memory domain,
-//!   earliest-deadline-first within the shard, through per-worker reusable
-//!   workspaces and, with several shards, per-shard channel-table
-//!   replicas. The home portion runs inline after the plan, so every shard
-//!   pops exactly once per frame.
+//! * **Detect**: the stream's pool runs each portion on a worker of the
+//!   portion's shard, earliest-deadline-first within the shard, through
+//!   the worker's long-lived `DetectorWorkspace` and, with several shards,
+//!   the shard's channel-table replica (refreshed by the shard's own
+//!   worker, so first-touch places it in the shard's memory domain). The
+//!   home portion runs inline after the plan, so every shard pops exactly
+//!   once per frame.
 //! * **Recover**: the portion that completes the frame scatters
 //!   detections back to job order, runs the per-client receive chains
 //!   (Viterbi/CRC), accounts deadlines, and delivers. A portion that
-//!   panics marks its frame, which is never recovered; the panic poisons
-//!   the pool, and the stream reports [`StreamDead`].
+//!   panics marks its frame, which is never recovered; the panic marks
+//!   the pool dead, and the stream reports [`StreamDead`].
 //! * **Egress** ([`FrameStream::recv`]): completions arrive in **per-client
 //!   submission order** regardless of internal reordering; dropping the
 //!   [`Completed`] guard recycles the slot.
+//!
+//! ## The pool
+//!
+//! The stream's private executor. Every task is one frame's slot index,
+//! and every worker runs the same job on it (plan, detect, recover as
+//! above), so a task is plain data: EDF key, arrival ordinal, slot,
+//! submit stamps and the flight-recorder identity. Queuing one never
+//! allocates.
+//!
+//! * **Shards follow memory domains.** `StreamConfig::shards == 0`
+//!   resolves to one shard per NUMA node that holds an allowed CPU (read
+//!   from sysfs; one flat domain where sysfs is unreadable), clamped to
+//!   `1..=workers`. Each shard owns one queue, so cross-domain queue
+//!   traffic never sits on a detection hot path.
+//! * **Workers pinned inside their shard's domain**, round-robin over the
+//!   shard's CPUs (Linux, best-effort; a rejected mask leaves a worker
+//!   unpinned). Shards sharing a domain partition its CPUs into
+//!   contiguous `k·len/n` slices, so on a one-domain host `shards = n`
+//!   pins shard `s` to the `s`-th of `n` CPU slices.
+//! * **Earliest-deadline-first within each shard**: a queue is a
+//!   fixed-capacity heap on `(deadline key, arrival)`; deadline-free
+//!   tasks sort last, FIFO among themselves.
+//! * **One dead flag.** A worker that panics (organically or through
+//!   [`FrameStream::inject_worker_panic_after`]) marks the pool dead; the
+//!   pool then refuses every task, and the stream's admission and
+//!   completion waits report [`StreamDead`].
 //!
 //! ## Guarantees
 //!
@@ -84,15 +110,19 @@
 //! [`StreamConfig`] sizes the engine: client lanes, pool workers, shards
 //! and slot capacity (its `planners` field is ignored — the pool workers
 //! plan). A stream spawns no thread but its pool workers, named
-//! `gs-shard{s}-w{k}`. `GS_DOMAINS` overrides memory-domain discovery,
-//! `GS_NO_PIN` disables worker pinning, `GS_SIMD` selects the kernel tier —
-//! all under the shared warn-and-fallback policy (`geosphere_core::env`).
+//! `gs-shard{s}-w{k}`. `GS_NO_PIN` disables worker pinning (read by
+//! [`StreamConfig::new`]) and `GS_SIMD` selects the kernel tier, both
+//! under the shared warn-and-fallback policy (`gs_linalg::env`).
 
-#![forbid(unsafe_code)]
+// Unsafe code is denied everywhere except the affinity shim, which needs
+// the libc affinity syscalls (`sched_setaffinity`); see `affinity`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod affinity;
 pub mod policy;
 mod portions;
+mod shard;
 pub mod stats;
 pub mod stream;
 

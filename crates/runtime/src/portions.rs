@@ -1,11 +1,12 @@
 //! One frame's jobs cut into contiguous per-shard portions: the stream's
 //! frame-dispatch core.
 
+use crate::shard::ShardedDetectionPool;
 use crate::stream::lock;
-use geosphere_core::{Detection, DetectionBatch, DetectionJob, ShardedDetectionPool, ShardedJob};
+use geosphere_core::{Detection, DetectionBatch, DetectionJob};
 use gs_linalg::Matrix;
 use gs_modulation::Constellation;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// One frame's jobs cut into contiguous per-shard portions.
 /// [`FramePortions::split`] cuts the frame and arms the countdown,
@@ -77,19 +78,12 @@ impl FramePortions {
     }
 
     /// Submits every shard's portion but `home`'s (the caller detects
-    /// that one inline) to `pool` as `job`, with EDF key `key` and `token`.
-    /// A portion the poisoned pool refuses will never run, so it counts
-    /// down as panicked.
-    pub(crate) fn submit(
-        &self,
-        pool: &ShardedDetectionPool,
-        home: usize,
-        key: u64,
-        token: usize,
-        job: &Arc<dyn ShardedJob>,
-    ) {
+    /// that one inline) to `pool` as `slot`, with EDF key `key`. A portion
+    /// the dead pool refuses will never run, so it counts down as
+    /// panicked.
+    pub(crate) fn submit(&self, pool: &ShardedDetectionPool, home: usize, key: u64, slot: usize) {
         for s in (0..self.shards.len()).filter(|&s| s != home) {
-            if pool.submit(s, key, token, job).is_err() {
+            if pool.submit(s, key, slot).is_err() {
                 self.count_down(true);
             }
         }

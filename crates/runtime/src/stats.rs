@@ -24,17 +24,14 @@ use std::time::Duration;
 /// counts only the trailing window and is what the control plane (and any
 /// live dashboard) should read.
 ///
-/// **Windowed-rate semantics** (corrected in PR 8): the windowed figures
-/// are computed over the trailing one-second window, with the throughput
-/// divisor being the span the delivery ring **actually covers** —
+/// **Windowed-rate semantics**: the windowed figures are computed over
+/// the trailing one-second window, with the throughput divisor being the
+/// span the delivery ring **actually covers** —
 /// `min(1 s, now − oldest retained delivery)`. A freshly started stream
-/// therefore reports its true instantaneous rate instead of
-/// under-reporting until one full second has elapsed, and a saturated
-/// stream is no longer clamped at the ring's event capacity (the historic
-/// 128-event ring capped `windowed_frames_per_sec` at 128 while the
-/// pipeline sustained 400+ fps, and silently shrank the miss-rate horizon
-/// to the trailing ~0.1 s — exactly when the adaptation policy depended
-/// on it).
+/// therefore reports its true rate instead of under-reporting until one
+/// full second has elapsed, and a stream delivering faster than the ring
+/// holds reports its true rate over a narrower horizon rather than the
+/// ring's capacity.
 #[derive(Clone, Debug)]
 pub struct RuntimeStats {
     /// Frames admitted so far (including those still in flight).
@@ -111,8 +108,8 @@ pub struct RuntimeStats {
 impl RuntimeStats {
     /// The process-wide stage-attributed cycle profile at snapshot time:
     /// every thread's [`gs_prof`] counter table aggregated, including
-    /// exited shard workers (attribution survives the
-    /// `ShardedDetectionPool` handoff). All-zero unless the workspace was
+    /// exited shard workers (attribution survives the handoff between
+    /// pool workers). All-zero unless the workspace was
     /// built with the `profile` feature. Counters are monotone and
     /// process-global — bracket a region with two snapshots and
     /// [`gs_prof::StageProfile::delta`] to isolate it.

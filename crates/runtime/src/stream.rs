@@ -1,17 +1,16 @@
 //! The [`FrameStream`] engine: slot pool, frame tasks, ordering.
 //!
 //! See the crate docs for the architecture. This module holds the whole
-//! engine: the bounded slot pool (admission control), the [`ShardedJob`]
-//! that runs each frame from plan to delivery on `geosphere-core`'s
-//! domain-sharded pool, per-client in-order completion delivery, and the
-//! stats counters.
+//! engine: the bounded slot pool (admission control), the pool job that
+//! runs each frame from plan to delivery, per-client in-order completion
+//! delivery, and the stats counters.
 
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
 use crate::portions::FramePortions;
+use crate::shard::{ShardedDetectionPool, NO_DEADLINE};
 use crate::stats::RuntimeStats;
 use geosphere_core::{
     DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace, MimoDetector,
-    ShardedDetectionPool, ShardedJob, NO_DEADLINE,
 };
 use gs_channel::MimoChannel;
 use gs_phy::{FrameWorkspace, PhyConfig, UplinkOutcome};
@@ -21,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 /// One frame submission: everything the runtime needs to plan, detect,
@@ -63,11 +62,11 @@ impl UplinkFrame {
 }
 
 /// The stream can no longer make progress: a pool worker panicked while
-/// planning, detecting or recovering a frame, poisoning the
-/// [`ShardedDetectionPool`]. Outstanding frames will never complete; the
-/// stream must be torn down. Returned as a typed error (rather than a panic on the
-/// submitting thread) so fault-injection campaigns can record worker loss
-/// as a scenario outcome.
+/// planning, detecting or recovering a frame. Outstanding frames will
+/// never complete; the stream must be torn down. Returned as a typed
+/// error (rather than a panic on the submitting thread) so
+/// fault-injection campaigns can record worker loss as a scenario
+/// outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamDead;
 
@@ -124,14 +123,17 @@ pub struct StreamConfig {
     /// task, so there are no planner threads to size.
     pub planners: usize,
     /// Pin detection workers inside their shard's memory domain (default:
-    /// on, unless `GS_NO_PIN` opts out).
+    /// on, unless `GS_NO_PIN` opts out; see [`StreamConfig::new`]).
     pub pin: bool,
 }
 
 impl StreamConfig {
     /// Defaults for `clients` source lanes: machine-sized workers, one
     /// shard per memory domain, automatic capacity, pinning per
-    /// `GS_NO_PIN`.
+    /// `GS_NO_PIN`. Under the shared knob policy
+    /// ([`gs_linalg::env::env_flag`]), unset keeps pinning on; empty or
+    /// `1`/`true`/`yes`/`on` disables it; `0`/`false`/`no`/`off` keeps it
+    /// on; anything else warns on stderr and disables pinning.
     pub fn new(clients: usize) -> Self {
         StreamConfig {
             clients,
@@ -139,7 +141,7 @@ impl StreamConfig {
             shards: 0,
             capacity: 0,
             planners: 1,
-            pin: !geosphere_core::affinity::pinning_disabled_by_env(),
+            pin: !gs_linalg::env::env_flag("GS_NO_PIN"),
         }
     }
 }
@@ -235,15 +237,14 @@ struct DeliveryWindow {
     head: usize,
 }
 
-/// Ring capacity. Sized so the ring spans the full [`WINDOW_SPAN`] at the
-/// paper's operating point (4×4 64-QAM 2048-bit frames saturate around
-/// 1200 fps on a 2-vCPU machine, 3× under this): a ring shorter than one
-/// second of deliveries silently **shrank the horizon** of the windowed
-/// rates under load — throughput clamped at `WINDOW_EVENTS` fps and the
-/// miss rate covered only the trailing fraction of a second, exactly when
-/// the control plane needed the true figures. Small frames do outpace it
-/// (rxbench's `saturate_small_qam16_flat`, 256-bit 16-QAM frames, sustains
-/// ~5300 fps); there [`DeliveryWindow::rates`] divides by the span the
+/// Ring capacity. The ring must span the whole [`WINDOW_SPAN`] at the
+/// paper's operating point, or the windowed rates silently narrow their
+/// horizon under load: the miss rate would cover only the trailing
+/// fraction of a second, exactly when the control plane needs the true
+/// figure. 4×4 64-QAM 2048-bit frames saturate around 2100 fps on a
+/// 2-vCPU host (rxbench `saturate_qam64_28db`), about half of this. Small
+/// frames outpace it (`saturate_small_qam16_flat`, 256-bit 16-QAM frames,
+/// ~8500 fps); there [`DeliveryWindow::rates`] divides by the span the
 /// retained events actually cover, so the rate stays correct and only the
 /// averaging horizon narrows.
 const WINDOW_EVENTS: usize = 4096;
@@ -337,10 +338,8 @@ struct Shared {
     n_shards: usize,
     n_clients: usize,
     capacity: usize,
+    /// The stream's executor; its one job is [`Shared::run_task`].
     pool: ShardedDetectionPool,
-    /// The one job every pool task runs, built once so submitting never
-    /// allocates.
-    job: Arc<dyn ShardedJob>,
     free: Mutex<Vec<usize>>,
     free_cv: Condvar,
     done_q: Mutex<VecDeque<usize>>,
@@ -352,21 +351,6 @@ struct Shared {
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The [`ShardedJob`] the runtime submits: a weak handle so queued tasks
-/// never keep the engine alive (workers are joined before `Shared` drops;
-/// the upgrade guard is belt-and-braces for mid-teardown pops).
-struct FrameJob {
-    shared: Weak<Shared>,
-}
-
-impl ShardedJob for FrameJob {
-    fn run_shard(&self, shard: usize, token: usize, ws: &mut DetectorWorkspace) {
-        if let Some(shared) = self.shared.upgrade() {
-            shared.run_task(shard, token, ws);
-        }
-    }
 }
 
 impl Shared {
@@ -434,7 +418,7 @@ impl Shared {
         // The home portion runs inline after this, never as a task of its
         // own: that keeps one pop per shard per frame.
         let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.portions.submit(&self.pool, home, deadline_key, slot_idx, &self.job);
+        core.portions.submit(&self.pool, home, deadline_key, slot_idx);
     }
 
     /// Recovery of one frame, run inline by the shard worker whose portion
@@ -486,7 +470,7 @@ impl Shared {
             let cell = &mut lane.parked[(seq % self.capacity as u64) as usize];
             // A hard assert, not a debug one: an occupied cell means a
             // sequencing bug is about to overwrite (lose) a completed
-            // frame. Panicking here poisons the pool like any other worker
+            // frame. Panicking here kills the pool like any other worker
             // panic, and the stream reports dead.
             assert!(cell.is_none(), "parking ring cell already occupied (seq {seq})");
             *cell = Some(slot_idx);
@@ -624,6 +608,10 @@ impl FrameStream {
     /// [`HysteresisPolicy`](crate::policy::HysteresisPolicy) the stream
     /// degrades sphere → FSD → MMSE under deadline pressure and climbs
     /// back as the queue drains.
+    ///
+    /// # Panics
+    /// Every constructor panics, before any worker starts, when
+    /// [`PhyConfig::validate`] refuses `cfg` or `sc.clients` is 0.
     pub fn adaptive<P: AdaptationPolicy + 'static>(
         cfg: PhyConfig,
         ladder: DetectorLadder,
@@ -640,6 +628,9 @@ impl FrameStream {
         sc: StreamConfig,
     ) -> Self {
         assert!(sc.clients >= 1, "a stream needs at least one client lane");
+        if let Err(e) = cfg.validate() {
+            panic!("invalid PHY config: {e}");
+        }
         let workers = if sc.workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -648,7 +639,7 @@ impl FrameStream {
         let capacity = if sc.capacity == 0 { 2 * workers + 2 } else { sc.capacity };
 
         // Every shard queue can hold every in-flight frame at once.
-        let pool = ShardedDetectionPool::new_with_pinning(sc.shards, workers, capacity, sc.pin);
+        let pool = ShardedDetectionPool::new(sc.shards, workers, capacity, sc.pin);
         let n_shards = pool.shards();
 
         let slots: Vec<Slot> = (0..capacity)
@@ -665,7 +656,7 @@ impl FrameStream {
             .map(|_| ClientLane { next_submit: 0, next_deliver: 0, parked: vec![None; capacity] })
             .collect();
 
-        let shared = Arc::new_cyclic(|weak| Shared {
+        let shared = Arc::new(Shared {
             base_cfg: cfg,
             ladder,
             policy: Mutex::new(policy),
@@ -679,7 +670,6 @@ impl FrameStream {
             n_clients: sc.clients,
             capacity,
             pool,
-            job: Arc::new(FrameJob { shared: weak.clone() }),
             free: Mutex::new((0..capacity).rev().collect()),
             free_cv: Condvar::new(),
             done_q: Mutex::new(VecDeque::with_capacity(capacity)),
@@ -697,6 +687,9 @@ impl FrameStream {
             },
             epoch: Instant::now(),
         });
+        // The workers hold the engine until `Drop` joins them.
+        let engine = Arc::clone(&shared);
+        shared.pool.spawn(move |shard, slot, ws| engine.run_task(shard, slot, ws));
         FrameStream { shared }
     }
 
@@ -734,7 +727,7 @@ impl FrameStream {
         let slot_idx = {
             let mut free = lock(&self.shared.free);
             loop {
-                if self.shared.pool.is_poisoned() {
+                if self.is_dead() {
                     return Err(StreamDead);
                 }
                 if let Some(idx) = free.pop() {
@@ -756,7 +749,7 @@ impl FrameStream {
     /// stalling) or the stream is dead ([`TrySubmitError::Dead`]).
     pub fn try_submit(&self, frame: UplinkFrame) -> Result<(), TrySubmitError> {
         self.assert_admissible(&frame);
-        if self.shared.pool.is_poisoned() {
+        if self.is_dead() {
             return Err(TrySubmitError::Dead(frame));
         }
         let slot_idx = match lock(&self.shared.free).pop() {
@@ -782,13 +775,13 @@ impl FrameStream {
         self.install(slot_idx, &frame).map_err(|StreamDead| TrySubmitError::Dead(frame))
     }
 
-    /// Fault injection: arms `shard`'s underlying detection-pool hook so
-    /// the worker popping that shard's `pops`-th task from now panics
-    /// instead of running it (see
-    /// [`ShardedDetectionPool::inject_worker_panic_after`]). The poisoning
-    /// then surfaces from [`FrameStream::submit`]/[`FrameStream::recv`] as
-    /// [`StreamDead`]. For seeded fault-injection campaigns only —
-    /// production embedders must never call this.
+    /// Fault injection: the worker popping `shard`'s `pops`-th task from
+    /// now (1-based) panics instead of running it, exactly as an organic
+    /// worker crash would; `pops == 0` disarms. The death then surfaces
+    /// from [`FrameStream::submit`]/[`FrameStream::recv`] as
+    /// [`StreamDead`]. With one worker per shard and lockstep submission
+    /// the lost frame is deterministic. For seeded fault-injection
+    /// campaigns only; production embedders must never call this.
     pub fn inject_worker_panic_after(&self, shard: usize, pops: u64) {
         self.shared.pool.inject_worker_panic_after(shard, pops);
     }
@@ -798,7 +791,7 @@ impl FrameStream {
     /// [`FrameStream::recv`] still drains completions that were already
     /// queued.
     pub fn is_dead(&self) -> bool {
-        self.shared.pool.is_poisoned()
+        self.shared.pool.is_dead()
     }
 
     fn assert_admissible(&self, frame: &UplinkFrame) {
@@ -809,7 +802,7 @@ impl FrameStream {
             self.shared.n_clients
         );
         // Shape errors must surface on the submitting thread, not as a
-        // pool-worker panic that would poison the whole stream.
+        // pool-worker panic that would kill the whole stream.
         let sc = frame.channel.num_subcarriers();
         assert!(
             sc == 1 || sc == self.shared.base_cfg.n_subcarriers,
@@ -865,15 +858,13 @@ impl FrameStream {
         // that pops it, so the frame's identity rides along for its plan,
         // portions and recovery.
         gtrace::set_context(tctx);
-        let queued =
-            shared.pool.submit(shared.home_shard(frame_id), deadline_key, slot_idx, &shared.job);
+        let queued = shared.pool.submit(shared.home_shard(frame_id), deadline_key, slot_idx);
         gtrace::clear_context();
         if queued.is_err() {
             lock(&shared.free).push(slot_idx);
             shared.free_cv.notify_one();
-            return Err(StreamDead);
         }
-        Ok(())
+        queued
     }
 
     /// Receives the next completed frame, blocking until one is ready.
@@ -896,7 +887,7 @@ impl FrameStream {
                 if let Some(idx) = q.pop_front() {
                     break idx;
                 }
-                if self.shared.pool.is_poisoned() {
+                if self.is_dead() {
                     return Err(StreamDead);
                 }
                 let (guard, _) = self
@@ -1095,11 +1086,8 @@ mod tests {
             .clone()
     }
 
-    /// PR 8 regression (the saturating-window bug): a 500 fps delivery
-    /// stream must report ~500 windowed fps. Before the fix the 128-entry
-    /// ring divided by the full 1 s span regardless of coverage, clamping
-    /// the figure at 128 fps from ~430 fps onward — the exact signal the
-    /// `HysteresisPolicy` reads.
+    /// A 500 fps delivery stream must report ~500 windowed fps — the
+    /// signal the `HysteresisPolicy` reads.
     #[test]
     fn window_reports_true_rate_at_500_fps() {
         let mut w = DeliveryWindow::new();
@@ -1110,14 +1098,12 @@ mod tests {
             w.record(now - Duration::from_millis(2 * k), false);
         }
         let (fps, miss) = w.rates(now);
-        assert!((fps - 501.0).abs() < 5.0, "expected ~500 fps, got {fps} (pre-fix: 128)");
+        assert!((fps - 501.0).abs() < 5.0, "expected ~500 fps, got {fps}");
         assert_eq!(miss, 0.0);
     }
 
-    /// PR 8 regression (the shrinking miss horizon): under load the old
-    /// ring retained only the trailing ~0.1 s of deliveries, so misses
-    /// older than that vanished from the windowed miss rate. The horizon
-    /// must stay pinned at the full covered second.
+    /// Under load the miss-rate horizon stays pinned at the full covered
+    /// second: misses 0.5–1 s old still count.
     #[test]
     fn window_miss_horizon_stays_one_second() {
         let mut w = DeliveryWindow::new();
@@ -1149,8 +1135,8 @@ mod tests {
         assert_eq!((fps_idle, miss_idle), (0.0, 0.0));
     }
 
-    /// Overflowing the (now much larger) ring narrows the averaging
-    /// horizon but must not clamp the reported rate.
+    /// Overflowing the ring narrows the averaging horizon but must not
+    /// clamp the reported rate.
     #[test]
     fn window_overflow_keeps_rate_unclamped() {
         let mut w = DeliveryWindow::new();
@@ -1332,6 +1318,17 @@ mod tests {
     }
 
     #[test]
+    fn bad_geometry_fails_on_the_constructing_thread() {
+        // 7 subcarriers × 4 bits = 28 coded bits: no 16-column interleaver.
+        let cfg = PhyConfig { n_subcarriers: 7, ..small_cfg() };
+        let mut sc = StreamConfig::new(1);
+        sc.workers = 1;
+        let res = std::panic::catch_unwind(|| FrameStream::new(cfg, geosphere_decoder(), sc));
+        let msg = *res.err().expect("construction must refuse").downcast::<String>().unwrap();
+        assert!(msg.contains("multiple of 16"), "{msg}");
+    }
+
+    #[test]
     fn per_frame_payload_override_matches_serial() {
         let cfg = small_cfg();
         let chans = channels(2, 44);
@@ -1451,7 +1448,7 @@ mod tests {
         };
         let selective = Arc::new(selective.realize(&mut StdRng::seed_from_u64(49)));
         stream.submit(UplinkFrame::new(0, selective, 20.0, 2)).unwrap();
-        // The pool reports poisoning only after the portion has unwound.
+        // The pool reports death only after the portion has unwound.
         assert_eq!(stream.recv().err(), Some(StreamDead));
         GATE.wait();
         // Joining the workers, as `drop` does, waits out the released home

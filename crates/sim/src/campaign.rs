@@ -20,7 +20,7 @@
 //!   completed, deadline misses) agree exactly with the driver's counts;
 //! * **fault containment**: a lethal fault fires where armed, kills
 //!   exactly the frames after its position, and surfaces as typed
-//!   `StreamDead`/`PoolPoisoned` errors — never an abort or a hang; a
+//!   `StreamDead` errors — never an abort or a hang; a
 //!   slot-exhaustion burst is refused at exactly the pool capacity.
 //!
 //! Scenario outcomes carry an FNV-1a checksum over every delivered

@@ -8,8 +8,8 @@
 //!
 //! * [`FaultSpec::WorkerPanic`] — arms
 //!   `FrameStream::inject_worker_panic_after` on shard 0: a detection
-//!   worker panics mid-task, the `ShardedDetectionPool` poisons itself,
-//!   and every later `submit`/`recv` reports `StreamDead`.
+//!   worker panics mid-task, the stream's pool marks itself dead, and
+//!   every later `submit`/`recv` reports `StreamDead`.
 //! * [`FaultSpec::ShardLoss`] — the same hook armed on a non-zero shard
 //!   of a multi-shard pool: one memory domain's worker dies while the
 //!   others keep draining, modelling the loss of a whole detection shard.

@@ -10,16 +10,21 @@ use crate::dashboard::DASHBOARD_HTML;
 use crate::render::{render_runtime_stats_capped, render_trace_dumps, DEFAULT_MAX_CLIENT_LANES};
 use gs_prof::trace;
 use gs_runtime::FrameStream;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-connection I/O deadline: a stuck scraper must not wedge the
+/// Overall deadline for reading one request head, and the write timeout
+/// of its response: a stuck or trickling peer must not wedge the
 /// single-threaded accept loop.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Largest request head (request line plus headers) the server reads; a
+/// longer one is answered `400`.
+const MAX_HEAD_BYTES: usize = 8192;
 
 /// Overall deadline for one [`scrape`]: covers connect plus the whole
 /// response, so a byte-at-a-time server cannot keep the client pinned by
@@ -100,22 +105,54 @@ impl Drop for MetricsServer {
     }
 }
 
-/// Handles one connection: parse the request line, answer, close.
-fn serve_one(conn: TcpStream, stream: &Arc<FrameStream>, lanes: usize) -> std::io::Result<()> {
-    conn.set_read_timeout(Some(IO_TIMEOUT))?;
-    conn.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut reader = BufReader::new(conn);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers so the peer never sees a reset before our response.
-    let mut header = String::new();
-    while reader.read_line(&mut header)? > 2 {
-        header.clear();
+/// Reads the request head through its blank line under one overall
+/// [`IO_TIMEOUT`] deadline, never more than `MAX_HEAD_BYTES + 1` bytes.
+/// `None` when the head is oversized, or still unterminated at EOF or at
+/// the deadline.
+fn read_head(conn: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+    let deadline = Instant::now() + IO_TIMEOUT;
+    let mut head = Vec::new();
+    let mut buf = [0u8; 1024];
+    while head.len() <= MAX_HEAD_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(None);
+        }
+        conn.set_read_timeout(Some(left))?;
+        let want = buf.len().min(MAX_HEAD_BYTES + 1 - head.len());
+        let n = match conn.read(&mut buf[..want]) {
+            Ok(0) => return Ok(None),
+            Ok(n) => n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Ok(None)
+            }
+            Err(e) => return Err(e),
+        };
+        // A terminator may straddle two reads.
+        let from = head.len().saturating_sub(3);
+        head.extend_from_slice(&buf[..n]);
+        let blank_line = (from..head.len())
+            .find(|&i| head[i..].starts_with(b"\r\n\r\n") || head[i..].starts_with(b"\n\n"));
+        if let Some(i) = blank_line {
+            head.truncate(i);
+            return Ok((i <= MAX_HEAD_BYTES).then_some(head));
+        }
     }
-    let mut conn = reader.into_inner();
+    Ok(None)
+}
 
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+/// Handles one connection: read the head, answer, close.
+fn serve_one(mut conn: TcpStream, stream: &Arc<FrameStream>, lanes: usize) -> std::io::Result<()> {
+    conn.set_write_timeout(Some(IO_TIMEOUT))?;
+    let head = read_head(&mut conn)?;
+    // `None` answers `400`: an oversized, unterminated or non-UTF-8 head.
+    let request = head.as_deref().and_then(|h| std::str::from_utf8(h).ok()).map(|h| {
+        let mut parts = h.lines().next().unwrap_or("").split_whitespace();
+        (parts.next().unwrap_or(""), parts.next().unwrap_or(""))
+    });
+    let Some((method, path)) = request else {
+        return respond(conn, "400 Bad Request", "text/plain", "bad request\n");
+    };
     let (status, content_type, body) = match (method, path) {
         ("GET", "/metrics") => (
             "200 OK",
@@ -135,6 +172,16 @@ fn serve_one(conn: TcpStream, stream: &Arc<FrameStream>, lanes: usize) -> std::i
         ("GET", _) => ("404 Not Found", "text/plain", String::from("not found\n")),
         _ => ("405 Method Not Allowed", "text/plain", String::from("method not allowed\n")),
     };
+    respond(conn, status, content_type, &body)
+}
+
+/// Writes one response and closes the connection.
+fn respond(
+    mut conn: TcpStream,
+    status: &str,
+    content_type: &str,
+    body: &str,
+) -> std::io::Result<()> {
     write!(
         conn,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -212,4 +259,56 @@ pub fn scrape_deadline(
         return Err(std::io::Error::other(format!("scrape of {path} failed: {status_line}")));
     }
     Ok(body.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geosphere_core::geosphere_decoder;
+    use gs_modulation::Constellation;
+    use gs_phy::PhyConfig;
+    use gs_runtime::StreamConfig;
+
+    fn serve() -> MetricsServer {
+        let cfg = PhyConfig { payload_bits: 256, ..PhyConfig::new(Constellation::Qam16) };
+        let mut sc = StreamConfig::new(1);
+        sc.workers = 1;
+        let stream = Arc::new(FrameStream::new(cfg, geosphere_decoder(), sc));
+        MetricsServer::spawn("127.0.0.1:0", stream).expect("bind")
+    }
+
+    /// A peer that sends its head one byte at a time, never finishing a
+    /// line, is cut off at the head deadline: a scrape queued behind it
+    /// still completes within its own deadline.
+    #[test]
+    fn a_trickling_peer_cannot_hold_the_endpoint() {
+        let server = serve();
+        let mut slow = TcpStream::connect(server.addr()).expect("connect");
+        slow.write_all(b"G").expect("first byte");
+        let trickle = std::thread::spawn(move || {
+            let start = Instant::now();
+            while start.elapsed() < SCRAPE_DEADLINE + Duration::from_secs(1) {
+                std::thread::sleep(Duration::from_millis(250));
+                if slow.write_all(b"E").is_err() {
+                    break;
+                }
+            }
+        });
+        // Connected after the slow peer, so accepted after it.
+        let body = scrape(server.addr(), "/metrics").expect("scrape behind a trickling peer");
+        assert!(body.contains("# TYPE"), "not an exposition: {body}");
+        trickle.join().unwrap();
+    }
+
+    #[test]
+    fn an_oversized_head_gets_400_and_the_server_keeps_serving() {
+        let server = serve();
+        let mut peer = TcpStream::connect(server.addr()).expect("connect");
+        peer.write_all(&[b'a'; MAX_HEAD_BYTES + 1]).expect("write head");
+        peer.set_read_timeout(Some(SCRAPE_DEADLINE)).unwrap();
+        let mut response = String::new();
+        peer.read_to_string(&mut response).expect("response");
+        assert!(response.starts_with("HTTP/1.1 400 "), "got: {response}");
+        scrape(server.addr(), "/metrics").expect("the server keeps serving");
+    }
 }

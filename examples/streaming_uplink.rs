@@ -6,8 +6,8 @@
 //! cargo run --release --example streaming_uplink
 //! ```
 //!
-//! Knobs: `GS_DOMAINS=<n>` forces n synthetic memory domains (shards),
-//! `GS_NO_PIN` disables worker pinning, `GS_SIMD` selects the kernel tier.
+//! Knobs: `GS_NO_PIN` disables worker pinning, `GS_SIMD` selects the
+//! kernel tier; the stream runs one shard per memory domain.
 
 use geosphere::channel::RayleighChannel;
 use geosphere::core::geosphere_decoder;

@@ -343,6 +343,26 @@ fn accepted_phy_configs() -> Vec<geosphere::phy::PhyConfig> {
     cfgs
 }
 
+/// `PhyConfig::validate` accepts exactly the geometries the sweep above
+/// yields, over the same axes (plus zero subcarriers).
+#[test]
+fn validate_accepts_exactly_the_swept_geometries() {
+    use geosphere::coding::CodeRate;
+    use geosphere::phy::PhyConfig;
+    let accepted = accepted_phy_configs();
+    for c in Constellation::ALL {
+        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+            for n_subcarriers in 0..=128 {
+                let cfg = PhyConfig { code_rate: rate, n_subcarriers, ..PhyConfig::new(c) };
+                let swept = accepted.iter().any(|a| {
+                    (a.constellation, a.code_rate, a.n_subcarriers) == (c, rate, n_subcarriers)
+                });
+                assert_eq!(cfg.validate().is_ok(), swept, "{c:?} {rate:?} n_sc {n_subcarriers}");
+            }
+        }
+    }
+}
+
 /// The permutation tables behind every interleaver stream method equal the
 /// closed-form `map_index` scatter/gather, over hard bits and `f64` values,
 /// on multi-symbol streams of every accepted frame shape.

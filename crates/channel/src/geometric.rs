@@ -129,11 +129,6 @@ impl GeometricChannel {
         }
     }
 
-    /// An indoor line-of-sight profile (Rician K = 3 dB ≈ 2.0).
-    pub fn indoor_los(ap: ApArray, clients: Vec<Pos>) -> Self {
-        GeometricChannel { los_k_factor: 2.0, ..GeometricChannel::indoor_nlos(ap, clients) }
-    }
-
     /// Frequency of subcarrier `k` relative to the carrier.
     fn subcarrier_freq(&self, k: usize) -> f64 {
         if self.n_subcarriers == 1 {
@@ -305,9 +300,9 @@ mod tests {
     #[test]
     fn los_channel_has_higher_k_factor_energy_focus() {
         let mut rng = StdRng::seed_from_u64(94);
-        let clients = vec![Pos::new(10.0, 0.0)];
-        let nlos = GeometricChannel::indoor_nlos(ap(), clients.clone());
-        let los = GeometricChannel::indoor_los(ap(), clients);
+        let nlos = GeometricChannel::indoor_nlos(ap(), vec![Pos::new(10.0, 0.0)]);
+        // Line of sight at Rician K = 3 dB ≈ 2.0.
+        let los = GeometricChannel { los_k_factor: 2.0, ..nlos.clone() };
         // LOS realizations vary less across draws (the deterministic ray
         // dominates): compare dispersion of the first entry.
         let spread = |m: &GeometricChannel, rng: &mut StdRng| -> f64 {

@@ -151,55 +151,3 @@ mod tests {
         MimoChannel::new(vec![]);
     }
 }
-
-impl MimoChannel {
-    /// Applies per-stream amplitude gains (column scaling): stream `k`'s
-    /// column is multiplied by `gains[k]`. Models clients whose large-scale
-    /// link SNRs differ within a user-selection band (§5.2: "the quoted SNR
-    /// is the average SNR over all transmitted streams").
-    ///
-    /// # Panics
-    /// Panics when `gains.len() != num_tx()`.
-    pub fn with_column_gains(&self, gains: &[f64]) -> MimoChannel {
-        assert_eq!(gains.len(), self.num_tx(), "one gain per stream");
-        let mats = self
-            .subcarriers
-            .iter()
-            .map(|m| Matrix::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)] * gains[c]))
-            .collect();
-        MimoChannel::new(mats)
-    }
-
-    /// Column gains realizing per-stream SNR offsets in dB around a common
-    /// operating SNR: `offset_db[k] = snr_k − snr_mean`.
-    pub fn gains_from_snr_offsets_db(offsets_db: &[f64]) -> Vec<f64> {
-        offsets_db.iter().map(|d| 10f64.powf(d / 20.0)).collect()
-    }
-}
-
-#[cfg(test)]
-mod gain_tests {
-    use super::*;
-
-    #[test]
-    fn column_gains_scale_power_quadratically() {
-        let ch = MimoChannel::flat(Matrix::identity(2));
-        let scaled = ch.with_column_gains(&[2.0, 1.0]);
-        assert!((scaled.subcarrier(0)[(0, 0)].re - 2.0).abs() < 1e-12);
-        assert!((scaled.subcarrier(0)[(1, 1)].re - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snr_offsets_convert_to_amplitudes() {
-        let g = MimoChannel::gains_from_snr_offsets_db(&[0.0, 6.0206, -6.0206]);
-        assert!((g[0] - 1.0).abs() < 1e-6);
-        assert!((g[1] - 2.0).abs() < 1e-4);
-        assert!((g[2] - 0.5).abs() < 1e-4);
-    }
-
-    #[test]
-    #[should_panic(expected = "one gain per stream")]
-    fn wrong_gain_count_panics() {
-        MimoChannel::flat(Matrix::identity(2)).with_column_gains(&[1.0]);
-    }
-}

@@ -38,11 +38,6 @@ impl CodeRate {
         }
     }
 
-    /// The rate as a float.
-    pub fn as_f64(self) -> f64 {
-        self.numerator() as f64 / self.denominator() as f64
-    }
-
     /// 802.11 puncture pattern over the rate-1/2 output stream: `true` =
     /// transmit, `false` = puncture. The pattern repeats.
     pub fn pattern(self) -> &'static [bool] {
@@ -140,13 +135,6 @@ mod tests {
     use crate::viterbi::decode_with_erasures;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn rate_fractions() {
-        assert!((CodeRate::Half.as_f64() - 0.5).abs() < 1e-12);
-        assert!((CodeRate::TwoThirds.as_f64() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((CodeRate::ThreeQuarters.as_f64() - 0.75).abs() < 1e-12);
-    }
 
     #[test]
     fn puncture_lengths_match_rate() {

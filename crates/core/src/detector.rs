@@ -25,9 +25,12 @@ pub struct Detection {
 /// entry points ([`MimoDetector::detect_batch_with`]).
 ///
 /// Each detector family stores its own concrete state inside — the sphere
-/// decoders a [`SearchWorkspace`](crate::SearchWorkspace), the linear/SIC
-/// detectors a [`FilterCache`](crate::FilterCache) — and retrieves it with
-/// [`DetectorWorkspace::get_or_insert`]. A workspace created by one
+/// decoders a [`SearchWorkspace`](crate::SearchWorkspace) with per-channel
+/// QR slots, the linear/SIC detectors per-channel filter slots — and
+/// retrieves it with [`DetectorWorkspace::get_or_insert`]. Every family
+/// follows one rule for that per-channel preprocessing: it is built at most
+/// once per batch call and rebuilt at the start of the next, since channel
+/// contents may change between batches. A workspace created by one
 /// detector type and later handed to another is simply re-seeded (one
 /// warmup allocation), so long-lived receivers can hold a single
 /// `DetectorWorkspace` regardless of which detector runs.
@@ -81,7 +84,7 @@ pub trait MimoDetector: Send + Sync {
     /// [`MimoDetector::detect_batch_with`], whose own default loops
     /// [`MimoDetector::detect`] — so detectors that override the `_with`
     /// pair (per-channel preprocessing: QR in the sphere decoders, filter
-    /// caching in the linear/SIC detectors) get whole-batch amortization
+    /// builds in the linear/SIC detectors) get whole-batch amortization
     /// here for free, with bit-identical per-job results.
     fn detect_batch(&self, batch: &crate::batch::DetectionBatch) -> Vec<Detection> {
         let mut ws = self.make_batch_workspace();

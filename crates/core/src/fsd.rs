@@ -26,12 +26,6 @@ impl FsdDetector {
     pub fn new() -> Self {
         FsdDetector { full_levels: 1 }
     }
-
-    /// Creates an FSD with `p` fully-expanded levels.
-    pub fn with_full_levels(p: usize) -> Self {
-        assert!(p >= 1, "FSD needs at least one full level");
-        FsdDetector { full_levels: p }
-    }
 }
 
 impl Default for FsdDetector {
@@ -149,7 +143,7 @@ mod tests {
     fn all_levels_full_is_exhaustive_ml() {
         let mut rng = StdRng::seed_from_u64(163);
         let c = Constellation::Qpsk;
-        let det = FsdDetector::with_full_levels(2);
+        let det = FsdDetector { full_levels: 2 };
         for _ in 0..30 {
             let h = RayleighChannel::new(2, 2).sample_matrix(&mut rng).scale(c.scale());
             let y: Vec<Complex> = (0..2).map(|_| sample_cn(&mut rng, 2.0)).collect();

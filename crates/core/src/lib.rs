@@ -33,7 +33,6 @@
 
 pub mod batch;
 pub mod detector;
-pub mod filter_cache;
 pub mod fsd;
 pub mod geoprune;
 pub mod hybrid;
@@ -53,7 +52,6 @@ pub use detector::{
     apply_channel, apply_channel_into, residual_norm_sqr, slice_vector, Detection,
     DetectorWorkspace, MimoDetector,
 };
-pub use filter_cache::{FilterCache, PicGram, SicFilters};
 pub use fsd::FsdDetector;
 pub use hybrid::HybridDetector;
 pub use kbest::KBestDetector;

@@ -7,82 +7,72 @@
 //! regularizes the inverse by the noise power, trading residual
 //! inter-stream interference against amplification.
 //!
-//! Filter construction goes through [`FilterCache`]: a single detection
-//! builds (and immediately uses) one entry, while the batch entry points
-//! share one cache across the batch so each distinct channel's
-//! pseudo-inverse is computed once per batch instead of once per
-//! detection — with bit-identical outputs either way.
+//! Filters follow the sphere decoders' per-batch rule for QR: the batch
+//! entry point builds each channel's pseudo-inverse the first time one of
+//! its jobs runs, reuses it for the batch's other jobs on that channel (an
+//! OFDM frame reuses each subcarrier's channel across its OFDM symbols),
+//! and starts over at the next batch. A single detection builds its filter
+//! for that call only. Outputs are bit-identical either way.
 
 use crate::detector::{slice_vector, Detection, DetectorWorkspace, MimoDetector};
-use crate::filter_cache::{compute_linear_filter, FilterCache};
 use crate::stats::DetectorStats;
-use gs_linalg::{Complex, Matrix};
+use gs_linalg::{pseudo_inverse, regularized_pseudo_inverse, Complex, Matrix};
 use gs_modulation::Constellation;
 
-/// Scratch owned by the linear detectors' batch workspace: the shared
-/// filter cache plus the filtered-estimate buffer.
+/// Scratch owned by the linear detectors' batch workspace.
 #[derive(Default)]
 pub(crate) struct LinearScratch {
-    pub(crate) cache: FilterCache,
-    pub(crate) est: Vec<Complex>,
+    /// `filters[k]` is channel `k`'s filter once a job of the current
+    /// batch has built it; emptied at the start of every batch, since
+    /// channel contents may change between batches.
+    filters: Vec<Option<Matrix>>,
+    /// Filtered-estimate buffer.
+    est: Vec<Complex>,
 }
 
-/// A single uncached linear detection: builds the filter for this call
-/// only (no snapshot, no cache bookkeeping) — the serial `detect` path.
-fn detect_linear_oneshot(
-    h: &Matrix,
-    y: &[Complex],
-    c: Constellation,
-    lambda: Option<f64>,
-) -> Detection {
-    let mut stats = DetectorStats::default();
-    stats.complex_mults += (h.rows() * h.cols()) as u64;
-    let w = compute_linear_filter(h, lambda);
-    let symbols = slice_vector(&w.mul_vec(y), c, &mut stats);
-    Detection { symbols, stats }
+/// Builds the linear filter `W` for one channel: the pseudo-inverse
+/// (`lambda = None`, zero-forcing) or the regularized pseudo-inverse
+/// (`lambda = Some(λ)`, MMSE), with the matched-filter `H*` fallback on
+/// singular channels.
+fn compute_linear_filter(h: &Matrix, lambda: Option<f64>) -> Matrix {
+    let filt = match lambda {
+        None => pseudo_inverse(h),
+        Some(l) => regularized_pseudo_inverse(h, l),
+    };
+    filt.unwrap_or_else(|_| h.hermitian())
 }
 
-/// One cached-filter linear detection: applies `W y` and slices. The
-/// filter application cost is `nt × nr` complex multiplications — the
+/// One linear detection with a built filter: applies `W y` and slices.
+/// The filter application cost is `nt × nr` complex multiplications — the
 /// figure the paper quotes ("zero-forcing requires nt×nr = 8 complex
 /// multiplications" for 2x4) — counted identically to the seed
 /// implementation.
-fn detect_linear(
-    h: &Matrix,
-    y: &[Complex],
-    c: Constellation,
-    lambda: Option<f64>,
-    channel_idx: usize,
-    scratch: &mut LinearScratch,
-) -> Detection {
+fn detect_linear(w: &Matrix, y: &[Complex], c: Constellation, est: &mut Vec<Complex>) -> Detection {
     let mut stats = DetectorStats::default();
-    stats.complex_mults += (h.rows() * h.cols()) as u64;
-    let LinearScratch { cache, est } = scratch;
-    let w = cache.linear_filter(channel_idx, h, lambda);
+    stats.complex_mults += (w.rows() * w.cols()) as u64;
     w.mul_vec_into(y, est);
     let symbols = slice_vector(est, c, &mut stats);
     Detection { symbols, stats }
 }
 
-/// Runs a batch through [`detect_linear`] with one shared cache — the
-/// common body of both linear detectors' batch overrides.
+/// Runs a batch through [`detect_linear`], building each channel's filter
+/// once — the common body of both linear detectors' batch overrides.
 fn detect_batch_linear(
     batch: &crate::batch::DetectionBatch,
     lambda: Option<f64>,
     ws: &mut DetectorWorkspace,
     out: &mut Vec<Detection>,
 ) {
-    let scratch = ws.get_or_insert(LinearScratch::default);
+    let LinearScratch { filters, est } = ws.get_or_insert(LinearScratch::default);
+    filters.clear();
+    filters.resize_with(batch.channels.len(), || None);
     out.clear();
     for job in batch.jobs {
-        out.push(detect_linear(
-            &batch.channels[job.channel],
-            &job.y,
-            batch.c,
-            lambda,
-            job.channel,
-            scratch,
-        ));
+        let w = filters[job.channel].get_or_insert_with(|| {
+            let _prof = gs_prof::scope(gs_prof::Stage::Filter);
+            compute_linear_filter(&batch.channels[job.channel], lambda)
+        });
+        out.push(detect_linear(w, &job.y, batch.c, est));
     }
 }
 
@@ -95,7 +85,7 @@ impl MimoDetector for ZfDetector {
         // Singular channels fall back to matched-filter decisions inside
         // the filter build, so the detector still returns (the frame will
         // fail its CRC).
-        detect_linear_oneshot(h, y, c, None)
+        detect_linear(&compute_linear_filter(h, None), y, c, &mut Vec::new())
     }
 
     fn detect_batch_with(
@@ -135,7 +125,7 @@ impl MmseDetector {
 
 impl MimoDetector for MmseDetector {
     fn detect(&self, h: &Matrix, y: &[Complex], c: Constellation) -> Detection {
-        detect_linear_oneshot(h, y, c, Some(self.lambda(c)))
+        detect_linear(&compute_linear_filter(h, Some(self.lambda(c))), y, c, &mut Vec::new())
     }
 
     fn detect_batch_with(
@@ -254,8 +244,8 @@ mod tests {
 
     #[test]
     fn batch_with_matches_per_call_detect() {
-        // Cached-filter batch detection must be bit-identical to plain
-        // per-call detection, entry reuse and CSI invalidation included.
+        // Batch detection (one filter per channel per batch) must be
+        // bit-identical to plain per-call detection.
         let mut rng = StdRng::seed_from_u64(114);
         let c = Constellation::Qam16;
         let channels: Vec<Matrix> = (0..3)
@@ -277,8 +267,8 @@ mod tests {
             let reference = batch.detect_serial(det);
             let mut ws = det.make_batch_workspace();
             let mut out = Vec::new();
-            // Two passes through the same warm workspace: the second runs
-            // entirely on cached filters.
+            // Two passes through the same warm workspace: the second
+            // rebuilds every filter.
             for pass in 0..2 {
                 det.detect_batch_with(&batch, &mut ws, &mut out);
                 for (k, (a, b)) in out.iter().zip(&reference).enumerate() {

@@ -9,23 +9,61 @@
 //!
 //! The per-stage filters (one regularized pseudo-inverse per
 //! remaining-stream sub-channel) depend only on the channel and the
-//! regularizer, so they live in a [`FilterCache`]: a single detection
-//! builds one entry and uses it, the batch entry points share a cache so
-//! each distinct channel's stage filters are built once per batch — with
-//! bit-identical outputs either way.
+//! regularizer, so they follow the sphere decoders' per-batch rule for QR:
+//! the batch entry point builds each channel's stage filters the first time
+//! one of its jobs runs, reuses them for the batch's other jobs on that
+//! channel, and starts over at the next batch. A single detection builds
+//! its filters for that call only. Outputs are bit-identical either way.
 
 use crate::detector::{Detection, DetectorWorkspace, MimoDetector};
-use crate::filter_cache::{compute_sic_filters, FilterCache, SicFilters};
 use crate::stats::DetectorStats;
-use gs_linalg::{Complex, Matrix};
+use gs_linalg::{regularized_pseudo_inverse, Complex, Matrix};
 use gs_modulation::{Constellation, GridPoint};
 
-/// Scratch owned by the SIC batch workspace: the stage-filter cache plus
-/// the residual buffer.
+/// MMSE-SIC stage state for one channel: the SNR detection order and, per
+/// stage, the filter row that estimates the strongest remaining stream.
+struct SicFilters {
+    /// Stream indices in detection order (descending column norm).
+    order: Vec<usize>,
+    /// `rows[stage]` is row 0 of the stage's regularized pseudo-inverse
+    /// (matched-filter row on singular sub-channels): the estimate of the
+    /// stage's stream is `rows[stage] · residual`.
+    rows: Vec<Vec<Complex>>,
+}
+
+/// Scratch owned by the SIC batch workspace.
 #[derive(Default)]
 pub(crate) struct SicScratch {
-    pub(crate) cache: FilterCache,
-    pub(crate) residual: Vec<Complex>,
+    /// `filters[k]` is channel `k`'s stage filters once a job of the
+    /// current batch has built them; emptied at the start of every batch,
+    /// since channel contents may change between batches.
+    filters: Vec<Option<SicFilters>>,
+    /// Residual buffer.
+    residual: Vec<Complex>,
+}
+
+/// Builds the MMSE-SIC stage filters for one channel, in the seed
+/// implementation's exact order: streams sorted by descending column
+/// norm, one regularized pseudo-inverse per remaining-stream sub-channel
+/// (matched-filter fallback when singular).
+fn compute_sic_filters(h: &Matrix, lambda: f64) -> SicFilters {
+    let nc = h.cols();
+    let mut order: Vec<usize> = (0..nc).collect();
+    let norms: Vec<f64> = (0..nc).map(|k| h.col(k).iter().map(|z| z.norm_sqr()).sum()).collect();
+    order.sort_by(|&a, &b| norms[b].partial_cmp(&norms[a]).unwrap());
+
+    let mut rows = Vec::with_capacity(nc);
+    let mut remaining = order.clone();
+    while !remaining.is_empty() {
+        let sub = Matrix::from_fn(h.rows(), remaining.len(), |r, k| h[(r, remaining[k])]);
+        let filt = match regularized_pseudo_inverse(&sub, lambda) {
+            Ok(w) => w,
+            Err(_) => sub.hermitian(),
+        };
+        rows.push(filt.row(0).to_vec());
+        remaining.remove(0);
+    }
+    SicFilters { order, rows }
 }
 
 /// Runs the SIC stage loop over precomputed filters. Operation counts
@@ -80,50 +118,16 @@ impl MmseSicDetector {
         MmseSicDetector { noise_variance }
     }
 
-    /// One cached-filter SIC detection. Operation counts replicate the
-    /// seed implementation exactly: per stage, applying the stage filter is
-    /// billed at `rows × remaining` complex multiplications plus `rows`
-    /// for the hard-decision cancellation.
-    fn detect_cached(
-        &self,
-        h: &Matrix,
-        y: &[Complex],
-        c: Constellation,
-        channel_idx: usize,
-        scratch: &mut SicScratch,
-    ) -> Detection {
-        let lambda = self.noise_variance / c.energy();
-        let SicScratch { cache, residual } = scratch;
-        let filters = cache.sic_filters(channel_idx, h, lambda);
-        apply_sic(filters, h, y, c, residual)
-    }
-
-    fn detect_batch_cached(
-        &self,
-        batch: &crate::batch::DetectionBatch,
-        ws: &mut DetectorWorkspace,
-        out: &mut Vec<Detection>,
-    ) {
-        let scratch = ws.get_or_insert(SicScratch::default);
-        out.clear();
-        for job in batch.jobs {
-            out.push(self.detect_cached(
-                &batch.channels[job.channel],
-                &job.y,
-                batch.c,
-                job.channel,
-                scratch,
-            ));
-        }
+    /// Regularizer `λ = σ²/E_s` in the grid domain.
+    fn lambda(&self, c: Constellation) -> f64 {
+        self.noise_variance / c.energy()
     }
 }
 
 impl MimoDetector for MmseSicDetector {
     fn detect(&self, h: &Matrix, y: &[Complex], c: Constellation) -> Detection {
-        // One-shot path: build this call's filters directly — no snapshot
-        // clone, no cache bookkeeping. `apply_sic` fills the residual
-        // buffer from `y` itself.
-        let filters = compute_sic_filters(h, self.noise_variance / c.energy());
+        // `apply_sic` fills the residual buffer from `y` itself.
+        let filters = compute_sic_filters(h, self.lambda(c));
         apply_sic(&filters, h, y, c, &mut Vec::with_capacity(y.len()))
     }
 
@@ -133,7 +137,19 @@ impl MimoDetector for MmseSicDetector {
         ws: &mut DetectorWorkspace,
         out: &mut Vec<Detection>,
     ) {
-        self.detect_batch_cached(batch, ws, out);
+        let lambda = self.lambda(batch.c);
+        let SicScratch { filters, residual } = ws.get_or_insert(SicScratch::default);
+        filters.clear();
+        filters.resize_with(batch.channels.len(), || None);
+        out.clear();
+        for job in batch.jobs {
+            let h = &batch.channels[job.channel];
+            let stages = filters[job.channel].get_or_insert_with(|| {
+                let _prof = gs_prof::scope(gs_prof::Stage::Filter);
+                compute_sic_filters(h, lambda)
+            });
+            out.push(apply_sic(stages, h, &job.y, batch.c, residual));
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -60,11 +60,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a column vector (an `n × 1` matrix) from a slice.
-    pub fn col_vector(data: &[Complex]) -> Self {
-        Matrix::from_rows(data.len(), 1, data)
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -217,11 +212,6 @@ impl Matrix {
         (0..self.rows).map(|r| crate::simd::cdot(self.row(r), x)).collect()
     }
 
-    /// Frobenius norm `sqrt(Σ |a_ij|²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
     /// Squared Frobenius norm.
     pub fn frobenius_norm_sqr(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>()
@@ -242,23 +232,6 @@ impl Matrix {
             m[(b, c)] = t;
         }
         m
-    }
-
-    /// Returns a copy with column `a` and column `b` swapped.
-    pub fn with_swapped_cols(&self, a: usize, b: usize) -> Matrix {
-        let mut m = self.clone();
-        for r in 0..self.rows {
-            let t = m[(r, a)];
-            m[(r, a)] = m[(r, b)];
-            m[(r, b)] = t;
-        }
-        m
-    }
-
-    /// Removes one column, returning an `rows × (cols−1)` matrix.
-    pub fn without_col(&self, col: usize) -> Matrix {
-        assert!(col < self.cols);
-        Matrix::from_fn(self.rows, self.cols - 1, |r, c| self[(r, if c < col { c } else { c + 1 })])
     }
 
     /// True when every entry is finite.
@@ -372,7 +345,7 @@ mod tests {
         let a = Matrix::from_rows(2, 2, &[c(1.0, 0.0), c(0.0, 1.0), c(2.0, 0.0), c(0.0, -3.0)]);
         let x = vec![c(1.0, 1.0), c(-2.0, 0.5)];
         let via_vec = a.mul_vec(&x);
-        let via_mat = a.mul_mat(&Matrix::col_vector(&x));
+        let via_mat = a.mul_mat(&Matrix::from_rows(2, 1, &x));
         for (i, v) in via_vec.iter().enumerate() {
             assert!((*v - via_mat[(i, 0)]).abs() < 1e-12);
         }
@@ -394,26 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_of_identity() {
-        assert!((Matrix::identity(4).frobenius_norm() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn swap_rows_and_cols() {
         let a = Matrix::from_fn(2, 2, |r, c_| Complex::real((2 * r + c_) as f64));
         let swapped = a.with_swapped_rows(0, 1);
         assert_eq!(swapped[(0, 0)].re, 2.0);
-        let cswapped = a.with_swapped_cols(0, 1);
-        assert_eq!(cswapped[(0, 0)].re, 1.0);
-    }
-
-    #[test]
-    fn without_col_drops_the_right_one() {
-        let a = Matrix::from_fn(2, 3, |r, c_| Complex::real((3 * r + c_) as f64));
-        let b = a.without_col(1);
-        assert_eq!(b.shape(), (2, 2));
-        assert_eq!(b[(0, 1)].re, 2.0);
-        assert_eq!(b[(1, 0)].re, 3.0);
     }
 
     #[test]

@@ -269,7 +269,7 @@ macro_rules! dispatch_with {
 
 /// Plain complex dot `Σ_j a_j · b_j` (no conjugation) in the fixed
 /// two-lane order. The inner product of [`crate::Matrix::mul_vec_into`]
-/// and the cached filter-row applies.
+/// and the SIC filter-row applies.
 ///
 /// # Panics
 /// Panics when lengths differ.

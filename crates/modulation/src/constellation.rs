@@ -184,12 +184,6 @@ impl GridPoint {
         Complex::new(self.i as f64, self.q as f64)
     }
 
-    /// Converts to a unit-average-energy complex sample.
-    #[inline]
-    pub fn to_normalized(self, c: Constellation) -> Complex {
-        self.to_complex() * c.scale()
-    }
-
     /// Squared Euclidean distance to a received symbol.
     #[inline]
     pub fn dist_sqr(self, y: Complex) -> f64 {
@@ -234,7 +228,7 @@ mod tests {
             assert!((avg - c.energy()).abs() < 1e-12, "{c:?}");
             // Normalized constellation has unit average energy.
             let avg_norm: f64 =
-                c.points().iter().map(|p| p.to_normalized(c).norm_sqr()).sum::<f64>()
+                c.points().iter().map(|p| (p.to_complex() * c.scale()).norm_sqr()).sum::<f64>()
                     / c.size() as f64;
             assert!((avg_norm - 1.0).abs() < 1e-12, "{c:?}");
         }

@@ -10,17 +10,17 @@
 //! Iteration 0 (no priors) reduces to plain soft MMSE detection, so any
 //! improvement across iterations is pure turbo gain.
 //!
-//! The covariance assembly runs on cached per-stream column outer
-//! products (`FilterCache::pic_gram`): the products `h_r1,cl · h*_r2,cl`
-//! depend only on the channel, so one build per subcarrier serves every
-//! OFDM symbol and every turbo iteration of the frame — bit-identically
-//! to recomputing them per resource element
-//! (`tests/filter_cache_conformance.rs`).
+//! The covariance assembly runs on per-stream column outer products
+//! (column Grams): the products `h_r1,cl · h*_r2,cl` depend only on the
+//! channel, so each grid channel's Grams are built once at frame start and
+//! serve every OFDM symbol and every turbo iteration of the frame —
+//! bit-identically to recomputing them per resource element. This is the
+//! detectors' per-batch preprocessing rule with the frame as the batch.
 
 use crate::config::PhyConfig;
 use crate::frame::{interleaver_for, FrameWorkspace};
 use crate::txrx::{plan_uplink_frame_into, UplinkOutcome};
-use geosphere_core::{DetectorStats, FilterCache};
+use geosphere_core::DetectorStats;
 use gs_channel::MimoChannel;
 use gs_coding::{bcjr, depuncture_soft_into, puncture_into, scramble::Scrambler};
 use gs_linalg::{invert, Complex, Matrix};
@@ -36,7 +36,7 @@ struct SymbolPrior {
 
 /// Reusable scratch for the iterative receiver, owned by
 /// [`FrameWorkspace`]: prior/LLR streams, the covariance matrices, and
-/// the per-channel Gram cache. Not allocation-free: see
+/// the per-channel column Grams. Not allocation-free: see
 /// [`uplink_frame_iterative_into`] for what still allocates.
 #[derive(Default)]
 pub(crate) struct IterScratch {
@@ -44,8 +44,10 @@ pub(crate) struct IterScratch {
     priors: Vec<Vec<f64>>,
     /// Per-client posterior channel LLRs (transmitted order).
     channel_llrs: Vec<Vec<f64>>,
-    /// Per-subcarrier cached column outer products.
-    cache: FilterCache,
+    /// Column outer products of the frame's grid channels, rebuilt at
+    /// every frame start: `grams[k·nc + cl][(r1, r2)] = h_k[(r1, cl)] ·
+    /// h_k[(r2, cl)]*` for grid channel `k` and stream `cl`.
+    grams: Vec<Matrix>,
     sp: Vec<SymbolPrior>,
     cov: Matrix,
     cov_cl: Matrix,
@@ -129,11 +131,24 @@ fn scalar_llrs(
     }
 }
 
+/// Writes channel `h`'s column Grams into `grams`, one per stream:
+/// `grams[cl][(r1, r2)] = h[(r1, cl)] · h[(r2, cl)]*`.
+fn column_grams_into(h: &Matrix, grams: &mut [Matrix]) {
+    let na = h.rows();
+    for (cl, g) in grams.iter_mut().enumerate() {
+        g.reset_zeros(na, na);
+        for r1 in 0..na {
+            for r2 in 0..na {
+                g[(r1, r2)] = h[(r1, cl)] * h[(r2, cl)].conj();
+            }
+        }
+    }
+}
+
 /// Runs one uplink frame through the iterative MMSE-PIC receiver,
 /// recycling a [`FrameWorkspace`] across frames: the planned frame, prior
-/// and LLR streams, covariance scratch, and the per-subcarrier Gram cache
-/// are reused in place (the cache self-invalidates when the channel
-/// changes).
+/// and LLR streams, covariance scratch, and the per-subcarrier column
+/// Grams are reused in place (the Grams are rebuilt for every frame).
 ///
 /// Unlike the hard and soft paths it is not allocation-free. Per resource
 /// element and stream, the MMSE filter `invert(cov_cl)` + `mul_vec`
@@ -169,6 +184,18 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
     plan_uplink_frame_into(cfg, channel, None, snr_db, rng, ws);
     let (n_sym, n_grid) = (ws.n_sym, ws.n_grid_channels);
 
+    // Column Grams of every grid channel, built once for the frame.
+    {
+        let _prof = gs_prof::scope(gs_prof::Stage::Filter);
+        let FrameWorkspace { grid_channels, iter, .. } = ws;
+        if iter.grams.len() < n_grid * nc {
+            iter.grams.resize_with(n_grid * nc, Matrix::default);
+        }
+        for (h, grams) in grid_channels[..n_grid].iter().zip(iter.grams.chunks_mut(nc)) {
+            column_grams_into(h, grams);
+        }
+    }
+
     // Iterate. priors[cl] = coded-bit LLRs in *transmitted* (interleaved)
     // order; zeros initially.
     let bits_per_frame = n_sym * cfg.n_cbps();
@@ -196,12 +223,12 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
         for t in 0..n_sym {
             for k in 0..cfg.n_subcarriers {
                 let FrameWorkspace { grid_channels, jobs, iter, .. } = ws;
-                let IterScratch { cache, priors, channel_llrs, sp, cov, cov_cl, yc, h_cl, .. } =
+                let IterScratch { grams, priors, channel_llrs, sp, cov, cov_cl, yc, h_cl, .. } =
                     iter;
                 let h = &grid_channels[k % n_grid];
-                // Cached column outer products for this subcarrier:
+                // This subcarrier's column Grams:
                 // gram[cl][(r1, r2)] = h[(r1, cl)] · h[(r2, cl)]*.
-                let gram = &cache.pic_gram(k % n_grid, h).outer;
+                let gram = &grams[(k % n_grid) * nc..][..nc];
                 let re_idx = t * cfg.n_subcarriers + k;
                 let y = &jobs[k * n_sym + t].y;
                 detections += 1;
@@ -259,7 +286,7 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
                     stats.complex_mults += (na * na) as u64;
                     // z = w* yc ; effective gain mu = w* h_cl (real by
                     // construction up to numerical noise). Both are
-                    // cached-filter-row applies through the lane-ordered
+                    // filter-row applies through the lane-ordered
                     // conjugated dot kernel.
                     let z = gs_linalg::simd::cdotc(&w, yc);
                     let mu = gs_linalg::simd::cdotc(&w, h_cl);
@@ -357,6 +384,57 @@ mod tests {
         let bits = gs_modulation::unmap_point(c, GridPoint { i: 1, q: -1 });
         for (l, b) in out.iter().zip(&bits) {
             assert_eq!(*l < 0.0, *b);
+        }
+    }
+
+    #[test]
+    fn column_grams_match_direct_products() {
+        // Fill the same Gram buffers for two channels of the same shape:
+        // the second fill must hold the second channel's products only.
+        let mut rng = StdRng::seed_from_u64(804);
+        let h1 = RayleighChannel::new(4, 3).sample_matrix(&mut rng);
+        let h2 = RayleighChannel::new(4, 3).sample_matrix(&mut rng);
+        let mut grams = vec![Matrix::default(); 3];
+        for h in [&h1, &h2] {
+            column_grams_into(h, &mut grams);
+            for cl in 0..3 {
+                for r1 in 0..4 {
+                    for r2 in 0..4 {
+                        assert_eq!(grams[cl][(r1, r2)], h[(r1, cl)] * h[(r2, cl)].conj());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gram_covariance_assembly_matches_direct_computation() {
+        // The residual covariance assembled from column Grams must be
+        // bit-identical to the direct per-element products of the seed
+        // implementation, for random per-stream variances.
+        let mut rng = StdRng::seed_from_u64(7004);
+        let (na, nc, sigma2) = (4, 3, 0.07);
+        let mut grams = vec![Matrix::default(); nc];
+        for trial in 0..20 {
+            let h = RayleighChannel::new(na, nc).sample_matrix(&mut rng);
+            let variances: Vec<f64> = (0..nc).map(|_| rng.gen_range(0.0..2.0)).collect();
+            column_grams_into(&h, &mut grams);
+            for r1 in 0..na {
+                for r2 in 0..na {
+                    // Seed expression: Σ_cl h[(r1,cl)] · h[(r2,cl)]* · v_cl (+ σ²).
+                    let mut direct = Complex::ZERO;
+                    let mut assembled = Complex::ZERO;
+                    for cl in 0..nc {
+                        direct += h[(r1, cl)] * h[(r2, cl)].conj() * variances[cl];
+                        assembled += grams[cl][(r1, r2)] * variances[cl];
+                    }
+                    if r1 == r2 {
+                        direct += Complex::real(sigma2);
+                        assembled += Complex::real(sigma2);
+                    }
+                    assert_eq!(direct, assembled, "trial {trial} entry ({r1},{r2})");
+                }
+            }
         }
     }
 

@@ -75,7 +75,8 @@ pub enum Stage {
     Enumerate,
     /// Batched SoA kernel invocations (`ped_soa`, multi-symbol dots).
     PedKernel,
-    /// Linear/SIC/PIC filter builds through `FilterCache`.
+    /// Linear and SIC filter builds (once per channel per batch) and the
+    /// iterative receiver's column Grams (once per frame).
     Filter,
     /// Detection scatter: sizing the per-client assembly slots and routing
     /// per-job symbol vectors into them. Each decode path opens one scope

@@ -225,16 +225,30 @@ struct StatsInner {
     last_tier: AtomicU8,
 }
 
-/// Recent deliveries observed: `capacity`-bounded bookkeeping for the last
-/// [`WINDOW_EVENTS`] deliveries, each `(when, missed_deadline)`. The
-/// windowed rates ([`DeliveryWindow::rates`]) count only events within the
-/// trailing [`WINDOW_SPAN`], so an idle stream decays to zero throughput
-/// and a drained stream sheds stale misses — the signals the control
-/// plane consumes.
+/// Recent deliveries observed: a ring of the last [`WINDOW_EVENTS`]
+/// deliveries, each `(when, missed_deadline)`. The windowed rates
+/// ([`DeliveryWindow::rates`]) count only events within the trailing
+/// [`WINDOW_SPAN`], so an idle stream decays to zero throughput and a
+/// drained stream sheds stale misses — the signals the control plane
+/// consumes.
+///
+/// Both operations are amortized O(1) and allocation-free: the ring keeps
+/// a *live* suffix (the events not yet aged out of the span) and the miss
+/// count within it. An event leaves the live suffix once, when `rates`
+/// finds it older than the span or when the ring overwrites it. The
+/// suffix is walked in record order, so a delivery recorded a few µs out
+/// of timestamp order (two workers racing) ages out a few µs late, and
+/// the expiry assumes `now` does not run backward between calls by more
+/// than such a race.
 struct DeliveryWindow {
+    /// Event number `seq` sits at `seq % WINDOW_EVENTS`.
     events: Vec<(Instant, bool)>,
-    /// Oldest entry once the ring is full; next write position.
-    head: usize,
+    /// Deliveries recorded so far: the next event's number.
+    recorded: u64,
+    /// First live event; events `live_from..recorded` are live.
+    live_from: u64,
+    /// Deadline misses among the live events.
+    live_missed: u64,
 }
 
 /// Ring capacity. The ring must span the whole [`WINDOW_SPAN`] at the
@@ -257,7 +271,12 @@ const WINDOW_MIN_SPAN: Duration = Duration::from_millis(1);
 
 impl DeliveryWindow {
     fn new() -> Self {
-        DeliveryWindow { events: Vec::with_capacity(WINDOW_EVENTS), head: 0 }
+        DeliveryWindow {
+            events: Vec::with_capacity(WINDOW_EVENTS),
+            recorded: 0,
+            live_from: 0,
+            live_missed: 0,
+        }
     }
 
     /// Records one delivery; allocation-free (the ring is preallocated).
@@ -265,9 +284,21 @@ impl DeliveryWindow {
         if self.events.len() < WINDOW_EVENTS {
             self.events.push((at, missed));
         } else {
-            self.events[self.head] = (at, missed);
-            self.head = (self.head + 1) % WINDOW_EVENTS;
+            // Overwrite the oldest retained event, which leaves the live
+            // suffix first if it is still in it.
+            let evicted = self.recorded - WINDOW_EVENTS as u64;
+            if self.live_from == evicted {
+                self.expire_oldest_live();
+            }
+            self.events[ring_slot(self.recorded)] = (at, missed);
         }
+        self.recorded += 1;
+        self.live_missed += u64::from(missed);
+    }
+
+    fn expire_oldest_live(&mut self) {
+        self.live_missed -= u64::from(self.events[ring_slot(self.live_from)].1);
+        self.live_from += 1;
     }
 
     /// `(frames_per_sec, miss_rate)` over the deliveries within
@@ -280,34 +311,29 @@ impl DeliveryWindow {
     /// in the first 100 ms of life is ~30 fps, not 3), and a ring that
     /// evicted events inside the span clamped throughput at
     /// `WINDOW_EVENTS` fps while bench_gate sustained 3–10× that.
-    fn rates(&self, now: Instant) -> (f64, f64) {
-        let mut n = 0u64;
-        let mut missed = 0u64;
-        let mut oldest: Option<Instant> = None;
-        for &(at, m) in &self.events {
-            // `duration_since` saturates to zero for future instants.
-            if now.duration_since(at) <= WINDOW_SPAN {
-                n += 1;
-                if m {
-                    missed += 1;
-                }
-            }
-            // Oldest *retained* event, in or out of the span: events older
-            // than the span prove the ring covers the whole span.
-            if oldest.is_none_or(|o| at < o) {
-                oldest = Some(at);
-            }
+    fn rates(&mut self, now: Instant) -> (f64, f64) {
+        // `duration_since` saturates to zero for future instants.
+        while self.live_from < self.recorded
+            && now.duration_since(self.events[ring_slot(self.live_from)].0) > WINDOW_SPAN
+        {
+            self.expire_oldest_live();
         }
+        let n = self.recorded - self.live_from;
         if n == 0 {
             return (0.0, 0.0);
         }
-        let covered = oldest
-            .map(|o| now.duration_since(o))
-            .unwrap_or(WINDOW_SPAN)
-            .clamp(WINDOW_MIN_SPAN, WINDOW_SPAN);
+        // Oldest *retained* event, in or out of the span: events older
+        // than the span prove the ring covers the whole span.
+        let oldest = self.events[ring_slot(self.recorded.saturating_sub(WINDOW_EVENTS as u64))].0;
+        let covered = now.duration_since(oldest).clamp(WINDOW_MIN_SPAN, WINDOW_SPAN);
         let fps = n as f64 / covered.as_secs_f64();
-        (fps, missed as f64 / n as f64)
+        (fps, self.live_missed as f64 / n as f64)
     }
+}
+
+/// Ring position of delivery number `seq`.
+fn ring_slot(seq: u64) -> usize {
+    (seq % WINDOW_EVENTS as u64) as usize
 }
 
 struct Shared {
@@ -1151,6 +1177,56 @@ mod tests {
             (fps - 100_000.0).abs() / 100_000.0 < 0.05,
             "expected ~100k fps over the covered span, got {fps}"
         );
+    }
+
+    /// Interleaved records and reads (the stream's real pattern) must match
+    /// a full scan of the retained events at every read, across ring
+    /// overflow and live events being overwritten.
+    #[test]
+    fn window_incremental_rates_match_a_full_scan() {
+        use rand::Rng;
+        let mut w = DeliveryWindow::new();
+        let mut retained = VecDeque::new();
+        let start = Instant::now();
+        let mut rng = StdRng::seed_from_u64(88);
+        let mut t = start;
+        // Reads see a non-decreasing clock that may run ahead of the
+        // newest record (a reader that took `now` before a delivery).
+        let mut now = start;
+        for k in 0..3 * WINDOW_EVENTS {
+            // 10–100 µs gaps: the first 2 × WINDOW_EVENTS deliveries fit
+            // well inside the span, so the ring overwrites live events.
+            // After that, 50–400 ms stalls every 500 deliveries make events
+            // age out both one at a time and in runs.
+            let gap = if k > 2 * WINDOW_EVENTS && k % 500 == 499 {
+                Duration::from_millis(rng.gen_range(50..400u64))
+            } else {
+                Duration::from_micros(rng.gen_range(10..100u64))
+            };
+            t += gap;
+            let missed = rng.gen_bool(0.3);
+            w.record(t, missed);
+            retained.push_back((t, missed));
+            if retained.len() > WINDOW_EVENTS {
+                retained.pop_front();
+            }
+            if k % 7 == 0 {
+                now = now.max(t + Duration::from_micros(rng.gen_range(0..2000u64)));
+                let live: Vec<_> = retained
+                    .iter()
+                    .filter(|(at, _)| now.duration_since(*at) <= WINDOW_SPAN)
+                    .collect();
+                let (fps, miss) = w.rates(now);
+                if live.is_empty() {
+                    assert_eq!((fps, miss), (0.0, 0.0), "event {k}");
+                    continue;
+                }
+                let covered = now.duration_since(retained[0].0).clamp(WINDOW_MIN_SPAN, WINDOW_SPAN);
+                let missed = live.iter().filter(|(_, m)| *m).count();
+                assert_eq!(fps, live.len() as f64 / covered.as_secs_f64(), "event {k}");
+                assert_eq!(miss, missed as f64 / live.len() as f64, "event {k}");
+            }
+        }
     }
 
     /// Stage counters exported by a snapshot must be monotone along the

@@ -112,8 +112,7 @@ proptest! {
     }
 
     /// Iterative (turbo MMSE-PIC) path: reused workspace ≡ fresh workspace,
-    /// including the per-subcarrier Gram cache self-invalidating between
-    /// channels.
+    /// including the per-subcarrier column Grams rebuilt between channels.
     #[test]
     fn reused_workspace_matches_fresh_iterative(
         scenarios in proptest::collection::vec(scenario_strategy(), 2..4)

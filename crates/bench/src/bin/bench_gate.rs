@@ -374,11 +374,12 @@ fn deadline_storm(run: &mut Run, samples: usize) {
     let latency_ms = presets::STORM_CAPACITY as f64 * (serial * floor).sqrt();
     let deadline = Duration::from_secs_f64((latency_ms / 1e3).max(0.25e-3));
     run.set("deadline_ms", deadline.as_secs_f64() * 1e3);
-    let storm = presets::deadline_storm(deadline, 2014);
-    let cmp = run_deadline_storm(&s.cfg, &s.model, &storm);
+    // The storm at the calibration's frame shape: 4×4, 64 subcarriers.
+    let storm = presets::deadline_storm(deadline, 2014).phy(s.cfg).antennas(4, 4);
+    let cmp = run_deadline_storm(&storm);
     // Idle longer than the one-second miss window so storm misses age out;
     // 16 trickle frames cover two dwell periods of climbing.
-    let drain = run_drain_recovery(&s.cfg, &s.model, &storm, Duration::from_millis(1200), 16);
+    let drain = run_drain_recovery(&storm, Duration::from_millis(1200), 16);
 
     let static_rate = run.set("static_sphere.miss_rate", cmp.static_miss_rate());
     run.set("static_sphere.misses", cmp.static_sphere.deadline_misses as f64);

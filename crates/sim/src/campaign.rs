@@ -23,6 +23,12 @@
 //!   `StreamDead` errors — never an abort or a hang; a
 //!   slot-exhaustion burst is refused at exactly the pool capacity.
 //!
+//! Every scenario reaches its stream through [`drive`]: replayed at full
+//! window for healthy and storm scenarios, in lockstep for lethal faults
+//! (so the armed ordinal kills a known frame), and with the consumer
+//! stalled for slot exhaustion; the invariants read its per-frame
+//! records.
+//!
 //! Scenario outcomes carry an FNV-1a checksum over every delivered
 //! frame's bits, and [`CampaignReport::render_json`] contains no
 //! wall-clock fields, so a campaign report is **byte-identical** across
@@ -39,26 +45,16 @@
 //! [`RuntimeStats`]: gs_runtime::RuntimeStats
 
 use crate::faults::FaultSpec;
-use crate::scenario::{DeadlineKind, PlannedFrame, Scenario};
-use gs_channel::noise_variance_for_snr_db;
+use crate::scenario::{DeadlineKind, Scenario};
+use crate::traffic::{drive, ok_mask, Pacing};
 use gs_modulation::Constellation;
-use gs_phy::{decode_frame_batched_into, FrameWorkspace, PhyConfig};
-use gs_runtime::{
-    DetectorLadder, FrameStream, PinnedPolicy, StreamConfig, TrySubmitError, UplinkFrame,
-};
+use gs_phy::{decode_frame_batched_into, FrameWorkspace};
+use gs_runtime::{FrameStream, PinnedPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// The frame shape every campaign scenario decodes: the paper's 48-
-/// subcarrier rate-1/2 16-QAM configuration with a small payload, so one
-/// scenario costs milliseconds and a campaign of thousands stays CI-sized.
-pub fn campaign_phy_config() -> PhyConfig {
-    PhyConfig { payload_bits: 256, ..PhyConfig::new(Constellation::Qam16) }
-}
 
 /// Campaign sizing. Build with [`CampaignConfig::full`] and scale with
 /// [`CampaignConfig::at_speedup`] / [`CampaignConfig::from_env`].
@@ -127,8 +123,7 @@ impl CampaignConfig {
 pub struct ScenarioOutcome {
     /// Campaign index (report order).
     pub index: usize,
-    /// The scenario's seed — re-run it with
-    /// [`run_one`](run_scenario_by_index).
+    /// The scenario's seed — re-run it with [`run_scenario_by_index`].
     pub seed: u64,
     /// Human descriptor of the sampled axes.
     pub descriptor: String,
@@ -174,23 +169,16 @@ fn fnv_fold(mut h: u64, x: u64) -> u64 {
     h
 }
 
-/// What the driver recorded for one planned frame.
-#[derive(Clone, Copy, Default)]
-struct FrameRec {
-    delivered: bool,
-    ok_mask: u64,
-    all_ok: bool,
-    detections: u64,
-    ped_calcs: u64,
-    missed: bool,
-}
+/// Everything stream construction reads from a scenario: clients,
+/// workers, shards, capacity, pinned tier, base SNR, and the frame shape.
+type ShapeKey = (usize, usize, usize, usize, u8, u64, Constellation, usize, usize, usize);
 
 /// Per-thread cache of the last stream, keyed by the scenario shape that
 /// determines stream construction. Same-shaped scenarios reuse the warm
 /// stream (and its slots/heaps/replicas — zero steady-state allocations);
 /// a shape change or a lethal fault rebuilds it.
 struct StreamCache {
-    key: Option<(usize, usize, usize, usize, u8, u64)>,
+    key: Option<ShapeKey>,
     stream: Option<FrameStream>,
 }
 
@@ -199,7 +187,7 @@ impl StreamCache {
         StreamCache { key: None, stream: None }
     }
 
-    fn shape_key(s: &Scenario) -> (usize, usize, usize, usize, u8, u64) {
+    fn shape_key(s: &Scenario) -> ShapeKey {
         (
             s.clients,
             s.workers,
@@ -207,6 +195,10 @@ impl StreamCache {
             s.capacity,
             s.tier.index() as u8,
             s.snr.base_db().to_bits(),
+            s.phy.constellation,
+            s.phy.n_subcarriers,
+            s.phy.n_dbps(),
+            s.phy.payload_bits,
         )
     }
 
@@ -214,17 +206,11 @@ impl StreamCache {
         let key = Self::shape_key(s);
         let dead = self.stream.as_ref().is_some_and(|st| st.is_dead());
         if self.key != Some(key) || dead {
-            let mut sc = StreamConfig::new(s.clients);
-            sc.workers = s.workers;
-            sc.shards = s.shards;
-            sc.capacity = s.capacity;
-            let ladder =
-                DetectorLadder::geosphere_default(noise_variance_for_snr_db(s.snr.base_db()));
             self.stream = Some(FrameStream::adaptive(
-                campaign_phy_config(),
-                ladder,
+                s.phy,
+                s.ladder(),
                 PinnedPolicy(s.tier),
-                sc,
+                s.stream_config(),
             ));
             self.key = Some(key);
         }
@@ -235,24 +221,6 @@ impl StreamCache {
         self.key = None;
         self.stream = None;
     }
-}
-
-/// The deadline instant a [`DeadlineKind`] stamps at submission time.
-/// `Expired` backdates (completion strictly after submission ⇒ always a
-/// miss); `Generous` is an hour out (never a miss in a CI-scale run).
-fn stamp_deadline(kind: DeadlineKind) -> Option<Instant> {
-    let now = Instant::now();
-    match kind {
-        DeadlineKind::Free => None,
-        DeadlineKind::Generous => Some(now + Duration::from_secs(3600)),
-        DeadlineKind::Expired => Some(now.checked_sub(Duration::from_millis(1)).unwrap_or(now)),
-    }
-}
-
-fn make_frame(pf: &PlannedFrame, client: usize) -> UplinkFrame {
-    let mut f = UplinkFrame::new(client, pf.channel.clone(), pf.snr_db, pf.seed);
-    f.deadline = stamp_deadline(pf.deadline);
-    f
 }
 
 /// Runs one scenario end to end — drive, invariants, serial reference —
@@ -275,45 +243,6 @@ pub fn run_scenario_by_index(
     run_scenario(&scenario, index, &mut FrameWorkspace::new())
 }
 
-/// The healthy / deadline-storm drive over `plan`: admit until the pool
-/// refuses, then consume one completion — the pipeline stays full, slots
-/// recycle mid-scenario, and every admitted frame is delivered. Returns
-/// the number of frames admitted.
-fn drive_full(
-    stream: &FrameStream,
-    plan: &[PlannedFrame],
-    records: &mut [FrameRec],
-    violations: &mut Vec<String>,
-    mut absorb: impl FnMut(gs_runtime::Completed<'_>, &mut [FrameRec], &mut Vec<String>),
-) -> u64 {
-    let mut submitted = 0usize;
-    let mut received = 0usize;
-    while received < plan.len() {
-        if let Some(pf) = plan.get(submitted) {
-            match stream.try_submit(make_frame(pf, pf.client)) {
-                Ok(()) => {
-                    submitted += 1;
-                    continue;
-                }
-                Err(TrySubmitError::Full(_)) => {}
-                Err(TrySubmitError::Dead(_)) => {
-                    violations.push("stream died without a lethal fault".into());
-                    break;
-                }
-            }
-        }
-        match stream.recv() {
-            Ok(done) => absorb(done, records, violations),
-            Err(_) => {
-                violations.push("stream died without a lethal fault".into());
-                break;
-            }
-        }
-        received += 1;
-    }
-    submitted as u64
-}
-
 fn run_scenario_cached(
     scenario: &Scenario,
     index: usize,
@@ -323,154 +252,102 @@ fn run_scenario_cached(
     let plan = scenario.plan();
     let n = plan.len();
     let mut violations: Vec<String> = Vec::new();
-    let mut records: Vec<FrameRec> = vec![FrameRec::default(); n];
-
-    // Per-client plan indices in submission order: completion k of client
-    // c is that client's k-th planned frame (per-client FIFO delivery).
-    let mut per_client: Vec<Vec<usize>> = vec![Vec::new(); scenario.clients];
-    for (idx, pf) in plan.iter().enumerate() {
-        per_client[pf.client].push(idx);
-    }
 
     let stream = cache.get_or_create(scenario);
     let before = stream.stats();
 
-    let mut accepted = 0u64;
-    let mut refused = 0u64;
+    // The healthy / deadline-storm drive keeps the pipeline full: slots
+    // recycle mid-scenario and every admitted frame is delivered.
+    let full = Pacing::Replay { in_flight: usize::MAX };
     let mut fault_fired = false;
-
-    // Delivery bookkeeping shared by all drivers. A reused stream's
-    // per-client sequence numbers continue across scenarios, so
-    // contiguity is checked against the first sequence seen per client.
-    let mut counts: Vec<u64> = vec![0; scenario.clients];
-    let mut base_seq: Vec<Option<u64>> = vec![None; scenario.clients];
-    let mut absorb = |done: gs_runtime::Completed<'_>,
-                      records: &mut [FrameRec],
-                      violations: &mut Vec<String>| {
-        let client = done.client();
-        let k = counts[client];
-        match base_seq[client] {
-            None => base_seq[client] = Some(done.seq()),
-            Some(b) => {
-                if done.seq() != b + k {
-                    violations.push(format!(
-                        "out-of-order delivery for client {client}: seq {} after base {b} + {k}",
-                        done.seq()
-                    ));
-                }
-            }
-        }
-        counts[client] += 1;
-        let Some(&plan_idx) = per_client[client].get(k as usize) else {
-            violations.push(format!("client {client} delivered more frames than planned"));
-            return;
-        };
-        if done.tier() != scenario.tier {
-            violations.push(format!(
-                "frame {plan_idx} decoded at {} instead of the pinned {}",
-                done.tier().name(),
-                scenario.tier.name()
-            ));
-        }
-        let out = done.outcome();
-        let mut mask = 0u64;
-        for (i, &ok) in out.client_ok.iter().enumerate() {
-            if ok {
-                mask |= 1 << (i as u64 & 63);
-            }
-        }
-        records[plan_idx] = FrameRec {
-            delivered: true,
-            ok_mask: mask,
-            all_ok: out.client_ok.iter().all(|&ok| ok),
-            detections: out.detections,
-            ped_calcs: out.stats.ped_calcs,
-            missed: done.missed_deadline(),
-        };
-    };
-
-    match scenario.fault {
+    let mut lethal = false;
+    let report = match scenario.fault {
         Some(FaultSpec::WorkerPanic { after_frames })
         | Some(FaultSpec::ShardLoss { after_frames, .. }) => {
-            // Lockstep drive: exactly one frame in flight, so pool pop k
-            // belongs to frame k on every shard and the armed ordinal
+            // Lockstep: exactly one frame in flight, so the armed ordinal
             // kills a known frame.
             let shard = match scenario.fault {
                 Some(FaultSpec::ShardLoss { shard, .. }) => shard,
                 _ => 0,
             };
             stream.inject_worker_panic_after(shard, after_frames + 1);
-            for pf in &plan {
-                let frame = make_frame(pf, pf.client);
-                if stream.submit(frame).is_err() {
-                    refused += 1;
-                    continue;
-                }
-                accepted += 1;
-                match stream.recv() {
-                    Ok(done) => absorb(done, &mut records, &mut violations),
-                    Err(_) => fault_fired = true,
-                }
-            }
-            let delivered_now: u64 = records.iter().filter(|r| r.delivered).count() as u64;
+            lethal = true;
+            let report = drive(stream, &plan, Pacing::Replay { in_flight: 1 });
+            let delivered = report.delivered();
+            fault_fired = report.died > 0;
             if !fault_fired {
                 violations
                     .push(format!("lethal fault armed after {after_frames} frames never fired"));
-            } else if delivered_now != after_frames {
+            } else if delivered != after_frames {
                 violations.push(format!(
-                    "lethal fault killed the wrong frame: {delivered_now} delivered, \
+                    "lethal fault killed the wrong frame: {delivered} delivered, \
                      expected {after_frames}"
                 ));
             }
+            report
         }
         Some(FaultSpec::SlotExhaustion { burst }) => {
             // Stalled-consumer burst: admissions must cap at the slot
             // pool's capacity, the rest refused — bounded memory under
             // overload, no hangs, no loss of admitted frames.
             let burst_n = burst.min(n);
-            for pf in &plan[..burst_n] {
-                match stream.try_submit(make_frame(pf, pf.client)) {
-                    Ok(()) => accepted += 1,
-                    Err(TrySubmitError::Full(_)) => refused += 1,
-                    Err(TrySubmitError::Dead(_)) => {
-                        violations.push("stream died during a slot-exhaustion burst".into())
-                    }
-                }
-            }
+            let mut report = drive(stream, &plan[..burst_n], Pacing::Stalled);
             let expect = burst_n.min(scenario.capacity) as u64;
-            if accepted != expect {
+            if report.admitted != expect {
                 violations.push(format!(
-                    "slot pool admitted {accepted} of a {burst_n}-frame burst, expected {expect}"
+                    "slot pool admitted {} of a {burst_n}-frame burst, expected {expect}",
+                    report.admitted
                 ));
             }
-            fault_fired = refused > 0;
-            for _ in 0..accepted {
-                match stream.recv() {
-                    Ok(done) => absorb(done, &mut records, &mut violations),
-                    Err(_) => {
-                        violations.push("stream died draining the exhaustion burst".into());
-                        break;
-                    }
-                }
-            }
-            // The tail (if the burst did not cover the plan) runs through
-            // the healthy driver.
-            accepted +=
-                drive_full(stream, &plan[burst_n..], &mut records, &mut violations, &mut absorb);
+            fault_fired = report.refused > 0;
+            // The tail (if the burst did not cover the plan) runs full.
+            let tail = drive(stream, &plan[burst_n..], full);
+            report.records.extend(tail.records);
+            report.admitted += tail.admitted;
+            report.refused += tail.refused;
+            report.died += tail.died;
+            report
         }
-        _ => {
-            accepted = drive_full(stream, &plan, &mut records, &mut violations, &mut absorb);
-        }
+        _ => drive(stream, &plan, full),
+    };
+    let records = &report.records;
+    if !lethal && (report.died > 0 || stream.is_dead()) {
+        violations.push("stream died without a lethal fault".into());
     }
 
     // --- Post-drive invariants ---------------------------------------
 
-    let delivered: u64 = records.iter().filter(|r| r.delivered).count() as u64;
-    let all_ok: u64 = records.iter().filter(|r| r.delivered && r.all_ok).count() as u64;
-    let misses: u64 = records.iter().filter(|r| r.delivered && r.missed).count() as u64;
+    let traffic = report.traffic();
+    let (delivered, all_ok, misses) =
+        (report.delivered(), traffic.frames_all_ok, traffic.deadline_misses);
+
+    // In-order delivery: each client's deliveries, in plan order, carry
+    // contiguous sequence numbers. A reused stream's per-client sequence
+    // numbers continue across scenarios, so contiguity is checked against
+    // the first sequence seen per client.
+    let mut next_seq: Vec<Option<u64>> = vec![None; scenario.clients];
+    for (pf, rec) in plan.iter().zip(records).filter(|(_, r)| r.delivered) {
+        let client = pf.client;
+        if let Some(expect) = next_seq[client] {
+            if rec.seq != expect {
+                violations.push(format!(
+                    "out-of-order delivery for client {client}: seq {} where {expect} was due",
+                    rec.seq
+                ));
+            }
+        }
+        next_seq[client] = Some(rec.seq + 1);
+        if rec.tier != scenario.tier {
+            violations.push(format!(
+                "a frame of client {client} decoded at {} instead of the pinned {}",
+                rec.tier.name(),
+                scenario.tier.name()
+            ));
+        }
+    }
 
     // A deadline storm "fires" when its expired window actually lands
-    // misses (the lethal and exhaustion drivers set the flag themselves).
+    // misses (the lethal and exhaustion drives set the flag themselves).
     if let Some(FaultSpec::DeadlineStorm { start, len }) = scenario.fault {
         fault_fired = records[start.min(records.len())..(start + len).min(records.len())]
             .iter()
@@ -479,7 +356,7 @@ fn run_scenario_cached(
 
     // Deadline regimes are wall-clock independent by construction:
     // pre-expired windows always miss, generous/free frames never do.
-    for (idx, (pf, rec)) in plan.iter().zip(&records).enumerate() {
+    for (idx, (pf, rec)) in plan.iter().zip(records).enumerate() {
         if !rec.delivered {
             continue;
         }
@@ -496,10 +373,11 @@ fn run_scenario_cached(
 
     // Stats deltas must agree exactly with the driver's own accounting.
     let stats = stream.stats();
-    if stats.submitted - before.submitted != accepted {
+    if stats.submitted - before.submitted != report.admitted {
         violations.push(format!(
-            "stats.submitted moved by {} but the driver admitted {accepted}",
-            stats.submitted - before.submitted
+            "stats.submitted moved by {} but the driver admitted {}",
+            stats.submitted - before.submitted,
+            report.admitted
         ));
     }
     if stats.completed - before.completed != delivered {
@@ -518,23 +396,23 @@ fn run_scenario_cached(
     // Bit-identity: every delivered frame equals the serial reference
     // decode at the pinned tier, by the rung of the same default ladder
     // the stream was built with.
-    let cfg = campaign_phy_config();
-    let ladder =
-        DetectorLadder::geosphere_default(noise_variance_for_snr_db(scenario.snr.base_db()));
+    let ladder = scenario.ladder();
     let reference = ladder.detector(scenario.tier);
-    for (idx, (pf, rec)) in plan.iter().zip(&records).enumerate() {
+    for (idx, (pf, rec)) in plan.iter().zip(records).enumerate() {
         if !rec.delivered {
             continue;
         }
         let mut rng = StdRng::seed_from_u64(pf.seed);
-        let serial =
-            decode_frame_batched_into(&cfg, &pf.channel, &**reference, pf.snr_db, &mut rng, 1, ws);
-        let mut serial_mask = 0u64;
-        for (i, &ok) in serial.client_ok.iter().enumerate() {
-            if ok {
-                serial_mask |= 1 << (i as u64 & 63);
-            }
-        }
+        let serial = decode_frame_batched_into(
+            &scenario.phy,
+            &pf.channel,
+            &**reference,
+            pf.snr_db,
+            &mut rng,
+            1,
+            ws,
+        );
+        let serial_mask = ok_mask(&serial.client_ok);
         if serial_mask != rec.ok_mask
             || serial.detections != rec.detections
             || serial.stats.ped_calcs != rec.ped_calcs
@@ -559,7 +437,7 @@ fn run_scenario_cached(
     // Checksum over the plan in global submission order: the scenario's
     // byte-reproducibility boils down to this number plus the counters.
     let mut checksum = fnv_fold(FNV_OFFSET, scenario.seed);
-    for rec in &records {
+    for rec in records {
         checksum = fnv_fold(checksum, rec.delivered as u64);
         if rec.delivered {
             checksum = fnv_fold(checksum, rec.ok_mask);
@@ -609,7 +487,7 @@ fn run_scenario_cached(
         fault: scenario.fault.map_or_else(|| "none".into(), |f| f.name().to_string()),
         offered: n as u64,
         delivered,
-        refused,
+        refused: report.refused,
         all_ok,
         misses,
         fault_fired,

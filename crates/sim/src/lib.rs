@@ -4,9 +4,11 @@
 //! evaluation (§5): SNR-band user selection over the emulated office
 //! testbed, oracle rate adaptation, and one runner per figure — throughput
 //! comparisons (Figs. 11–13), complexity comparisons (Figs. 14–15), and the
-//! channel-conditioning CDFs (Figs. 9–10). Beyond the paper, [`traffic`]
-//! drives Poisson multi-client arrivals through the `gs-runtime` streaming
-//! engine.
+//! channel-conditioning CDFs (Figs. 9–10). Beyond the paper, a
+//! [`Scenario`] describes a multi-client workload for the `gs-runtime`
+//! streaming engine, and [`drive`] is the one loop that feeds its plan
+//! to a stream: the campaign ([`campaign`]), the deadline storm
+//! ([`storm`]) and the examples all run through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +34,5 @@ pub use experiments::{
 pub use faults::FaultSpec;
 pub use scenario::{ChannelSpec, DeadlineSpec, PlannedFrame, Scenario, SnrSpec};
 pub use selection::{select_groups, UserGroup};
-pub use storm::{
-    run_deadline_storm, run_drain_recovery, DrainRecoveryReport, StormComparison, StormConfig,
-};
-pub use traffic::{run_poisson_uplink, PoissonParams, TrafficMix, TrafficReport};
+pub use storm::{run_deadline_storm, run_drain_recovery, DrainRecoveryReport, StormComparison};
+pub use traffic::{drive, DriveReport, FrameRecord, Pacing, TrafficMix, TrafficReport};

@@ -13,11 +13,14 @@
 //! * **SNR** ([`SnrSpec`]) — fixed operating point or a bounded
 //!   per-client random walk;
 //! * **deadlines** ([`DeadlineSpec`]) — deadline-free, uniformly
-//!   generous (never missable), or a window of pre-expired deadlines
+//!   generous (never missable), a window of pre-expired deadlines
 //!   (always missed, by construction — wall-clock independent either
-//!   way);
+//!   way), or a relative deadline stamped when the frame is offered
+//!   (wall-clock dependent, for the deadline storm);
 //! * **topology** — clients, detection workers, shards, slot-pool
 //!   capacity;
+//! * **frame shape** — the [`PhyConfig`] every frame decodes with and
+//!   the antenna counts of its channels;
 //! * **detector** — a pinned [`DetectorTier`], so every frame's outcome
 //!   is bit-comparable against the serial reference decode;
 //! * **fault** ([`FaultSpec`]) — at most one injected failure.
@@ -29,18 +32,21 @@
 //!
 //! [`Scenario::sampled`] is the campaign's generator: it spreads
 //! scenarios across the full cross product of the axes above.
-//! [`presets`] holds the named scenarios shared with the bench gate, so
-//! `bench_gate --mode deadline_storm` and the campaign's storm scenarios
-//! agree on one definition.
+//! [`presets`] holds the named scenarios shared with the bench gate: the
+//! wall-clock storm of `bench_gate --mode deadline_storm` and the
+//! campaign's exact storm are one definition. A scenario's
+//! [`plan`](Scenario::plan) is what [`drive`](crate::traffic::drive)
+//! feeds to a stream.
 
 use crate::faults::FaultSpec;
-use crate::storm::StormConfig;
 use crate::traffic::TrafficMix;
 use gs_channel::{
-    ChannelModel, DopplerTrajectory, FadingProcess, InterferenceBurst, MimoChannel,
-    RayleighChannel, SelectiveRayleighChannel, SnrWalk,
+    noise_variance_for_snr_db, ChannelModel, DopplerTrajectory, FadingProcess, InterferenceBurst,
+    MimoChannel, RayleighChannel, SelectiveRayleighChannel, SnrWalk,
 };
-use gs_runtime::DetectorTier;
+use gs_modulation::Constellation;
+use gs_phy::PhyConfig;
+use gs_runtime::{DetectorLadder, DetectorTier, StreamConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -131,10 +137,18 @@ impl SnrSpec {
     }
 }
 
+/// The frame shape every campaign scenario decodes: the paper's 48-
+/// subcarrier rate-1/2 16-QAM configuration with a small payload, so one
+/// scenario costs milliseconds and a campaign of thousands stays CI-sized.
+pub fn campaign_phy_config() -> PhyConfig {
+    PhyConfig { payload_bits: 256, ..PhyConfig::new(Constellation::Qam16) }
+}
+
 /// The deadline regime frames are submitted under. Campaign scenarios
 /// only use regimes whose miss/hit outcome is wall-clock independent:
 /// `Generous` deadlines are never missable, `ExpiredWindow` deadlines are
-/// always missed.
+/// always missed. `Within` is the wall-clock regime of the deadline
+/// storm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeadlineSpec {
     /// Deadline-free submission.
@@ -150,6 +164,9 @@ pub enum DeadlineSpec {
         /// Window length in frames.
         len: usize,
     },
+    /// Every frame must complete within this long of being offered for
+    /// submission (waiting for a free slot counts against it).
+    Within(Duration),
 }
 
 impl DeadlineSpec {
@@ -159,6 +176,7 @@ impl DeadlineSpec {
             DeadlineSpec::None => "none",
             DeadlineSpec::Generous => "generous",
             DeadlineSpec::ExpiredWindow { .. } => "expired_window",
+            DeadlineSpec::Within(_) => "within",
         }
     }
 }
@@ -172,6 +190,8 @@ pub enum DeadlineKind {
     Generous,
     /// Already expired at submission — delivered frames always miss it.
     Expired,
+    /// This long after the frame is offered for submission.
+    Within(Duration),
 }
 
 /// One frame of a planned scenario, in global submission order.
@@ -187,6 +207,9 @@ pub struct PlannedFrame {
     pub channel: Arc<MimoChannel>,
     /// The deadline regime this frame is stamped with.
     pub deadline: DeadlineKind,
+    /// Arrival offset from the start of the run, drawn by the scenario's
+    /// traffic mix (zero for every frame under saturation).
+    pub at: Duration,
 }
 
 /// One fully-specified campaign scenario. Construct with
@@ -206,6 +229,8 @@ pub struct Scenario {
     pub shards: usize,
     /// Slot-pool capacity.
     pub capacity: usize,
+    /// The frame shape every frame decodes with.
+    pub phy: PhyConfig,
     /// Receive antennas per frame.
     pub num_rx: usize,
     /// Spatial streams per frame.
@@ -225,9 +250,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A minimal healthy scenario: 2 clients × 8 frames, 4×2 i.i.d.
-    /// Rayleigh at 24 dB, Poisson order, deadline-free, sphere tier,
-    /// no fault.
+    /// A minimal healthy scenario: 2 clients × 8 frames of
+    /// [`campaign_phy_config`], 4×2 i.i.d. Rayleigh at 24 dB, Poisson
+    /// order, deadline-free, sphere tier, no fault.
     pub fn new(seed: u64) -> Self {
         Scenario {
             seed,
@@ -236,6 +261,7 @@ impl Scenario {
             workers: 2,
             shards: 1,
             capacity: 4,
+            phy: campaign_phy_config(),
             num_rx: 4,
             num_streams: 2,
             channel: ChannelSpec::IidRayleigh,
@@ -264,6 +290,19 @@ impl Scenario {
         self.workers = workers.max(1);
         self.shards = shards.max(1);
         self.capacity = capacity.max(1);
+        self
+    }
+
+    /// Sets the frame shape.
+    pub fn phy(mut self, phy: PhyConfig) -> Self {
+        self.phy = phy;
+        self
+    }
+
+    /// Sets the receive antenna and spatial stream counts.
+    pub fn antennas(mut self, num_rx: usize, num_streams: usize) -> Self {
+        self.num_rx = num_rx.max(1);
+        self.num_streams = num_streams.max(1);
         self
     }
 
@@ -308,6 +347,21 @@ impl Scenario {
         self.clients * self.frames_per_client
     }
 
+    /// The stream shape: one lane per client, the scenario's workers,
+    /// shards and slot-pool capacity.
+    pub fn stream_config(&self) -> StreamConfig {
+        let mut sc = StreamConfig::new(self.clients);
+        sc.workers = self.workers;
+        sc.shards = self.shards;
+        sc.capacity = self.capacity;
+        sc
+    }
+
+    /// The default detector ladder at the scenario's base SNR.
+    pub fn ladder(&self) -> DetectorLadder {
+        DetectorLadder::geosphere_default(noise_variance_for_snr_db(self.snr.base_db()))
+    }
+
     /// Compact human descriptor, e.g.
     /// `ch=block_fading tr=bursty snr=fixed dl=generous tier=fsd fault=worker_panic@3`.
     pub fn descriptor(&self) -> String {
@@ -340,6 +394,7 @@ impl Scenario {
                     DeadlineKind::Generous
                 }
             }
+            DeadlineSpec::Within(d) => DeadlineKind::Within(d),
         }
     }
 
@@ -383,9 +438,11 @@ impl Scenario {
                         ChannelSpec::IidRayleigh => {
                             RayleighChannel::new(na, nc).realize(&mut ch_rng)
                         }
-                        ChannelSpec::SelectiveIndoor => {
-                            SelectiveRayleighChannel::indoor(na, nc).realize(&mut ch_rng)
+                        ChannelSpec::SelectiveIndoor => SelectiveRayleighChannel {
+                            n_subcarriers: self.phy.n_subcarriers,
+                            ..SelectiveRayleighChannel::indoor(na, nc)
                         }
+                        .realize(&mut ch_rng),
                         ChannelSpec::BlockFading { .. }
                         | ChannelSpec::BurstyInterference { .. } => fading
                             .as_mut()
@@ -408,6 +465,7 @@ impl Scenario {
                         snr_db,
                         channel: Arc::new(channel),
                         deadline: DeadlineKind::Free, // stamped after the merge
+                        at: Duration::ZERO,
                     }
                 })
                 .collect();
@@ -431,8 +489,9 @@ impl Scenario {
         merged
             .into_iter()
             .enumerate()
-            .map(|(idx, (_, _, mut f))| {
+            .map(|(idx, (at, _, mut f))| {
                 f.deadline = self.deadline_kind(idx);
+                f.at = at;
                 f
             })
             .collect()
@@ -541,6 +600,7 @@ impl Scenario {
             workers,
             shards,
             capacity,
+            phy: campaign_phy_config(),
             num_rx: 4,
             num_streams: 2,
             channel,
@@ -555,9 +615,10 @@ impl Scenario {
 
 /// Named scenarios shared between the campaign and the bench gate, so a
 /// stress shape is defined once. `bench_gate --mode deadline_storm`
-/// builds its [`StormConfig`] from [`presets::deadline_storm`]; the
-/// campaign's periodic storm scenarios come from
-/// [`presets::campaign_storm`] with the same topology and SNR.
+/// drives [`presets::deadline_storm`] (at its own frame shape); the
+/// campaign's periodic storm scenarios are [`presets::campaign_storm`],
+/// the same scenario with its wall-clock deadline swapped for an exact
+/// pre-expired window.
 pub mod presets {
     use super::*;
 
@@ -577,37 +638,33 @@ pub mod presets {
     /// bench gate multiplies its calibrated per-frame time by.
     pub const STORM_CAPACITY: usize = 6;
 
-    /// The canonical deadline-storm [`StormConfig`]: the wall-clock
-    /// adaptive-vs-static comparison run by `bench_gate --mode
-    /// deadline_storm` and `gs_sim::run_deadline_storm`. The deadline is
-    /// the caller's (the bench calibrates a machine-relative one).
-    pub fn deadline_storm(deadline: Duration, seed: u64) -> StormConfig {
-        StormConfig {
-            clients: STORM_CLIENTS,
-            frames_per_client: STORM_FRAMES_PER_CLIENT,
-            snr_db: STORM_SNR_DB,
-            deadline,
-            workers: STORM_WORKERS,
-            shards: STORM_SHARDS,
-            capacity: STORM_CAPACITY,
-            seed,
-        }
-    }
-
-    /// The campaign's deterministic variant of the same storm: identical
-    /// topology and SNR, saturation order, every frame in a pre-expired
-    /// deadline window (so misses are exact, not wall-clock-dependent),
-    /// sphere tier pinned.
-    pub fn campaign_storm(seed: u64, frames_per_client: usize) -> Scenario {
-        let frames_per_client = frames_per_client.max(2);
-        let total = STORM_CLIENTS * frames_per_client;
+    /// The canonical deadline storm: a saturating multi-client load over
+    /// the indoor testbed channel where every frame must complete within
+    /// `deadline` of being offered — the wall-clock adaptive-vs-static
+    /// comparison run by `bench_gate --mode deadline_storm` and
+    /// [`crate::run_deadline_storm`]. The deadline is the caller's (the
+    /// bench calibrates a machine-relative one).
+    pub fn deadline_storm(deadline: Duration, seed: u64) -> Scenario {
         Scenario::new(seed)
             .clients(STORM_CLIENTS)
-            .frames_per_client(frames_per_client)
+            .frames_per_client(STORM_FRAMES_PER_CLIENT)
             .topology(STORM_WORKERS, STORM_SHARDS, STORM_CAPACITY)
             .channel(ChannelSpec::SelectiveIndoor)
             .traffic(TrafficMix::Saturation)
             .snr(SnrSpec::Fixed(STORM_SNR_DB))
+            .deadlines(DeadlineSpec::Within(deadline))
+    }
+
+    /// The campaign's deterministic variant of the same storm: identical
+    /// topology, channel, SNR and saturation order, but every frame in a
+    /// pre-expired deadline window (so misses are exact, not
+    /// wall-clock-dependent), sphere tier pinned.
+    pub fn campaign_storm(seed: u64, frames_per_client: usize) -> Scenario {
+        let frames_per_client = frames_per_client.max(2);
+        let total = STORM_CLIENTS * frames_per_client;
+        deadline_storm(Duration::ZERO, seed)
+            .frames_per_client(frames_per_client)
+            .deadlines(DeadlineSpec::None)
             .tier(DetectorTier::Sphere)
             .fault(FaultSpec::DeadlineStorm { start: 0, len: total })
     }
@@ -713,7 +770,7 @@ mod tests {
                 }
             }
             assert!(s.total_frames() >= 2);
-            assert!(s.shards <= s.workers.max(s.shards)); // shards sampled sanely
+            assert!(s.shards <= s.workers, "shards sampled sanely");
         }
         assert!(channels.len() >= 3, "≥3 channel models required, got {channels:?}");
         assert!(traffics.len() >= 3, "≥3 traffic mixes required, got {traffics:?}");
@@ -727,8 +784,10 @@ mod tests {
         let sc = presets::deadline_storm(Duration::from_millis(4), 2014);
         assert_eq!(sc.clients, presets::STORM_CLIENTS);
         assert_eq!(sc.frames_per_client, presets::STORM_FRAMES_PER_CLIENT);
-        assert_eq!(sc.snr_db, presets::STORM_SNR_DB);
+        assert_eq!(sc.snr.base_db(), presets::STORM_SNR_DB);
         assert_eq!((sc.workers, sc.shards, sc.capacity), (2, 1, 6));
+        let within = DeadlineKind::Within(Duration::from_millis(4));
+        assert!(sc.plan().iter().all(|f| f.deadline == within && f.at == Duration::ZERO));
 
         let s = presets::campaign_storm(1, 4);
         assert_eq!(s.clients, presets::STORM_CLIENTS);

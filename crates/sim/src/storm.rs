@@ -1,81 +1,34 @@
-//! Deadline-storm and drain-recovery scenarios for the adaptive control
+//! Deadline-storm and drain-recovery runs for the adaptive control
 //! plane.
 //!
 //! Two questions about `gs-runtime`'s closed loop, asked the way the
 //! bench gate (and CI) asks them:
 //!
-//! * **Storm** ([`run_deadline_storm`]): under a saturating Poisson load
-//!   where every frame carries a deadline, does the adaptive ladder
-//!   (sphere → FSD → MMSE under pressure) deliver a *lower miss rate*
-//!   than a pipeline welded to sphere decoding? Both pipelines see the
-//!   same offered traffic (same seed, same channel draws).
+//! * **Storm** ([`run_deadline_storm`]): under a saturating load where
+//!   every frame carries a deadline, does the adaptive ladder (sphere →
+//!   FSD → MMSE under pressure) deliver a *lower miss rate* than a
+//!   pipeline welded to sphere decoding? Both pipelines see the same
+//!   plan (same channels, same seeds).
 //! * **Drain** ([`run_drain_recovery`]): after the storm passes and the
 //!   queue drains, does the policy climb back to the top tier — i.e. is
 //!   the degradation a *mode*, not a ratchet?
 //!
-//! Scenarios are built on [`run_poisson_uplink`]; the storm uses
-//! saturation mode (blocking submission, maximum backpressure) so the
+//! The storm is a [`Scenario`] (canonically [`presets::deadline_storm`])
+//! with a [`DeadlineSpec::Within`] deadline, fed by [`drive`] in replay
+//! order at full window: admission waits for a free slot, so the
 //! miss-rate comparison is about detection speed, not ingress loss.
+//!
+//! [`presets::deadline_storm`]: crate::scenario::presets::deadline_storm
+//! [`DeadlineSpec::Within`]: crate::DeadlineSpec::Within
 
-use crate::traffic::{run_poisson_uplink, PoissonParams, TrafficReport};
+use crate::scenario::{DeadlineSpec, Scenario};
+use crate::traffic::{drive, Pacing, TrafficMix, TrafficReport};
 use geosphere_core::geosphere_decoder;
-use gs_channel::{noise_variance_for_snr_db, ChannelModel};
-use gs_phy::PhyConfig;
-use gs_runtime::{
-    DetectorLadder, DetectorTier, FrameStream, HysteresisPolicy, StreamConfig, UplinkFrame,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::Arc;
+use gs_runtime::{DetectorTier, FrameStream, HysteresisPolicy};
 use std::time::Duration;
 
-/// Shape of a deadline storm: a saturating multi-client load where every
-/// frame must complete within `deadline` of its submission.
-#[derive(Clone, Debug)]
-pub struct StormConfig {
-    /// Concurrent traffic sources.
-    pub clients: usize,
-    /// Frames each client offers.
-    pub frames_per_client: usize,
-    /// Operating SNR for every frame.
-    pub snr_db: f64,
-    /// Relative completion deadline for every frame.
-    pub deadline: Duration,
-    /// Detection workers for each pipeline under test.
-    pub workers: usize,
-    /// Detection shards (`0` = per memory domain).
-    pub shards: usize,
-    /// Slot-pool bound for each pipeline under test.
-    pub capacity: usize,
-    /// Seed for channel realizations and frame payloads.
-    pub seed: u64,
-}
-
-impl StormConfig {
-    fn stream_config(&self) -> StreamConfig {
-        let mut sc = StreamConfig::new(self.clients);
-        sc.workers = self.workers;
-        sc.shards = self.shards;
-        sc.capacity = self.capacity;
-        sc
-    }
-
-    fn poisson(&self) -> PoissonParams {
-        PoissonParams {
-            clients: self.clients,
-            frames_per_client: self.frames_per_client,
-            rate_hz: f64::INFINITY,
-            snr_db: self.snr_db,
-            deadline: Some(self.deadline),
-            seed: self.seed,
-        }
-    }
-
-    /// The default adaptive ladder at this storm's operating SNR.
-    pub fn default_ladder(&self) -> DetectorLadder {
-        DetectorLadder::geosphere_default(noise_variance_for_snr_db(self.snr_db))
-    }
-}
+/// Replay at full window: the storm's saturating load.
+const FULL: Pacing = Pacing::Replay { in_flight: usize::MAX };
 
 /// The storm verdict: the same offered load through a static-sphere
 /// pipeline and through the default adaptive control plane.
@@ -112,30 +65,26 @@ fn miss_rate(report: &TrafficReport) -> f64 {
     }
 }
 
+/// The default adaptive pipeline for `storm`.
+fn adaptive_stream(storm: &Scenario) -> FrameStream {
+    FrameStream::adaptive(storm.phy, storm.ladder(), HysteresisPolicy::new(), storm.stream_config())
+}
+
 /// Runs the same deadline storm through a static-sphere pipeline and the
 /// default adaptive pipeline, returning both reports.
 ///
 /// The two runs are sequential (not concurrent), so they do not contend
-/// for cores; both use saturation-mode submission, so neither drops at
-/// ingress — every offered frame is decoded and accounted.
-pub fn run_deadline_storm<M: ChannelModel>(
-    cfg: &PhyConfig,
-    model: &M,
-    storm: &StormConfig,
-) -> StormComparison {
-    let params = storm.poisson();
+/// for cores; neither drops at ingress — every offered frame is decoded
+/// and accounted.
+pub fn run_deadline_storm(storm: &Scenario) -> StormComparison {
+    let plan = storm.plan();
 
-    let static_stream = FrameStream::new(*cfg, geosphere_decoder(), storm.stream_config());
-    let static_sphere = run_poisson_uplink(&static_stream, model, &params);
+    let static_stream = FrameStream::new(storm.phy, geosphere_decoder(), storm.stream_config());
+    let static_sphere = drive(&static_stream, &plan, FULL).traffic();
     drop(static_stream);
 
-    let adaptive_stream = FrameStream::adaptive(
-        *cfg,
-        storm.default_ladder(),
-        HysteresisPolicy::new(),
-        storm.stream_config(),
-    );
-    let adaptive = run_poisson_uplink(&adaptive_stream, model, &params);
+    let adaptive_stream = adaptive_stream(storm);
+    let adaptive = drive(&adaptive_stream, &plan, FULL).traffic();
     let adaptive_tier_admissions = adaptive_stream.stats().tier_admissions;
 
     StormComparison { static_sphere, adaptive, adaptive_tier_admissions }
@@ -157,43 +106,34 @@ pub struct DrainRecoveryReport {
 
 /// Storm → drain → trickle: drives a deadline storm through an adaptive
 /// stream, lets the queue drain for `idle`, then submits `trickle`
-/// deadline-free frames one at a time, recording the tier each decoded
-/// at. Recovery means the ladder climbed back to sphere by the last
-/// trickle frame.
+/// deadline-free frames of the same scenario shape one at a time,
+/// recording the tier each decoded at. Recovery means the ladder climbed
+/// back to sphere by the last trickle frame.
 ///
 /// `idle` must exceed the control plane's one-second miss-rate window for
 /// stale storm misses to age out; the trickle needs enough frames for the
 /// policy's dwell to allow two climbs (MMSE → FSD → sphere).
-pub fn run_drain_recovery<M: ChannelModel>(
-    cfg: &PhyConfig,
-    model: &M,
-    storm: &StormConfig,
-    idle: Duration,
-    trickle: usize,
-) -> DrainRecoveryReport {
-    let stream = FrameStream::adaptive(
-        *cfg,
-        storm.default_ladder(),
-        HysteresisPolicy::new(),
-        storm.stream_config(),
-    );
-    let storm_report = run_poisson_uplink(&stream, model, &storm.poisson());
+pub fn run_drain_recovery(storm: &Scenario, idle: Duration, trickle: usize) -> DrainRecoveryReport {
+    let stream = adaptive_stream(storm);
+    let storm_report = drive(&stream, &storm.plan(), FULL).traffic();
     let after_storm = stream.stats();
     let degraded =
         after_storm.tier_admissions[DetectorTier::Sphere.index()] < after_storm.submitted;
 
     std::thread::sleep(idle);
 
-    let mut rng = StdRng::seed_from_u64(storm.seed ^ 0xD5A1_4EC0);
-    let mut trickle_tiers = Vec::with_capacity(trickle);
-    for k in 0..trickle {
-        let channel = Arc::new(model.realize(&mut rng));
-        let frame =
-            UplinkFrame::new(k % storm.clients, channel, storm.snr_db, storm.seed ^ (k as u64));
-        stream.submit(frame).expect("stream died during the trickle phase");
-        let done = stream.recv().expect("stream died during the trickle phase");
-        trickle_tiers.push(done.tier());
-    }
+    let calm = Scenario {
+        seed: storm.seed ^ 0xD5A1_4EC0,
+        clients: 1,
+        frames_per_client: trickle,
+        traffic: TrafficMix::Saturation,
+        deadlines: DeadlineSpec::None,
+        fault: None,
+        ..storm.clone()
+    };
+    let trickle = drive(&stream, &calm.plan(), Pacing::Replay { in_flight: 1 });
+    let trickle_tiers: Vec<DetectorTier> =
+        trickle.records.iter().filter(|r| r.delivered).map(|r| r.tier).collect();
     let recovered = trickle_tiers.last() == Some(&DetectorTier::Sphere);
 
     DrainRecoveryReport { storm: storm_report, degraded, trickle_tiers, recovered }
@@ -202,29 +142,22 @@ pub fn run_drain_recovery<M: ChannelModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gs_channel::RayleighChannel;
-    use gs_modulation::Constellation;
+    use crate::scenario::{presets, ChannelSpec, SnrSpec};
 
-    fn storm_config() -> StormConfig {
-        StormConfig {
-            clients: 3,
-            frames_per_client: 12,
-            snr_db: 24.0,
-            // Tight against sphere decoding at saturation with 2 workers,
-            // roomy for the MMSE floor.
-            deadline: Duration::from_millis(4),
-            workers: 2,
-            shards: 1,
-            capacity: 6,
-            seed: 2014,
-        }
+    /// 3 clients × 12 frames of 4×4 i.i.d. Rayleigh at 24 dB, 2 workers,
+    /// 6 slots; the deadline is tight against sphere decoding at
+    /// saturation, roomy for the MMSE floor.
+    fn storm() -> Scenario {
+        presets::deadline_storm(Duration::from_millis(4), 2014)
+            .frames_per_client(12)
+            .antennas(4, 4)
+            .channel(ChannelSpec::IidRayleigh)
+            .snr(SnrSpec::Fixed(24.0))
     }
 
     #[test]
     fn storm_degrades_and_both_pipelines_account_consistently() {
-        let cfg = PhyConfig { payload_bits: 256, ..PhyConfig::new(Constellation::Qam16) };
-        let model = RayleighChannel::new(4, 4);
-        let report = run_deadline_storm(&cfg, &model, &storm_config());
+        let report = run_deadline_storm(&storm());
         for r in [&report.static_sphere, &report.adaptive] {
             assert_eq!(r.offered, 36);
             assert_eq!(r.submitted, 36, "saturation mode never drops");
@@ -243,10 +176,7 @@ mod tests {
 
     #[test]
     fn drained_stream_recovers_the_top_tier() {
-        let cfg = PhyConfig { payload_bits: 256, ..PhyConfig::new(Constellation::Qam16) };
-        let model = RayleighChannel::new(4, 4);
-        let report =
-            run_drain_recovery(&cfg, &model, &storm_config(), Duration::from_millis(1200), 16);
+        let report = run_drain_recovery(&storm(), Duration::from_millis(1200), 16);
         assert_eq!(report.storm.submitted, 36);
         assert!(report.degraded, "the storm phase must degrade at least one admission");
         assert!(

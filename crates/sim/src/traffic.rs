@@ -1,13 +1,8 @@
-//! Multi-client traffic mixes driving the streaming runtime.
+//! Multi-client traffic and the one stream driver.
 //!
 //! The paper's evaluation decodes frames one at a time; a base station
-//! serves *arrival processes*. This module generates open-loop traffic —
-//! each client submits frames from an independent arrival process — and
-//! pushes it through a [`FrameStream`], measuring delivered throughput,
-//! deadline behaviour, and loss under the runtime's bounded admission.
-//!
-//! [`TrafficMix`] names the process family; the classic Poisson driver is
-//! one member:
+//! serves *arrival processes*. [`TrafficMix`] names the open-loop
+//! arrival process each client's frames follow:
 //!
 //! * **Poisson** — exponential inter-arrival gaps, the memoryless
 //!   baseline.
@@ -19,23 +14,25 @@
 //!   classic self-similar traffic shape.
 //! * **Diurnal** — a sinusoidally rate-modulated Poisson process: load
 //!   sweeps between quiet and peak phases within one run.
-//! * **Saturation** — no pacing; submission uses blocking
-//!   [`FrameStream::submit`], measuring the pipeline's sustained
-//!   frames/sec under backpressure.
+//! * **Saturation** — no pacing: every frame is due at once.
 //!
-//! Paced mixes submit with [`FrameStream::try_submit`] — an arrival that
-//! finds every slot occupied is *dropped and counted*, the standard loss
-//! model for an overloaded ingress. Channels are realized per frame from
-//! the caller's [`ChannelModel`] before the clock starts, so the driver's
-//! hot loop is pacing + submit. Every schedule is a pure function of the
-//! seed, which is what lets the campaign layer ([`crate::campaign`])
-//! replay a mix's arrival *order* without its wall-clock pacing.
+//! Every schedule is a pure function of the seed. A [`Scenario`] merges
+//! its clients' schedules into one [`PlannedFrame`] plan, channels
+//! realized before any clock starts, and [`drive`] — the one loop in
+//! this crate that submits to a [`FrameStream`] — feeds that plan to a
+//! stream under a [`Pacing`]: replaying its order (the campaign's
+//! time-independent drives, and saturation under backpressure), with the
+//! consumer stalled (slot exhaustion), or on the wall clock, where an
+//! arrival that finds every slot occupied is *dropped and counted*, the
+//! standard loss model for an overloaded ingress. [`DriveReport`] keeps
+//! one record per planned frame; [`TrafficReport`] is its aggregate.
+//!
+//! [`Scenario`]: crate::Scenario
 
-use gs_channel::ChannelModel;
-use gs_runtime::{FrameStream, TrySubmitError, UplinkFrame};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use crate::scenario::{DeadlineKind, PlannedFrame};
+use gs_runtime::{DetectorTier, FrameStream, TrySubmitError, UplinkFrame};
+use rand::Rng;
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// An open-loop per-client arrival process family. See the module docs
@@ -43,8 +40,7 @@ use std::time::{Duration, Instant};
 /// sampled deterministically from the driving RNG.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TrafficMix {
-    /// Unpaced: every frame is offered immediately, blocking submission
-    /// (maximum backpressure).
+    /// Unpaced: every frame is due at once (all-zero offsets).
     Saturation,
     /// Memoryless arrivals at `rate_hz` frames/sec.
     Poisson {
@@ -97,12 +93,6 @@ impl TrafficMix {
         }
     }
 
-    /// Whether arrivals are paced on the wall clock (everything but
-    /// saturation).
-    pub fn is_paced(&self) -> bool {
-        !matches!(self, TrafficMix::Saturation)
-    }
-
     /// One client's arrival offsets (monotone, `frames` entries), drawn
     /// from `rng`. Saturation yields all-zero offsets: every frame is due
     /// immediately, ordered by submission sequence alone.
@@ -147,34 +137,95 @@ fn exp_gap<R: Rng + ?Sized>(rng: &mut R, rate_hz: f64) -> f64 {
     -(1.0 - u).ln() / rate_hz.max(1e-9)
 }
 
-/// Traffic-shape parameters for [`run_poisson_uplink`].
-#[derive(Clone, Debug)]
-pub struct PoissonParams {
-    /// Concurrent traffic sources. Must match (or not exceed) the
-    /// stream's configured client-lane count.
-    pub clients: usize,
-    /// Frames each client offers.
-    pub frames_per_client: usize,
-    /// Mean per-client arrival rate in frames/sec; `f64::INFINITY` (or
-    /// any non-finite / non-positive value) selects saturation mode.
-    pub rate_hz: f64,
-    /// Operating SNR for every frame.
-    pub snr_db: f64,
-    /// Relative completion deadline applied to each frame at submission
-    /// (`None` = deadline-free).
-    pub deadline: Option<Duration>,
-    /// Seed for arrival gaps, channel realizations, and frame seeds.
-    pub seed: u64,
+/// How [`drive`] feeds a plan to the stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pacing {
+    /// Replay the plan's order, ignoring its arrival offsets: admit frames
+    /// until the stream refuses one or `in_flight` are outstanding, then
+    /// take one completion. `usize::MAX` keeps the pipeline full
+    /// (saturation under backpressure); `1` is lockstep, which makes pool
+    /// pop `k` belong to frame `k` on every shard.
+    Replay {
+        /// Most frames outstanding at once.
+        in_flight: usize,
+    },
+    /// Offer every frame with `try_submit` while nothing consumes, count
+    /// the refusals, then drain what was admitted.
+    Stalled,
+    /// Offer each frame at its planned arrival offset on the wall clock
+    /// and drop it when every slot is occupied; completions that are
+    /// ready are absorbed while waiting.
+    WallClock,
 }
 
-/// What the traffic run observed.
+/// What [`drive`] saw of one planned frame.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FrameRecord {
+    /// Whether a completion arrived for the frame.
+    pub delivered: bool,
+    /// Bit `i` set when client stream `i` decoded CRC-clean.
+    pub ok_mask: u64,
+    /// Whether every client stream decoded CRC-clean.
+    pub all_ok: bool,
+    /// Detections the frame ran.
+    pub detections: u64,
+    /// Partial Euclidean distances the frame computed.
+    pub ped_calcs: u64,
+    /// Whether the delivery missed the frame's deadline.
+    pub missed: bool,
+    /// The stream's per-client sequence number of the delivery.
+    pub seq: u64,
+    /// The tier the frame decoded at.
+    pub tier: DetectorTier,
+}
+
+/// Everything [`drive`] observed: one record per planned frame, in plan
+/// order, plus the admission counts.
+#[derive(Clone, Debug)]
+pub struct DriveReport {
+    /// Per-frame records, indexed like the plan.
+    pub records: Vec<FrameRecord>,
+    /// Frames the stream admitted.
+    pub admitted: u64,
+    /// Frames refused: by a full slot pool (stalled and wall-clock
+    /// pacing) or by a dead stream.
+    pub refused: u64,
+    /// Admitted frames whose completion never came because the stream
+    /// died.
+    pub died: u64,
+    /// Wall-clock from the start of the drive to the last completion.
+    pub elapsed: Duration,
+}
+
+impl DriveReport {
+    /// Frames delivered with a completion.
+    pub fn delivered(&self) -> u64 {
+        self.records.iter().filter(|r| r.delivered).count() as u64
+    }
+
+    /// The run's aggregate numbers.
+    pub fn traffic(&self) -> TrafficReport {
+        let count = |f: fn(&FrameRecord) -> bool| self.records.iter().filter(|r| f(r)).count();
+        TrafficReport {
+            offered: self.records.len() as u64,
+            submitted: self.admitted,
+            dropped: self.refused,
+            frames_all_ok: count(|r| r.delivered && r.all_ok) as u64,
+            deadline_misses: count(|r| r.delivered && r.missed) as u64,
+            elapsed: self.elapsed,
+            frames_per_sec: self.admitted as f64 / self.elapsed.as_secs_f64().max(1e-9),
+        }
+    }
+}
+
+/// What a traffic run observed, in aggregate ([`DriveReport::traffic`]).
 #[derive(Clone, Debug)]
 pub struct TrafficReport {
-    /// Frames offered (`clients × frames_per_client`).
+    /// Frames offered (the plan's length).
     pub offered: u64,
     /// Frames admitted (offered minus ingress drops).
     pub submitted: u64,
-    /// Frames offered but refused at a full ingress (paced mixes only).
+    /// Frames offered but refused at admission.
     pub dropped: u64,
     /// Frames delivered with every client stream CRC-verified.
     pub frames_all_ok: u64,
@@ -186,164 +237,144 @@ pub struct TrafficReport {
     pub frames_per_sec: f64,
 }
 
-/// One scheduled arrival.
-struct Arrival {
-    at: Duration,
-    client: usize,
-    frame: UplinkFrame,
-}
-
-/// Builds the merged multi-client arrival schedule for `params`:
-/// per-client offsets from `mix`, channel realizations from `model`,
-/// per-frame seeds derived from the run seed — all before any clock
-/// starts, and a pure function of `params.seed`.
-fn build_arrivals<M: ChannelModel>(
-    model: &M,
-    params: &PoissonParams,
-    mix: &TrafficMix,
-) -> Vec<Arrival> {
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut arrivals: Vec<Arrival> = Vec::with_capacity(params.clients * params.frames_per_client);
-    for client in 0..params.clients {
-        let offsets = mix.schedule(params.frames_per_client, &mut rng);
-        for (k, at) in offsets.into_iter().enumerate() {
-            let channel = Arc::new(model.realize(&mut rng));
-            let seed = params
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((client * params.frames_per_client + k) as u64);
-            let frame = UplinkFrame::new(client, channel, params.snr_db, seed);
-            arrivals.push(Arrival { at, client, frame });
+/// Bit `i` set when client stream `i` decoded CRC-clean.
+pub(crate) fn ok_mask(client_ok: &[bool]) -> u64 {
+    let mut mask = 0u64;
+    for (i, &ok) in client_ok.iter().enumerate() {
+        if ok {
+            mask |= 1 << (i as u64 & 63);
         }
     }
-    // Stable sort: same-instant arrivals keep client order, and one
-    // client's frames keep submission order.
-    arrivals.sort_by(|a, b| a.at.cmp(&b.at).then(a.client.cmp(&b.client)));
-    arrivals
+    mask
 }
 
-/// Drives `params.clients` sources through `stream` and drains every
-/// completion, returning the aggregate [`TrafficReport`]. A finite
-/// positive `params.rate_hz` paces each client as a
-/// [`TrafficMix::Poisson`] process; anything else is
-/// [`TrafficMix::Saturation`].
-///
-/// The submitting side runs on a scoped thread ("many concurrent sources"
-/// collapsed onto one pacing thread — arrival times are already merged);
-/// the calling thread consumes completions, so backpressure and delivery
-/// ordering are exercised exactly as a deployment would.
-///
-/// # Panics
-/// Panics when the stream dies mid-run (a worker or stage-thread panic is
-/// an infrastructure failure here, not a scenario outcome — the
-/// fault-injection campaigns use their own lockstep driver).
-pub fn run_poisson_uplink<M: ChannelModel>(
-    stream: &FrameStream,
-    model: &M,
-    params: &PoissonParams,
-) -> TrafficReport {
-    let mix = if params.rate_hz.is_finite() && params.rate_hz > 0.0 {
-        TrafficMix::Poisson { rate_hz: params.rate_hz }
-    } else {
-        TrafficMix::Saturation
+/// The deadline instant a [`DeadlineKind`] stamps at submission time.
+/// `Expired` backdates (completion strictly after submission ⇒ always a
+/// miss); `Generous` is an hour out (never a miss in a CI-scale run).
+fn stamp_deadline(kind: DeadlineKind) -> Option<Instant> {
+    let now = Instant::now();
+    match kind {
+        DeadlineKind::Free => None,
+        DeadlineKind::Generous => Some(now + Duration::from_secs(3600)),
+        DeadlineKind::Expired => Some(now.checked_sub(Duration::from_millis(1)).unwrap_or(now)),
+        DeadlineKind::Within(d) => Some(now + d),
+    }
+}
+
+/// The one loop that feeds a [`FrameStream`]: offers `plan` in order
+/// under `pacing`, consumes every completion on the calling thread, and
+/// records each one against its planned frame (completion `k` of a
+/// client is that client's `k`-th admitted frame: per-client FIFO
+/// delivery). A dead stream is an outcome, not a panic: its outstanding
+/// frames count as `died` and every later offer as `refused`.
+pub fn drive(stream: &FrameStream, plan: &[PlannedFrame], pacing: Pacing) -> DriveReport {
+    let clients = plan.iter().map(|f| f.client + 1).max().unwrap_or(0);
+    let mut pending: Vec<VecDeque<usize>> = vec![VecDeque::new(); clients];
+    let mut report = DriveReport {
+        records: vec![FrameRecord::default(); plan.len()],
+        admitted: 0,
+        refused: 0,
+        died: 0,
+        elapsed: Duration::ZERO,
     };
-    let paced = mix.is_paced();
-    let arrivals = build_arrivals(model, params, &mix);
-
-    let offered = arrivals.len() as u64;
-    let start = Instant::now();
-    let mut dropped = 0u64;
-    let mut submitted = 0u64;
-    let mut frames_all_ok = 0u64;
-    let mut deadline_misses = 0u64;
-
-    // Admissions the consumer may safely block on: every admitted frame
-    // eventually completes, so `recv` below never over-waits.
-    let admitted = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        let submitter = scope.spawn(|| {
-            let mut dropped = 0u64;
-            for Arrival { at, frame, .. } in arrivals {
-                if paced {
-                    let due = start + at;
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
-                }
-                let mut frame = frame;
-                frame.deadline = params.deadline.map(|d| Instant::now() + d);
-                let accepted = if paced {
-                    match stream.try_submit(frame) {
-                        Ok(()) => true,
-                        Err(TrySubmitError::Full(_)) => false,
-                        Err(TrySubmitError::Dead(_)) => {
-                            panic!("stream died under the traffic driver")
-                        }
-                    }
-                } else {
-                    stream.submit(frame).expect("stream died under the traffic driver");
-                    true
-                };
-                if accepted {
-                    admitted.fetch_add(1, std::sync::atomic::Ordering::Release);
-                } else {
-                    dropped += 1;
+    fn outstanding(pending: &[VecDeque<usize>]) -> usize {
+        pending.iter().map(VecDeque::len).sum()
+    }
+    // Takes one completion (blocking or not); `false` when none was taken.
+    let take = |report: &mut DriveReport, pending: &mut [VecDeque<usize>], block: bool| {
+        let done = if block {
+            match stream.recv() {
+                Ok(done) => done,
+                Err(_) => {
+                    // The stream died: nothing outstanding can arrive.
+                    report.died += outstanding(pending) as u64;
+                    pending.iter_mut().for_each(VecDeque::clear);
+                    return false;
                 }
             }
-            dropped
-        });
-
-        // Drain on the calling thread: block on `recv` for frames known to
-        // be admitted, idle briefly (no busy spin — the detection workers
-        // own the cores) while the submitter is still pacing.
-        let mut received = 0u64;
-        let mut absorb = |done: gs_runtime::Completed<'_>| {
-            if done.outcome().client_ok.iter().all(|&ok| ok) {
-                frames_all_ok += 1;
-            }
-            if done.missed_deadline() {
-                deadline_misses += 1;
+        } else {
+            match stream.try_recv() {
+                Some(done) => done,
+                None => return false,
             }
         };
-        loop {
-            if received < admitted.load(std::sync::atomic::Ordering::Acquire) {
-                absorb(stream.recv().expect("stream died mid-drain"));
-                received += 1;
-            } else if submitter.is_finished() {
-                break;
-            } else {
-                std::thread::sleep(Duration::from_micros(200));
+        if let Some(idx) = pending.get_mut(done.client()).and_then(VecDeque::pop_front) {
+            let out = done.outcome();
+            report.records[idx] = FrameRecord {
+                delivered: true,
+                ok_mask: ok_mask(&out.client_ok),
+                all_ok: out.client_ok.iter().all(|&ok| ok),
+                detections: out.detections,
+                ped_calcs: out.stats.ped_calcs,
+                missed: done.missed_deadline(),
+                seq: done.seq(),
+                tier: done.tier(),
+            };
+        }
+        true
+    };
+    let start = Instant::now();
+    for (idx, pf) in plan.iter().enumerate() {
+        match pacing {
+            Pacing::Replay { in_flight } => {
+                while outstanding(&pending) >= in_flight.max(1) {
+                    take(&mut report, &mut pending, true);
+                }
+            }
+            Pacing::Stalled => {}
+            Pacing::WallClock => {
+                // Idle until the frame is due, absorbing what is ready (no
+                // busy spin: the detection workers own the cores).
+                let due = start + pf.at;
+                while let Some(wait) = due.checked_duration_since(Instant::now()) {
+                    if !take(&mut report, &mut pending, false) {
+                        std::thread::sleep(wait.min(Duration::from_micros(200)));
+                    }
+                }
             }
         }
-        dropped = submitter.join().expect("traffic submitter panicked");
-        submitted = offered - dropped;
-        while received < submitted {
-            absorb(stream.recv().expect("stream died mid-drain"));
-            received += 1;
+        // The deadline runs from the offer, so time spent waiting for a
+        // slot counts against it.
+        let mut frame = UplinkFrame::new(pf.client, pf.channel.clone(), pf.snr_db, pf.seed);
+        frame.deadline = stamp_deadline(pf.deadline);
+        loop {
+            match stream.try_submit(frame) {
+                Ok(()) => {
+                    report.admitted += 1;
+                    pending[pf.client].push_back(idx);
+                }
+                // Replay waits for a slot while one can free up.
+                Err(TrySubmitError::Full(back))
+                    if matches!(pacing, Pacing::Replay { .. }) && outstanding(&pending) > 0 =>
+                {
+                    take(&mut report, &mut pending, true);
+                    frame = back;
+                    continue;
+                }
+                Err(_) => report.refused += 1,
+            }
+            break;
         }
-    });
-
-    let elapsed = start.elapsed();
-    TrafficReport {
-        offered,
-        submitted,
-        dropped,
-        frames_all_ok,
-        deadline_misses,
-        elapsed,
-        frames_per_sec: submitted as f64 / elapsed.as_secs_f64().max(1e-9),
     }
+    while outstanding(&pending) > 0 {
+        take(&mut report, &mut pending, true);
+    }
+    report.elapsed = start.elapsed();
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{DeadlineSpec, Scenario, SnrSpec};
     use geosphere_core::geosphere_decoder;
-    use gs_channel::RayleighChannel;
     use gs_modulation::Constellation;
     use gs_phy::PhyConfig;
     use gs_runtime::StreamConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const FULL: Pacing = Pacing::Replay { in_flight: usize::MAX };
 
     #[test]
     fn saturation_delivers_every_frame() {
@@ -352,16 +383,14 @@ mod tests {
         sc.workers = 2;
         sc.capacity = 4;
         let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
-        let model = RayleighChannel::new(4, 2);
-        let params = PoissonParams {
-            clients: 3,
-            frames_per_client: 4,
-            rate_hz: f64::INFINITY,
-            snr_db: 24.0,
-            deadline: None,
-            seed: 7,
-        };
-        let report = run_poisson_uplink(&stream, &model, &params);
+        let plan = Scenario::new(7)
+            .phy(cfg)
+            .clients(3)
+            .frames_per_client(4)
+            .traffic(TrafficMix::Saturation)
+            .snr(SnrSpec::Fixed(24.0))
+            .plan();
+        let report = drive(&stream, &plan, FULL).traffic();
         assert_eq!(report.offered, 12);
         assert_eq!(report.submitted, 12, "saturation mode never drops");
         assert_eq!(report.dropped, 0);
@@ -377,22 +406,59 @@ mod tests {
         sc.workers = 1;
         sc.capacity = 2;
         let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
-        let model = RayleighChannel::new(2, 2);
         // A deliberately absurd offered rate over a tiny slot pool: some
         // arrivals must drop, and offered = submitted + dropped must hold.
-        let params = PoissonParams {
-            clients: 2,
-            frames_per_client: 6,
-            rate_hz: 1e6,
-            snr_db: 20.0,
-            deadline: Some(Duration::from_millis(200)),
-            seed: 11,
-        };
-        let report = run_poisson_uplink(&stream, &model, &params);
+        let plan = Scenario::new(11)
+            .phy(cfg)
+            .antennas(2, 2)
+            .clients(2)
+            .frames_per_client(6)
+            .traffic(TrafficMix::Poisson { rate_hz: 1e6 })
+            .snr(SnrSpec::Fixed(20.0))
+            .deadlines(DeadlineSpec::Within(Duration::from_millis(200)))
+            .plan();
+        let report = drive(&stream, &plan, Pacing::WallClock).traffic();
         assert_eq!(report.offered, 12);
         assert_eq!(report.submitted + report.dropped, report.offered);
         assert_eq!(stream.stats().completed as u64, report.submitted);
         assert!(report.deadline_misses <= report.submitted);
+    }
+
+    #[test]
+    fn pacing_never_changes_a_decoded_bit() {
+        // One saturation-order plan over a 3-slot pool, a fresh stream per
+        // drive: lockstep is the reference, the full window recycles slots
+        // mid-plan, and the wall clock refuses what finds the pool full.
+        // 4×4 at 14 dB, so PED counts differ from frame to frame.
+        let s = Scenario::new(31)
+            .clients(2)
+            .frames_per_client(4)
+            .topology(2, 1, 3)
+            .antennas(4, 4)
+            .snr(SnrSpec::Fixed(14.0))
+            .traffic(TrafficMix::Saturation);
+        let plan = s.plan();
+        let run = |pacing| {
+            let stream = FrameStream::new(s.phy, geosphere_decoder(), s.stream_config());
+            drive(&stream, &plan, pacing)
+        };
+        let lockstep = run(Pacing::Replay { in_flight: 1 });
+        assert_eq!(lockstep.delivered(), 8);
+        for pacing in [FULL, Pacing::WallClock] {
+            let other = run(pacing);
+            assert_eq!(other.admitted + other.refused, 8, "{pacing:?}");
+            assert!(other.delivered() >= 3, "{pacing:?} fills the pool at least once");
+            for (idx, (a, b)) in lockstep.records.iter().zip(&other.records).enumerate() {
+                assert!(b.delivered || pacing == Pacing::WallClock, "frame {idx} under {pacing:?}");
+                if b.delivered {
+                    assert_eq!(
+                        (a.ok_mask, a.detections, a.ped_calcs),
+                        (b.ok_mask, b.detections, b.ped_calcs),
+                        "frame {idx} under {pacing:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -409,7 +475,6 @@ mod tests {
             assert_eq!(a, draw(5), "{} schedule must be a pure function of its seed", mix.name());
             assert_ne!(a, draw(6), "{} schedule must vary with the seed", mix.name());
             assert!(a.windows(2).all(|w| w[0] <= w[1]), "{} schedule monotone", mix.name());
-            assert!(mix.is_paced());
         }
         let sat = TrafficMix::Saturation.schedule(8, &mut StdRng::seed_from_u64(1));
         assert!(sat.iter().all(|&t| t == Duration::ZERO));

@@ -1,5 +1,5 @@
-//! Operations cockpit demo: the streaming runtime under Poisson uplink
-//! traffic with a live Prometheus `/metrics` endpoint scraping it.
+//! Operations cockpit demo: the streaming runtime under saturating
+//! uplink traffic with a live Prometheus `/metrics` endpoint scraping it.
 //!
 //! ```sh
 //! cargo run --release --example metrics_endpoint          # bounded demo
@@ -17,12 +17,11 @@
 //! on `GS_METRICS_ADDR` (default `127.0.0.1:9184`) for a real Prometheus
 //! to scrape — and a browser to watch: `http://127.0.0.1:9184/`.
 
-use geosphere::channel::RayleighChannel;
 use geosphere::core::geosphere_decoder;
 use geosphere::modulation::Constellation;
 use geosphere::phy::PhyConfig;
 use geosphere::runtime::{FrameStream, StreamConfig};
-use geosphere::sim::{run_poisson_uplink, PoissonParams};
+use geosphere::sim::{drive, DeadlineSpec, Pacing, Scenario, SnrSpec, TrafficMix};
 use geosphere::telemetry::{assert_counters_monotone, lint_exposition, scrape, MetricsServer};
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,21 +43,21 @@ fn main() {
     let server = MetricsServer::spawn(&addr, Arc::clone(&stream)).expect("bind metrics endpoint");
     println!("serving http://{}/metrics", server.addr());
 
-    let model = RayleighChannel::new(4, 2);
-    let params = PoissonParams {
-        clients,
-        frames_per_client: 25,
-        rate_hz: f64::INFINITY,
-        snr_db: 26.0,
-        deadline: Some(Duration::from_millis(50)),
-        seed: 2014,
-    };
+    let burst = Scenario::new(2014)
+        .phy(cfg)
+        .clients(clients)
+        .frames_per_client(25)
+        .antennas(4, 2)
+        .traffic(TrafficMix::Saturation)
+        .snr(SnrSpec::Fixed(26.0))
+        .deadlines(DeadlineSpec::Within(Duration::from_millis(50)));
+    let saturate = Pacing::Replay { in_flight: usize::MAX };
 
-    run_poisson_uplink(&stream, &model, &params);
+    drive(&stream, &burst.plan(), saturate);
     let first = scrape(server.addr(), "/metrics").expect("scrape #1");
     let first = lint_exposition(&first).expect("exposition lints clean");
 
-    run_poisson_uplink(&stream, &model, &params);
+    drive(&stream, &burst.plan(), saturate);
     let second = scrape(server.addr(), "/metrics").expect("scrape #2");
     let second = lint_exposition(&second).expect("exposition lints clean");
 
@@ -96,9 +95,9 @@ fn main() {
     // and the dashboard's anomaly panel has something to show.
     use geosphere::prof::trace as gtrace;
     gtrace::set_min_dump_gap_ms(0);
-    let miss_params =
-        PoissonParams { deadline: Some(Duration::from_nanos(1)), seed: 2015, ..params.clone() };
-    let report = run_poisson_uplink(&stream, &model, &miss_params);
+    let hopeless =
+        Scenario { seed: 2015, ..burst }.deadlines(DeadlineSpec::Within(Duration::from_nanos(1)));
+    let report = drive(&stream, &hopeless.plan(), saturate).traffic();
     println!("anomaly burst: {} deadline misses triggered", report.deadline_misses);
 
     let dash = scrape(server.addr(), "/").expect("scrape /");

@@ -1,6 +1,7 @@
-//! Streaming base-station runtime: Poisson multi-client uplink traffic
-//! flowing through the `gs-runtime` pipeline (plan → sharded detect →
-//! recover), with backpressure, deadlines, and live runtime stats.
+//! Streaming base-station runtime: multi-client uplink traffic, paced
+//! Poisson and saturating, flowing through the `gs-runtime` pipeline
+//! (plan → sharded detect → recover), with backpressure, deadlines, and
+//! live runtime stats.
 //!
 //! ```sh
 //! cargo run --release --example streaming_uplink
@@ -9,12 +10,11 @@
 //! Knobs: `GS_NO_PIN` disables worker pinning, `GS_SIMD` selects the
 //! kernel tier; the stream runs one shard per memory domain.
 
-use geosphere::channel::RayleighChannel;
 use geosphere::core::geosphere_decoder;
 use geosphere::modulation::Constellation;
 use geosphere::phy::PhyConfig;
 use geosphere::runtime::{FrameStream, StreamConfig};
-use geosphere::sim::{run_poisson_uplink, PoissonParams};
+use geosphere::sim::{drive, DeadlineSpec, Pacing, Scenario, SnrSpec, TrafficMix};
 use std::time::Duration;
 
 fn main() {
@@ -31,27 +31,26 @@ fn main() {
         stream.capacity()
     );
 
-    // Each frame is a 2-stream MU-MIMO uplink into a four-antenna AP
-    // (RayleighChannel::new(rx, tx)); the four *source lanes* above are
-    // ordering domains, each offering its own Poisson arrival process.
-    // Frames carry a 50 ms deadline.
-    let model = RayleighChannel::new(4, 2);
+    // Each frame is a 2-stream MU-MIMO uplink into a four-antenna AP over
+    // i.i.d. Rayleigh fading; the four *source lanes* above are ordering
+    // domains, each offering its own arrival process. Frames carry a
+    // 50 ms deadline. The paced run submits each frame at its Poisson
+    // arrival time and drops it when every slot is busy; the saturation
+    // run offers every frame at once and waits for free slots.
+    let workload = Scenario::new(2014)
+        .phy(cfg)
+        .clients(clients)
+        .frames_per_client(25)
+        .antennas(4, 2)
+        .snr(SnrSpec::Fixed(26.0))
+        .deadlines(DeadlineSpec::Within(Duration::from_millis(50)));
 
-    for rate_hz in [50.0, f64::INFINITY] {
-        let params = PoissonParams {
-            clients,
-            frames_per_client: 25,
-            rate_hz,
-            snr_db: 26.0,
-            deadline: Some(Duration::from_millis(50)),
-            seed: 2014,
-        };
-        let label = if rate_hz.is_finite() {
-            format!("paced {rate_hz} fps/client")
-        } else {
-            "saturation".into()
-        };
-        let report = run_poisson_uplink(&stream, &model, &params);
+    for (label, traffic, pacing) in [
+        ("paced 50 fps/client", TrafficMix::Poisson { rate_hz: 50.0 }, Pacing::WallClock),
+        ("saturation", TrafficMix::Saturation, Pacing::Replay { in_flight: usize::MAX }),
+    ] {
+        let plan = workload.clone().traffic(traffic).plan();
+        let report = drive(&stream, &plan, pacing).traffic();
         println!(
             "\n--- {label} ---\n\
              offered {:>4}   admitted {:>4}   dropped {:>3}\n\

@@ -8,13 +8,12 @@
 //! chain with every hard-chain stage, and that `/trace/latest` serves the
 //! Chrome export.
 
-use geosphere::channel::RayleighChannel;
 use geosphere::core::geosphere_decoder;
 use geosphere::modulation::Constellation;
 use geosphere::phy::PhyConfig;
 use geosphere::prof::trace as gtrace;
 use geosphere::runtime::{FrameStream, StreamConfig};
-use geosphere::sim::{run_poisson_uplink, PoissonParams};
+use geosphere::sim::{drive, DeadlineSpec, Pacing, Scenario, SnrSpec, TrafficMix};
 use geosphere::telemetry::{lint_exposition, scrape, MetricsServer};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,18 +33,18 @@ fn deadline_misses_fire_the_recorder_and_surface_everywhere() {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
     let stream = Arc::new(FrameStream::new(cfg, geosphere_decoder(), StreamConfig::new(CLIENTS)));
     let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&stream)).expect("bind");
-    let model = RayleighChannel::new(4, 2);
-    let params = PoissonParams {
-        clients: CLIENTS,
-        frames_per_client: FRAMES_PER_CLIENT,
-        rate_hz: f64::INFINITY,
-        snr_db: 24.0,
+    let plan = Scenario::new(1014)
+        .phy(cfg)
+        .clients(CLIENTS)
+        .frames_per_client(FRAMES_PER_CLIENT)
+        .antennas(4, 2)
+        .traffic(TrafficMix::Saturation)
+        .snr(SnrSpec::Fixed(24.0))
         // A deadline no frame can make: every delivery is a miss and every
         // miss pulls the anomaly trigger.
-        deadline: Some(Duration::from_nanos(1)),
-        seed: 1014,
-    };
-    let report = run_poisson_uplink(&stream, &model, &params);
+        .deadlines(DeadlineSpec::Within(Duration::from_nanos(1)))
+        .plan();
+    let report = drive(&stream, &plan, Pacing::Replay { in_flight: usize::MAX }).traffic();
     assert!(report.submitted > 0, "traffic must actually have flowed");
     assert_eq!(
         report.deadline_misses, report.submitted,

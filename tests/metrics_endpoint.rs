@@ -4,12 +4,11 @@
 //! to match a [`RuntimeStats`] snapshot *exactly* — the endpoint is a
 //! rendering of the snapshot, not a second bookkeeping system.
 
-use geosphere::channel::RayleighChannel;
 use geosphere::core::geosphere_decoder;
 use geosphere::modulation::Constellation;
 use geosphere::phy::PhyConfig;
 use geosphere::runtime::{FrameStream, StreamConfig};
-use geosphere::sim::{run_poisson_uplink, PoissonParams};
+use geosphere::sim::{drive, DeadlineSpec, Pacing, Scenario, SnrSpec, TrafficMix};
 use geosphere::telemetry::{
     assert_counters_monotone, lint_exposition, render_runtime_stats, render_runtime_stats_capped,
     scrape, scrape_deadline, MetricsServer, QUANTILES,
@@ -19,23 +18,29 @@ use std::time::Duration;
 
 const CLIENTS: usize = 3;
 const FRAMES_PER_CLIENT: usize = 20;
+const SATURATE: Pacing = Pacing::Replay { in_flight: usize::MAX };
+
+/// `CLIENTS × FRAMES_PER_CLIENT` saturation-order frames of 4×2 i.i.d.
+/// Rayleigh at 24 dB.
+fn burst(cfg: PhyConfig, seed: u64, deadlines: DeadlineSpec) -> Scenario {
+    Scenario::new(seed)
+        .phy(cfg)
+        .clients(CLIENTS)
+        .frames_per_client(FRAMES_PER_CLIENT)
+        .antennas(4, 2)
+        .traffic(TrafficMix::Saturation)
+        .snr(SnrSpec::Fixed(24.0))
+        .deadlines(deadlines)
+}
 
 #[test]
 fn scraped_metrics_match_runtime_stats_exactly() {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
     let stream = Arc::new(FrameStream::new(cfg, geosphere_decoder(), StreamConfig::new(CLIENTS)));
     let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&stream)).expect("bind");
-    let model = RayleighChannel::new(4, 2);
-    let params = PoissonParams {
-        clients: CLIENTS,
-        frames_per_client: FRAMES_PER_CLIENT,
-        rate_hz: f64::INFINITY,
-        snr_db: 24.0,
-        deadline: Some(Duration::from_millis(250)),
-        seed: 814,
-    };
+    let plan = burst(cfg, 814, DeadlineSpec::Within(Duration::from_millis(250))).plan();
 
-    let report = run_poisson_uplink(&stream, &model, &params);
+    let report = drive(&stream, &plan, SATURATE).traffic();
     assert!(report.submitted > 0, "traffic must actually have flowed");
 
     // The driver has drained every completion, so the stream is idle and
@@ -113,7 +118,7 @@ fn scraped_metrics_match_runtime_stats_exactly() {
 
     // A second burst: counters move forward, never backward, and the new
     // scrape still lints.
-    run_poisson_uplink(&stream, &model, &params);
+    drive(&stream, &plan, SATURATE);
     let second = lint_exposition(&scrape(server.addr(), "/metrics").expect("scrape #2"))
         .expect("second exposition lints clean");
     let compared = assert_counters_monotone(&expo, &second).expect("counters monotone");
@@ -140,16 +145,7 @@ fn scraped_metrics_match_runtime_stats_exactly() {
 fn client_lanes_past_the_cap_fold_into_other() {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
     let stream = Arc::new(FrameStream::new(cfg, geosphere_decoder(), StreamConfig::new(CLIENTS)));
-    let model = RayleighChannel::new(4, 2);
-    let params = PoissonParams {
-        clients: CLIENTS,
-        frames_per_client: FRAMES_PER_CLIENT,
-        rate_hz: f64::INFINITY,
-        snr_db: 24.0,
-        deadline: None,
-        seed: 915,
-    };
-    run_poisson_uplink(&stream, &model, &params);
+    drive(&stream, &burst(cfg, 915, DeadlineSpec::None).plan(), SATURATE);
     let stats = stream.stats();
     const _: () = assert!(CLIENTS >= 3, "test needs a tail to fold past a cap of 2");
 

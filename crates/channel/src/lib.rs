@@ -18,7 +18,6 @@ pub mod model;
 pub mod noise;
 pub mod rayleigh;
 pub mod testbed;
-pub mod trace;
 
 pub use dynamics::{
     fading_correlation, DopplerTrajectory, FadingProcess, InterferenceBurst, SnrWalk,
@@ -32,4 +31,3 @@ pub use noise::{
 };
 pub use rayleigh::{RayleighChannel, SelectiveRayleighChannel};
 pub use testbed::{Testbed, Wall};
-pub use trace::{ChannelTrace, TraceParseError, TraceReplay};

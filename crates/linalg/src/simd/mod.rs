@@ -7,8 +7,7 @@
 //! partial-Euclidean-distance (PED) evaluation. This module provides those
 //! primitives in three backends — an always-available scalar path, AVX2 on
 //! `x86_64`, and NEON on `aarch64` — selected once at runtime and
-//! overridable by the `GS_SIMD` environment variable or the gs-linalg
-//! `force-scalar` cargo feature.
+//! overridable by the `GS_SIMD` environment variable.
 //!
 //! ## Bit-identical by construction
 //!
@@ -116,11 +115,8 @@ const TIER_UNSET: u8 = u8::MAX;
 /// first dispatch.
 static ACTIVE: AtomicU8 = AtomicU8::new(TIER_UNSET);
 
-/// The best tier this CPU supports (honouring the `force-scalar` feature).
+/// The best tier this CPU supports.
 pub fn detected_tier() -> Tier {
-    if cfg!(feature = "force-scalar") {
-        return Tier::Scalar;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -141,13 +137,9 @@ pub fn tier_supported(tier: Tier) -> bool {
     match tier {
         Tier::Scalar => true,
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => {
-            !cfg!(feature = "force-scalar") && std::arch::is_x86_feature_detected!("avx2")
-        }
+        Tier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
         #[cfg(target_arch = "aarch64")]
-        Tier::Neon => {
-            !cfg!(feature = "force-scalar") && std::arch::is_aarch64_feature_detected!("neon")
-        }
+        Tier::Neon => std::arch::is_aarch64_feature_detected!("neon"),
         #[allow(unreachable_patterns)]
         _ => false,
     }

@@ -85,9 +85,8 @@
 //!   (`tests/stream_determinism.rs`).
 //! * **Zero steady-state allocations**: slots, queues, heaps, and
 //!   per-shard replicas are bounded and recycled; once every slot has
-//!   warmed to the workload's largest frame shape, pushing a frame through
-//!   the full pipeline touches the allocator zero times on every thread
-//!   involved (same suite).
+//!   decoded a frame, pushing a frame through the full pipeline touches
+//!   the allocator zero times on every thread involved (same suite).
 //! * **Deadlines are scheduling hints, not admission control**: a missed
 //!   deadline is recorded ([`RuntimeStats::deadline_misses`],
 //!   [`Completed::missed_deadline`]), never dropped.

@@ -97,39 +97,36 @@ impl AdaptationPolicy for PinnedPolicy {
 ///
 /// A tier move needs two things at once:
 ///
-/// * **Signal past a threshold.** Degrading needs `pressure() ≥
-///   degrade_pressure` *or* `miss_rate ≥ degrade_miss_rate`; recovering
-///   needs `pressure() ≤ recover_pressure` *and* `miss_rate ≤
-///   recover_miss_rate`. The recover thresholds sit well below the degrade
+/// * **Signal past a threshold.** Degrading needs `pressure() ≥ 0.85`
+///   *or* `miss_rate ≥ 0.10`; recovering needs `pressure() ≤ 0.35` *and*
+///   `miss_rate ≤ 0.02`. The recover thresholds sit well below the degrade
 ///   thresholds, so any signal held between them changes nothing — the
 ///   hysteresis band that prevents flapping at a single threshold.
-/// * **Dwell.** At least [`HysteresisPolicy::dwell`] admissions must pass
-///   since the last move, bounding the walk rate even when the signal
-///   oscillates across the whole band.
+/// * **Dwell.** At least 4 admissions must pass since the last move,
+///   bounding the walk rate even when the signal oscillates across the
+///   whole band.
 ///
 /// Each move is one rung: sphere → FSD → MMSE degrading, the reverse
 /// recovering.
 #[derive(Clone, Debug)]
 pub struct HysteresisPolicy {
-    /// Degrade when the load signal reaches this fraction (default 0.85).
-    pub degrade_pressure: f64,
-    /// Recover only when the load signal is at or below this fraction
-    /// (default 0.35).
-    pub recover_pressure: f64,
-    /// Degrade when the windowed miss rate reaches this fraction
-    /// (default 0.10).
-    pub degrade_miss_rate: f64,
+    /// Degrade when the load signal reaches this fraction.
+    degrade_pressure: f64,
+    /// Recover only when the load signal is at or below this fraction.
+    recover_pressure: f64,
+    /// Degrade when the windowed miss rate reaches this fraction.
+    degrade_miss_rate: f64,
     /// Recover only when the windowed miss rate is at or below this
-    /// fraction (default 0.02).
-    pub recover_miss_rate: f64,
-    /// Minimum admissions between tier moves (default 4).
-    pub dwell: u32,
+    /// fraction.
+    recover_miss_rate: f64,
+    /// Minimum admissions between tier moves.
+    dwell: u32,
     tier: DetectorTier,
     admissions_since_move: u32,
 }
 
 impl HysteresisPolicy {
-    /// The default thresholds, starting at the top tier.
+    /// The policy with the thresholds above, starting at the top tier.
     pub fn new() -> Self {
         let dwell = 4;
         HysteresisPolicy {

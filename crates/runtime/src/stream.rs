@@ -43,9 +43,6 @@ pub struct UplinkFrame {
     pub snr_db: f64,
     /// Seed for the frame's payload and noise draws.
     pub seed: u64,
-    /// Overrides the stream's base `payload_bits` for this frame
-    /// (`None` = the base config's length).
-    pub payload_bits: Option<usize>,
     /// Optional completion deadline. Within a shard, frames are started
     /// and detected earliest-deadline-first; deadline-free frames run
     /// after all deadline-bearing ones, FIFO. A missed deadline never drops the
@@ -55,9 +52,9 @@ pub struct UplinkFrame {
 }
 
 impl UplinkFrame {
-    /// A deadline-free submission with the stream's base frame length.
+    /// A deadline-free submission.
     pub fn new(client: usize, channel: Arc<MimoChannel>, snr_db: f64, seed: u64) -> Self {
-        UplinkFrame { client, channel, snr_db, seed, payload_bits: None, deadline: None }
+        UplinkFrame { client, channel, snr_db, seed, deadline: None }
     }
 }
 
@@ -88,15 +85,6 @@ pub enum TrySubmitError {
     /// The stream is dead ([`StreamDead`]); the frame can never complete
     /// here.
     Dead(UplinkFrame),
-}
-
-impl TrySubmitError {
-    /// The refused frame, whichever way it was refused.
-    pub fn into_frame(self) -> UplinkFrame {
-        match self {
-            TrySubmitError::Full(f) | TrySubmitError::Dead(f) => f,
-        }
-    }
 }
 
 /// Sizing and placement knobs for a [`FrameStream`].
@@ -152,7 +140,6 @@ struct SlotMeta {
     client_seq: u64,
     snr_db: f64,
     seed: u64,
-    payload_bits: usize,
     deadline: Option<Instant>,
     deadline_key: u64,
     channel: Option<Arc<MimoChannel>>,
@@ -173,7 +160,6 @@ impl SlotMeta {
             client_seq: 0,
             snr_db: 0.0,
             seed: 0,
-            payload_bits: 0,
             deadline: None,
             deadline_key: NO_DEADLINE,
             channel: None,
@@ -337,7 +323,7 @@ fn ring_slot(seq: u64) -> usize {
 }
 
 struct Shared {
-    base_cfg: PhyConfig,
+    cfg: PhyConfig,
     /// One detector per tier; each portion is detected at the tier
     /// stamped on the frame. A fixed-detector stream is the uniform
     /// ladder.
@@ -400,7 +386,7 @@ impl Shared {
             let _prof = gs_prof::scope(gs_prof::Stage::Detect);
             let tier = core.ws.detector_tier();
             let (channels, jobs) = (core.ws.planned_channels(), core.ws.planned_jobs());
-            let c = self.base_cfg.constellation;
+            let c = self.cfg.constellation;
             core.portions.detect(shard, channels, jobs, c, |batch, out| {
                 self.ladder.detect_batch_with(tier, batch, ws, out);
             })
@@ -418,11 +404,10 @@ impl Shared {
     /// portions' enqueue instants pick it up.
     fn plan_frame(&self, slot_idx: usize, home: usize) {
         let slot = &self.slots[slot_idx];
-        let (channel, cfg, snr_db, seed, deadline_key, tier) = {
+        let (channel, snr_db, seed, deadline_key, tier) = {
             let meta = lock(&slot.meta);
             (
                 Arc::clone(meta.channel.as_ref().expect("slot submitted without a channel")),
-                PhyConfig { payload_bits: meta.payload_bits, ..self.base_cfg },
                 meta.snr_db,
                 meta.seed,
                 meta.deadline_key,
@@ -433,7 +418,7 @@ impl Shared {
             let mut core = slot.core.write().unwrap_or_else(std::sync::PoisonError::into_inner);
             let core = &mut *core;
             let mut rng = StdRng::seed_from_u64(seed);
-            core.ws.plan_uplink(&cfg, &channel, snr_db, &mut rng);
+            core.ws.plan_uplink(&self.cfg, &channel, snr_db, &mut rng);
             // Stamp the admission-time tier on the staged frame: the shard
             // workers dispatch at it, and `finish_uplink` reports it in
             // the outcome.
@@ -465,8 +450,7 @@ impl Shared {
             core.portions
                 .for_each_result(|idx, det| core.ws.absorb_detection(&mut stats, idx, det));
             drop(scatter);
-            let cfg = PhyConfig { payload_bits: lock(&slot.meta).payload_bits, ..self.base_cfg };
-            core.ws.finish_uplink(&cfg, stats);
+            core.ws.finish_uplink(&self.cfg, stats);
         }
 
         self.stats.recovered.fetch_add(1, Ordering::Relaxed);
@@ -602,29 +586,15 @@ pub struct FrameStream {
 
 impl FrameStream {
     /// Builds a stream decoding with `detector` under the fixed PHY
-    /// `cfg` (per-frame `payload_bits` overrides aside). See
-    /// [`StreamConfig`] for sizing; workers spawn immediately.
+    /// `cfg`. See [`StreamConfig`] for sizing; workers spawn immediately.
     ///
     /// Internally this is the degenerate control plane — the uniform
     /// ladder pinned to [`DetectorTier::Sphere`] — so every frame runs
     /// `detector` and the stream stays a pure function of its
     /// submissions.
     pub fn new<D: MimoDetector + 'static>(cfg: PhyConfig, detector: D, sc: StreamConfig) -> Self {
-        Self::with_detector_arc(cfg, Arc::new(detector), sc)
-    }
-
-    /// [`FrameStream::new`] for an already type-erased detector.
-    pub fn with_detector_arc(
-        cfg: PhyConfig,
-        detector: Arc<dyn MimoDetector>,
-        sc: StreamConfig,
-    ) -> Self {
-        Self::adaptive(
-            cfg,
-            DetectorLadder::uniform(detector),
-            PinnedPolicy(DetectorTier::Sphere),
-            sc,
-        )
+        let ladder = DetectorLadder::uniform(Arc::new(detector));
+        Self::adaptive(cfg, ladder, PinnedPolicy(DetectorTier::Sphere), sc)
     }
 
     /// Builds an **adaptive** stream: each admission consults `policy`
@@ -683,7 +653,7 @@ impl FrameStream {
             .collect();
 
         let shared = Arc::new(Shared {
-            base_cfg: cfg,
+            cfg,
             ladder,
             policy: Mutex::new(policy),
             depth_scratch: Mutex::new(Vec::with_capacity(n_shards)),
@@ -831,9 +801,9 @@ impl FrameStream {
         // pool-worker panic that would kill the whole stream.
         let sc = frame.channel.num_subcarriers();
         assert!(
-            sc == 1 || sc == self.shared.base_cfg.n_subcarriers,
+            sc == 1 || sc == self.shared.cfg.n_subcarriers,
             "channel subcarrier count {sc} must be 1 or {}",
-            self.shared.base_cfg.n_subcarriers
+            self.shared.cfg.n_subcarriers
         );
     }
 
@@ -864,7 +834,6 @@ impl FrameStream {
             meta.client_seq = client_seq;
             meta.snr_db = frame.snr_db;
             meta.seed = frame.seed;
-            meta.payload_bits = frame.payload_bits.unwrap_or(shared.base_cfg.payload_bits);
             meta.deadline = frame.deadline;
             meta.deadline_key = deadline_key;
             meta.channel = Some(Arc::clone(&frame.channel));
@@ -1106,9 +1075,8 @@ mod tests {
 
     /// The serial reference for one submission.
     fn serial_outcome(cfg: &PhyConfig, f: &UplinkFrame, ws: &mut FrameWorkspace) -> UplinkOutcome {
-        let cfg = PhyConfig { payload_bits: f.payload_bits.unwrap_or(cfg.payload_bits), ..*cfg };
         let mut rng = StdRng::seed_from_u64(f.seed);
-        decode_frame_batched_into(&cfg, &f.channel, &geosphere_decoder(), f.snr_db, &mut rng, 1, ws)
+        decode_frame_batched_into(cfg, &f.channel, &geosphere_decoder(), f.snr_db, &mut rng, 1, ws)
             .clone()
     }
 
@@ -1402,37 +1370,6 @@ mod tests {
         let res = std::panic::catch_unwind(|| FrameStream::new(cfg, geosphere_decoder(), sc));
         let msg = *res.err().expect("construction must refuse").downcast::<String>().unwrap();
         assert!(msg.contains("multiple of 16"), "{msg}");
-    }
-
-    #[test]
-    fn per_frame_payload_override_matches_serial() {
-        let cfg = small_cfg();
-        let chans = channels(2, 44);
-        let mut sc = StreamConfig::new(1);
-        sc.workers = 2;
-        sc.shards = 2;
-        let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
-        let mut ws = FrameWorkspace::new();
-        // Alternate frame lengths (shrinking and growing) through one stream.
-        let frames: Vec<UplinkFrame> = [512usize, 128, 384, 128]
-            .iter()
-            .enumerate()
-            .map(|(k, &bits)| {
-                let mut f = UplinkFrame::new(0, Arc::clone(&chans[k % 2]), 22.0, 500 + k as u64);
-                f.payload_bits = Some(bits);
-                f
-            })
-            .collect();
-        let reference: Vec<UplinkOutcome> =
-            frames.iter().map(|f| serial_outcome(&cfg, f, &mut ws)).collect();
-        for f in &frames {
-            stream.submit(f.clone()).unwrap();
-        }
-        for r in &reference {
-            let done = stream.recv().unwrap();
-            assert_eq!(done.outcome().client_ok, r.client_ok);
-            assert_eq!(done.outcome().stats, r.stats);
-        }
     }
 
     /// Each shard pops exactly one task per frame: the home shard's pop

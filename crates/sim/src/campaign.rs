@@ -4,10 +4,9 @@
 //!
 //! A campaign ([`run_campaign`]) expands a base seed into [`Scenario`]s
 //! ([`Scenario::sampled`]), runs them across runner threads — each
-//! thread reusing one serial-reference [`FrameWorkspace`] and caching its
-//! last [`FrameStream`] across same-shaped scenarios, so the campaign
-//! itself obeys the runtime's zero-alloc steady-state discipline — and
-//! checks per-scenario invariants:
+//! thread reusing one serial-reference [`FrameWorkspace`], each scenario
+//! building and dropping its own [`FrameStream`] — and checks
+//! per-scenario invariants:
 //!
 //! * **bit-identity**: every delivered frame's detection outcome (CRC
 //!   bits, detection count, PED work) equals the serial
@@ -16,7 +15,7 @@
 //!   and monotone;
 //! * **miss accounting**: frames in pre-expired deadline windows are all
 //!   delivered and all recorded as misses, generous/deadline-free frames
-//!   never are, and the stream's [`RuntimeStats`] deltas (submitted,
+//!   never are, and the stream's [`RuntimeStats`] counters (submitted,
 //!   completed, deadline misses) agree exactly with the driver's counts;
 //! * **fault containment**: a lethal fault fires where armed, kills
 //!   exactly the frames after its position, and surfaces as typed
@@ -47,7 +46,6 @@
 use crate::faults::FaultSpec;
 use crate::scenario::{DeadlineKind, Scenario};
 use crate::traffic::{drive, ok_mask, Pacing};
-use gs_modulation::Constellation;
 use gs_phy::{decode_frame_batched_into, FrameWorkspace};
 use gs_runtime::{FrameStream, PinnedPolicy};
 use rand::rngs::StdRng;
@@ -169,67 +167,6 @@ fn fnv_fold(mut h: u64, x: u64) -> u64 {
     h
 }
 
-/// Everything stream construction reads from a scenario: clients,
-/// workers, shards, capacity, pinned tier, base SNR, and the frame shape.
-type ShapeKey = (usize, usize, usize, usize, u8, u64, Constellation, usize, usize, usize);
-
-/// Per-thread cache of the last stream, keyed by the scenario shape that
-/// determines stream construction. Same-shaped scenarios reuse the warm
-/// stream (and its slots/heaps/replicas — zero steady-state allocations);
-/// a shape change or a lethal fault rebuilds it.
-struct StreamCache {
-    key: Option<ShapeKey>,
-    stream: Option<FrameStream>,
-}
-
-impl StreamCache {
-    fn new() -> Self {
-        StreamCache { key: None, stream: None }
-    }
-
-    fn shape_key(s: &Scenario) -> ShapeKey {
-        (
-            s.clients,
-            s.workers,
-            s.shards,
-            s.capacity,
-            s.tier.index() as u8,
-            s.snr.base_db().to_bits(),
-            s.phy.constellation,
-            s.phy.n_subcarriers,
-            s.phy.n_dbps(),
-            s.phy.payload_bits,
-        )
-    }
-
-    fn get_or_create(&mut self, s: &Scenario) -> &FrameStream {
-        let key = Self::shape_key(s);
-        let dead = self.stream.as_ref().is_some_and(|st| st.is_dead());
-        if self.key != Some(key) || dead {
-            self.stream = Some(FrameStream::adaptive(
-                s.phy,
-                s.ladder(),
-                PinnedPolicy(s.tier),
-                s.stream_config(),
-            ));
-            self.key = Some(key);
-        }
-        self.stream.as_ref().expect("stream present")
-    }
-
-    fn invalidate(&mut self) {
-        self.key = None;
-        self.stream = None;
-    }
-}
-
-/// Runs one scenario end to end — drive, invariants, serial reference —
-/// reusing the caller's workspace and stream cache.
-pub fn run_scenario(scenario: &Scenario, index: usize, ws: &mut FrameWorkspace) -> ScenarioOutcome {
-    let mut cache = StreamCache::new();
-    run_scenario_cached(scenario, index, ws, &mut cache)
-}
-
 /// Re-runs campaign scenario `index` of the campaign rooted at
 /// `base_seed` — the local-reproduction entry: its rendered line is
 /// byte-identical to the same scenario's line in the full campaign
@@ -243,18 +180,20 @@ pub fn run_scenario_by_index(
     run_scenario(&scenario, index, &mut FrameWorkspace::new())
 }
 
-fn run_scenario_cached(
-    scenario: &Scenario,
-    index: usize,
-    ws: &mut FrameWorkspace,
-    cache: &mut StreamCache,
-) -> ScenarioOutcome {
+/// Runs one scenario end to end — drive, invariants, serial reference —
+/// on a stream of its own, reusing the caller's serial-reference
+/// workspace.
+pub fn run_scenario(scenario: &Scenario, index: usize, ws: &mut FrameWorkspace) -> ScenarioOutcome {
     let plan = scenario.plan();
     let n = plan.len();
     let mut violations: Vec<String> = Vec::new();
 
-    let stream = cache.get_or_create(scenario);
-    let before = stream.stats();
+    let stream = FrameStream::adaptive(
+        scenario.phy,
+        scenario.ladder(),
+        PinnedPolicy(scenario.tier),
+        scenario.stream_config(),
+    );
 
     // The healthy / deadline-storm drive keeps the pipeline full: slots
     // recycle mid-scenario and every admitted frame is delivered.
@@ -272,7 +211,7 @@ fn run_scenario_cached(
             };
             stream.inject_worker_panic_after(shard, after_frames + 1);
             lethal = true;
-            let report = drive(stream, &plan, Pacing::Replay { in_flight: 1 });
+            let report = drive(&stream, &plan, Pacing::Replay { in_flight: 1 });
             let delivered = report.delivered();
             fault_fired = report.died > 0;
             if !fault_fired {
@@ -291,7 +230,7 @@ fn run_scenario_cached(
             // pool's capacity, the rest refused — bounded memory under
             // overload, no hangs, no loss of admitted frames.
             let burst_n = burst.min(n);
-            let mut report = drive(stream, &plan[..burst_n], Pacing::Stalled);
+            let mut report = drive(&stream, &plan[..burst_n], Pacing::Stalled);
             let expect = burst_n.min(scenario.capacity) as u64;
             if report.admitted != expect {
                 violations.push(format!(
@@ -301,14 +240,14 @@ fn run_scenario_cached(
             }
             fault_fired = report.refused > 0;
             // The tail (if the burst did not cover the plan) runs full.
-            let tail = drive(stream, &plan[burst_n..], full);
+            let tail = drive(&stream, &plan[burst_n..], full);
             report.records.extend(tail.records);
             report.admitted += tail.admitted;
             report.refused += tail.refused;
             report.died += tail.died;
             report
         }
-        _ => drive(stream, &plan, full),
+        _ => drive(&stream, &plan, full),
     };
     let records = &report.records;
     if !lethal && (report.died > 0 || stream.is_dead()) {
@@ -322,21 +261,17 @@ fn run_scenario_cached(
         (report.delivered(), traffic.frames_all_ok, traffic.deadline_misses);
 
     // In-order delivery: each client's deliveries, in plan order, carry
-    // contiguous sequence numbers. A reused stream's per-client sequence
-    // numbers continue across scenarios, so contiguity is checked against
-    // the first sequence seen per client.
-    let mut next_seq: Vec<Option<u64>> = vec![None; scenario.clients];
+    // the sequence numbers 0, 1, 2, … of the scenario's own stream.
+    let mut next_seq: Vec<u64> = vec![0; scenario.clients];
     for (pf, rec) in plan.iter().zip(records).filter(|(_, r)| r.delivered) {
         let client = pf.client;
-        if let Some(expect) = next_seq[client] {
-            if rec.seq != expect {
-                violations.push(format!(
-                    "out-of-order delivery for client {client}: seq {} where {expect} was due",
-                    rec.seq
-                ));
-            }
+        if rec.seq != next_seq[client] {
+            violations.push(format!(
+                "out-of-order delivery for client {client}: seq {} where {} was due",
+                rec.seq, next_seq[client]
+            ));
         }
-        next_seq[client] = Some(rec.seq + 1);
+        next_seq[client] = rec.seq + 1;
         if rec.tier != scenario.tier {
             violations.push(format!(
                 "a frame of client {client} decoded at {} instead of the pinned {}",
@@ -371,25 +306,25 @@ fn run_scenario_cached(
         }
     }
 
-    // Stats deltas must agree exactly with the driver's own accounting.
+    // The stream's counters must agree exactly with the driver's own
+    // accounting.
     let stats = stream.stats();
-    if stats.submitted - before.submitted != report.admitted {
+    if stats.submitted != report.admitted {
         violations.push(format!(
-            "stats.submitted moved by {} but the driver admitted {}",
-            stats.submitted - before.submitted,
-            report.admitted
+            "stats.submitted reads {} but the driver admitted {}",
+            stats.submitted, report.admitted
         ));
     }
-    if stats.completed - before.completed != delivered {
+    if stats.completed != delivered {
         violations.push(format!(
-            "stats.completed moved by {} but the driver received {delivered}",
-            stats.completed - before.completed
+            "stats.completed reads {} but the driver received {delivered}",
+            stats.completed
         ));
     }
-    if stats.deadline_misses - before.deadline_misses != misses {
+    if stats.deadline_misses != misses {
         violations.push(format!(
-            "stats.deadline_misses moved by {} but the driver counted {misses}",
-            stats.deadline_misses - before.deadline_misses
+            "stats.deadline_misses reads {} but the driver counted {misses}",
+            stats.deadline_misses
         ));
     }
 
@@ -427,11 +362,6 @@ fn run_scenario_cached(
                 rec.ped_calcs
             ));
         }
-    }
-
-    // A dead stream must not be reused by the next scenario.
-    if stream.is_dead() {
-        cache.invalidate();
     }
 
     // Checksum over the plan in global submission order: the scenario's
@@ -621,9 +551,10 @@ impl CampaignReport {
 
 /// Runs the campaign: expands `config.scenarios` seeded scenarios and
 /// executes them across runner threads. Each thread reuses one
-/// [`FrameWorkspace`] and one cached [`FrameStream`] across its
-/// scenarios; outcomes land in index order regardless of scheduling, so
-/// the report is thread-count independent.
+/// serial-reference [`FrameWorkspace`] across its scenarios, and each
+/// scenario runs on a [`FrameStream`] of its own; outcomes land in index
+/// order regardless of scheduling, so the report is thread-count
+/// independent.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
     let threads = if config.runner_threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
@@ -638,7 +569,6 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
         for _ in 0..threads {
             scope.spawn(|| {
                 let mut ws = FrameWorkspace::new();
-                let mut cache = StreamCache::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= config.scenarios {
@@ -646,7 +576,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
                     }
                     let scenario =
                         Scenario::sampled(i as u64, config.base_seed, config.frames_per_client);
-                    let outcome = run_scenario_cached(&scenario, i, &mut ws, &mut cache);
+                    let outcome = run_scenario(&scenario, i, &mut ws);
                     *results[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
                         Some(outcome);
                 }

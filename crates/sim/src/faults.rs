@@ -86,12 +86,6 @@ impl FaultSpec {
             FaultSpec::SlotExhaustion { burst } => format!("slot_exhaustion@{burst}"),
         }
     }
-
-    /// Whether this fault kills the stream (worker/shard loss) rather
-    /// than degrading service (storms, exhaustion).
-    pub fn is_lethal(&self) -> bool {
-        matches!(self, FaultSpec::WorkerPanic { .. } | FaultSpec::ShardLoss { .. })
-    }
 }
 
 #[cfg(test)]
@@ -107,9 +101,5 @@ mod tests {
         );
         assert_eq!(FaultSpec::DeadlineStorm { start: 2, len: 5 }.describe(), "deadline_storm@2+5");
         assert_eq!(FaultSpec::SlotExhaustion { burst: 9 }.describe(), "slot_exhaustion@9");
-        assert!(FaultSpec::WorkerPanic { after_frames: 0 }.is_lethal());
-        assert!(FaultSpec::ShardLoss { shard: 1, after_frames: 0 }.is_lethal());
-        assert!(!FaultSpec::DeadlineStorm { start: 0, len: 1 }.is_lethal());
-        assert!(!FaultSpec::SlotExhaustion { burst: 1 }.is_lethal());
     }
 }

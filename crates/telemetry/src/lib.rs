@@ -46,11 +46,8 @@ mod server;
 
 pub use dashboard::DASHBOARD_HTML;
 pub use expo::{assert_counters_monotone, lint_exposition, parse_exposition, Exposition, Sample};
-pub use render::{
-    render_runtime_stats, render_runtime_stats_capped, render_trace_dumps,
-    DEFAULT_MAX_CLIENT_LANES, QUANTILES,
-};
-pub use server::{scrape, scrape_deadline, MetricsServer, MAX_CLIENT_LANES_ENV};
+pub use render::{render_runtime_stats, render_trace_dumps, MAX_CLIENT_LANES, QUANTILES};
+pub use server::{scrape, scrape_deadline, MetricsServer};
 
 #[cfg(test)]
 mod tests {

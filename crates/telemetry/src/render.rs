@@ -18,10 +18,10 @@ use std::fmt::Write as _;
 /// Quantiles exported for every histogram-backed summary family.
 pub const QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
 
-/// Default cap on per-client latency summary lanes. Clients beyond the
-/// cap are merged into one `client="other"` lane so a base station with
-/// hundreds of attached clients cannot blow up scrape cardinality.
-pub const DEFAULT_MAX_CLIENT_LANES: usize = 16;
+/// Cap on per-client latency summary lanes. Clients beyond the cap are
+/// merged into one `client="other"` lane so a base station with hundreds
+/// of attached clients cannot blow up scrape cardinality.
+pub const MAX_CLIENT_LANES: usize = 16;
 
 const NS_PER_SEC: f64 = 1e9;
 
@@ -86,18 +86,11 @@ fn summary_single(out: &mut String, name: &str, hist: &HistogramSnapshot) {
 /// Every metric name is emitted exactly once with a `# TYPE` header, so
 /// the output always passes [`lint_exposition`](crate::lint_exposition).
 ///
-/// Per-client latency lanes are capped at [`DEFAULT_MAX_CLIENT_LANES`];
-/// use [`render_runtime_stats_capped`] to pick a different cap.
-pub fn render_runtime_stats(stats: &RuntimeStats) -> String {
-    render_runtime_stats_capped(stats, DEFAULT_MAX_CLIENT_LANES)
-}
-
-/// [`render_runtime_stats`] with an explicit cap on per-client latency
-/// lanes: clients `0..cap` keep their own `client="<i>"` series (stable
+/// Per-client latency lanes are capped at [`MAX_CLIENT_LANES`]: clients
+/// `0..MAX_CLIENT_LANES` keep their own `client="<i>"` series (stable
 /// labels — a client's lane never changes identity as others join), and
-/// everything at index `cap` and beyond is merged into a single
-/// `client="other"` summary. A cap of 0 folds every client into `other`.
-pub fn render_runtime_stats_capped(stats: &RuntimeStats, max_client_lanes: usize) -> String {
+/// everything beyond is merged into a single `client="other"` summary.
+pub fn render_runtime_stats(stats: &RuntimeStats) -> String {
     let mut out = String::with_capacity(4096);
 
     // Lifetime pipeline counters, in stage order (already clamped
@@ -152,13 +145,13 @@ pub fn render_runtime_stats_capped(stats: &RuntimeStats, max_client_lanes: usize
     let mut other = HistogramSnapshot::empty();
     let mut per_client: Vec<(String, &HistogramSnapshot)> = Vec::new();
     for (i, h) in stats.latency_per_client.iter().enumerate() {
-        if i < max_client_lanes {
+        if i < MAX_CLIENT_LANES {
             per_client.push((i.to_string(), h));
         } else {
             other.merge(h);
         }
     }
-    if stats.latency_per_client.len() > max_client_lanes {
+    if stats.latency_per_client.len() > MAX_CLIENT_LANES {
         per_client.push((String::from("other"), &other));
     }
     summary(&mut out, "gs_submit_delivery_latency_seconds", "client", &per_client);

@@ -7,7 +7,7 @@
 //! never touch the frame hot path beyond relaxed atomic reads.
 
 use crate::dashboard::DASHBOARD_HTML;
-use crate::render::{render_runtime_stats_capped, render_trace_dumps, DEFAULT_MAX_CLIENT_LANES};
+use crate::render::{render_runtime_stats, render_trace_dumps};
 use gs_prof::trace;
 use gs_runtime::FrameStream;
 use std::io::{ErrorKind, Read, Write};
@@ -31,10 +31,6 @@ const MAX_HEAD_BYTES: usize = 8192;
 /// resetting the per-read timeout forever.
 const SCRAPE_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Environment variable overriding the per-client latency-lane cap
-/// ([`DEFAULT_MAX_CLIENT_LANES`]) for a spawned server.
-pub const MAX_CLIENT_LANES_ENV: &str = "GS_METRICS_MAX_CLIENT_LANES";
-
 /// A running ops endpoint bound to a local TCP port.
 ///
 /// Serves `GET /metrics` (text format 0.0.4) rendered from the stream's
@@ -45,10 +41,6 @@ pub const MAX_CLIENT_LANES_ENV: &str = "GS_METRICS_MAX_CLIENT_LANES";
 /// method `405`. The server owns one accept thread and shuts down on
 /// [`Drop`] (or explicit [`MetricsServer::shutdown`]), joining the
 /// thread so no socket outlives the value.
-///
-/// The per-client latency-lane cap defaults to
-/// [`DEFAULT_MAX_CLIENT_LANES`], overridable via the
-/// [`MAX_CLIENT_LANES_ENV`] environment variable (read once at spawn).
 #[derive(Debug)]
 pub struct MetricsServer {
     addr: SocketAddr,
@@ -64,10 +56,6 @@ impl MetricsServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let lanes = std::env::var(MAX_CLIENT_LANES_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MAX_CLIENT_LANES);
         let handle = std::thread::Builder::new().name("gs-metrics".into()).spawn(move || {
             for conn in listener.incoming() {
                 if stop_flag.load(Ordering::Acquire) {
@@ -75,7 +63,7 @@ impl MetricsServer {
                 }
                 let Ok(conn) = conn else { continue };
                 // Serve inline: scrapes are rare, tiny, and deadline-bounded.
-                let _ = serve_one(conn, &stream, lanes);
+                let _ = serve_one(conn, &stream);
             }
         })?;
         Ok(MetricsServer { addr, stop, handle: Some(handle) })
@@ -142,7 +130,7 @@ fn read_head(conn: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
 }
 
 /// Handles one connection: read the head, answer, close.
-fn serve_one(mut conn: TcpStream, stream: &Arc<FrameStream>, lanes: usize) -> std::io::Result<()> {
+fn serve_one(mut conn: TcpStream, stream: &Arc<FrameStream>) -> std::io::Result<()> {
     conn.set_write_timeout(Some(IO_TIMEOUT))?;
     let head = read_head(&mut conn)?;
     // `None` answers `400`: an oversized, unterminated or non-UTF-8 head.
@@ -154,11 +142,9 @@ fn serve_one(mut conn: TcpStream, stream: &Arc<FrameStream>, lanes: usize) -> st
         return respond(conn, "400 Bad Request", "text/plain", "bad request\n");
     };
     let (status, content_type, body) = match (method, path) {
-        ("GET", "/metrics") => (
-            "200 OK",
-            "text/plain; version=0.0.4",
-            render_runtime_stats_capped(&stream.stats(), lanes),
-        ),
+        ("GET", "/metrics") => {
+            ("200 OK", "text/plain; version=0.0.4", render_runtime_stats(&stream.stats()))
+        }
         ("GET", "/") | ("GET", "/index.html") => {
             ("200 OK", "text/html; charset=utf-8", DASHBOARD_HTML.to_string())
         }

@@ -1,8 +1,8 @@
 //! Integration tests for the beyond-the-paper extensions: soft output,
-//! iterative reception, distributed MIMO, precoding, and trace-driven
-//! replay — each exercised across crate boundaries.
+//! iterative reception, distributed MIMO and precoding — each exercised
+//! across crate boundaries.
 
-use geosphere::channel::{ChannelModel, ChannelTrace, RayleighChannel, Testbed, TraceReplay};
+use geosphere::channel::{ChannelModel, RayleighChannel, Testbed};
 use geosphere::core::{SoftGeosphereDetector, VectorPerturbationPrecoder};
 use geosphere::modulation::{unmap_points, Constellation};
 use geosphere::phy::{
@@ -103,24 +103,4 @@ fn precoder_and_uplink_share_grid_conventions() {
             assert_eq!(pre.demodulate(rx[k] / p.gamma.sqrt(), p.gamma, c), want);
         }
     }
-}
-
-#[test]
-fn trace_replay_reproduces_measurements_exactly() {
-    let mut rng = StdRng::seed_from_u64(3501);
-    let model = RayleighChannel::new(4, 2);
-    let trace = ChannelTrace::record(&model, 4, &mut rng);
-    let text = trace.serialize();
-    let restored = ChannelTrace::deserialize(&text).unwrap();
-
-    let det = DetectorKind::Geosphere.build(25.0);
-    let cfg = cfg(Constellation::Qam16);
-    let mut ws = FrameWorkspace::new();
-    let mut rng1 = StdRng::seed_from_u64(77);
-    let m1 = measure(&cfg, &TraceReplay::new(trace), &*det, 25.0, 4, &mut rng1, &mut ws);
-    let mut rng2 = StdRng::seed_from_u64(77);
-    let m2 = measure(&cfg, &TraceReplay::new(restored), &*det, 25.0, 4, &mut rng2, &mut ws);
-    assert_eq!(m1.fer, m2.fer);
-    assert_eq!(m1.throughput_mbps, m2.throughput_mbps);
-    assert!((m1.per_subcarrier.ped_calcs - m2.per_subcarrier.ped_calcs).abs() < 1e-12);
 }

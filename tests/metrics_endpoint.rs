@@ -10,8 +10,8 @@ use geosphere::phy::PhyConfig;
 use geosphere::runtime::{FrameStream, StreamConfig};
 use geosphere::sim::{drive, DeadlineSpec, Pacing, Scenario, SnrSpec, TrafficMix};
 use geosphere::telemetry::{
-    assert_counters_monotone, lint_exposition, render_runtime_stats, render_runtime_stats_capped,
-    scrape, scrape_deadline, MetricsServer, QUANTILES,
+    assert_counters_monotone, lint_exposition, render_runtime_stats, scrape, scrape_deadline,
+    MetricsServer, MAX_CLIENT_LANES, QUANTILES,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,40 +138,43 @@ fn scraped_metrics_match_runtime_stats_exactly() {
     assert!(scrape(server.addr(), "/metrics").is_err(), "endpoint is down after shutdown");
 }
 
-/// Capping per-client latency lanes keeps the first N clients as their own
-/// series and folds the tail into a single `client="other"` lane without
-/// losing any samples.
+/// Per-client latency lanes are capped at `MAX_CLIENT_LANES`: the first
+/// clients keep their own series and the tail folds into a single
+/// `client="other"` lane without losing any samples. A stream with no more
+/// clients than the cap has no overflow lane.
 #[test]
 fn client_lanes_past_the_cap_fold_into_other() {
     let cfg = PhyConfig { payload_bits: 512, ..PhyConfig::new(Constellation::Qam16) };
-    let stream = Arc::new(FrameStream::new(cfg, geosphere_decoder(), StreamConfig::new(CLIENTS)));
-    drive(&stream, &burst(cfg, 915, DeadlineSpec::None).plan(), SATURATE);
-    let stats = stream.stats();
-    const _: () = assert!(CLIENTS >= 3, "test needs a tail to fold past a cap of 2");
-
+    let render = |clients: usize| {
+        let stream = FrameStream::new(cfg, geosphere_decoder(), StreamConfig::new(clients));
+        let plan = burst(cfg, 915, DeadlineSpec::None).clients(clients).frames_per_client(2).plan();
+        drive(&stream, &plan, SATURATE);
+        let stats = stream.stats();
+        let expo = lint_exposition(&render_runtime_stats(&stats)).expect("exposition lints");
+        (stats, expo)
+    };
     fn count_in(expo: &geosphere::telemetry::Exposition, label: &str) -> Option<f64> {
         expo.value("gs_submit_delivery_latency_seconds_count", &[("client", label)])
     }
-    let capped = lint_exposition(&render_runtime_stats_capped(&stats, 2)).expect("capped lints");
-    assert_eq!(count_in(&capped, "0"), Some(stats.latency_per_client[0].count() as f64));
-    assert_eq!(count_in(&capped, "1"), Some(stats.latency_per_client[1].count() as f64));
-    assert_eq!(count_in(&capped, "2"), None, "client 2 must have folded into the overflow lane");
-    let tail: u64 = stats.latency_per_client[2..].iter().map(|h| h.count()).sum();
+
+    let (stats, capped) = render(MAX_CLIENT_LANES + 2);
+    for (i, lane) in stats.latency_per_client[..MAX_CLIENT_LANES].iter().enumerate() {
+        assert_eq!(count_in(&capped, &i.to_string()), Some(lane.count() as f64), "client {i}");
+    }
+    for i in MAX_CLIENT_LANES..stats.latency_per_client.len() {
+        assert_eq!(count_in(&capped, &i.to_string()), None, "client {i} must fold into other");
+    }
+    let tail: u64 = stats.latency_per_client[MAX_CLIENT_LANES..].iter().map(|h| h.count()).sum();
+    assert!(tail > 0, "the folded clients must have delivered frames");
     assert_eq!(count_in(&capped, "other"), Some(tail as f64), "overflow lane keeps every sample");
 
-    // A cap at or above the client count changes nothing: every client
-    // keeps its own lane and no overflow lane appears.
-    let uncapped = lint_exposition(&render_runtime_stats_capped(&stats, CLIENTS)).expect("lints");
+    // A stream at the cap keeps every client's lane and has no overflow lane.
+    let (stats, full) = render(MAX_CLIENT_LANES);
+    assert_eq!(count_in(&full, "other"), None, "a {MAX_CLIENT_LANES}-client stream must not fold");
+    let last = MAX_CLIENT_LANES - 1;
     assert_eq!(
-        uncapped.value("gs_submit_delivery_latency_seconds_count", &[("client", "other")]),
-        None
-    );
-    assert_eq!(count_in(&uncapped, "2"), Some(stats.latency_per_client[2].count() as f64));
-    let default = lint_exposition(&render_runtime_stats(&stats)).expect("default render lints");
-    assert_eq!(
-        default.value("gs_submit_delivery_latency_seconds_count", &[("client", "other")]),
-        None,
-        "default cap must not fold a {CLIENTS}-client stream"
+        count_in(&full, &last.to_string()),
+        Some(stats.latency_per_client[last].count() as f64)
     );
 }
 

@@ -1,9 +1,8 @@
 //! Property suite for the streaming runtime: bit-identity with the serial
 //! receive path, and the steady-state zero-allocation contract.
 //!
-//! **Bit-identity.** For any (client count, per-frame payload lengths,
-//! worker count, shard count, channel selectivity, deadline assignment,
-//! submission interleaving), every frame delivered by
+//! **Bit-identity.** For any (client count, worker count, shard count,
+//! channel selectivity, deadline assignment, submission interleaving), every frame delivered by
 //! [`gs_runtime::FrameStream`] must be bit-identical — CRC verdicts,
 //! operation counts, detection counts — to serial
 //! [`gs_phy::decode_frame_batched_into`] decoding the same
@@ -89,7 +88,7 @@ struct Scenario {
     shards: usize,
     capacity: usize,
     selective: bool,
-    /// Drives payload lengths, deadlines, channel draws, interleaving.
+    /// Drives deadlines, channel draws, interleaving.
     seed: u64,
 }
 
@@ -107,8 +106,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         },
     )
 }
-
-const PAYLOAD_CHOICES: [usize; 3] = [128, 256, 384];
 
 fn base_cfg() -> PhyConfig {
     PhyConfig { payload_bits: 256, ..PhyConfig::new(Constellation::Qam16) }
@@ -140,25 +137,22 @@ fn check_stream_matches_serial(sc: &Scenario) {
         })
         .collect();
 
-    // Per-client frame lists with varying payload lengths and sprinkled
-    // deadlines (deadlines shuffle shard-queue order; they must not change
-    // any output bit).
+    // Per-client frame lists with sprinkled deadlines (deadlines shuffle
+    // shard-queue order; they must not change any output bit).
     let now = Instant::now();
     let per_client: Vec<Vec<UplinkFrame>> = (0..sc.clients)
         .map(|client| {
             (0..sc.frames_per_client)
-                .map(|k| {
+                .map(|_| {
                     let mut f = UplinkFrame::new(
                         client,
                         Arc::clone(&channels[rng.gen_range(0..channels.len())]),
                         14.0 + rng.gen_range(0.0..14.0),
                         rng.gen::<u64>(),
                     );
-                    f.payload_bits = Some(PAYLOAD_CHOICES[rng.gen_range(0..PAYLOAD_CHOICES.len())]);
                     if rng.gen_bool(0.5) {
                         f.deadline = Some(now + Duration::from_micros(rng.gen_range(1..50_000u64)));
                     }
-                    let _ = k;
                     f
                 })
                 .collect()
@@ -176,13 +170,9 @@ fn check_stream_matches_serial(sc: &Scenario) {
             frames
                 .iter()
                 .map(|f| {
-                    let fcfg = PhyConfig {
-                        payload_bits: f.payload_bits.unwrap_or(cfg.payload_bits),
-                        ..cfg
-                    };
                     let mut frng = StdRng::seed_from_u64(f.seed);
                     outcome_key(decode_frame_batched_into(
-                        &fcfg, &f.channel, &det, f.snr_db, &mut frng, 1, &mut ws,
+                        &cfg, &f.channel, &det, f.snr_db, &mut frng, 1, &mut ws,
                     ))
                 })
                 .collect()
@@ -248,14 +238,7 @@ fn check_pinned_tiers_match_serial() {
         (0..3).map(|_| Arc::new(RayleighChannel::new(4, 2).realize(&mut rng))).collect();
     let frames: Vec<UplinkFrame> = (0..8)
         .map(|k| {
-            let mut f = UplinkFrame::new(
-                0,
-                Arc::clone(&channels[k % channels.len()]),
-                snr_db,
-                7_000 + k as u64,
-            );
-            f.payload_bits = Some(PAYLOAD_CHOICES[k % PAYLOAD_CHOICES.len()]);
-            f
+            UplinkFrame::new(0, Arc::clone(&channels[k % channels.len()]), snr_db, 7_000 + k as u64)
         })
         .collect();
 
@@ -265,12 +248,10 @@ fn check_pinned_tiers_match_serial() {
         let reference: Vec<_> = frames
             .iter()
             .map(|f| {
-                let fcfg =
-                    PhyConfig { payload_bits: f.payload_bits.unwrap_or(cfg.payload_bits), ..cfg };
                 let mut frng = StdRng::seed_from_u64(f.seed);
                 match tier {
                     DetectorTier::Sphere => outcome_key(decode_frame_batched_into(
-                        &fcfg,
+                        &cfg,
                         &f.channel,
                         &geosphere_decoder(),
                         f.snr_db,
@@ -279,7 +260,7 @@ fn check_pinned_tiers_match_serial() {
                         &mut ws,
                     )),
                     DetectorTier::Fsd => outcome_key(decode_frame_batched_into(
-                        &fcfg,
+                        &cfg,
                         &f.channel,
                         &FsdDetector::new(),
                         f.snr_db,
@@ -288,7 +269,7 @@ fn check_pinned_tiers_match_serial() {
                         &mut ws,
                     )),
                     DetectorTier::Mmse => outcome_key(decode_frame_batched_into(
-                        &fcfg,
+                        &cfg,
                         &f.channel,
                         &MmseDetector::new(sigma2),
                         f.snr_db,

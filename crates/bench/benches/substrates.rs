@@ -1,9 +1,12 @@
 //! Substrate micro-benchmarks: QR decomposition, Viterbi decoding, FFT,
-//! and the geometric-channel realization — the fixed costs surrounding the
-//! sphere search in a real receiver.
+//! the geometric-channel realization and AWGN synthesis — the fixed costs
+//! surrounding the sphere search in a real receiver and its simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gs_channel::{ApArray, ChannelModel, GeometricChannel, Pos, RayleighChannel};
+use gs_channel::{
+    noise_variance_for_snr_db, sample_cn, ApArray, ChannelModel, GeometricChannel, Pos,
+    RayleighChannel,
+};
 use gs_coding::{conv, viterbi};
 use gs_linalg::{fft, qr_decompose, Complex};
 use rand::rngs::StdRng;
@@ -51,9 +54,20 @@ fn bench_channel(cr: &mut Criterion) {
     });
 }
 
+/// One 4×4 64-QAM frame's noise as the stream's plan draws it: 11 OFDM
+/// symbols × 64 subcarriers × 4 receive antennas = 2816 `CN(0, σ²)`
+/// samples at 28 dB.
+fn bench_noise(cr: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(10);
+    let sigma2 = noise_variance_for_snr_db(28.0);
+    cr.bench_function("noise_cn_2816", |b| {
+        b.iter(|| (0..2816).fold(Complex::ZERO, |acc, _| acc + sample_cn(&mut rng, sigma2)))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_qr, bench_viterbi, bench_fft, bench_channel
+    targets = bench_qr, bench_viterbi, bench_fft, bench_channel, bench_noise
 }
 criterion_main!(benches);

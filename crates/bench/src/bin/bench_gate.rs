@@ -545,13 +545,9 @@ fn stage_profile(run: &mut Run) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).and_then(|p| args.get(p + 1).cloned())
-    };
-    let mode = flag_value("--mode").unwrap_or_else(|| "frame_decode".into());
-    let samples = flag_value("--samples").and_then(|v| v.parse().ok()).unwrap_or(12);
-    let out = flag_value("--out").unwrap_or_else(|| format!("BENCH_{mode}.json"));
+    let mode = gs_bench::arg("--mode", "frame_decode".to_string());
+    let samples = gs_bench::arg("--samples", 12);
+    let out = gs_bench::arg("--out", format!("BENCH_{mode}.json"));
 
     let mut run = Run::default();
     match mode.as_str() {

@@ -7,12 +7,12 @@
 //! error propagation keeps it under Geosphere, which is "almost two times
 //! faster for the 10×10 case".
 
-use gs_bench::{arg_usize, params_from_args, rule};
+use gs_bench::{arg, params_from_args, rule};
 use gs_sim::{rayleigh_throughput, DetectorKind};
 
 fn main() {
     let params = params_from_args();
-    let na = arg_usize("--antennas", 10);
+    let na = arg("--antennas", 10);
     let snr = 20.0;
 
     println!("Figure 13 — Rayleigh channel, {na}-antenna AP, 20 dB");

@@ -8,15 +8,15 @@
 //! §5.3.2 discussion point (geometric pruning worth up to 47% extra).
 //! N.B. (paper): each sphere decoder visits the same number of nodes.
 
-use gs_bench::{arg_f64, arg_usize, params_from_args, rule};
+use gs_bench::{arg, params_from_args, rule};
 use gs_channel::Testbed;
 use gs_modulation::Constellation;
 use gs_sim::complexity_at_target_fer;
 
 fn main() {
     let params = params_from_args();
-    let clients = arg_usize("--clients", 4);
-    let target_fer = arg_f64("--target-fer", 0.10);
+    let clients = arg("--clients", 4);
+    let target_fer = arg("--target-fer", 0.10);
     let tb = Testbed::office();
 
     println!(

@@ -24,9 +24,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Parses the common `--quick` / `--full` / `--seed N` / `--workers N`
-/// flags.
+/// flags. A flag whose value is missing or does not parse ends the
+/// process with status 2.
 pub fn params_from_args() -> ExperimentParams {
-    let args: Vec<String> = std::env::args().collect();
+    or_exit(parse_params(&std::env::args().collect::<Vec<_>>()))
+}
+
+/// [`params_from_args`] over an explicit argument list.
+fn parse_params(args: &[String]) -> Result<ExperimentParams, String> {
     let mut params = if args.iter().any(|a| a == "--quick") {
         ExperimentParams::quick()
     } else if args.iter().any(|a| a == "--full") {
@@ -42,40 +47,40 @@ pub fn params_from_args() -> ExperimentParams {
             workers: 1,
         }
     };
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        if let Some(v) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            params.seed = v;
-        }
+    if let Some(v) = flag_value(args, "--seed")? {
+        params.seed = v;
     }
     // `--workers N` runs N operating points at once (0 = machine
     // parallelism, `ExperimentParams::map_points`); printed numbers are
     // bit-identical at every count.
-    if let Some(pos) = args.iter().position(|a| a == "--workers") {
-        if let Some(v) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            params.workers = v;
-        }
+    if let Some(v) = flag_value(args, "--workers")? {
+        params.workers = v;
     }
-    params
+    Ok(params)
 }
 
-/// Reads an integer flag like `--clients 4`.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|p| args.get(p + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// Reads a flag like `--clients 4` or `--target-fer 0.01`, or `default`
+/// when it is absent; exits like [`params_from_args`] on a bad value.
+pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+    or_exit(flag_value(&std::env::args().collect::<Vec<_>>(), name)).unwrap_or(default)
 }
 
-/// Reads a float flag like `--target-fer 0.01`.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|p| args.get(p + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// The value after flag `name` in `args`: `None` if the flag is absent,
+/// an error if its value is missing or does not parse.
+fn flag_value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(pos) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args.get(pos + 1).ok_or_else(|| format!("{name} needs a value"))?;
+    value.parse().map(Some).map_err(|_| format!("bad value for {name}: {value:?}"))
+}
+
+/// Unwraps a flag parse, or prints the error and exits with status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Prints a rule line for table output.
@@ -139,4 +144,36 @@ pub fn serial_reference_frame<R: Rng + ?Sized>(
         ws.absorb_detection(&mut stats, idx, &det);
     }
     ws.finish_uplink(cfg, stats).clone()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_parse_or_name_the_bad_value() {
+        let p = parse_params(&args(&["bin", "--quick", "--seed", "7", "--workers", "3"])).unwrap();
+        assert_eq!((p.seed, p.workers), (7, 3));
+        assert_eq!(parse_params(&args(&["bin"])).unwrap().seed, 2014);
+        assert_eq!(
+            parse_params(&args(&["bin", "--workers", "garbage"])).unwrap_err(),
+            r#"bad value for --workers: "garbage""#
+        );
+        assert_eq!(
+            parse_params(&args(&["bin", "--seed", "-1"])).unwrap_err(),
+            r#"bad value for --seed: "-1""#
+        );
+        assert_eq!(parse_params(&args(&["bin", "--seed"])).unwrap_err(), "--seed needs a value");
+        let a = args(&["bin", "--target-fer", "0.05", "--clients", "x"]);
+        assert_eq!(flag_value::<f64>(&a, "--target-fer"), Ok(Some(0.05)));
+        assert_eq!(flag_value::<usize>(&a, "--antennas"), Ok(None));
+        assert_eq!(
+            flag_value::<usize>(&a, "--clients"),
+            Err(r#"bad value for --clients: "x""#.into())
+        );
+    }
 }

@@ -224,7 +224,7 @@ mod tests {
                 .iter()
                 .map(|&b| {
                     let tx = if b { -1.0 } else { 1.0 };
-                    let r = tx + sigma * crate::tests_helper_gaussian(&mut rng);
+                    let r = tx + sigma * gs_channel::sample_gaussian(&mut rng);
                     2.0 * r / (sigma * sigma)
                 })
                 .collect();

@@ -40,12 +40,3 @@ pub use puncture::{
 };
 pub use scramble::Scrambler;
 pub use viterbi::{decode_multi_with_erasures_into, CodedBit, ViterbiWorkspace};
-
-/// Box–Muller Gaussian used only by in-crate tests (kept here so the crate
-/// stays dependency-free outside dev builds).
-#[cfg(test)]
-pub(crate) fn tests_helper_gaussian<R: rand::Rng>(rng: &mut R) -> f64 {
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    let v: f64 = rng.gen();
-    (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
-}

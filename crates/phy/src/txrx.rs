@@ -372,7 +372,12 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
         let FrameWorkspace { payloads, symbols, tx, .. } = ws;
         let payload = &mut payloads[cl];
         payload.clear();
-        payload.extend((0..cfg.payload_bits).map(|_| rng.gen_bool(0.5)));
+        // 64 bits per `next_u64`, least significant first.
+        while payload.len() < cfg.payload_bits {
+            let word = rng.next_u64();
+            let n = (cfg.payload_bits - payload.len()).min(64);
+            payload.extend((0..n).map(|b| word >> b & 1 == 1));
+        }
         transmit_symbols_into(cfg, payload, tx, &mut symbols[cl]);
     }
     let n_sym = ws.symbols[0].len() / cfg.n_subcarriers;

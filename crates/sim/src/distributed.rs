@@ -137,10 +137,13 @@ mod tests {
     fn joint_reception_improves_conditioning() {
         // The distributed-MIMO payoff: two APs at different bearings see
         // the clients from different angles, breaking the common-angle
-        // degeneracy a single AP suffers.
+        // degeneracy a single AP suffers. Over 40000 trials (two seeds)
+        // the joint Λ sits 2.88 dB below the single-AP one with a
+        // per-trial spread of 4.4 dB, so the mean gap of 250 trials has a
+        // standard error of 0.28 dB and the bound sits 4 of them lower.
         let (tb, clients) = setup();
         let mut rng = StdRng::seed_from_u64(952);
-        let trials = 25;
+        let trials = 250;
 
         let single = DistributedChannel::new(
             tb.clone(),
@@ -157,8 +160,8 @@ mod tests {
         let l_single = avg_lambda(&single, &mut rng);
         let l_joint = avg_lambda(&joint, &mut rng);
         assert!(
-            l_joint < l_single - 3.0,
-            "joint APs should improve Λ by several dB: single {l_single:.1}, joint {l_joint:.1}"
+            l_joint < l_single - 1.7,
+            "joint APs should improve Λ by 1.7 dB or more: single {l_single:.2}, joint {l_joint:.2}"
         );
     }
 

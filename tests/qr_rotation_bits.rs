@@ -7,9 +7,11 @@
 //! vector, for a seeded set of channels of three shapes.
 //!
 //! The constants were captured by running this file on the commit before
-//! the QR and the rotation were rewritten for speed. They are not tuned to
-//! the current code: if one moves, the factorization or the rotation
-//! changed its floating-point operation sequence.
+//! the QR and the rotation were rewritten for speed, and re-captured when
+//! the Gaussian sampler became a ziggurat (new channels and receive
+//! vectors) on that change's parent with only the sampler swapped in. They
+//! are not tuned to the current code: if one moves, the factorization or
+//! the rotation changed its floating-point operation sequence.
 
 use geosphere::channel::{sample_cn, RayleighChannel};
 use geosphere::linalg::{qr_decompose, qr_decompose_into, Complex, Matrix, Qr, QrWorkspace};
@@ -91,9 +93,9 @@ fn assert_same_bits(a: &Qr, b: &Qr) {
 fn qr_and_rotation_bits_are_pinned() {
     // (na, nc, seed, golden hash)
     let cases: [(usize, usize, u64, u64); 3] = [
-        (4, 4, 2201, 0xbad6_1b0b_6dc3_d479),
-        (4, 2, 2203, 0x01a8_7faa_cf1b_6dab),
-        (6, 4, 2205, 0x09cd_dc7b_72d7_5e9a),
+        (4, 4, 2201, 0x9d15_e881_9114_cffa),
+        (4, 2, 2203, 0x20ce_634a_0768_523f),
+        (6, 4, 2205, 0x78f2_19c9_ff83_a4a0),
     ];
     let got: Vec<u64> = cases.iter().map(|&(na, nc, seed, _)| case_hash(na, nc, seed)).collect();
     let wrong: Vec<String> = cases

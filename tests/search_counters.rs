@@ -9,8 +9,10 @@
 //! The constants were captured on the commit before the fixed-capacity
 //! Geosphere enumerator replaced the `BinaryHeap` one (and before the
 //! shared compact zigzag cursor), by running this file against that tree.
-//! They are not tuned to the current code: if one moves, the search
-//! changed.
+//! The 64-QAM totals were re-captured when the Gaussian sampler became a
+//! ziggurat (a new channel and new noise), and the 18 dB input added then,
+//! on that change's parent with only the sampler swapped in. They are not tuned to the current code: if
+//! one moves, the search changed.
 
 use geosphere::channel::{
     noise_variance_for_snr_db, sample_cn, ChannelModel, RayleighChannel, SelectiveRayleighChannel,
@@ -60,12 +62,12 @@ fn workload(
     Workload { c, channels, jobs }
 }
 
-/// 4×4 64-QAM over the indoor frequency-selective channel at 28 dB:
+/// 4×4 64-QAM over the indoor frequency-selective channel at `snr_db`:
 /// 48 subcarriers × 6 symbols = 288 detections.
-fn selective_qam64() -> Workload {
+fn selective_qam64(snr_db: f64) -> Workload {
     let mut rng = StdRng::seed_from_u64(1401);
     let ch = SelectiveRayleighChannel::indoor(4, 4).realize(&mut rng);
-    workload(Constellation::Qam64, ch, 28.0, 6, 1402)
+    workload(Constellation::Qam64, ch, snr_db, 6, 1402)
 }
 
 /// 4×4 16-QAM over flat Rayleigh at 30 dB: one channel, 256 detections.
@@ -117,18 +119,34 @@ fn stats(
 
 #[test]
 fn selective_qam64_28db_counters() {
-    let w = selective_qam64();
+    let w = selective_qam64(28.0);
     assert_eq!(
         totals(&geosphere_decoder(), &w),
-        stats(9180, 4608, 4477, 13870, 3058, 9169),
+        stats(1771, 1368, 1345, 4205, 2255, 2059),
         "Geosphere"
     );
     assert_eq!(
         totals(&geosphere_zigzag_only_decoder(), &w),
-        stats(12714, 4608, 4477, 0, 0, 9169),
+        stats(4068, 1368, 1345, 0, 0, 2059),
         "Geosphere (2D zigzag only)"
     );
-    assert_eq!(totals(&ethsd_decoder(), &w), stats(44854, 4608, 4477, 0, 0, 9169), "ETH-SD");
+    assert_eq!(totals(&ethsd_decoder(), &w), stats(13473, 1368, 1345, 0, 0, 2059), "ETH-SD");
+
+    // At 28 dB most detections end after one descent (4.75 visited nodes
+    // each); the same channel and symbols at 18 dB keep deep backtracking
+    // pinned (18.4 each).
+    let w = selective_qam64(18.0);
+    assert_eq!(
+        totals(&geosphere_decoder(), &w),
+        stats(11013, 5310, 5036, 16671, 3396, 9166),
+        "Geosphere, 18 dB"
+    );
+    assert_eq!(
+        totals(&geosphere_zigzag_only_decoder(), &w),
+        stats(15054, 5310, 5036, 0, 0, 9166),
+        "Geosphere (2D zigzag only), 18 dB"
+    );
+    assert_eq!(totals(&ethsd_decoder(), &w), stats(50629, 5310, 5036, 0, 0, 9166), "ETH-SD, 18 dB");
 }
 
 #[test]

@@ -545,6 +545,7 @@ fn stage_profile(run: &mut Run) {
 }
 
 fn main() {
+    gs_bench::check_flags(&["--mode", "--samples", "--out"]);
     let mode = gs_bench::arg("--mode", "frame_decode".to_string());
     let samples = gs_bench::arg("--samples", 12);
     let out = gs_bench::arg("--out", format!("BENCH_{mode}.json"));

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let snr_db = 22.0;
     let trials = 400 * params.frames_per_point;
     let c = Constellation::Qam64;

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let cfg =
         PhyConfig { payload_bits: params.payload_bits, ..PhyConfig::new(Constellation::Qam16) };
     let model = RayleighChannel::new(4, 4);

@@ -11,7 +11,7 @@ use gs_channel::Testbed;
 use gs_sim::{conditioning_cdfs, PAPER_CONFIGS};
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let tb = Testbed::office();
     let max_links = 60;
 

@@ -9,7 +9,7 @@ use gs_channel::Testbed;
 use gs_sim::{testbed_throughput, DetectorKind, PAPER_CONFIGS, PAPER_SNRS};
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let tb = Testbed::office();
 
     println!("Figure 11 — Net uplink throughput (Mbps), zero-forcing vs Geosphere");

@@ -10,7 +10,7 @@ use gs_channel::Testbed;
 use gs_sim::{testbed_throughput, DetectorKind};
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let tb = Testbed::office();
     let snr = 20.0;
 

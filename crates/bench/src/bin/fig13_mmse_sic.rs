@@ -11,7 +11,7 @@ use gs_bench::{arg, params_from_args, rule};
 use gs_sim::{rayleigh_throughput, DetectorKind};
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&["--antennas"]);
     let na = arg("--antennas", 10);
     let snr = 20.0;
 

@@ -11,7 +11,7 @@ use gs_channel::Testbed;
 use gs_sim::{testbed_throughput, DetectorKind, PAPER_CONFIGS, PAPER_SNRS};
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let tb = Testbed::office();
 
     println!("Figure 14 — Avg PED calculations per subcarrier, ETH-SD vs Geosphere");

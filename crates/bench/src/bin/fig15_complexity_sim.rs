@@ -14,7 +14,7 @@ use gs_modulation::Constellation;
 use gs_sim::complexity_at_target_fer;
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&["--clients", "--target-fer"]);
     let clients = arg("--clients", 4);
     let target_fer = arg("--target-fer", 0.10);
     let tb = Testbed::office();

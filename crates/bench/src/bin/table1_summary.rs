@@ -12,7 +12,7 @@ use gs_sim::{complexity_at_target_fer, conditioning_cdfs, testbed_throughput, De
 type Point<'a> = &'a (dyn Fn() -> Vec<f64> + Sync);
 
 fn main() {
-    let params = params_from_args();
+    let params = params_from_args(&[]);
     let tb = Testbed::office();
     let kappa_above_10db = |n| conditioning_cdfs(&params, &tb, n, n, 40).0.fraction_above(10.0);
     let mbps = |n, d| testbed_throughput(&params, &tb, n, n, 20.0, d).throughput_mbps;

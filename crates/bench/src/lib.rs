@@ -24,14 +24,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Parses the common `--quick` / `--full` / `--seed N` / `--workers N`
-/// flags. A flag whose value is missing or does not parse ends the
-/// process with status 2.
-pub fn params_from_args() -> ExperimentParams {
-    or_exit(parse_params(&std::env::args().collect::<Vec<_>>()))
+/// flags; `extra` names the binary's own valued flags (read with
+/// [`arg`]). An unknown flag, or a flag whose value is missing or does
+/// not parse, ends the process with status 2.
+pub fn params_from_args(extra: &[&str]) -> ExperimentParams {
+    or_exit(parse_params(&std::env::args().collect::<Vec<_>>(), extra))
 }
 
 /// [`params_from_args`] over an explicit argument list.
-fn parse_params(args: &[String]) -> Result<ExperimentParams, String> {
+fn parse_params(args: &[String], extra: &[&str]) -> Result<ExperimentParams, String> {
+    known_flags(args, &["--quick", "--full"], &[&["--seed", "--workers"], extra].concat())?;
     let mut params = if args.iter().any(|a| a == "--quick") {
         ExperimentParams::quick()
     } else if args.iter().any(|a| a == "--full") {
@@ -57,6 +59,26 @@ fn parse_params(args: &[String]) -> Result<ExperimentParams, String> {
         params.workers = v;
     }
     Ok(params)
+}
+
+/// Ends the process with status 2 unless every flag on the command line
+/// is one of `valued`, each followed by its value (read with [`arg`]).
+pub fn check_flags(valued: &[&str]) {
+    or_exit(known_flags(&std::env::args().collect::<Vec<_>>(), &[], valued));
+}
+
+/// Checks that every `--` word of `args` after the program name is one
+/// of `switches` or `valued`; the word after a valued flag is its value.
+fn known_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), String> {
+    let mut words = args.iter().skip(1).map(String::as_str);
+    while let Some(word) = words.next() {
+        if valued.contains(&word) {
+            words.next();
+        } else if word.starts_with("--") && !switches.contains(&word) {
+            return Err(format!("unknown flag {word}"));
+        }
+    }
+    Ok(())
 }
 
 /// Reads a flag like `--clients 4` or `--target-fer 0.01`, or `default`
@@ -156,24 +178,50 @@ mod tests {
 
     #[test]
     fn flags_parse_or_name_the_bad_value() {
-        let p = parse_params(&args(&["bin", "--quick", "--seed", "7", "--workers", "3"])).unwrap();
+        let p =
+            parse_params(&args(&["bin", "--quick", "--seed", "7", "--workers", "3"]), &[]).unwrap();
         assert_eq!((p.seed, p.workers), (7, 3));
-        assert_eq!(parse_params(&args(&["bin"])).unwrap().seed, 2014);
+        assert_eq!(parse_params(&args(&["bin"]), &[]).unwrap().seed, 2014);
         assert_eq!(
-            parse_params(&args(&["bin", "--workers", "garbage"])).unwrap_err(),
+            parse_params(&args(&["bin", "--workers", "garbage"]), &[]).unwrap_err(),
             r#"bad value for --workers: "garbage""#
         );
         assert_eq!(
-            parse_params(&args(&["bin", "--seed", "-1"])).unwrap_err(),
+            parse_params(&args(&["bin", "--seed", "-1"]), &[]).unwrap_err(),
             r#"bad value for --seed: "-1""#
         );
-        assert_eq!(parse_params(&args(&["bin", "--seed"])).unwrap_err(), "--seed needs a value");
+        assert_eq!(
+            parse_params(&args(&["bin", "--seed"]), &[]).unwrap_err(),
+            "--seed needs a value"
+        );
         let a = args(&["bin", "--target-fer", "0.05", "--clients", "x"]);
         assert_eq!(flag_value::<f64>(&a, "--target-fer"), Ok(Some(0.05)));
         assert_eq!(flag_value::<usize>(&a, "--antennas"), Ok(None));
         assert_eq!(
             flag_value::<usize>(&a, "--clients"),
             Err(r#"bad value for --clients: "x""#.into())
+        );
+    }
+
+    #[test]
+    fn unknown_flags_are_refused() {
+        assert_eq!(
+            parse_params(&args(&["bin", "--quick", "--wrkers", "2"]), &[]).unwrap_err(),
+            "unknown flag --wrkers"
+        );
+        // A binary's own flags pass once it names them, and the word after
+        // a valued flag is its value, never a flag.
+        let a = args(&["bin", "--quick", "--antennas", "6", "--seed", "--full"]);
+        assert_eq!(parse_params(&a[..4], &[]).unwrap_err(), "unknown flag --antennas");
+        assert_eq!(parse_params(&a[..4], &["--antennas"]).unwrap().seed, 2014);
+        assert_eq!(
+            parse_params(&a, &["--antennas"]).unwrap_err(),
+            r#"bad value for --seed: "--full""#
+        );
+        assert_eq!(known_flags(&args(&["bin", "--out", "x.json"]), &[], &["--out"]), Ok(()));
+        assert_eq!(
+            known_flags(&args(&["bin", "--mode", "campaign", "--quick"]), &[], &["--mode"]),
+            Err("unknown flag --quick".into())
         );
     }
 }

@@ -23,11 +23,6 @@ pub const CARRIER_HZ: f64 = 5.0e9;
 /// Channel bandwidth (Hz) — the paper's 20 MHz channel.
 pub const BANDWIDTH_HZ: f64 = 20.0e6;
 
-/// Carrier wavelength λ (m).
-pub fn wavelength() -> f64 {
-    SPEED_OF_LIGHT / CARRIER_HZ
-}
-
 /// A 2-D position in meters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Pos {

@@ -26,8 +26,7 @@ pub use geometric::{ApArray, GeometricChannel, Pos};
 pub use metrics::{kappa_sqr_db, lambda_max, lambda_max_db, zf_snr_degradation, Cdf};
 pub use model::{taps_to_subcarriers, ChannelModel, MimoChannel};
 pub use noise::{
-    add_awgn, db_to_linear, linear_to_db, noise_variance_for_snr_db, sample_cn, sample_cn_vector,
-    sample_gaussian,
+    db_to_linear, linear_to_db, noise_variance_for_snr_db, sample_cn, sample_gaussian,
 };
 pub use rayleigh::{RayleighChannel, SelectiveRayleighChannel};
 pub use testbed::{Testbed, Wall};

@@ -95,17 +95,6 @@ impl Cdf {
         let frac = pos - lo as f64;
         self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
     }
-
-    /// Samples the CDF curve at `n` evenly spaced probabilities, returning
-    /// `(value, probability)` pairs — ready to print as a figure series.
-    pub fn curve(&self, n: usize) -> Vec<(f64, f64)> {
-        (0..n)
-            .map(|k| {
-                let p = (k as f64 + 0.5) / n as f64;
-                (self.quantile(p), p)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -189,15 +178,5 @@ mod tests {
         let cdf = Cdf::new(vec![1.0, f64::INFINITY, 2.0]);
         assert_eq!(cdf.len(), 3);
         assert!(cdf.quantile(1.0) > 1e8);
-    }
-
-    #[test]
-    fn cdf_curve_is_monotone() {
-        let cdf = Cdf::new((0..100).map(|k| ((k * 37) % 100) as f64).collect());
-        let curve = cdf.curve(20);
-        for w in curve.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
     }
 }

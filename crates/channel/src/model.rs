@@ -63,12 +63,6 @@ impl MimoChannel {
             .sum();
         per / self.subcarriers.len() as f64
     }
-
-    /// Scales every subcarrier matrix by a real factor (used by the PHY to
-    /// fold constellation normalization into the channel).
-    pub fn scaled(&self, k: f64) -> MimoChannel {
-        MimoChannel { subcarriers: self.subcarriers.iter().map(|m| m.scale(k)).collect() }
-    }
 }
 
 /// A stochastic channel model that can be sampled for realizations.
@@ -118,12 +112,6 @@ mod tests {
         assert_eq!(ch.num_rx(), 3);
         assert_eq!(ch.num_tx(), 3);
         assert!((ch.average_entry_power() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaled_scales_power() {
-        let ch = MimoChannel::flat(Matrix::identity(2)).scaled(2.0);
-        assert!((ch.subcarrier(0)[(0, 0)].re - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -135,16 +135,6 @@ pub fn sample_cn<R: Rng + ?Sized>(rng: &mut R, variance: f64) -> Complex {
     Complex::new(sample_gaussian(rng) * s, sample_gaussian(rng) * s)
 }
 
-/// Samples an i.i.d. `CN(0, variance)` vector of length `n`.
-pub fn sample_cn_vector<R: Rng + ?Sized>(rng: &mut R, n: usize, variance: f64) -> Vec<Complex> {
-    (0..n).map(|_| sample_cn(rng, variance)).collect()
-}
-
-/// Adds `CN(0, variance)` noise to each element of `signal`.
-pub fn add_awgn<R: Rng + ?Sized>(rng: &mut R, signal: &[Complex], variance: f64) -> Vec<Complex> {
-    signal.iter().map(|&s| s + sample_cn(rng, variance)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,18 +221,5 @@ mod tests {
         e_re /= n as f64;
         assert!((e_total - var_target).abs() < 0.01, "total power {e_total}");
         assert!((e_re - var_target / 2.0).abs() < 0.005, "real power {e_re}");
-    }
-
-    #[test]
-    fn awgn_preserves_length_and_perturbs() {
-        let mut rng = StdRng::seed_from_u64(73);
-        let sig = vec![Complex::ONE; 16];
-        let noisy = add_awgn(&mut rng, &sig, 0.01);
-        assert_eq!(noisy.len(), 16);
-        assert!(noisy.iter().zip(&sig).any(|(a, b)| (*a - *b).abs() > 0.0));
-        // At 20 dB SNR, perturbations are small.
-        for (a, b) in noisy.iter().zip(&sig) {
-            assert!((*a - *b).abs() < 1.0);
-        }
     }
 }

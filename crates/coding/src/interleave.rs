@@ -80,11 +80,6 @@ impl Interleaver {
         self.n_cbps
     }
 
-    /// Coded bits per subcarrier (the constellation's bits/symbol).
-    pub fn n_bpsc(&self) -> usize {
-        self.n_bpsc
-    }
-
     /// The closed-form 802.11 index map the tables are built from:
     /// position `k` in the input stream goes to position `j` in the
     /// transmitted stream.

@@ -41,8 +41,7 @@ use crate::config::PhyConfig;
 use crate::iterative::IterScratch;
 use crate::txrx::UplinkOutcome;
 use geosphere_core::{
-    Detection, DetectionJob, DetectorStats, DetectorTier, DetectorWorkspace, SoftDetection,
-    SoftWorkspace,
+    Detection, DetectionJob, DetectorStats, DetectorWorkspace, SoftDetection, SoftWorkspace,
 };
 use gs_channel::MimoChannel;
 use gs_coding::{CodedBit, Interleaver, ViterbiWorkspace};
@@ -157,10 +156,6 @@ pub struct FrameWorkspace {
     /// Default `false` (batched). Outputs are bit-identical either way —
     /// this exists so `bench_gate` can time the single-stream path.
     pub(crate) per_client_viterbi: bool,
-    /// The control-plane tier stamp copied into [`UplinkOutcome::tier`] by
-    /// `finish_uplink`. Sticky until set again ([`FrameWorkspace::set_detector_tier`]);
-    /// defaults to [`DetectorTier::Sphere`].
-    pub(crate) tier: DetectorTier,
     /// The frame outcome, rebuilt in place every frame.
     pub(crate) out: UplinkOutcome,
 }
@@ -175,22 +170,6 @@ impl FrameWorkspace {
     /// The outcome of the last frame decoded through this workspace.
     pub fn outcome(&self) -> &UplinkOutcome {
         &self.out
-    }
-
-    /// Stamps the detector tier a control plane chose for the frame being
-    /// staged; [`FrameWorkspace::finish_uplink`] copies it into
-    /// [`UplinkOutcome::tier`]. Purely a label — it does not change which
-    /// detector runs (the caller dispatches detection) or any decoded bit.
-    /// Sticky across frames until set again; entry points that never stamp
-    /// a tier report the default, [`DetectorTier::Sphere`].
-    pub fn set_detector_tier(&mut self, tier: DetectorTier) {
-        self.tier = tier;
-    }
-
-    /// The tier stamp the next [`FrameWorkspace::finish_uplink`] will
-    /// report.
-    pub fn detector_tier(&self) -> DetectorTier {
-        self.tier
     }
 
     /// Forces per-client (single-stream) Viterbi decoding instead of the

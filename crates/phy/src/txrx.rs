@@ -138,12 +138,6 @@ pub struct UplinkOutcome {
     /// Number of detector invocations (OFDM symbols × subcarriers) —
     /// divide `stats` by this for the paper's per-subcarrier averages.
     pub detections: u64,
-    /// The control-plane detector tier stamped on the frame
-    /// ([`FrameWorkspace::set_detector_tier`]): which rung of a
-    /// [`geosphere_core::DetectorLadder`] decoded it. Entry points that
-    /// never stamp a tier leave the workspace default
-    /// ([`geosphere_core::DetectorTier::Sphere`]).
-    pub tier: geosphere_core::DetectorTier,
 }
 
 /// Decodes one uplink frame into a recycled [`FrameWorkspace`] — the
@@ -534,7 +528,6 @@ pub(crate) fn finish_outcome<'w>(
     }
     ws.out.stats = stats;
     ws.out.detections = ws.n_jobs as u64;
-    ws.out.tier = ws.tier;
     &ws.out
 }
 

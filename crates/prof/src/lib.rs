@@ -101,7 +101,7 @@ pub enum Stage {
     /// Detection of one frame's portion on a streaming-runtime shard
     /// worker (the EDF pop-to-done window). QR, enumeration and kernel
     /// scopes nest inside, so the row's self-time is the portion's
-    /// dispatch and channel-replica bookkeeping.
+    /// dispatch and countdown.
     Detect,
 }
 

@@ -20,7 +20,7 @@
 //!                                   last portion done: recover ─▶ in-order delivery ──▶ recv()
 //!
 //!   pool: one EDF queue per shard, workers pinned inside the shard's
-//!   memory domain; one channel-table replica per shard
+//!   memory domain
 //! ```
 //!
 //! * **Ingress** ([`FrameStream::submit`] / [`FrameStream::try_submit`]):
@@ -32,20 +32,18 @@
 //! * **Plan**: the worker that pops the home task seeds the frame's own
 //!   RNG, runs the transmit chains and packages detection jobs into the
 //!   slot's recycled [`gs_phy::FrameWorkspace`], splits the jobs into
-//!   contiguous per-shard portions (one equal-count splitter, one
-//!   countdown, one panic rule), and submits the others.
+//!   contiguous per-shard portions (one equal-count splitter, one atomic
+//!   countdown), and submits the others.
 //! * **Detect**: the stream's pool runs each portion on a worker of the
 //!   portion's shard, earliest-deadline-first within the shard, through
-//!   the worker's long-lived `DetectorWorkspace` and, with several shards,
-//!   the shard's channel-table replica (refreshed by the shard's own
-//!   worker, so first-touch places it in the shard's memory domain). The
-//!   home portion runs inline after the plan, so every shard pops exactly
-//!   once per frame.
-//! * **Recover**: the portion that completes the frame scatters
+//!   the worker's long-lived `DetectorWorkspace`, reading the slot's
+//!   planned channel table directly. The home portion runs inline after
+//!   the plan, so every shard pops exactly once per frame.
+//! * **Recover**: the portion that counts the frame down to zero scatters
 //!   detections back to job order, runs the per-client receive chains
 //!   (Viterbi/CRC), accounts deadlines, and delivers. A portion that
-//!   panics marks its frame, which is never recovered; the panic marks
-//!   the pool dead, and the stream reports [`StreamDead`].
+//!   panics never counts down, so its frame is never recovered; the panic
+//!   marks the pool dead, and the stream reports [`StreamDead`].
 //! * **Egress** ([`FrameStream::recv`]): completions arrive in **per-client
 //!   submission order** regardless of internal reordering; dropping the
 //!   [`Completed`] guard recycles the slot.
@@ -84,7 +82,7 @@
 //!   for any worker/shard/capacity configuration and any interleaving
 //!   (`tests/stream_determinism.rs`).
 //! * **Zero steady-state allocations**: slots, queues, heaps, and
-//!   per-shard replicas are bounded and recycled; once every slot has
+//!   per-shard output buffers are bounded and recycled; once every slot has
 //!   decoded a frame, pushing a frame through the full pipeline touches
 //!   the allocator zero times on every thread involved (same suite).
 //! * **Deadlines are scheduling hints, not admission control**: a missed
@@ -98,8 +96,8 @@
 //! [`AdaptationPolicy`] once per admission, stamping the chosen
 //! [`DetectorTier`] on the frame. The default
 //! [`HysteresisPolicy`] degrades under deadline
-//! pressure (shard-queue depth, slot-pool occupancy, the windowed miss
-//! rate) and climbs back as the queue drains; [`FrameStream::new`] is the
+//! pressure (slot-pool occupancy, the windowed miss rate) and climbs
+//! back as the slot pool drains; [`FrameStream::new`] is the
 //! degenerate case (uniform ladder, pinned top tier). Completions report
 //! the tier that decoded them ([`Completed::tier`]), so determinism is
 //! checkable per pinned tier. See [`policy`].

@@ -2,8 +2,8 @@
 //! [`DetectorTier`] per admission from runtime pressure signals.
 //!
 //! The streaming engine consults its [`AdaptationPolicy`] once per
-//! admitted frame, handing it a [`PressureSignal`] snapshot (per-shard
-//! queue depths, the windowed deadline-miss rate, slot-pool occupancy).
+//! admitted frame, handing it a [`PressureSignal`] snapshot (the windowed
+//! deadline-miss rate and slot-pool occupancy).
 //! The returned tier is stamped on the frame and selects which rung of the
 //! stream's [`DetectorLadder`](geosphere_core::DetectorLadder) detects it.
 //!
@@ -14,7 +14,7 @@
 //!   keeps its bit-identity contract: tier choice never varies, so the
 //!   stream remains a pure function of each submission.
 //! * [`HysteresisPolicy`] — the default closed-loop ladder walk: degrade
-//!   sphere → FSD → MMSE as pressure rises, climb back as the queue
+//!   sphere → FSD → MMSE as pressure rises, climb back as the slot pool
 //!   drains, with separated degrade/recover thresholds and a minimum
 //!   dwell between moves so the tier cannot flap when the signal sits at
 //!   a threshold.
@@ -30,13 +30,13 @@ use geosphere_core::DetectorTier;
 /// All signals are cheap, slightly stale reads — admission-time
 /// observations, not barriers. `occupancy` counts the admission being
 /// decided (the slot is already claimed when the policy runs).
+///
+/// Shard queue depths are not a signal: a queue holds at most one task
+/// per in-flight frame, and the admitted frame's task is not queued yet,
+/// so every depth stays below `in_flight` and occupancy already bounds
+/// it.
 #[derive(Clone, Copy, Debug)]
-pub struct PressureSignal<'a> {
-    /// Tasks waiting for a worker per shard at admission time: admitted
-    /// frames not yet started (each is one task on its home shard) plus,
-    /// with several shards, portions of started frames. With one shard it
-    /// is exactly the count of admitted frames still waiting for a worker.
-    pub shard_queue_depths: &'a [usize],
+pub struct PressureSignal {
     /// Fraction of recently delivered frames that missed their deadline
     /// ([`RuntimeStats::windowed_miss_rate`](crate::RuntimeStats::windowed_miss_rate));
     /// `0.0` while the window is empty.
@@ -49,26 +49,6 @@ pub struct PressureSignal<'a> {
     pub capacity: usize,
 }
 
-impl PressureSignal<'_> {
-    /// The deepest shard queue as a fraction of the slot-pool bound
-    /// (every shard queue can hold every in-flight frame at once, so the
-    /// bound is `capacity`).
-    pub fn queue_pressure(&self) -> f64 {
-        if self.capacity == 0 {
-            return 0.0;
-        }
-        let deepest = self.shard_queue_depths.iter().copied().max().unwrap_or(0);
-        deepest as f64 / self.capacity as f64
-    }
-
-    /// The scalar load signal the default policy acts on: the max of
-    /// slot-pool occupancy and shard-queue pressure. Either one saturating
-    /// means detection is falling behind admission.
-    pub fn pressure(&self) -> f64 {
-        self.occupancy.max(self.queue_pressure())
-    }
-}
-
 /// Picks the detector tier for each admitted frame.
 ///
 /// `select_tier` runs on the submitting thread under the stream's policy
@@ -76,7 +56,7 @@ impl PressureSignal<'_> {
 /// steady-state path (the zero-allocation contract covers admission).
 pub trait AdaptationPolicy: Send {
     /// Chooses the tier for the admission described by `signal`.
-    fn select_tier(&mut self, signal: &PressureSignal<'_>) -> DetectorTier;
+    fn select_tier(&mut self, signal: &PressureSignal) -> DetectorTier;
 }
 
 /// The constant policy: every admission decodes at the pinned tier.
@@ -88,7 +68,7 @@ pub trait AdaptationPolicy: Send {
 pub struct PinnedPolicy(pub DetectorTier);
 
 impl AdaptationPolicy for PinnedPolicy {
-    fn select_tier(&mut self, _signal: &PressureSignal<'_>) -> DetectorTier {
+    fn select_tier(&mut self, _signal: &PressureSignal) -> DetectorTier {
         self.0
     }
 }
@@ -97,8 +77,8 @@ impl AdaptationPolicy for PinnedPolicy {
 ///
 /// A tier move needs two things at once:
 ///
-/// * **Signal past a threshold.** Degrading needs `pressure() ≥ 0.85`
-///   *or* `miss_rate ≥ 0.10`; recovering needs `pressure() ≤ 0.35` *and*
+/// * **Signal past a threshold.** Degrading needs `occupancy ≥ 0.85`
+///   *or* `miss_rate ≥ 0.10`; recovering needs `occupancy ≤ 0.35` *and*
 ///   `miss_rate ≤ 0.02`. The recover thresholds sit well below the degrade
 ///   thresholds, so any signal held between them changes nothing — the
 ///   hysteresis band that prevents flapping at a single threshold.
@@ -110,10 +90,10 @@ impl AdaptationPolicy for PinnedPolicy {
 /// recovering.
 #[derive(Clone, Debug)]
 pub struct HysteresisPolicy {
-    /// Degrade when the load signal reaches this fraction.
-    degrade_pressure: f64,
-    /// Recover only when the load signal is at or below this fraction.
-    recover_pressure: f64,
+    /// Degrade when slot-pool occupancy reaches this fraction.
+    degrade_occupancy: f64,
+    /// Recover only when slot-pool occupancy is at or below this fraction.
+    recover_occupancy: f64,
     /// Degrade when the windowed miss rate reaches this fraction.
     degrade_miss_rate: f64,
     /// Recover only when the windowed miss rate is at or below this
@@ -130,8 +110,8 @@ impl HysteresisPolicy {
     pub fn new() -> Self {
         let dwell = 4;
         HysteresisPolicy {
-            degrade_pressure: 0.85,
-            recover_pressure: 0.35,
+            degrade_occupancy: 0.85,
+            recover_occupancy: 0.35,
             degrade_miss_rate: 0.10,
             recover_miss_rate: 0.02,
             dwell,
@@ -139,11 +119,6 @@ impl HysteresisPolicy {
             // A fresh policy may move on its first admission.
             admissions_since_move: dwell,
         }
-    }
-
-    /// The tier the next admission will use if no threshold is crossed.
-    pub fn current_tier(&self) -> DetectorTier {
-        self.tier
     }
 }
 
@@ -154,10 +129,10 @@ impl Default for HysteresisPolicy {
 }
 
 impl AdaptationPolicy for HysteresisPolicy {
-    fn select_tier(&mut self, signal: &PressureSignal<'_>) -> DetectorTier {
-        let pressure = signal.pressure();
-        let hot = pressure >= self.degrade_pressure || signal.miss_rate >= self.degrade_miss_rate;
-        let cool = pressure <= self.recover_pressure && signal.miss_rate <= self.recover_miss_rate;
+    fn select_tier(&mut self, signal: &PressureSignal) -> DetectorTier {
+        let PressureSignal { occupancy, miss_rate, .. } = *signal;
+        let hot = occupancy >= self.degrade_occupancy || miss_rate >= self.degrade_miss_rate;
+        let cool = occupancy <= self.recover_occupancy && miss_rate <= self.recover_miss_rate;
         if self.admissions_since_move >= self.dwell {
             let moved = if hot {
                 self.tier.degraded()
@@ -180,14 +155,8 @@ impl AdaptationPolicy for HysteresisPolicy {
 mod tests {
     use super::*;
 
-    fn signal(
-        depths: &[usize],
-        miss_rate: f64,
-        in_flight: usize,
-        capacity: usize,
-    ) -> PressureSignal<'_> {
+    fn signal(miss_rate: f64, in_flight: usize, capacity: usize) -> PressureSignal {
         PressureSignal {
-            shard_queue_depths: depths,
             miss_rate,
             occupancy: if capacity == 0 { 0.0 } else { in_flight as f64 / capacity as f64 },
             in_flight,
@@ -196,20 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn pressure_is_max_of_occupancy_and_queue_depth() {
-        let s = signal(&[1, 6, 2], 0.0, 2, 8);
-        assert!((s.queue_pressure() - 0.75).abs() < 1e-12);
-        assert!((s.pressure() - 0.75).abs() < 1e-12, "queue pressure dominates");
-        let s = signal(&[0, 0], 0.0, 8, 8);
-        assert!((s.pressure() - 1.0).abs() < 1e-12, "occupancy dominates");
-    }
-
-    #[test]
     fn pinned_policy_never_moves() {
         let mut p = PinnedPolicy(DetectorTier::Fsd);
         for load in [0.0, 0.5, 1.0] {
-            let depths = [8usize, 8];
-            let s = signal(&depths, load, 8, 8);
+            let s = signal(load, 8, 8);
             assert_eq!(p.select_tier(&s), DetectorTier::Fsd);
         }
     }
@@ -217,22 +176,20 @@ mod tests {
     #[test]
     fn sustained_pressure_walks_to_the_floor_and_idle_walks_back() {
         let mut p = HysteresisPolicy::new();
-        let hot_depths = [8usize];
-        let idle_depths = [0usize];
         // Saturated: degrade one rung per dwell until the MMSE floor.
         let mut seen = Vec::new();
         for _ in 0..(3 * p.dwell) {
-            seen.push(p.select_tier(&signal(&hot_depths, 0.5, 8, 8)));
+            seen.push(p.select_tier(&signal(0.5, 8, 8)));
         }
         assert_eq!(seen.first().copied(), Some(DetectorTier::Fsd), "first hot admission degrades");
         assert_eq!(seen.last().copied(), Some(DetectorTier::Mmse));
         assert!(seen.windows(2).all(|w| w[1] >= w[0]), "degradation is monotone");
         // Stays at the floor under pressure.
-        assert_eq!(p.select_tier(&signal(&hot_depths, 0.5, 8, 8)), DetectorTier::Mmse);
+        assert_eq!(p.select_tier(&signal(0.5, 8, 8)), DetectorTier::Mmse);
         // Drained: climb back to sphere, one rung per dwell.
         let mut tier = DetectorTier::Mmse;
         for _ in 0..(3 * p.dwell) {
-            tier = p.select_tier(&signal(&idle_depths, 0.0, 1, 8));
+            tier = p.select_tier(&signal(0.0, 1, 8));
         }
         assert_eq!(tier, DetectorTier::Sphere, "idle stream recovers the top tier");
     }
@@ -241,13 +198,12 @@ mod tests {
     fn no_flapping_inside_the_hysteresis_band() {
         let mut p = HysteresisPolicy::new();
         // Degrade once at the threshold…
-        let depths = [0usize];
-        let s_hot = signal(&depths, 0.0, 87, 100); // occupancy 0.87 ≥ 0.85
+        let s_hot = signal(0.0, 87, 100); // occupancy 0.87 ≥ 0.85
         assert_eq!(p.select_tier(&s_hot), DetectorTier::Fsd);
         // …then hold the signal just *below* the degrade threshold but
         // above the recover threshold: the tier must never change again,
         // in either direction, however long it holds.
-        let s_band = signal(&depths, 0.0, 80, 100); // 0.35 < 0.80 < 0.85
+        let s_band = signal(0.0, 80, 100); // 0.35 < 0.80 < 0.85
         for _ in 0..100 {
             assert_eq!(
                 p.select_tier(&s_band),
@@ -269,14 +225,13 @@ mod tests {
     #[test]
     fn miss_rate_alone_degrades_and_blocks_recovery() {
         let mut p = HysteresisPolicy::new();
-        let depths = [0usize];
         // Low occupancy, high miss rate: the deadline signal must degrade.
-        assert_eq!(p.select_tier(&signal(&depths, 0.5, 1, 8)), DetectorTier::Fsd);
+        assert_eq!(p.select_tier(&signal(0.5, 1, 8)), DetectorTier::Fsd);
         // Occupancy drained but misses still in the window: the ladder
         // keeps walking down (recovery must wait for *both* signals).
         let mut tier = DetectorTier::Fsd;
         for _ in 0..(2 * p.dwell) {
-            let next = p.select_tier(&signal(&depths, 0.5, 1, 8));
+            let next = p.select_tier(&signal(0.5, 1, 8));
             assert!(next >= tier, "misses in the window must block recovery");
             tier = next;
         }
@@ -284,7 +239,7 @@ mod tests {
         // Window clean → climb back.
         let mut tier = DetectorTier::Mmse;
         for _ in 0..(3 * p.dwell) {
-            tier = p.select_tier(&signal(&depths, 0.0, 1, 8));
+            tier = p.select_tier(&signal(0.0, 1, 8));
         }
         assert_eq!(tier, DetectorTier::Sphere);
     }
@@ -294,8 +249,7 @@ mod tests {
         let mut p = HysteresisPolicy::new();
         p.dwell = 8;
         p.admissions_since_move = 8;
-        let depths = [8usize];
-        let s = signal(&depths, 0.5, 8, 8);
+        let s = signal(0.5, 8, 8);
         let tiers: Vec<DetectorTier> = (0..17).map(|_| p.select_tier(&s)).collect();
         // Moves at admissions 0 and 8; in between the tier holds.
         assert_eq!(tiers[0], DetectorTier::Fsd);

@@ -9,7 +9,7 @@ use gs_prof::hist::{HistogramSnapshot, LogHistogram};
 use gs_prof::trace as gtrace;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -69,8 +69,6 @@ struct ShardQueue {
 struct ShardState {
     q: Mutex<ShardQueue>,
     cv: Condvar,
-    /// Mirrors `heap.len()` so stats snapshots never contend on `q`.
-    depth: AtomicUsize,
     /// Submit→pop wall wait per task, in nanoseconds.
     queue_wait: LogHistogram,
     /// Lifetime count of tasks popped from this shard's queue: the clock
@@ -156,7 +154,6 @@ impl ShardedDetectionPool {
                     shutdown: false,
                 }),
                 cv: Condvar::new(),
-                depth: AtomicUsize::new(0),
                 queue_wait: LogHistogram::new(),
                 pops: AtomicU64::new(0),
                 fault_at_pop: AtomicU64::new(0),
@@ -275,17 +272,15 @@ impl ShardedDetectionPool {
             submitted_wall: Instant::now(),
             trace_ctx,
         });
-        state.depth.store(q.heap.len(), Ordering::Relaxed);
         drop(q);
         state.cv.notify_one();
         Ok(())
     }
 
-    /// Every shard's queued-task count, written into `out` (cleared
-    /// first; allocation-free once `out` has capacity).
-    pub(crate) fn queue_depths(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.queues.shards.iter().map(|s| s.depth.load(Ordering::Relaxed)));
+    /// Every shard's queued-task count, in shard order, each read under
+    /// its queue lock. Allocates; a scrape-time call.
+    pub(crate) fn queue_depths(&self) -> Vec<usize> {
+        self.queues.shards.iter().map(|s| lock(&s.q).heap.len()).collect()
     }
 
     /// Per-shard snapshots of the submit→pop queue-wait histograms
@@ -328,7 +323,6 @@ fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, usize, &mut D
                     return;
                 }
                 if let Some(task) = q.heap.pop() {
-                    state.depth.store(q.heap.len(), Ordering::Relaxed);
                     break task;
                 }
                 q = state.cv.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -435,11 +429,7 @@ mod tests {
     /// Spin until every shard queue is drained (tasks may still be
     /// running; only queue occupancy is awaited).
     fn wait_queues_empty(pool: &ShardedDetectionPool) {
-        let mut depths = Vec::new();
-        wait_until("queues never drained", || {
-            pool.queue_depths(&mut depths);
-            depths.iter().all(|&d| d == 0)
-        });
+        wait_until("queues never drained", || pool.queue_depths().iter().all(|&d| d == 0));
     }
 
     #[test]
@@ -458,16 +448,13 @@ mod tests {
         pool.submit(0, 100, 3).unwrap();
         pool.submit(0, NO_DEADLINE, 4).unwrap();
         pool.submit(0, 500, 5).unwrap();
-        let mut depths = Vec::new();
-        pool.queue_depths(&mut depths);
-        assert_eq!(depths, vec![5]);
+        assert_eq!(pool.queue_depths(), vec![5]);
 
         rec.open_gate();
         rec.wait_ran(6);
         // EDF: deadlines ascending first, then deadline-free FIFO.
         assert_eq!(*rec.order.lock().unwrap(), vec![3, 5, 1, 2, 4]);
-        pool.queue_depths(&mut depths);
-        assert_eq!(depths, vec![0]);
+        assert_eq!(pool.queue_depths(), vec![0]);
     }
 
     #[test]

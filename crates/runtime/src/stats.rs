@@ -65,8 +65,10 @@ pub struct RuntimeStats {
     /// Total detection workers across all shards.
     pub workers: usize,
     /// Tasks waiting for a worker per shard, at snapshot time: admitted
-    /// frames not yet started plus queued portions of started ones (see
-    /// [`PressureSignal::shard_queue_depths`](crate::PressureSignal::shard_queue_depths)).
+    /// frames not yet started (each is one task on its home shard) plus,
+    /// with several shards, queued portions of started ones. A queue
+    /// holds at most one task per in-flight frame, so no depth exceeds
+    /// `in_flight`.
     pub shard_queue_depths: Vec<usize>,
     /// Wall-clock since the stream was created.
     pub elapsed: Duration,

@@ -141,7 +141,6 @@ struct SlotMeta {
     snr_db: f64,
     seed: u64,
     deadline: Option<Instant>,
-    deadline_key: u64,
     channel: Option<Arc<MimoChannel>>,
     missed_deadline: bool,
     /// The detector tier the policy chose at admission.
@@ -161,7 +160,6 @@ impl SlotMeta {
             snr_db: 0.0,
             seed: 0,
             deadline: None,
-            deadline_key: NO_DEADLINE,
             channel: None,
             missed_deadline: false,
             tier: DetectorTier::Sphere,
@@ -330,9 +328,6 @@ struct Shared {
     ladder: DetectorLadder,
     /// Consulted once per admission, on the submitting thread.
     policy: Mutex<Box<dyn AdaptationPolicy>>,
-    /// Preallocated scratch for the admission-path queue-depth read, so
-    /// `select_tier` stays allocation-free.
-    depth_scratch: Mutex<Vec<usize>>,
     /// Recent-delivery ring backing the windowed rates. Lock order: this
     /// is a leaf (taken under `lanes` in the delivery path, alone
     /// elsewhere); never take another stream lock while holding it.
@@ -378,13 +373,16 @@ impl Shared {
     /// it. So each shard pops exactly once per frame.
     fn run_task(&self, shard: usize, slot_idx: usize, ws: &mut DetectorWorkspace) {
         let slot = &self.slots[slot_idx];
-        if shard == self.home_shard(lock(&slot.meta).frame_id) {
+        let (frame_id, tier) = {
+            let meta = lock(&slot.meta);
+            (meta.frame_id, meta.tier)
+        };
+        if shard == self.home_shard(frame_id) {
             self.plan_frame(slot_idx, shard);
         }
         let completed = {
             let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
             let _prof = gs_prof::scope(gs_prof::Stage::Detect);
-            let tier = core.ws.detector_tier();
             let (channels, jobs) = (core.ws.planned_channels(), core.ws.planned_jobs());
             let c = self.cfg.constellation;
             core.portions.detect(shard, channels, jobs, c, |batch, out| {
@@ -404,14 +402,13 @@ impl Shared {
     /// portions' enqueue instants pick it up.
     fn plan_frame(&self, slot_idx: usize, home: usize) {
         let slot = &self.slots[slot_idx];
-        let (channel, snr_db, seed, deadline_key, tier) = {
+        let (channel, snr_db, seed, deadline) = {
             let meta = lock(&slot.meta);
             (
                 Arc::clone(meta.channel.as_ref().expect("slot submitted without a channel")),
                 meta.snr_db,
                 meta.seed,
-                meta.deadline_key,
-                meta.tier,
+                meta.deadline,
             )
         };
         {
@@ -419,17 +416,13 @@ impl Shared {
             let core = &mut *core;
             let mut rng = StdRng::seed_from_u64(seed);
             core.ws.plan_uplink(&self.cfg, &channel, snr_db, &mut rng);
-            // Stamp the admission-time tier on the staged frame: the shard
-            // workers dispatch at it, and `finish_uplink` reports it in
-            // the outcome.
-            core.ws.set_detector_tier(tier);
             core.portions.split(core.ws.planned_jobs().len());
         }
         self.stats.planned.fetch_add(1, Ordering::Relaxed);
         // The home portion runs inline after this, never as a task of its
         // own: that keeps one pop per shard per frame.
         let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.portions.submit(&self.pool, home, deadline_key, slot_idx);
+        core.portions.submit(&self.pool, home, self.deadline_key(deadline), slot_idx);
     }
 
     /// Recovery of one frame, run inline by the shard worker whose portion
@@ -540,16 +533,13 @@ impl Shared {
     }
 
     /// Consults the policy for the admission being installed. Runs on the
-    /// submitting thread; allocation-free (preallocated depth scratch, no
-    /// policy may allocate on its steady-state path).
+    /// submitting thread; allocation-free (no policy may allocate on its
+    /// steady-state path).
     fn select_tier(&self) -> DetectorTier {
         let tier = {
-            let mut depths = lock(&self.depth_scratch);
-            self.pool.queue_depths(&mut depths);
             let in_flight = self.capacity - lock(&self.free).len();
             let (_, miss_rate) = lock(&self.window).rates(Instant::now());
             let signal = PressureSignal {
-                shard_queue_depths: &depths,
                 miss_rate,
                 occupancy: in_flight as f64 / self.capacity as f64,
                 in_flight,
@@ -656,7 +646,6 @@ impl FrameStream {
             cfg,
             ladder,
             policy: Mutex::new(policy),
-            depth_scratch: Mutex::new(Vec::with_capacity(n_shards)),
             window: Mutex::new(DeliveryWindow::new()),
             latency: (0..sc.clients).map(|_| LogHistogram::new()).collect(),
             slack: LogHistogram::new(),
@@ -827,7 +816,6 @@ impl FrameStream {
         // The global submission ordinal doubles as the flight recorder's
         // frame id (the pre-increment value, so ids start at 0).
         let frame_id = shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let deadline_key = shared.deadline_key(frame.deadline);
         {
             let mut meta = lock(&shared.slots[slot_idx].meta);
             meta.client = client;
@@ -835,7 +823,6 @@ impl FrameStream {
             meta.snr_db = frame.snr_db;
             meta.seed = frame.seed;
             meta.deadline = frame.deadline;
-            meta.deadline_key = deadline_key;
             meta.channel = Some(Arc::clone(&frame.channel));
             meta.missed_deadline = false;
             meta.tier = tier;
@@ -853,7 +840,8 @@ impl FrameStream {
         // that pops it, so the frame's identity rides along for its plan,
         // portions and recovery.
         gtrace::set_context(tctx);
-        let queued = shared.pool.submit(shared.home_shard(frame_id), deadline_key, slot_idx);
+        let key = shared.deadline_key(frame.deadline);
+        let queued = shared.pool.submit(shared.home_shard(frame_id), key, slot_idx);
         gtrace::clear_context();
         if queued.is_err() {
             lock(&shared.free).push(slot_idx);
@@ -915,8 +903,7 @@ impl FrameStream {
     /// A point-in-time stats snapshot (allocates; not a hot-path call).
     pub fn stats(&self) -> RuntimeStats {
         let shared = &*self.shared;
-        let mut shard_queue_depths = Vec::new();
-        shared.pool.queue_depths(&mut shard_queue_depths);
+        let shard_queue_depths = shared.pool.queue_depths();
         let in_flight = shared.capacity - lock(&shared.free).len();
         let elapsed = shared.epoch.elapsed();
         let (windowed_frames_per_sec, windowed_miss_rate) =
@@ -1037,8 +1024,7 @@ impl Completed<'_> {
     }
 
     /// The detector tier that decoded this frame (the control plane's
-    /// admission-time choice; also stamped on
-    /// [`UplinkOutcome::tier`](gs_phy::UplinkOutcome)).
+    /// admission-time choice).
     pub fn tier(&self) -> DetectorTier {
         self.tier
     }
@@ -1396,9 +1382,38 @@ mod tests {
         assert_eq!(pops, vec![FRAMES; 3], "one pop per shard per frame");
     }
 
+    /// The admission policy reads slot-pool occupancy alone because no
+    /// shard queue can hold more tasks than there are frames in flight: a
+    /// queue holds at most one task per in-flight frame. With the consumer
+    /// stalled, `in_flight` never shrinks, and `stats` reads the depths
+    /// before it, so the check cannot fail by a race.
+    #[test]
+    fn queue_depths_never_exceed_in_flight() {
+        let cfg = small_cfg();
+        let chans = channels(1, 50);
+        for shards in [1, 2] {
+            let mut sc = StreamConfig::new(1);
+            sc.workers = 2;
+            sc.shards = shards;
+            sc.capacity = 6;
+            let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
+            assert_eq!(stream.shards(), shards);
+            for k in 0..stream.capacity() as u64 {
+                stream.submit(UplinkFrame::new(0, Arc::clone(&chans[0]), 20.0, 800 + k)).unwrap();
+                let stats = stream.stats();
+                let deepest = stats.shard_queue_depths.iter().copied().max().unwrap_or(0);
+                assert!(
+                    deepest <= stats.in_flight,
+                    "shards {shards}, submit {k}: depth {deepest} > in flight {}",
+                    stats.in_flight
+                );
+            }
+        }
+    }
+
     /// A portion that unwinds inside a multi-shard frame: the frame is
-    /// never recovered or delivered, even by the clean portion that counts
-    /// down after it; the stream reports dead, and teardown does not hang.
+    /// never recovered or delivered, even by the clean portion that runs
+    /// after it; the stream reports dead, and teardown does not hang.
     /// (The injected fault above kills a pop before its job runs; this
     /// panic happens inside the job.)
     #[test]
@@ -1465,7 +1480,8 @@ mod tests {
         assert_eq!(stream.recv().err(), Some(StreamDead));
         GATE.wait();
         // Joining the workers, as `drop` does, waits out the released home
-        // portion: it counts the frame down to zero and must not recover it.
+        // portion: it counts down, but the unwound portion never did, so
+        // the frame never completes.
         stream.shared.pool.shutdown_and_join();
         assert!(stream.try_recv().is_none(), "the panicked frame is never delivered");
         let stats = stream.stats();

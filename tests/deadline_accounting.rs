@@ -244,7 +244,7 @@ struct ScriptedPolicy {
 }
 
 impl AdaptationPolicy for ScriptedPolicy {
-    fn select_tier(&mut self, _signal: &PressureSignal<'_>) -> DetectorTier {
+    fn select_tier(&mut self, _signal: &PressureSignal) -> DetectorTier {
         self.script.pop_front().unwrap_or_default()
     }
 }

@@ -75,11 +75,6 @@ impl Interleaver {
         debug_assert!(self.to_logical.iter().all(|&k| k < n), "map_index must be a permutation");
     }
 
-    /// Coded bits per OFDM symbol.
-    pub fn n_cbps(&self) -> usize {
-        self.n_cbps
-    }
-
     /// The closed-form 802.11 index map the tables are built from:
     /// position `k` in the input stream goes to position `j` in the
     /// transmitted stream.
@@ -170,10 +165,10 @@ mod tests {
     #[test]
     fn mapping_is_a_permutation() {
         for il in configs() {
-            let mut seen = vec![false; il.n_cbps()];
-            for k in 0..il.n_cbps() {
+            let mut seen = vec![false; il.n_cbps];
+            for k in 0..il.n_cbps {
                 let j = il.map_index(k);
-                assert!(j < il.n_cbps());
+                assert!(j < il.n_cbps);
                 assert!(!seen[j], "collision at {j} ({:?})", il);
                 seen[j] = true;
             }
@@ -184,7 +179,7 @@ mod tests {
     fn roundtrip() {
         let mut rng = StdRng::seed_from_u64(61);
         for il in configs() {
-            let bits: Vec<bool> = (0..il.n_cbps()).map(|_| rng.gen_bool(0.5)).collect();
+            let bits: Vec<bool> = (0..il.n_cbps).map(|_| rng.gen_bool(0.5)).collect();
             assert_eq!(il.deinterleave(&il.interleave(&bits)), bits);
         }
     }
@@ -214,7 +209,7 @@ mod tests {
         // The defining property: adjacent coded bits end up far apart
         // (at least n/16 positions for the first permutation).
         let il = Interleaver::new(192, 4);
-        for k in 0..il.n_cbps() - 1 {
+        for k in 0..il.n_cbps - 1 {
             let a = il.map_index(k) as isize;
             let b = il.map_index(k + 1) as isize;
             assert!((a - b).abs() >= (192 / 16) as isize - 2, "bits {k},{} map to {a},{b}", k + 1);

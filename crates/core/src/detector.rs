@@ -109,8 +109,8 @@ pub trait MimoDetector: Send + Sync {
     /// [`MimoDetector::detect`]; detectors with per-channel preprocessing
     /// override this so that a warmed workspace makes the whole call
     /// allocation-free. This is also the streaming runtime's entry point:
-    /// each shard's worker detects its contiguous range of a frame as one
-    /// batch. A frame's jobs are channel-major (see [`crate::batch`]),
+    /// the worker running a frame detects all its jobs as one batch. A
+    /// frame's jobs are channel-major (see [`crate::batch`]),
     /// which is the order that lets an override amortize across
     /// same-channel jobs; results never depend on the order.
     fn detect_batch_with(

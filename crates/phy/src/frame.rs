@@ -183,8 +183,8 @@ impl FrameWorkspace {
 /// The **staged** frame API: the three pipeline stages of
 /// [`decode_frame_batched_into`](crate::txrx::decode_frame_batched_into),
 /// exposed individually so an external scheduler (the `gs-runtime`
-/// streaming engine) can run each stage on whichever worker holds the
-/// frame and split detection across shards.
+/// streaming engine) can run detection through its own detector and
+/// workspace between planning and recovery.
 ///
 /// Contract (all stages allocation-free once the workspace has warmed up
 /// to the frame shape, and bit-identical to the one-call entry points):
@@ -193,8 +193,8 @@ impl FrameWorkspace {
 ///    fills the pooled detection jobs, channel-major (job `k * n_sym + t`
 ///    is subcarrier `k` of OFDM symbol `t`);
 /// 2. the caller detects [`FrameWorkspace::planned_jobs`] against
-///    [`FrameWorkspace::planned_channels`] however it likes (inline,
-///    pooled, sharded) — detection is a pure per-job function, and a
+///    [`FrameWorkspace::planned_channels`] however it likes (whole,
+///    or in ranges) — detection is a pure per-job function, and a
 ///    contiguous range of jobs spans whole subcarriers;
 /// 3. [`FrameWorkspace::begin_detection_assembly`], one
 ///    [`FrameWorkspace::absorb_detection`] per job index (any order, each

@@ -93,15 +93,14 @@ pub enum Stage {
     Crc,
     /// Time tasks spend queued in a worker pool between submit and pop
     /// (wall time, recorded via [`record`] on the popping thread). In the
-    /// streaming runtime this covers a frame's admission task (admission →
-    /// the pop that plans it) as well as its detection portions.
+    /// streaming runtime a frame is one task: admission → the pop that
+    /// runs it.
     Queue,
     /// Streaming-runtime delivery: completion queue, in-order parking.
     Delivery,
-    /// Detection of one frame's portion on a streaming-runtime shard
-    /// worker (the EDF pop-to-done window). QR, enumeration and kernel
-    /// scopes nest inside, so the row's self-time is the portion's
-    /// dispatch and countdown.
+    /// Detection of one frame's jobs on a streaming-runtime worker, as one
+    /// batch. QR, enumeration and kernel scopes nest inside, so the row's
+    /// self-time is the batch dispatch.
     Detect,
 }
 

@@ -8,16 +8,14 @@
 //! is an architecture problem layered above it. The synchronous entry
 //! point (`decode_frame_batched_into`) decodes one frame at a time on the
 //! calling thread. [`FrameStream`] serves many sources at once by running
-//! every frame, start to finish, on the workers of one pool, so frames
-//! overlap **across workers**:
+//! every frame, start to finish, as one task on one worker of a pool, so
+//! frames overlap **across workers**:
 //!
 //! ```text
 //!   sources ──▶ [admission: bounded slot pool] ──▶ home shard's EDF queue
 //!                (backpressure)                     (frame_id % shards)
 //!                                                            │
-//!   home shard's worker:   plan ─▶ submit other portions ─▶ detect own portion ─┐
-//!   other shards' workers:                    detect own portion ───────────────┤
-//!                                   last portion done: recover ─▶ in-order delivery ──▶ recv()
+//!   the worker that pops it:  plan ─▶ detect ─▶ recover ─▶ in-order delivery ──▶ recv()
 //!
 //!   pool: one EDF queue per shard, workers pinned inside the shard's
 //!   memory domain
@@ -29,21 +27,17 @@
 //!   full (backpressure), `try_submit` refuses. An admitted frame becomes
 //!   one task on its home shard's queue, ordered earliest-deadline-first
 //!   from admission on.
-//! * **Plan**: the worker that pops the home task seeds the frame's own
-//!   RNG, runs the transmit chains and packages detection jobs into the
-//!   slot's recycled [`gs_phy::FrameWorkspace`], splits the jobs into
-//!   contiguous per-shard portions (one equal-count splitter, one atomic
-//!   countdown), and submits the others.
-//! * **Detect**: the stream's pool runs each portion on a worker of the
-//!   portion's shard, earliest-deadline-first within the shard, through
-//!   the worker's long-lived `DetectorWorkspace`, reading the slot's
-//!   planned channel table directly. The home portion runs inline after
-//!   the plan, so every shard pops exactly once per frame.
-//! * **Recover**: the portion that counts the frame down to zero scatters
-//!   detections back to job order, runs the per-client receive chains
-//!   (Viterbi/CRC), accounts deadlines, and delivers. A portion that
-//!   panics never counts down, so its frame is never recovered; the panic
-//!   marks the pool dead, and the stream reports [`StreamDead`].
+//! * **Plan**: the worker that pops the frame's task seeds the frame's
+//!   own RNG, runs the transmit chains and packages detection jobs into
+//!   the slot's recycled [`gs_phy::FrameWorkspace`].
+//! * **Detect**: the same worker detects every job as one batch at the
+//!   frame's tier, through its long-lived `DetectorWorkspace`, into the
+//!   slot's recycled detection buffer.
+//! * **Recover**: the same worker scatters the detections into the
+//!   per-client buffers, runs the receive chains (Viterbi/CRC), accounts
+//!   deadlines, and delivers. A frame whose worker panics is never
+//!   delivered; the panic marks the pool dead, and the stream reports
+//!   [`StreamDead`].
 //! * **Egress** ([`FrameStream::recv`]): completions arrive in **per-client
 //!   submission order** regardless of internal reordering; dropping the
 //!   [`Completed`] guard recycles the slot.
@@ -70,7 +64,7 @@
 //!   fixed-capacity heap on `(deadline key, arrival)`; deadline-free
 //!   tasks sort last, FIFO among themselves.
 //! * **One dead flag.** A worker that panics (organically or through
-//!   [`FrameStream::inject_worker_panic_after`]) marks the pool dead; the
+//!   [`FrameStream::inject_worker_panic_at`]) marks the pool dead; the
 //!   pool then refuses every task, and the stream's admission and
 //!   completion waits report [`StreamDead`].
 //!
@@ -82,7 +76,7 @@
 //!   for any worker/shard/capacity configuration and any interleaving
 //!   (`tests/stream_determinism.rs`).
 //! * **Zero steady-state allocations**: slots, queues, heaps, and
-//!   per-shard output buffers are bounded and recycled; once every slot has
+//!   detection buffers are bounded and recycled; once every slot has
 //!   decoded a frame, pushing a frame through the full pipeline touches
 //!   the allocator zero times on every thread involved (same suite).
 //! * **Deadlines are scheduling hints, not admission control**: a missed
@@ -118,7 +112,6 @@
 
 mod affinity;
 pub mod policy;
-mod portions;
 mod shard;
 pub mod stats;
 pub mod stream;

@@ -9,7 +9,7 @@ use gs_prof::hist::{HistogramSnapshot, LogHistogram};
 use gs_prof::trace as gtrace;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -71,12 +71,6 @@ struct ShardState {
     cv: Condvar,
     /// Submit→pop wall wait per task, in nanoseconds.
     queue_wait: LogHistogram,
-    /// Lifetime count of tasks popped from this shard's queue: the clock
-    /// the fault-injection hook is armed against.
-    pops: AtomicU64,
-    /// The 1-based pop ordinal at which the popping worker panics instead
-    /// of running its task (`0` = disarmed).
-    fault_at_pop: AtomicU64,
 }
 
 /// The queues and the dead flag, shared by the pool and its workers.
@@ -155,8 +149,6 @@ impl ShardedDetectionPool {
                 }),
                 cv: Condvar::new(),
                 queue_wait: LogHistogram::new(),
-                pops: AtomicU64::new(0),
-                fault_at_pop: AtomicU64::new(0),
             })
             .collect();
         ShardedDetectionPool {
@@ -166,15 +158,12 @@ impl ShardedDetectionPool {
         }
     }
 
-    /// Starts the workers, once per pool. Each runs `job(shard, slot, ws)`
-    /// for every task it pops, with `ws` its long-lived detector
-    /// workspace. Worker `k` of shard `s` is named `gs-shard{s}-w{k}`.
-    ///
-    /// A job may submit follow-up tasks to any shard but must never wait
-    /// for them: its own shard's worker may be the one to run them.
+    /// Starts the workers, once per pool. Each runs `job(slot, ws)` for
+    /// every task it pops, with `ws` its long-lived detector workspace.
+    /// Worker `k` of shard `s` is named `gs-shard{s}-w{k}`.
     pub(crate) fn spawn<J>(&self, job: J)
     where
-        J: Fn(usize, usize, &mut DetectorWorkspace) + Clone + Send + 'static,
+        J: Fn(usize, &mut DetectorWorkspace) + Clone + Send + 'static,
     {
         let n_shards = self.shards();
         let mut handles = lock(&self.handles);
@@ -225,15 +214,6 @@ impl ShardedDetectionPool {
     /// the tasks a dead worker held never complete.
     pub(crate) fn is_dead(&self) -> bool {
         self.queues.dead.load(Ordering::SeqCst)
-    }
-
-    /// Arms the fault-injection hook on `shard`: the worker popping that
-    /// shard's `pops`-th task from now (1-based) panics instead of running
-    /// it, exactly as an organic worker crash would. `pops == 0` disarms.
-    pub(crate) fn inject_worker_panic_after(&self, shard: usize, pops: u64) {
-        let state = &self.queues.shards[shard];
-        let target = if pops == 0 { 0 } else { state.pops.load(Ordering::SeqCst) + pops };
-        state.fault_at_pop.store(target, Ordering::SeqCst);
     }
 
     /// Queues `slot` on `shard` with EDF key `key` ([`NO_DEADLINE`] for
@@ -310,7 +290,7 @@ fn shard_cpu_slice(cpus: &[usize], siblings: usize, rank: usize) -> Vec<usize> {
     }
 }
 
-fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, usize, &mut DetectorWorkspace)) {
+fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, &mut DetectorWorkspace)) {
     let state = &queues.shards[shard];
     let mut ws = DetectorWorkspace::new();
     loop {
@@ -344,14 +324,7 @@ fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, usize, &mut D
         // A panicking job must mark the pool dead rather than silently
         // dropping the task (its frame would otherwise wait forever).
         let guard = DeadOnPanic(&queues.dead);
-        let ordinal = state.pops.fetch_add(1, Ordering::SeqCst) + 1;
-        let armed = state.fault_at_pop.load(Ordering::SeqCst);
-        if armed != 0 && ordinal >= armed {
-            // Die before the task runs, so its frame is lost exactly as
-            // under an organic worker crash.
-            panic!("injected worker fault (shard {shard}, pop {ordinal})");
-        }
-        job(shard, task.slot, &mut ws);
+        job(task.slot, &mut ws);
         drop(guard);
         gtrace::clear_context();
     }
@@ -360,6 +333,7 @@ fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, usize, &mut D
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use std::time::Duration;
 
     /// Records the order slots were run in.
@@ -414,7 +388,7 @@ mod tests {
     ) -> ShardedDetectionPool {
         let pool = ShardedDetectionPool::new(shards, workers, capacity, false);
         let rec = Arc::clone(rec);
-        pool.spawn(move |_, slot, _| rec.run(slot));
+        pool.spawn(move |slot, _| rec.run(slot));
         pool
     }
 
@@ -526,9 +500,10 @@ mod tests {
         let names = Arc::new(Mutex::new(Vec::new()));
         let pool = ShardedDetectionPool::new(2, 2, 4, false);
         let seen = Arc::clone(&names);
-        pool.spawn(move |shard, _, _| {
+        // Slot `s` is queued on shard `s`.
+        pool.spawn(move |slot, _| {
             let name = std::thread::current().name().unwrap_or("<unnamed>").to_string();
-            seen.lock().unwrap().push((shard, name));
+            seen.lock().unwrap().push((slot, name));
         });
         pool.submit(0, NO_DEADLINE, 0).unwrap();
         pool.submit(1, NO_DEADLINE, 1).unwrap();
@@ -541,7 +516,7 @@ mod tests {
     #[test]
     fn worker_panic_poisons_the_pool() {
         let pool = ShardedDetectionPool::new(1, 1, 4, false);
-        pool.spawn(|_, _, _| panic!("intentional test panic"));
+        pool.spawn(|_, _| panic!("intentional test panic"));
         pool.submit(0, NO_DEADLINE, 0).unwrap();
         wait_until("dead flag never set", || pool.is_dead());
         assert_eq!(
@@ -550,24 +525,6 @@ mod tests {
             "a dead pool must refuse further tasks with a typed error"
         );
         drop(pool); // must not hang joining the dead worker's siblings
-    }
-
-    #[test]
-    fn injected_worker_fault_kills_the_armed_pop() {
-        let rec = Recorder::new();
-        rec.open_gate();
-        let pool = recording_pool(1, 1, 8, &rec);
-        // Armed at the 3rd pop from now: tasks 0 and 1 run, task 2's pop
-        // panics before the job executes.
-        pool.inject_worker_panic_after(0, 3);
-        pool.submit(0, NO_DEADLINE, 0).unwrap();
-        pool.submit(0, NO_DEADLINE, 1).unwrap();
-        rec.wait_ran(2);
-        pool.submit(0, NO_DEADLINE, 2).unwrap();
-        wait_until("injected fault never fired", || pool.is_dead());
-        // The faulted task never ran, and the pool now refuses work.
-        assert_eq!(rec.ran.load(Ordering::SeqCst), 2);
-        assert_eq!(pool.submit(0, NO_DEADLINE, 3), Err(StreamDead));
     }
 
     #[test]

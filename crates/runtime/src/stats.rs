@@ -42,9 +42,9 @@ pub struct RuntimeStats {
     /// (accounted at delivery, so time parked behind a slow predecessor
     /// counts).
     pub deadline_misses: u64,
-    /// Frames the plan stage has dispatched to the detection shards.
+    /// Frames whose plan stage has run.
     pub planned: u64,
-    /// Frames whose last shard finished detecting.
+    /// Frames whose detection has finished.
     pub detected: u64,
     /// Frames whose receive chains have run (recovery complete; the frame
     /// is delivered or parked for per-client ordering).
@@ -65,10 +65,8 @@ pub struct RuntimeStats {
     /// Total detection workers across all shards.
     pub workers: usize,
     /// Tasks waiting for a worker per shard, at snapshot time: admitted
-    /// frames not yet started (each is one task on its home shard) plus,
-    /// with several shards, queued portions of started ones. A queue
-    /// holds at most one task per in-flight frame, so no depth exceeds
-    /// `in_flight`.
+    /// frames not yet started, each one task on its home shard. So no
+    /// depth exceeds `in_flight`.
     pub shard_queue_depths: Vec<usize>,
     /// Wall-clock since the stream was created.
     pub elapsed: Duration,
@@ -92,11 +90,10 @@ pub struct RuntimeStats {
     /// allocation-free on the hot path; this snapshot is an owned copy.
     pub latency_per_client: Vec<HistogramSnapshot>,
     /// Submit→pop queue-wait histogram per shard (nanoseconds): admission
-    /// → first pop for a frame's home task, plan → pop for the other
-    /// shards' portions. Recorded by the shard workers at the same point
-    /// the `gs_prof` Queue stage is stamped — but always on, not only
-    /// under `--features profile`. Each frame adds exactly one sample per
-    /// shard.
+    /// → the pop of the frame's one task. Recorded by the shard workers at
+    /// the same point the `gs_prof` Queue stage is stamped — but always
+    /// on, not only under `--features profile`. Each frame adds exactly
+    /// one sample, to its home shard's histogram.
     pub queue_wait_per_shard: Vec<HistogramSnapshot>,
     /// Deadline slack (deadline − delivery instant, nanoseconds) of
     /// deliveries that made their deadline.

@@ -6,11 +6,11 @@
 //! delivery, and the stats counters.
 
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
-use crate::portions::FramePortions;
 use crate::shard::{ShardedDetectionPool, NO_DEADLINE};
 use crate::stats::RuntimeStats;
 use geosphere_core::{
-    DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace, MimoDetector,
+    Detection, DetectionBatch, DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace,
+    MimoDetector,
 };
 use gs_channel::MimoChannel;
 use gs_phy::{FrameWorkspace, PhyConfig, UplinkOutcome};
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One frame submission: everything the runtime needs to plan, detect,
@@ -169,17 +169,18 @@ impl SlotMeta {
     }
 }
 
-/// The frame's plan/assembly state: written by the home task's plan and
-/// split, read by every shard's detection, written again by recovery.
+/// The frame's workspace and detections. One party holds it at a time:
+/// the worker running the frame's task until delivery, then the
+/// consumer's [`Completed`] guard.
 struct SlotCore {
     ws: FrameWorkspace,
-    /// The planned jobs cut into one portion per shard.
-    portions: FramePortions,
+    /// The frame's detections, in job order.
+    detections: Vec<Detection>,
 }
 
 struct Slot {
     meta: Mutex<SlotMeta>,
-    core: RwLock<SlotCore>,
+    core: Mutex<SlotCore>,
 }
 
 /// One client's ordering lane: sequence counters plus a parking ring for
@@ -197,8 +198,8 @@ struct StatsInner {
     submitted: AtomicU64,
     completed: AtomicU64,
     deadline_misses: AtomicU64,
-    /// Per-stage progress counters: frames planned, frames whose last
-    /// shard finished detecting, frames whose receive chains ran.
+    /// Per-stage progress counters: frames planned, frames detected,
+    /// frames whose receive chains ran.
     planned: AtomicU64,
     detected: AtomicU64,
     recovered: AtomicU64,
@@ -322,9 +323,8 @@ fn ring_slot(seq: u64) -> usize {
 
 struct Shared {
     cfg: PhyConfig,
-    /// One detector per tier; each portion is detected at the tier
-    /// stamped on the frame. A fixed-detector stream is the uniform
-    /// ladder.
+    /// One detector per tier; each frame is detected at the tier stamped
+    /// on it. A fixed-detector stream is the uniform ladder.
     ladder: DetectorLadder,
     /// Consulted once per admission, on the submitting thread.
     policy: Mutex<Box<dyn AdaptationPolicy>>,
@@ -347,6 +347,9 @@ struct Shared {
     capacity: usize,
     /// The stream's executor; its one job is [`Shared::run_task`].
     pool: ShardedDetectionPool,
+    /// The frame whose task panics its popping worker
+    /// ([`FrameStream::inject_worker_panic_at`]); `u64::MAX` when unarmed.
+    fault_frame: AtomicU64,
     free: Mutex<Vec<usize>>,
     free_cv: Condvar,
     done_q: Mutex<VecDeque<usize>>,
@@ -366,93 +369,57 @@ impl Shared {
         (frame_id % self.n_shards as u64) as usize
     }
 
-    /// One pool task, i.e. one pop of `shard`'s queue for the frame in
-    /// `slot_idx`. The home shard's pop plans and splits the frame and
-    /// submits the other shards' portions; every pop then detects its own
-    /// portion, and the pop that completes the frame recovers and delivers
-    /// it. So each shard pops exactly once per frame.
-    fn run_task(&self, shard: usize, slot_idx: usize, ws: &mut DetectorWorkspace) {
+    /// The pool's one job: runs the frame in `slot_idx` start to finish
+    /// on the worker that popped its task. It plans the frame, detects
+    /// every job at the frame's tier, runs the per-client receive chains
+    /// and delivers in per-client submission order. The worker's ambient
+    /// trace context is already the frame's (the pool adopted it from the
+    /// task), so every stage scope picks it up. Deadline accounting
+    /// happens in [`Shared::deliver`], not here: a frame parked behind a
+    /// slow predecessor can still miss.
+    fn run_task(&self, slot_idx: usize, ws: &mut DetectorWorkspace) {
         let slot = &self.slots[slot_idx];
-        let (frame_id, tier) = {
-            let meta = lock(&slot.meta);
-            (meta.frame_id, meta.tier)
-        };
-        if shard == self.home_shard(frame_id) {
-            self.plan_frame(slot_idx, shard);
-        }
-        let completed = {
-            let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _prof = gs_prof::scope(gs_prof::Stage::Detect);
-            let (channels, jobs) = (core.ws.planned_channels(), core.ws.planned_jobs());
-            let c = self.cfg.constellation;
-            core.portions.detect(shard, channels, jobs, c, |batch, out| {
-                self.ladder.detect_batch_with(tier, batch, ws, out);
-            })
-        };
-        if completed {
-            self.stats.detected.fetch_add(1, Ordering::Relaxed);
-            self.recover_frame(slot_idx);
-        }
-    }
-
-    /// Plans one frame on its home shard's worker, splits it into
-    /// per-shard portions and submits the other shards' portions. The
-    /// worker's ambient trace context is already the frame's (the pool
-    /// adopted it from the admission task), so the phy plan scope and the
-    /// portions' enqueue instants pick it up.
-    fn plan_frame(&self, slot_idx: usize, home: usize) {
-        let slot = &self.slots[slot_idx];
-        let (channel, snr_db, seed, deadline) = {
-            let meta = lock(&slot.meta);
+        let (frame_id, tier, client, seq, snr_db, seed, channel) = {
+            let mut meta = lock(&slot.meta);
+            // The slot holds the channel only until the frame is planned.
+            let channel = meta.channel.take().expect("slot submitted without a channel");
             (
-                Arc::clone(meta.channel.as_ref().expect("slot submitted without a channel")),
+                meta.frame_id,
+                meta.tier,
+                meta.client,
+                meta.client_seq,
                 meta.snr_db,
                 meta.seed,
-                meta.deadline,
+                channel,
             )
         };
-        {
-            let mut core = slot.core.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let core = &mut *core;
-            let mut rng = StdRng::seed_from_u64(seed);
-            core.ws.plan_uplink(&self.cfg, &channel, snr_db, &mut rng);
-            core.portions.split(core.ws.planned_jobs().len());
+        if frame_id == self.fault_frame.load(Ordering::SeqCst) {
+            // Die before the frame runs, so it is lost exactly as under an
+            // organic worker crash.
+            panic!("injected worker fault (frame {frame_id})");
         }
-        self.stats.planned.fetch_add(1, Ordering::Relaxed);
-        // The home portion runs inline after this, never as a task of its
-        // own: that keeps one pop per shard per frame.
-        let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.portions.submit(&self.pool, home, self.deadline_key(deadline), slot_idx);
-    }
-
-    /// Recovery of one frame, run inline by the shard worker whose portion
-    /// finished last: scatter every shard's detections back to job order,
-    /// run the per-client receive chains, and deliver in per-client
-    /// submission order. Deadline accounting happens in
-    /// [`Shared::deliver`], not here — a frame parked behind a slow
-    /// predecessor can still miss. The worker's ambient trace context is
-    /// the frame's, as for every task.
-    fn recover_frame(&self, slot_idx: usize) {
-        let slot = &self.slots[slot_idx];
         {
-            let mut core = slot.core.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let core = &mut *core;
+            let mut core = lock(&slot.core);
+            let SlotCore { ws: frame, detections } = &mut *core;
+            frame.plan_uplink(&self.cfg, &channel, snr_db, &mut StdRng::seed_from_u64(seed));
+            drop(channel);
+            self.stats.planned.fetch_add(1, Ordering::Relaxed);
+            let detect = gs_prof::scope(gs_prof::Stage::Detect);
+            let (channels, jobs) = (frame.planned_channels(), frame.planned_jobs());
+            let batch = DetectionBatch { channels, jobs, c: self.cfg.constellation };
+            self.ladder.detect_batch_with(tier, &batch, ws, detections);
+            drop(detect);
+            self.stats.detected.fetch_add(1, Ordering::Relaxed);
             let mut stats = DetectorStats::default();
             let scatter = gs_prof::scope(gs_prof::Stage::Scatter);
-            core.ws.begin_detection_assembly();
-            core.portions
-                .for_each_result(|idx, det| core.ws.absorb_detection(&mut stats, idx, det));
+            frame.begin_detection_assembly();
+            for (idx, det) in detections.iter().enumerate() {
+                frame.absorb_detection(&mut stats, idx, det);
+            }
             drop(scatter);
-            core.ws.finish_uplink(&self.cfg, stats);
+            frame.finish_uplink(&self.cfg, stats);
         }
-
         self.stats.recovered.fetch_add(1, Ordering::Relaxed);
-        let (client, seq) = {
-            let mut meta = lock(&slot.meta);
-            // Release the channel Arc now that the frame no longer needs it.
-            meta.channel = None;
-            (meta.client, meta.client_seq)
-        };
 
         // Per-client in-order delivery: deliver this frame if it is the
         // lane's next expected sequence (then drain any parked
@@ -631,10 +598,7 @@ impl FrameStream {
         let slots: Vec<Slot> = (0..capacity)
             .map(|_| Slot {
                 meta: Mutex::new(SlotMeta::empty()),
-                core: RwLock::new(SlotCore {
-                    ws: FrameWorkspace::new(),
-                    portions: FramePortions::new(n_shards),
-                }),
+                core: Mutex::new(SlotCore { ws: FrameWorkspace::new(), detections: Vec::new() }),
             })
             .collect();
 
@@ -655,6 +619,7 @@ impl FrameStream {
             n_clients: sc.clients,
             capacity,
             pool,
+            fault_frame: AtomicU64::new(u64::MAX),
             free: Mutex::new((0..capacity).rev().collect()),
             free_cv: Condvar::new(),
             done_q: Mutex::new(VecDeque::with_capacity(capacity)),
@@ -674,7 +639,7 @@ impl FrameStream {
         });
         // The workers hold the engine until `Drop` joins them.
         let engine = Arc::clone(&shared);
-        shared.pool.spawn(move |shard, slot, ws| engine.run_task(shard, slot, ws));
+        shared.pool.spawn(move |slot, ws| engine.run_task(slot, ws));
         FrameStream { shared }
     }
 
@@ -760,15 +725,16 @@ impl FrameStream {
         self.install(slot_idx, &frame).map_err(|StreamDead| TrySubmitError::Dead(frame))
     }
 
-    /// Fault injection: the worker popping `shard`'s `pops`-th task from
-    /// now (1-based) panics instead of running it, exactly as an organic
-    /// worker crash would; `pops == 0` disarms. The death then surfaces
-    /// from [`FrameStream::submit`]/[`FrameStream::recv`] as
-    /// [`StreamDead`]. With one worker per shard and lockstep submission
-    /// the lost frame is deterministic. For seeded fault-injection
-    /// campaigns only; production embedders must never call this.
-    pub fn inject_worker_panic_after(&self, shard: usize, pops: u64) {
-        self.shared.pool.inject_worker_panic_after(shard, pops);
+    /// Fault injection: the worker that pops frame `frame`'s task (frames
+    /// are numbered from 0 in global submission order) panics before
+    /// running it, exactly as an organic worker crash would. The death
+    /// then surfaces from [`FrameStream::submit`]/[`FrameStream::recv`] as
+    /// [`StreamDead`]; under lockstep submission every earlier frame is
+    /// delivered and no later one admitted. A later call re-arms. For
+    /// seeded fault-injection campaigns only; production embedders must
+    /// never call this.
+    pub fn inject_worker_panic_at(&self, frame: u64) {
+        self.shared.fault_frame.store(frame, Ordering::SeqCst);
     }
 
     /// Whether the stream is dead — a pool worker panicked. A dead stream
@@ -838,7 +804,7 @@ impl FrameStream {
         }
         // The task carries the submitter's ambient context to the worker
         // that pops it, so the frame's identity rides along for its plan,
-        // portions and recovery.
+        // detection and recovery.
         gtrace::set_context(tctx);
         let key = shared.deadline_key(frame.deadline);
         let queued = shared.pool.submit(shared.home_shard(frame_id), key, slot_idx);
@@ -896,7 +862,7 @@ impl FrameStream {
             let meta = lock(&slot.meta);
             (meta.client, meta.client_seq, meta.missed_deadline, meta.tier)
         };
-        let core = slot.core.read().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let core = lock(&slot.core);
         Completed { stream: self, slot_idx, core, client, client_seq, missed_deadline, tier }
     }
 
@@ -991,7 +957,7 @@ impl Drop for FrameStream {
 pub struct Completed<'a> {
     stream: &'a FrameStream,
     slot_idx: usize,
-    core: RwLockReadGuard<'a, SlotCore>,
+    core: MutexGuard<'a, SlotCore>,
     client: usize,
     client_seq: u64,
     missed_deadline: bool,
@@ -1035,10 +1001,10 @@ impl Drop for Completed<'_> {
         let shared = &*self.stream.shared;
         lock(&shared.free).push(self.slot_idx);
         shared.free_cv.notify_one();
-        // The core read guard releases right after this body; a worker
-        // planning a frame that raced onto the freed slot blocks those few
-        // instructions on the write lock, never deadlocks (this thread
-        // holds nothing else).
+        // The core guard releases right after this body; a worker planning
+        // a frame that raced onto the freed slot blocks those few
+        // instructions on the core lock, never deadlocks (this thread holds
+        // nothing else).
     }
 }
 
@@ -1358,13 +1324,10 @@ mod tests {
         assert!(msg.contains("multiple of 16"), "{msg}");
     }
 
-    /// Each shard pops exactly one task per frame: the home shard's pop
-    /// plans and detects its portion inline, every other shard pops its
-    /// portion. Fault campaigns arm a shard's `k`-th pop to kill frame `k`
-    /// under lockstep submission, so they depend on this count.
+    /// Each frame is one task, popped once, on its home shard
+    /// (`frame_id % shards`): 7 frames over 3 shards pop `[3, 2, 2]`.
     #[test]
-    fn each_shard_pops_once_per_frame() {
-        const FRAMES: u64 = 7;
+    fn each_frame_pops_once_on_its_home_shard() {
         let cfg = small_cfg();
         let chans = channels(2, 47);
         let mut sc = StreamConfig::new(1);
@@ -1372,14 +1335,14 @@ mod tests {
         sc.shards = 3;
         let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
         assert_eq!(stream.shards(), 3);
-        for k in 0..FRAMES {
+        for k in 0..7u64 {
             let chan = Arc::clone(&chans[k as usize % 2]);
             stream.submit(UplinkFrame::new(0, chan, 20.0, 700 + k)).unwrap();
             assert_eq!(stream.recv().unwrap().seq(), k);
         }
         let pops: Vec<u64> =
             stream.stats().queue_wait_per_shard.iter().map(|h| h.count()).collect();
-        assert_eq!(pops, vec![FRAMES; 3], "one pop per shard per frame");
+        assert_eq!(pops, vec![3, 2, 2], "one pop per frame, on its home shard");
     }
 
     /// The admission policy reads slot-pool occupancy alone because no
@@ -1411,23 +1374,18 @@ mod tests {
         }
     }
 
-    /// A portion that unwinds inside a multi-shard frame: the frame is
-    /// never recovered or delivered, even by the clean portion that runs
-    /// after it; the stream reports dead, and teardown does not hang.
-    /// (The injected fault above kills a pop before its job runs; this
-    /// panic happens inside the job.)
+    /// A frame whose detection unwinds on a multi-shard stream is never
+    /// recovered or delivered; the stream reports dead, and teardown does
+    /// not hang. (The injected fault below kills a worker before the frame
+    /// runs; this panic happens inside the job.)
     #[test]
-    fn panicking_portion_is_never_delivered() {
-        use geosphere_core::{Detection, DetectionBatch, GeosphereDecoder};
+    fn unwinding_detection_is_never_delivered() {
+        use geosphere_core::GeosphereDecoder;
         use gs_linalg::{Complex, Matrix};
         use std::sync::atomic::AtomicUsize;
-        use std::sync::Barrier;
 
         static FINISHED: AtomicUsize = AtomicUsize::new(0);
         static UNWOUND: AtomicUsize = AtomicUsize::new(0);
-        /// Holds a multi-channel frame's clean portion until the test has
-        /// seen the other portion unwind, so the clean one counts down last.
-        static GATE: Barrier = Barrier::new(2);
 
         /// Geosphere, except that a batch holding a channel-1 job panics.
         struct PanicsOnChannelOne(GeosphereDecoder);
@@ -1445,9 +1403,6 @@ mod tests {
                     UNWOUND.fetch_add(1, Ordering::SeqCst);
                     panic!("intentional test panic on channel 1");
                 }
-                if batch.channels.len() > 1 {
-                    GATE.wait();
-                }
                 self.0.detect_batch_with(batch, ws, out);
                 FINISHED.fetch_add(1, Ordering::SeqCst);
             }
@@ -1462,13 +1417,12 @@ mod tests {
         sc.shards = 2;
         let stream = FrameStream::new(cfg, PanicsOnChannelOne(geosphere_decoder()), sc);
         assert_eq!(stream.shards(), 2);
-        // A flat channel plans one channel, index 0: both portions finish.
+        // A flat channel plans one channel, index 0: frame 0 delivers.
         let flat = channels(1, 48);
         stream.submit(UplinkFrame::new(0, Arc::clone(&flat[0]), 20.0, 1)).unwrap();
         drop(stream.recv().unwrap());
-        // A selective channel plans one channel per subcarrier. Channel 1
-        // lies in shard 0's range, so frame 1 (home shard 1) loses its
-        // submitted portion while its home portion waits at the gate.
+        // A selective channel plans one channel per subcarrier, so frame 1
+        // (home shard 1) unwinds in detection.
         let selective = gs_channel::SelectiveRayleighChannel {
             n_fft: 64,
             n_subcarriers: cfg.n_subcarriers,
@@ -1476,19 +1430,44 @@ mod tests {
         };
         let selective = Arc::new(selective.realize(&mut StdRng::seed_from_u64(49)));
         stream.submit(UplinkFrame::new(0, selective, 20.0, 2)).unwrap();
-        // The pool reports death only after the portion has unwound.
+        // The pool reports death only after the detection has unwound.
         assert_eq!(stream.recv().err(), Some(StreamDead));
-        GATE.wait();
-        // Joining the workers, as `drop` does, waits out the released home
-        // portion: it counts down, but the unwound portion never did, so
-        // the frame never completes.
         stream.shared.pool.shutdown_and_join();
         assert!(stream.try_recv().is_none(), "the panicked frame is never delivered");
         let stats = stream.stats();
         assert_eq!((stats.submitted, stats.recovered, stats.completed), (2, 1, 1));
         drop(stream);
         let finished = FINISHED.load(Ordering::SeqCst);
-        assert_eq!((finished, UNWOUND.load(Ordering::SeqCst)), (3, 1), "one portion unwound");
+        assert_eq!((finished, UNWOUND.load(Ordering::SeqCst)), (1, 1), "one detection unwound");
+    }
+
+    /// On a 2-shard stream under lockstep, arming frame `k` kills exactly
+    /// frame `k`, whichever shard it is homed on: frames before it
+    /// deliver, and it is popped on its home shard but never planned.
+    #[test]
+    fn injected_fault_kills_exactly_the_armed_frame() {
+        let cfg = small_cfg();
+        let chans = channels(1, 51);
+        for k in [3u64, 4] {
+            let mut sc = StreamConfig::new(1);
+            sc.workers = 2;
+            sc.shards = 2;
+            let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
+            stream.inject_worker_panic_at(k);
+            for f in 0..=k {
+                stream.submit(UplinkFrame::new(0, Arc::clone(&chans[0]), 20.0, 900 + f)).unwrap();
+                if f < k {
+                    assert_eq!(stream.recv().unwrap().seq(), f, "k {k}");
+                }
+            }
+            assert_eq!(stream.recv().err(), Some(StreamDead), "k {k}");
+            let stats = stream.stats();
+            assert_eq!((stats.submitted, stats.planned, stats.completed), (k + 1, k, k), "k {k}");
+            let pops: Vec<u64> = stats.queue_wait_per_shard.iter().map(|h| h.count()).collect();
+            // Frames 0..=k popped once each on shard `frame % 2`.
+            assert_eq!(pops, vec![k / 2 + 1, k.div_ceil(2)], "k {k}");
+            drop(stream);
+        }
     }
 
     /// An injected worker fault must surface as typed [`StreamDead`]
@@ -1504,9 +1483,9 @@ mod tests {
         sc.shards = 1;
         sc.capacity = 2;
         let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
-        // Lockstep: one task in flight at a time, so pool pop k = frame k.
-        // Armed at pop 3 → frames 0 and 1 complete, frame 2 is lost.
-        stream.inject_worker_panic_after(0, 3);
+        // Lockstep: one frame in flight at a time. Armed at frame 2 →
+        // frames 0 and 1 complete, frame 2 is lost.
+        stream.inject_worker_panic_at(2);
         for k in 0..2u64 {
             stream.submit(UplinkFrame::new(0, Arc::clone(&chans[0]), 20.0, k)).unwrap();
             let done = stream.recv().unwrap();

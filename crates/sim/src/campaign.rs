@@ -201,15 +201,10 @@ pub fn run_scenario(scenario: &Scenario, index: usize, ws: &mut FrameWorkspace) 
     let mut fault_fired = false;
     let mut lethal = false;
     let report = match scenario.fault {
-        Some(FaultSpec::WorkerPanic { after_frames })
-        | Some(FaultSpec::ShardLoss { after_frames, .. }) => {
-            // Lockstep: exactly one frame in flight, so the armed ordinal
-            // kills a known frame.
-            let shard = match scenario.fault {
-                Some(FaultSpec::ShardLoss { shard, .. }) => shard,
-                _ => 0,
-            };
-            stream.inject_worker_panic_after(shard, after_frames + 1);
+        Some(FaultSpec::WorkerPanic { after_frames } | FaultSpec::ShardLoss { after_frames }) => {
+            // Lockstep: exactly one frame in flight, so every frame before
+            // the armed one delivers and none after it is admitted.
+            stream.inject_worker_panic_at(after_frames);
             lethal = true;
             let report = drive(&stream, &plan, Pacing::Replay { in_flight: 1 });
             let delivered = report.delivered();
@@ -643,8 +638,7 @@ mod tests {
 
     #[test]
     fn shard_loss_kills_the_armed_shard() {
-        let s =
-            small(14).topology(2, 2, 3).fault(FaultSpec::ShardLoss { shard: 1, after_frames: 2 });
+        let s = small(14).topology(2, 2, 3).fault(FaultSpec::ShardLoss { after_frames: 2 });
         let out = run_scenario(&s, 0, &mut FrameWorkspace::new());
         assert_eq!(out.violations, Vec::<String>::new());
         assert!(out.fault_fired);

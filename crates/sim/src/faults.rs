@@ -7,12 +7,12 @@
 //! runtime mechanism:
 //!
 //! * [`FaultSpec::WorkerPanic`] — arms
-//!   `FrameStream::inject_worker_panic_after` on shard 0: a detection
-//!   worker panics mid-task, the stream's pool marks itself dead, and
-//!   every later `submit`/`recv` reports `StreamDead`.
-//! * [`FaultSpec::ShardLoss`] — the same hook armed on a non-zero shard
-//!   of a multi-shard pool: one memory domain's worker dies while the
-//!   others keep draining, modelling the loss of a whole detection shard.
+//!   `FrameStream::inject_worker_panic_at` on one frame: the worker that
+//!   pops it panics before running it, the stream's pool marks itself
+//!   dead, and every later `submit`/`recv` reports `StreamDead`.
+//! * [`FaultSpec::ShardLoss`] — the same lethal fault in a two-shard
+//!   pool: losing one shard's worker kills the whole pool, so the other
+//!   shard stops too.
 //! * [`FaultSpec::DeadlineStorm`] — a contiguous window of frames is
 //!   submitted with already-expired deadlines: every frame in the window
 //!   *must* be delivered and *must* be accounted as a miss (deadlines are
@@ -30,18 +30,15 @@
 /// for the runtime mechanism behind each variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSpec {
-    /// A detection worker on shard 0 panics after `after_frames` frames
-    /// have completed; the frame that would have been next dies with the
-    /// worker.
+    /// The worker popping frame `after_frames` panics after that many
+    /// frames have completed; the frame dies with the worker.
     WorkerPanic {
         /// Frames guaranteed to complete before the fault fires.
         after_frames: u64,
     },
-    /// A worker on shard `shard` (> 0, multi-shard topologies) panics
-    /// after `after_frames` frames, killing that shard's domain.
+    /// [`FaultSpec::WorkerPanic`] in a two-shard pool: the dying worker
+    /// takes the whole pool down, not only its own shard.
     ShardLoss {
-        /// The shard whose worker dies.
-        shard: usize,
         /// Frames guaranteed to complete before the fault fires.
         after_frames: u64,
     },
@@ -79,9 +76,7 @@ impl FaultSpec {
     pub fn describe(&self) -> String {
         match *self {
             FaultSpec::WorkerPanic { after_frames } => format!("worker_panic@{after_frames}"),
-            FaultSpec::ShardLoss { shard, after_frames } => {
-                format!("shard_loss(s{shard})@{after_frames}")
-            }
+            FaultSpec::ShardLoss { after_frames } => format!("shard_loss@{after_frames}"),
             FaultSpec::DeadlineStorm { start, len } => format!("deadline_storm@{start}+{len}"),
             FaultSpec::SlotExhaustion { burst } => format!("slot_exhaustion@{burst}"),
         }
@@ -95,10 +90,7 @@ mod tests {
     #[test]
     fn descriptors_are_stable() {
         assert_eq!(FaultSpec::WorkerPanic { after_frames: 4 }.describe(), "worker_panic@4");
-        assert_eq!(
-            FaultSpec::ShardLoss { shard: 1, after_frames: 2 }.describe(),
-            "shard_loss(s1)@2"
-        );
+        assert_eq!(FaultSpec::ShardLoss { after_frames: 2 }.describe(), "shard_loss@2");
         assert_eq!(FaultSpec::DeadlineStorm { start: 2, len: 5 }.describe(), "deadline_storm@2+5");
         assert_eq!(FaultSpec::SlotExhaustion { burst: 9 }.describe(), "slot_exhaustion@9");
     }

@@ -574,10 +574,7 @@ impl Scenario {
             0 => {
                 Some(FaultSpec::WorkerPanic { after_frames: 1 + pick(&mut rng, total - 1) as u64 })
             }
-            1 => Some(FaultSpec::ShardLoss {
-                shard: 1,
-                after_frames: 1 + pick(&mut rng, total - 1) as u64,
-            }),
+            1 => Some(FaultSpec::ShardLoss { after_frames: 1 + pick(&mut rng, total - 1) as u64 }),
             2 | 3 => {
                 let len = 1 + pick(&mut rng, total.max(2) - 1);
                 Some(FaultSpec::DeadlineStorm { start: pick(&mut rng, total - len + 1), len })
@@ -585,8 +582,7 @@ impl Scenario {
             4 => Some(FaultSpec::SlotExhaustion { burst: total }),
             _ => None,
         };
-        // A shard-loss fault needs a second shard to lose (and a worker
-        // to run it).
+        // A shard-loss fault runs on two shards (and a worker for each).
         let (workers, shards) = if matches!(fault, Some(FaultSpec::ShardLoss { .. })) {
             (workers.max(2), 2)
         } else {
@@ -764,9 +760,8 @@ mod tests {
             if let Some(f) = s.fault {
                 faults.insert(f.name());
                 with_fault += 1;
-                if let FaultSpec::ShardLoss { shard, .. } = f {
-                    assert!(shard < s.shards, "shard-loss fault must target a real shard");
-                    assert!(s.workers >= 2);
+                if let FaultSpec::ShardLoss { .. } = f {
+                    assert!(s.shards == 2 && s.workers >= 2, "shard loss runs on two shards");
                 }
             }
             assert!(s.total_frames() >= 2);

@@ -143,8 +143,8 @@ pub enum Pacing {
     /// Replay the plan's order, ignoring its arrival offsets: admit frames
     /// until the stream refuses one or `in_flight` are outstanding, then
     /// take one completion. `usize::MAX` keeps the pipeline full
-    /// (saturation under backpressure); `1` is lockstep, which makes pool
-    /// pop `k` belong to frame `k` on every shard.
+    /// (saturation under backpressure); `1` is lockstep, which delivers
+    /// every frame before the next is admitted.
     Replay {
         /// Most frames outstanding at once.
         in_flight: usize,

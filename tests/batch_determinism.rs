@@ -132,8 +132,8 @@ fn core_batch_detector_is_deterministic() {
             DetectionJob { channel, y }
         })
         .collect();
-    // A frame's jobs are channel-major (each worker's range then walks
-    // same-channel runs in lockstep); any other order must match too.
+    // A frame's jobs are channel-major (a batch then walks same-channel
+    // runs in lockstep); any other order must match too.
     let mut channel_major = symbol_major.clone();
     channel_major.sort_by_key(|job| job.channel);
     let geo = geosphere_decoder();
@@ -143,8 +143,8 @@ fn core_batch_detector_is_deterministic() {
         let batch = DetectionBatch { channels: &channels, jobs: &jobs, c };
         let reference = batch.detect_serial(&geo);
         // The whole batch, then contiguous ranges of it as separate
-        // batches (how the streaming runtime cuts a frame across shards),
-        // through one recycled workspace.
+        // batches, through one recycled workspace (a stream worker reuses
+        // its own across frames).
         for parts in [1usize, 3, 8] {
             let chunk = jobs.len().div_ceil(parts);
             let mut k = 0;

@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geosphere_core::{SoftGeosphereDetector, VectorPerturbationPrecoder};
 use gs_channel::{noise_variance_for_snr_db, sample_cn, RayleighChannel};
-use gs_coding::{bcjr, conv, viterbi};
+use gs_coding::viterbi::{decode_soft_into, ViterbiWorkspace};
+use gs_coding::{bcjr, conv};
 use gs_linalg::{Complex, Matrix};
 use gs_modulation::{Constellation, GridPoint};
 use rand::rngs::StdRng;
@@ -63,9 +64,16 @@ fn bench_vp_precoding(cr: &mut Criterion) {
 fn bench_siso_decoders(cr: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(101);
     let bits: Vec<bool> = (0..512).map(|_| rng.gen_bool(0.5)).collect();
-    let coded = conv::encode(&bits);
+    let mut coded = Vec::new();
+    conv::encode_into(&bits, &mut coded);
     let llrs: Vec<f64> = coded.iter().map(|&b| if b { -3.0 } else { 3.0 }).collect();
-    cr.bench_function("soft_viterbi_512bits", |b| b.iter(|| viterbi::decode_soft(&llrs).len()));
+    let (mut ws, mut out) = (ViterbiWorkspace::new(), Vec::new());
+    cr.bench_function("soft_viterbi_512bits", |b| {
+        b.iter(|| {
+            decode_soft_into(&llrs, &mut ws, &mut out);
+            out.len()
+        })
+    });
     cr.bench_function("bcjr_512bits", |b| b.iter(|| bcjr::siso_decode(&llrs).info_bits.len()));
 }
 

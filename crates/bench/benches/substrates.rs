@@ -7,7 +7,8 @@ use gs_channel::{
     noise_variance_for_snr_db, sample_cn, ApArray, ChannelModel, GeometricChannel, Pos,
     RayleighChannel,
 };
-use gs_coding::{conv, viterbi};
+use gs_coding::conv;
+use gs_coding::viterbi::{decode_with_erasures_into, CodedBit, ViterbiWorkspace};
 use gs_linalg::{fft, qr_decompose, Complex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,8 +28,16 @@ fn bench_qr(cr: &mut Criterion) {
 fn bench_viterbi(cr: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(8);
     let bits: Vec<bool> = (0..1024).map(|_| rng.gen_bool(0.5)).collect();
-    let coded = conv::encode(&bits);
-    cr.bench_function("viterbi_1024bits", |b| b.iter(|| viterbi::decode(&coded).len()));
+    let mut coded = Vec::new();
+    conv::encode_into(&bits, &mut coded);
+    let coded: Vec<CodedBit> = coded.into_iter().map(CodedBit::from_bool).collect();
+    let (mut ws, mut out) = (ViterbiWorkspace::new(), Vec::new());
+    cr.bench_function("viterbi_1024bits", |b| {
+        b.iter(|| {
+            decode_with_erasures_into(&coded, &mut ws, &mut out);
+            out.len()
+        })
+    });
 }
 
 fn bench_fft(cr: &mut Criterion) {

@@ -137,8 +137,8 @@ pub fn siso_decode(coded_llrs: &[f64]) -> SisoOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::encode;
-    use crate::viterbi;
+    use crate::conv::encode_into;
+    use crate::viterbi::{decode_soft_into, decode_with_erasures_into, CodedBit, ViterbiWorkspace};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -150,17 +150,22 @@ mod tests {
     fn matches_viterbi_on_clean_input() {
         let mut rng = StdRng::seed_from_u64(961);
         let bits: Vec<bool> = (0..150).map(|_| rng.gen_bool(0.5)).collect();
-        let coded = encode(&bits);
+        let mut coded = Vec::new();
+        encode_into(&bits, &mut coded);
         let out = siso_decode(&to_llrs(&coded, 4.0));
         assert_eq!(out.info_bits, bits);
-        assert_eq!(out.info_bits, viterbi::decode(&coded));
+        let hard: Vec<CodedBit> = coded.iter().map(|&b| CodedBit::from_bool(b)).collect();
+        let mut viterbi = Vec::new();
+        decode_with_erasures_into(&hard, &mut ViterbiWorkspace::new(), &mut viterbi);
+        assert_eq!(out.info_bits, viterbi);
     }
 
     #[test]
     fn info_llr_signs_match_bits() {
         let mut rng = StdRng::seed_from_u64(962);
         let bits: Vec<bool> = (0..100).map(|_| rng.gen_bool(0.5)).collect();
-        let coded = encode(&bits);
+        let mut coded = Vec::new();
+        encode_into(&bits, &mut coded);
         let out = siso_decode(&to_llrs(&coded, 3.0));
         for (l, &b) in out.info_llrs.iter().zip(&bits) {
             assert_eq!(*l < 0.0, b);
@@ -174,7 +179,8 @@ mod tests {
         // them nonzero extrinsic information with the correct sign.
         let mut rng = StdRng::seed_from_u64(963);
         let bits: Vec<bool> = (0..80).map(|_| rng.gen_bool(0.5)).collect();
-        let coded = encode(&bits);
+        let mut coded = Vec::new();
+        encode_into(&bits, &mut coded);
         let mut llrs = to_llrs(&coded, 4.0);
         let erased: Vec<usize> = (5..llrs.len()).step_by(17).collect();
         for &k in &erased {
@@ -200,7 +206,8 @@ mod tests {
         // everything else strong; extrinsic must correct it.
         let mut rng = StdRng::seed_from_u64(964);
         let bits: Vec<bool> = (0..60).map(|_| rng.gen_bool(0.5)).collect();
-        let coded = encode(&bits);
+        let mut coded = Vec::new();
+        encode_into(&bits, &mut coded);
         let mut llrs = to_llrs(&coded, 5.0);
         llrs[20] = if coded[20] { 0.4 } else { -0.4 }; // weakly wrong
         let out = siso_decode(&llrs);
@@ -217,9 +224,10 @@ mod tests {
         let mut bcjr_errs = 0usize;
         let mut vit_errs = 0usize;
         let sigma = 0.95;
+        let (mut coded, mut ws, mut decoded) = (Vec::new(), ViterbiWorkspace::new(), Vec::new());
         for _ in 0..40 {
             let bits: Vec<bool> = (0..100).map(|_| rng.gen_bool(0.5)).collect();
-            let coded = encode(&bits);
+            encode_into(&bits, &mut coded);
             let llrs: Vec<f64> = coded
                 .iter()
                 .map(|&b| {
@@ -230,8 +238,8 @@ mod tests {
                 .collect();
             bcjr_errs +=
                 siso_decode(&llrs).info_bits.iter().zip(&bits).filter(|(a, b)| a != b).count();
-            vit_errs +=
-                viterbi::decode_soft(&llrs).iter().zip(&bits).filter(|(a, b)| a != b).count();
+            decode_soft_into(&llrs, &mut ws, &mut decoded);
+            vit_errs += decoded.iter().zip(&bits).filter(|(a, b)| a != b).count();
         }
         let tol = 1 + vit_errs / 5;
         assert!(

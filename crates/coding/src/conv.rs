@@ -53,16 +53,10 @@ pub fn next_state(state: usize, input: bool) -> usize {
     ((state >> 1) | ((input as usize) << 5)) & (NUM_STATES - 1)
 }
 
-/// Encodes `bits`, appending `K−1 = 6` zero tail bits so the trellis ends in
-/// the all-zero state. Output length is `2·(bits.len() + 6)`.
-pub fn encode(bits: &[bool]) -> Vec<bool> {
-    let mut out = Vec::with_capacity(2 * (bits.len() + CONSTRAINT - 1));
-    encode_into(bits, &mut out);
-    out
-}
-
-/// [`encode`] into a reused output buffer (cleared first): no heap traffic
-/// once the buffer has warmed up to the frame's coded length.
+/// Encodes `bits` into `out` (cleared first), appending `K−1 = 6` zero tail
+/// bits so the trellis ends in the all-zero state. Output length is
+/// `2·(bits.len() + 6)`; no heap traffic once `out` has warmed up to the
+/// frame's coded length.
 pub fn encode_into(bits: &[bool], out: &mut Vec<bool>) {
     out.clear();
     let mut state = 0usize;
@@ -77,6 +71,12 @@ pub fn encode_into(bits: &[bool], out: &mut Vec<bool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(bits: &[bool]) -> Vec<bool> {
+        let mut out = Vec::new();
+        encode_into(bits, &mut out);
+        out
+    }
 
     #[test]
     fn all_zero_input_gives_all_zero_output() {

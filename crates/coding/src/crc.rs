@@ -28,22 +28,15 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// Folds one byte into a running CRC-32 — the single implementation of
-/// the polynomial math, shared by the byte-slice and bit-slice fronts.
+/// the polynomial math.
 #[inline]
 fn crc_fold_byte(crc: u32, byte: u8) -> u32 {
     (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xff) as usize]
 }
 
-/// Computes the IEEE CRC-32 of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    !data.iter().fold(0xFFFF_FFFFu32, |crc, &byte| crc_fold_byte(crc, byte))
-}
-
-/// Computes the CRC-32 of a bit slice (bits packed LSB-first into bytes,
-/// trailing partial byte zero-padded).
-///
-/// Packs on the fly — no heap allocation — but is bit-identical to
-/// `crc32(&pack_bits(bits))`, zero padding included.
+/// Computes the CRC-32 of a bit slice, bits packed LSB-first into bytes
+/// and a trailing partial byte zero-padded, packing on the fly: no heap
+/// allocation.
 pub fn crc32_bits(bits: &[bool]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for chunk in bits.chunks(8) {
@@ -58,44 +51,9 @@ pub fn crc32_bits(bits: &[bool]) -> u32 {
     !crc
 }
 
-/// Packs bits LSB-first into bytes (zero-padding the final byte).
-pub fn pack_bits(bits: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for (k, &b) in bits.iter().enumerate() {
-        if b {
-            out[k / 8] |= 1 << (k % 8);
-        }
-    }
-    out
-}
-
-/// Unpacks bytes into `n` bits, LSB-first.
-pub fn unpack_bits(bytes: &[u8], n: usize) -> Vec<bool> {
-    assert!(n <= bytes.len() * 8);
-    (0..n).map(|k| bytes[k / 8] >> (k % 8) & 1 == 1).collect()
-}
-
-/// Appends a 32-bit CRC (LSB-first) to a bit payload.
-pub fn append_crc(bits: &[bool]) -> Vec<bool> {
-    let crc = crc32_bits(bits);
-    let mut out = bits.to_vec();
-    out.extend((0..32).map(|k| crc >> k & 1 == 1));
-    out
-}
-
-/// Verifies and strips a trailing CRC appended by [`append_crc`]. Returns
-/// the payload when the CRC matches, `None` otherwise.
-pub fn check_crc(bits: &[bool]) -> Option<Vec<bool>> {
-    if check_crc_ok(bits) {
-        Some(bits[..bits.len() - 32].to_vec())
-    } else {
-        None
-    }
-}
-
-/// Verifies a trailing CRC appended by [`append_crc`] without allocating
-/// or copying the payload — `check_crc(bits).is_some()` in a form fit for
-/// the allocation-free receive chain.
+/// Verifies a 32-bit CRC (LSB-first) trailing the payload, as the
+/// transmit chain appends it from [`crc32_bits`], without allocating or
+/// copying the payload. Inputs shorter than the CRC fail.
 pub fn check_crc_ok(bits: &[bool]) -> bool {
     if bits.len() < 32 {
         return false;
@@ -111,53 +69,79 @@ pub fn check_crc_ok(bits: &[bool]) -> bool {
 mod tests {
     use super::*;
 
+    /// The IEEE CRC-32 of a byte slice: the known-answer reference that
+    /// [`crc32_bits`] is checked against.
+    fn crc32(data: &[u8]) -> u32 {
+        !data.iter().fold(0xFFFF_FFFFu32, |crc, &byte| crc_fold_byte(crc, byte))
+    }
+
+    /// `bits` followed by their CRC, LSB-first — the transmit chain's
+    /// framing.
+    fn framed(bits: &[bool]) -> Vec<bool> {
+        let crc = crc32_bits(bits);
+        bits.iter().copied().chain((0..32).map(|k| crc >> k & 1 == 1)).collect()
+    }
+
     #[test]
     fn known_vector() {
         // The canonical check value: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let bits: Vec<bool> =
+            b"123456789".iter().flat_map(|&byte| (0..8).map(move |k| byte >> k & 1 == 1)).collect();
+        assert_eq!(crc32_bits(&bits), 0xCBF4_3926);
     }
 
     #[test]
     fn empty_input() {
         assert_eq!(crc32(&[]), 0);
+        assert_eq!(crc32_bits(&[]), 0);
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn bit_crc_matches_byte_crc() {
+        // Bits pack LSB-first, a trailing partial byte zero-padded: every
+        // length 0..=45 against the byte reference over the packed bytes.
         let bits: Vec<bool> = (0..45).map(|k| k % 3 == 1).collect();
-        assert_eq!(unpack_bits(&pack_bits(&bits), 45), bits);
+        for n in 0..=bits.len() {
+            let mut bytes = vec![0u8; n.div_ceil(8)];
+            for (k, &b) in bits[..n].iter().enumerate() {
+                bytes[k / 8] |= (b as u8) << (k % 8);
+            }
+            assert_eq!(crc32_bits(&bits[..n]), crc32(&bytes), "{n} bits");
+        }
     }
 
     #[test]
     fn append_check_roundtrip() {
         let bits: Vec<bool> = (0..100).map(|k| (k * k) % 5 == 0).collect();
-        let framed = append_crc(&bits);
+        let framed = framed(&bits);
         assert_eq!(framed.len(), 132);
-        assert_eq!(check_crc(&framed), Some(bits));
+        assert_eq!(&framed[..100], &bits[..]);
+        assert!(check_crc_ok(&framed));
     }
 
     #[test]
     fn detects_single_bit_error() {
         let bits: Vec<bool> = (0..100).map(|k| k % 2 == 0).collect();
         for pos in [0usize, 31, 50, 99, 100, 131] {
-            let mut framed = append_crc(&bits);
+            let mut framed = framed(&bits);
             framed[pos] = !framed[pos];
-            assert_eq!(check_crc(&framed), None, "error at {pos} undetected");
+            assert!(!check_crc_ok(&framed), "error at {pos} undetected");
         }
     }
 
     #[test]
     fn detects_burst_errors() {
         let bits: Vec<bool> = (0..200).map(|k| k % 7 < 3).collect();
-        let mut framed = append_crc(&bits);
+        let mut framed = framed(&bits);
         for b in framed[40..72].iter_mut() {
             *b = !*b;
         }
-        assert_eq!(check_crc(&framed), None);
+        assert!(!check_crc_ok(&framed));
     }
 
     #[test]
     fn short_input_rejected() {
-        assert_eq!(check_crc(&[true; 10]), None);
+        assert!(!check_crc_ok(&[true; 10]));
     }
 }

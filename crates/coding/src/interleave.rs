@@ -87,50 +87,21 @@ impl Interleaver {
         s * (i / s) + (i + n - (16 * i / n)) % s
     }
 
-    /// Interleaves exactly one OFDM symbol's worth of values.
-    ///
-    /// # Panics
-    /// Panics when `bits.len() != n_cbps`.
-    pub fn interleave<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        assert_eq!(bits.len(), self.n_cbps);
-        self.interleave_stream(bits)
-    }
-
-    /// Inverse of [`Interleaver::interleave`].
-    ///
-    /// # Panics
-    /// Panics when `bits.len() != n_cbps`.
-    pub fn deinterleave<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        assert_eq!(bits.len(), self.n_cbps);
-        self.deinterleave_stream(bits)
-    }
-
-    /// Interleaves a multi-symbol stream, one OFDM symbol at a time.
+    /// Interleaves a stream of whole OFDM symbols, one symbol at a time,
+    /// into `out` (cleared first): a table gather per symbol, over hard
+    /// bits or any per-position values. Allocation-free once `out` is warm.
     ///
     /// # Panics
     /// Panics unless the length is a multiple of `n_cbps`.
-    pub fn interleave_stream<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        let mut out = Vec::new();
-        self.interleave_stream_into(bits, &mut out);
-        out
-    }
-
-    /// [`Interleaver::interleave_stream`] into a reused output buffer
-    /// (cleared first): allocation-free once the buffer is warm.
     pub fn interleave_stream_into<T: Copy>(&self, bits: &[T], out: &mut Vec<T>) {
         gather_symbols(&self.to_logical, bits, out);
     }
 
-    /// Inverse of [`Interleaver::interleave_stream`], over hard bits or
-    /// any per-position values (e.g. LLRs).
-    pub fn deinterleave_stream<T: Copy>(&self, bits: &[T]) -> Vec<T> {
-        let mut out = Vec::new();
-        self.deinterleave_stream_into(bits, &mut out);
-        out
-    }
-
-    /// [`Interleaver::deinterleave_stream`] into a reused output buffer
-    /// (cleared first).
+    /// Inverse of [`Interleaver::interleave_stream_into`], over hard bits
+    /// or any per-position values (e.g. LLRs), into `out` (cleared first).
+    ///
+    /// # Panics
+    /// Panics unless the length is a multiple of `n_cbps`.
     pub fn deinterleave_stream_into<T: Copy>(&self, bits: &[T], out: &mut Vec<T>) {
         gather_symbols(&self.to_tx, bits, out);
     }
@@ -151,6 +122,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    pub(super) fn interleaved<T: Copy>(il: &Interleaver, values: &[T]) -> Vec<T> {
+        let mut out = Vec::new();
+        il.interleave_stream_into(values, &mut out);
+        out
+    }
+
+    pub(super) fn deinterleaved<T: Copy>(il: &Interleaver, values: &[T]) -> Vec<T> {
+        let mut out = Vec::new();
+        il.deinterleave_stream_into(values, &mut out);
+        out
+    }
 
     fn configs() -> Vec<Interleaver> {
         // 48 data subcarriers x Q bits for Q = 2,4,6,8.
@@ -180,7 +163,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(61);
         for il in configs() {
             let bits: Vec<bool> = (0..il.n_cbps).map(|_| rng.gen_bool(0.5)).collect();
-            assert_eq!(il.deinterleave(&il.interleave(&bits)), bits);
+            assert_eq!(deinterleaved(&il, &interleaved(&il, &bits)), bits);
         }
     }
 
@@ -189,7 +172,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(62);
         let il = Interleaver::new(192, 4);
         let bits: Vec<bool> = (0..192 * 5).map(|_| rng.gen_bool(0.5)).collect();
-        assert_eq!(il.deinterleave_stream(&il.interleave_stream(&bits)), bits);
+        assert_eq!(deinterleaved(&il, &interleaved(&il, &bits)), bits);
     }
 
     #[test]
@@ -199,8 +182,8 @@ mod tests {
             il.reshape(n_cbps, n_bpsc);
             let fresh = Interleaver::new(n_cbps, n_bpsc);
             let tags: Vec<u32> = (0..n_cbps as u32).collect();
-            assert_eq!(il.interleave(&tags), fresh.interleave(&tags));
-            assert_eq!(il.deinterleave(&tags), fresh.deinterleave(&tags));
+            assert_eq!(interleaved(&il, &tags), interleaved(&fresh, &tags));
+            assert_eq!(deinterleaved(&il, &tags), deinterleaved(&fresh, &tags));
         }
     }
 
@@ -242,16 +225,17 @@ mod tests {
 
 #[cfg(test)]
 mod value_tests {
+    use super::tests::{deinterleaved, interleaved};
     use super::*;
 
     #[test]
     fn value_deinterleave_matches_bool_path() {
         let il = Interleaver::new(192, 4);
         let bits: Vec<bool> = (0..192).map(|k| (k * 29) % 3 == 0).collect();
-        let tx = il.interleave(&bits);
+        let tx = interleaved(&il, &bits);
         let vals: Vec<u32> = tx.iter().map(|&b| b as u32).collect();
-        let back_bits = il.deinterleave(&tx);
-        let back_vals = il.deinterleave(&vals);
+        let back_bits = deinterleaved(&il, &tx);
+        let back_vals = deinterleaved(&il, &vals);
         for (b, v) in back_bits.iter().zip(&back_vals) {
             assert_eq!(*b as u32, *v);
         }
@@ -268,10 +252,10 @@ mod value_tests {
         for (k, &v) in tagged.iter().enumerate() {
             let mut probe = vec![false; 96];
             probe[k] = true;
-            let mapped = il.interleave(&probe);
+            let mapped = interleaved(&il, &probe);
             let pos = mapped.iter().position(|&b| b).unwrap();
             tx[pos] = v;
         }
-        assert_eq!(il.deinterleave(&tx), tagged);
+        assert_eq!(deinterleaved(&il, &tx), tagged);
     }
 }

@@ -6,12 +6,22 @@
 //! hard-decision Viterbi decoding with erasure support, the two-permutation
 //! block interleaver, the 7-bit LFSR scrambler, and a CRC-32 frame check.
 //!
-//! ```
-//! use gs_coding::{conv, viterbi};
+//! Every stage writes into a caller-owned buffer (cleared first), so a
+//! long-lived receiver allocates nothing per frame:
 //!
-//! let info = vec![true, false, true, true, false];
-//! let coded = conv::encode(&info);
-//! assert_eq!(viterbi::decode(&coded), info);
+//! ```
+//! use gs_coding::viterbi::{decode_with_erasures_into, ViterbiWorkspace};
+//! use gs_coding::{conv, depuncture_into, puncture_into, CodeRate};
+//!
+//! let info = vec![true, false, true, true, false, false, true, false, true];
+//! let (mut mother, mut sent, mut received) = (Vec::new(), Vec::new(), Vec::new());
+//! conv::encode_into(&info, &mut mother); // appends the 6-bit tail
+//! puncture_into(&mother, CodeRate::ThreeQuarters, &mut sent);
+//! depuncture_into(&sent, CodeRate::ThreeQuarters, mother.len(), &mut received);
+//!
+//! let (mut ws, mut decoded) = (ViterbiWorkspace::new(), Vec::new());
+//! decode_with_erasures_into(&received, &mut ws, &mut decoded);
+//! assert_eq!(decoded, info);
 //! ```
 
 // `deny` rather than `forbid`: the multi-stream Viterbi butterfly has an
@@ -32,11 +42,8 @@ pub mod scramble;
 pub mod viterbi;
 
 pub use bcjr::{siso_decode, SisoOutput};
-pub use crc::{append_crc, check_crc, check_crc_ok, crc32, pack_bits, unpack_bits};
+pub use crc::check_crc_ok;
 pub use interleave::Interleaver;
-pub use puncture::{
-    depuncture, depuncture_into, depuncture_soft, depuncture_soft_into, puncture, puncture_into,
-    CodeRate,
-};
+pub use puncture::{depuncture_into, depuncture_soft_into, puncture_into, CodeRate};
 pub use scramble::Scrambler;
 pub use viterbi::{decode_multi_with_erasures_into, CodedBit, ViterbiWorkspace};

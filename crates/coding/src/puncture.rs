@@ -51,17 +51,10 @@ impl CodeRate {
     }
 }
 
-/// Removes punctured positions from a rate-1/2 coded stream.
-pub fn puncture(coded: &[bool], rate: CodeRate) -> Vec<bool> {
-    let mut out = Vec::new();
-    puncture_into(coded, rate, &mut out);
-    out
-}
-
-/// [`puncture`] into a reused output buffer (cleared first), over hard
-/// bits or any per-position values (e.g. extrinsic LLRs). Rate 1/2 is a
-/// straight copy; the punctured rates walk the pattern one period at a
-/// time.
+/// Removes punctured positions from a rate-1/2 coded stream into `out`
+/// (cleared first), over hard bits or any per-position values (e.g.
+/// extrinsic LLRs). Rate 1/2 is a straight copy; the punctured rates walk
+/// the pattern one period at a time.
 pub fn puncture_into<T: Copy>(coded: &[T], rate: CodeRate, out: &mut Vec<T>) {
     out.clear();
     if rate == CodeRate::Half {
@@ -74,15 +67,13 @@ pub fn puncture_into<T: Copy>(coded: &[T], rate: CodeRate, out: &mut Vec<T>) {
     }
 }
 
-/// Reinserts erasures at punctured positions, restoring the rate-1/2 stream
-/// length (`mother_len` = the pre-puncturing length).
-pub fn depuncture(received: &[bool], rate: CodeRate, mother_len: usize) -> Vec<CodedBit> {
-    let mut out = Vec::with_capacity(mother_len);
-    depuncture_into(received, rate, mother_len, &mut out);
-    out
-}
-
-/// [`depuncture`] into a reused output buffer (cleared first).
+/// Reinserts erasures at the punctured positions of a hard-bit stream
+/// into `out` (cleared first), restoring the rate-1/2 stream of
+/// `mother_len` (the pre-puncturing length) coded bits.
+///
+/// # Panics
+/// Panics when `received` is shorter or longer than the pattern implies
+/// for `mother_len`.
 pub fn depuncture_into(
     received: &[bool],
     rate: CodeRate,
@@ -131,38 +122,48 @@ fn depuncture_map<T: Copy, U: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::encode;
-    use crate::viterbi::decode_with_erasures;
+    use crate::conv::encode_into;
+    use crate::viterbi::{decode_with_erasures_into, ViterbiWorkspace};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn punctured(coded: &[bool], rate: CodeRate) -> Vec<bool> {
+        let mut out = Vec::new();
+        puncture_into(coded, rate, &mut out);
+        out
+    }
 
     #[test]
     fn puncture_lengths_match_rate() {
         // 24 information bits -> 60 mother bits (24+6 tail, x2) ... use a
         // pattern-aligned length for exact ratios: 48 mother bits.
         let coded = vec![true; 48];
-        assert_eq!(puncture(&coded, CodeRate::Half).len(), 48);
-        assert_eq!(puncture(&coded, CodeRate::TwoThirds).len(), 36); // 48 * 3/4
-        assert_eq!(puncture(&coded, CodeRate::ThreeQuarters).len(), 32); // 48 * 2/3
+        assert_eq!(punctured(&coded, CodeRate::Half).len(), 48);
+        assert_eq!(punctured(&coded, CodeRate::TwoThirds).len(), 36); // 48 * 3/4
+        assert_eq!(punctured(&coded, CodeRate::ThreeQuarters).len(), 32); // 48 * 2/3
     }
 
     #[test]
     fn punctured_roundtrip_noiseless() {
         let mut rng = StdRng::seed_from_u64(51);
+        let (mut mother, mut rx, mut ws, mut out) =
+            (Vec::new(), Vec::new(), ViterbiWorkspace::new(), Vec::new());
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
             let bits: Vec<bool> = (0..120).map(|_| rng.gen_bool(0.5)).collect();
-            let mother = encode(&bits);
-            let tx = puncture(&mother, rate);
-            let rx = depuncture(&tx, rate, mother.len());
-            assert_eq!(decode_with_erasures(&rx), bits, "{rate:?}");
+            encode_into(&bits, &mut mother);
+            let tx = punctured(&mother, rate);
+            depuncture_into(&tx, rate, mother.len(), &mut rx);
+            decode_with_erasures_into(&rx, &mut ws, &mut out);
+            assert_eq!(out, bits, "{rate:?}");
         }
     }
 
     #[test]
     fn depuncture_restores_positions() {
         let coded: Vec<bool> = (0..24).map(|k| k % 3 == 0).collect();
-        let tx = puncture(&coded, CodeRate::ThreeQuarters);
-        let rx = depuncture(&tx, CodeRate::ThreeQuarters, coded.len());
+        let tx = punctured(&coded, CodeRate::ThreeQuarters);
+        let mut rx = Vec::new();
+        depuncture_into(&tx, CodeRate::ThreeQuarters, coded.len(), &mut rx);
         assert_eq!(rx.len(), coded.len());
         for (k, cb) in rx.iter().enumerate() {
             match cb {
@@ -175,19 +176,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "longer than pattern")]
     fn depuncture_length_mismatch_panics() {
-        depuncture(&[true; 10], CodeRate::Half, 8);
+        depuncture_into(&[true; 10], CodeRate::Half, 8, &mut Vec::new());
     }
 }
 
-/// Reinserts zero LLRs (erasures) at punctured positions of a soft
-/// (log-likelihood-ratio) stream.
-pub fn depuncture_soft(received: &[f64], rate: CodeRate, mother_len: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(mother_len);
-    depuncture_soft_into(received, rate, mother_len, &mut out);
-    out
-}
-
-/// [`depuncture_soft`] into a reused output buffer (cleared first).
+/// Reinserts zero LLRs (erasures) at the punctured positions of a soft
+/// (log-likelihood-ratio) stream into `out` (cleared first), restoring
+/// the rate-1/2 stream of `mother_len` values.
+///
+/// # Panics
+/// Panics when `received` is shorter or longer than the pattern implies
+/// for `mother_len`.
 pub fn depuncture_soft_into(
     received: &[f64],
     rate: CodeRate,
@@ -200,21 +199,24 @@ pub fn depuncture_soft_into(
 #[cfg(test)]
 mod soft_tests {
     use super::*;
-    use crate::conv::encode;
-    use crate::viterbi::decode_soft;
+    use crate::conv::encode_into;
+    use crate::viterbi::{decode_soft_into, ViterbiWorkspace};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     #[test]
     fn soft_punctured_roundtrip() {
         let mut rng = StdRng::seed_from_u64(405);
+        let (mut mother, mut tx, mut rx) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut ws, mut out) = (ViterbiWorkspace::new(), Vec::new());
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
             let bits: Vec<bool> = (0..120).map(|_| rng.gen_bool(0.5)).collect();
-            let mother = encode(&bits);
-            let tx = puncture(&mother, rate);
+            encode_into(&bits, &mut mother);
+            puncture_into(&mother, rate, &mut tx);
             let llrs: Vec<f64> = tx.iter().map(|&b| if b { -3.0 } else { 3.0 }).collect();
-            let rx = depuncture_soft(&llrs, rate, mother.len());
-            assert_eq!(decode_soft(&rx), bits, "{rate:?}");
+            depuncture_soft_into(&llrs, rate, mother.len(), &mut rx);
+            decode_soft_into(&rx, &mut ws, &mut out);
+            assert_eq!(out, bits, "{rate:?}");
         }
     }
 }

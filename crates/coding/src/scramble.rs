@@ -83,32 +83,30 @@ impl Scrambler {
         }
         self.phase = phase as u8;
     }
-
-    /// Scrambles (or descrambles) a bit slice, returning a new vector.
-    pub fn apply(&mut self, bits: &[bool]) -> Vec<bool> {
-        let mut out = bits.to_vec();
-        self.apply_in_place(&mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn scrambled(mut s: Scrambler, bits: &[bool]) -> Vec<bool> {
+        let mut out = bits.to_vec();
+        s.apply_in_place(&mut out);
+        out
+    }
+
     #[test]
     fn scramble_is_involution() {
         let bits: Vec<bool> = (0..500).map(|k| k % 7 == 0).collect();
-        let scrambled = Scrambler::default_seed().apply(&bits);
-        let restored = Scrambler::default_seed().apply(&scrambled);
-        assert_eq!(restored, bits);
-        assert_ne!(scrambled, bits, "scrambler must actually change the data");
+        let scrambled_bits = scrambled(Scrambler::default_seed(), &bits);
+        assert_eq!(scrambled(Scrambler::default_seed(), &scrambled_bits), bits);
+        assert_ne!(scrambled_bits, bits, "scrambler must actually change the data");
     }
 
     #[test]
     fn keystream_has_period_127() {
         // A maximal-length 7-bit LFSR has period 2^7 - 1 = 127.
-        let stream = Scrambler::new(1).apply(&[false; 254]);
+        let stream = scrambled(Scrambler::new(1), &[false; 254]);
         assert_eq!(&stream[..127], &stream[127..]);
         // and no shorter period dividing 127 (127 is prime, so just check
         // the stream isn't constant).
@@ -118,8 +116,7 @@ mod tests {
 
     #[test]
     fn whitens_constant_input() {
-        let zeros = vec![false; 127];
-        let out = Scrambler::default_seed().apply(&zeros);
+        let out = scrambled(Scrambler::default_seed(), &[false; 127]);
         let ones = out.iter().filter(|&&b| b).count();
         // A maximal LFSR outputs 64 ones per 127-bit period.
         assert_eq!(ones, 64);
@@ -140,9 +137,12 @@ mod tests {
                 })
                 .collect();
             let mut s = Scrambler::new(seed);
-            let mut got = s.apply(&[false; 5]);
-            got.extend(s.apply(&[false; 131]));
-            got.extend(s.apply(&[false; 164]));
+            let mut got = vec![false; 300];
+            let (head, rest) = got.split_at_mut(5);
+            let (mid, tail) = rest.split_at_mut(131);
+            s.apply_in_place(head);
+            s.apply_in_place(mid);
+            s.apply_in_place(tail);
             assert_eq!(got, reference, "seed {seed:#x}");
             assert_eq!(s.phase, PHASE_OF[state as usize], "seed {seed:#x}");
         }

@@ -75,15 +75,6 @@ impl CodedBit {
     }
 }
 
-/// Decodes a terminated, rate-1/2 coded stream of hard bits.
-///
-/// `coded.len()` must be even and at least `2·(K−1)`; returns the
-/// `coded.len()/2 − 6` information bits.
-pub fn decode(coded: &[bool]) -> Vec<bool> {
-    let symbols: Vec<CodedBit> = coded.iter().map(|&b| CodedBit::from_bool(b)).collect();
-    decode_with_erasures(&symbols)
-}
-
 /// Half the butterfly count: destinations `k` and `k + HALF` share the
 /// predecessor pair `{2k, 2k+1}`.
 const HALF: usize = NUM_STATES / 2;
@@ -195,20 +186,10 @@ fn traceback(decisions: &[u64], n: usize, steps: usize, out: &mut Vec<bool>) {
     }
 }
 
-/// Decodes a terminated, rate-1/2 coded stream that may contain erasures.
-///
-/// # Panics
-/// Panics when the stream length is odd or shorter than the tail.
-pub fn decode_with_erasures(coded: &[CodedBit]) -> Vec<bool> {
-    let mut ws = ViterbiWorkspace::new();
-    let mut out = Vec::new();
-    decode_with_erasures_into(coded, &mut ws, &mut out);
-    out
-}
-
-/// [`decode_with_erasures`] with the trellis state and the output buffer
-/// reused in place — bit-identical output, zero heap allocations once the
-/// workspace has warmed up to the stream length.
+/// Decodes a terminated, rate-1/2 coded stream that may contain erasures
+/// into `out` (cleared first): the `coded.len()/2 − 6` information bits.
+/// The trellis state lives in `ws`, so decoding performs zero heap
+/// allocations once the workspace has warmed up to the stream length.
 ///
 /// # Panics
 /// Panics when the stream length is odd or shorter than the tail.
@@ -592,12 +573,30 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::encode;
+    use crate::conv::encode_into;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn random_bits(rng: &mut StdRng, n: usize) -> Vec<bool> {
         (0..n).map(|_| rng.gen_bool(0.5)).collect()
+    }
+
+    pub(super) fn encode(bits: &[bool]) -> Vec<bool> {
+        let mut out = Vec::new();
+        encode_into(bits, &mut out);
+        out
+    }
+
+    /// Decodes `coded` through a fresh workspace.
+    fn decode_erasures(coded: &[CodedBit]) -> Vec<bool> {
+        let mut out = Vec::new();
+        decode_with_erasures_into(coded, &mut ViterbiWorkspace::new(), &mut out);
+        out
+    }
+
+    /// Decodes hard bits (no erasures).
+    pub(super) fn decode(coded: &[bool]) -> Vec<bool> {
+        decode_erasures(&coded.iter().map(|&b| CodedBit::from_bool(b)).collect::<Vec<_>>())
     }
 
     #[test]
@@ -645,7 +644,7 @@ mod tests {
         for k in (0..symbols.len()).step_by(6) {
             symbols[k] = CodedBit::Erased;
         }
-        assert_eq!(decode_with_erasures(&symbols), bits);
+        assert_eq!(decode_erasures(&symbols), bits);
     }
 
     #[test]
@@ -705,7 +704,7 @@ mod tests {
                 decode_multi_with_erasures_into(&flat, n, &mut ws, &mut out);
                 let info_len = out.len() / n;
                 for (s, coded) in streams.iter().enumerate() {
-                    let single = decode_with_erasures(coded);
+                    let single = decode_erasures(coded);
                     assert_eq!(
                         &out[s * info_len..(s + 1) * info_len],
                         &single[..],
@@ -738,25 +737,15 @@ mod tests {
 }
 
 /// Decodes a terminated rate-1/2 stream from per-bit log-likelihood
-/// ratios (positive = bit 0 more likely, e.g. from a soft MIMO detector).
-/// Punctured positions should carry LLR `0.0` (no information).
+/// ratios (positive = bit 0 more likely, e.g. from a soft MIMO detector)
+/// into `out` (cleared first). Punctured positions should carry LLR `0.0`
+/// (no information).
 ///
 /// The branch metric for hypothesizing transmitted bit `b` against LLR `L`
 /// is `|L|` when the hypothesis contradicts the LLR's hard decision and
-/// `0` otherwise — the max-log-optimal soft Viterbi metric.
-///
-/// # Panics
-/// Panics when the stream length is odd or shorter than the tail.
-pub fn decode_soft(llrs: &[f64]) -> Vec<bool> {
-    let mut ws = ViterbiWorkspace::new();
-    let mut out = Vec::new();
-    decode_soft_into(llrs, &mut ws, &mut out);
-    out
-}
-
-/// [`decode_soft`] with the trellis state and the output buffer reused in
-/// place — bit-identical output, zero heap allocations once the workspace
-/// has warmed up to the stream length.
+/// `0` otherwise — the max-log-optimal soft Viterbi metric. The trellis
+/// state lives in `ws`, so decoding performs zero heap allocations once
+/// the workspace has warmed up to the stream length.
 ///
 /// # Panics
 /// Panics when the stream length is odd or shorter than the tail.
@@ -834,10 +823,17 @@ pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<b
 
 #[cfg(test)]
 mod soft_tests {
+    use super::tests::{decode, encode};
     use super::*;
-    use crate::conv::encode;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Decodes LLRs through a fresh workspace.
+    fn decode_soft(llrs: &[f64]) -> Vec<bool> {
+        let mut out = Vec::new();
+        decode_soft_into(llrs, &mut ViterbiWorkspace::new(), &mut out);
+        out
+    }
 
     fn to_llrs(coded: &[bool], confidence: f64) -> Vec<f64> {
         coded.iter().map(|&b| if b { -confidence } else { confidence }).collect()

@@ -34,9 +34,11 @@ pub struct Detection {
 /// detector type and later handed to another is simply re-seeded (one
 /// warmup allocation), so long-lived receivers can hold a single
 /// `DetectorWorkspace` regardless of which detector runs.
-/// (The contents are `Send + Sync`: workspaces sit inside shared frame
-/// slots that concurrent shard workers read around — see `gs-runtime` —
-/// and every detector's scratch is plain owned data anyway.)
+/// (The contents are `Send + Sync`, so a workspace can move between
+/// threads: in `gs-runtime` each pool worker owns one for its lifetime,
+/// and a frame slot's `FrameWorkspace`, which holds one, sits behind the
+/// slot's one `Mutex`. Every detector's scratch is plain owned data
+/// anyway.)
 #[derive(Default)]
 pub struct DetectorWorkspace {
     inner: Option<Box<dyn Any + Send + Sync>>,

@@ -43,20 +43,6 @@ static TABLES: [([u16; MAX_POINTS], [GridPoint; MAX_POINTS]); 4] = [
     build(Constellation::ALL[3]),
 ];
 
-/// Bits of a constellation point packed into a `u16`, MSB-first: bit
-/// index 0 (as used by [`bit_of_point`]) is the most significant of the
-/// `Q` bits.
-pub fn pack_point_bits(c: Constellation, p: GridPoint) -> u16 {
-    BitTable::new(c).packed(p)
-}
-
-/// Bit `k` (0 = first/MSB of the symbol's `Q` bits) of a constellation
-/// point, without allocation.
-#[inline]
-pub fn bit_of_point(c: Constellation, p: GridPoint, k: usize) -> bool {
-    BitTable::new(c).bit(p, k)
-}
-
 /// The point→bits and bits→point tables of one constellation. A handle to
 /// static data: building one is free, and it is `Copy`.
 #[derive(Clone, Copy, Debug)]
@@ -100,34 +86,23 @@ impl BitTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gray::{gray_decode, unmap_point};
+    use crate::gray::{gray_decode, unmap_points_into};
 
     #[test]
     fn pack_matches_unmap() {
+        let mut bits = Vec::new();
         for c in Constellation::ALL {
+            let table = BitTable::new(c);
             for p in c.points() {
-                let bits = unmap_point(c, p);
-                let packed = pack_point_bits(c, p);
+                unmap_points_into(c, &[p], &mut bits);
+                let packed = table.packed(p);
                 for (k, &b) in bits.iter().enumerate() {
                     assert_eq!(
                         (packed >> (c.bits_per_symbol() - 1 - k)) & 1 == 1,
                         b,
                         "{c:?} {p:?} bit {k}"
                     );
-                    assert_eq!(bit_of_point(c, p, k), b);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn table_matches_direct() {
-        for c in Constellation::ALL {
-            let table = BitTable::new(c);
-            for p in c.points() {
-                assert_eq!(table.packed(p), pack_point_bits(c, p));
-                for k in 0..c.bits_per_symbol() {
-                    assert_eq!(table.bit(p, k), bit_of_point(c, p, k));
+                    assert_eq!(table.bit(p, k), b);
                 }
             }
         }
@@ -154,9 +129,10 @@ mod tests {
     #[test]
     fn packed_values_unique() {
         for c in Constellation::ALL {
+            let table = BitTable::new(c);
             let mut seen = std::collections::HashSet::new();
             for p in c.points() {
-                assert!(seen.insert(pack_point_bits(c, p)), "{c:?}: duplicate bit pattern");
+                assert!(seen.insert(table.packed(p)), "{c:?}: duplicate bit pattern");
             }
             assert_eq!(seen.len(), c.size());
         }

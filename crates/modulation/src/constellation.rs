@@ -87,19 +87,6 @@ impl Constellation {
         self.side() as i32 - 1
     }
 
-    /// Parses names like `"16-QAM"`, `"qam64"`, `"qpsk"`, `"256"`.
-    pub fn parse(name: &str) -> Option<Constellation> {
-        let lower: String =
-            name.to_ascii_lowercase().chars().filter(|c| c.is_alphanumeric()).collect();
-        match lower.as_str() {
-            "qpsk" | "4qam" | "qam4" | "4" => Some(Constellation::Qpsk),
-            "16qam" | "qam16" | "16" => Some(Constellation::Qam16),
-            "64qam" | "qam64" | "64" => Some(Constellation::Qam64),
-            "256qam" | "qam256" | "256" => Some(Constellation::Qam256),
-            _ => None,
-        }
-    }
-
     /// All axis levels `{−(m−1), …, −1, 1, …, m−1}` in ascending order.
     pub fn axis_levels(self) -> Vec<i32> {
         let m = self.side() as i32;
@@ -319,15 +306,6 @@ mod tests {
                 assert_eq!(c.index_of_coord(coord), idx);
             }
         }
-    }
-
-    #[test]
-    fn parse_names() {
-        assert_eq!(Constellation::parse("QPSK"), Some(Constellation::Qpsk));
-        assert_eq!(Constellation::parse("16-QAM"), Some(Constellation::Qam16));
-        assert_eq!(Constellation::parse("qam64"), Some(Constellation::Qam64));
-        assert_eq!(Constellation::parse("256"), Some(Constellation::Qam256));
-        assert_eq!(Constellation::parse("8psk"), None);
     }
 
     #[test]

@@ -15,9 +15,38 @@ pub const fn gray_encode(n: usize) -> usize {
     n ^ (n >> 1)
 }
 
-/// Inverse of [`gray_encode`].
-#[inline]
-pub fn gray_decode(g: usize) -> usize {
+/// Maps a bitstream to constellation points into `out` (cleared first),
+/// `Q` bits per symbol, MSB-first within each symbol.
+///
+/// # Panics
+/// Panics unless `bits.len()` is a multiple of `Q`.
+pub fn map_bitstream_into(c: Constellation, bits: &[bool], out: &mut Vec<GridPoint>) {
+    let q = c.bits_per_symbol();
+    assert_eq!(bits.len() % q, 0, "bitstream not a multiple of {q} bits");
+    let table = BitTable::new(c);
+    out.clear();
+    out.extend(
+        bits.chunks_exact(q)
+            .map(|chunk| table.point(chunk.iter().fold(0u16, |acc, &b| (acc << 1) | b as u16))),
+    );
+}
+
+/// Recovers the bitstream of exact constellation points into `out`
+/// (cleared first): each point's `Q` bits, MSB-first.
+pub fn unmap_points_into(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
+    let table = BitTable::new(c);
+    let q = c.bits_per_symbol();
+    out.clear();
+    for &p in points {
+        let packed = table.packed(p);
+        out.extend((0..q).rev().map(|k| (packed >> k) & 1 == 1));
+    }
+}
+
+/// Inverse of [`gray_encode`]: the reference the bit tables' closed form
+/// is checked against.
+#[cfg(test)]
+pub(crate) fn gray_decode(g: usize) -> usize {
     let mut n = g;
     let mut shift = 1;
     while (g >> shift) > 0 {
@@ -27,82 +56,23 @@ pub fn gray_decode(g: usize) -> usize {
     n
 }
 
-/// Maps a group of `Q` bits (MSB-first) to a constellation point.
-///
-/// # Panics
-/// Panics when `bits.len() != c.bits_per_symbol()`.
-pub fn map_bits(c: Constellation, bits: &[bool]) -> GridPoint {
-    assert_eq!(bits.len(), c.bits_per_symbol(), "wrong number of bits for {c:?}");
-    BitTable::new(c).point(pack_msb_first(bits))
-}
-
-/// Recovers the `Q` bits (MSB-first) of an exact constellation point.
-pub fn unmap_point(c: Constellation, p: GridPoint) -> Vec<bool> {
-    let mut bits = Vec::with_capacity(c.bits_per_symbol());
-    unmap_point_into(c, p, &mut bits);
-    bits
-}
-
-/// Appends the `Q` bits (MSB-first) of an exact constellation point to a
-/// caller-owned buffer — the allocation-free form of [`unmap_point`].
-pub fn unmap_point_into(c: Constellation, p: GridPoint, out: &mut Vec<bool>) {
-    push_point_bits(c, &[p], out);
-}
-
-/// Packs a bit group MSB-first (the [`BitTable`] index).
-fn pack_msb_first(bits: &[bool]) -> u16 {
-    bits.iter().fold(0u16, |acc, &b| (acc << 1) | b as u16)
-}
-
-/// Appends the `Q` bits (MSB-first) of every point.
-fn push_point_bits(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
-    let table = BitTable::new(c);
-    let q = c.bits_per_symbol();
-    for &p in points {
-        let packed = table.packed(p);
-        out.extend((0..q).rev().map(|k| (packed >> k) & 1 == 1));
-    }
-}
-
-/// Maps a bitstream to a sequence of constellation points, `Q` bits per
-/// symbol.
-///
-/// # Panics
-/// Panics unless `bits.len()` is a multiple of `Q`.
-pub fn map_bitstream(c: Constellation, bits: &[bool]) -> Vec<GridPoint> {
-    let mut out = Vec::with_capacity(bits.len() / c.bits_per_symbol().max(1));
-    map_bitstream_into(c, bits, &mut out);
-    out
-}
-
-/// [`map_bitstream`] into a reused output buffer (cleared first).
-///
-/// # Panics
-/// Panics unless `bits.len()` is a multiple of `Q`.
-pub fn map_bitstream_into(c: Constellation, bits: &[bool], out: &mut Vec<GridPoint>) {
-    let q = c.bits_per_symbol();
-    assert_eq!(bits.len() % q, 0, "bitstream not a multiple of {q} bits");
-    let table = BitTable::new(c);
-    out.clear();
-    out.extend(bits.chunks_exact(q).map(|chunk| table.point(pack_msb_first(chunk))));
-}
-
-/// Recovers the bitstream from a sequence of constellation points.
-pub fn unmap_points(c: Constellation, points: &[GridPoint]) -> Vec<bool> {
-    let mut out = Vec::with_capacity(points.len() * c.bits_per_symbol());
-    unmap_points_into(c, points, &mut out);
-    out
-}
-
-/// [`unmap_points`] into a reused output buffer (cleared first).
-pub fn unmap_points_into(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
-    out.clear();
-    push_point_bits(c, points, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bits of one point.
+    fn bits_of(c: Constellation, p: GridPoint) -> Vec<bool> {
+        let mut bits = Vec::new();
+        unmap_points_into(c, &[p], &mut bits);
+        bits
+    }
+
+    /// Every symbol's `Q` bits (MSB-first), symbol by symbol: the whole
+    /// constellation as one bitstream.
+    fn all_symbol_bits(c: Constellation) -> Vec<bool> {
+        let q = c.bits_per_symbol();
+        (0..c.size()).flat_map(|sym| (0..q).rev().map(move |k| (sym >> k) & 1 == 1)).collect()
+    }
 
     #[test]
     fn gray_code_small_values() {
@@ -122,24 +92,25 @@ mod tests {
 
     #[test]
     fn map_unmap_roundtrip_all_points() {
+        let mut points = Vec::new();
         for c in Constellation::ALL {
-            for sym in 0..c.size() {
-                let bits: Vec<bool> =
-                    (0..c.bits_per_symbol()).rev().map(|k| (sym >> k) & 1 == 1).collect();
-                let p = map_bits(c, &bits);
-                assert_eq!(unmap_point(c, p), bits, "{c:?} symbol {sym}");
+            let bits = all_symbol_bits(c);
+            map_bitstream_into(c, &bits, &mut points);
+            for (sym, (&p, sym_bits)) in
+                points.iter().zip(bits.chunks(c.bits_per_symbol())).enumerate()
+            {
+                assert_eq!(bits_of(c, p), sym_bits, "{c:?} symbol {sym}");
             }
         }
     }
 
     #[test]
     fn mapping_is_bijective() {
+        let mut points = Vec::new();
         for c in Constellation::ALL {
+            map_bitstream_into(c, &all_symbol_bits(c), &mut points);
             let mut seen = std::collections::HashSet::new();
-            for sym in 0..c.size() {
-                let bits: Vec<bool> =
-                    (0..c.bits_per_symbol()).rev().map(|k| (sym >> k) & 1 == 1).collect();
-                let p = map_bits(c, &bits);
+            for p in &points {
                 assert!(seen.insert((p.i, p.q)), "{c:?}: point {p:?} mapped twice");
             }
             assert_eq!(seen.len(), c.size());
@@ -153,13 +124,13 @@ mod tests {
         for c in Constellation::ALL {
             let levels = c.axis_levels();
             for w in levels.windows(2) {
-                let a = unmap_point(c, GridPoint { i: w[0], q: levels[0] });
-                let b = unmap_point(c, GridPoint { i: w[1], q: levels[0] });
+                let a = bits_of(c, GridPoint { i: w[0], q: levels[0] });
+                let b = bits_of(c, GridPoint { i: w[1], q: levels[0] });
                 let diff: usize = a.iter().zip(&b).filter(|(x, y)| x != y).count();
                 assert_eq!(diff, 1, "{c:?} I-neighbours {} and {}", w[0], w[1]);
 
-                let a = unmap_point(c, GridPoint { i: levels[0], q: w[0] });
-                let b = unmap_point(c, GridPoint { i: levels[0], q: w[1] });
+                let a = bits_of(c, GridPoint { i: levels[0], q: w[0] });
+                let b = bits_of(c, GridPoint { i: levels[0], q: w[1] });
                 let diff: usize = a.iter().zip(&b).filter(|(x, y)| x != y).count();
                 assert_eq!(diff, 1, "{c:?} Q-neighbours {} and {}", w[0], w[1]);
             }
@@ -170,14 +141,16 @@ mod tests {
     fn bitstream_roundtrip() {
         let c = Constellation::Qam64;
         let bits: Vec<bool> = (0..120).map(|k| (k * 7 + 3) % 5 < 2).collect();
-        let pts = map_bitstream(c, &bits);
+        let (mut pts, mut back) = (Vec::new(), Vec::new());
+        map_bitstream_into(c, &bits, &mut pts);
         assert_eq!(pts.len(), 20);
-        assert_eq!(unmap_points(c, &pts), bits);
+        unmap_points_into(c, &pts, &mut back);
+        assert_eq!(back, bits);
     }
 
     #[test]
-    #[should_panic(expected = "wrong number of bits")]
+    #[should_panic(expected = "not a multiple of 4 bits")]
     fn wrong_bit_count_panics() {
-        map_bits(Constellation::Qam16, &[true, false, true]);
+        map_bitstream_into(Constellation::Qam16, &[true, false, true], &mut Vec::new());
     }
 }

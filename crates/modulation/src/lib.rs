@@ -9,12 +9,16 @@
 //! and the geometric pruning table of Eq. 9 applies exactly.
 //!
 //! ```
-//! use gs_modulation::{Constellation, map_bits, unmap_point};
+//! use gs_modulation::{map_bitstream_into, unmap_points_into, Constellation};
 //!
 //! let c = Constellation::Qam16;
-//! let p = map_bits(c, &[true, false, false, true]);
-//! assert_eq!(unmap_point(c, p), vec![true, false, false, true]);
-//! assert_eq!(c.slice(p.to_complex()), p);
+//! let bits = [true, false, false, true, false, true, true, false];
+//! let (mut points, mut back) = (Vec::new(), Vec::new());
+//! map_bitstream_into(c, &bits, &mut points); // 4 bits per symbol
+//! assert_eq!(points.len(), 2);
+//! unmap_points_into(c, &points, &mut back);
+//! assert_eq!(back, bits);
+//! assert_eq!(c.slice(points[0].to_complex()), points[0]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -25,10 +29,7 @@ pub mod constellation;
 pub mod gray;
 pub mod zigzag;
 
-pub use bits::{bit_of_point, pack_point_bits, BitTable};
+pub use bits::BitTable;
 pub use constellation::{Constellation, GridPoint};
-pub use gray::{
-    gray_decode, gray_encode, map_bits, map_bitstream, map_bitstream_into, unmap_point,
-    unmap_point_into, unmap_points, unmap_points_into,
-};
+pub use gray::{gray_encode, map_bitstream_into, unmap_points_into};
 pub use zigzag::AxisZigzag;

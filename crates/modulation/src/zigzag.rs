@@ -83,21 +83,21 @@ impl AxisZigzag {
     pub fn is_done(self) -> bool {
         self.remaining() == 0
     }
-
-    /// The whole zigzag toward `target` as coordinates, in order.
-    pub fn order(c: Constellation, target: f64) -> impl Iterator<Item = i32> {
-        let (first, mut rest) = AxisZigzag::start(c, target);
-        std::iter::once(c.coord_of_index(first))
-            .chain(std::iter::from_fn(move || rest.next_coord(c, target)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The whole zigzag toward `target` as coordinates, in order.
+    fn order(c: Constellation, target: f64) -> impl Iterator<Item = i32> {
+        let (first, mut rest) = AxisZigzag::start(c, target);
+        std::iter::once(c.coord_of_index(first))
+            .chain(std::iter::from_fn(move || rest.next_coord(c, target)))
+    }
+
     fn check_order(c: Constellation, target: f64) {
-        let order: Vec<i32> = AxisZigzag::order(c, target).collect();
+        let order: Vec<i32> = order(c, target).collect();
         assert_eq!(order.len(), c.side(), "must enumerate all levels");
         // Distances must be nondecreasing.
         for w in order.windows(2) {
@@ -124,7 +124,7 @@ mod tests {
     fn first_is_slice() {
         for c in Constellation::ALL {
             for &t in &[-5.2, -0.3, 0.9, 4.4] {
-                let first = AxisZigzag::order(c, t).next().unwrap();
+                let first = order(c, t).next().unwrap();
                 assert_eq!(first, c.slice_axis(t));
             }
         }
@@ -134,20 +134,20 @@ mod tests {
     fn figure4_example_order() {
         // Figure 4 (left): 4-PAM levels, target between the two middle
         // levels, slightly right of centre: slice = 1, then -1, then 3, -3.
-        let order: Vec<i32> = AxisZigzag::order(Constellation::Qam16, 0.4).collect();
+        let order: Vec<i32> = order(Constellation::Qam16, 0.4).collect();
         assert_eq!(order, vec![1, -1, 3, -3]);
     }
 
     #[test]
     fn edge_target_walks_inward() {
-        let order: Vec<i32> = AxisZigzag::order(Constellation::Qam16, 9.0).collect();
+        let order: Vec<i32> = order(Constellation::Qam16, 9.0).collect();
         assert_eq!(order, vec![3, 1, -1, -3]);
     }
 
     #[test]
     fn ties_go_to_the_upper_level() {
         // Target 0 is equidistant from ±1, ±3, …: every pair breaks upward.
-        let order: Vec<i32> = AxisZigzag::order(Constellation::Qam64, 0.0).collect();
+        let order: Vec<i32> = order(Constellation::Qam64, 0.0).collect();
         assert_eq!(order, vec![1, -1, 3, -3, 5, -5, 7, -7]);
     }
 

@@ -368,7 +368,8 @@ mod tests {
         let table = BitTable::new(c);
         // Strong priors for a specific point's bits.
         let p = GridPoint { i: 3, q: -1 };
-        let bits = gs_modulation::unmap_point(c, p);
+        let mut bits = Vec::new();
+        gs_modulation::unmap_points_into(c, &[p], &mut bits);
         let llrs: Vec<f64> = bits.iter().map(|&b| if b { -30.0 } else { 30.0 }).collect();
         let sp = symbol_stats(c, &table, &c.points(), &llrs);
         assert!((sp.mean - p.to_complex()).abs() < 1e-6);
@@ -381,7 +382,8 @@ mod tests {
         let table = BitTable::new(c);
         let mut out = Vec::new();
         scalar_llrs(c, &table, &c.points(), Complex::new(1.0, -1.0), 1.0, 0.1, &mut out);
-        let bits = gs_modulation::unmap_point(c, GridPoint { i: 1, q: -1 });
+        let mut bits = Vec::new();
+        gs_modulation::unmap_points_into(c, &[GridPoint { i: 1, q: -1 }], &mut bits);
         for (l, b) in out.iter().zip(&bits) {
             assert_eq!(*l < 0.0, *b);
         }

@@ -103,7 +103,7 @@ mod tests {
     use crate::txrx::{decode_frame_batched_into, transmit_frame};
     use geosphere_core::geosphere_decoder;
     use gs_channel::{ChannelModel, RayleighChannel};
-    use gs_modulation::{unmap_points, Constellation};
+    use gs_modulation::{unmap_points_into, Constellation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -130,7 +130,8 @@ mod tests {
         let f = transmit_frame(&cfg, &payload);
         // Perfect LLRs derived from the transmitted bits themselves.
         let flat: Vec<_> = f.symbols.iter().flatten().copied().collect();
-        let bits = unmap_points(cfg.constellation, &flat);
+        let mut bits = Vec::new();
+        unmap_points_into(cfg.constellation, &flat, &mut bits);
         let llrs: Vec<f64> = bits.iter().map(|&b| if b { -6.0 } else { 6.0 }).collect();
         assert_eq!(receive_frame_soft(&cfg, &llrs), Some(payload));
     }

@@ -4,7 +4,7 @@
 
 use geosphere::channel::{ChannelModel, RayleighChannel, Testbed};
 use geosphere::core::{SoftGeosphereDetector, VectorPerturbationPrecoder};
-use geosphere::modulation::{unmap_points, Constellation};
+use geosphere::modulation::{unmap_points_into, Constellation};
 use geosphere::phy::{
     measure, uplink_frame_iterative_into, uplink_frame_soft_into, FrameWorkspace, PhyConfig,
 };
@@ -36,7 +36,8 @@ fn soft_detector_agrees_with_transmitted_bits() {
     let y = geosphere::core::apply_channel(&h, &s);
     let det = SoftGeosphereDetector::new(1e-4);
     let soft = det.detect_soft(&h, &y, c);
-    let bits = unmap_points(c, &s);
+    let mut bits = Vec::new();
+    unmap_points_into(c, &s, &mut bits);
     for (l, b) in soft.llrs.iter().zip(&bits) {
         assert_eq!(*l < 0.0, *b, "noiseless LLR signs must match the data");
     }

@@ -1,11 +1,14 @@
 //! Property-based tests (proptest) on the core invariants of every layer.
 
-use geosphere::coding::{conv, viterbi, Interleaver, Scrambler};
+use geosphere::coding::viterbi::{decode_with_erasures_into, CodedBit, ViterbiWorkspace};
+use geosphere::coding::{check_crc_ok, conv, crc::crc32_bits, Interleaver, Scrambler};
 use geosphere::core::geoprune::{axis_offset, distance_lower_bound};
 use geosphere::core::sphere::{EnumeratorFactory, GeosphereFactory, HessFactory, NodeEnumerator};
 use geosphere::core::DetectorStats;
 use geosphere::linalg::{qr_decompose, singular_values, Complex, Matrix};
-use geosphere::modulation::{map_bits, unmap_point, AxisZigzag, Constellation, GridPoint};
+use geosphere::modulation::{
+    map_bitstream_into, unmap_points_into, AxisZigzag, Constellation, GridPoint,
+};
 use proptest::prelude::*;
 
 fn constellation_strategy() -> impl Strategy<Value = Constellation> {
@@ -19,6 +22,20 @@ fn constellation_strategy() -> impl Strategy<Value = Constellation> {
 
 fn complex_strategy(range: f64) -> impl Strategy<Value = Complex> {
     (-range..range, -range..range).prop_map(|(re, im)| Complex::new(re, im))
+}
+
+fn encode(bits: &[bool]) -> Vec<bool> {
+    let mut coded = Vec::new();
+    conv::encode_into(bits, &mut coded);
+    coded
+}
+
+/// Viterbi over hard bits (no erasures).
+fn hard_decode(coded: &[bool]) -> Vec<bool> {
+    let symbols: Vec<CodedBit> = coded.iter().map(|&b| CodedBit::from_bool(b)).collect();
+    let mut out = Vec::new();
+    decode_with_erasures_into(&symbols, &mut ViterbiWorkspace::new(), &mut out);
+    out
 }
 
 proptest! {
@@ -38,12 +55,18 @@ proptest! {
     fn gray_mapping_roundtrips(c in constellation_strategy(), sym in 0usize..256) {
         let sym = sym % c.size();
         let bits: Vec<bool> = (0..c.bits_per_symbol()).rev().map(|k| (sym >> k) & 1 == 1).collect();
-        prop_assert_eq!(unmap_point(c, map_bits(c, &bits)), bits);
+        let (mut points, mut back) = (Vec::new(), Vec::new());
+        map_bitstream_into(c, &bits, &mut points);
+        unmap_points_into(c, &points, &mut back);
+        prop_assert_eq!(back, bits);
     }
 
     #[test]
     fn axis_zigzag_sorted_and_complete(c in constellation_strategy(), t in -20.0f64..20.0) {
-        let order: Vec<i32> = AxisZigzag::order(c, t).collect();
+        let (first, mut rest) = AxisZigzag::start(c, t);
+        let order: Vec<i32> = std::iter::once(c.coord_of_index(first))
+            .chain(std::iter::from_fn(|| rest.next_coord(c, t)))
+            .collect();
         prop_assert_eq!(order.len(), c.side());
         for w in order.windows(2) {
             prop_assert!((w[0] as f64 - t).abs() <= (w[1] as f64 - t).abs() + 1e-12);
@@ -205,7 +228,7 @@ proptest! {
 
     #[test]
     fn conv_viterbi_roundtrip(bits in proptest::collection::vec(any::<bool>(), 1..200)) {
-        prop_assert_eq!(viterbi::decode(&conv::encode(&bits)), bits);
+        prop_assert_eq!(hard_decode(&encode(&bits)), bits);
     }
 
     #[test]
@@ -213,16 +236,17 @@ proptest! {
         bits in proptest::collection::vec(any::<bool>(), 20..100),
         pos_frac in 0.0f64..1.0,
     ) {
-        let mut coded = conv::encode(&bits);
+        let mut coded = encode(&bits);
         let pos = ((coded.len() - 1) as f64 * pos_frac) as usize;
         coded[pos] = !coded[pos];
-        prop_assert_eq!(viterbi::decode(&coded), bits);
+        prop_assert_eq!(hard_decode(&coded), bits);
     }
 
     #[test]
     fn scrambler_involution(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
-        let once = Scrambler::default_seed().apply(&bits);
-        let twice = Scrambler::default_seed().apply(&once);
+        let mut twice = bits.clone();
+        Scrambler::default_seed().apply_in_place(&mut twice);
+        Scrambler::default_seed().apply_in_place(&mut twice);
         prop_assert_eq!(twice, bits);
     }
 
@@ -235,7 +259,10 @@ proptest! {
         let bits: Vec<bool> =
             (0..n_cbps).map(|k| seed_bits.get(k % seed_bits.len().max(1)).copied().unwrap_or(false)).collect();
         let il = Interleaver::new(n_cbps, c.bits_per_symbol());
-        prop_assert_eq!(il.deinterleave(&il.interleave(&bits)), bits);
+        let (mut tx, mut back) = (Vec::new(), Vec::new());
+        il.interleave_stream_into(&bits, &mut tx);
+        il.deinterleave_stream_into(&tx, &mut back);
+        prop_assert_eq!(back, bits);
     }
 
     #[test]
@@ -243,12 +270,13 @@ proptest! {
         bits in proptest::collection::vec(any::<bool>(), 1..120),
         pos_frac in 0.0f64..1.0,
     ) {
-        let framed = geosphere::coding::append_crc(&bits);
+        let crc = crc32_bits(&bits);
+        let framed: Vec<bool> = bits.iter().copied().chain((0..32).map(|k| crc >> k & 1 == 1)).collect();
         let mut corrupted = framed.clone();
         let pos = ((corrupted.len() - 1) as f64 * pos_frac) as usize;
         corrupted[pos] = !corrupted[pos];
-        prop_assert_eq!(geosphere::coding::check_crc(&framed), Some(bits));
-        prop_assert_eq!(geosphere::coding::check_crc(&corrupted), None);
+        prop_assert!(check_crc_ok(&framed));
+        prop_assert!(!check_crc_ok(&corrupted));
     }
 
     // --- channel metrics ---
@@ -403,7 +431,10 @@ fn interleaver_tables_match_closed_form() {
         il.deinterleave_stream_into(&vals, &mut out_vals);
         assert_eq!(out_bits, back_bits, "{what}: deinterleave bits");
         assert_eq!(out_vals, back_vals, "{what}: deinterleave values");
-        assert_eq!(il.deinterleave(&il.interleave(&bits[..n])), &bits[..n], "{what}: roundtrip");
+        il.interleave_stream_into(&bits[..n], &mut out_bits);
+        let tx = out_bits.clone();
+        il.deinterleave_stream_into(&tx, &mut out_bits);
+        assert_eq!(out_bits, &bits[..n], "{what}: roundtrip");
     }
 }
 

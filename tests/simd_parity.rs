@@ -290,7 +290,8 @@ fn viterbi_lockstep_bit_identical_across_tiers() {
     /// when `stretch` is set.
     fn stream(rng: &mut StdRng, info_len: usize, rate: CodeRate, stretch: bool) -> Vec<CodedBit> {
         let info: Vec<bool> = (0..info_len).map(|_| rng.gen_bool(0.5)).collect();
-        let mother = conv::encode(&info);
+        let mut mother = Vec::new();
+        conv::encode_into(&info, &mut mother);
         let mut sent = Vec::new();
         puncture_into(&mother, rate, &mut sent);
         for b in sent.iter_mut() {

@@ -13,15 +13,15 @@
 //! default ladder matches serial decoding with that rung's detector.
 //!
 //! **Zero steady-state allocations.** With the pipeline full and every
-//! slot warmed, pushing further frames end to end (submit → plan → sharded
-//! detect → recover → recv) performs **zero heap allocations across all
-//! threads**, extending PR 3's frame-chain discipline to the streaming
-//! engine.
+//! slot warmed, pushing further frames end to end (submit → one worker
+//! plans, detects and recovers each frame → recv) performs **zero heap
+//! allocations across all threads**, extending the frame chain's
+//! zero-allocation discipline to the streaming engine.
 //!
 //! Like `tests/alloc_regression.rs`, this file holds a **single
-//! `#[test]`**: the allocation case counts process-wide (the stage and
-//! shard worker threads must be measured), which is only sound while no
-//! sibling test allocates concurrently.
+//! `#[test]`**: the allocation case counts process-wide (the pool's
+//! worker threads must be measured), which is only sound while no sibling
+//! test allocates concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -358,8 +358,8 @@ fn assert_stream_steady_state_allocation_free() {
     };
 
     // Warmup: cycle every slot through the frame shape several times so
-    // each slot's workspace, each shard's output buffer, each worker's
-    // search workspace, and every queue reach their high-water marks.
+    // each slot's workspace and detections buffer, each worker's search
+    // workspace, and every queue reach their high-water marks.
     drive(1_000, 18);
 
     // Every refused `try_submit` fires `Trigger::AdmissionRefusal`, and a

@@ -25,18 +25,25 @@ pub fn map_bitstream_into(c: Constellation, bits: &[bool], out: &mut Vec<GridPoi
     assert_eq!(bits.len() % q, 0, "bitstream not a multiple of {q} bits");
     let table = BitTable::new(c);
     out.clear();
-    out.extend(
-        bits.chunks_exact(q)
-            .map(|chunk| table.point(chunk.iter().fold(0u16, |acc, &b| (acc << 1) | b as u16))),
-    );
+    out.extend(bits.chunks_exact(q).map(|chunk| table.point(pack_msb_first(chunk))));
+}
+
+/// Packs a bit group MSB-first (the [`BitTable`] index).
+fn pack_msb_first(bits: &[bool]) -> u16 {
+    bits.iter().fold(0u16, |acc, &b| (acc << 1) | b as u16)
 }
 
 /// Recovers the bitstream of exact constellation points into `out`
 /// (cleared first): each point's `Q` bits, MSB-first.
 pub fn unmap_points_into(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
+    out.clear();
+    push_point_bits(c, points, out);
+}
+
+/// Appends the `Q` bits (MSB-first) of every point.
+fn push_point_bits(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
     let table = BitTable::new(c);
     let q = c.bits_per_symbol();
-    out.clear();
     for &p in points {
         let packed = table.packed(p);
         out.extend((0..q).rev().map(|k| (packed >> k) & 1 == 1));

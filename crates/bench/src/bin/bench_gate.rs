@@ -452,11 +452,10 @@ fn metrics(run: &mut Run) {
     run.set("deadline_misses", stats.deadline_misses as f64);
     let mut latency = gs_prof::hist::HistogramSnapshot::empty();
     stats.latency_per_client.iter().for_each(|h| latency.merge(h));
-    let mut queue_wait = gs_prof::hist::HistogramSnapshot::empty();
-    stats.queue_wait_per_shard.iter().for_each(|h| queue_wait.merge(h));
+    let [queue_wait] = &stats.queue_wait_per_shard;
     for (name, h) in [
         ("submit_delivery_latency", &latency),
-        ("shard_queue_wait", &queue_wait),
+        ("queue_wait", queue_wait),
         ("deadline_slack", &stats.deadline_slack),
         ("deadline_lateness", &stats.deadline_lateness),
     ] {

@@ -83,6 +83,22 @@ pub fn depuncture_into(
     depuncture_map(received, rate, mother_len, CodedBit::Erased, CodedBit::from_bool, out);
 }
 
+/// Reinserts zero LLRs (erasures) at the punctured positions of a soft
+/// (log-likelihood-ratio) stream into `out` (cleared first), restoring
+/// the rate-1/2 stream of `mother_len` values.
+///
+/// # Panics
+/// Panics when `received` is shorter or longer than the pattern implies
+/// for `mother_len`.
+pub fn depuncture_soft_into(
+    received: &[f64],
+    rate: CodeRate,
+    mother_len: usize,
+    out: &mut Vec<f64>,
+) {
+    depuncture_map(received, rate, mother_len, 0.0, |l| l, out);
+}
+
 /// The one depuncturing walk behind the hard and soft fronts: received
 /// values go through `kept` at transmitted positions, `erased` fills the
 /// punctured ones. Rate 1/2 is a straight (mapped) copy.
@@ -178,22 +194,6 @@ mod tests {
     fn depuncture_length_mismatch_panics() {
         depuncture_into(&[true; 10], CodeRate::Half, 8, &mut Vec::new());
     }
-}
-
-/// Reinserts zero LLRs (erasures) at the punctured positions of a soft
-/// (log-likelihood-ratio) stream into `out` (cleared first), restoring
-/// the rate-1/2 stream of `mother_len` values.
-///
-/// # Panics
-/// Panics when `received` is shorter or longer than the pattern implies
-/// for `mother_len`.
-pub fn depuncture_soft_into(
-    received: &[f64],
-    rate: CodeRate,
-    mother_len: usize,
-    out: &mut Vec<f64>,
-) {
-    depuncture_map(received, rate, mother_len, 0.0, |l| l, out);
 }
 
 #[cfg(test)]

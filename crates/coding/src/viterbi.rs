@@ -377,6 +377,91 @@ pub fn decode_multi_with_erasures_into(
     traceback(&ws.decisions, n, steps, out);
 }
 
+/// Decodes a terminated rate-1/2 stream from per-bit log-likelihood
+/// ratios (positive = bit 0 more likely, e.g. from a soft MIMO detector)
+/// into `out` (cleared first). Punctured positions should carry LLR `0.0`
+/// (no information).
+///
+/// The branch metric for hypothesizing transmitted bit `b` against LLR `L`
+/// is `|L|` when the hypothesis contradicts the LLR's hard decision and
+/// `0` otherwise — the max-log-optimal soft Viterbi metric. The trellis
+/// state lives in `ws`, so decoding performs zero heap allocations once
+/// the workspace has warmed up to the stream length.
+///
+/// # Panics
+/// Panics when the stream length is odd or shorter than the tail.
+pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<bool>) {
+    assert_eq!(llrs.len() % 2, 0, "rate-1/2 stream must have even length");
+    let steps = llrs.len() / 2;
+    assert!(steps >= CONSTRAINT - 1, "stream shorter than the termination tail");
+    let _prof = gs_prof::scope(gs_prof::Stage::Viterbi);
+    _prof.add_bytes(steps as u64 / 8);
+
+    #[inline]
+    fn cost(llr: f64, tx: bool) -> f64 {
+        // Positive LLR favours bit 0: penalize a `1` hypothesis by +L, a
+        // `0` hypothesis by −L when L is negative.
+        if tx {
+            llr.max(0.0)
+        } else {
+            (-llr).max(0.0)
+        }
+    }
+
+    const INF: f64 = f64::INFINITY;
+    ws.metric_f.clear();
+    ws.metric_f.resize(NUM_STATES, INF);
+    ws.metric_f[0] = 0.0;
+    ws.decisions.resize(steps, 0); // every step's word is overwritten
+    ws.next_f.clear();
+    ws.next_f.resize(NUM_STATES, 0.0);
+
+    for t in 0..steps {
+        let l0 = llrs[2 * t];
+        let l1 = llrs[2 * t + 1];
+        let c0f = cost(l0, false);
+        let c0t = cost(l0, true);
+        let c1f = cost(l1, false);
+        let c1t = cost(l1, true);
+        let (next_in0, next_in1) = ws.next_f.split_at_mut(HALF);
+        let mut take_hi_bits = 0u64;
+        // The same destination-major butterfly as the hard path, with
+        // branchless selects instead of mask arithmetic (f64 selection must
+        // stay exact). A transition emitting (o0, o1) costs
+        // `sel(o0) + sel(o1)` — the one addition the old four-entry table
+        // performed, so metrics are bit-identical. Unreachable predecessors
+        // carry `+∞` and lose every comparison that matters; the old loop's
+        // tie-breaking (lower predecessor first, strict improvement only)
+        // is preserved by `take_hi = c1 < c0`.
+        for k in 0..HALF {
+            let m0 = ws.metric_f[2 * k];
+            let m1 = ws.metric_f[2 * k + 1];
+            let bc_lo0 = (if B_LO_IN0.o0[k] == 1 { c0t } else { c0f })
+                + (if B_LO_IN0.o1[k] == 1 { c1t } else { c1f });
+            let bc_hi0 = (if B_HI_IN0.o0[k] == 1 { c0t } else { c0f })
+                + (if B_HI_IN0.o1[k] == 1 { c1t } else { c1f });
+            let c0 = m0 + bc_lo0;
+            let c1 = m1 + bc_hi0;
+            let take_hi = c1 < c0;
+            next_in0[k] = if take_hi { c1 } else { c0 };
+            take_hi_bits |= (take_hi as u64) << k;
+
+            let bc_lo1 = (if B_LO_IN1.o0[k] == 1 { c0t } else { c0f })
+                + (if B_LO_IN1.o1[k] == 1 { c1t } else { c1f });
+            let bc_hi1 = (if B_HI_IN1.o0[k] == 1 { c0t } else { c0f })
+                + (if B_HI_IN1.o1[k] == 1 { c1t } else { c1f });
+            let c0 = m0 + bc_lo1;
+            let c1 = m1 + bc_hi1;
+            let take_hi = c1 < c0;
+            next_in1[k] = if take_hi { c1 } else { c0 };
+            take_hi_bits |= (take_hi as u64) << (k + HALF);
+        }
+        ws.decisions[t] = take_hi_bits;
+        std::mem::swap(&mut ws.metric_f, &mut ws.next_f);
+    }
+    traceback(&ws.decisions, 1, steps, out);
+}
+
 /// The 16-bit-lane AVX2 forward pass of the four-stream decoder. Same
 /// safety contract as the `gs-linalg` SIMD backends: `unsafe fn` +
 /// `#[target_feature]`, reached only after runtime detection.
@@ -734,91 +819,6 @@ mod tests {
             assert_eq!(&out[s * info_len..s * info_len + 120], &bits[..], "stream {s}");
         }
     }
-}
-
-/// Decodes a terminated rate-1/2 stream from per-bit log-likelihood
-/// ratios (positive = bit 0 more likely, e.g. from a soft MIMO detector)
-/// into `out` (cleared first). Punctured positions should carry LLR `0.0`
-/// (no information).
-///
-/// The branch metric for hypothesizing transmitted bit `b` against LLR `L`
-/// is `|L|` when the hypothesis contradicts the LLR's hard decision and
-/// `0` otherwise — the max-log-optimal soft Viterbi metric. The trellis
-/// state lives in `ws`, so decoding performs zero heap allocations once
-/// the workspace has warmed up to the stream length.
-///
-/// # Panics
-/// Panics when the stream length is odd or shorter than the tail.
-pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<bool>) {
-    assert_eq!(llrs.len() % 2, 0, "rate-1/2 stream must have even length");
-    let steps = llrs.len() / 2;
-    assert!(steps >= CONSTRAINT - 1, "stream shorter than the termination tail");
-    let _prof = gs_prof::scope(gs_prof::Stage::Viterbi);
-    _prof.add_bytes(steps as u64 / 8);
-
-    #[inline]
-    fn cost(llr: f64, tx: bool) -> f64 {
-        // Positive LLR favours bit 0: penalize a `1` hypothesis by +L, a
-        // `0` hypothesis by −L when L is negative.
-        if tx {
-            llr.max(0.0)
-        } else {
-            (-llr).max(0.0)
-        }
-    }
-
-    const INF: f64 = f64::INFINITY;
-    ws.metric_f.clear();
-    ws.metric_f.resize(NUM_STATES, INF);
-    ws.metric_f[0] = 0.0;
-    ws.decisions.resize(steps, 0); // every step's word is overwritten
-    ws.next_f.clear();
-    ws.next_f.resize(NUM_STATES, 0.0);
-
-    for t in 0..steps {
-        let l0 = llrs[2 * t];
-        let l1 = llrs[2 * t + 1];
-        let c0f = cost(l0, false);
-        let c0t = cost(l0, true);
-        let c1f = cost(l1, false);
-        let c1t = cost(l1, true);
-        let (next_in0, next_in1) = ws.next_f.split_at_mut(HALF);
-        let mut take_hi_bits = 0u64;
-        // The same destination-major butterfly as the hard path, with
-        // branchless selects instead of mask arithmetic (f64 selection must
-        // stay exact). A transition emitting (o0, o1) costs
-        // `sel(o0) + sel(o1)` — the one addition the old four-entry table
-        // performed, so metrics are bit-identical. Unreachable predecessors
-        // carry `+∞` and lose every comparison that matters; the old loop's
-        // tie-breaking (lower predecessor first, strict improvement only)
-        // is preserved by `take_hi = c1 < c0`.
-        for k in 0..HALF {
-            let m0 = ws.metric_f[2 * k];
-            let m1 = ws.metric_f[2 * k + 1];
-            let bc_lo0 = (if B_LO_IN0.o0[k] == 1 { c0t } else { c0f })
-                + (if B_LO_IN0.o1[k] == 1 { c1t } else { c1f });
-            let bc_hi0 = (if B_HI_IN0.o0[k] == 1 { c0t } else { c0f })
-                + (if B_HI_IN0.o1[k] == 1 { c1t } else { c1f });
-            let c0 = m0 + bc_lo0;
-            let c1 = m1 + bc_hi0;
-            let take_hi = c1 < c0;
-            next_in0[k] = if take_hi { c1 } else { c0 };
-            take_hi_bits |= (take_hi as u64) << k;
-
-            let bc_lo1 = (if B_LO_IN1.o0[k] == 1 { c0t } else { c0f })
-                + (if B_LO_IN1.o1[k] == 1 { c1t } else { c1f });
-            let bc_hi1 = (if B_HI_IN1.o0[k] == 1 { c0t } else { c0f })
-                + (if B_HI_IN1.o1[k] == 1 { c1t } else { c1f });
-            let c0 = m0 + bc_lo1;
-            let c1 = m1 + bc_hi1;
-            let take_hi = c1 < c0;
-            next_in1[k] = if take_hi { c1 } else { c0 };
-            take_hi_bits |= (take_hi as u64) << (k + HALF);
-        }
-        ws.decisions[t] = take_hi_bits;
-        std::mem::swap(&mut ws.metric_f, &mut ws.next_f);
-    }
-    traceback(&ws.decisions, 1, steps, out);
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 //! stack under `profile`, event ring and frame context under `trace`),
 //! registered once in a process-wide registry that keeps it after the
 //! thread exits — so per-frame attribution survives the
-//! `ShardedDetectionPool` handoff. Counters are plain `AtomicU64`s
+//! stream pool's handoff between workers. Counters are plain `AtomicU64`s
 //! written single-writer (`Relaxed` load+store, not RMW) and summed by
 //! [`snapshot`]; rings are read by [`trace::snapshot_events`].
 //!

@@ -12,7 +12,7 @@ use {
 };
 
 /// What a thread shares with the [`REGISTRY`], so it outlives the thread:
-/// shard workers come and go; their cycles and events must not.
+/// pool workers come and go; their cycles and events must not.
 pub(crate) struct ThreadSlot {
     #[cfg(feature = "profile")]
     cells: [StageCell; Stage::COUNT],
@@ -22,8 +22,8 @@ pub(crate) struct ThreadSlot {
 
 /// Every slot ever registered, in registration order (a slot's index is
 /// its ring's thread id). Entries are kept after thread exit on purpose —
-/// that is what preserves attribution across the `ShardedDetectionPool`
-/// handoff.
+/// that is what preserves attribution across the stream pool's
+/// handoff between workers.
 pub(crate) static REGISTRY: Mutex<Vec<Arc<ThreadSlot>>> = Mutex::new(Vec::new());
 
 /// Deepest scope nesting tracked per thread. Deeper scopes still count

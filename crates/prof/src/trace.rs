@@ -14,7 +14,7 @@
 //! Each thread owns one fixed-capacity ring of events ([`RING_CAP`]
 //! slots), part of the thread's instrumentation state. An event is three
 //! words — tsc timestamp, frame id, and a packed word holding the
-//! [`TracePoint`], [`EventKind`], client, shard, and tier — written with
+//! [`TracePoint`], [`EventKind`], client, and tier — written with
 //! plain `Relaxed` stores plus a per-slot sequence word (seqlock) so a
 //! concurrent snapshot reader detects and discards torn slots. Recording is **allocation-free and lock-free**
 //! after a thread's first event (which registers the ring); the ring
@@ -56,8 +56,6 @@ use std::sync::{Mutex, OnceLock};
 /// outside any frame context, and the assembler leaves them out of
 /// per-frame timelines (they still appear in the raw dump).
 pub const NO_FRAME: u64 = u64::MAX;
-/// Shard value meaning "not shard-specific".
-pub const NO_SHARD: u16 = u16::MAX;
 /// Tier value meaning "tier unknown / not applicable".
 pub const NO_TIER: u8 = u8::MAX;
 /// Client value meaning "client unknown" (clients pack into 16 bits on
@@ -90,9 +88,9 @@ pub enum TracePoint {
     Admit,
     /// Admission refused the frame — stream full (instant).
     Refuse,
-    /// Detection task enqueued on a shard's EDF queue (instant).
+    /// Detection task enqueued on the pool's EDF queue (instant).
     Enqueue,
-    /// Detection task popped off a shard's EDF queue (instant).
+    /// Detection task popped off the pool's EDF queue (instant).
     Pop,
     /// Completed frame parked waiting for per-client in-order delivery
     /// (instant).
@@ -308,8 +306,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Client index, or [`NO_CLIENT`].
     pub client: u32,
-    /// Shard index, or [`NO_SHARD`].
-    pub shard: u16,
     /// Detector tier, or [`NO_TIER`].
     pub tier: u8,
 }
@@ -322,16 +318,13 @@ pub struct FrameCtx {
     pub frame: u64,
     /// Client index.
     pub client: u32,
-    /// Shard index, or [`NO_SHARD`].
-    pub shard: u16,
     /// Detector tier, or [`NO_TIER`].
     pub tier: u8,
 }
 
 impl FrameCtx {
     /// The unset context (recording disabled for the thread).
-    pub const NONE: FrameCtx =
-        FrameCtx { frame: NO_FRAME, client: NO_CLIENT, shard: NO_SHARD, tier: NO_TIER };
+    pub const NONE: FrameCtx = FrameCtx { frame: NO_FRAME, client: NO_CLIENT, tier: NO_TIER };
 }
 
 // ---------------------------------------------------------------------------
@@ -345,8 +338,6 @@ pub struct TimelineSpan {
     pub point: TracePoint,
     /// Recording thread.
     pub thread: u16,
-    /// Shard, or [`NO_SHARD`].
-    pub shard: u16,
     /// Begin tick.
     pub begin: u64,
     /// End tick (`>= begin`; an unmatched begin closes at the frame's
@@ -361,8 +352,6 @@ pub struct TimelineInstant {
     pub point: TracePoint,
     /// Recording thread.
     pub thread: u16,
-    /// Shard, or [`NO_SHARD`].
-    pub shard: u16,
     /// Tick.
     pub tsc: u64,
 }
@@ -423,8 +412,8 @@ pub fn assemble(events: &[TraceEvent]) -> Vec<FrameTimeline> {
         let last_tsc = evs.last().map(|e| e.tsc).unwrap_or(0);
         let mut spans = Vec::new();
         let mut instants = Vec::new();
-        // Per-thread stacks of open begins: (thread, point, begin, shard).
-        let mut open: Vec<(u16, TracePoint, u64, u16)> = Vec::new();
+        // Per-thread stacks of open begins: (thread, point, begin).
+        let mut open: Vec<(u16, TracePoint, u64)> = Vec::new();
         let mut client = NO_CLIENT;
         let mut tier = NO_TIER;
         for e in &evs {
@@ -435,31 +424,22 @@ pub fn assemble(events: &[TraceEvent]) -> Vec<FrameTimeline> {
                 tier = e.tier;
             }
             match e.kind {
-                EventKind::Begin => open.push((e.thread, e.point, e.tsc, e.shard)),
+                EventKind::Begin => open.push((e.thread, e.point, e.tsc)),
                 EventKind::End => {
                     if let Some(pos) =
-                        open.iter().rposition(|(t, p, _, _)| *t == e.thread && *p == e.point)
+                        open.iter().rposition(|(t, p, _)| *t == e.thread && *p == e.point)
                     {
-                        let (thread, point, begin, shard) = open.remove(pos);
-                        spans.push(TimelineSpan {
-                            point,
-                            thread,
-                            shard,
-                            begin,
-                            end: e.tsc.max(begin),
-                        });
+                        let (thread, point, begin) = open.remove(pos);
+                        spans.push(TimelineSpan { point, thread, begin, end: e.tsc.max(begin) });
                     }
                 }
-                EventKind::Instant => instants.push(TimelineInstant {
-                    point: e.point,
-                    thread: e.thread,
-                    shard: e.shard,
-                    tsc: e.tsc,
-                }),
+                EventKind::Instant => {
+                    instants.push(TimelineInstant { point: e.point, thread: e.thread, tsc: e.tsc })
+                }
             }
         }
-        for (thread, point, begin, shard) in open {
-            spans.push(TimelineSpan { point, thread, shard, begin, end: last_tsc.max(begin) });
+        for (thread, point, begin) in open {
+            spans.push(TimelineSpan { point, thread, begin, end: last_tsc.max(begin) });
         }
         spans.sort_by_key(|s| (s.begin, s.end));
         instants.sort_by_key(|i| i.tsc);
@@ -639,15 +619,13 @@ pub fn chrome_trace_json(dump: &TraceDump) -> String {
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"cat\":\"frame\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
-                 \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"frame\":{},\"client\":{},\"shard\":{},\
-                 \"tier\":{}}}}}",
+                 \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"frame\":{},\"client\":{},\"tier\":{}}}}}",
                 s.point.name(),
                 s.thread,
                 us(s.begin),
                 us(s.end) - us(s.begin),
                 tl.frame,
                 tl.client,
-                s.shard,
                 tl.tier
             );
         }
@@ -656,14 +634,12 @@ pub fn chrome_trace_json(dump: &TraceDump) -> String {
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"cat\":\"frame\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\
-                 \"tid\":{},\"ts\":{:.3},\"args\":{{\"frame\":{},\"client\":{},\"shard\":{},\
-                 \"tier\":{}}}}}",
+                 \"tid\":{},\"ts\":{:.3},\"args\":{{\"frame\":{},\"client\":{},\"tier\":{}}}}}",
                 i.point.name(),
                 i.thread,
                 us(i.tsc),
                 tl.frame,
                 tl.client,
-                i.shard,
                 tl.tier
             );
         }
@@ -682,12 +658,11 @@ pub fn chrome_trace_json(dump: &TraceDump) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"cat\":\"stream\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\
-             \"tid\":{},\"ts\":{:.3},\"args\":{{\"client\":{},\"shard\":{},\"tier\":{}}}}}",
+             \"tid\":{},\"ts\":{:.3},\"args\":{{\"client\":{},\"tier\":{}}}}}",
             e.point.name(),
             e.thread,
             us(e.tsc),
             e.client,
-            e.shard,
             e.tier
         );
     }
@@ -719,10 +694,9 @@ static ARMED: AtomicBool = AtomicBool::new(true);
 fn pack(point: TracePoint, kind: EventKind, ctx: FrameCtx) -> u64 {
     let client = ctx.client.min(NO_CLIENT) as u64;
     client
-        | ((ctx.shard as u64) << 16)
-        | ((ctx.tier as u64) << 32)
-        | ((kind.code() as u64) << 40)
-        | ((point.code() as u64) << 48)
+        | ((ctx.tier as u64) << 16)
+        | ((kind.code() as u64) << 24)
+        | ((point.code() as u64) << 32)
 }
 
 #[cfg(feature = "trace")]
@@ -783,8 +757,8 @@ impl Ring {
                 continue; // torn
             }
             let (Some(point), Some(kind)) = (
-                TracePoint::from_code((meta >> 48) as u16),
-                EventKind::from_code((meta >> 40) as u8),
+                TracePoint::from_code((meta >> 32) as u16),
+                EventKind::from_code((meta >> 24) as u8),
             ) else {
                 continue;
             };
@@ -795,8 +769,7 @@ impl Ring {
                 point,
                 kind,
                 client: (meta & 0xFFFF) as u32,
-                shard: ((meta >> 16) & 0xFFFF) as u16,
-                tier: ((meta >> 32) & 0xFF) as u8,
+                tier: ((meta >> 16) & 0xFF) as u8,
             });
         }
     }
@@ -937,7 +910,7 @@ mod tests {
     use super::*;
 
     fn ev(tsc: u64, frame: u64, thread: u16, point: TracePoint, kind: EventKind) -> TraceEvent {
-        TraceEvent { tsc, frame, thread, point, kind, client: 1, shard: 0, tier: 0 }
+        TraceEvent { tsc, frame, thread, point, kind, client: 1, tier: 0 }
     }
 
     #[test]
@@ -1042,7 +1015,7 @@ mod tests {
         assert!(!armed());
         #[cfg(not(feature = "profile"))]
         assert_eq!(std::mem::size_of::<crate::ScopeGuard>(), 0);
-        set_context(FrameCtx { frame: 3, client: 0, shard: 0, tier: 0 });
+        set_context(FrameCtx { frame: 3, client: 0, tier: 0 });
         emit(TracePoint::Submit);
         let s = crate::scope(Stage::Detect);
         drop(s);
@@ -1068,7 +1041,7 @@ mod tests {
         clear_context();
         emit(TracePoint::Submit);
         // With context, events land and snapshot.
-        set_context(FrameCtx { frame: 41, client: 2, shard: 1, tier: 0 });
+        set_context(FrameCtx { frame: 41, client: 2, tier: 1 });
         emit(TracePoint::Submit);
         {
             let _s = crate::scope(Stage::Detect);
@@ -1077,7 +1050,7 @@ mod tests {
         let events = snapshot_events();
         let ours: Vec<_> = events.iter().filter(|e| e.frame == 41).collect();
         assert_eq!(ours.len(), 3, "submit + detect begin/end");
-        assert!(ours.iter().all(|e| e.client == 2 && e.shard == 1));
+        assert!(ours.iter().all(|e| e.client == 2 && e.tier == 1));
         // Trigger captures a dump containing the frame's timeline.
         assert!(trigger(Trigger::Manual, 41));
         let dumps = recent_dumps();
@@ -1093,7 +1066,7 @@ mod tests {
     fn only_hard_chain_scopes_write_spans() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_armed(true);
-        set_context(FrameCtx { frame: 4242, client: 0, shard: 0, tier: 0 });
+        set_context(FrameCtx { frame: 4242, client: 0, tier: 0 });
         for stage in Stage::ALL {
             drop(crate::scope(stage));
         }
@@ -1112,7 +1085,7 @@ mod tests {
     fn disarmed_recorder_records_nothing() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_armed(false);
-        set_context(FrameCtx { frame: 999_999, client: 0, shard: 0, tier: 0 });
+        set_context(FrameCtx { frame: 999_999, client: 0, tier: 0 });
         emit(TracePoint::Submit);
         let s = crate::scope(Stage::Detect);
         drop(s);
@@ -1129,7 +1102,7 @@ mod tests {
         set_armed(true);
         clear_dumps();
         set_min_dump_gap_ms(0);
-        set_context(FrameCtx { frame: 7, client: 0, shard: 0, tier: 0 });
+        set_context(FrameCtx { frame: 7, client: 0, tier: 0 });
         emit(TracePoint::Submit);
         clear_context();
         for _ in 0..(RETAIN_DUMPS + 4) {

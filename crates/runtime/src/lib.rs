@@ -12,21 +12,19 @@
 //! frames overlap **across workers**:
 //!
 //! ```text
-//!   sources ──▶ [admission: bounded slot pool] ──▶ home shard's EDF queue
-//!                (backpressure)                     (frame_id % shards)
+//!   sources ──▶ [admission: bounded slot pool] ──▶ the pool's one EDF queue
+//!                (backpressure)                              │
+//!                                               any idle worker pops it
 //!                                                            │
-//!   the worker that pops it:  plan ─▶ detect ─▶ recover ─▶ in-order delivery ──▶ recv()
-//!
-//!   pool: one EDF queue per shard, workers pinned inside the shard's
-//!   memory domain
+//!   that worker:  plan ─▶ detect ─▶ recover ─▶ in-order delivery ──▶ recv()
 //! ```
 //!
 //! * **Ingress** ([`FrameStream::submit`] / [`FrameStream::try_submit`]):
 //!   any number of threads submit [`UplinkFrame`]s. Admission is bounded
 //!   by the slot pool ([`StreamConfig::capacity`]); `submit` blocks when
 //!   full (backpressure), `try_submit` refuses. An admitted frame becomes
-//!   one task on its home shard's queue, ordered earliest-deadline-first
-//!   from admission on.
+//!   one task on the pool's queue, ordered earliest-deadline-first from
+//!   admission on.
 //! * **Plan**: the worker that pops the frame's task seeds the frame's
 //!   own RNG, runs the transmit chains and packages detection jobs into
 //!   the slot's recycled [`gs_phy::FrameWorkspace`].
@@ -50,19 +48,14 @@
 //! submit stamps and the flight-recorder identity. Queuing one never
 //! allocates.
 //!
-//! * **Shards follow memory domains.** `StreamConfig::shards == 0`
-//!   resolves to one shard per NUMA node that holds an allowed CPU (read
-//!   from sysfs; one flat domain where sysfs is unreadable), clamped to
-//!   `1..=workers`. Each shard owns one queue, so cross-domain queue
-//!   traffic never sits on a detection hot path.
-//! * **Workers pinned inside their shard's domain**, round-robin over the
-//!   shard's CPUs (Linux, best-effort; a rejected mask leaves a worker
-//!   unpinned). Shards sharing a domain partition its CPUs into
-//!   contiguous `k·len/n` slices, so on a one-domain host `shards = n`
-//!   pins shard `s` to the `s`-th of `n` CPU slices.
-//! * **Earliest-deadline-first within each shard**: a queue is a
-//!   fixed-capacity heap on `(deadline key, arrival)`; deadline-free
-//!   tasks sort last, FIFO among themselves.
+//! * **One queue, every worker.** The pool keeps one earliest-deadline-first
+//!   queue, a fixed-capacity heap on `(deadline key, arrival)`;
+//!   deadline-free tasks sort last, FIFO among themselves. Every worker
+//!   pops from it, so no worker idles while a frame waits.
+//! * **Workers pinned round-robin** over the process's allowed CPUs:
+//!   worker `k` runs on the `k mod n`-th of `n` (Linux, best-effort; a
+//!   rejected mask leaves a worker unpinned). With pinning off the pool
+//!   reads no affinity mask.
 //! * **One dead flag.** A worker that panics (organically or through
 //!   [`FrameStream::inject_worker_panic_at`]) marks the pool dead; the
 //!   pool then refuses every task, and the stream's admission and
@@ -73,7 +66,7 @@
 //! * **Bit-identity**: a frame's outcome is a pure function of its
 //!   [`UplinkFrame`] (seeded RNG, pure detection, pure receive chain) —
 //!   identical to serial `decode_frame_batched_into` with the same seed,
-//!   for any worker/shard/capacity configuration and any interleaving
+//!   for any worker/capacity configuration and any interleaving
 //!   (`tests/stream_determinism.rs`).
 //! * **Zero steady-state allocations**: slots, queues, heaps, and
 //!   detection buffers are bounded and recycled; once every slot has
@@ -98,10 +91,10 @@
 //!
 //! ## Knobs
 //!
-//! [`StreamConfig`] sizes the engine: client lanes, pool workers, shards
-//! and slot capacity (its `planners` field is ignored — the pool workers
-//! plan). A stream spawns no thread but its pool workers, named
-//! `gs-shard{s}-w{k}`. `GS_NO_PIN` disables worker pinning (read by
+//! [`StreamConfig`] sizes the engine: client lanes, pool workers and slot
+//! capacity (its two other fields are ignored, kept only until the
+//! benchmark harness stops setting them). A stream spawns no thread but its pool
+//! workers, named `gs-worker{k}`. `GS_NO_PIN` disables worker pinning (read by
 //! [`StreamConfig::new`]) and `GS_SIMD` selects the kernel tier, both
 //! under the shared warn-and-fallback policy (`gs_linalg::env`).
 
@@ -112,7 +105,7 @@
 
 mod affinity;
 pub mod policy;
-mod shard;
+mod pool;
 pub mod stats;
 pub mod stream;
 

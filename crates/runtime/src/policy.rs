@@ -31,9 +31,9 @@ use geosphere_core::DetectorTier;
 /// observations, not barriers. `occupancy` counts the admission being
 /// decided (the slot is already claimed when the policy runs).
 ///
-/// Shard queue depths are not a signal: a queue holds at most one task
-/// per in-flight frame, and the admitted frame's task is not queued yet,
-/// so every depth stays below `in_flight` and occupancy already bounds
+/// The pool's queue depth is not a signal: the queue holds at most one
+/// task per in-flight frame, and the admitted frame's task is not queued
+/// yet, so the depth stays below `in_flight` and occupancy already bounds
 /// it.
 #[derive(Clone, Copy, Debug)]
 pub struct PressureSignal {

@@ -1,6 +1,6 @@
-//! The stream's executor: one earliest-deadline-first queue per shard,
-//! workers pinned inside their shard's memory domain, and one job that
-//! every task runs. See the crate docs for how the stream uses it.
+//! The stream's executor: one earliest-deadline-first queue served by
+//! every worker, and one job that every task runs. See the crate docs for
+//! how the stream uses it.
 
 use crate::affinity;
 use crate::stream::{lock, StreamDead};
@@ -21,8 +21,8 @@ pub(crate) const NO_DEADLINE: u64 = u64::MAX;
 /// One queued task: the frame's slot, ordered by `(key, arrival)`.
 struct Task {
     key: u64,
-    /// Per-shard arrival ordinal: the tie-break that keeps equal-deadline
-    /// (and deadline-free) tasks FIFO.
+    /// Arrival ordinal: the tie-break that keeps equal-deadline (and
+    /// deadline-free) tasks FIFO.
     arrival: u64,
     slot: usize,
     /// [`gs_prof::ticks`] at submit (`0` with profiling compiled out): the
@@ -30,7 +30,7 @@ struct Task {
     /// [`gs_prof::Stage::Queue`].
     submitted_at: u64,
     /// Wall-clock submit stamp, always recorded: the popping worker feeds
-    /// the submit→pop wait into the shard's queue-wait histogram.
+    /// the submit→pop wait into the queue-wait histogram.
     submitted_wall: Instant,
     /// The submitter's flight-recorder identity, adopted by the popping
     /// worker for the span of the job.
@@ -39,7 +39,7 @@ struct Task {
 
 // `BinaryHeap` pops its maximum, so tasks compare by reversed
 // `(key, arrival)`: the earliest deadline, then the earliest arrival, is
-// the maximum. `arrival` is unique per shard, so this is a total order.
+// the maximum. `arrival` is unique, so this is a total order.
 impl Ord for Task {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         (other.key, other.arrival).cmp(&(self.key, self.arrival))
@@ -60,22 +60,19 @@ impl PartialEq for Task {
 
 impl Eq for Task {}
 
-struct ShardQueue {
+struct Queue {
     heap: BinaryHeap<Task>,
     arrivals: u64,
     shutdown: bool,
 }
 
-struct ShardState {
-    q: Mutex<ShardQueue>,
+/// The queue, its wait histogram and the dead flag, shared by the pool
+/// and its workers.
+struct Shared {
+    q: Mutex<Queue>,
     cv: Condvar,
     /// Submit→pop wall wait per task, in nanoseconds.
     queue_wait: LogHistogram,
-}
-
-/// The queues and the dead flag, shared by the pool and its workers.
-struct Queues {
-    shards: Vec<ShardState>,
     /// Set when a worker panics; the pool then refuses every task.
     dead: AtomicBool,
 }
@@ -95,64 +92,39 @@ impl Drop for DeadOnPanic<'_> {
     }
 }
 
-/// The domain-sharded worker pool. [`ShardedDetectionPool::new`] sizes
-/// and places it, [`ShardedDetectionPool::spawn`] starts the workers with
-/// the pool's one job, and [`ShardedDetectionPool::submit`] queues a slot
-/// on a shard.
-pub(crate) struct ShardedDetectionPool {
-    queues: Arc<Queues>,
-    /// Each worker's `(shard, CPU to pin it to)`.
-    placement: Vec<(usize, Option<usize>)>,
+/// The worker pool. [`DetectionPool::new`] sizes and places it,
+/// [`DetectionPool::spawn`] starts the workers with the pool's one job,
+/// and [`DetectionPool::submit`] queues a slot.
+pub(crate) struct DetectionPool {
+    shared: Arc<Shared>,
+    /// Each worker's CPU to pin it to, if any.
+    placement: Vec<Option<usize>>,
     /// Behind a mutex so the owner can join the workers by `&self`.
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl ShardedDetectionPool {
-    /// Sizes a pool of `workers` (≥ 1) spread round-robin over `shards`
-    /// queues of `capacity` tasks each; no thread starts until
-    /// [`ShardedDetectionPool::spawn`].
-    ///
-    /// `shards == 0` resolves to one shard per memory domain; any count is
-    /// clamped to `1..=workers` so every shard owns a worker. Shard `s`
-    /// draws its CPUs from domain `s mod n_domains`, and shards sharing a
-    /// domain partition its CPUs ([`shard_cpu_slice`]). With `pin`, worker
-    /// `k` of a shard is pinned to the shard's `k mod |cpus|`-th CPU,
-    /// best-effort.
-    pub(crate) fn new(shards: usize, workers: usize, capacity: usize, pin: bool) -> Self {
+impl DetectionPool {
+    /// Sizes a pool of `workers` (≥ 1) over one queue of `capacity`
+    /// tasks; no thread starts until [`DetectionPool::spawn`]. With `pin`,
+    /// worker `k` is pinned to the `k mod n`-th of the process's `n`
+    /// allowed CPUs, best-effort; without it the pool reads no affinity
+    /// mask.
+    pub(crate) fn new(workers: usize, capacity: usize, pin: bool) -> Self {
         let n_workers = workers.max(1);
-        let domains = affinity::memory_domains();
-        let n_domains = domains.len();
-        let n_shards = if shards == 0 { n_domains } else { shards }.clamp(1, n_workers);
-        let shard_cpus: Vec<Vec<usize>> = (0..n_shards)
-            .map(|s| {
-                if !pin {
-                    return Vec::new();
-                }
-                // Shards mapped to this domain, and this shard's rank
-                // among them.
-                let siblings = (n_shards - s % n_domains).div_ceil(n_domains);
-                shard_cpu_slice(&domains[s % n_domains], siblings, s / n_domains)
-            })
-            .collect();
-        let placement = (0..n_workers)
-            .map(|w| {
-                let cpus = &shard_cpus[w % n_shards];
-                (w % n_shards, (!cpus.is_empty()).then(|| cpus[(w / n_shards) % cpus.len()]))
-            })
-            .collect();
-        let shards = (0..n_shards)
-            .map(|_| ShardState {
-                q: Mutex::new(ShardQueue {
+        let cpus = if pin { affinity::allowed_cpus() } else { Vec::new() };
+        let placement =
+            (0..n_workers).map(|k| (!cpus.is_empty()).then(|| cpus[k % cpus.len()])).collect();
+        DetectionPool {
+            shared: Arc::new(Shared {
+                q: Mutex::new(Queue {
                     heap: BinaryHeap::with_capacity(capacity.max(1)),
                     arrivals: 0,
                     shutdown: false,
                 }),
                 cv: Condvar::new(),
                 queue_wait: LogHistogram::new(),
-            })
-            .collect();
-        ShardedDetectionPool {
-            queues: Arc::new(Queues { shards, dead: AtomicBool::new(false) }),
+                dead: AtomicBool::new(false),
+            }),
             placement,
             handles: Mutex::new(Vec::new()),
         }
@@ -160,27 +132,26 @@ impl ShardedDetectionPool {
 
     /// Starts the workers, once per pool. Each runs `job(slot, ws)` for
     /// every task it pops, with `ws` its long-lived detector workspace.
-    /// Worker `k` of shard `s` is named `gs-shard{s}-w{k}`.
+    /// Worker `k` is named `gs-worker{k}`.
     pub(crate) fn spawn<J>(&self, job: J)
     where
         J: Fn(usize, &mut DetectorWorkspace) + Clone + Send + 'static,
     {
-        let n_shards = self.shards();
         let mut handles = lock(&self.handles);
-        for (w, &(shard, cpu)) in self.placement.iter().enumerate() {
-            let queues = Arc::clone(&self.queues);
+        for (k, &cpu) in self.placement.iter().enumerate() {
+            let shared = Arc::clone(&self.shared);
             let job = job.clone();
             let handle = std::thread::Builder::new()
-                .name(format!("gs-shard{shard}-w{}", w / n_shards))
+                .name(format!("gs-worker{k}"))
                 .spawn(move || {
                     if let Some(cpu) = cpu {
                         // Best-effort: a rejected mask leaves the worker
                         // unpinned, never broken.
                         affinity::pin_current_thread(cpu);
                     }
-                    worker_loop(&queues, shard, &job)
+                    worker_loop(&shared, &job)
                 })
-                .expect("spawn shard worker");
+                .expect("spawn pool worker");
             handles.push(handle);
         }
     }
@@ -190,22 +161,15 @@ impl ShardedDetectionPool {
     /// picked up are discarded; a task already running finishes first.
     /// Must not be called from a worker (it would join itself).
     pub(crate) fn shutdown_and_join(&self) {
-        for state in &self.queues.shards {
-            lock(&state.q).shutdown = true;
-            state.cv.notify_all();
-        }
+        lock(&self.shared.q).shutdown = true;
+        self.shared.cv.notify_all();
         let handles = std::mem::take(&mut *lock(&self.handles));
         for h in handles {
             let _ = h.join();
         }
     }
 
-    /// The resolved shard count.
-    pub(crate) fn shards(&self) -> usize {
-        self.queues.shards.len()
-    }
-
-    /// The total worker count.
+    /// The worker count.
     pub(crate) fn workers(&self) -> usize {
         self.placement.len()
     }
@@ -213,34 +177,33 @@ impl ShardedDetectionPool {
     /// Whether a worker has panicked. A dead pool refuses every task, and
     /// the tasks a dead worker held never complete.
     pub(crate) fn is_dead(&self) -> bool {
-        self.queues.dead.load(Ordering::SeqCst)
+        self.shared.dead.load(Ordering::SeqCst)
     }
 
-    /// Queues `slot` on `shard` with EDF key `key` ([`NO_DEADLINE`] for
+    /// Queues `slot` with EDF key `key` ([`NO_DEADLINE`] for
     /// deadline-free FIFO). Never allocates.
     ///
     /// Returns [`StreamDead`] when a worker has panicked: the pool will
     /// never run the task.
     ///
     /// # Panics
-    /// Panics when the shard queue already holds `capacity` tasks (an
-    /// owner bug: capacity must bound the owner's in-flight frames).
-    pub(crate) fn submit(&self, shard: usize, key: u64, slot: usize) -> Result<(), StreamDead> {
+    /// Panics when the queue already holds `capacity` tasks (an owner
+    /// bug: capacity must bound the owner's in-flight frames).
+    pub(crate) fn submit(&self, key: u64, slot: usize) -> Result<(), StreamDead> {
         if self.is_dead() {
             return Err(StreamDead);
         }
-        let state = &self.queues.shards[shard];
         // Capture the submitter's frame identity and stamp the enqueue on
         // the flight recorder (no-ops without an ambient context).
-        let trace_ctx = gtrace::FrameCtx { shard: shard as u16, ..gtrace::context() };
+        let trace_ctx = gtrace::context();
         if trace_ctx.frame != gtrace::NO_FRAME {
             gtrace::emit_for(gtrace::TracePoint::Enqueue, gtrace::EventKind::Instant, trace_ctx);
         }
-        let mut q = lock(&state.q);
+        let mut q = lock(&self.shared.q);
         // At capacity a push would reallocate the heap.
         assert!(
             q.heap.len() < q.heap.capacity(),
-            "shard queue over capacity: submit more slots than the pool was sized for"
+            "pool queue over capacity: submit more slots than the pool was sized for"
         );
         let arrival = q.arrivals;
         q.arrivals += 1;
@@ -253,49 +216,32 @@ impl ShardedDetectionPool {
             trace_ctx,
         });
         drop(q);
-        state.cv.notify_one();
+        self.shared.cv.notify_one();
         Ok(())
     }
 
-    /// Every shard's queued-task count, in shard order, each read under
-    /// its queue lock. Allocates; a scrape-time call.
-    pub(crate) fn queue_depths(&self) -> Vec<usize> {
-        self.queues.shards.iter().map(|s| lock(&s.q).heap.len()).collect()
+    /// The queued-task count, read under the queue lock.
+    pub(crate) fn queue_depth(&self) -> usize {
+        lock(&self.shared.q).heap.len()
     }
 
-    /// Per-shard snapshots of the submit→pop queue-wait histograms
-    /// (nanoseconds), in shard order. Allocates; a scrape-time call.
-    pub(crate) fn queue_wait_snapshots(&self) -> Vec<HistogramSnapshot> {
-        self.queues.shards.iter().map(|s| s.queue_wait.snapshot()).collect()
+    /// A snapshot of the submit→pop queue-wait histogram (nanoseconds).
+    pub(crate) fn queue_wait_snapshot(&self) -> HistogramSnapshot {
+        self.shared.queue_wait.snapshot()
     }
 }
 
-impl Drop for ShardedDetectionPool {
+impl Drop for DetectionPool {
     fn drop(&mut self) {
         self.shutdown_and_join();
     }
 }
 
-/// The CPUs of one domain assigned to the `rank`-th of `siblings` shards
-/// sharing it: a contiguous, disjoint, non-empty slice when the domain has
-/// at least one CPU per sibling; a round-robin single CPU otherwise
-/// (overlap is then unavoidable).
-fn shard_cpu_slice(cpus: &[usize], siblings: usize, rank: usize) -> Vec<usize> {
-    if cpus.len() >= siblings {
-        let lo = rank * cpus.len() / siblings;
-        let hi = (rank + 1) * cpus.len() / siblings;
-        cpus[lo..hi].to_vec()
-    } else {
-        vec![cpus[rank % cpus.len()]]
-    }
-}
-
-fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, &mut DetectorWorkspace)) {
-    let state = &queues.shards[shard];
+fn worker_loop(shared: &Shared, job: &impl Fn(usize, &mut DetectorWorkspace)) {
     let mut ws = DetectorWorkspace::new();
     loop {
         let task = {
-            let mut q = lock(&state.q);
+            let mut q = lock(&shared.q);
             loop {
                 // Shutdown wins over queued work: un-started tasks are
                 // discarded (their frames are being abandoned).
@@ -305,7 +251,7 @@ fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, &mut Detector
                 if let Some(task) = q.heap.pop() {
                     break task;
                 }
-                q = state.cv.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
+                q = shared.cv.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
         gs_prof::record(
@@ -314,7 +260,7 @@ fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, &mut Detector
             1,
             0,
         );
-        state.queue_wait.record_duration(task.submitted_wall.elapsed());
+        shared.queue_wait.record_duration(task.submitted_wall.elapsed());
         // Stamp the EDF pop and adopt the frame's identity for the span
         // of the job (the stream's detect scope reads it ambiently).
         if task.trace_ctx.frame != gtrace::NO_FRAME {
@@ -323,7 +269,7 @@ fn worker_loop(queues: &Queues, shard: usize, job: &impl Fn(usize, &mut Detector
         gtrace::set_context(task.trace_ctx);
         // A panicking job must mark the pool dead rather than silently
         // dropping the task (its frame would otherwise wait forever).
-        let guard = DeadOnPanic(&queues.dead);
+        let guard = DeadOnPanic(&shared.dead);
         job(task.slot, &mut ws);
         drop(guard);
         gtrace::clear_context();
@@ -380,13 +326,8 @@ mod tests {
     }
 
     /// An unpinned pool whose job records into `rec`.
-    fn recording_pool(
-        shards: usize,
-        workers: usize,
-        capacity: usize,
-        rec: &Arc<Recorder>,
-    ) -> ShardedDetectionPool {
-        let pool = ShardedDetectionPool::new(shards, workers, capacity, false);
+    fn recording_pool(workers: usize, capacity: usize, rec: &Arc<Recorder>) -> DetectionPool {
+        let pool = DetectionPool::new(workers, capacity, false);
         let rec = Arc::clone(rec);
         pool.spawn(move |slot, _| rec.run(slot));
         pool
@@ -400,127 +341,106 @@ mod tests {
         }
     }
 
-    /// Spin until every shard queue is drained (tasks may still be
-    /// running; only queue occupancy is awaited).
-    fn wait_queues_empty(pool: &ShardedDetectionPool) {
-        wait_until("queues never drained", || pool.queue_depths().iter().all(|&d| d == 0));
+    /// Spin until the queue is drained (tasks may still be running; only
+    /// queue occupancy is awaited).
+    fn wait_queue_empty(pool: &DetectionPool) {
+        wait_until("queue never drained", || pool.queue_depth() == 0);
     }
 
     #[test]
-    fn edf_orders_within_a_shard() {
+    fn edf_orders_the_queue() {
         let rec = Recorder::new();
-        let pool = recording_pool(1, 1, 16, &rec);
-        assert_eq!(pool.shards(), 1);
+        let pool = recording_pool(1, 16, &rec);
         // Occupy the single worker so the rest queue up (wait until the
-        // gate task has been popped, so the depths below are exact).
-        pool.submit(0, 0, usize::MAX).unwrap();
-        wait_queues_empty(&pool);
+        // gate task has been popped, so the depth below is exact).
+        pool.submit(0, usize::MAX).unwrap();
+        wait_queue_empty(&pool);
         // Mixed submission order: late deadline, none, early deadline,
         // another none, mid deadline.
-        pool.submit(0, 900, 1).unwrap();
-        pool.submit(0, NO_DEADLINE, 2).unwrap();
-        pool.submit(0, 100, 3).unwrap();
-        pool.submit(0, NO_DEADLINE, 4).unwrap();
-        pool.submit(0, 500, 5).unwrap();
-        assert_eq!(pool.queue_depths(), vec![5]);
+        pool.submit(900, 1).unwrap();
+        pool.submit(NO_DEADLINE, 2).unwrap();
+        pool.submit(100, 3).unwrap();
+        pool.submit(NO_DEADLINE, 4).unwrap();
+        pool.submit(500, 5).unwrap();
+        assert_eq!(pool.queue_depth(), 5);
 
         rec.open_gate();
         rec.wait_ran(6);
         // EDF: deadlines ascending first, then deadline-free FIFO.
         assert_eq!(*rec.order.lock().unwrap(), vec![3, 5, 1, 2, 4]);
-        assert_eq!(pool.queue_depths(), vec![0]);
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    /// Work conservation: while one worker is parked on a long task, its
+    /// sibling drains every other queued task.
+    #[test]
+    fn idle_worker_drains_the_queue_while_a_sibling_is_parked() {
+        let rec = Recorder::new();
+        let pool = recording_pool(2, 8, &rec);
+        pool.submit(0, usize::MAX).unwrap();
+        wait_queue_empty(&pool); // one worker holds the gate task
+        for t in 0..6 {
+            pool.submit(NO_DEADLINE, t).unwrap();
+        }
+        wait_until("the free worker left tasks queued", || rec.order.lock().unwrap().len() == 6);
+        assert_eq!(*rec.order.lock().unwrap(), (0..6).collect::<Vec<_>>(), "FIFO, each once");
+        assert_eq!(rec.ran.load(Ordering::SeqCst), 6, "the gate task is still parked");
+        rec.open_gate();
+        rec.wait_ran(7);
     }
 
     #[test]
-    fn queue_wait_histograms_record_every_pop() {
+    fn queue_wait_histogram_records_every_pop() {
         let rec = Recorder::new();
         rec.open_gate();
-        let pool = recording_pool(2, 2, 8, &rec);
+        let pool = recording_pool(2, 16, &rec);
         for t in 0..10 {
-            pool.submit(t % 2, NO_DEADLINE, t).unwrap();
+            pool.submit(NO_DEADLINE, t).unwrap();
         }
         rec.wait_ran(10);
-        let waits = pool.queue_wait_snapshots();
-        assert_eq!(waits.len(), 2, "one histogram per shard");
-        assert_eq!(waits.iter().map(|h| h.count()).sum::<u64>(), 10, "every pop recorded");
-        let mut merged = HistogramSnapshot::empty();
-        for w in &waits {
-            merged.merge(w);
-        }
-        assert_eq!(merged.count(), 10);
-        assert!(merged.quantile(1.0) <= merged.max());
+        let waits = pool.queue_wait_snapshot();
+        assert_eq!(waits.count(), 10, "every pop recorded");
+        assert!(waits.quantile(1.0) <= waits.max());
     }
 
     #[test]
-    fn all_shards_execute_and_clamp_to_workers() {
-        // 5 shards requested but only 2 workers → clamped to 2 shards.
-        let rec = Recorder::new();
-        rec.open_gate();
-        let pool = recording_pool(5, 2, 8, &rec);
-        assert_eq!(pool.shards(), 2);
-        assert_eq!(pool.workers(), 2);
-        for t in 0..8 {
-            pool.submit(t % 2, NO_DEADLINE, t).unwrap();
-        }
-        rec.wait_ran(8);
-        let mut ran: Vec<usize> = rec.order.lock().unwrap().clone();
-        ran.sort_unstable();
-        assert_eq!(ran, (0..8).collect::<Vec<_>>(), "every task ran exactly once");
+    fn pinning_cycles_the_allowed_cpus() {
+        assert_eq!(DetectionPool::new(3, 4, false).placement, vec![None; 3]);
+        let cpus = affinity::allowed_cpus();
+        let expect: Vec<Option<usize>> =
+            (0..3).map(|k| (!cpus.is_empty()).then(|| cpus[k % cpus.len()])).collect();
+        assert_eq!(DetectionPool::new(3, 4, true).placement, expect);
     }
 
     #[test]
-    fn sibling_shards_partition_a_shared_domain() {
-        // 8-core single domain shared by 2 shards: disjoint halves, every
-        // CPU covered — sibling shards must never stack on the same cores
-        // while others idle.
-        let cpus: Vec<usize> = (0..8).collect();
-        assert_eq!(shard_cpu_slice(&cpus, 2, 0), vec![0, 1, 2, 3]);
-        assert_eq!(shard_cpu_slice(&cpus, 2, 1), vec![4, 5, 6, 7]);
-        // Uneven split (3 siblings over 8 CPUs): disjoint, non-empty,
-        // covering.
-        let slices: Vec<Vec<usize>> = (0..3).map(|r| shard_cpu_slice(&cpus, 3, r)).collect();
-        let flat: Vec<usize> = slices.iter().flatten().copied().collect();
-        assert_eq!(flat, cpus, "partition covers every CPU exactly once, in order");
-        assert!(slices.iter().all(|s| !s.is_empty()));
-        // More siblings than CPUs: single round-robin CPU each.
-        let tiny = vec![5, 9];
-        assert_eq!(shard_cpu_slice(&tiny, 3, 0), vec![5]);
-        assert_eq!(shard_cpu_slice(&tiny, 3, 1), vec![9]);
-        assert_eq!(shard_cpu_slice(&tiny, 3, 2), vec![5]);
-    }
-
-    #[test]
-    fn auto_shards_follow_memory_domains() {
-        let pool = ShardedDetectionPool::new(0, 4, 4, false);
-        assert_eq!(pool.shards(), affinity::memory_domains().len().clamp(1, 4));
-    }
-
-    #[test]
-    fn workers_are_named_by_shard_and_rank() {
+    fn workers_are_named_by_index() {
         let names = Arc::new(Mutex::new(Vec::new()));
-        let pool = ShardedDetectionPool::new(2, 2, 4, false);
+        let pool = DetectionPool::new(2, 4, false);
         let seen = Arc::clone(&names);
-        // Slot `s` is queued on shard `s`.
-        pool.spawn(move |slot, _| {
+        // Each task waits for the other, so the two run on different
+        // workers.
+        let both = Arc::new(std::sync::Barrier::new(2));
+        pool.spawn(move |_, _| {
             let name = std::thread::current().name().unwrap_or("<unnamed>").to_string();
-            seen.lock().unwrap().push((slot, name));
+            seen.lock().unwrap().push(name);
+            both.wait();
         });
-        pool.submit(0, NO_DEADLINE, 0).unwrap();
-        pool.submit(1, NO_DEADLINE, 1).unwrap();
+        pool.submit(NO_DEADLINE, 0).unwrap();
+        pool.submit(NO_DEADLINE, 1).unwrap();
         wait_until("tasks never ran", || names.lock().unwrap().len() == 2);
         let mut seen = names.lock().unwrap().clone();
         seen.sort();
-        assert_eq!(seen, vec![(0, "gs-shard0-w0".into()), (1, "gs-shard1-w0".into())]);
+        assert_eq!(seen, vec!["gs-worker0".to_string(), "gs-worker1".to_string()]);
     }
 
     #[test]
     fn worker_panic_poisons_the_pool() {
-        let pool = ShardedDetectionPool::new(1, 1, 4, false);
+        let pool = DetectionPool::new(1, 4, false);
         pool.spawn(|_, _| panic!("intentional test panic"));
-        pool.submit(0, NO_DEADLINE, 0).unwrap();
+        pool.submit(NO_DEADLINE, 0).unwrap();
         wait_until("dead flag never set", || pool.is_dead());
         assert_eq!(
-            pool.submit(0, NO_DEADLINE, 1),
+            pool.submit(NO_DEADLINE, 1),
             Err(StreamDead),
             "a dead pool must refuse further tasks with a typed error"
         );
@@ -530,13 +450,13 @@ mod tests {
     #[test]
     fn heap_capacity_is_enforced() {
         let rec = Recorder::new();
-        let pool = recording_pool(1, 1, 2, &rec);
-        pool.submit(0, 0, usize::MAX).unwrap(); // parks the worker
-        wait_queues_empty(&pool); // the gate task is running, queue empty
-        pool.submit(0, 1, 1).unwrap();
-        pool.submit(0, 2, 2).unwrap();
+        let pool = recording_pool(1, 2, &rec);
+        pool.submit(0, usize::MAX).unwrap(); // parks the worker
+        wait_queue_empty(&pool); // the gate task is running, queue empty
+        pool.submit(1, 1).unwrap();
+        pool.submit(2, 2).unwrap();
         let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = pool.submit(0, 3, 3);
+            let _ = pool.submit(3, 3);
         }));
         assert!(overflow.is_err(), "submitting past capacity must fail fast");
         rec.open_gate();

@@ -8,9 +8,9 @@ use std::time::Duration;
 /// behaviour, taken with [`FrameStream::stats`](crate::FrameStream::stats).
 ///
 /// Counters are monotone over the stream's lifetime; occupancy, queue
-/// depths, and the windowed rates are instantaneous. Taking a snapshot
-/// allocates (the per-shard depth vector and the histogram copies) — it
-/// is an observability call, not a hot-path one. The stage counters are
+/// depth, and the windowed rates are instantaneous. Taking a snapshot
+/// allocates (the histogram copies) — it is an observability call, not a
+/// hot-path one. The stage counters are
 /// **clamped into pipeline order** at snapshot time
 /// (`submitted ≥ planned ≥ detected ≥ recovered ≥ completed ≥
 /// deadline_misses`): the live counters are independent atomics, so a raw
@@ -60,14 +60,12 @@ pub struct RuntimeStats {
     pub in_flight: usize,
     /// The slot-pool bound: the maximum possible `in_flight`.
     pub capacity: usize,
-    /// Resolved shard count of the detection layer.
-    pub shards: usize,
-    /// Total detection workers across all shards.
+    /// Pool workers.
     pub workers: usize,
-    /// Tasks waiting for a worker per shard, at snapshot time: admitted
-    /// frames not yet started, each one task on its home shard. So no
-    /// depth exceeds `in_flight`.
-    pub shard_queue_depths: Vec<usize>,
+    /// Tasks waiting for a worker at snapshot time: admitted frames not
+    /// yet started, one task each. So the depth never exceeds
+    /// `in_flight`.
+    pub queue_depth: usize,
     /// Wall-clock since the stream was created.
     pub elapsed: Duration,
     /// Lifetime-average delivered throughput (`completed / elapsed`;
@@ -89,12 +87,13 @@ pub struct RuntimeStats {
     /// happens, so time parked behind slow predecessors counts. Recorded
     /// allocation-free on the hot path; this snapshot is an owned copy.
     pub latency_per_client: Vec<HistogramSnapshot>,
-    /// Submit→pop queue-wait histogram per shard (nanoseconds): admission
-    /// → the pop of the frame's one task. Recorded by the shard workers at
-    /// the same point the `gs_prof` Queue stage is stamped — but always
-    /// on, not only under `--features profile`. Each frame adds exactly
-    /// one sample, to its home shard's histogram.
-    pub queue_wait_per_shard: Vec<HistogramSnapshot>,
+    /// The pool queue's submit→pop wait histogram (nanoseconds), the
+    /// array's one element: admission → the pop of the frame's one task.
+    /// Recorded by the workers at the same point the `gs_prof` Queue stage
+    /// is stamped — but always on, not only under `--features profile`.
+    /// Each frame adds exactly one sample. The benchmark harness reads the
+    /// field by this name, so it keeps it until the harness changes.
+    pub queue_wait_per_shard: [HistogramSnapshot; 1],
     /// Deadline slack (deadline − delivery instant, nanoseconds) of
     /// deliveries that made their deadline.
     pub deadline_slack: HistogramSnapshot,
@@ -107,7 +106,7 @@ pub struct RuntimeStats {
 impl RuntimeStats {
     /// The process-wide stage-attributed cycle profile at snapshot time:
     /// every thread's [`gs_prof`] counter table aggregated, including
-    /// exited shard workers (attribution survives the handoff between
+    /// exited pool workers (attribution survives the handoff between
     /// pool workers). All-zero unless the workspace was
     /// built with the `profile` feature. Counters are monotone and
     /// process-global — bracket a region with two snapshots and

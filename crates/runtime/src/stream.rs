@@ -6,7 +6,7 @@
 //! delivery, and the stats counters.
 
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
-use crate::shard::{ShardedDetectionPool, NO_DEADLINE};
+use crate::pool::{DetectionPool, NO_DEADLINE};
 use crate::stats::RuntimeStats;
 use geosphere_core::{
     Detection, DetectionBatch, DetectorLadder, DetectorStats, DetectorTier, DetectorWorkspace,
@@ -43,9 +43,9 @@ pub struct UplinkFrame {
     pub snr_db: f64,
     /// Seed for the frame's payload and noise draws.
     pub seed: u64,
-    /// Optional completion deadline. Within a shard, frames are started
-    /// and detected earliest-deadline-first; deadline-free frames run
-    /// after all deadline-bearing ones, FIFO. A missed deadline never drops the
+    /// Optional completion deadline. Frames are started and detected
+    /// earliest-deadline-first; deadline-free frames run after all
+    /// deadline-bearing ones, FIFO. A missed deadline never drops the
     /// frame — it is recorded ([`Completed::missed_deadline`],
     /// [`RuntimeStats::deadline_misses`]).
     pub deadline: Option<Instant>,
@@ -92,11 +92,11 @@ pub enum TrySubmitError {
 pub struct StreamConfig {
     /// Distinct source lanes (ordering domains). Must be ≥ 1.
     pub clients: usize,
-    /// Pool workers across all shards (`0` = machine parallelism); they
-    /// plan, detect and recover every frame.
+    /// Pool workers (`0` = machine parallelism); they plan, detect and
+    /// recover every frame.
     pub workers: usize,
-    /// Pool shards (`0` = one per discovered memory domain; clamped to
-    /// `1..=workers`).
+    /// Ignored; removed with the next benchmark PR. The pool is one queue
+    /// served by every worker.
     pub shards: usize,
     /// Frames admitted concurrently (the slot-pool bound; `0` resolves to
     /// `2 × workers + 2`, enough to keep every worker busy). **Admission
@@ -107,19 +107,19 @@ pub struct StreamConfig {
     /// [`Completed`] guard.
     pub capacity: usize,
     /// Ignored; removed with the next benchmark PR. Planning (~30% of a
-    /// frame's work) runs on the pool worker that pops the frame's home
-    /// task, so there are no planner threads to size.
+    /// frame's work) runs on the pool worker that pops the frame's task,
+    /// so there are no planner threads to size.
     pub planners: usize,
-    /// Pin detection workers inside their shard's memory domain (default:
-    /// on, unless `GS_NO_PIN` opts out; see [`StreamConfig::new`]).
+    /// Pin pool worker `k` to the `k mod n`-th of the process's `n`
+    /// allowed CPUs (default: on, unless `GS_NO_PIN` opts out; see
+    /// [`StreamConfig::new`]).
     pub pin: bool,
 }
 
 impl StreamConfig {
-    /// Defaults for `clients` source lanes: machine-sized workers, one
-    /// shard per memory domain, automatic capacity, pinning per
-    /// `GS_NO_PIN`. Under the shared knob policy
-    /// ([`gs_linalg::env::env_flag`]), unset keeps pinning on; empty or
+    /// Defaults for `clients` source lanes: machine-sized workers,
+    /// automatic capacity, pinning per `GS_NO_PIN`. Under the shared knob
+    /// policy ([`gs_linalg::env::env_flag`]), unset keeps pinning on; empty or
     /// `1`/`true`/`yes`/`on` disables it; `0`/`false`/`no`/`off` keeps it
     /// on; anything else warns on stderr and disables pinning.
     pub fn new(clients: usize) -> Self {
@@ -342,11 +342,10 @@ struct Shared {
     /// histogram so both stay unsigned.
     lateness: LogHistogram,
     slots: Vec<Slot>,
-    n_shards: usize,
     n_clients: usize,
     capacity: usize,
     /// The stream's executor; its one job is [`Shared::run_task`].
-    pool: ShardedDetectionPool,
+    pool: DetectionPool,
     /// The frame whose task panics its popping worker
     /// ([`FrameStream::inject_worker_panic_at`]); `u64::MAX` when unarmed.
     fault_frame: AtomicU64,
@@ -364,11 +363,6 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Shared {
-    /// The shard whose queue takes a frame's admission task.
-    fn home_shard(&self, frame_id: u64) -> usize {
-        (frame_id % self.n_shards as u64) as usize
-    }
-
     /// The pool's one job: runs the frame in `slot_idx` start to finish
     /// on the worker that popped its task. It plans the frame, detects
     /// every job at the frame's tier, runs the per-client receive chains
@@ -520,15 +514,9 @@ impl Shared {
     }
 }
 
-/// Flight-recorder identity for a frame (shard filled in by whoever is
-/// shard-specific).
+/// Flight-recorder identity for a frame.
 fn trace_ctx(frame_id: u64, client: usize, tier: DetectorTier) -> gtrace::FrameCtx {
-    gtrace::FrameCtx {
-        frame: frame_id,
-        client: client as u32,
-        shard: gtrace::NO_SHARD,
-        tier: tier.index() as u8,
-    }
+    gtrace::FrameCtx { frame: frame_id, client: client as u32, tier: tier.index() as u8 }
 }
 
 /// A streaming multi-frame uplink engine: admits [`UplinkFrame`]s from many
@@ -591,9 +579,8 @@ impl FrameStream {
         };
         let capacity = if sc.capacity == 0 { 2 * workers + 2 } else { sc.capacity };
 
-        // Every shard queue can hold every in-flight frame at once.
-        let pool = ShardedDetectionPool::new(sc.shards, workers, capacity, sc.pin);
-        let n_shards = pool.shards();
+        // The queue can hold every in-flight frame at once.
+        let pool = DetectionPool::new(workers, capacity, sc.pin);
 
         let slots: Vec<Slot> = (0..capacity)
             .map(|_| Slot {
@@ -615,7 +602,6 @@ impl FrameStream {
             slack: LogHistogram::new(),
             lateness: LogHistogram::new(),
             slots,
-            n_shards,
             n_clients: sc.clients,
             capacity,
             pool,
@@ -641,11 +627,6 @@ impl FrameStream {
         let engine = Arc::clone(&shared);
         shared.pool.spawn(move |slot, ws| engine.run_task(slot, ws));
         FrameStream { shared }
-    }
-
-    /// The resolved shard count of the worker pool.
-    pub fn shards(&self) -> usize {
-        self.shared.n_shards
     }
 
     /// The total pool worker count.
@@ -714,7 +695,6 @@ impl FrameStream {
                     gtrace::FrameCtx {
                         frame: gtrace::NO_FRAME,
                         client: frame.client as u32,
-                        shard: gtrace::NO_SHARD,
                         tier: gtrace::NO_TIER,
                     },
                 );
@@ -807,7 +787,7 @@ impl FrameStream {
         // detection and recovery.
         gtrace::set_context(tctx);
         let key = shared.deadline_key(frame.deadline);
-        let queued = shared.pool.submit(shared.home_shard(frame_id), key, slot_idx);
+        let queued = shared.pool.submit(key, slot_idx);
         gtrace::clear_context();
         if queued.is_err() {
             lock(&shared.free).push(slot_idx);
@@ -869,7 +849,7 @@ impl FrameStream {
     /// A point-in-time stats snapshot (allocates; not a hot-path call).
     pub fn stats(&self) -> RuntimeStats {
         let shared = &*self.shared;
-        let shard_queue_depths = shared.pool.queue_depths();
+        let queue_depth = shared.pool.queue_depth();
         let in_flight = shared.capacity - lock(&shared.free).len();
         let elapsed = shared.epoch.elapsed();
         let (windowed_frames_per_sec, windowed_miss_rate) =
@@ -906,9 +886,8 @@ impl FrameStream {
             .unwrap_or_default(),
             in_flight,
             capacity: shared.capacity,
-            shards: shared.n_shards,
             workers: shared.pool.workers(),
-            shard_queue_depths,
+            queue_depth,
             elapsed,
             // Lifetime average: completes/elapsed, zero before the first
             // delivery rather than an absurd early-snapshot spike.
@@ -920,7 +899,7 @@ impl FrameStream {
             windowed_frames_per_sec,
             windowed_miss_rate,
             latency_per_client: shared.latency.iter().map(LogHistogram::snapshot).collect(),
-            queue_wait_per_shard: shared.pool.queue_wait_snapshots(),
+            queue_wait_per_shard: [shared.pool.queue_wait_snapshot()],
             deadline_slack: shared.slack.snapshot(),
             deadline_lateness: shared.lateness.snapshot(),
         }
@@ -1170,10 +1149,8 @@ mod tests {
         let chans = channels(3, 41);
         let mut sc = StreamConfig::new(2);
         sc.workers = 3;
-        sc.shards = 2;
         sc.capacity = 4;
         let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
-        assert!(stream.shards() >= 1 && stream.shards() <= 2);
         assert_eq!(stream.capacity(), 4);
 
         // Interleaved submissions across two clients.
@@ -1212,7 +1189,7 @@ mod tests {
         assert_eq!(stats.submitted, 10);
         assert_eq!(stats.completed, 10);
         assert_eq!(stats.in_flight, 0, "all slots released");
-        assert_eq!(stats.shard_queue_depths.len(), stream.shards());
+        assert_eq!(stats.queue_depth, 0, "every task popped");
     }
 
     #[test]
@@ -1324,57 +1301,34 @@ mod tests {
         assert!(msg.contains("multiple of 16"), "{msg}");
     }
 
-    /// Each frame is one task, popped once, on its home shard
-    /// (`frame_id % shards`): 7 frames over 3 shards pop `[3, 2, 2]`.
-    #[test]
-    fn each_frame_pops_once_on_its_home_shard() {
-        let cfg = small_cfg();
-        let chans = channels(2, 47);
-        let mut sc = StreamConfig::new(1);
-        sc.workers = 3;
-        sc.shards = 3;
-        let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
-        assert_eq!(stream.shards(), 3);
-        for k in 0..7u64 {
-            let chan = Arc::clone(&chans[k as usize % 2]);
-            stream.submit(UplinkFrame::new(0, chan, 20.0, 700 + k)).unwrap();
-            assert_eq!(stream.recv().unwrap().seq(), k);
-        }
-        let pops: Vec<u64> =
-            stream.stats().queue_wait_per_shard.iter().map(|h| h.count()).collect();
-        assert_eq!(pops, vec![3, 2, 2], "one pop per frame, on its home shard");
-    }
-
-    /// The admission policy reads slot-pool occupancy alone because no
-    /// shard queue can hold more tasks than there are frames in flight: a
-    /// queue holds at most one task per in-flight frame. With the consumer
-    /// stalled, `in_flight` never shrinks, and `stats` reads the depths
+    /// The admission policy reads slot-pool occupancy alone because the
+    /// queue can never hold more tasks than there are frames in flight: it
+    /// holds at most one task per in-flight frame. With the consumer
+    /// stalled, `in_flight` never shrinks, and `stats` reads the depth
     /// before it, so the check cannot fail by a race.
     #[test]
     fn queue_depths_never_exceed_in_flight() {
         let cfg = small_cfg();
         let chans = channels(1, 50);
-        for shards in [1, 2] {
+        for workers in [1, 2] {
             let mut sc = StreamConfig::new(1);
-            sc.workers = 2;
-            sc.shards = shards;
+            sc.workers = workers;
             sc.capacity = 6;
             let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
-            assert_eq!(stream.shards(), shards);
             for k in 0..stream.capacity() as u64 {
                 stream.submit(UplinkFrame::new(0, Arc::clone(&chans[0]), 20.0, 800 + k)).unwrap();
                 let stats = stream.stats();
-                let deepest = stats.shard_queue_depths.iter().copied().max().unwrap_or(0);
                 assert!(
-                    deepest <= stats.in_flight,
-                    "shards {shards}, submit {k}: depth {deepest} > in flight {}",
+                    stats.queue_depth <= stats.in_flight,
+                    "workers {workers}, submit {k}: depth {} > in flight {}",
+                    stats.queue_depth,
                     stats.in_flight
                 );
             }
         }
     }
 
-    /// A frame whose detection unwinds on a multi-shard stream is never
+    /// A frame whose detection unwinds on a 2-worker stream is never
     /// recovered or delivered; the stream reports dead, and teardown does
     /// not hang. (The injected fault below kills a worker before the frame
     /// runs; this panic happens inside the job.)
@@ -1414,15 +1368,13 @@ mod tests {
         let cfg = small_cfg();
         let mut sc = StreamConfig::new(1);
         sc.workers = 2;
-        sc.shards = 2;
         let stream = FrameStream::new(cfg, PanicsOnChannelOne(geosphere_decoder()), sc);
-        assert_eq!(stream.shards(), 2);
         // A flat channel plans one channel, index 0: frame 0 delivers.
         let flat = channels(1, 48);
         stream.submit(UplinkFrame::new(0, Arc::clone(&flat[0]), 20.0, 1)).unwrap();
         drop(stream.recv().unwrap());
         // A selective channel plans one channel per subcarrier, so frame 1
-        // (home shard 1) unwinds in detection.
+        // unwinds in detection.
         let selective = gs_channel::SelectiveRayleighChannel {
             n_fft: 64,
             n_subcarriers: cfg.n_subcarriers,
@@ -1441,9 +1393,9 @@ mod tests {
         assert_eq!((finished, UNWOUND.load(Ordering::SeqCst)), (1, 1), "one detection unwound");
     }
 
-    /// On a 2-shard stream under lockstep, arming frame `k` kills exactly
-    /// frame `k`, whichever shard it is homed on: frames before it
-    /// deliver, and it is popped on its home shard but never planned.
+    /// On a 2-worker stream under lockstep, arming frame `k` kills exactly
+    /// frame `k`, whichever worker pops it: frames before it deliver, and
+    /// it is popped but never planned.
     #[test]
     fn injected_fault_kills_exactly_the_armed_frame() {
         let cfg = small_cfg();
@@ -1451,7 +1403,6 @@ mod tests {
         for k in [3u64, 4] {
             let mut sc = StreamConfig::new(1);
             sc.workers = 2;
-            sc.shards = 2;
             let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
             stream.inject_worker_panic_at(k);
             for f in 0..=k {
@@ -1463,9 +1414,8 @@ mod tests {
             assert_eq!(stream.recv().err(), Some(StreamDead), "k {k}");
             let stats = stream.stats();
             assert_eq!((stats.submitted, stats.planned, stats.completed), (k + 1, k, k), "k {k}");
-            let pops: Vec<u64> = stats.queue_wait_per_shard.iter().map(|h| h.count()).collect();
-            // Frames 0..=k popped once each on shard `frame % 2`.
-            assert_eq!(pops, vec![k / 2 + 1, k.div_ceil(2)], "k {k}");
+            // Frames 0..=k popped once each.
+            assert_eq!(stats.queue_wait_per_shard[0].count(), k + 1, "k {k}");
             drop(stream);
         }
     }
@@ -1480,7 +1430,6 @@ mod tests {
         let chans = channels(1, 46);
         let mut sc = StreamConfig::new(1);
         sc.workers = 1;
-        sc.shards = 1;
         sc.capacity = 2;
         let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
         // Lockstep: one frame in flight at a time. Armed at frame 2 →

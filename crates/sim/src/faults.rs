@@ -10,9 +10,6 @@
 //!   `FrameStream::inject_worker_panic_at` on one frame: the worker that
 //!   pops it panics before running it, the stream's pool marks itself
 //!   dead, and every later `submit`/`recv` reports `StreamDead`.
-//! * [`FaultSpec::ShardLoss`] — the same lethal fault in a two-shard
-//!   pool: losing one shard's worker kills the whole pool, so the other
-//!   shard stops too.
 //! * [`FaultSpec::DeadlineStorm`] — a contiguous window of frames is
 //!   submitted with already-expired deadlines: every frame in the window
 //!   *must* be delivered and *must* be accounted as a miss (deadlines are
@@ -33,12 +30,6 @@ pub enum FaultSpec {
     /// The worker popping frame `after_frames` panics after that many
     /// frames have completed; the frame dies with the worker.
     WorkerPanic {
-        /// Frames guaranteed to complete before the fault fires.
-        after_frames: u64,
-    },
-    /// [`FaultSpec::WorkerPanic`] in a two-shard pool: the dying worker
-    /// takes the whole pool down, not only its own shard.
-    ShardLoss {
         /// Frames guaranteed to complete before the fault fires.
         after_frames: u64,
     },
@@ -65,7 +56,6 @@ impl FaultSpec {
     pub fn name(&self) -> &'static str {
         match self {
             FaultSpec::WorkerPanic { .. } => "worker_panic",
-            FaultSpec::ShardLoss { .. } => "shard_loss",
             FaultSpec::DeadlineStorm { .. } => "deadline_storm",
             FaultSpec::SlotExhaustion { .. } => "slot_exhaustion",
         }
@@ -76,7 +66,6 @@ impl FaultSpec {
     pub fn describe(&self) -> String {
         match *self {
             FaultSpec::WorkerPanic { after_frames } => format!("worker_panic@{after_frames}"),
-            FaultSpec::ShardLoss { after_frames } => format!("shard_loss@{after_frames}"),
             FaultSpec::DeadlineStorm { start, len } => format!("deadline_storm@{start}+{len}"),
             FaultSpec::SlotExhaustion { burst } => format!("slot_exhaustion@{burst}"),
         }
@@ -90,7 +79,6 @@ mod tests {
     #[test]
     fn descriptors_are_stable() {
         assert_eq!(FaultSpec::WorkerPanic { after_frames: 4 }.describe(), "worker_panic@4");
-        assert_eq!(FaultSpec::ShardLoss { after_frames: 2 }.describe(), "shard_loss@2");
         assert_eq!(FaultSpec::DeadlineStorm { start: 2, len: 5 }.describe(), "deadline_storm@2+5");
         assert_eq!(FaultSpec::SlotExhaustion { burst: 9 }.describe(), "slot_exhaustion@9");
     }

@@ -17,8 +17,7 @@
 //!   (always missed, by construction — wall-clock independent either
 //!   way), or a relative deadline stamped when the frame is offered
 //!   (wall-clock dependent, for the deadline storm);
-//! * **topology** — clients, detection workers, shards, slot-pool
-//!   capacity;
+//! * **topology** — clients, detection workers, slot-pool capacity;
 //! * **frame shape** — the [`PhyConfig`] every frame decodes with and
 //!   the antenna counts of its channels;
 //! * **detector** — a pinned [`DetectorTier`], so every frame's outcome
@@ -225,8 +224,6 @@ pub struct Scenario {
     pub frames_per_client: usize,
     /// Detection workers.
     pub workers: usize,
-    /// Detection shards.
-    pub shards: usize,
     /// Slot-pool capacity.
     pub capacity: usize,
     /// The frame shape every frame decodes with.
@@ -259,7 +256,6 @@ impl Scenario {
             clients: 2,
             frames_per_client: 8,
             workers: 2,
-            shards: 1,
             capacity: 4,
             phy: campaign_phy_config(),
             num_rx: 4,
@@ -285,10 +281,9 @@ impl Scenario {
         self
     }
 
-    /// Sets workers, shards, and slot-pool capacity.
-    pub fn topology(mut self, workers: usize, shards: usize, capacity: usize) -> Self {
+    /// Sets workers and slot-pool capacity.
+    pub fn topology(mut self, workers: usize, capacity: usize) -> Self {
         self.workers = workers.max(1);
-        self.shards = shards.max(1);
         self.capacity = capacity.max(1);
         self
     }
@@ -347,12 +342,11 @@ impl Scenario {
         self.clients * self.frames_per_client
     }
 
-    /// The stream shape: one lane per client, the scenario's workers,
-    /// shards and slot-pool capacity.
+    /// The stream shape: one lane per client, the scenario's workers and
+    /// slot-pool capacity.
     pub fn stream_config(&self) -> StreamConfig {
         let mut sc = StreamConfig::new(self.clients);
         sc.workers = self.workers;
-        sc.shards = self.shards;
         sc.capacity = self.capacity;
         sc
     }
@@ -515,7 +509,8 @@ impl Scenario {
 
         let clients = 1 + pick(&mut rng, 3);
         let workers = 1 + pick(&mut rng, 3);
-        let shards = 1 + pick(&mut rng, 2.min(workers));
+        // A retired shard-count draw, kept so every later draw stays put.
+        let _ = pick(&mut rng, 2.min(workers));
         let capacity = 2 + pick(&mut rng, 5);
         let frames_per_client = frames_per_client.max(2);
         let total = clients * frames_per_client;
@@ -571,10 +566,9 @@ impl Scenario {
         // Roughly half the scenarios carry a fault, spread over the
         // taxonomy; lethal faults need at least one survivable frame.
         let fault = match pick(&mut rng, 8) {
-            0 => {
+            0 | 1 => {
                 Some(FaultSpec::WorkerPanic { after_frames: 1 + pick(&mut rng, total - 1) as u64 })
             }
-            1 => Some(FaultSpec::ShardLoss { after_frames: 1 + pick(&mut rng, total - 1) as u64 }),
             2 | 3 => {
                 let len = 1 + pick(&mut rng, total.max(2) - 1);
                 Some(FaultSpec::DeadlineStorm { start: pick(&mut rng, total - len + 1), len })
@@ -582,19 +576,11 @@ impl Scenario {
             4 => Some(FaultSpec::SlotExhaustion { burst: total }),
             _ => None,
         };
-        // A shard-loss fault runs on two shards (and a worker for each).
-        let (workers, shards) = if matches!(fault, Some(FaultSpec::ShardLoss { .. })) {
-            (workers.max(2), 2)
-        } else {
-            (workers, shards)
-        };
-
         Scenario {
             seed,
             clients,
             frames_per_client,
             workers,
-            shards,
             capacity,
             phy: campaign_phy_config(),
             num_rx: 4,
@@ -628,8 +614,6 @@ pub mod presets {
     pub const STORM_SNR_DB: f64 = 18.0;
     /// Detection workers in the storm pipelines.
     pub const STORM_WORKERS: usize = 2;
-    /// Detection shards in the storm pipelines.
-    pub const STORM_SHARDS: usize = 1;
     /// Slot-pool bound in the storm pipelines — also the queue depth the
     /// bench gate multiplies its calibrated per-frame time by.
     pub const STORM_CAPACITY: usize = 6;
@@ -644,7 +628,7 @@ pub mod presets {
         Scenario::new(seed)
             .clients(STORM_CLIENTS)
             .frames_per_client(STORM_FRAMES_PER_CLIENT)
-            .topology(STORM_WORKERS, STORM_SHARDS, STORM_CAPACITY)
+            .topology(STORM_WORKERS, STORM_CAPACITY)
             .channel(ChannelSpec::SelectiveIndoor)
             .traffic(TrafficMix::Saturation)
             .snr(SnrSpec::Fixed(STORM_SNR_DB))
@@ -760,17 +744,14 @@ mod tests {
             if let Some(f) = s.fault {
                 faults.insert(f.name());
                 with_fault += 1;
-                if let FaultSpec::ShardLoss { .. } = f {
-                    assert!(s.shards == 2 && s.workers >= 2, "shard loss runs on two shards");
-                }
             }
             assert!(s.total_frames() >= 2);
-            assert!(s.shards <= s.workers, "shards sampled sanely");
+            assert!((1..=3).contains(&s.workers), "workers sampled sanely");
         }
         assert!(channels.len() >= 3, "≥3 channel models required, got {channels:?}");
         assert!(traffics.len() >= 3, "≥3 traffic mixes required, got {traffics:?}");
         assert_eq!(tiers.len(), 3, "all tiers sampled: {tiers:?}");
-        assert_eq!(faults.len(), 4, "full fault taxonomy sampled: {faults:?}");
+        assert_eq!(faults.len(), 3, "full fault taxonomy sampled: {faults:?}");
         assert!((16..=48).contains(&with_fault), "fault/no-fault mix: {with_fault}/64");
     }
 
@@ -780,13 +761,13 @@ mod tests {
         assert_eq!(sc.clients, presets::STORM_CLIENTS);
         assert_eq!(sc.frames_per_client, presets::STORM_FRAMES_PER_CLIENT);
         assert_eq!(sc.snr.base_db(), presets::STORM_SNR_DB);
-        assert_eq!((sc.workers, sc.shards, sc.capacity), (2, 1, 6));
+        assert_eq!((sc.workers, sc.capacity), (2, 6));
         let within = DeadlineKind::Within(Duration::from_millis(4));
         assert!(sc.plan().iter().all(|f| f.deadline == within && f.at == Duration::ZERO));
 
         let s = presets::campaign_storm(1, 4);
         assert_eq!(s.clients, presets::STORM_CLIENTS);
-        assert_eq!((s.workers, s.shards, s.capacity), (2, 1, 6));
+        assert_eq!((s.workers, s.capacity), (2, 6));
         assert_eq!(s.snr.base_db(), presets::STORM_SNR_DB);
         // Every frame of the campaign storm sits in the expired window.
         assert!(s.plan().iter().all(|f| f.deadline == DeadlineKind::Expired));

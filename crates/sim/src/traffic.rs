@@ -433,7 +433,7 @@ mod tests {
         let s = Scenario::new(31)
             .clients(2)
             .frames_per_client(4)
-            .topology(2, 1, 3)
+            .topology(2, 3)
             .antennas(4, 4)
             .snr(SnrSpec::Fixed(14.0))
             .traffic(TrafficMix::Saturation);

@@ -3,7 +3,7 @@
 //! runs offline, so no CDN, no chart library). The page polls `/metrics`
 //! and `/trace` once a second, parses the Prometheus text exposition in
 //! ~20 lines of JS, and renders the operator's working set: windowed
-//! fps / miss rate, tier occupancy, per-shard queue depths, per-client
+//! fps / miss rate, tier occupancy, the pool's queue depth, per-client
 //! latency quantiles, and the recent anomaly timelines the flight
 //! recorder retained.
 
@@ -30,8 +30,6 @@ pub const DASHBOARD_HTML: &str = r##"<!doctype html>
   .card .v { font-size: 1.3rem; color: #e8f0f7; }
   .card .k { color: #8aa3b8; font-size: .75rem; }
   .bad .v { color: #ff7a7a; }
-  .bar { display: inline-block; height: .7rem; background: #4f8fca;
-         vertical-align: middle; min-width: 1px; }
   .anom { background: #1a212b; border: 1px solid #3a2a2a; border-radius: 6px;
           padding: .5rem .9rem; margin-bottom: .6rem; }
   .anom .hdr { color: #ffb27a; }
@@ -43,8 +41,6 @@ pub const DASHBOARD_HTML: &str = r##"<!doctype html>
 <h1>Geosphere ops cockpit</h1>
 <div id="err"></div>
 <div class="cards" id="cards"></div>
-<h2>Shard queue depths</h2>
-<div id="shards"></div>
 <h2>Tier admissions</h2>
 <table id="tiers"></table>
 <h2>Submit&rarr;delivery latency (s)</h2>
@@ -90,15 +86,12 @@ function render(fams, trace) {
     card("tier", tiers[one(fams, "gs_current_tier")] || fmt(one(fams, "gs_current_tier"), 0)) +
     card("occupancy", fmt(one(fams, "gs_occupancy") * 100) + "%") +
     card("in flight", fmt(one(fams, "gs_in_flight"), 0) + "/" + fmt(one(fams, "gs_capacity"), 0)) +
+    card("queue depth", fmt(one(fams, "gs_queue_depth"), 0)) +
     card("completed", fmt(one(fams, "gs_frames_completed_total"), 0)) +
     card("deadline misses", fmt(one(fams, "gs_deadline_misses_total"), 0),
          one(fams, "gs_deadline_misses_total") > 0) +
     card("trace dumps", fmt(one(fams, "gs_trace_dumps"), 0)) +
     card("uptime", fmt(one(fams, "gs_uptime_seconds"), 0) + "s");
-  const depths = fams["gs_shard_queue_depth"] || [];
-  document.getElementById("shards").innerHTML = depths.map(s =>
-    `shard ${s.labels.shard}: <span class="bar" style="width:${8 * s.value}px"></span> ${s.value}`
-  ).join("<br>");
   const adm = fams["gs_tier_admissions_total"] || [];
   document.getElementById("tiers").innerHTML =
     "<tr><th>tier</th><th>admissions</th></tr>" +

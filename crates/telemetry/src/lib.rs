@@ -12,8 +12,8 @@
 //! Three layers, deliberately separable:
 //!
 //! - [`render_runtime_stats`] — pure snapshot → text rendering: lifetime
-//!   counters, the corrected windowed rates, tier admissions, per-shard
-//!   queue depths, and quantile summaries (p50/p90/p99 with `_sum`,
+//!   counters, the corrected windowed rates, tier admissions, the pool's
+//!   queue depth, and quantile summaries (p50/p90/p99 with `_sum`,
 //!   `_count`, and an exact `_max` gauge) over the zero-allocation log-bucketed
 //!   histograms ([`gs_prof::hist`]) the hot path records into. Built with
 //!   `--features profile`, the per-stage cycle table rides along as

@@ -124,8 +124,8 @@ pub fn render_runtime_stats(stats: &RuntimeStats) -> String {
         ("gs_in_flight", stats.in_flight as f64),
         ("gs_capacity", stats.capacity as f64),
         ("gs_occupancy", stats.occupancy()),
-        ("gs_shards", stats.shards as f64),
         ("gs_workers", stats.workers as f64),
+        ("gs_queue_depth", stats.queue_depth as f64),
         ("gs_uptime_seconds", stats.elapsed.as_secs_f64()),
         ("gs_frames_per_sec", stats.frames_per_sec),
         ("gs_windowed_frames_per_sec", stats.windowed_frames_per_sec),
@@ -133,11 +133,6 @@ pub fn render_runtime_stats(stats: &RuntimeStats) -> String {
     ] {
         type_line(&mut out, name, "gauge");
         sample(&mut out, name, v);
-    }
-
-    type_line(&mut out, "gs_shard_queue_depth", "gauge");
-    for (i, depth) in stats.shard_queue_depths.iter().enumerate() {
-        sample1(&mut out, "gs_shard_queue_depth", "shard", &i.to_string(), *depth as f64);
     }
 
     // Latency summaries (nanosecond histograms exported in seconds).
@@ -156,10 +151,8 @@ pub fn render_runtime_stats(stats: &RuntimeStats) -> String {
     }
     summary(&mut out, "gs_submit_delivery_latency_seconds", "client", &per_client);
 
-    let per_shard: Vec<(String, &HistogramSnapshot)> =
-        stats.queue_wait_per_shard.iter().enumerate().map(|(i, h)| (i.to_string(), h)).collect();
-    summary(&mut out, "gs_shard_queue_wait_seconds", "shard", &per_shard);
-
+    let [queue_wait] = &stats.queue_wait_per_shard;
+    summary_single(&mut out, "gs_queue_wait_seconds", queue_wait);
     summary_single(&mut out, "gs_deadline_slack_seconds", &stats.deadline_slack);
     summary_single(&mut out, "gs_deadline_lateness_seconds", &stats.deadline_lateness);
 
@@ -209,7 +202,7 @@ pub fn render_runtime_stats(stats: &RuntimeStats) -> String {
     out
 }
 
-/// Sentinel-aware integer: [`trace::NO_SHARD`]-style "none" markers render
+/// Sentinel-aware integer: [`trace::NO_TIER`]-style "none" markers render
 /// as `-1` so the JSON consumer gets one honest convention instead of
 /// magic max values.
 fn opt_int(raw: u64, none: u64) -> i64 {
@@ -275,10 +268,9 @@ pub fn render_trace_dumps(dumps: &[trace::TraceDump]) -> String {
                 }
                 let _ = write!(
                     out,
-                    "{{\"point\":\"{}\",\"thread\":{},\"shard\":{},\"start_us\":{:.3},\"dur_us\":{:.3}}}",
+                    "{{\"point\":\"{}\",\"thread\":{},\"start_us\":{:.3},\"dur_us\":{:.3}}}",
                     s.point.name(),
                     s.thread,
-                    opt_int(s.shard as u64, trace::NO_SHARD as u64),
                     us(s.begin),
                     us(s.end) - us(s.begin)
                 );
@@ -290,10 +282,9 @@ pub fn render_trace_dumps(dumps: &[trace::TraceDump]) -> String {
                 }
                 let _ = write!(
                     out,
-                    "{{\"point\":\"{}\",\"thread\":{},\"shard\":{},\"at_us\":{:.3}}}",
+                    "{{\"point\":\"{}\",\"thread\":{},\"at_us\":{:.3}}}",
                     ev.point.name(),
                     ev.thread,
-                    opt_int(ev.shard as u64, trace::NO_SHARD as u64),
                     us(ev.tsc)
                 );
             }

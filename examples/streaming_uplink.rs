@@ -1,14 +1,14 @@
 //! Streaming base-station runtime: multi-client uplink traffic, paced
 //! Poisson and saturating, flowing through the `gs-runtime` pipeline
-//! (plan → sharded detect → recover), with backpressure, deadlines, and
-//! live runtime stats.
+//! (plan → detect → recover on one worker pool), with backpressure,
+//! deadlines, and live runtime stats.
 //!
 //! ```sh
 //! cargo run --release --example streaming_uplink
 //! ```
 //!
 //! Knobs: `GS_NO_PIN` disables worker pinning, `GS_SIMD` selects the
-//! kernel tier; the stream runs one shard per memory domain.
+//! kernel tier; every worker serves the stream's one queue.
 
 use geosphere::core::geosphere_decoder;
 use geosphere::modulation::Constellation;
@@ -25,9 +25,8 @@ fn main() {
     sc.workers = 4;
     let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
     println!(
-        "runtime: {} detection workers over {} shard(s), {} slots",
+        "runtime: {} detection workers on one queue, {} slots",
         stream.workers(),
-        stream.shards(),
         stream.capacity()
     );
 
@@ -69,11 +68,11 @@ fn main() {
     let stats = stream.stats();
     println!(
         "\nruntime totals: {} submitted, {} completed, {} deadline misses, \
-         occupancy {:.0}%, shard queue depths {:?}",
+         occupancy {:.0}%, queue depth {}",
         stats.submitted,
         stats.completed,
         stats.deadline_misses,
         100.0 * stats.occupancy(),
-        stats.shard_queue_depths,
+        stats.queue_depth,
     );
 }

@@ -311,7 +311,7 @@ fn assert_soft_frame_chain_allocation_free() {
 }
 
 /// Telemetry recording — the [`gs_prof::hist::LogHistogram`] surface the
-/// streaming runtime records submit→delivery latency, shard queue wait,
+/// streaming runtime records submit→delivery latency, queue wait,
 /// and deadline slack into on every frame — must not touch the allocator
 /// after construction (the bucket array is the type's one allocation).
 /// Snapshots may allocate; they are scrape-time calls and stay outside
@@ -345,7 +345,7 @@ fn assert_trace_recording_allocation_free() {
     use gs_prof::Stage;
 
     // Warmup: registers this thread's ring and touches the context slot.
-    gtrace::set_context(gtrace::FrameCtx { frame: 1, client: 0, shard: 0, tier: 2 });
+    gtrace::set_context(gtrace::FrameCtx { frame: 1, client: 0, tier: 2 });
     gtrace::emit(gtrace::TracePoint::Submit);
     drop(gs_prof::scope(Stage::Detect));
     gtrace::clear_context();
@@ -353,12 +353,7 @@ fn assert_trace_recording_allocation_free() {
     let rounds = (gtrace::RING_CAP * 3) as u64;
     let (delta, ()) = allocations_during(|| {
         for k in 0..rounds {
-            gtrace::set_context(gtrace::FrameCtx {
-                frame: k,
-                client: (k % 4) as u32,
-                shard: (k % 8) as u16,
-                tier: 0,
-            });
+            gtrace::set_context(gtrace::FrameCtx { frame: k, client: (k % 4) as u32, tier: 0 });
             gtrace::emit(gtrace::TracePoint::Submit);
             gtrace::emit_for(
                 gtrace::TracePoint::Deliver,

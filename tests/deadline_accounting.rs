@@ -9,7 +9,7 @@
 //!   saturates to the highest priority), already-expired deadlines, far
 //!   futures, and deadlines so distant the nanosecond key saturates at
 //!   `NO_DEADLINE - 1` (always at least two, so the saturated keys tie in
-//!   the shard heap). For every scenario, the per-completion
+//!   the pool's heap). For every scenario, the per-completion
 //!   [`Completed::missed_deadline`](gs_runtime::Completed::missed_deadline)
 //!   flags must agree with ground truth and their sum must equal
 //!   [`RuntimeStats::deadline_misses`](gs_runtime::RuntimeStats::deadline_misses).
@@ -85,18 +85,16 @@ struct Scenario {
     clients: usize,
     frames_per_client: usize,
     workers: usize,
-    shards: usize,
     capacity: usize,
     seed: u64,
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
-    (1usize..4, 2usize..5, 1usize..4, 1usize..3, 0u64..1_000_000).prop_map(
-        |(clients, frames_per_client, workers, shards, seed)| Scenario {
+    (1usize..4, 2usize..5, 1usize..4, 0u64..1_000_000).prop_map(
+        |(clients, frames_per_client, workers, seed)| Scenario {
             clients,
             frames_per_client,
             workers,
-            shards,
             capacity: 2 + (seed % 3) as usize,
             seed,
         },
@@ -113,7 +111,6 @@ fn check_deadline_accounting(sc: &Scenario) {
 
     let mut stream_sc = StreamConfig::new(sc.clients);
     stream_sc.workers = sc.workers;
-    stream_sc.shards = sc.shards;
     stream_sc.capacity = sc.capacity;
     let stream = FrameStream::new(cfg, ZfDetector, stream_sc);
 
@@ -249,7 +246,7 @@ impl AdaptationPolicy for ScriptedPolicy {
     }
 }
 
-/// The schedule (one worker, one shard, so detection order is the EDF
+/// The schedule (one worker, so detection order is the EDF
 /// order):
 ///
 /// * `G` (client 1, no deadline, tier `Sphere` → gate `g`) occupies the
@@ -277,7 +274,6 @@ fn frame_held_in_parking_ring_past_deadline_is_a_miss() {
 
     let mut sc = StreamConfig::new(2);
     sc.workers = 1;
-    sc.shards = 1;
     sc.capacity = 3;
     let stream = FrameStream::adaptive(cfg, ladder, policy, sc);
 

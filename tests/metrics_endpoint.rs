@@ -69,16 +69,16 @@ fn scraped_metrics_match_runtime_stats_exactly() {
         ("gs_in_flight", stats.in_flight as f64),
         ("gs_capacity", stats.capacity as f64),
         ("gs_occupancy", stats.occupancy()),
-        ("gs_shards", stats.shards as f64),
         ("gs_workers", stats.workers as f64),
+        ("gs_queue_depth", stats.queue_depth as f64),
         ("gs_current_tier", stats.current_tier.index() as f64),
     ] {
         assert_eq!(expo.value(name, &[]), Some(expect), "{name}");
     }
     assert_eq!(expo.value("gs_in_flight", &[]), Some(0.0), "stream must be idle after drain");
-    assert_eq!(expo.series("gs_shard_queue_depth").len(), stats.shards);
+    assert_eq!(expo.value("gs_queue_depth", &[]), Some(0.0), "no task queued after drain");
 
-    // Histogram-backed summaries: one series set per client/shard, counts
+    // Histogram-backed summaries: one series set per client, counts
     // consistent with the pipeline counters, quantiles ordered.
     for client in 0..CLIENTS {
         let label = client.to_string();
@@ -109,8 +109,9 @@ fn scraped_metrics_match_runtime_stats_exactly() {
         stats.completed,
         "every delivery lands in exactly one of slack/lateness"
     );
-    let queue_wait_total: u64 = stats.queue_wait_per_shard.iter().map(|h| h.count()).sum();
-    assert!(queue_wait_total >= stats.detected, "each frame's shard jobs waited in some queue");
+    let queue_waits = stats.queue_wait_per_shard[0].count();
+    assert_eq!(expo.value("gs_queue_wait_seconds_count", &[]), Some(queue_waits as f64));
+    assert!(queue_waits >= stats.detected, "each frame's task waited in the queue");
 
     // The endpoint serves exactly what the renderer produces.
     let rendered = lint_exposition(&render_runtime_stats(&stats)).expect("renderer lints clean");

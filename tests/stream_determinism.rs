@@ -1,8 +1,8 @@
 //! Property suite for the streaming runtime: bit-identity with the serial
 //! receive path, and the steady-state zero-allocation contract.
 //!
-//! **Bit-identity.** For any (client count, worker count, shard count,
-//! channel selectivity, deadline assignment, submission interleaving), every frame delivered by
+//! **Bit-identity.** For any (client count, worker count, channel
+//! selectivity, deadline assignment, submission interleaving), every frame delivered by
 //! [`gs_runtime::FrameStream`] must be bit-identical — CRC verdicts,
 //! operation counts, detection counts — to serial
 //! [`gs_phy::decode_frame_batched_into`] decoding the same
@@ -85,7 +85,6 @@ struct Scenario {
     clients: usize,
     frames_per_client: usize,
     workers: usize,
-    shards: usize,
     capacity: usize,
     selective: bool,
     /// Drives deadlines, channel draws, interleaving.
@@ -93,12 +92,11 @@ struct Scenario {
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
-    (1usize..4, 1usize..4, 1usize..5, 1usize..4, (0u64..1_000_000, 0usize..2)).prop_map(
-        |(clients, frames_per_client, workers, shards, (seed, sel))| Scenario {
+    (1usize..4, 1usize..4, 1usize..5, (0u64..1_000_000, 0usize..2)).prop_map(
+        |(clients, frames_per_client, workers, (seed, sel))| Scenario {
             clients,
             frames_per_client,
             workers,
-            shards,
             // Small capacities force slot recycling mid-scenario.
             capacity: 2 + (seed % 3) as usize,
             selective: sel == 1,
@@ -138,7 +136,7 @@ fn check_stream_matches_serial(sc: &Scenario) {
         .collect();
 
     // Per-client frame lists with sprinkled deadlines (deadlines shuffle
-    // shard-queue order; they must not change any output bit).
+    // the queue's pop order; they must not change any output bit).
     let now = Instant::now();
     let per_client: Vec<Vec<UplinkFrame>> = (0..sc.clients)
         .map(|client| {
@@ -195,7 +193,6 @@ fn check_stream_matches_serial(sc: &Scenario) {
 
     let mut stream_sc = StreamConfig::new(sc.clients);
     stream_sc.workers = sc.workers;
-    stream_sc.shards = sc.shards;
     stream_sc.capacity = sc.capacity;
     let stream = FrameStream::new(cfg, det, stream_sc);
 
@@ -283,7 +280,6 @@ fn check_pinned_tiers_match_serial() {
 
         let mut stream_sc = StreamConfig::new(1);
         stream_sc.workers = 2;
-        stream_sc.shards = 2;
         stream_sc.capacity = 3;
         let stream = FrameStream::adaptive(
             cfg,
@@ -324,7 +320,6 @@ fn assert_stream_steady_state_allocation_free() {
 
     let mut stream_sc = StreamConfig::new(2);
     stream_sc.workers = 2;
-    stream_sc.shards = 2;
     stream_sc.capacity = 3;
     let stream = FrameStream::new(cfg, geosphere_decoder(), stream_sc);
 

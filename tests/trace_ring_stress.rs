@@ -1,6 +1,6 @@
 //! Stress test of the flight recorder's seqlock'd event rings. Writer
-//! threads emit self-checking events as fast as they can: client, shard,
-//! tier, point and kind are all derived from the frame id. Reader threads
+//! threads emit self-checking events as fast as they can: client, tier,
+//! point and kind are all derived from the frame id. Reader threads
 //! meanwhile snapshot the rings and fire dump triggers. A torn slot that
 //! slipped past the seqlock would pair one write's frame id with another
 //! write's packed word, so every returned event must pass its self-check.
@@ -30,12 +30,7 @@ fn frame_id(writer: u64, k: u64) -> u64 {
 
 /// The identity and point an event of `frame` is written with.
 fn derived(frame: u64) -> (FrameCtx, TracePoint, EventKind) {
-    let ctx = FrameCtx {
-        frame,
-        client: (frame % 1000) as u32,
-        shard: (frame % 61) as u16,
-        tier: (frame % 7) as u8,
-    };
+    let ctx = FrameCtx { frame, client: (frame % 1000) as u32, tier: (frame % 7) as u8 };
     let point = TracePoint::from_code((frame % TracePoint::COUNT as u64) as u16).unwrap();
     let kind = [EventKind::Begin, EventKind::End, EventKind::Instant][(frame % 3) as usize];
     (ctx, point, kind)
@@ -45,8 +40,8 @@ fn assert_self_consistent(e: &TraceEvent) {
     assert_eq!(e.frame & !((1 << 32) - 1), TAG, "foreign or torn frame id: {e:?}");
     let (ctx, point, kind) = derived(e.frame);
     assert_eq!(
-        (e.client, e.shard, e.tier, e.point, e.kind),
-        (ctx.client, ctx.shard, ctx.tier, point, kind),
+        (e.client, e.tier, e.point, e.kind),
+        (ctx.client, ctx.tier, point, kind),
         "torn event: {e:?}"
     );
 }

@@ -12,7 +12,7 @@
 
 use gs_prof::trace::{
     assemble, chrome_trace_json, EventKind, TraceDump, TraceEvent, TracePoint, Trigger,
-    CONTROL_CHAIN, HARD_CHAIN, NO_FRAME, NO_SHARD, NO_TIER,
+    CONTROL_CHAIN, HARD_CHAIN, NO_FRAME, NO_TIER,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -27,14 +27,12 @@ struct FrameShape {
     jitter: u64,
     gap: u64,
     worker: u16,
-    shard: u16,
     parked: bool,
 }
 
 fn frame_shape_strategy() -> impl Strategy<Value = FrameShape> {
-    (0u64..50, 1u64..40, 1u16..4, 0u16..8, any::<bool>()).prop_map(
-        |(jitter, gap, worker, shard, parked)| FrameShape { jitter, gap, worker, shard, parked },
-    )
+    (0u64..50, 1u64..40, 1u16..4, any::<bool>())
+        .prop_map(|(jitter, gap, worker, parked)| FrameShape { jitter, gap, worker, parked })
 }
 
 /// Lays down one frame's causal event chain — the control instants and
@@ -47,36 +45,36 @@ fn synth_frame(frame: u64, shape: &FrameShape, out: &mut Vec<TraceEvent>) {
     let mut t = 1_000 + frame * 120 + shape.jitter;
     let client = (frame % 4) as u32;
     let tier = (frame % 3) as u8;
-    let mut ev = |tsc: u64, thread: u16, point: TracePoint, kind: EventKind, shard: u16| {
-        out.push(TraceEvent { tsc, frame, thread, point, kind, client, shard, tier });
+    let mut ev = |tsc: u64, thread: u16, point: TracePoint, kind: EventKind| {
+        out.push(TraceEvent { tsc, frame, thread, point, kind, client, tier });
     };
     let step = |t: &mut u64| {
         *t += shape.gap;
         *t
     };
-    // Control plane on the submit thread (0), then the shard worker, then
+    // Control plane on the submit thread (0), then the pool worker, then
     // the recovery thread (worker + 8 keeps the ids disjoint).
-    ev(t, 0, TracePoint::Submit, EventKind::Instant, NO_SHARD);
-    ev(step(&mut t), 0, TracePoint::Admit, EventKind::Instant, NO_SHARD);
-    ev(step(&mut t), 0, TracePoint::Stage(gs_prof::Stage::Plan), EventKind::Begin, NO_SHARD);
-    ev(step(&mut t), 0, TracePoint::Stage(gs_prof::Stage::Plan), EventKind::End, NO_SHARD);
-    ev(step(&mut t), 0, TracePoint::Enqueue, EventKind::Instant, shape.shard);
-    ev(step(&mut t), shape.worker, TracePoint::Pop, EventKind::Instant, shape.shard);
+    ev(t, 0, TracePoint::Submit, EventKind::Instant);
+    ev(step(&mut t), 0, TracePoint::Admit, EventKind::Instant);
+    ev(step(&mut t), 0, TracePoint::Stage(gs_prof::Stage::Plan), EventKind::Begin);
+    ev(step(&mut t), 0, TracePoint::Stage(gs_prof::Stage::Plan), EventKind::End);
+    ev(step(&mut t), 0, TracePoint::Enqueue, EventKind::Instant);
+    ev(step(&mut t), shape.worker, TracePoint::Pop, EventKind::Instant);
     let detect = TracePoint::Stage(gs_prof::Stage::Detect);
-    ev(step(&mut t), shape.worker, detect, EventKind::Begin, shape.shard);
-    ev(step(&mut t), shape.worker, detect, EventKind::End, shape.shard);
+    ev(step(&mut t), shape.worker, detect, EventKind::Begin);
+    ev(step(&mut t), shape.worker, detect, EventKind::End);
     let rec = shape.worker + 8;
     let scatter = TracePoint::Stage(gs_prof::Stage::Scatter);
-    ev(step(&mut t), rec, scatter, EventKind::Begin, NO_SHARD);
-    ev(step(&mut t), rec, scatter, EventKind::End, NO_SHARD);
+    ev(step(&mut t), rec, scatter, EventKind::Begin);
+    ev(step(&mut t), rec, scatter, EventKind::End);
     if shape.parked {
-        ev(step(&mut t), rec, TracePoint::Park, EventKind::Instant, NO_SHARD);
+        ev(step(&mut t), rec, TracePoint::Park, EventKind::Instant);
     }
     for stage in [gs_prof::Stage::Recover, gs_prof::Stage::Viterbi, gs_prof::Stage::Crc] {
-        ev(step(&mut t), rec, TracePoint::Stage(stage), EventKind::Begin, NO_SHARD);
-        ev(step(&mut t), rec, TracePoint::Stage(stage), EventKind::End, NO_SHARD);
+        ev(step(&mut t), rec, TracePoint::Stage(stage), EventKind::Begin);
+        ev(step(&mut t), rec, TracePoint::Stage(stage), EventKind::End);
     }
-    ev(step(&mut t), rec, TracePoint::Deliver, EventKind::Instant, NO_SHARD);
+    ev(step(&mut t), rec, TracePoint::Deliver, EventKind::Instant);
 }
 
 /// Deterministic shuffle (splitmix-keyed) — the assembler must not depend
@@ -110,7 +108,6 @@ fn synth_stream(shapes: &[FrameShape], seed: u64) -> Vec<TraceEvent> {
             point: TracePoint::Refuse,
             kind: EventKind::Instant,
             client: (k % 4) as u32,
-            shard: NO_SHARD,
             tier: NO_TIER,
         });
     }
@@ -248,7 +245,7 @@ proptest! {
 /// appear on the Chrome export's pid-0 "stream" track.
 #[test]
 fn frameless_events_stay_off_timelines_but_reach_the_stream_track() {
-    let shapes = vec![FrameShape { jitter: 3, gap: 5, worker: 1, shard: 2, parked: false }];
+    let shapes = vec![FrameShape { jitter: 3, gap: 5, worker: 1, parked: false }];
     let events = synth_stream(&shapes, 42);
     let timelines = assemble(&events);
     assert_eq!(timelines.len(), 1);

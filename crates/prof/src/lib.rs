@@ -39,8 +39,8 @@
 //! Each thread owns one instrumentation state (counter cells and scope
 //! stack under `profile`, event ring and frame context under `trace`),
 //! registered once in a process-wide registry that keeps it after the
-//! thread exits — so per-frame attribution survives the
-//! stream pool's handoff between workers. Counters are plain `AtomicU64`s
+//! thread exits — so the cycles and events of a dropped stream's pool
+//! workers still count. Counters are plain `AtomicU64`s
 //! written single-writer (`Relaxed` load+store, not RMW) and summed by
 //! [`snapshot`]; rings are read by [`trace::snapshot_events`].
 //!

@@ -21,9 +21,8 @@ pub(crate) struct ThreadSlot {
 }
 
 /// Every slot ever registered, in registration order (a slot's index is
-/// its ring's thread id). Entries are kept after thread exit on purpose —
-/// that is what preserves attribution across the stream pool's
-/// handoff between workers.
+/// its ring's thread id). Entries are kept after thread exit on purpose,
+/// so the workers of a stream that has been dropped still count.
 pub(crate) static REGISTRY: Mutex<Vec<Arc<ThreadSlot>>> = Mutex::new(Vec::new());
 
 /// Deepest scope nesting tracked per thread. Deeper scopes still count

@@ -10,19 +10,14 @@ use std::time::Duration;
 /// Counters are monotone over the stream's lifetime; occupancy, queue
 /// depth, and the windowed rates are instantaneous. Taking a snapshot
 /// allocates (the histogram copies) — it is an observability call, not a
-/// hot-path one. The stage counters are
-/// **clamped into pipeline order** at snapshot time
-/// (`submitted ≥ planned ≥ detected ≥ recovered ≥ completed ≥
-/// deadline_misses`): the live counters are independent atomics, so a raw
-/// racing read could transiently show a later stage ahead of an earlier
-/// one, and gauges differenced from such a snapshot would go negative.
-///
-/// Two throughput figures are reported on purpose:
-/// [`RuntimeStats::frames_per_sec`] is the lifetime average (total
-/// completions over total elapsed — a summary figure that decays while
-/// the stream idles), while [`RuntimeStats::windowed_frames_per_sec`]
-/// counts only the trailing window and is what the control plane (and any
-/// live dashboard) should read.
+/// hot-path one. The counters, occupancy, current tier and windowed rates
+/// are read in one critical section of the stream's bookkeeping lock, the
+/// same one every admission and delivery updates them in, so every
+/// snapshot agrees with itself: `Σ tier_admissions == submitted`,
+/// `deadline_misses ≤ completed ≤ submitted` and
+/// `submitted − completed ≤ in_flight ≤ capacity` (the last while no
+/// worker has died). The queue depth and the histograms are read just
+/// outside it.
 ///
 /// **Windowed-rate semantics**: the windowed figures are computed over
 /// the trailing one-second window, with the throughput divisor being the
@@ -42,13 +37,6 @@ pub struct RuntimeStats {
     /// (accounted at delivery, so time parked behind a slow predecessor
     /// counts).
     pub deadline_misses: u64,
-    /// Frames whose plan stage has run.
-    pub planned: u64,
-    /// Frames whose detection has finished.
-    pub detected: u64,
-    /// Frames whose receive chains have run (recovery complete; the frame
-    /// is delivered or parked for per-client ordering).
-    pub recovered: u64,
     /// Admissions per detector tier, indexed by
     /// [`DetectorTier::index`]. A fixed-detector stream counts
     /// everything under [`DetectorTier::Sphere`].
@@ -68,11 +56,6 @@ pub struct RuntimeStats {
     pub queue_depth: usize,
     /// Wall-clock since the stream was created.
     pub elapsed: Duration,
-    /// Lifetime-average delivered throughput (`completed / elapsed`;
-    /// `0.0` before the first completion). Decays while the stream
-    /// idles — prefer [`RuntimeStats::windowed_frames_per_sec`] for
-    /// "what is it doing now".
-    pub frames_per_sec: f64,
     /// Delivered throughput over the trailing one-second window — the
     /// rate the control plane consumes. Divides by the span the window
     /// actually covers (see the type docs), so it is exact for young
@@ -106,8 +89,8 @@ pub struct RuntimeStats {
 impl RuntimeStats {
     /// The process-wide stage-attributed cycle profile at snapshot time:
     /// every thread's [`gs_prof`] counter table aggregated, including
-    /// exited pool workers (attribution survives the handoff between
-    /// pool workers). All-zero unless the workspace was
+    /// the workers of streams already dropped (the registry keeps an
+    /// exited thread's table). All-zero unless the workspace was
     /// built with the `profile` feature. Counters are monotone and
     /// process-global — bracket a region with two snapshots and
     /// [`gs_prof::StageProfile::delta`] to isolate it.

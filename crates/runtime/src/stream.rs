@@ -3,7 +3,8 @@
 //! See the crate docs for the architecture. This module holds the whole
 //! engine: the bounded slot pool (admission control), the pool job that
 //! runs each frame from plan to delivery, per-client in-order completion
-//! delivery, and the stats counters.
+//! delivery, and the stream's books: every piece of that bookkeeping, the
+//! counters included, sits behind one mutex.
 
 use crate::policy::{AdaptationPolicy, PinnedPolicy, PressureSignal};
 use crate::pool::{DetectionPool, NO_DEADLINE};
@@ -19,7 +20,7 @@ use gs_prof::trace as gtrace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -134,7 +135,7 @@ impl StreamConfig {
     }
 }
 
-/// Per-frame bookkeeping carried through the pipeline.
+/// Per-frame bookkeeping, stamped at admission and kept in the [`Book`].
 struct SlotMeta {
     client: usize,
     client_seq: u64,
@@ -178,11 +179,6 @@ struct SlotCore {
     detections: Vec<Detection>,
 }
 
-struct Slot {
-    meta: Mutex<SlotMeta>,
-    core: Mutex<SlotCore>,
-}
-
 /// One client's ordering lane: sequence counters plus a parking ring for
 /// frames that completed ahead of an earlier sibling.
 struct ClientLane {
@@ -194,20 +190,37 @@ struct ClientLane {
     parked: Vec<Option<usize>>,
 }
 
-struct StatsInner {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    deadline_misses: AtomicU64,
-    /// Per-stage progress counters: frames planned, frames detected,
-    /// frames whose receive chains ran.
-    planned: AtomicU64,
-    detected: AtomicU64,
-    recovered: AtomicU64,
+/// The stream's books: admission, per-client ordering, delivery and the
+/// counters, behind one mutex ([`Shared::book`]). An admission, a
+/// delivery or a snapshot therefore sees all of them in one state, so a
+/// snapshot's counters agree by construction. Preallocated at build; no
+/// operation on it allocates.
+///
+/// Lock rule: a slot's core may be locked and then the book, never the
+/// book and then a core.
+struct Book {
+    /// Slots not in flight: admission pops one, dropping a [`Completed`]
+    /// pushes it back.
+    free: Vec<usize>,
+    /// Delivered slots awaiting [`FrameStream::recv`], in delivery order.
+    done: VecDeque<usize>,
+    lanes: Vec<ClientLane>,
+    /// Recent deliveries, backing the windowed rates.
+    window: DeliveryWindow,
+    /// Consulted once per admission.
+    policy: Box<dyn AdaptationPolicy>,
+    /// Per-frame bookkeeping, indexed by slot.
+    meta: Vec<SlotMeta>,
+    /// Frames admitted so far; also the next admission's frame id.
+    submitted: u64,
+    /// Frames delivered to `done`.
+    completed: u64,
+    /// Deliveries past their deadline.
+    deadline_misses: u64,
     /// Admissions per detector tier, indexed by `DetectorTier::index()`.
-    tier_admissions: [AtomicU64; DetectorTier::COUNT],
-    /// The most recently selected tier (`DetectorTier` discriminant), for
-    /// snapshots.
-    last_tier: AtomicU8,
+    tier_admissions: [u64; DetectorTier::COUNT],
+    /// The tier the policy chose most recently.
+    last_tier: DetectorTier,
 }
 
 /// Recent deliveries observed: a ring of the last [`WINDOW_EVENTS`]
@@ -221,10 +234,8 @@ struct StatsInner {
 /// a *live* suffix (the events not yet aged out of the span) and the miss
 /// count within it. An event leaves the live suffix once, when `rates`
 /// finds it older than the span or when the ring overwrites it. The
-/// suffix is walked in record order, so a delivery recorded a few µs out
-/// of timestamp order (two workers racing) ages out a few µs late, and
-/// the expiry assumes `now` does not run backward between calls by more
-/// than such a race.
+/// stream stamps every `record` and `rates` instant under its book lock,
+/// so events arrive in time order and `now` never runs backward.
 struct DeliveryWindow {
     /// Event number `seq` sits at `seq % WINDOW_EVENTS`.
     events: Vec<(Instant, bool)>,
@@ -326,12 +337,6 @@ struct Shared {
     /// One detector per tier; each frame is detected at the tier stamped
     /// on it. A fixed-detector stream is the uniform ladder.
     ladder: DetectorLadder,
-    /// Consulted once per admission, on the submitting thread.
-    policy: Mutex<Box<dyn AdaptationPolicy>>,
-    /// Recent-delivery ring backing the windowed rates. Lock order: this
-    /// is a leaf (taken under `lanes` in the delivery path, alone
-    /// elsewhere); never take another stream lock while holding it.
-    window: Mutex<DeliveryWindow>,
     /// Submit→delivery latency per client lane, nanoseconds. Preallocated
     /// at build; recording is lock- and allocation-free.
     latency: Vec<LogHistogram>,
@@ -341,7 +346,8 @@ struct Shared {
     /// the negative half of the slack distribution, kept as its own
     /// histogram so both stay unsigned.
     lateness: LogHistogram,
-    slots: Vec<Slot>,
+    /// Each slot's core, indexed like [`Book::meta`].
+    cores: Vec<Mutex<SlotCore>>,
     n_clients: usize,
     capacity: usize,
     /// The stream's executor; its one job is [`Shared::run_task`].
@@ -349,17 +355,25 @@ struct Shared {
     /// The frame whose task panics its popping worker
     /// ([`FrameStream::inject_worker_panic_at`]); `u64::MAX` when unarmed.
     fault_frame: AtomicU64,
-    free: Mutex<Vec<usize>>,
+    /// The stream's one bookkeeping lock.
+    book: Mutex<Book>,
+    /// Signalled on `book` when a slot returns to `Book::free`.
     free_cv: Condvar,
-    done_q: Mutex<VecDeque<usize>>,
+    /// Signalled on `book` when a completion joins `Book::done`.
     done_cv: Condvar,
-    lanes: Mutex<Vec<ClientLane>>,
-    stats: StatsInner,
     epoch: Instant,
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Waits on `cv` for at most 100 ms: the dead flag, which every waiter
+/// re-checks, signals no condvar.
+fn wait<'a>(cv: &Condvar, book: MutexGuard<'a, Book>) -> MutexGuard<'a, Book> {
+    cv.wait_timeout(book, Duration::from_millis(100))
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .0
 }
 
 impl Shared {
@@ -372,10 +386,10 @@ impl Shared {
     /// happens in [`Shared::deliver`], not here: a frame parked behind a
     /// slow predecessor can still miss.
     fn run_task(&self, slot_idx: usize, ws: &mut DetectorWorkspace) {
-        let slot = &self.slots[slot_idx];
         let (frame_id, tier, client, seq, snr_db, seed, channel) = {
-            let mut meta = lock(&slot.meta);
-            // The slot holds the channel only until the frame is planned.
+            let mut book = lock(&self.book);
+            let meta = &mut book.meta[slot_idx];
+            // The book holds the channel only until the frame is planned.
             let channel = meta.channel.take().expect("slot submitted without a channel");
             (
                 meta.frame_id,
@@ -393,17 +407,15 @@ impl Shared {
             panic!("injected worker fault (frame {frame_id})");
         }
         {
-            let mut core = lock(&slot.core);
+            let mut core = lock(&self.cores[slot_idx]);
             let SlotCore { ws: frame, detections } = &mut *core;
             frame.plan_uplink(&self.cfg, &channel, snr_db, &mut StdRng::seed_from_u64(seed));
             drop(channel);
-            self.stats.planned.fetch_add(1, Ordering::Relaxed);
             let detect = gs_prof::scope(gs_prof::Stage::Detect);
             let (channels, jobs) = (frame.planned_channels(), frame.planned_jobs());
             let batch = DetectionBatch { channels, jobs, c: self.cfg.constellation };
             self.ladder.detect_batch_with(tier, &batch, ws, detections);
             drop(detect);
-            self.stats.detected.fetch_add(1, Ordering::Relaxed);
             let mut stats = DetectorStats::default();
             let scatter = gs_prof::scope(gs_prof::Stage::Scatter);
             frame.begin_detection_assembly();
@@ -413,74 +425,73 @@ impl Shared {
             drop(scatter);
             frame.finish_uplink(&self.cfg, stats);
         }
-        self.stats.recovered.fetch_add(1, Ordering::Relaxed);
 
         // Per-client in-order delivery: deliver this frame if it is the
         // lane's next expected sequence (then drain any parked
         // successors); otherwise park it.
-        let mut lanes = lock(&self.lanes);
-        let lane = &mut lanes[client];
-        if seq == lane.next_deliver {
-            self.deliver(slot_idx);
-            lane.next_deliver += 1;
-            while let Some(parked) =
-                lane.parked[(lane.next_deliver % self.capacity as u64) as usize].take()
-            {
-                self.deliver(parked);
-                lane.next_deliver += 1;
-            }
-        } else {
+        let mut book = lock(&self.book);
+        let ring = |seq: u64| (seq % self.capacity as u64) as usize;
+        let lane = &mut book.lanes[client];
+        if seq != lane.next_deliver {
             gtrace::emit(gtrace::TracePoint::Park);
-            let cell = &mut lane.parked[(seq % self.capacity as u64) as usize];
+            let cell = &mut lane.parked[ring(seq)];
             // A hard assert, not a debug one: an occupied cell means a
             // sequencing bug is about to overwrite (lose) a completed
             // frame. Panicking here kills the pool like any other worker
             // panic, and the stream reports dead.
             assert!(cell.is_none(), "parking ring cell already occupied (seq {seq})");
             *cell = Some(slot_idx);
+            return;
         }
+        let mut next = Some(slot_idx);
+        while let Some(idx) = next {
+            self.deliver(&mut book, idx);
+            let lane = &mut book.lanes[client];
+            lane.next_deliver += 1;
+            next = lane.parked[ring(lane.next_deliver)].take();
+        }
+        // Wake receivers once the book is free for them to take.
+        drop(book);
+        self.done_cv.notify_all();
     }
 
     /// Makes one frame observable: accounts its deadline **now** (a frame
     /// that waited in the parking ring past its deadline missed it, even
     /// though its own recovery finished in time), feeds the delivery
-    /// window the control plane reads, and queues the completion.
-    fn deliver(&self, slot_idx: usize) {
+    /// window the control plane reads, and queues the completion; the
+    /// caller wakes the receivers.
+    fn deliver(&self, book: &mut Book, slot_idx: usize) {
         let _prof = gs_prof::scope(gs_prof::Stage::Delivery);
         let now = Instant::now();
-        let (missed, frame_id, client, tier) = {
-            let mut meta = lock(&self.slots[slot_idx].meta);
-            meta.missed_deadline = meta.deadline.is_some_and(|d| now > d);
-            // Telemetry, recorded at the observability point the stats
-            // counters use: submit→delivery latency on the client's lane,
-            // and the signed deadline margin split into slack/lateness
-            // (`duration_since` saturates, so each side stays unsigned).
-            self.latency[meta.client].record_duration(now.duration_since(meta.submitted_at));
-            match meta.deadline {
-                Some(d) if meta.missed_deadline => {
-                    self.lateness.record_duration(now.duration_since(d));
-                }
-                Some(d) => self.slack.record_duration(d.duration_since(now)),
-                None => {}
-            }
-            (meta.missed_deadline, meta.frame_id, meta.client, meta.tier)
-        };
+        let meta = &mut book.meta[slot_idx];
+        let missed = meta.deadline.is_some_and(|d| now > d);
+        meta.missed_deadline = missed;
+        // Telemetry, recorded at the observability point the counters
+        // use: submit→delivery latency on the client's lane, and the
+        // signed deadline margin split into slack/lateness
+        // (`duration_since` saturates, so each side stays unsigned).
+        self.latency[meta.client].record_duration(now.duration_since(meta.submitted_at));
+        match meta.deadline {
+            Some(d) if missed => self.lateness.record_duration(now.duration_since(d)),
+            Some(d) => self.slack.record_duration(d.duration_since(now)),
+            None => {}
+        }
         // Explicit identity: the recovering worker's ambient context is
         // the frame being recovered, which may differ when draining parked
         // successors.
+        let frame_id = meta.frame_id;
         gtrace::emit_for(
             gtrace::TracePoint::Deliver,
             gtrace::EventKind::Instant,
-            trace_ctx(frame_id, client, tier),
+            trace_ctx(frame_id, meta.client, meta.tier),
         );
         if missed {
-            self.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
+            book.deadline_misses += 1;
             gtrace::trigger(gtrace::Trigger::DeadlineMiss, frame_id);
         }
-        lock(&self.window).record(now, missed);
-        lock(&self.done_q).push_back(slot_idx);
-        self.stats.completed.fetch_add(1, Ordering::Relaxed);
-        self.done_cv.notify_one();
+        book.window.record(now, missed);
+        book.done.push_back(slot_idx);
+        book.completed += 1;
     }
 
     fn deadline_key(&self, deadline: Option<Instant>) -> u64 {
@@ -491,26 +502,6 @@ impl Shared {
                 u64::try_from(nanos).unwrap_or(NO_DEADLINE - 1).min(NO_DEADLINE - 1)
             }
         }
-    }
-
-    /// Consults the policy for the admission being installed. Runs on the
-    /// submitting thread; allocation-free (no policy may allocate on its
-    /// steady-state path).
-    fn select_tier(&self) -> DetectorTier {
-        let tier = {
-            let in_flight = self.capacity - lock(&self.free).len();
-            let (_, miss_rate) = lock(&self.window).rates(Instant::now());
-            let signal = PressureSignal {
-                miss_rate,
-                occupancy: in_flight as f64 / self.capacity as f64,
-                in_flight,
-                capacity: self.capacity,
-            };
-            lock(&self.policy).select_tier(&signal)
-        };
-        self.stats.tier_admissions[tier.index()].fetch_add(1, Ordering::Relaxed);
-        self.stats.last_tier.store(tier as u8, Ordering::Relaxed);
-        tier
     }
 }
 
@@ -582,45 +573,42 @@ impl FrameStream {
         // The queue can hold every in-flight frame at once.
         let pool = DetectionPool::new(workers, capacity, sc.pin);
 
-        let slots: Vec<Slot> = (0..capacity)
-            .map(|_| Slot {
-                meta: Mutex::new(SlotMeta::empty()),
-                core: Mutex::new(SlotCore { ws: FrameWorkspace::new(), detections: Vec::new() }),
-            })
-            .collect();
-
-        let lanes = (0..sc.clients)
-            .map(|_| ClientLane { next_submit: 0, next_deliver: 0, parked: vec![None; capacity] })
-            .collect();
+        let book = Book {
+            free: (0..capacity).rev().collect(),
+            done: VecDeque::with_capacity(capacity),
+            lanes: (0..sc.clients)
+                .map(|_| ClientLane {
+                    next_submit: 0,
+                    next_deliver: 0,
+                    parked: vec![None; capacity],
+                })
+                .collect(),
+            window: DeliveryWindow::new(),
+            policy,
+            meta: (0..capacity).map(|_| SlotMeta::empty()).collect(),
+            submitted: 0,
+            completed: 0,
+            deadline_misses: 0,
+            tier_admissions: [0; DetectorTier::COUNT],
+            last_tier: DetectorTier::Sphere,
+        };
 
         let shared = Arc::new(Shared {
             cfg,
             ladder,
-            policy: Mutex::new(policy),
-            window: Mutex::new(DeliveryWindow::new()),
             latency: (0..sc.clients).map(|_| LogHistogram::new()).collect(),
             slack: LogHistogram::new(),
             lateness: LogHistogram::new(),
-            slots,
+            cores: (0..capacity)
+                .map(|_| Mutex::new(SlotCore { ws: FrameWorkspace::new(), detections: Vec::new() }))
+                .collect(),
             n_clients: sc.clients,
             capacity,
             pool,
             fault_frame: AtomicU64::new(u64::MAX),
-            free: Mutex::new((0..capacity).rev().collect()),
+            book: Mutex::new(book),
             free_cv: Condvar::new(),
-            done_q: Mutex::new(VecDeque::with_capacity(capacity)),
             done_cv: Condvar::new(),
-            lanes: Mutex::new(lanes),
-            stats: StatsInner {
-                submitted: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                deadline_misses: AtomicU64::new(0),
-                planned: AtomicU64::new(0),
-                detected: AtomicU64::new(0),
-                recovered: AtomicU64::new(0),
-                tier_admissions: std::array::from_fn(|_| AtomicU64::new(0)),
-                last_tier: AtomicU8::new(DetectorTier::Sphere as u8),
-            },
             epoch: Instant::now(),
         });
         // The workers hold the engine until `Drop` joins them.
@@ -655,24 +643,18 @@ impl FrameStream {
         // Validate before taking a slot: a panic past this point must not
         // leak the slot it popped.
         self.assert_admissible(&frame);
-        let slot_idx = {
-            let mut free = lock(&self.shared.free);
-            loop {
-                if self.is_dead() {
-                    return Err(StreamDead);
-                }
-                if let Some(idx) = free.pop() {
-                    break idx;
-                }
-                let (guard, _) = self
-                    .shared
-                    .free_cv
-                    .wait_timeout(free, Duration::from_millis(100))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                free = guard;
+        let shared = &*self.shared;
+        let mut book = lock(&shared.book);
+        let slot_idx = loop {
+            if self.is_dead() {
+                return Err(StreamDead);
             }
+            if let Some(idx) = book.free.pop() {
+                break idx;
+            }
+            book = wait(&shared.free_cv, book);
         };
-        self.install(slot_idx, &frame)
+        self.install(book, slot_idx, &frame)
     }
 
     /// Non-blocking admission: returns the frame back when no slot is
@@ -683,26 +665,25 @@ impl FrameStream {
         if self.is_dead() {
             return Err(TrySubmitError::Dead(frame));
         }
-        let slot_idx = match lock(&self.shared.free).pop() {
-            Some(idx) => idx,
-            None => {
-                // Loss-tolerant refusal is an anomaly worth a flight
-                // record: no frame id exists (nothing was admitted), so
-                // the event rides the no-frame "stream" track.
-                gtrace::emit_for(
-                    gtrace::TracePoint::Refuse,
-                    gtrace::EventKind::Instant,
-                    gtrace::FrameCtx {
-                        frame: gtrace::NO_FRAME,
-                        client: frame.client as u32,
-                        tier: gtrace::NO_TIER,
-                    },
-                );
-                gtrace::trigger(gtrace::Trigger::AdmissionRefusal, gtrace::NO_FRAME);
-                return Err(TrySubmitError::Full(frame));
-            }
+        let mut book = lock(&self.shared.book);
+        let Some(slot_idx) = book.free.pop() else {
+            drop(book);
+            // Loss-tolerant refusal is an anomaly worth a flight record:
+            // no frame id exists (nothing was admitted), so the event
+            // rides the no-frame "stream" track.
+            gtrace::emit_for(
+                gtrace::TracePoint::Refuse,
+                gtrace::EventKind::Instant,
+                gtrace::FrameCtx {
+                    frame: gtrace::NO_FRAME,
+                    client: frame.client as u32,
+                    tier: gtrace::NO_TIER,
+                },
+            );
+            gtrace::trigger(gtrace::Trigger::AdmissionRefusal, gtrace::NO_FRAME);
+            return Err(TrySubmitError::Full(frame));
         };
-        self.install(slot_idx, &frame).map_err(|StreamDead| TrySubmitError::Dead(frame))
+        self.install(book, slot_idx, &frame).map_err(|StreamDead| TrySubmitError::Dead(frame))
     }
 
     /// Fault injection: the worker that pops frame `frame`'s task (frames
@@ -742,43 +723,59 @@ impl FrameStream {
         );
     }
 
-    /// Stamps the frame on its claimed slot and queues the slot's home
-    /// task. A pool that died since the caller's liveness check refuses
-    /// the task: the slot goes back to `free` and the stream reports dead.
-    fn install(&self, slot_idx: usize, frame: &UplinkFrame) -> Result<(), StreamDead> {
+    /// Admits the frame on its claimed slot, still under the book lock
+    /// the caller claimed it with, then queues the slot's task. A pool
+    /// that died since the caller's liveness check refuses the task: the
+    /// slot goes back to `free` and the stream reports dead.
+    fn install(
+        &self,
+        mut book: MutexGuard<'_, Book>,
+        slot_idx: usize,
+        frame: &UplinkFrame,
+    ) -> Result<(), StreamDead> {
         let shared = &*self.shared;
+        let now = Instant::now();
         // One policy consultation per admission, before the frame is
-        // queued, so the tier reflects pressure at admission time.
-        let prev_tier = shared.stats.last_tier.load(Ordering::Relaxed);
-        let tier = shared.select_tier();
-        let client = frame.client;
-        let client_seq = {
-            let mut lanes = lock(&shared.lanes);
-            let lane = &mut lanes[client];
-            let seq = lane.next_submit;
-            lane.next_submit += 1;
-            seq
+        // queued, so the tier reflects pressure at admission time (no
+        // policy may allocate on its steady-state path). The previous
+        // tier is read in the same critical section, so every switch is
+        // reported exactly once.
+        let in_flight = shared.capacity - book.free.len();
+        let (_, miss_rate) = book.window.rates(now);
+        let signal = PressureSignal {
+            miss_rate,
+            occupancy: in_flight as f64 / shared.capacity as f64,
+            in_flight,
+            capacity: shared.capacity,
         };
+        let tier = book.policy.select_tier(&signal);
+        let switched = tier != std::mem::replace(&mut book.last_tier, tier);
+        book.tier_admissions[tier.index()] += 1;
         // The global submission ordinal doubles as the flight recorder's
         // frame id (the pre-increment value, so ids start at 0).
-        let frame_id = shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut meta = lock(&shared.slots[slot_idx].meta);
-            meta.client = client;
-            meta.client_seq = client_seq;
-            meta.snr_db = frame.snr_db;
-            meta.seed = frame.seed;
-            meta.deadline = frame.deadline;
-            meta.channel = Some(Arc::clone(&frame.channel));
-            meta.missed_deadline = false;
-            meta.tier = tier;
-            meta.submitted_at = Instant::now();
-            meta.frame_id = frame_id;
-        }
-        let tctx = trace_ctx(frame_id, client, tier);
+        let frame_id = book.submitted;
+        book.submitted += 1;
+        let lane = &mut book.lanes[frame.client];
+        let client_seq = lane.next_submit;
+        lane.next_submit += 1;
+        book.meta[slot_idx] = SlotMeta {
+            client: frame.client,
+            client_seq,
+            snr_db: frame.snr_db,
+            seed: frame.seed,
+            deadline: frame.deadline,
+            channel: Some(Arc::clone(&frame.channel)),
+            missed_deadline: false,
+            tier,
+            submitted_at: now,
+            frame_id,
+        };
+        drop(book);
+
+        let tctx = trace_ctx(frame_id, frame.client, tier);
         gtrace::emit_for(gtrace::TracePoint::Submit, gtrace::EventKind::Instant, tctx);
         gtrace::emit_for(gtrace::TracePoint::Admit, gtrace::EventKind::Instant, tctx);
-        if tier as u8 != prev_tier {
+        if switched {
             gtrace::emit_for(gtrace::TracePoint::TierSwitch, gtrace::EventKind::Instant, tctx);
             gtrace::trigger(gtrace::Trigger::TierSwitch, frame_id);
         }
@@ -786,11 +783,10 @@ impl FrameStream {
         // that pops it, so the frame's identity rides along for its plan,
         // detection and recovery.
         gtrace::set_context(tctx);
-        let key = shared.deadline_key(frame.deadline);
-        let queued = shared.pool.submit(key, slot_idx);
+        let queued = shared.pool.submit(shared.deadline_key(frame.deadline), slot_idx);
         gtrace::clear_context();
         if queued.is_err() {
-            lock(&shared.free).push(slot_idx);
+            lock(&shared.book).free.push(slot_idx);
             shared.free_cv.notify_one();
         }
         queued
@@ -810,115 +806,72 @@ impl FrameStream {
     /// delivered to the done queue before the failure are still handed
     /// out first.
     pub fn recv(&self) -> Result<Completed<'_>, StreamDead> {
-        let slot_idx = {
-            let mut q = lock(&self.shared.done_q);
-            loop {
-                if let Some(idx) = q.pop_front() {
-                    break idx;
-                }
-                if self.is_dead() {
-                    return Err(StreamDead);
-                }
-                let (guard, _) = self
-                    .shared
-                    .done_cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q = guard;
+        let shared = &*self.shared;
+        let mut book = lock(&shared.book);
+        loop {
+            if let Some(idx) = book.done.pop_front() {
+                return Ok(self.completed(book, idx));
             }
-        };
-        Ok(self.completed(slot_idx))
+            if self.is_dead() {
+                return Err(StreamDead);
+            }
+            book = wait(&shared.done_cv, book);
+        }
     }
 
     /// Non-blocking [`FrameStream::recv`].
     pub fn try_recv(&self) -> Option<Completed<'_>> {
-        let slot_idx = lock(&self.shared.done_q).pop_front()?;
-        Some(self.completed(slot_idx))
+        let mut book = lock(&self.shared.book);
+        let slot_idx = book.done.pop_front()?;
+        Some(self.completed(book, slot_idx))
     }
 
-    fn completed(&self, slot_idx: usize) -> Completed<'_> {
-        let slot = &self.shared.slots[slot_idx];
-        let (client, client_seq, missed_deadline, tier) = {
-            let meta = lock(&slot.meta);
-            (meta.client, meta.client_seq, meta.missed_deadline, meta.tier)
-        };
-        let core = lock(&slot.core);
+    /// Hands out the delivered frame in `slot_idx`, releasing the book
+    /// before it locks the slot's core (the lock rule's one order).
+    fn completed(&self, book: MutexGuard<'_, Book>, slot_idx: usize) -> Completed<'_> {
+        let meta = &book.meta[slot_idx];
+        let (client, client_seq, missed_deadline, tier) =
+            (meta.client, meta.client_seq, meta.missed_deadline, meta.tier);
+        drop(book);
+        let core = lock(&self.shared.cores[slot_idx]);
         Completed { stream: self, slot_idx, core, client, client_seq, missed_deadline, tier }
     }
 
     /// A point-in-time stats snapshot (allocates; not a hot-path call).
+    /// The counters, occupancy and windowed rates come from one critical
+    /// section of the book, so they agree with each other.
     pub fn stats(&self) -> RuntimeStats {
         let shared = &*self.shared;
+        // Read before the book: a task is queued only while its slot is
+        // in flight, so the depth never exceeds the `in_flight` read after.
         let queue_depth = shared.pool.queue_depth();
-        let in_flight = shared.capacity - lock(&shared.free).len();
-        let elapsed = shared.epoch.elapsed();
-        let (windowed_frames_per_sec, windowed_miss_rate) =
-            lock(&shared.window).rates(Instant::now());
-        // Each stage counter is its own atomic, so a scrape racing the
-        // pipeline can read a later stage ahead of an earlier one (e.g.
-        // `recovered > detected` between a worker's two increments).
-        // Clamp into the pipeline's monotone order so differenced gauges
-        // (`submitted − completed`, per-stage backlogs) never go negative.
-        let submitted = shared.stats.submitted.load(Ordering::Relaxed);
-        let [planned, detected, recovered, completed, deadline_misses] = clamp_stage_counters(
-            submitted,
-            [
-                shared.stats.planned.load(Ordering::Relaxed),
-                shared.stats.detected.load(Ordering::Relaxed),
-                shared.stats.recovered.load(Ordering::Relaxed),
-                shared.stats.completed.load(Ordering::Relaxed),
-                shared.stats.deadline_misses.load(Ordering::Relaxed),
-            ],
-        );
+        // The copies allocate, so they are taken outside the lock.
+        let latency_per_client = shared.latency.iter().map(LogHistogram::snapshot).collect();
+        let queue_wait_per_shard = [shared.pool.queue_wait_snapshot()];
+        let (deadline_slack, deadline_lateness) =
+            (shared.slack.snapshot(), shared.lateness.snapshot());
+        let mut book = lock(&shared.book);
+        let now = Instant::now();
+        let (windowed_frames_per_sec, windowed_miss_rate) = book.window.rates(now);
         RuntimeStats {
-            submitted,
-            completed,
-            deadline_misses,
-            planned,
-            detected,
-            recovered,
-            tier_admissions: std::array::from_fn(|i| {
-                shared.stats.tier_admissions[i].load(Ordering::Relaxed)
-            }),
-            current_tier: DetectorTier::from_index(
-                shared.stats.last_tier.load(Ordering::Relaxed) as usize
-            )
-            .unwrap_or_default(),
-            in_flight,
+            submitted: book.submitted,
+            completed: book.completed,
+            deadline_misses: book.deadline_misses,
+            tier_admissions: book.tier_admissions,
+            current_tier: book.last_tier,
+            in_flight: shared.capacity - book.free.len(),
             capacity: shared.capacity,
             workers: shared.pool.workers(),
             queue_depth,
-            elapsed,
-            // Lifetime average: completes/elapsed, zero before the first
-            // delivery rather than an absurd early-snapshot spike.
-            frames_per_sec: if completed == 0 {
-                0.0
-            } else {
-                completed as f64 / elapsed.as_secs_f64().max(1e-9)
-            },
+            elapsed: now.duration_since(shared.epoch),
             windowed_frames_per_sec,
             windowed_miss_rate,
-            latency_per_client: shared.latency.iter().map(LogHistogram::snapshot).collect(),
-            queue_wait_per_shard: [shared.pool.queue_wait_snapshot()],
-            deadline_slack: shared.slack.snapshot(),
-            deadline_lateness: shared.lateness.snapshot(),
+            latency_per_client,
+            queue_wait_per_shard,
+            deadline_slack,
+            deadline_lateness,
         }
     }
-}
-
-/// Clamps the stage counters `[planned, detected, recovered, completed,
-/// deadline_misses]` into the pipeline's monotone order under `submitted`:
-/// each stage can never have processed more frames than the one feeding
-/// it, and misses are a subset of completions. Raw reads can violate this
-/// transiently (each counter is a separate atomic); exported snapshots
-/// must not.
-fn clamp_stage_counters(submitted: u64, raw: [u64; 5]) -> [u64; 5] {
-    let planned = raw[0].min(submitted);
-    let detected = raw[1].min(planned);
-    let recovered = raw[2].min(detected);
-    let completed = raw[3].min(recovered);
-    let deadline_misses = raw[4].min(completed);
-    [planned, detected, recovered, completed, deadline_misses]
 }
 
 impl Drop for FrameStream {
@@ -977,13 +930,12 @@ impl Completed<'_> {
 
 impl Drop for Completed<'_> {
     fn drop(&mut self) {
+        // Core (held by this guard) then book: the lock rule's one order.
+        // A worker planning a frame that raced onto the freed slot blocks
+        // on the core lock until the guard releases, right after this body.
         let shared = &*self.stream.shared;
-        lock(&shared.free).push(self.slot_idx);
+        lock(&shared.book).free.push(self.slot_idx);
         shared.free_cv.notify_one();
-        // The core guard releases right after this body; a worker planning
-        // a frame that raced onto the freed slot blocks those few
-        // instructions on the core lock, never deadlocks (this thread holds
-        // nothing else).
     }
 }
 
@@ -1128,19 +1080,64 @@ mod tests {
         }
     }
 
-    /// Stage counters exported by a snapshot must be monotone along the
-    /// pipeline even when the raw atomics were read mid-increment.
+    /// Every snapshot taken while frames flow is consistent: one tier
+    /// admission per submitted frame, misses a subset of completions, and
+    /// every admitted but undelivered frame holding a slot.
     #[test]
-    fn stage_counter_clamp_restores_pipeline_order() {
-        // A torn read: detection finished (7) before the scrape saw the
-        // plan's increment (6), and a miss landed before `completed`.
-        let [planned, detected, recovered, completed, misses] =
-            clamp_stage_counters(8, [6, 7, 7, 5, 6]);
-        assert!(planned <= 8 && detected <= planned && recovered <= detected);
-        assert!(completed <= recovered && misses <= completed);
-        assert_eq!([planned, detected, recovered, completed, misses], [6, 6, 6, 5, 5]);
-        // An in-order read passes through untouched.
-        assert_eq!(clamp_stage_counters(10, [9, 8, 7, 6, 2]), [9, 8, 7, 6, 2]);
+    fn snapshots_stay_consistent_under_load() {
+        use std::sync::atomic::AtomicBool;
+        const FRAMES: u64 = 300;
+        let cfg = small_cfg();
+        let chans = channels(2, 52);
+        let mut sc = StreamConfig::new(2);
+        sc.workers = 2;
+        let stream = FrameStream::new(cfg, geosphere_decoder(), sc);
+        let capacity = stream.capacity();
+        let running = AtomicBool::new(true);
+        let snapshots = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for k in 0..FRAMES {
+                    let mut f = UplinkFrame::new(
+                        (k % 2) as usize,
+                        Arc::clone(&chans[(k % 2) as usize]),
+                        20.0,
+                        k,
+                    );
+                    // Every third frame is already late; the rest are not.
+                    let slack = Duration::from_secs(3600);
+                    f.deadline = Some(if k % 3 == 0 {
+                        Instant::now() - Duration::from_millis(1)
+                    } else {
+                        Instant::now() + slack
+                    });
+                    stream.submit(f).unwrap();
+                }
+            });
+            let watcher = scope.spawn(|| {
+                let mut n = 0u64;
+                while running.load(Ordering::Acquire) {
+                    let s = stream.stats();
+                    let c = (s.submitted, s.completed, s.deadline_misses, s.in_flight);
+                    assert_eq!(s.tier_admissions.iter().sum::<u64>(), s.submitted, "{c:?}");
+                    assert!(s.deadline_misses <= s.completed, "{c:?}");
+                    assert!(s.completed <= s.submitted, "{c:?}");
+                    assert!(s.submitted - s.completed <= s.in_flight as u64, "{c:?}");
+                    assert!(s.in_flight <= s.capacity && s.capacity == capacity, "{c:?}");
+                    n += 1;
+                    std::thread::yield_now();
+                }
+                n
+            });
+            for _ in 0..FRAMES {
+                drop(stream.recv().unwrap());
+            }
+            running.store(false, Ordering::Release);
+            watcher.join().unwrap()
+        });
+        assert!(snapshots > 0);
+        let s = stream.stats();
+        assert_eq!((s.submitted, s.completed, s.in_flight), (FRAMES, FRAMES, 0));
+        assert_eq!(s.deadline_misses, FRAMES.div_ceil(3), "exactly the late frames missed");
     }
 
     #[test]
@@ -1387,7 +1384,7 @@ mod tests {
         stream.shared.pool.shutdown_and_join();
         assert!(stream.try_recv().is_none(), "the panicked frame is never delivered");
         let stats = stream.stats();
-        assert_eq!((stats.submitted, stats.recovered, stats.completed), (2, 1, 1));
+        assert_eq!((stats.submitted, stats.completed), (2, 1));
         drop(stream);
         let finished = FINISHED.load(Ordering::SeqCst);
         assert_eq!((finished, UNWOUND.load(Ordering::SeqCst)), (1, 1), "one detection unwound");
@@ -1395,7 +1392,7 @@ mod tests {
 
     /// On a 2-worker stream under lockstep, arming frame `k` kills exactly
     /// frame `k`, whichever worker pops it: frames before it deliver, and
-    /// it is popped but never planned.
+    /// it is popped but never delivered.
     #[test]
     fn injected_fault_kills_exactly_the_armed_frame() {
         let cfg = small_cfg();
@@ -1413,7 +1410,7 @@ mod tests {
             }
             assert_eq!(stream.recv().err(), Some(StreamDead), "k {k}");
             let stats = stream.stats();
-            assert_eq!((stats.submitted, stats.planned, stats.completed), (k + 1, k, k), "k {k}");
+            assert_eq!((stats.submitted, stats.completed), (k + 1, k), "k {k}");
             // Frames 0..=k popped once each.
             assert_eq!(stats.queue_wait_per_shard[0].count(), k + 1, "k {k}");
             drop(stream);

@@ -93,13 +93,10 @@ fn summary_single(out: &mut String, name: &str, hist: &HistogramSnapshot) {
 pub fn render_runtime_stats(stats: &RuntimeStats) -> String {
     let mut out = String::with_capacity(4096);
 
-    // Lifetime pipeline counters, in stage order (already clamped
-    // monotone by the snapshot).
+    // Lifetime counters, consistent with each other by construction (one
+    // snapshot reads them all under the stream's bookkeeping lock).
     for (name, v) in [
         ("gs_frames_submitted_total", stats.submitted),
-        ("gs_frames_planned_total", stats.planned),
-        ("gs_frames_detected_total", stats.detected),
-        ("gs_frames_recovered_total", stats.recovered),
         ("gs_frames_completed_total", stats.completed),
         ("gs_deadline_misses_total", stats.deadline_misses),
     ] {
@@ -127,7 +124,6 @@ pub fn render_runtime_stats(stats: &RuntimeStats) -> String {
         ("gs_workers", stats.workers as f64),
         ("gs_queue_depth", stats.queue_depth as f64),
         ("gs_uptime_seconds", stats.elapsed.as_secs_f64()),
-        ("gs_frames_per_sec", stats.frames_per_sec),
         ("gs_windowed_frames_per_sec", stats.windowed_frames_per_sec),
         ("gs_windowed_miss_rate", stats.windowed_miss_rate),
     ] {

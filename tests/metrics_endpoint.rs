@@ -4,15 +4,18 @@
 //! to match a [`RuntimeStats`] snapshot *exactly* — the endpoint is a
 //! rendering of the snapshot, not a second bookkeeping system.
 
+use geosphere::channel::{ChannelModel, RayleighChannel};
 use geosphere::core::geosphere_decoder;
 use geosphere::modulation::Constellation;
 use geosphere::phy::PhyConfig;
-use geosphere::runtime::{FrameStream, StreamConfig};
+use geosphere::runtime::{DetectorTier, FrameStream, StreamConfig, UplinkFrame};
 use geosphere::sim::{drive, DeadlineSpec, Pacing, Scenario, SnrSpec, TrafficMix};
 use geosphere::telemetry::{
     assert_counters_monotone, lint_exposition, render_runtime_stats, scrape, scrape_deadline,
-    MetricsServer, MAX_CLIENT_LANES, QUANTILES,
+    Exposition, MetricsServer, MAX_CLIENT_LANES, QUANTILES,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,9 +54,6 @@ fn scraped_metrics_match_runtime_stats_exactly() {
 
     for (name, expect) in [
         ("gs_frames_submitted_total", stats.submitted),
-        ("gs_frames_planned_total", stats.planned),
-        ("gs_frames_detected_total", stats.detected),
-        ("gs_frames_recovered_total", stats.recovered),
         ("gs_frames_completed_total", stats.completed),
         ("gs_deadline_misses_total", stats.deadline_misses),
     ] {
@@ -111,24 +111,54 @@ fn scraped_metrics_match_runtime_stats_exactly() {
     );
     let queue_waits = stats.queue_wait_per_shard[0].count();
     assert_eq!(expo.value("gs_queue_wait_seconds_count", &[]), Some(queue_waits as f64));
-    assert!(queue_waits >= stats.detected, "each frame's task waited in the queue");
+    assert!(queue_waits >= stats.completed, "each frame's task waited in the queue");
 
     // The endpoint serves exactly what the renderer produces.
     let rendered = lint_exposition(&render_runtime_stats(&stats)).expect("renderer lints clean");
     assert_eq!(rendered.types, expo.types, "served families match direct rendering");
 
-    // A second burst: counters move forward, never backward, and the new
-    // scrape still lints.
-    drive(&stream, &plan, SATURATE);
+    // A second burst, scraped while it runs: counters move forward, never
+    // backward, every scrape still lints, and each shows one tier
+    // admission per submitted frame (one snapshot reads both counters
+    // under the stream's bookkeeping lock).
+    let tiers_match_submissions = |expo: &Exposition| {
+        let tiers: f64 = expo.series("gs_tier_admissions_total").iter().map(|s| s.value).sum();
+        assert_eq!(Some(tiers), expo.value("gs_frames_submitted_total", &[]), "tiers vs submitted");
+    };
+    std::thread::scope(|s| {
+        let driver = s.spawn(|| drive(&stream, &plan, SATURATE));
+        while !driver.is_finished() {
+            let racing =
+                lint_exposition(&scrape(server.addr(), "/metrics").expect("racing scrape"))
+                    .expect("racing exposition lints clean");
+            tiers_match_submissions(&racing);
+        }
+    });
     let second = lint_exposition(&scrape(server.addr(), "/metrics").expect("scrape #2"))
         .expect("second exposition lints clean");
     let compared = assert_counters_monotone(&expo, &second).expect("counters monotone");
-    assert!(compared >= 9, "all counter series present in both scrapes");
+    // Submitted, completed and misses, plus one admissions series per tier.
+    assert!(compared >= 3 + DetectorTier::COUNT, "all counter series present in both scrapes");
     assert!(
         second.value("gs_frames_completed_total", &[])
             > expo.value("gs_frames_completed_total", &[]),
         "second burst completed more frames"
     );
+
+    // Frames in flight for certain: fill every slot and hold the
+    // completions while scraping.
+    let chan = Arc::new(RayleighChannel::new(4, 2).realize(&mut StdRng::seed_from_u64(816)));
+    for k in 0..stream.capacity() {
+        let frame = UplinkFrame::new(k % CLIENTS, Arc::clone(&chan), 24.0, k as u64);
+        stream.submit(frame).expect("stream alive");
+    }
+    let busy = lint_exposition(&scrape(server.addr(), "/metrics").expect("busy scrape"))
+        .expect("busy exposition lints clean");
+    assert_eq!(busy.value("gs_in_flight", &[]), Some(stream.capacity() as f64));
+    tiers_match_submissions(&busy);
+    for _ in 0..stream.capacity() {
+        drop(stream.recv().expect("stream alive"));
+    }
 
     // Unknown paths 404 (scrape surfaces that as an error), wrong methods
     // are rejected, and shutdown is clean + idempotent.

@@ -63,10 +63,12 @@ fn bench_vp_precoding(cr: &mut Criterion) {
 
 fn bench_siso_decoders(cr: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(101);
-    let bits: Vec<bool> = (0..512).map(|_| rng.gen_bool(0.5)).collect();
-    let mut coded = Vec::new();
-    conv::encode_into(&bits, &mut coded);
-    let llrs: Vec<f64> = coded.iter().map(|&b| if b { -3.0 } else { 3.0 }).collect();
+    let info: Vec<u64> = (0..512 / 64).map(|_| rng.gen()).collect();
+    let mut mother = Vec::new();
+    conv::encode_into(&info, 512, &mut mother);
+    let llrs: Vec<f64> = (0..2 * 518)
+        .map(|i| if mother[i / 64] >> (i % 64) & 1 == 1 { -3.0 } else { 3.0 })
+        .collect();
     let (mut ws, mut out) = (ViterbiWorkspace::new(), Vec::new());
     cr.bench_function("soft_viterbi_512bits", |b| {
         b.iter(|| {

@@ -14,8 +14,9 @@ use crate::conv::{branch_output, next_state, CONSTRAINT, NUM_STATES};
 /// Output of one SISO decoding pass.
 #[derive(Clone, Debug)]
 pub struct SisoOutput {
-    /// Hard decisions on the information bits (tail stripped).
-    pub info_bits: Vec<bool>,
+    /// Hard decisions on the information bits (tail stripped), packed:
+    /// bit `t` is bit `t % 64` of word `t / 64`.
+    pub info_bits: Vec<u64>,
     /// A-posteriori LLRs of the information bits.
     pub info_llrs: Vec<f64>,
     /// **Extrinsic** LLRs of the coded bits (a-posteriori minus input):
@@ -125,9 +126,11 @@ pub fn siso_decode(coded_llrs: &[f64]) -> SisoOutput {
         coded_post.push(best_c1[0] - best_c1[1]);
     }
 
-    let info_bits: Vec<bool> =
-        info_llrs.iter().take(steps - (CONSTRAINT - 1)).map(|&l| l < 0.0).collect();
     info_llrs.truncate(steps - (CONSTRAINT - 1));
+    let mut info_bits = vec![0u64; info_llrs.len().div_ceil(64)];
+    for (t, &l) in info_llrs.iter().enumerate() {
+        info_bits[t / 64] |= ((l < 0.0) as u64) << (t % 64);
+    }
     let coded_extrinsic: Vec<f64> =
         coded_post.iter().zip(coded_llrs).map(|(&post, &input)| post - input).collect();
 
@@ -142,6 +145,26 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn pack(bits: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, &b) in bits.iter().enumerate() {
+            words[i / 64] |= (b as u64) << (i % 64);
+        }
+        words
+    }
+
+    /// The mother stream's bits of `bits`.
+    fn encode(bits: &[bool]) -> Vec<bool> {
+        let mut mother = Vec::new();
+        encode_into(&pack(bits), bits.len(), &mut mother);
+        (0..2 * (bits.len() + 6)).map(|i| mother[i / 64] >> (i % 64) & 1 == 1).collect()
+    }
+
+    /// Bits that differ between two packed streams.
+    fn errors(a: &[u64], b: &[u64]) -> usize {
+        a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones() as usize).sum()
+    }
+
     fn to_llrs(coded: &[bool], confidence: f64) -> Vec<f64> {
         coded.iter().map(|&b| if b { -confidence } else { confidence }).collect()
     }
@@ -150,10 +173,9 @@ mod tests {
     fn matches_viterbi_on_clean_input() {
         let mut rng = StdRng::seed_from_u64(961);
         let bits: Vec<bool> = (0..150).map(|_| rng.gen_bool(0.5)).collect();
-        let mut coded = Vec::new();
-        encode_into(&bits, &mut coded);
+        let coded = encode(&bits);
         let out = siso_decode(&to_llrs(&coded, 4.0));
-        assert_eq!(out.info_bits, bits);
+        assert_eq!(out.info_bits, pack(&bits));
         let hard: Vec<CodedBit> = coded.iter().map(|&b| CodedBit::from_bool(b)).collect();
         let mut viterbi = Vec::new();
         decode_with_erasures_into(&hard, &mut ViterbiWorkspace::new(), &mut viterbi);
@@ -164,8 +186,7 @@ mod tests {
     fn info_llr_signs_match_bits() {
         let mut rng = StdRng::seed_from_u64(962);
         let bits: Vec<bool> = (0..100).map(|_| rng.gen_bool(0.5)).collect();
-        let mut coded = Vec::new();
-        encode_into(&bits, &mut coded);
+        let coded = encode(&bits);
         let out = siso_decode(&to_llrs(&coded, 3.0));
         for (l, &b) in out.info_llrs.iter().zip(&bits) {
             assert_eq!(*l < 0.0, b);
@@ -179,15 +200,14 @@ mod tests {
         // them nonzero extrinsic information with the correct sign.
         let mut rng = StdRng::seed_from_u64(963);
         let bits: Vec<bool> = (0..80).map(|_| rng.gen_bool(0.5)).collect();
-        let mut coded = Vec::new();
-        encode_into(&bits, &mut coded);
+        let coded = encode(&bits);
         let mut llrs = to_llrs(&coded, 4.0);
         let erased: Vec<usize> = (5..llrs.len()).step_by(17).collect();
         for &k in &erased {
             llrs[k] = 0.0;
         }
         let out = siso_decode(&llrs);
-        assert_eq!(out.info_bits, bits, "erasures must be recovered");
+        assert_eq!(out.info_bits, pack(&bits), "erasures must be recovered");
         for &k in &erased {
             let ext = out.coded_extrinsic[k];
             assert!(
@@ -206,8 +226,7 @@ mod tests {
         // everything else strong; extrinsic must correct it.
         let mut rng = StdRng::seed_from_u64(964);
         let bits: Vec<bool> = (0..60).map(|_| rng.gen_bool(0.5)).collect();
-        let mut coded = Vec::new();
-        encode_into(&bits, &mut coded);
+        let coded = encode(&bits);
         let mut llrs = to_llrs(&coded, 5.0);
         llrs[20] = if coded[20] { 0.4 } else { -0.4 }; // weakly wrong
         let out = siso_decode(&llrs);
@@ -224,10 +243,10 @@ mod tests {
         let mut bcjr_errs = 0usize;
         let mut vit_errs = 0usize;
         let sigma = 0.95;
-        let (mut coded, mut ws, mut decoded) = (Vec::new(), ViterbiWorkspace::new(), Vec::new());
+        let (mut ws, mut decoded) = (ViterbiWorkspace::new(), Vec::new());
         for _ in 0..40 {
             let bits: Vec<bool> = (0..100).map(|_| rng.gen_bool(0.5)).collect();
-            encode_into(&bits, &mut coded);
+            let coded = encode(&bits);
             let llrs: Vec<f64> = coded
                 .iter()
                 .map(|&b| {
@@ -236,10 +255,9 @@ mod tests {
                     2.0 * r / (sigma * sigma)
                 })
                 .collect();
-            bcjr_errs +=
-                siso_decode(&llrs).info_bits.iter().zip(&bits).filter(|(a, b)| a != b).count();
+            bcjr_errs += errors(&siso_decode(&llrs).info_bits, &pack(&bits));
             decode_soft_into(&llrs, &mut ws, &mut decoded);
-            vit_errs += decoded.iter().zip(&bits).filter(|(a, b)| a != b).count();
+            vit_errs += errors(&decoded, &pack(&bits));
         }
         let tol = 1 + vit_errs / 5;
         assert!(

@@ -53,29 +53,85 @@ pub fn next_state(state: usize, input: bool) -> usize {
     ((state >> 1) | ((input as usize) << 5)) & (NUM_STATES - 1)
 }
 
-/// Encodes `bits` into `out` (cleared first), appending `K−1 = 6` zero tail
-/// bits so the trellis ends in the all-zero state. Output length is
-/// `2·(bits.len() + 6)`; no heap traffic once `out` has warmed up to the
-/// frame's coded length.
-pub fn encode_into(bits: &[bool], out: &mut Vec<bool>) {
+/// Spreads the 32 bits of `x` to the even bit positions of a word.
+const fn spread(x: u32) -> u64 {
+    let mut x = x as u64;
+    x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+    x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & 0x5555_5555_5555_5555
+}
+
+/// Encodes the first `n_bits` bits of `info` (bit `i` is bit `i % 64` of
+/// word `i / 64`; later bits are ignored) into `out` (cleared first),
+/// appending `K−1 = 6` zero tail bits so the trellis ends in the all-zero
+/// state. The mother stream has `2·(n_bits + 6)` bits packed the same
+/// way, bits `2i` and `2i + 1` the two generators' outputs for input bit
+/// `i`; bits past its end are zero. No heap traffic once `out` has warmed
+/// up to the frame's coded length.
+///
+/// Word-parallel: with `x` the input stream, a generator's output is the
+/// XOR of `x[i − d]` over its taps `d`, one shifted word per tap, 64 steps
+/// at a time.
+///
+/// # Panics
+/// Panics when `info` holds fewer than `n_bits` bits.
+pub fn encode_into(info: &[u64], n_bits: usize, out: &mut Vec<u64>) {
+    let steps = n_bits + CONSTRAINT - 1;
+    let info = &info[..n_bits.div_ceil(64)];
     out.clear();
-    let mut state = 0usize;
-    for &b in bits.iter().chain(std::iter::repeat_n(&false, CONSTRAINT - 1)) {
-        let packed = OUTPUT_TABLE[(state << 1) | b as usize];
-        out.push(packed & 1 == 1);
-        out.push(packed & 2 == 2);
-        state = next_state(state, b);
+    let mut prev = 0u64;
+    for w in 0..steps.div_ceil(64) {
+        let left = n_bits.saturating_sub(64 * w);
+        let x = match left {
+            0 => 0,
+            1..=63 => info[w] & ((1 << left) - 1),
+            _ => info[w],
+        };
+        let (mut o0, mut o1) = (0u64, 0u64);
+        for d in 0..CONSTRAINT {
+            // `x[i − d]` at bit `i`: the delay's bits come from `prev`.
+            let xd = if d == 0 { x } else { x << d | prev >> (64 - d) };
+            let tap = 1 << (CONSTRAINT - 1 - d);
+            if G0 & tap != 0 {
+                o0 ^= xd;
+            }
+            if G1 & tap != 0 {
+                o1 ^= xd;
+            }
+        }
+        out.push(spread(o0 as u32) | spread(o1 as u32) << 1);
+        out.push(spread((o0 >> 32) as u32) | spread((o1 >> 32) as u32) << 1);
+        prev = x;
     }
+    out.truncate((2 * steps).div_ceil(64));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
+    fn pack(bits: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, &b) in bits.iter().enumerate() {
+            words[i / 64] |= (b as u64) << (i % 64);
+        }
+        words
+    }
+
+    /// The mother stream's bits.
     fn encode(bits: &[bool]) -> Vec<bool> {
         let mut out = Vec::new();
-        encode_into(bits, &mut out);
-        out
+        encode_into(&pack(bits), bits.len(), &mut out);
+        let n = 2 * (bits.len() + CONSTRAINT - 1);
+        assert_eq!(out.len(), n.div_ceil(64));
+        if !n.is_multiple_of(64) {
+            assert_eq!(out[n / 64] >> (n % 64), 0, "bits past the stream");
+        }
+        (0..n).map(|i| out[i / 64] >> (i % 64) & 1 == 1).collect()
     }
 
     #[test]
@@ -124,5 +180,33 @@ mod tests {
             state = next_state(state, b);
         }
         assert_eq!(state, 0);
+    }
+
+    #[test]
+    fn word_encoder_matches_the_trellis() {
+        // Every length across several word boundaries, set bits past the
+        // length included: the word-parallel taps equal stepping the
+        // register through `OUTPUT_TABLE` one bit at a time.
+        let mut rng = StdRng::seed_from_u64(40);
+        for n in 0..200usize {
+            let bits: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+            let mut words = pack(&bits);
+            if !n.is_multiple_of(64) {
+                words[n / 64] |= !0 << (n % 64);
+            }
+            words.push(!0);
+            let mut out = Vec::new();
+            encode_into(&words, n, &mut out);
+            let mut state = 0usize;
+            let mut want = Vec::new();
+            for &b in bits.iter().chain(std::iter::repeat_n(&false, CONSTRAINT - 1)) {
+                let packed = OUTPUT_TABLE[(state << 1) | b as usize];
+                want.extend([packed & 1 == 1, packed & 2 == 2]);
+                state = next_state(state, b);
+            }
+            let got: Vec<bool> =
+                (0..want.len()).map(|i| out[i / 64] >> (i % 64) & 1 == 1).collect();
+            assert_eq!(got, want, "{n} bits");
+        }
     }
 }

@@ -10,6 +10,12 @@
 //! when it is built and keeps the permutation and its inverse as tables:
 //! every stream method is then a plain table gather. Receivers hold one
 //! per frame shape ([`Interleaver::reshape`] rebuilds in place).
+//! [`SymbolLayout`] composes the permutation with puncturing for the hard
+//! chains, which move packed bits straight between the mother stream and
+//! the constellation points.
+
+use crate::puncture::CodeRate;
+use crate::viterbi::CodedBit;
 
 /// Interleaver for one OFDM symbol of `n_cbps` coded bits with `n_bpsc`
 /// coded bits per subcarrier.
@@ -117,6 +123,143 @@ fn gather_symbols<T: Copy>(table: &[u32], input: &[T], out: &mut Vec<T>) {
     }
 }
 
+/// Where every transmitted coded bit of an OFDM symbol sits in the
+/// rate-1/2 mother stream: the interleaver composed with puncturing. The
+/// hard transmit and receive chains move bits between the packed mother
+/// stream and the constellation points through this one table, so
+/// neither the punctured nor the interleaved stream is ever stored.
+#[derive(Clone, Debug)]
+pub struct SymbolLayout {
+    il: Interleaver,
+    rate: CodeRate,
+    /// Mother-stream bits per OFDM symbol.
+    mother_bits: usize,
+    /// `to_mother[j]` = offset, within its OFDM symbol's block of the
+    /// mother stream, of the coded bit transmitted at position `j`.
+    to_mother: Vec<u32>,
+}
+
+impl SymbolLayout {
+    /// Builds the layout of an `n_cbps`-bit OFDM symbol of `n_bpsc` bits
+    /// per subcarrier at code rate `rate`.
+    ///
+    /// # Panics
+    /// Under the conditions of [`Interleaver::new`], and unless `n_cbps`
+    /// spans whole puncturing periods.
+    pub fn new(n_cbps: usize, n_bpsc: usize, rate: CodeRate) -> Self {
+        let mut layout = SymbolLayout {
+            il: Interleaver::new(n_cbps, n_bpsc),
+            rate,
+            mother_bits: 0,
+            to_mother: Vec::new(),
+        };
+        layout.build();
+        layout
+    }
+
+    /// Re-targets the layout at another shape, rebuilding the tables in
+    /// place (a no-op when the shape is unchanged).
+    ///
+    /// # Panics
+    /// Under the same conditions as [`SymbolLayout::new`].
+    pub fn reshape(&mut self, n_cbps: usize, n_bpsc: usize, rate: CodeRate) {
+        if (n_cbps, n_bpsc, rate) == (self.il.n_cbps, self.il.n_bpsc, self.rate) {
+            return;
+        }
+        self.il.reshape(n_cbps, n_bpsc);
+        self.rate = rate;
+        self.build();
+    }
+
+    fn build(&mut self) {
+        let pat = self.rate.pattern();
+        let mut kept = [0u32; 6];
+        let mut n_kept = 0;
+        for (pos, _) in pat.iter().enumerate().filter(|&(_, &keep)| keep) {
+            kept[n_kept] = pos as u32;
+            n_kept += 1;
+        }
+        let n_cbps = self.il.n_cbps;
+        assert!(n_cbps.is_multiple_of(n_kept), "an OFDM symbol must span whole puncturing periods");
+        self.mother_bits = n_cbps / n_kept * pat.len();
+        self.to_mother.clear();
+        self.to_mother.extend(self.il.to_logical.iter().map(|&i| {
+            let i = i as usize;
+            (i / n_kept * pat.len()) as u32 + kept[i % n_kept]
+        }));
+    }
+
+    /// The interleaver, for streams of per-bit values (LLRs).
+    pub fn interleaver(&self) -> &Interleaver {
+        &self.il
+    }
+
+    /// Mother-stream bits per OFDM symbol.
+    pub fn mother_bits(&self) -> usize {
+        self.mother_bits
+    }
+
+    /// Collects every transmitted group of `n_bpsc` bits of an
+    /// `n_symbols`-symbol frame whose packed mother stream is `mother`
+    /// (bit `i` is bit `i % 64` of word `i / 64`), first transmitted bit
+    /// as the group's MSB, into `out` (cleared first) through `point`: one
+    /// gather per constellation point, OFDM symbol by symbol.
+    ///
+    /// # Panics
+    /// Panics when `mother` holds fewer than the frame's mother bits.
+    pub fn gather_into<P>(
+        &self,
+        mother: &[u64],
+        n_symbols: usize,
+        point: impl Fn(u16) -> P,
+        out: &mut Vec<P>,
+    ) {
+        let q = self.il.n_bpsc;
+        let mother = &mother[..(n_symbols * self.mother_bits).div_ceil(64)];
+        out.clear();
+        for t in 0..n_symbols {
+            let base = t * self.mother_bits;
+            for group in self.to_mother.chunks_exact(q) {
+                let bits = group.iter().fold(0u16, |acc, &off| {
+                    let i = base + off as usize;
+                    acc << 1 | (mother[i / 64] >> (i % 64) & 1) as u16
+                });
+                out.push(point(bits));
+            }
+        }
+    }
+
+    /// The inverse of [`SymbolLayout::gather_into`] into a hard-decision
+    /// mother stream: each received group of `n_bpsc` bits (MSB = first
+    /// transmitted) lands at its mother positions in `out`, and the
+    /// punctured positions are erased. `out` holds the frame's whole
+    /// mother stream, so `groups` must carry exactly its OFDM symbols.
+    ///
+    /// # Panics
+    /// Panics when `out` is not a whole number of OFDM symbols' mother
+    /// bits or `groups` does not carry that many symbols.
+    pub fn scatter(&self, mut groups: impl ExactSizeIterator<Item = u16>, out: &mut [CodedBit]) {
+        let q = self.il.n_bpsc;
+        let per_symbol = self.to_mother.len() / q;
+        assert_eq!(out.len() % self.mother_bits, 0, "stream is not a whole number of OFDM symbols");
+        assert_eq!(
+            groups.len(),
+            out.len() / self.mother_bits * per_symbol,
+            "group count does not fit the stream"
+        );
+        if self.rate != CodeRate::Half {
+            out.fill(CodedBit::Erased);
+        }
+        for block in out.chunks_exact_mut(self.mother_bits) {
+            for (offs, bits) in self.to_mother.chunks_exact(q).zip(groups.by_ref()) {
+                for (k, &off) in offs.iter().enumerate() {
+                    block[off as usize] = CodedBit::from_bool(bits >> (q - 1 - k) & 1 == 1);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +361,59 @@ mod tests {
                     .all(|k| !std::mem::replace(&mut seen[closed_form.map_index(k)], true));
                 let built = std::panic::catch_unwind(|| Interleaver::new(n_cbps, n_bpsc)).is_ok();
                 assert_eq!(built, permutes, "n_cbps {n_cbps}, n_bpsc {n_bpsc}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod layout_tests {
+    use super::tests::interleaved;
+    use super::*;
+    use crate::puncture::puncture_into;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn layout_is_puncture_then_interleave() {
+        // Gathering straight from the packed mother stream equals
+        // puncturing, interleaving per symbol and grouping `n_bpsc` bits
+        // MSB-first; scattering the groups back restores every kept bit
+        // and erases exactly the punctured ones.
+        let mut rng = StdRng::seed_from_u64(63);
+        let mut layout = SymbolLayout::new(96, 2, CodeRate::Half);
+        for (n_cbps, q) in [(96, 2), (192, 4), (288, 6), (384, 8)] {
+            for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+                layout.reshape(n_cbps, q, rate);
+                assert_eq!(
+                    layout.mother_bits() * rate.denominator(),
+                    2 * n_cbps * rate.numerator()
+                );
+                let n_sym = 3;
+                let n = n_sym * layout.mother_bits();
+                let mother: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+                let mut words = vec![!0u64; n.div_ceil(64)];
+                for (i, &b) in mother.iter().enumerate() {
+                    words[i / 64] &= !((!b as u64) << (i % 64));
+                }
+                let mut coded = Vec::new();
+                puncture_into(&mother, rate, &mut coded);
+                let want: Vec<u16> = interleaved(layout.interleaver(), &coded)
+                    .chunks(q)
+                    .map(|g| g.iter().fold(0u16, |acc, &b| acc << 1 | b as u16))
+                    .collect();
+                let mut groups = Vec::new();
+                layout.gather_into(&words, n_sym, |g| g, &mut groups);
+                assert_eq!(groups, want, "{n_cbps}/{q} {rate:?}");
+
+                let mut back = vec![CodedBit::One; n];
+                layout.scatter(groups.iter().copied(), &mut back);
+                let pat = rate.pattern();
+                for (i, (&cb, &b)) in back.iter().zip(&mother).enumerate() {
+                    let want =
+                        if pat[i % pat.len()] { CodedBit::from_bool(b) } else { CodedBit::Erased };
+                    assert_eq!(cb, want, "{n_cbps}/{q} {rate:?} position {i}");
+                }
             }
         }
     }

@@ -6,19 +6,29 @@
 //! hard-decision Viterbi decoding with erasure support, the two-permutation
 //! block interleaver, the 7-bit LFSR scrambler, and a CRC-32 frame check.
 //!
-//! Every stage writes into a caller-owned buffer (cleared first), so a
-//! long-lived receiver allocates nothing per frame:
+//! Bits travel packed: bit `i` of a stream is bit `i % 64` of word
+//! `i / 64`, and every stage writes into a caller-owned buffer (cleared
+//! first), so a long-lived receiver allocates nothing per frame. The hard
+//! chains place coded bits through a [`SymbolLayout`] (the interleaver
+//! composed with puncturing), straight between the mother stream and the
+//! constellation points:
 //!
 //! ```
 //! use gs_coding::viterbi::{decode_with_erasures_into, ViterbiWorkspace};
-//! use gs_coding::{conv, depuncture_into, puncture_into, CodeRate};
+//! use gs_coding::{conv, CodeRate, CodedBit, SymbolLayout};
 //!
-//! let info = vec![true, false, true, true, false, false, true, false, true];
-//! let (mut mother, mut sent, mut received) = (Vec::new(), Vec::new(), Vec::new());
-//! conv::encode_into(&info, &mut mother); // appends the 6-bit tail
-//! puncture_into(&mother, CodeRate::ThreeQuarters, &mut sent);
-//! depuncture_into(&sent, CodeRate::ThreeQuarters, mother.len(), &mut received);
+//! // 58 information bits, packed: with the 6-bit tail they fill one
+//! // OFDM symbol of 96 coded bits at rate 2/3.
+//! let info = [0x1b2_c3d4_e5f6_0789u64];
+//! let mut mother = Vec::new();
+//! conv::encode_into(&info, 58, &mut mother); // appends the 6-bit tail
+//! let layout = SymbolLayout::new(96, 2, CodeRate::TwoThirds);
+//! let mut groups = Vec::new(); // one 2-bit group per QPSK point
+//! layout.gather_into(&mother, 1, |g| g, &mut groups);
+//! assert_eq!(groups.len(), 48);
 //!
+//! let mut received = vec![CodedBit::Zero; layout.mother_bits()];
+//! layout.scatter(groups.iter().copied(), &mut received);
 //! let (mut ws, mut decoded) = (ViterbiWorkspace::new(), Vec::new());
 //! decode_with_erasures_into(&received, &mut ws, &mut decoded);
 //! assert_eq!(decoded, info);
@@ -43,7 +53,7 @@ pub mod viterbi;
 
 pub use bcjr::{siso_decode, SisoOutput};
 pub use crc::check_crc_ok;
-pub use interleave::Interleaver;
-pub use puncture::{depuncture_into, depuncture_soft_into, puncture_into, CodeRate};
+pub use interleave::{Interleaver, SymbolLayout};
+pub use puncture::{depuncture_soft_into, puncture_into, CodeRate};
 pub use scramble::Scrambler;
 pub use viterbi::{decode_multi_with_erasures_into, CodedBit, ViterbiWorkspace};

@@ -6,8 +6,6 @@
 //! paper's experiments use rate 1/2 throughout, but rate adaptation
 //! (emulated in `gs-sim`) benefits from the standard rate set.
 
-use crate::viterbi::CodedBit;
-
 /// Code rate of the (punctured) convolutional code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CodeRate {
@@ -67,22 +65,6 @@ pub fn puncture_into<T: Copy>(coded: &[T], rate: CodeRate, out: &mut Vec<T>) {
     }
 }
 
-/// Reinserts erasures at the punctured positions of a hard-bit stream
-/// into `out` (cleared first), restoring the rate-1/2 stream of
-/// `mother_len` (the pre-puncturing length) coded bits.
-///
-/// # Panics
-/// Panics when `received` is shorter or longer than the pattern implies
-/// for `mother_len`.
-pub fn depuncture_into(
-    received: &[bool],
-    rate: CodeRate,
-    mother_len: usize,
-    out: &mut Vec<CodedBit>,
-) {
-    depuncture_map(received, rate, mother_len, CodedBit::Erased, CodedBit::from_bool, out);
-}
-
 /// Reinserts zero LLRs (erasures) at the punctured positions of a soft
 /// (log-likelihood-ratio) stream into `out` (cleared first), restoring
 /// the rate-1/2 stream of `mother_len` values.
@@ -96,29 +78,11 @@ pub fn depuncture_soft_into(
     mother_len: usize,
     out: &mut Vec<f64>,
 ) {
-    depuncture_map(received, rate, mother_len, 0.0, |l| l, out);
-}
-
-/// The one depuncturing walk behind the hard and soft fronts: received
-/// values go through `kept` at transmitted positions, `erased` fills the
-/// punctured ones. Rate 1/2 is a straight (mapped) copy.
-///
-/// # Panics
-/// Panics when `received` is shorter or longer than the pattern implies
-/// for `mother_len`.
-fn depuncture_map<T: Copy, U: Copy>(
-    received: &[T],
-    rate: CodeRate,
-    mother_len: usize,
-    erased: U,
-    kept: impl Fn(T) -> U,
-    out: &mut Vec<U>,
-) {
     out.clear();
     if rate == CodeRate::Half {
         assert!(received.len() >= mother_len, "received stream shorter than pattern implies");
         assert!(received.len() <= mother_len, "received stream longer than pattern implies");
-        out.extend(received.iter().map(|&v| kept(v)));
+        out.extend_from_slice(received);
         return;
     }
     let pat = rate.pattern();
@@ -126,9 +90,9 @@ fn depuncture_map<T: Copy, U: Copy>(
     for start in (0..mother_len).step_by(pat.len()) {
         for &keep in &pat[..pat.len().min(mother_len - start)] {
             out.push(if keep {
-                kept(*it.next().expect("received stream shorter than pattern implies"))
+                *it.next().expect("received stream shorter than pattern implies")
             } else {
-                erased
+                0.0
             });
         }
     }
@@ -139,7 +103,7 @@ fn depuncture_map<T: Copy, U: Copy>(
 mod tests {
     use super::*;
     use crate::conv::encode_into;
-    use crate::viterbi::{decode_with_erasures_into, ViterbiWorkspace};
+    use crate::viterbi::{decode_with_erasures_into, CodedBit, ViterbiWorkspace};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -147,6 +111,29 @@ mod tests {
         let mut out = Vec::new();
         puncture_into(coded, rate, &mut out);
         out
+    }
+
+    /// The mother stream's bits of `bits`, and the bits packed.
+    fn mother_of(bits: &[bool]) -> (Vec<bool>, Vec<u64>) {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, &b) in bits.iter().enumerate() {
+            words[i / 64] |= (b as u64) << (i % 64);
+        }
+        let mut mother = Vec::new();
+        encode_into(&words, bits.len(), &mut mother);
+        let n = 2 * (bits.len() + 6);
+        ((0..n).map(|i| mother[i / 64] >> (i % 64) & 1 == 1).collect(), words)
+    }
+
+    /// Hard depuncturing through the soft walker: a kept bit is a unit
+    /// LLR, a reinserted zero an erasure.
+    fn depunctured(received: &[bool], rate: CodeRate, mother_len: usize) -> Vec<CodedBit> {
+        let llrs: Vec<f64> = received.iter().map(|&b| if b { -1.0 } else { 1.0 }).collect();
+        let mut soft = Vec::new();
+        depuncture_soft_into(&llrs, rate, mother_len, &mut soft);
+        soft.iter()
+            .map(|&l| if l == 0.0 { CodedBit::Erased } else { CodedBit::from_bool(l < 0.0) })
+            .collect()
     }
 
     #[test]
@@ -162,15 +149,13 @@ mod tests {
     #[test]
     fn punctured_roundtrip_noiseless() {
         let mut rng = StdRng::seed_from_u64(51);
-        let (mut mother, mut rx, mut ws, mut out) =
-            (Vec::new(), Vec::new(), ViterbiWorkspace::new(), Vec::new());
+        let (mut ws, mut out) = (ViterbiWorkspace::new(), Vec::new());
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
             let bits: Vec<bool> = (0..120).map(|_| rng.gen_bool(0.5)).collect();
-            encode_into(&bits, &mut mother);
-            let tx = punctured(&mother, rate);
-            depuncture_into(&tx, rate, mother.len(), &mut rx);
+            let (mother, words) = mother_of(&bits);
+            let rx = depunctured(&punctured(&mother, rate), rate, mother.len());
             decode_with_erasures_into(&rx, &mut ws, &mut out);
-            assert_eq!(out, bits, "{rate:?}");
+            assert_eq!(out, words, "{rate:?}");
         }
     }
 
@@ -178,12 +163,11 @@ mod tests {
     fn depuncture_restores_positions() {
         let coded: Vec<bool> = (0..24).map(|k| k % 3 == 0).collect();
         let tx = punctured(&coded, CodeRate::ThreeQuarters);
-        let mut rx = Vec::new();
-        depuncture_into(&tx, CodeRate::ThreeQuarters, coded.len(), &mut rx);
+        let rx = depunctured(&tx, CodeRate::ThreeQuarters, coded.len());
         assert_eq!(rx.len(), coded.len());
         for (k, cb) in rx.iter().enumerate() {
             match cb {
-                CodedBit::Erased => {}
+                CodedBit::Erased => assert!(!CodeRate::ThreeQuarters.pattern()[k % 6]),
                 _ => assert_eq!(*cb, CodedBit::from_bool(coded[k]), "position {k}"),
             }
         }
@@ -192,7 +176,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "longer than pattern")]
     fn depuncture_length_mismatch_panics() {
-        depuncture_into(&[true; 10], CodeRate::Half, 8, &mut Vec::new());
+        depuncture_soft_into(&[1.0; 10], CodeRate::Half, 8, &mut Vec::new());
     }
 }
 
@@ -210,13 +194,15 @@ mod soft_tests {
         let (mut mother, mut tx, mut rx) = (Vec::new(), Vec::new(), Vec::new());
         let (mut ws, mut out) = (ViterbiWorkspace::new(), Vec::new());
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
-            let bits: Vec<bool> = (0..120).map(|_| rng.gen_bool(0.5)).collect();
-            encode_into(&bits, &mut mother);
-            puncture_into(&mother, rate, &mut tx);
+            let words = [rng.gen::<u64>(), rng.gen::<u64>() & 0xff_ffff_ffff_ffff];
+            encode_into(&words, 120, &mut mother);
+            let mother_bits: Vec<bool> =
+                (0..2 * 126).map(|i| mother[i / 64] >> (i % 64) & 1 == 1).collect();
+            puncture_into(&mother_bits, rate, &mut tx);
             let llrs: Vec<f64> = tx.iter().map(|&b| if b { -3.0 } else { 3.0 }).collect();
-            depuncture_soft_into(&llrs, rate, mother.len(), &mut rx);
+            depuncture_soft_into(&llrs, rate, mother_bits.len(), &mut rx);
             decode_soft_into(&rx, &mut ws, &mut out);
-            assert_eq!(out, bits, "{rate:?}");
+            assert_eq!(out, words, "{rate:?}");
         }
     }
 }

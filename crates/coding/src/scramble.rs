@@ -47,6 +47,22 @@ const PHASE_OF: [u8; 128] = {
     phase
 };
 
+/// `KEYSTREAM_WORDS[p]` = the 64 keystream bits from position `p`, bit `i`
+/// of the word being position `p + i`: one XOR scrambles 64 bits.
+const KEYSTREAM_WORDS: [u64; PERIOD] = {
+    let mut words = [0u64; PERIOD];
+    let mut p = 0;
+    while p < PERIOD {
+        let mut i = 0;
+        while i < 64 {
+            words[p] |= (KEYSTREAM[p + i] as u64) << i;
+            i += 1;
+        }
+        p += 1;
+    }
+    words
+};
+
 /// The 802.11 scrambler (7-bit LFSR, `x⁷ + x⁴ + 1`), applied by XOR with
 /// the precomputed keystream.
 #[derive(Clone, Debug)]
@@ -71,17 +87,22 @@ impl Scrambler {
         Scrambler::new(0b1011101)
     }
 
-    /// Scrambles (or descrambles) a bit slice in place, leaving the
-    /// register where a bit-at-a-time LFSR would.
-    pub fn apply_in_place(&mut self, bits: &mut [bool]) {
+    /// Scrambles (or descrambles) the first `n_bits` bits of `words` in
+    /// place (bit `i` is bit `i % 64` of word `i / 64`), leaving later
+    /// bits alone and the register where a bit-at-a-time LFSR would.
+    ///
+    /// # Panics
+    /// Panics when `words` holds fewer than `n_bits` bits.
+    pub fn apply_in_place(&mut self, words: &mut [u64], n_bits: usize) {
         let mut phase = self.phase as usize;
-        for period in bits.chunks_mut(PERIOD) {
-            for (b, &k) in period.iter_mut().zip(&KEYSTREAM[phase..phase + PERIOD]) {
-                *b ^= k;
-            }
-            phase = (phase + period.len()) % PERIOD;
+        let mut left = n_bits;
+        for w in words[..n_bits.div_ceil(64)].iter_mut() {
+            let mask = if left >= 64 { !0 } else { (1u64 << left) - 1 };
+            *w ^= KEYSTREAM_WORDS[phase] & mask;
+            phase = (phase + 64) % PERIOD;
+            left = left.saturating_sub(64);
         }
-        self.phase = phase as u8;
+        self.phase = ((self.phase as usize + n_bits) % PERIOD) as u8;
     }
 }
 
@@ -89,10 +110,22 @@ impl Scrambler {
 mod tests {
     use super::*;
 
+    fn pack(bits: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, &b) in bits.iter().enumerate() {
+            words[i / 64] |= (b as u64) << (i % 64);
+        }
+        words
+    }
+
+    fn unpack(words: &[u64], n: usize) -> Vec<bool> {
+        (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
+    }
+
     fn scrambled(mut s: Scrambler, bits: &[bool]) -> Vec<bool> {
-        let mut out = bits.to_vec();
-        s.apply_in_place(&mut out);
-        out
+        let mut words = pack(bits);
+        s.apply_in_place(&mut words, bits.len());
+        unpack(&words, bits.len())
     }
 
     #[test]
@@ -124,9 +157,9 @@ mod tests {
 
     #[test]
     fn keystream_matches_bitwise_lfsr() {
-        // Every seed and length, split across calls at odd offsets: the
-        // table-driven XOR and the carried register equal stepping the
-        // LFSR one bit at a time.
+        // Every seed, split across calls of odd lengths: the word XOR and
+        // the carried register equal stepping the LFSR one bit at a time,
+        // and the bits past each call's length stay untouched.
         for seed in 1..=0x7fu8 {
             let mut state = seed;
             let reference: Vec<bool> = (0..300)
@@ -137,12 +170,13 @@ mod tests {
                 })
                 .collect();
             let mut s = Scrambler::new(seed);
-            let mut got = vec![false; 300];
-            let (head, rest) = got.split_at_mut(5);
-            let (mid, tail) = rest.split_at_mut(131);
-            s.apply_in_place(head);
-            s.apply_in_place(mid);
-            s.apply_in_place(tail);
+            let mut got = Vec::new();
+            for len in [5usize, 131, 64, 100] {
+                let mut words = vec![0u64; len.div_ceil(64) + 1];
+                s.apply_in_place(&mut words, len);
+                got.extend(unpack(&words, len));
+                assert!(words[len / 64] >> (len % 64) == 0, "seed {seed:#x}: bits past {len}");
+            }
             assert_eq!(got, reference, "seed {seed:#x}");
             assert_eq!(s.phase, PHASE_OF[state as usize], "seed {seed:#x}");
         }

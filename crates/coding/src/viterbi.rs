@@ -14,15 +14,18 @@
 //! predecessors `2k` and `2k + 1` (`k = state mod 32`) and was entered by
 //! input bit `state ≥ 32`, so the traceback rebuilds the predecessor as
 //! `2k + bit` and reads the decoded bit off the state itself: 8 bytes of
-//! survivor memory per step and stream.
+//! survivor memory per step and stream. The one traceback writes packed
+//! output words: information bit `t` of a stream is bit `t % 64` of its
+//! word `t / 64`, the bits past the last information bit zero.
 //!
-//! ## Renormalisation in the 16-bit AVX2 kernel
+//! ## Renormalisation in the 8-bit AVX2 kernel
 //!
 //! The four-stream lockstep decoder's AVX2 kernel keeps path metrics in
-//! 16-bit lanes — one 256-bit op advances 4 butterflies × 4 streams — and
-//! every [`RENORM_INTERVAL`] steps subtracts each stream's minimum metric
-//! from all of that stream's states. Its output is bit-identical to the
-//! `u32` scalar loop (the `GS_SIMD=off` reference) because:
+//! 8-bit lanes — one 256-bit register holds 8 states × 4 streams, so one
+//! step is 4 butterfly groups — and every [`RENORM_INTERVAL`] steps
+//! subtracts each stream's minimum metric from all of that stream's
+//! states. Its output is bit-identical to the `u32` scalar loop (the
+//! `GS_SIMD=off` reference) because:
 //!
 //! * **Selections see only differences.** Every decision compares two
 //!   candidates `c0 = m(2k) + b0` and `c1 = m(2k+1) + b1` of one stream.
@@ -32,13 +35,16 @@
 //!   trellis has run `K − 1 = 6` steps every state is reachable from every
 //!   state in 6 steps, so a stream's metrics spread over at most `2·6`; a
 //!   renormalised stream therefore starts at most 12 and stays below
-//!   `12 + 2·RENORM_INTERVAL` until the next renormalisation.
+//!   `12 + 2·RENORM_INTERVAL` until the next renormalisation, and a
+//!   candidate one branch further below `12 + 2·RENORM_INTERVAL + 2 ≤
+//!   255`.
 //! * **Unreachable states still lose.** The scalar loop starts the 63
-//!   states other than 0 at `u32::MAX / 2`, the kernel at `INF = 0x2000`.
+//!   states other than 0 at `u32::MAX / 2`, the kernel at `INF = 0x40`.
 //!   Both exceed any reachable metric of the first 6 steps (≤ 12), and a
 //!   metric derived from an unreachable start is that start plus the same
-//!   path cost in both, so comparisons among such metrics agree too. After
-//!   6 steps every survivor is reachable and no start value remains.
+//!   path cost in both (at most `0x40 + 12 + 2`, no wrap), so comparisons
+//!   among such metrics agree too. After 6 steps every survivor is
+//!   reachable and no start value remains.
 
 use crate::conv::{CONSTRAINT, NUM_STATES, OUTPUT_TABLE};
 
@@ -79,9 +85,9 @@ impl CodedBit {
 /// predecessor pair `{2k, 2k+1}`.
 const HALF: usize = NUM_STATES / 2;
 
-/// Steps between two renormalisations of the 16-bit AVX2 kernel's path
+/// Steps between two renormalisations of the 8-bit AVX2 kernel's path
 /// metrics (see the module docs).
-pub const RENORM_INTERVAL: usize = 512;
+pub const RENORM_INTERVAL: usize = 64;
 
 /// Per-butterfly branch-output bits, hoisted from [`OUTPUT_TABLE`] at
 /// compile time so the add-compare-select loop is pure contiguous
@@ -162,32 +168,41 @@ impl ViterbiWorkspace {
 
 /// Per-stream traceback from state 0 (terminated trellis) over the
 /// decisions of `n` lockstep streams, filling `out` stream-major with the
-/// `steps − (K−1)` information bits of each stream. Up to eight streams
-/// walk back together so their dependency chains overlap.
-fn traceback(decisions: &[u64], n: usize, steps: usize, out: &mut Vec<bool>) {
+/// `steps − (K−1)` information bits of each stream, packed into that
+/// many bits' words per stream (module docs). Up to eight streams walk
+/// back together so their dependency chains overlap.
+fn traceback(decisions: &[u64], n: usize, steps: usize, out: &mut Vec<u64>) {
     let info_len = steps - (CONSTRAINT - 1);
+    let wps = info_len.div_ceil(64);
     out.clear();
-    out.resize(n * info_len, false);
+    out.resize(n * wps, 0);
     for first in (0..n).step_by(8) {
         let group = (n - first).min(8);
         let mut states = [0usize; 8];
+        let mut acc = [0u64; 8];
         for t in (0..steps).rev() {
             let row = &decisions[t * n..(t + 1) * n];
             for (g, state) in states[..group].iter_mut().enumerate() {
                 let s = first + g;
                 if t < info_len {
-                    out[s * info_len + t] = *state >= HALF;
+                    acc[g] = acc[g] << 1 | (*state >= HALF) as u64;
                 }
                 let bit = *state * n + s;
                 let take_hi = (row[bit / 64] >> (bit % 64)) & 1;
                 *state = 2 * (*state % HALF) + take_hi as usize;
+            }
+            if t < info_len && t.is_multiple_of(64) {
+                for g in 0..group {
+                    out[(first + g) * wps + t / 64] = std::mem::take(&mut acc[g]);
+                }
             }
         }
     }
 }
 
 /// Decodes a terminated, rate-1/2 coded stream that may contain erasures
-/// into `out` (cleared first): the `coded.len()/2 − 6` information bits.
+/// into `out` (cleared first): the `coded.len()/2 − 6` information bits,
+/// packed into words (module docs).
 /// The trellis state lives in `ws`, so decoding performs zero heap
 /// allocations once the workspace has warmed up to the stream length.
 ///
@@ -196,7 +211,7 @@ fn traceback(decisions: &[u64], n: usize, steps: usize, out: &mut Vec<bool>) {
 pub fn decode_with_erasures_into(
     coded: &[CodedBit],
     ws: &mut ViterbiWorkspace,
-    out: &mut Vec<bool>,
+    out: &mut Vec<u64>,
 ) {
     assert_eq!(coded.len() % 2, 0, "rate-1/2 stream must have even length");
     let steps = coded.len() / 2;
@@ -270,14 +285,15 @@ pub fn decode_with_erasures_into(
 ///
 /// `streams` is stream-major flat: stream `s` occupies
 /// `s·len..(s+1)·len` where `len = streams.len() / n_streams`. `out` is
-/// filled stream-major with `steps − (K−1)` information bits per stream
-/// (`steps = len / 2`), so stream `s`'s bits are
-/// `out[s·info_len..(s+1)·info_len]`.
+/// filled stream-major with the `info_len = steps − (K−1)` information
+/// bits of each stream (`steps = len / 2`) packed into `w =
+/// info_len.div_ceil(64)` words (module docs), so stream `s`'s bits are
+/// `out[s·w..(s+1)·w]`.
 ///
 /// Path metrics live in stream-interleaved SoA rows (`metric[state·n + s]`)
 /// so the 32-butterfly add-compare-select inner loop walks contiguous
 /// slabs — one pass advances every stream's trellis. Four streams on the
-/// AVX2 tier of [`gs_linalg::simd::active_tier`] run the 16-bit kernel
+/// AVX2 tier of [`gs_linalg::simd::active_tier`] run the 8-bit kernel
 /// instead (module docs). Every stream's metrics, tie-breaks, and
 /// traceback are the *same arithmetic* as the single-stream decoder (exact
 /// integer ops, identical `c1 < c0` selection), so output is bit-identical
@@ -290,7 +306,7 @@ pub fn decode_multi_with_erasures_into(
     streams: &[CodedBit],
     n_streams: usize,
     ws: &mut ViterbiWorkspace,
-    out: &mut Vec<bool>,
+    out: &mut Vec<u64>,
 ) {
     let n = n_streams;
     assert!(n > 0, "need at least one stream");
@@ -379,8 +395,8 @@ pub fn decode_multi_with_erasures_into(
 
 /// Decodes a terminated rate-1/2 stream from per-bit log-likelihood
 /// ratios (positive = bit 0 more likely, e.g. from a soft MIMO detector)
-/// into `out` (cleared first). Punctured positions should carry LLR `0.0`
-/// (no information).
+/// into `out` (cleared first), packed into words (module docs). Punctured
+/// positions should carry LLR `0.0` (no information).
 ///
 /// The branch metric for hypothesizing transmitted bit `b` against LLR `L`
 /// is `|L|` when the hypothesis contradicts the LLR's hard decision and
@@ -390,7 +406,7 @@ pub fn decode_multi_with_erasures_into(
 ///
 /// # Panics
 /// Panics when the stream length is odd or shorter than the tail.
-pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<bool>) {
+pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<u64>) {
     assert_eq!(llrs.len() % 2, 0, "rate-1/2 stream must have even length");
     let steps = llrs.len() / 2;
     assert!(steps >= CONSTRAINT - 1, "stream shorter than the termination tail");
@@ -462,7 +478,7 @@ pub fn decode_soft_into(llrs: &[f64], ws: &mut ViterbiWorkspace, out: &mut Vec<b
     traceback(&ws.decisions, 1, steps, out);
 }
 
-/// The 16-bit-lane AVX2 forward pass of the four-stream decoder. Same
+/// The 8-bit-lane AVX2 forward pass of the four-stream decoder. Same
 /// safety contract as the `gs-linalg` SIMD backends: `unsafe fn` +
 /// `#[target_feature]`, reached only after runtime detection.
 #[cfg(target_arch = "x86_64")]
@@ -472,19 +488,19 @@ mod avx2 {
     use std::arch::x86_64::*;
 
     /// Start metric of the 63 states other than 0 (module docs).
-    const INF: u16 = 0x2000;
+    const INF: u8 = 0x40;
 
     /// Largest branch cost of one step (two unerased mismatches).
     const MAX_BRANCH: usize = 2;
 
     // The module docs' headroom argument, checked: unreachable starts lose
     // to every reachable metric of the first K − 1 steps, and no metric
-    // (nor a candidate one branch further) leaves the u16 range.
+    // (nor a candidate one branch further) leaves the u8 range.
     const _: () = {
         let spread = MAX_BRANCH * (CONSTRAINT - 1);
-        assert!(INF as usize > spread);
-        assert!(INF as usize + spread + MAX_BRANCH <= u16::MAX as usize);
-        assert!(spread + MAX_BRANCH * (RENORM_INTERVAL + 1) <= u16::MAX as usize);
+        assert!(INF as usize > spread + MAX_BRANCH);
+        assert!(INF as usize + spread + MAX_BRANCH <= u8::MAX as usize);
+        assert!(spread + MAX_BRANCH * (RENORM_INTERVAL + 1) <= u8::MAX as usize);
     };
 
     // Both generators tap the input bit and the oldest register bit, so a
@@ -500,74 +516,79 @@ mod avx2 {
         }
     };
 
-    // The branch-cost rows below index by the discriminant.
+    // The branch-cost cells below index by the discriminant.
     const _: () = assert!(
         CodedBit::Zero as usize == 0
             && CodedBit::One as usize == 1
             && CodedBit::Erased as usize == 2
     );
 
-    /// `COST_ROW[rx0·3 + rx1]`, one 256-bit vector: word `4p` holds the
-    /// cost of transition pattern `p = o0·2 + o1` against the received
-    /// pair, the other words zero. Shifting stream `s`'s row left by
-    /// `16·s` bits within each 64-bit quad and OR-ing the four streams
-    /// builds the step's cost vector (quad `p`, word `s`).
-    const COST_ROW: [[u16; 16]; 9] = {
-        const fn hamming(rx: usize, tx: usize) -> u16 {
+    /// `COST_CELL[rx0·3 + rx1]`: byte `p` holds the cost of transition
+    /// pattern `p = o0·2 + o1` against the received pair.
+    const COST_CELL: [u32; 9] = {
+        const fn hamming(rx: usize, tx: usize) -> u32 {
             if rx == 2 {
                 0
             } else {
-                (rx != tx) as u16
+                (rx != tx) as u32
             }
         }
-        let mut rows = [[0u16; 16]; 9];
+        let mut cells = [0u32; 9];
         let mut pair = 0;
         while pair < 9 {
             let mut p = 0;
             while p < 4 {
-                rows[pair][4 * p] = hamming(pair / 3, p / 2) + hamming(pair % 3, p % 2);
+                cells[pair] |= (hamming(pair / 3, p / 2) + hamming(pair % 3, p % 2)) << (8 * p);
                 p += 1;
             }
             pair += 1;
         }
-        rows
+        cells
     };
 
-    /// `vpermd` indices that gather butterfly group `g`'s cost quads from
-    /// the step's cost vector: `GROUP_ROWS[g]` puts pattern
-    /// `IDX_LO0[4g + j]` in quad `j`, `GROUP_ROWS[8 + g]` its complement.
-    const GROUP_ROWS: [[i32; 8]; 16] = {
-        let mut rows = [[0i32; 8]; 16];
+    /// `pshufb` indices transposing four streams' cost cells (byte `4s + p`)
+    /// into the step's cost cells (byte `4p + s`: cell `p` holds pattern
+    /// `p`'s cost for every stream).
+    const TRANSPOSE: [i8; 16] = [0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15];
+
+    /// `vpermd` indices that gather butterfly group `g`'s costs from the
+    /// broadcast cost cells: `GROUP_ROWS[g]` puts pattern `IDX_LO0[8g + i]`
+    /// in cell `i`, `GROUP_ROWS[4 + g]` its complement.
+    const GROUP_ROWS: [[i32; 8]; 8] = {
+        let mut rows = [[0i32; 8]; 8];
         let mut g = 0;
-        while g < 8 {
-            let mut j = 0;
-            while j < 4 {
-                let p = IDX_LO0[4 * g + j] as i32;
-                rows[g][2 * j] = 2 * p;
-                rows[g][2 * j + 1] = 2 * p + 1;
-                rows[8 + g][2 * j] = 2 * (3 - p);
-                rows[8 + g][2 * j + 1] = 2 * (3 - p) + 1;
-                j += 1;
+        while g < 4 {
+            let mut i = 0;
+            while i < 8 {
+                let p = IDX_LO0[8 * g + i] as i32;
+                rows[g][i] = p;
+                rows[4 + g][i] = 3 - p;
+                i += 1;
             }
             g += 1;
         }
         rows
     };
 
-    /// Qword order `[0, 2, 1, 3]`: undoes the in-lane interleave of the
-    /// 64-bit unpacks and of `packs`.
+    /// Qword order `[0, 2, 1, 3]`: undoes the in-lane interleave of
+    /// `shuffle_ps`.
     const ORDER_0213: i32 = 0b11_01_10_00;
+    /// `shuffle_ps` selectors of the even and the odd 32-bit state cells.
+    const EVEN_CELLS: i32 = 0b10_00_10_00;
+    const ODD_CELLS: i32 = 0b11_01_11_01;
 
     /// The forward pass for exactly four streams (`streams` stream-major
     /// flat, as in [`super::decode_multi_with_erasures_into`]), writing
     /// four decision words per step into `decisions`.
     ///
-    /// Metrics live in 16 vectors: vector `v` holds states `4v..4v+4`, 16
-    /// bits per (state, stream) at word `4·(state − 4v) + stream`.
-    /// Butterfly group `g` reads states `8g..8g+8` (vectors `2g`, `2g+1`),
-    /// splits them into even and odd predecessors, and writes destinations
-    /// `4g..4g+4` (vector `g`, input 0) and `32+4g..` (vector `8+g`,
-    /// input 1) — no shuffles on the store side.
+    /// Metrics live in 8 vectors: vector `v` holds states `8v..8v+8`, one
+    /// 32-bit cell per state with stream `s` in its byte `s`. Butterfly
+    /// group `g` reads states `16g..16g+16` (vectors `2g`, `2g+1`), splits
+    /// them into even and odd predecessors, and writes destinations
+    /// `8g..8g+8` (vector `g`, input 0) and `32+8g..` (vector `4+g`,
+    /// input 1) — no shuffles on the store side, and each compare's byte
+    /// mask is already the destinations' decision bits in `state·4 +
+    /// stream` order.
     ///
     /// # Safety
     /// The CPU must support AVX2.
@@ -575,59 +596,59 @@ mod avx2 {
     pub(super) unsafe fn forward_n4(streams: &[CodedBit], decisions: &mut [u64]) {
         let len = streams.len() / 4;
         let steps = len / 2;
-        // The 16-bit decision stores below rely on this length.
+        // The 32-bit decision stores below rely on this length.
         assert_eq!(decisions.len(), 4 * steps, "four decision words per step");
-        let inf = _mm256_set1_epi16(INF as i16);
-        let inf_quad = (INF as i64) * 0x0001_0001_0001_0001;
-        let mut a = [inf; 16];
-        let mut b = [inf; 16];
-        a[0] = _mm256_set_epi64x(inf_quad, inf_quad, inf_quad, 0); // state 0 starts at 0
+        let inf_cell = i32::from_le_bytes([INF; 4]);
+        let mut a = [_mm256_set1_epi32(inf_cell); 8];
+        let mut b = a;
+        // State 0 starts at 0 in every stream.
+        a[0] = _mm256_set_epi32(
+            inf_cell, inf_cell, inf_cell, inf_cell, inf_cell, inf_cell, inf_cell, 0,
+        );
         let (mut cur, mut next) = (&mut a, &mut b);
-        let row = |pair: usize| _mm256_loadu_si256(COST_ROW[pair].as_ptr().cast());
+        let transpose = _mm_loadu_si128(TRANSPOSE.as_ptr().cast());
+        let mut rows = [_mm256_setzero_si256(); 8];
+        for (row, idx) in rows.iter_mut().zip(&GROUP_ROWS) {
+            *row = _mm256_loadu_si256(idx.as_ptr().cast());
+        }
+        let (s0, rest) = streams.split_at(len);
+        let (s1, rest) = rest.split_at(len);
+        let (s2, s3) = rest.split_at(len);
         for t in 0..steps {
-            let pair = |s: usize| {
-                let i = s * len + 2 * t;
-                streams[i] as usize * 3 + streams[i + 1] as usize
-            };
-            let costs = _mm256_or_si256(
-                _mm256_or_si256(row(pair(0)), _mm256_slli_epi64::<16>(row(pair(1)))),
-                _mm256_or_si256(
-                    _mm256_slli_epi64::<32>(row(pair(2))),
-                    _mm256_slli_epi64::<48>(row(pair(3))),
-                ),
-            );
+            let cell =
+                |s: &[CodedBit]| COST_CELL[s[2 * t] as usize * 3 + s[2 * t + 1] as usize] as i32;
+            let by_stream = _mm_set_epi32(cell(s3), cell(s2), cell(s1), cell(s0));
+            let costs = _mm256_broadcastsi128_si256(_mm_shuffle_epi8(by_stream, transpose));
             // SAFETY: `4·t < decisions.len()` by the length assert.
-            let dec = decisions.as_mut_ptr().add(4 * t).cast::<u16>();
-            for g in 0..HALF / 4 {
-                let lo = cur[2 * g];
-                let hi = cur[2 * g + 1];
-                let even = _mm256_permute4x64_epi64::<ORDER_0213>(_mm256_unpacklo_epi64(lo, hi));
-                let odd = _mm256_permute4x64_epi64::<ORDER_0213>(_mm256_unpackhi_epi64(lo, hi));
-                let idx = |r: usize| _mm256_loadu_si256(GROUP_ROWS[r].as_ptr().cast());
-                let pat = _mm256_permutevar8x32_epi32(costs, idx(g));
-                let inv = _mm256_permutevar8x32_epi32(costs, idx(8 + g));
+            let dec = decisions.as_mut_ptr().add(4 * t).cast::<u32>();
+            for g in 0..HALF / 8 {
+                let lo = _mm256_castsi256_ps(cur[2 * g]);
+                let hi = _mm256_castsi256_ps(cur[2 * g + 1]);
+                let even = _mm256_permute4x64_epi64::<ORDER_0213>(_mm256_castps_si256(
+                    _mm256_shuffle_ps::<EVEN_CELLS>(lo, hi),
+                ));
+                let odd = _mm256_permute4x64_epi64::<ORDER_0213>(_mm256_castps_si256(
+                    _mm256_shuffle_ps::<ODD_CELLS>(lo, hi),
+                ));
+                let pat = _mm256_permutevar8x32_epi32(costs, rows[g]);
+                let inv = _mm256_permutevar8x32_epi32(costs, rows[4 + g]);
 
                 // take_hi ⇔ min(c0, c1) ≠ c0: a tie keeps the lower
                 // predecessor, exactly the scalar `c1 < c0`.
-                let c0 = _mm256_add_epi16(even, pat);
-                let best0 = _mm256_min_epu16(c0, _mm256_add_epi16(odd, inv));
-                let keep0 = _mm256_cmpeq_epi16(best0, c0);
-                let c0 = _mm256_add_epi16(even, inv);
-                let best1 = _mm256_min_epu16(c0, _mm256_add_epi16(odd, pat));
-                let keep1 = _mm256_cmpeq_epi16(best1, c0);
+                let c0 = _mm256_add_epi8(even, pat);
+                let best0 = _mm256_min_epu8(c0, _mm256_add_epi8(odd, inv));
+                let keep0 = _mm256_cmpeq_epi8(best0, c0);
+                let c0 = _mm256_add_epi8(even, inv);
+                let best1 = _mm256_min_epu8(c0, _mm256_add_epi8(odd, pat));
+                let keep1 = _mm256_cmpeq_epi8(best1, c0);
                 next[g] = best0;
-                next[8 + g] = best1;
+                next[4 + g] = best1;
 
-                // One bit per (state, stream) in state-major order: the
-                // low 16 bits cover states 4g.., the high 16 states 32+4g...
-                let packed =
-                    _mm256_permute4x64_epi64::<ORDER_0213>(_mm256_packs_epi16(keep0, keep1));
-                let take_hi = !(_mm256_movemask_epi8(packed) as u32);
                 // SAFETY: `dec` points at step `t`'s four u64 words
                 // (`4·t + 3 < decisions.len()` by the assert above), i.e.
-                // 16 u16 slots; `g < 8` keeps both writes inside them.
-                dec.add(g).write(take_hi as u16);
-                dec.add(8 + g).write((take_hi >> 16) as u16);
+                // 8 u32 slots; `g < 4` keeps both writes inside them.
+                dec.add(g).write(!_mm256_movemask_epi8(keep0) as u32);
+                dec.add(4 + g).write(!_mm256_movemask_epi8(keep1) as u32);
             }
             if (t + 1) % RENORM_INTERVAL == 0 {
                 renormalise(next);
@@ -641,16 +662,17 @@ mod avx2 {
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn renormalise(metrics: &mut [__m256i; 16]) {
+    unsafe fn renormalise(metrics: &mut [__m256i; 8]) {
         let mut min = metrics[0];
         for &m in &metrics[1..] {
-            min = _mm256_min_epu16(min, m);
+            min = _mm256_min_epu8(min, m);
         }
-        // Fold the four state quads so every quad holds the per-stream min.
-        min = _mm256_min_epu16(min, _mm256_permute4x64_epi64::<0b01_00_11_10>(min));
-        min = _mm256_min_epu16(min, _mm256_permute4x64_epi64::<0b10_11_00_01>(min));
+        // Fold the eight state cells so every cell holds the per-stream min.
+        min = _mm256_min_epu8(min, _mm256_permute4x64_epi64::<0b01_00_11_10>(min));
+        min = _mm256_min_epu8(min, _mm256_shuffle_epi32::<0b01_00_11_10>(min));
+        min = _mm256_min_epu8(min, _mm256_shuffle_epi32::<0b10_11_00_01>(min));
         for m in metrics.iter_mut() {
-            *m = _mm256_sub_epi16(*m, min);
+            *m = _mm256_sub_epi8(*m, min);
         }
     }
 }
@@ -666,17 +688,34 @@ mod tests {
         (0..n).map(|_| rng.gen_bool(0.5)).collect()
     }
 
+    pub(super) fn pack(bits: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, &b) in bits.iter().enumerate() {
+            words[i / 64] |= (b as u64) << (i % 64);
+        }
+        words
+    }
+
+    pub(super) fn unpack(words: &[u64], n: usize) -> Vec<bool> {
+        assert_eq!(words.len(), n.div_ceil(64));
+        if !n.is_multiple_of(64) {
+            assert_eq!(words[n / 64] >> (n % 64), 0, "bits past the last information bit");
+        }
+        (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
+    }
+
+    /// The mother stream's bits.
     pub(super) fn encode(bits: &[bool]) -> Vec<bool> {
         let mut out = Vec::new();
-        encode_into(bits, &mut out);
-        out
+        encode_into(&pack(bits), bits.len(), &mut out);
+        unpack(&out, 2 * (bits.len() + CONSTRAINT - 1))
     }
 
     /// Decodes `coded` through a fresh workspace.
     fn decode_erasures(coded: &[CodedBit]) -> Vec<bool> {
         let mut out = Vec::new();
         decode_with_erasures_into(coded, &mut ViterbiWorkspace::new(), &mut out);
-        out
+        unpack(&out, coded.len() / 2 - (CONSTRAINT - 1))
     }
 
     /// Decodes hard bits (no erasures).
@@ -787,12 +826,12 @@ mod tests {
                     per.iter().map(|bits| noisy_stream(&mut rng, bits)).collect();
                 let flat: Vec<CodedBit> = streams.concat();
                 decode_multi_with_erasures_into(&flat, n, &mut ws, &mut out);
-                let info_len = out.len() / n;
+                let words = out.len() / n;
                 for (s, coded) in streams.iter().enumerate() {
                     let single = decode_erasures(coded);
                     assert_eq!(
-                        &out[s * info_len..(s + 1) * info_len],
-                        &single[..],
+                        unpack(&out[s * words..(s + 1) * words], len),
+                        single,
                         "n={n} len={len} stream {s}"
                     );
                 }
@@ -814,16 +853,16 @@ mod tests {
         let mut ws = ViterbiWorkspace::new();
         let mut out = Vec::new();
         decode_multi_with_erasures_into(&flat, n, &mut ws, &mut out);
-        let info_len = out.len() / n;
+        let words = out.len() / n;
         for (s, bits) in per.iter().enumerate() {
-            assert_eq!(&out[s * info_len..s * info_len + 120], &bits[..], "stream {s}");
+            assert_eq!(out[s * words..(s + 1) * words], pack(bits), "stream {s}");
         }
     }
 }
 
 #[cfg(test)]
 mod soft_tests {
-    use super::tests::{decode, encode};
+    use super::tests::{decode, encode, unpack};
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -832,7 +871,7 @@ mod soft_tests {
     fn decode_soft(llrs: &[f64]) -> Vec<bool> {
         let mut out = Vec::new();
         decode_soft_into(llrs, &mut ViterbiWorkspace::new(), &mut out);
-        out
+        unpack(&out, llrs.len() / 2 - (CONSTRAINT - 1))
     }
 
     fn to_llrs(coded: &[bool], confidence: f64) -> Vec<f64> {

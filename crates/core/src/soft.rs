@@ -193,7 +193,7 @@ mod tests {
     use crate::ml::MlDetector;
     use crate::MimoDetector;
     use gs_channel::{noise_variance_for_snr_db, sample_cn, RayleighChannel};
-    use gs_modulation::{unmap_points_into, BitTable};
+    use gs_modulation::BitTable;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -232,11 +232,14 @@ mod tests {
         let c = Constellation::Qam16;
         let sigma2 = noise_variance_for_snr_db(30.0);
         let det = SoftGeosphereDetector::new(sigma2);
-        let mut tx_bits = Vec::new();
+        let table = BitTable::new(c);
         for _ in 0..20 {
             let (h, y, s) = problem(&mut rng, c, 2, sigma2);
             let soft = det.detect_soft(&h, &y, c);
-            unmap_points_into(c, &s, &mut tx_bits);
+            let tx_bits: Vec<bool> = s
+                .iter()
+                .flat_map(|&p| (0..4).rev().map(move |k| table.packed(p) >> k & 1 == 1))
+                .collect();
             assert_eq!(soft.llrs.len(), tx_bits.len());
             for (bit_idx, (&l, &b)) in soft.llrs.iter().zip(&tx_bits).enumerate() {
                 // Positive LLR = bit 0; at 30 dB every sign must be right.

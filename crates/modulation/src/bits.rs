@@ -86,15 +86,20 @@ impl BitTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gray::{gray_decode, unmap_points_into};
+    use crate::gray::{gray_decode, gray_encode};
 
     #[test]
     fn pack_matches_unmap() {
-        let mut bits = Vec::new();
+        // Each axis's level index Gray-codes into its half of the bits:
+        // I in the high Q/2 bits, Q in the low ones, MSB first.
         for c in Constellation::ALL {
             let table = BitTable::new(c);
+            let half = c.bits_per_axis();
             for p in c.points() {
-                unmap_points_into(c, &[p], &mut bits);
+                let sym =
+                    gray_encode(c.index_of_coord(p.i)) << half | gray_encode(c.index_of_coord(p.q));
+                let bits: Vec<bool> =
+                    (0..c.bits_per_symbol()).rev().map(|k| sym >> k & 1 == 1).collect();
                 let packed = table.packed(p);
                 for (k, &b) in bits.iter().enumerate() {
                     assert_eq!(

@@ -1,53 +1,16 @@
-//! Gray bit mapping between bit groups and constellation points.
+//! The Gray code behind the bit mapping.
 //!
 //! Square QAM is Gray-coded independently per axis (as in 802.11): the first
 //! `Q/2` bits of a symbol select the in-phase level, the rest the quadrature
 //! level, each through a reflected binary Gray code so that adjacent levels
 //! differ in exactly one bit. This makes symbol errors between neighbouring
 //! points cost a single bit — the property the convolutional code relies on.
-
-use crate::bits::BitTable;
-use crate::constellation::{Constellation, GridPoint};
+//! [`crate::BitTable`] holds the resulting point↔bits tables.
 
 /// Binary-reflected Gray code of `n`.
 #[inline]
 pub const fn gray_encode(n: usize) -> usize {
     n ^ (n >> 1)
-}
-
-/// Maps a bitstream to constellation points into `out` (cleared first),
-/// `Q` bits per symbol, MSB-first within each symbol.
-///
-/// # Panics
-/// Panics unless `bits.len()` is a multiple of `Q`.
-pub fn map_bitstream_into(c: Constellation, bits: &[bool], out: &mut Vec<GridPoint>) {
-    let q = c.bits_per_symbol();
-    assert_eq!(bits.len() % q, 0, "bitstream not a multiple of {q} bits");
-    let table = BitTable::new(c);
-    out.clear();
-    out.extend(bits.chunks_exact(q).map(|chunk| table.point(pack_msb_first(chunk))));
-}
-
-/// Packs a bit group MSB-first (the [`BitTable`] index).
-fn pack_msb_first(bits: &[bool]) -> u16 {
-    bits.iter().fold(0u16, |acc, &b| (acc << 1) | b as u16)
-}
-
-/// Recovers the bitstream of exact constellation points into `out`
-/// (cleared first): each point's `Q` bits, MSB-first.
-pub fn unmap_points_into(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
-    out.clear();
-    push_point_bits(c, points, out);
-}
-
-/// Appends the `Q` bits (MSB-first) of every point.
-fn push_point_bits(c: Constellation, points: &[GridPoint], out: &mut Vec<bool>) {
-    let table = BitTable::new(c);
-    let q = c.bits_per_symbol();
-    for &p in points {
-        let packed = table.packed(p);
-        out.extend((0..q).rev().map(|k| (packed >> k) & 1 == 1));
-    }
 }
 
 /// Inverse of [`gray_encode`]: the reference the bit tables' closed form
@@ -66,12 +29,13 @@ pub(crate) fn gray_decode(g: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitTable;
+    use crate::constellation::{Constellation, GridPoint};
 
-    /// The bits of one point.
+    /// The bits of one point, MSB-first.
     fn bits_of(c: Constellation, p: GridPoint) -> Vec<bool> {
-        let mut bits = Vec::new();
-        unmap_points_into(c, &[p], &mut bits);
-        bits
+        let packed = BitTable::new(c).packed(p);
+        (0..c.bits_per_symbol()).rev().map(|k| (packed >> k) & 1 == 1).collect()
     }
 
     /// Every symbol's `Q` bits (MSB-first), symbol by symbol: the whole
@@ -79,6 +43,14 @@ mod tests {
     fn all_symbol_bits(c: Constellation) -> Vec<bool> {
         let q = c.bits_per_symbol();
         (0..c.size()).flat_map(|sym| (0..q).rev().map(move |k| (sym >> k) & 1 == 1)).collect()
+    }
+
+    /// Maps a bitstream `Q` bits (MSB-first) per point.
+    fn map_bits(c: Constellation, bits: &[bool]) -> Vec<GridPoint> {
+        let table = BitTable::new(c);
+        bits.chunks_exact(c.bits_per_symbol())
+            .map(|g| table.point(g.iter().fold(0u16, |acc, &b| acc << 1 | b as u16)))
+            .collect()
     }
 
     #[test]
@@ -99,10 +71,9 @@ mod tests {
 
     #[test]
     fn map_unmap_roundtrip_all_points() {
-        let mut points = Vec::new();
         for c in Constellation::ALL {
             let bits = all_symbol_bits(c);
-            map_bitstream_into(c, &bits, &mut points);
+            let points = map_bits(c, &bits);
             for (sym, (&p, sym_bits)) in
                 points.iter().zip(bits.chunks(c.bits_per_symbol())).enumerate()
             {
@@ -113,9 +84,8 @@ mod tests {
 
     #[test]
     fn mapping_is_bijective() {
-        let mut points = Vec::new();
         for c in Constellation::ALL {
-            map_bitstream_into(c, &all_symbol_bits(c), &mut points);
+            let points = map_bits(c, &all_symbol_bits(c));
             let mut seen = std::collections::HashSet::new();
             for p in &points {
                 assert!(seen.insert((p.i, p.q)), "{c:?}: point {p:?} mapped twice");
@@ -148,16 +118,9 @@ mod tests {
     fn bitstream_roundtrip() {
         let c = Constellation::Qam64;
         let bits: Vec<bool> = (0..120).map(|k| (k * 7 + 3) % 5 < 2).collect();
-        let (mut pts, mut back) = (Vec::new(), Vec::new());
-        map_bitstream_into(c, &bits, &mut pts);
+        let pts = map_bits(c, &bits);
         assert_eq!(pts.len(), 20);
-        unmap_points_into(c, &pts, &mut back);
+        let back: Vec<bool> = pts.iter().flat_map(|&p| bits_of(c, p)).collect();
         assert_eq!(back, bits);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple of 4 bits")]
-    fn wrong_bit_count_panics() {
-        map_bitstream_into(Constellation::Qam16, &[true, false, true], &mut Vec::new());
     }
 }

@@ -9,16 +9,13 @@
 //! and the geometric pruning table of Eq. 9 applies exactly.
 //!
 //! ```
-//! use gs_modulation::{map_bitstream_into, unmap_points_into, Constellation};
+//! use gs_modulation::{BitTable, Constellation};
 //!
 //! let c = Constellation::Qam16;
-//! let bits = [true, false, false, true, false, true, true, false];
-//! let (mut points, mut back) = (Vec::new(), Vec::new());
-//! map_bitstream_into(c, &bits, &mut points); // 4 bits per symbol
-//! assert_eq!(points.len(), 2);
-//! unmap_points_into(c, &points, &mut back);
-//! assert_eq!(back, bits);
-//! assert_eq!(c.slice(points[0].to_complex()), points[0]);
+//! let table = BitTable::new(c);
+//! let p = table.point(0b1001); // 4 bits per symbol, MSB first
+//! assert_eq!(table.packed(p), 0b1001);
+//! assert_eq!(c.slice(p.to_complex()), p);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -31,5 +28,5 @@ pub mod zigzag;
 
 pub use bits::BitTable;
 pub use constellation::{Constellation, GridPoint};
-pub use gray::{gray_encode, map_bitstream_into, unmap_points_into};
+pub use gray::gray_encode;
 pub use zigzag::AxisZigzag;

@@ -6,7 +6,7 @@
 //! uplink frame exchange touches — the transmit-chain scratch, the planned
 //! per-client symbol grids, the pooled [`DetectionJob`] `y` buffers, the
 //! detection outputs, the per-client LLR streams of the soft path, and the
-//! receive-chain (deinterleave/depuncture/Viterbi) scratch — plus the
+//! receive-chain (demap/depuncture/Viterbi) scratch — plus the
 //! detector workspace that detection runs on, inline on the calling
 //! thread. A workspace is single-threaded: parallel callers (the
 //! experiment sweeps, one thread per operating point; the streaming
@@ -44,7 +44,7 @@ use geosphere_core::{
     Detection, DetectionJob, DetectorStats, DetectorWorkspace, SoftDetection, SoftWorkspace,
 };
 use gs_channel::MimoChannel;
-use gs_coding::{CodedBit, Interleaver, ViterbiWorkspace};
+use gs_coding::{CodedBit, SymbolLayout, ViterbiWorkspace};
 use gs_linalg::Matrix;
 use gs_modulation::GridPoint;
 use rand::Rng;
@@ -53,55 +53,60 @@ use rand::Rng;
 /// chain runs start-to-finish before the next client's).
 #[derive(Default)]
 pub(crate) struct TxScratch {
-    /// Payload + CRC + pad (scrambled in place).
-    pub(crate) info: Vec<bool>,
-    /// Mother-code output.
-    pub(crate) mother: Vec<bool>,
-    /// Punctured stream.
-    pub(crate) coded: Vec<bool>,
-    /// Interleaved stream.
-    pub(crate) interleaved: Vec<bool>,
-    /// The frame shape's interleaver tables ([`interleaver_for`]).
-    pub(crate) il: Option<Interleaver>,
+    /// Payload + CRC + pad, packed (scrambled in place).
+    pub(crate) info: Vec<u64>,
+    /// Mother-code output, packed.
+    pub(crate) mother: Vec<u64>,
+    /// The frame shape's bit layout ([`layout_for`]).
+    pub(crate) layout: Option<SymbolLayout>,
 }
 
 /// Receive-chain scratch shared by all clients of a frame.
 #[derive(Default)]
 pub(crate) struct RxScratch {
-    /// Hard demapped bits (transmitted order).
-    pub(crate) bits: Vec<bool>,
-    /// Deinterleaved hard bits.
-    pub(crate) deint: Vec<bool>,
-    /// Depunctured mother stream.
-    pub(crate) mother_cb: Vec<CodedBit>,
     /// Deinterleaved LLRs (soft path).
     pub(crate) llr_deint: Vec<f64>,
     /// Depunctured soft mother stream.
     pub(crate) mother_soft: Vec<f64>,
-    /// Decoded information bits (truncated to payload + CRC).
-    pub(crate) info: Vec<bool>,
+    /// Decoded information bits, packed (per-client and soft paths).
+    pub(crate) info: Vec<u64>,
     /// Viterbi trellis scratch (hard and soft paths).
     pub(crate) vit: ViterbiWorkspace,
     /// Flat client-major mother streams for the lockstep multi-stream
-    /// Viterbi pass (client `cl` at `cl·mother_len..`).
+    /// Viterbi pass (client `cl` at `cl·mother_len..`); the per-client
+    /// path decodes one client at a time from its start.
     pub(crate) mother_multi: Vec<CodedBit>,
-    /// Flat client-major decoded info bits from the lockstep pass.
-    pub(crate) info_multi: Vec<bool>,
-    /// The frame shape's interleaver tables ([`interleaver_for`]).
-    pub(crate) il: Option<Interleaver>,
+    /// Flat client-major decoded info words from the lockstep pass.
+    pub(crate) info_multi: Vec<u64>,
+    /// The frame shape's bit layout ([`layout_for`]).
+    pub(crate) layout: Option<SymbolLayout>,
 }
 
-/// The interleaver for `cfg`'s OFDM symbol shape, kept in `slot` across
-/// frames: built on first use and rebuilt in place only when the shape
-/// changes, so a warm receive loop never recomputes the permutation.
-pub(crate) fn interleaver_for<'a>(
-    slot: &'a mut Option<Interleaver>,
+/// The bit layout (interleaver and puncturing) for `cfg`'s OFDM symbol
+/// shape, kept in `slot` across frames: built on first use and rebuilt in
+/// place only when the shape changes, so a warm loop never recomputes it.
+pub(crate) fn layout_for<'a>(
+    slot: &'a mut Option<SymbolLayout>,
     cfg: &PhyConfig,
-) -> &'a Interleaver {
+) -> &'a SymbolLayout {
     let (n_cbps, n_bpsc) = (cfg.n_cbps(), cfg.constellation.bits_per_symbol());
-    let il = slot.get_or_insert_with(|| Interleaver::new(n_cbps, n_bpsc));
-    il.reshape(n_cbps, n_bpsc);
-    il
+    let layout = slot.get_or_insert_with(|| SymbolLayout::new(n_cbps, n_bpsc, cfg.code_rate));
+    layout.reshape(n_cbps, n_bpsc, cfg.code_rate);
+    layout
+}
+
+/// The detector's channel table: the supplied CSI when the frame was
+/// planned with one (`n_rx` set), else the air channels themselves.
+pub(crate) fn detector_channels<'a>(
+    grid: &'a [Matrix],
+    n_grid: usize,
+    rx: &'a [Matrix],
+    n_rx: Option<usize>,
+) -> &'a [Matrix] {
+    match n_rx {
+        Some(n) => &rx[..n],
+        None => &grid[..n_grid],
+    }
 }
 
 /// Reusable whole-frame state for the uplink receive loop. See the module
@@ -111,19 +116,21 @@ pub(crate) fn interleaver_for<'a>(
 #[derive(Default)]
 pub struct FrameWorkspace {
     // --- frame plan (filled by `plan_uplink_frame_into`) ---
-    /// Per-client payload bits.
-    pub(crate) payloads: Vec<Vec<bool>>,
+    /// Per-client payload bits, packed.
+    pub(crate) payloads: Vec<Vec<u64>>,
     /// Per-client planned grid symbols, flattened `[t * n_subcarriers + k]`.
     pub(crate) symbols: Vec<Vec<GridPoint>>,
     pub(crate) tx: TxScratch,
     /// Grid-domain air channels (constellation scale folded in).
     pub(crate) grid_channels: Vec<Matrix>,
-    /// The detector's channel view (genie or CSI), same scaling.
+    /// Supplied CSI, same scaling; genie-CSI frames detect against
+    /// `grid_channels` and leave this table alone.
     pub(crate) rx_channels: Vec<Matrix>,
     /// Valid prefix lengths of the two channel tables (the buffers only
-    /// grow; stale entries beyond these lengths are ignored).
+    /// grow; stale entries beyond these lengths are ignored). `None`:
+    /// the frame was planned under genie CSI.
     pub(crate) n_grid_channels: usize,
-    pub(crate) n_rx_channels: usize,
+    pub(crate) n_rx_channels: Option<usize>,
     /// Pooled detection jobs; entry `y` buffers are refilled in place.
     pub(crate) jobs: Vec<DetectionJob>,
     pub(crate) n_jobs: usize,
@@ -228,7 +235,12 @@ impl FrameWorkspace {
     /// The channel table of the last planned frame (the detector's view,
     /// constellation scale folded in).
     pub fn planned_channels(&self) -> &[Matrix] {
-        &self.rx_channels[..self.n_rx_channels]
+        detector_channels(
+            &self.grid_channels,
+            self.n_grid_channels,
+            &self.rx_channels,
+            self.n_rx_channels,
+        )
     }
 
     /// Stage 3 prologue — sizes the per-client detected-symbol buffers for

@@ -18,11 +18,11 @@
 //! detectors' per-batch preprocessing rule with the frame as the batch.
 
 use crate::config::PhyConfig;
-use crate::frame::{interleaver_for, FrameWorkspace};
-use crate::txrx::{plan_uplink_frame_into, UplinkOutcome};
+use crate::frame::{layout_for, FrameWorkspace};
+use crate::txrx::{payload_matches, plan_uplink_frame_into, verify_frame, UplinkOutcome};
 use geosphere_core::DetectorStats;
 use gs_channel::MimoChannel;
-use gs_coding::{bcjr, depuncture_soft_into, puncture_into, scramble::Scrambler};
+use gs_coding::{bcjr, depuncture_soft_into, puncture_into};
 use gs_linalg::{invert, Complex, Matrix};
 use gs_modulation::{BitTable, Constellation, GridPoint};
 use rand::Rng;
@@ -56,8 +56,6 @@ pub(crate) struct IterScratch {
     /// Deinterleaved LLRs / depunctured soft mother stream (decode pass).
     deint: Vec<f64>,
     soft: Vec<f64>,
-    /// Decoder hard decisions (scrambled back, truncated).
-    info: Vec<bool>,
     /// Punctured extrinsics before re-interleaving.
     kept: Vec<f64>,
     /// Extrinsics in transmitted order (swapped into `priors`).
@@ -313,19 +311,15 @@ pub fn uplink_frame_iterative_into<'w, R: Rng + ?Sized>(
         // re-interleave extrinsics into priors for the next round.
         for cl in 0..nc {
             let FrameWorkspace { payloads, iter, out, rx, .. } = ws;
-            let il = interleaver_for(&mut rx.il, cfg);
+            let il = layout_for(&mut rx.layout, cfg).interleaver();
             il.deinterleave_stream_into(&iter.channel_llrs[cl], &mut iter.deint);
             let mother_len = 2 * cfg.total_info_bits();
             depuncture_soft_into(&iter.deint, cfg.code_rate, mother_len, &mut iter.soft);
-            let siso = bcjr::siso_decode(&iter.soft);
+            let mut siso = bcjr::siso_decode(&iter.soft);
 
             // CRC check on this iteration's hard decisions.
-            iter.info.clear();
-            iter.info.extend_from_slice(&siso.info_bits);
-            Scrambler::default_seed().apply_in_place(&mut iter.info);
-            iter.info.truncate(cfg.payload_bits + 32);
-            if gs_coding::check_crc_ok(&iter.info)
-                && iter.info[..cfg.payload_bits] == payloads[cl][..]
+            if verify_frame(cfg, &mut siso.info_bits)
+                && payload_matches(&siso.info_bits, &payloads[cl], cfg.payload_bits)
             {
                 out.client_ok[cl] = true;
             }
@@ -368,9 +362,10 @@ mod tests {
         let table = BitTable::new(c);
         // Strong priors for a specific point's bits.
         let p = GridPoint { i: 3, q: -1 };
-        let mut bits = Vec::new();
-        gs_modulation::unmap_points_into(c, &[p], &mut bits);
-        let llrs: Vec<f64> = bits.iter().map(|&b| if b { -30.0 } else { 30.0 }).collect();
+        let llrs: Vec<f64> = (0..4)
+            .rev()
+            .map(|k| if table.packed(p) >> k & 1 == 1 { -30.0 } else { 30.0 })
+            .collect();
         let sp = symbol_stats(c, &table, &c.points(), &llrs);
         assert!((sp.mean - p.to_complex()).abs() < 1e-6);
         assert!(sp.variance < 1e-6);
@@ -382,10 +377,9 @@ mod tests {
         let table = BitTable::new(c);
         let mut out = Vec::new();
         scalar_llrs(c, &table, &c.points(), Complex::new(1.0, -1.0), 1.0, 0.1, &mut out);
-        let mut bits = Vec::new();
-        gs_modulation::unmap_points_into(c, &[GridPoint { i: 1, q: -1 }], &mut bits);
-        for (l, b) in out.iter().zip(&bits) {
-            assert_eq!(*l < 0.0, *b);
+        let packed = table.packed(GridPoint { i: 1, q: -1 });
+        for (k, l) in out.iter().enumerate() {
+            assert_eq!(*l < 0.0, packed >> (1 - k) & 1 == 1);
         }
     }
 

@@ -29,5 +29,5 @@ pub use measure::{measure, snr_for_target_fer, Measurement};
 pub use soft_rx::uplink_frame_soft_into;
 pub use txrx::{
     decode_frame_batched_into, decode_frame_with_csi_into, receive_frame, transmit_frame,
-    CsiMismatch, TxFrame, UplinkOutcome,
+    CsiMismatch, GridMismatch, TxFrame, UplinkOutcome,
 };

@@ -13,26 +13,25 @@
 //! `tests/alloc_regression.rs`).
 
 use crate::config::PhyConfig;
-use crate::frame::{interleaver_for, FrameWorkspace, RxScratch};
-use crate::txrx::{plan_uplink_frame_into, UplinkOutcome};
+use crate::frame::{detector_channels, layout_for, FrameWorkspace, RxScratch};
+use crate::txrx::{payload_matches, plan_uplink_frame_into, verify_frame, UplinkOutcome};
 use geosphere_core::{DetectorStats, SoftGeosphereDetector};
 use gs_channel::MimoChannel;
-use gs_coding::{check_crc_ok, depuncture_soft_into, scramble::Scrambler, viterbi};
+use gs_coding::{depuncture_soft_into, viterbi};
 use rand::Rng;
 
 /// The soft receive chain with every intermediate in reused scratch.
 /// Returns whether the CRC verified; the decoded information bits
-/// (payload + CRC) are left in `rx.info`.
+/// (payload + CRC descrambled, packed) are left in `rx.info`.
 pub(crate) fn receive_frame_soft_into(cfg: &PhyConfig, llrs: &[f64], rx: &mut RxScratch) -> bool {
     let _prof = gs_prof::scope(gs_prof::Stage::Recover);
     _prof.add_bytes(cfg.payload_bits as u64 / 8);
-    interleaver_for(&mut rx.il, cfg).deinterleave_stream_into(llrs, &mut rx.llr_deint);
+    let il = layout_for(&mut rx.layout, cfg).interleaver();
+    il.deinterleave_stream_into(llrs, &mut rx.llr_deint);
     let mother_len = 2 * cfg.total_info_bits();
     depuncture_soft_into(&rx.llr_deint, cfg.code_rate, mother_len, &mut rx.mother_soft);
     viterbi::decode_soft_into(&rx.mother_soft, &mut rx.vit, &mut rx.info);
-    Scrambler::default_seed().apply_in_place(&mut rx.info);
-    rx.info.truncate(cfg.payload_bits + 32);
-    check_crc_ok(&rx.info)
+    verify_frame(cfg, &mut rx.info)
 }
 
 /// Simulates one uplink frame with **soft** detection and decoding into a
@@ -72,11 +71,22 @@ pub fn uplink_frame_soft_into<'w, R: Rng + ?Sized>(
     // buffers (bit-identical to per-call `detect_soft`, without its
     // allocations). Symbol-major visits keep each client's LLR stream in
     // frame order over the channel-major jobs.
+    let FrameWorkspace {
+        grid_channels,
+        n_grid_channels,
+        rx_channels,
+        n_rx_channels,
+        jobs,
+        soft_ws,
+        soft_out,
+        llrs,
+        ..
+    } = ws;
+    let channels = detector_channels(grid_channels, *n_grid_channels, rx_channels, *n_rx_channels);
     for t in 0..n_sym {
         for k in 0..cfg.n_subcarriers {
-            let FrameWorkspace { rx_channels, jobs, soft_ws, soft_out, llrs, .. } = ws;
             let job = &jobs[k * n_sym + t];
-            detector.detect_soft_into(&rx_channels[job.channel], &job.y, c, soft_ws, soft_out);
+            detector.detect_soft_into(&channels[job.channel], &job.y, c, soft_ws, soft_out);
             stats += soft_out.stats;
             detections += 1;
             for cl in 0..nc {
@@ -89,7 +99,7 @@ pub fn uplink_frame_soft_into<'w, R: Rng + ?Sized>(
     for cl in 0..nc {
         let FrameWorkspace { payloads, llrs, rx, out, .. } = ws;
         let ok = receive_frame_soft_into(cfg, &llrs[cl], rx)
-            && rx.info[..cfg.payload_bits] == payloads[cl][..];
+            && payload_matches(&rx.info, &payloads[cl], cfg.payload_bits);
         out.client_ok.push(ok);
     }
     ws.out.stats = stats;
@@ -103,7 +113,7 @@ mod tests {
     use crate::txrx::{decode_frame_batched_into, transmit_frame};
     use geosphere_core::geosphere_decoder;
     use gs_channel::{ChannelModel, RayleighChannel};
-    use gs_modulation::{unmap_points_into, Constellation};
+    use gs_modulation::{BitTable, Constellation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -111,29 +121,24 @@ mod tests {
         PhyConfig { payload_bits: 512, ..PhyConfig::new(c) }
     }
 
-    /// Decodes one client's LLR stream (frame order, `n_ofdm_symbols ×
-    /// n_cbps` entries) back to a verified payload.
-    fn receive_frame_soft(cfg: &PhyConfig, llrs: &[f64]) -> Option<Vec<bool>> {
-        let mut rx = RxScratch::default();
-        if receive_frame_soft_into(cfg, llrs, &mut rx) {
-            rx.info.truncate(cfg.payload_bits);
-            Some(rx.info)
-        } else {
-            None
-        }
-    }
-
     #[test]
     fn soft_rx_roundtrip_from_strong_llrs() {
         let cfg = cfg(Constellation::Qam16);
-        let payload: Vec<bool> = (0..cfg.payload_bits).map(|k| k % 5 < 2).collect();
+        let payload: Vec<u64> = (0..8u64).map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         let f = transmit_frame(&cfg, &payload);
         // Perfect LLRs derived from the transmitted bits themselves.
-        let flat: Vec<_> = f.symbols.iter().flatten().copied().collect();
-        let mut bits = Vec::new();
-        unmap_points_into(cfg.constellation, &flat, &mut bits);
-        let llrs: Vec<f64> = bits.iter().map(|&b| if b { -6.0 } else { 6.0 }).collect();
-        assert_eq!(receive_frame_soft(&cfg, &llrs), Some(payload));
+        let table = BitTable::new(cfg.constellation);
+        let q = cfg.constellation.bits_per_symbol();
+        let llrs: Vec<f64> = f
+            .symbols
+            .iter()
+            .flatten()
+            .flat_map(|&p| (0..q).rev().map(move |k| table.packed(p) >> k & 1 == 1))
+            .map(|b| if b { -6.0 } else { 6.0 })
+            .collect();
+        let mut rx = RxScratch::default();
+        assert!(receive_frame_soft_into(&cfg, &llrs, &mut rx));
+        assert!(payload_matches(&rx.info, &payload, cfg.payload_bits));
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! Per-client transmit pipeline (§4 of the paper, mirroring 802.11):
 //! payload → CRC-32 → pad → scramble → rate-1/2 convolutional code (+tail)
 //! → puncture → per-OFDM-symbol interleave → Gray QAM mapping → one grid
-//! symbol per (OFDM symbol, subcarrier).
+//! symbol per (OFDM symbol, subcarrier). Bits travel as packed `u64` words
+//! (bit `i` is bit `i % 64` of word `i / 64`), and the last three steps
+//! are one gather through the frame shape's [`SymbolLayout`].
 //!
 //! The uplink receive pipeline runs a [`MimoDetector`] per (OFDM symbol,
 //! subcarrier) on the stacked clients' symbols, then inverts the chain per
-//! client and checks the CRC — frame success is what the throughput
-//! figures count.
+//! client — demapping, deinterleaving and depuncturing in one scatter
+//! straight into the Viterbi input — and checks the CRC: frame success is
+//! what the throughput figures count.
 //!
 //! There is one hard receive path: [`decode_frame_batched_into`] (genie
 //! CSI) and [`decode_frame_with_csi_into`] (estimated CSI) are thin fronts
@@ -18,91 +21,163 @@
 //! heap allocations per frame** after warmup.
 
 use crate::config::PhyConfig;
-use crate::frame::{interleaver_for, FrameWorkspace, RxScratch, TxScratch};
+use crate::frame::{detector_channels, layout_for, FrameWorkspace, RxScratch, TxScratch};
 use geosphere_core::{
     apply_channel_into, DetectionBatch, DetectionJob, DetectorStats, MimoDetector,
 };
 use gs_channel::{sample_cn, MimoChannel};
 use gs_coding::{
-    check_crc_ok, conv, crc::crc32_bits, depuncture_into, puncture_into, scramble::Scrambler,
-    viterbi,
+    check_crc_ok, conv, crc::crc32_words, scramble::Scrambler, viterbi, CodedBit, SymbolLayout,
 };
 use gs_linalg::Matrix;
-use gs_modulation::{map_bitstream_into, unmap_points_into, GridPoint};
+use gs_modulation::{BitTable, GridPoint};
 use rand::Rng;
 
 /// A transmitted client frame: the original payload and the grid-domain
 /// symbol plan `[ofdm_symbol][subcarrier]`.
 #[derive(Clone, Debug)]
 pub struct TxFrame {
-    /// The information payload (pre-CRC).
-    pub payload: Vec<bool>,
+    /// The information payload (pre-CRC), packed: bit `i` is bit `i % 64`
+    /// of word `i / 64`, the bits past `payload_bits` zero.
+    pub payload: Vec<u64>,
     /// Symbols per OFDM symbol per subcarrier.
     pub symbols: Vec<Vec<GridPoint>>,
 }
 
-/// Encodes one client frame.
+/// Encodes one client frame. `payload` holds `cfg.payload_bits` bits,
+/// packed as in [`TxFrame::payload`]; bits past them are ignored.
 ///
 /// # Panics
-/// Panics when `payload.len() != cfg.payload_bits`.
-pub fn transmit_frame(cfg: &PhyConfig, payload: &[bool]) -> TxFrame {
+/// Panics when `payload.len() != cfg.payload_bits.div_ceil(64)`.
+pub fn transmit_frame(cfg: &PhyConfig, payload: &[u64]) -> TxFrame {
     let mut tx = TxScratch::default();
     let mut flat = Vec::new();
     transmit_symbols_into(cfg, payload, &mut tx, &mut flat);
     let symbols: Vec<Vec<GridPoint>> =
         flat.chunks(cfg.n_subcarriers).map(|ch| ch.to_vec()).collect();
-    TxFrame { payload: payload.to_vec(), symbols }
+    let mut payload = payload.to_vec();
+    mask_tail(&mut payload, cfg.payload_bits);
+    TxFrame { payload, symbols }
+}
+
+/// Clears the bits of `words` from bit `n_bits` on.
+fn mask_tail(words: &mut [u64], n_bits: usize) {
+    if !n_bits.is_multiple_of(64) {
+        words[n_bits / 64] &= (1 << (n_bits % 64)) - 1;
+    }
+    words[n_bits.div_ceil(64)..].fill(0);
 }
 
 /// The transmit chain into a flat symbol buffer (`[t * n_subcarriers + k]`),
 /// all intermediates in reused scratch: allocation-free once warm.
 ///
 /// # Panics
-/// Panics when `payload.len() != cfg.payload_bits`.
+/// Panics when `payload.len() != cfg.payload_bits.div_ceil(64)`.
 pub(crate) fn transmit_symbols_into(
     cfg: &PhyConfig,
-    payload: &[bool],
+    payload: &[u64],
     tx: &mut TxScratch,
     out: &mut Vec<GridPoint>,
 ) {
-    assert_eq!(payload.len(), cfg.payload_bits, "payload length mismatch");
-    let c = cfg.constellation;
+    let n = cfg.payload_bits;
+    assert_eq!(payload.len(), n.div_ceil(64), "payload length mismatch");
 
     // Payload + CRC + pad, scrambled (the tail is appended by the encoder
     // and must stay zero, so scrambling covers only the data region).
+    let data_bits = cfg.total_info_bits() - (conv::CONSTRAINT - 1);
     tx.info.clear();
     tx.info.extend_from_slice(payload);
-    let crc = crc32_bits(payload);
-    tx.info.extend((0..32).map(|k| crc >> k & 1 == 1));
-    tx.info.extend(std::iter::repeat_n(false, cfg.pad_bits()));
-    Scrambler::default_seed().apply_in_place(&mut tx.info);
+    tx.info.resize(data_bits.div_ceil(64), 0);
+    mask_tail(&mut tx.info, n);
+    let crc = u64::from(crc32_words(&tx.info, n));
+    tx.info[n / 64] |= crc << (n % 64);
+    if n % 64 > 32 {
+        tx.info[n / 64 + 1] |= crc >> (64 - n % 64);
+    }
+    Scrambler::default_seed().apply_in_place(&mut tx.info, data_bits);
 
-    // Convolutional code (appends the 6-bit tail), then puncturing.
-    conv::encode_into(&tx.info, &mut tx.mother);
-    puncture_into(&tx.mother, cfg.code_rate, &mut tx.coded);
-    debug_assert_eq!(tx.coded.len(), cfg.n_ofdm_symbols() * cfg.n_cbps());
-
-    // Per-OFDM-symbol interleaving, then Gray mapping.
-    interleaver_for(&mut tx.il, cfg).interleave_stream_into(&tx.coded, &mut tx.interleaved);
-    map_bitstream_into(c, &tx.interleaved, out);
+    // Convolutional code (appends the 6-bit tail), then puncturing,
+    // per-OFDM-symbol interleaving and Gray mapping as one gather.
+    conv::encode_into(&tx.info, data_bits, &mut tx.mother);
+    let table = BitTable::new(cfg.constellation);
+    layout_for(&mut tx.layout, cfg).gather_into(
+        &tx.mother,
+        cfg.n_ofdm_symbols(),
+        |bits| table.point(bits),
+        out,
+    );
 }
 
-/// Decodes one client's detected grid symbols back to a payload, returning
-/// `Some(payload)` only when the CRC verifies.
-pub fn receive_frame(cfg: &PhyConfig, detected: &[Vec<GridPoint>]) -> Option<Vec<bool>> {
+/// Why [`receive_frame`] refused a detected grid: its shape does not fit
+/// the frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GridMismatch {
+    /// The grid has `got` OFDM symbols; the frame needs `want`.
+    Symbols {
+        /// OFDM symbols in the grid.
+        got: usize,
+        /// OFDM symbols of the frame.
+        want: usize,
+    },
+    /// OFDM symbol `symbol` has `got` subcarriers; the frame has `want`.
+    Subcarriers {
+        /// The first OFDM symbol of the wrong width.
+        symbol: usize,
+        /// Its subcarriers.
+        got: usize,
+        /// The frame's subcarriers.
+        want: usize,
+    },
+}
+
+impl std::fmt::Display for GridMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            GridMismatch::Symbols { got, want } => {
+                write!(f, "grid has {got} OFDM symbols; the frame needs {want}")
+            }
+            GridMismatch::Subcarriers { symbol, got, want } => {
+                write!(f, "OFDM symbol {symbol} has {got} subcarriers; the frame has {want}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GridMismatch {}
+
+/// Decodes one client's detected grid symbols back to a payload (packed
+/// as in [`TxFrame::payload`]), returning `Ok(Some(payload))` only when
+/// the CRC verifies.
+///
+/// # Errors
+/// [`GridMismatch`] when the grid does not have `cfg`'s OFDM symbol and
+/// subcarrier counts.
+pub fn receive_frame(
+    cfg: &PhyConfig,
+    detected: &[Vec<GridPoint>],
+) -> Result<Option<Vec<u64>>, GridMismatch> {
+    let want = cfg.n_ofdm_symbols();
+    if detected.len() != want {
+        return Err(GridMismatch::Symbols { got: detected.len(), want });
+    }
+    if let Some((symbol, row)) =
+        detected.iter().enumerate().find(|(_, row)| row.len() != cfg.n_subcarriers)
+    {
+        return Err(GridMismatch::Subcarriers { symbol, got: row.len(), want: cfg.n_subcarriers });
+    }
     let flat: Vec<GridPoint> = detected.iter().flatten().copied().collect();
     let mut rx = RxScratch::default();
-    if receive_frame_flat_into(cfg, &flat, &mut rx) {
-        rx.info.truncate(cfg.payload_bits);
-        Some(rx.info)
-    } else {
-        None
+    if !receive_frame_flat_into(cfg, &flat, &mut rx) {
+        return Ok(None);
     }
+    rx.info.truncate(cfg.payload_bits.div_ceil(64));
+    mask_tail(&mut rx.info, cfg.payload_bits);
+    Ok(Some(rx.info))
 }
 
 /// The hard receive chain over a flat symbol stream, every intermediate in
 /// reused scratch. Returns whether the CRC verified; the decoded
-/// information bits (payload + CRC) are left in `rx.info`.
+/// information bits (payload + CRC, descrambled) are left in `rx.info`.
 pub(crate) fn receive_frame_flat_into(
     cfg: &PhyConfig,
     detected: &[GridPoint],
@@ -110,22 +185,38 @@ pub(crate) fn receive_frame_flat_into(
 ) -> bool {
     let _prof = gs_prof::scope(gs_prof::Stage::Recover);
     _prof.add_bytes(cfg.payload_bits as u64 / 8);
-    preprocess_client_into(cfg, detected, rx);
-    viterbi::decode_with_erasures_into(&rx.mother_cb, &mut rx.vit, &mut rx.info);
-    Scrambler::default_seed().apply_in_place(&mut rx.info);
-    rx.info.truncate(cfg.payload_bits + 32); // drop pad
-    check_crc_ok(&rx.info)
+    rx.mother_multi.resize(2 * cfg.total_info_bits(), CodedBit::Erased);
+    demap_into(cfg, layout_for(&mut rx.layout, cfg), detected, &mut rx.mother_multi);
+    viterbi::decode_with_erasures_into(&rx.mother_multi, &mut rx.vit, &mut rx.info);
+    verify_frame(cfg, &mut rx.info)
 }
 
-/// The pre-Viterbi half of one client's receive chain: demap the detected
-/// grid points, deinterleave, and depuncture into `rx.mother_cb`.
-fn preprocess_client_into(cfg: &PhyConfig, detected: &[GridPoint], rx: &mut RxScratch) {
-    unmap_points_into(cfg.constellation, detected, &mut rx.bits);
-    interleaver_for(&mut rx.il, cfg).deinterleave_stream_into(&rx.bits, &mut rx.deint);
-    // `total_info_bits` already includes the 6-bit tail, so the mother
-    // (rate-1/2) stream is exactly twice it.
-    let mother_len = 2 * cfg.total_info_bits();
-    depuncture_into(&rx.deint, cfg.code_rate, mother_len, &mut rx.mother_cb);
+/// The pre-Viterbi half of one client's hard receive chain: demap every
+/// detected point and scatter its bits through the frame's layout into
+/// the client's depunctured mother stream `out`.
+fn demap_into(
+    cfg: &PhyConfig,
+    layout: &SymbolLayout,
+    detected: &[GridPoint],
+    out: &mut [CodedBit],
+) {
+    let table = BitTable::new(cfg.constellation);
+    layout.scatter(detected.iter().map(|&p| table.packed(p)), out);
+}
+
+/// Descrambles a decoded frame's payload and CRC in place (the pad stays
+/// as decoded) and checks the CRC: the tail every receive path shares.
+pub(crate) fn verify_frame(cfg: &PhyConfig, info: &mut [u64]) -> bool {
+    let frame_bits = cfg.payload_bits + 32;
+    Scrambler::default_seed().apply_in_place(info, frame_bits);
+    check_crc_ok(info, frame_bits)
+}
+
+/// Whether the first `n_bits` bits of `decoded` equal `payload`'s.
+pub(crate) fn payload_matches(decoded: &[u64], payload: &[u64], n_bits: usize) -> bool {
+    let full = n_bits / 64;
+    decoded[..full] == payload[..full]
+        && (n_bits.is_multiple_of(64) || (decoded[full] ^ payload[full]) << (64 - n_bits % 64) == 0)
 }
 
 /// Result of one multi-user uplink frame exchange.
@@ -156,7 +247,7 @@ pub struct UplinkOutcome {
 /// inline through the workspace's
 /// [`DetectorWorkspace`](geosphere_core::DetectorWorkspace) with recycled
 /// outputs, and the receive chain decodes into reused
-/// Viterbi/deinterleave scratch.
+/// mother-stream and Viterbi scratch.
 ///
 /// `workers` is ignored; removed with the next benchmark PR (rxbench
 /// passes it). A frame is detected on the calling thread: callers that
@@ -303,12 +394,25 @@ fn detect_planned_inline<D: MimoDetector + ?Sized>(
     stats: &mut DetectorStats,
 ) {
     {
-        let n_rx = ws.n_rx_channels;
-        let n_jobs = ws.n_jobs;
-        let FrameWorkspace { rx_channels, jobs, det_ws, det_out, .. } = ws;
+        let FrameWorkspace {
+            grid_channels,
+            n_grid_channels,
+            rx_channels,
+            n_rx_channels,
+            jobs,
+            n_jobs,
+            det_ws,
+            det_out,
+            ..
+        } = ws;
         let batch = DetectionBatch {
-            channels: &rx_channels[..n_rx],
-            jobs: &jobs[..n_jobs],
+            channels: detector_channels(
+                grid_channels,
+                *n_grid_channels,
+                rx_channels,
+                *n_rx_channels,
+            ),
+            jobs: &jobs[..*n_jobs],
             c: cfg.constellation,
         };
         detector.detect_batch_with(&batch, det_ws, det_out);
@@ -355,7 +459,9 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
         cfg.n_subcarriers
     );
 
-    // Per-client frames with random payloads.
+    // Per-client frames with random payloads: 64 bits per `next_u64`,
+    // least significant first, the last word's bits past the payload
+    // dropped.
     if ws.payloads.len() < nc {
         ws.payloads.resize_with(nc, Vec::new);
     }
@@ -366,12 +472,8 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
         let FrameWorkspace { payloads, symbols, tx, .. } = ws;
         let payload = &mut payloads[cl];
         payload.clear();
-        // 64 bits per `next_u64`, least significant first.
-        while payload.len() < cfg.payload_bits {
-            let word = rng.next_u64();
-            let n = (cfg.payload_bits - payload.len()).min(64);
-            payload.extend((0..n).map(|b| word >> b & 1 == 1));
-        }
+        payload.extend((0..cfg.payload_bits.div_ceil(64)).map(|_| rng.next_u64()));
+        mask_tail(payload, cfg.payload_bits);
         transmit_symbols_into(cfg, payload, tx, &mut symbols[cl]);
     }
     let n_sym = ws.symbols[0].len() / cfg.n_subcarriers;
@@ -385,7 +487,8 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
     }
     let sigma2 = gs_channel::noise_variance_for_snr_db(snr_db);
     ws.n_grid_channels = n_grid;
-    // The detector's view of the channel: genie (the truth) or supplied CSI.
+    // The detector's view of the channel: supplied CSI, or under genie
+    // CSI the grid channels themselves (no copy).
     let n_rx = match csi {
         Some(est) => {
             // `decode_frame_with_csi_into` refuses a foreign shape before
@@ -398,20 +501,14 @@ pub(crate) fn plan_uplink_frame_into<R: Rng + ?Sized>(
             for (k, m) in est.iter().enumerate() {
                 ws.rx_channels[k].scale_from(m, c.scale());
             }
+            ws.n_rx_channels = Some(n);
             n
         }
         None => {
-            if ws.rx_channels.len() < n_grid {
-                ws.rx_channels.resize_with(n_grid, Matrix::default);
-            }
-            for k in 0..n_grid {
-                let FrameWorkspace { grid_channels, rx_channels, .. } = ws;
-                rx_channels[k].copy_from(&grid_channels[k]);
-            }
+            ws.n_rx_channels = None;
             n_grid
         }
     };
-    ws.n_rx_channels = n_rx;
 
     let n_jobs = n_sym * cfg.n_subcarriers;
     if ws.jobs.len() < n_jobs {
@@ -481,21 +578,22 @@ pub(crate) fn finish_outcome<'w>(
     let n_jobs = ws.n_jobs;
     ws.out.client_ok.clear();
     if nc >= 2 && !ws.per_client_viterbi {
-        // Multi-symbol SoA path: every client's pre-Viterbi chain feeds one
-        // flat client-major mother slab, one lockstep trellis pass decodes
-        // them all, then the per-client tail (descramble, CRC, compare)
-        // runs over slices of the flat output. Bit-identical to the
-        // per-client loop below — the lockstep decoder reproduces the
-        // single-stream recurrence exactly.
+        // Multi-symbol SoA path: every client's demapped bits land in its
+        // block of one flat client-major mother slab, one lockstep trellis
+        // pass decodes them all, then the per-client tail (descramble,
+        // CRC, compare) runs over slices of the flat output. Bit-identical
+        // to the per-client loop below — the lockstep decoder reproduces
+        // the single-stream recurrence exactly.
         let FrameWorkspace { detected, payloads, rx, out, .. } = ws;
         {
             let _prof = gs_prof::scope(gs_prof::Stage::Recover);
             _prof.add_bytes((nc * cfg.payload_bits) as u64 / 8);
-            rx.mother_multi.clear();
-            for cl in 0..nc {
-                preprocess_client_into(cfg, &detected[cl][..n_jobs], rx);
-                let RxScratch { mother_cb, mother_multi, .. } = rx;
-                mother_multi.extend_from_slice(mother_cb);
+            let mother_len = 2 * cfg.total_info_bits();
+            let RxScratch { layout, mother_multi, .. } = rx;
+            mother_multi.resize(nc * mother_len, CodedBit::Erased);
+            let layout = layout_for(layout, cfg);
+            for (cl, mother) in mother_multi.chunks_exact_mut(mother_len).enumerate() {
+                demap_into(cfg, layout, &detected[cl][..n_jobs], mother);
             }
         }
         viterbi::decode_multi_with_erasures_into(
@@ -505,15 +603,9 @@ pub(crate) fn finish_outcome<'w>(
             &mut rx.info_multi,
         );
         let _prof = gs_prof::scope(gs_prof::Stage::Recover);
-        let info_len = rx.info_multi.len() / nc;
-        let frame_len = cfg.payload_bits + 32;
-        for cl in 0..nc {
-            // Descrambling is positional, so stopping at the CRC boundary
-            // leaves exactly the bits the single-stream path keeps after
-            // its truncate.
-            let info = &mut rx.info_multi[cl * info_len..cl * info_len + frame_len];
-            Scrambler::default_seed().apply_in_place(info);
-            let ok = check_crc_ok(info) && info[..cfg.payload_bits] == payloads[cl][..];
+        let words = rx.info_multi.len() / nc;
+        for (info, payload) in rx.info_multi.chunks_exact_mut(words).zip(&payloads[..nc]) {
+            let ok = verify_frame(cfg, info) && payload_matches(info, payload, cfg.payload_bits);
             out.client_ok.push(ok);
         }
     } else {
@@ -522,7 +614,7 @@ pub(crate) fn finish_outcome<'w>(
         for cl in 0..nc {
             let FrameWorkspace { detected, payloads, rx, out, .. } = ws;
             let ok = receive_frame_flat_into(cfg, &detected[cl][..n_jobs], rx)
-                && rx.info[..cfg.payload_bits] == payloads[cl][..];
+                && payload_matches(&rx.info, &payloads[cl], cfg.payload_bits);
             out.client_ok.push(ok);
         }
     }
@@ -540,11 +632,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A seeded payload of `cfg.payload_bits` bits.
+    fn payload_for(cfg: &PhyConfig, seed: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut words: Vec<u64> = (0..cfg.payload_bits.div_ceil(64)).map(|_| rng.gen()).collect();
+        mask_tail(&mut words, cfg.payload_bits);
+        words
+    }
+
     #[test]
     fn tx_frame_dimensions() {
         let cfg = PhyConfig::new(Constellation::Qam16);
-        let payload: Vec<bool> = (0..cfg.payload_bits).map(|k| k % 3 == 0).collect();
-        let f = transmit_frame(&cfg, &payload);
+        let f = transmit_frame(&cfg, &payload_for(&cfg, 1));
         assert_eq!(f.symbols.len(), cfg.n_ofdm_symbols());
         for row in &f.symbols {
             assert_eq!(row.len(), cfg.n_subcarriers);
@@ -553,27 +652,57 @@ mod tests {
 
     #[test]
     fn tx_rx_roundtrip_noiseless_chain() {
-        // Bypass the channel entirely: receive exactly what was mapped.
+        // Bypass the channel entirely: receive exactly what was mapped,
+        // at payload lengths that end inside, at and across word and CRC
+        // boundaries.
         for c in Constellation::ALL {
-            let cfg = PhyConfig::new(c);
-            let payload: Vec<bool> = (0..cfg.payload_bits).map(|k| (k * 13) % 7 < 3).collect();
-            let f = transmit_frame(&cfg, &payload);
-            let rx = receive_frame(&cfg, &f.symbols).expect("noiseless chain must verify");
-            assert_eq!(rx, payload, "{c:?}");
+            for payload_bits in [2048, 1000, 990, 100] {
+                let cfg = PhyConfig { payload_bits, ..PhyConfig::new(c) };
+                let payload = payload_for(&cfg, payload_bits as u64);
+                let f = transmit_frame(&cfg, &payload);
+                let rx = receive_frame(&cfg, &f.symbols).expect("the grid fits the frame");
+                assert_eq!(rx, Some(payload), "{c:?}, {payload_bits} bits");
+            }
         }
     }
 
     #[test]
     fn corrupted_symbols_fail_crc() {
         let cfg = PhyConfig::new(Constellation::Qam16);
-        let payload: Vec<bool> = (0..cfg.payload_bits).map(|k| k % 2 == 0).collect();
-        let mut f = transmit_frame(&cfg, &payload);
+        let mut f = transmit_frame(&cfg, &payload_for(&cfg, 2));
         // Corrupt a whole OFDM symbol beyond what the code can absorb.
         for p in f.symbols[1].iter_mut() {
             p.i = -p.i;
             p.q = -p.q;
         }
-        assert_eq!(receive_frame(&cfg, &f.symbols), None);
+        assert_eq!(receive_frame(&cfg, &f.symbols), Ok(None));
+    }
+
+    #[test]
+    fn short_grid_is_refused() {
+        let cfg = PhyConfig::new(Constellation::Qam16);
+        let mut f = transmit_frame(&cfg, &payload_for(&cfg, 3));
+        let want = f.symbols.len();
+        f.symbols.pop();
+        assert_eq!(
+            receive_frame(&cfg, &f.symbols),
+            Err(GridMismatch::Symbols { got: want - 1, want })
+        );
+        assert_eq!(receive_frame(&cfg, &[]), Err(GridMismatch::Symbols { got: 0, want }));
+    }
+
+    #[test]
+    fn ragged_grid_is_refused() {
+        // The same number of points as the frame, one moved from symbol 2
+        // to symbol 3: a whole number of points, not of OFDM symbols.
+        let cfg = PhyConfig::new(Constellation::Qam64);
+        let mut f = transmit_frame(&cfg, &payload_for(&cfg, 4));
+        let moved = f.symbols[2].pop().expect("a full symbol");
+        f.symbols[3].push(moved);
+        assert_eq!(
+            receive_frame(&cfg, &f.symbols),
+            Err(GridMismatch::Subcarriers { symbol: 2, got: 47, want: 48 })
+        );
     }
 
     #[test]

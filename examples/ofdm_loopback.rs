@@ -21,7 +21,8 @@ use rand::{Rng, SeedableRng};
 fn main() {
     let mut rng = StdRng::seed_from_u64(3);
     let cfg = PhyConfig { payload_bits: 1024, ..PhyConfig::new(Constellation::Qam16) };
-    let payload: Vec<bool> = (0..cfg.payload_bits).map(|_| rng.gen_bool(0.5)).collect();
+    // The payload as the chain carries it: 64 bits per word, LSB first.
+    let payload: Vec<u64> = (0..cfg.payload_bits / 64).map(|_| rng.gen()).collect();
 
     // Transmit chain to grid symbols, then time-domain OFDM samples.
     let frame = transmit_frame(&cfg, &payload);
@@ -66,10 +67,11 @@ fn main() {
         .collect();
 
     match receive_frame(&cfg, &detected) {
-        Some(rx_payload) if rx_payload == payload => {
+        Ok(Some(rx_payload)) if rx_payload == payload => {
             println!("payload recovered bit-exactly through the time-domain path ✓")
         }
-        Some(_) => println!("CRC passed but payload differs — should never happen"),
-        None => println!("frame lost (CRC failure)"),
+        Ok(Some(_)) => println!("CRC passed but payload differs — should never happen"),
+        Ok(None) => println!("frame lost (CRC failure)"),
+        Err(e) => println!("grid refused: {e}"),
     }
 }

@@ -12,26 +12,32 @@
 //!   depuncture (hard and soft), the single-stream, four-stream and soft
 //!   Viterbi decoders, descramble, and the CRC verdict.
 //!
-//! The four-stream decoder runs the 16-bit AVX2 kernel on the AVX2 tier
+//! The four-stream decoder runs the 8-bit AVX2 kernel on the AVX2 tier
 //! and the `u32` loop under `GS_SIMD=off`; both must hit the same hash.
+//!
+//! The chain carries packed words, and the frame paths puncture,
+//! interleave and map in one gather (`SymbolLayout`) and demap,
+//! deinterleave and depuncture in one scatter. The hashes stay over one
+//! byte per bit: the test unpacks each stage's words, takes the
+//! punctured, interleaved and unmapped streams from the per-value stage
+//! functions and `BitTable`, and pins the gather under `map` and the
+//! scatter under `depuncture`.
 //!
 //! The constants were captured by running this file on the commit before
 //! the allocating twins of the chain's stages were deleted, under
-//! `GS_SIMD=off` and on the native tier. They are not tuned to the current
-//! code: if one moves, that stage emits different bits.
+//! `GS_SIMD=off` and on the native tier, when every stage moved one `bool`
+//! per bit. They are not tuned to the current code: if one moves, that
+//! stage emits different bits.
 
-use geosphere::coding::interleave::Interleaver;
 use geosphere::coding::viterbi::{
     decode_multi_with_erasures_into, decode_soft_into, decode_with_erasures_into, CodedBit,
     ViterbiWorkspace,
 };
 use geosphere::coding::{
-    check_crc_ok, conv, crc::crc32_bits, depuncture_into, depuncture_soft_into, puncture_into,
-    CodeRate, Scrambler,
+    check_crc_ok, conv, crc::crc32_words, depuncture_soft_into, puncture_into, CodeRate, Scrambler,
+    SymbolLayout,
 };
-use geosphere::modulation::{
-    map_bitstream_into, unmap_points_into, BitTable, Constellation, GridPoint,
-};
+use geosphere::modulation::{BitTable, Constellation, GridPoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -130,11 +136,27 @@ impl Hashes {
     }
 }
 
+/// Bits packed LSB-first into words, as the chain carries them.
+fn pack(bits: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    for (i, &b) in bits.iter().enumerate() {
+        words[i / 64] |= (b as u64) << (i % 64);
+    }
+    words
+}
+
+/// The first `n` bits of packed words.
+fn unpack(words: &[u64], n: usize) -> Vec<bool> {
+    (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
+}
+
 /// One frame's buffers, reused across every case.
 #[derive(Default)]
 struct Chain {
     info: Vec<bool>,
-    mother: Vec<bool>,
+    words: Vec<u64>,
+    mother: Vec<u64>,
+    mother_bits: Vec<bool>,
     coded: Vec<bool>,
     interleaved: Vec<bool>,
     points: Vec<GridPoint>,
@@ -142,7 +164,7 @@ struct Chain {
     deint: Vec<bool>,
     llrs: Vec<f64>,
     soft: Vec<f64>,
-    decoded: Vec<bool>,
+    decoded: Vec<u64>,
 }
 
 /// Runs one constellation × rate × payload-length case through the chain,
@@ -161,7 +183,11 @@ fn run_case(
     let tail = conv::CONSTRAINT - 1;
     let total_info = (payload_bits + 32 + tail).div_ceil(n_dbps) * n_dbps;
     let pad = total_info - payload_bits - 32 - tail;
-    let il = Interleaver::new(n_cbps, c.bits_per_symbol());
+    let q = c.bits_per_symbol();
+    let layout = SymbolLayout::new(n_cbps, q, rate);
+    let il = layout.interleaver();
+    let n_sym = total_info / n_dbps;
+    let data = total_info - tail;
     let table = BitTable::new(c);
 
     let mut ch = Chain::default();
@@ -174,19 +200,21 @@ fn run_case(
         // punctured, interleaved per OFDM symbol, mapped.
         ch.info.clear();
         ch.info.extend_from_slice(&payload);
-        let crc = crc32_bits(&payload);
+        let crc = crc32_words(&pack(&payload), payload_bits);
         ch.info.extend((0..32).map(|k| crc >> k & 1 == 1));
         h.at("crc").bools(&ch.info);
         ch.info.extend(std::iter::repeat_n(false, pad));
-        Scrambler::default_seed().apply_in_place(&mut ch.info);
-        h.at("scramble").bools(&ch.info);
-        conv::encode_into(&ch.info, &mut ch.mother);
-        h.at("encode").bools(&ch.mother);
-        puncture_into(&ch.mother, rate, &mut ch.coded);
+        ch.words = pack(&ch.info);
+        Scrambler::default_seed().apply_in_place(&mut ch.words, data);
+        h.at("scramble").bools(&unpack(&ch.words, data));
+        conv::encode_into(&ch.words, data, &mut ch.mother);
+        ch.mother_bits = unpack(&ch.mother, 2 * total_info);
+        h.at("encode").bools(&ch.mother_bits);
+        puncture_into(&ch.mother_bits, rate, &mut ch.coded);
         h.at("puncture").bools(&ch.coded);
         il.interleave_stream_into(&ch.coded, &mut ch.interleaved);
         h.at("interleave").bools(&ch.interleaved);
-        map_bitstream_into(c, &ch.interleaved, &mut ch.points);
+        layout.gather_into(&ch.mother, n_sym, |bits| table.point(bits), &mut ch.points);
         h.at("map").points(&ch.points);
 
         // Receive: symbol errors, then the inverse chain.
@@ -195,12 +223,17 @@ fn run_case(
                 *p = table.point(rng.gen_range(0..c.size()) as u16);
             }
         }
-        unmap_points_into(c, &ch.points, &mut ch.bits);
+        ch.bits.clear();
+        for &p in &ch.points {
+            ch.bits.extend((0..q).rev().map(|k| table.packed(p) >> k & 1 == 1));
+        }
         h.at("unmap").bools(&ch.bits);
         il.deinterleave_stream_into(&ch.bits, &mut ch.deint);
         h.at("deinterleave").bools(&ch.deint);
 
-        depuncture_into(&ch.deint, rate, ch.mother.len(), &mut mother_cb);
+        mother_cb.clear();
+        mother_cb.resize(2 * total_info, CodedBit::Erased);
+        layout.scatter(ch.points.iter().map(|&p| table.packed(p)), &mut mother_cb);
         h.at("depuncture").coded(&mother_cb);
         for cb in mother_cb.iter_mut() {
             if rng.gen_bool(ERASURE) {
@@ -215,26 +248,26 @@ fn run_case(
             let llr = if rng.gen_bool(ERASURE) { 0.0 } else { 0.25 + 4.0 * rng.gen::<f64>() };
             ch.llrs.push(if b { -llr } else { llr });
         }
-        depuncture_soft_into(&ch.llrs, rate, ch.mother.len(), &mut ch.soft);
+        depuncture_soft_into(&ch.llrs, rate, 2 * total_info, &mut ch.soft);
         h.at("depuncture_soft").floats(&ch.soft);
 
         decode_with_erasures_into(&mother_cb, ws, &mut ch.decoded);
-        h.at("viterbi").bools(&ch.decoded);
+        h.at("viterbi").bools(&unpack(&ch.decoded, data));
         streams.extend_from_slice(&mother_cb);
 
-        Scrambler::default_seed().apply_in_place(&mut ch.decoded);
-        ch.decoded.truncate(payload_bits + 32);
-        h.at("descramble").bools(&ch.decoded);
-        h.at("check_crc_ok").byte(check_crc_ok(&ch.decoded) as u8);
+        Scrambler::default_seed().apply_in_place(&mut ch.decoded, payload_bits + 32);
+        h.at("descramble").bools(&unpack(&ch.decoded, payload_bits + 32));
+        h.at("check_crc_ok").byte(check_crc_ok(&ch.decoded, payload_bits + 32) as u8);
 
         decode_soft_into(&ch.soft, ws, &mut ch.decoded);
-        h.at("viterbi_soft").bools(&ch.decoded);
-        Scrambler::default_seed().apply_in_place(&mut ch.decoded);
-        ch.decoded.truncate(payload_bits + 32);
-        h.at("check_crc_ok").byte(check_crc_ok(&ch.decoded) as u8);
+        h.at("viterbi_soft").bools(&unpack(&ch.decoded, data));
+        Scrambler::default_seed().apply_in_place(&mut ch.decoded, payload_bits + 32);
+        h.at("check_crc_ok").byte(check_crc_ok(&ch.decoded, payload_bits + 32) as u8);
     }
     decode_multi_with_erasures_into(&streams, FRAMES, ws, &mut ch.decoded);
-    h.at("viterbi_x4").bools(&ch.decoded);
+    let words = ch.decoded.len() / FRAMES;
+    let flat: Vec<bool> = ch.decoded.chunks(words).flat_map(|w| unpack(w, data)).collect();
+    h.at("viterbi_x4").bools(&flat);
 }
 
 #[test]

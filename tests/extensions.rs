@@ -4,7 +4,7 @@
 
 use geosphere::channel::{ChannelModel, RayleighChannel, Testbed};
 use geosphere::core::{SoftGeosphereDetector, VectorPerturbationPrecoder};
-use geosphere::modulation::{unmap_points_into, Constellation};
+use geosphere::modulation::{BitTable, Constellation};
 use geosphere::phy::{
     measure, uplink_frame_iterative_into, uplink_frame_soft_into, FrameWorkspace, PhyConfig,
 };
@@ -36,8 +36,9 @@ fn soft_detector_agrees_with_transmitted_bits() {
     let y = geosphere::core::apply_channel(&h, &s);
     let det = SoftGeosphereDetector::new(1e-4);
     let soft = det.detect_soft(&h, &y, c);
-    let mut bits = Vec::new();
-    unmap_points_into(c, &s, &mut bits);
+    let table = BitTable::new(c);
+    let bits: Vec<bool> =
+        s.iter().flat_map(|&p| (0..4).rev().map(move |k| table.packed(p) >> k & 1 == 1)).collect();
     for (l, b) in soft.llrs.iter().zip(&bits) {
         assert_eq!(*l < 0.0, *b, "noiseless LLR signs must match the data");
     }

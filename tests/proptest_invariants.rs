@@ -1,14 +1,12 @@
 //! Property-based tests (proptest) on the core invariants of every layer.
 
 use geosphere::coding::viterbi::{decode_with_erasures_into, CodedBit, ViterbiWorkspace};
-use geosphere::coding::{check_crc_ok, conv, crc::crc32_bits, Interleaver, Scrambler};
+use geosphere::coding::{check_crc_ok, conv, crc::crc32_words, Interleaver, Scrambler};
 use geosphere::core::geoprune::{axis_offset, distance_lower_bound};
 use geosphere::core::sphere::{EnumeratorFactory, GeosphereFactory, HessFactory, NodeEnumerator};
 use geosphere::core::DetectorStats;
 use geosphere::linalg::{qr_decompose, singular_values, Complex, Matrix};
-use geosphere::modulation::{
-    map_bitstream_into, unmap_points_into, AxisZigzag, Constellation, GridPoint,
-};
+use geosphere::modulation::{AxisZigzag, BitTable, Constellation, GridPoint};
 use proptest::prelude::*;
 
 fn constellation_strategy() -> impl Strategy<Value = Constellation> {
@@ -24,10 +22,23 @@ fn complex_strategy(range: f64) -> impl Strategy<Value = Complex> {
     (-range..range, -range..range).prop_map(|(re, im)| Complex::new(re, im))
 }
 
+/// Bits packed LSB-first into words, as the coding chain carries them.
+fn pack(bits: &[bool]) -> Vec<u64> {
+    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    for (i, &b) in bits.iter().enumerate() {
+        words[i / 64] |= (b as u64) << (i % 64);
+    }
+    words
+}
+
+fn unpack(words: &[u64], n: usize) -> Vec<bool> {
+    (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
+}
+
 fn encode(bits: &[bool]) -> Vec<bool> {
     let mut coded = Vec::new();
-    conv::encode_into(bits, &mut coded);
-    coded
+    conv::encode_into(&pack(bits), bits.len(), &mut coded);
+    unpack(&coded, 2 * (bits.len() + conv::CONSTRAINT - 1))
 }
 
 /// Viterbi over hard bits (no erasures).
@@ -35,7 +46,7 @@ fn hard_decode(coded: &[bool]) -> Vec<bool> {
     let symbols: Vec<CodedBit> = coded.iter().map(|&b| CodedBit::from_bool(b)).collect();
     let mut out = Vec::new();
     decode_with_erasures_into(&symbols, &mut ViterbiWorkspace::new(), &mut out);
-    out
+    unpack(&out, coded.len() / 2 - (conv::CONSTRAINT - 1))
 }
 
 proptest! {
@@ -53,12 +64,9 @@ proptest! {
 
     #[test]
     fn gray_mapping_roundtrips(c in constellation_strategy(), sym in 0usize..256) {
-        let sym = sym % c.size();
-        let bits: Vec<bool> = (0..c.bits_per_symbol()).rev().map(|k| (sym >> k) & 1 == 1).collect();
-        let (mut points, mut back) = (Vec::new(), Vec::new());
-        map_bitstream_into(c, &bits, &mut points);
-        unmap_points_into(c, &points, &mut back);
-        prop_assert_eq!(back, bits);
+        let sym = (sym % c.size()) as u16;
+        let table = BitTable::new(c);
+        prop_assert_eq!(table.packed(table.point(sym)), sym);
     }
 
     #[test]
@@ -244,10 +252,10 @@ proptest! {
 
     #[test]
     fn scrambler_involution(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
-        let mut twice = bits.clone();
-        Scrambler::default_seed().apply_in_place(&mut twice);
-        Scrambler::default_seed().apply_in_place(&mut twice);
-        prop_assert_eq!(twice, bits);
+        let mut twice = pack(&bits);
+        Scrambler::default_seed().apply_in_place(&mut twice, bits.len());
+        Scrambler::default_seed().apply_in_place(&mut twice, bits.len());
+        prop_assert_eq!(twice, pack(&bits));
     }
 
     #[test]
@@ -270,13 +278,13 @@ proptest! {
         bits in proptest::collection::vec(any::<bool>(), 1..120),
         pos_frac in 0.0f64..1.0,
     ) {
-        let crc = crc32_bits(&bits);
+        let crc = crc32_words(&pack(&bits), bits.len());
         let framed: Vec<bool> = bits.iter().copied().chain((0..32).map(|k| crc >> k & 1 == 1)).collect();
         let mut corrupted = framed.clone();
         let pos = ((corrupted.len() - 1) as f64 * pos_frac) as usize;
         corrupted[pos] = !corrupted[pos];
-        prop_assert!(check_crc_ok(&framed));
-        prop_assert!(!check_crc_ok(&corrupted));
+        prop_assert!(check_crc_ok(&pack(&framed), framed.len()));
+        prop_assert!(!check_crc_ok(&pack(&corrupted), corrupted.len()));
     }
 
     // --- channel metrics ---
@@ -441,17 +449,17 @@ fn interleaver_tables_match_closed_form() {
 /// Hard and soft puncturing/depuncturing equal a reference filter over
 /// `CodeRate::pattern()` on the mother stream of every accepted frame
 /// shape (the lengths are the frame chain's own, so pattern periods end
-/// mid-stream wherever the chain's do).
+/// mid-stream wherever the chain's do). The hard chains depuncture
+/// through their `SymbolLayout`, checked here against the puncture and
+/// interleave stages it composes.
 #[test]
 fn puncturing_matches_pattern_filter() {
-    use geosphere::coding::{
-        depuncture_into, depuncture_soft_into, puncture_into, viterbi::CodedBit,
-    };
+    use geosphere::coding::{depuncture_soft_into, puncture_into, viterbi::CodedBit, SymbolLayout};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(0x9a77);
-    let (mut hard, mut soft, mut hard_back, mut soft_back) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut hard, mut soft, mut soft_back) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut tx, mut groups) = (Vec::new(), Vec::new());
     for cfg in accepted_phy_configs() {
         let mother_len = 2 * cfg.total_info_bits();
         let pat = cfg.code_rate.pattern();
@@ -475,7 +483,15 @@ fn puncturing_matches_pattern_filter() {
             .collect();
         let want_soft: Vec<f64> =
             (0..mother_len).map(|k| if keep(k) { llrs[k] } else { 0.0 }).collect();
-        depuncture_into(&hard, cfg.code_rate, mother_len, &mut hard_back);
+        let q = cfg.constellation.bits_per_symbol();
+        let layout = SymbolLayout::new(cfg.n_cbps(), q, cfg.code_rate);
+        layout.interleaver().interleave_stream_into(&hard, &mut tx);
+        let want_groups: Vec<u16> =
+            tx.chunks(q).map(|g| g.iter().fold(0, |acc, &b| acc << 1 | b as u16)).collect();
+        layout.gather_into(&pack(&bits), cfg.n_ofdm_symbols(), |g| g, &mut groups);
+        assert_eq!(groups, want_groups, "{what}: layout gather");
+        let mut hard_back = vec![CodedBit::One; mother_len];
+        layout.scatter(groups.iter().copied(), &mut hard_back);
         depuncture_soft_into(&soft, cfg.code_rate, mother_len, &mut soft_back);
         assert_eq!(hard_back, want_cb, "{what}: depuncture bits");
         assert_eq!(soft_back, want_soft, "{what}: depuncture values");

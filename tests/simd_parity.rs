@@ -267,7 +267,7 @@ fn detect_symbols_bit_identical_across_tiers() {
     simd::reset_tier();
 }
 
-/// Viterbi parity: the lockstep multi-stream decoder — the 16-bit AVX2
+/// Viterbi parity: the lockstep multi-stream decoder — the 8-bit AVX2
 /// kernel for four streams on the AVX2 tier, the `u32` scalar loop
 /// otherwise — equals `decode_with_erasures_into` run per stream, under
 /// the scalar tier and the native tier alike. Streams come from all three
@@ -281,7 +281,7 @@ fn viterbi_lockstep_bit_identical_across_tiers() {
         decode_multi_with_erasures_into, decode_with_erasures_into, CodedBit, ViterbiWorkspace,
         RENORM_INTERVAL,
     };
-    use gs_coding::{conv, depuncture_into, puncture_into, CodeRate};
+    use gs_coding::{depuncture_soft_into, puncture_into, CodeRate};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -290,15 +290,21 @@ fn viterbi_lockstep_bit_identical_across_tiers() {
     /// when `stretch` is set.
     fn stream(rng: &mut StdRng, info_len: usize, rate: CodeRate, stretch: bool) -> Vec<CodedBit> {
         let info: Vec<bool> = (0..info_len).map(|_| rng.gen_bool(0.5)).collect();
-        let mut mother = Vec::new();
-        conv::encode_into(&info, &mut mother);
+        let mother = mother_bits(&info);
         let mut sent = Vec::new();
         puncture_into(&mother, rate, &mut sent);
         for b in sent.iter_mut() {
             *b ^= rng.gen_bool(0.06);
         }
-        let mut rx = Vec::new();
-        depuncture_into(&sent, rate, mother.len(), &mut rx);
+        // Depuncture through the soft walker: a kept bit is a unit LLR, a
+        // reinserted zero an erasure.
+        let llrs: Vec<f64> = sent.iter().map(|&b| if b { -1.0 } else { 1.0 }).collect();
+        let mut soft = Vec::new();
+        depuncture_soft_into(&llrs, rate, mother.len(), &mut soft);
+        let mut rx: Vec<CodedBit> = soft
+            .iter()
+            .map(|&l| if l == 0.0 { CodedBit::Erased } else { CodedBit::from_bool(l < 0.0) })
+            .collect();
         for cb in rx.iter_mut() {
             if rng.gen_bool(0.04) {
                 *cb = CodedBit::Erased;
@@ -331,7 +337,7 @@ fn viterbi_lockstep_bit_identical_across_tiers() {
     cases.push((0..4).map(|s| stream(&mut rng, long, CodeRate::Half, s == 2)).collect());
 
     let mut ws = ViterbiWorkspace::new();
-    let (mut single, mut multi) = (Vec::new(), Vec::new());
+    let (mut single, mut multi): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
     for (c, streams) in cases.iter().enumerate() {
         let n = streams.len();
         let mut want = Vec::new();
@@ -344,6 +350,76 @@ fn viterbi_lockstep_bit_identical_across_tiers() {
             assert!(simd::force_tier(tier), "{tier:?} must be available");
             decode_multi_with_erasures_into(&flat, n, &mut ws, &mut multi);
             assert_eq!(multi, want, "case {c} ({n} streams) under {tier:?}");
+        }
+    }
+    simd::reset_tier();
+}
+
+/// The rate-1/2 mother stream of `info`, one `bool` per coded bit.
+fn mother_bits(info: &[bool]) -> Vec<bool> {
+    let mut words = vec![0u64; info.len().div_ceil(64)];
+    for (i, &b) in info.iter().enumerate() {
+        words[i / 64] |= (b as u64) << (i % 64);
+    }
+    let mut mother = Vec::new();
+    gs_coding::conv::encode_into(&words, info.len(), &mut mother);
+    (0..2 * (info.len() + 6)).map(|i| mother[i / 64] >> (i % 64) & 1 == 1).collect()
+}
+
+/// Headroom of the 8-bit four-stream kernel: streams built for the widest
+/// metric spread — runs of pairs with both bits flipped (branch cost 2 on
+/// the sent path every step) alternating with all-erased, clean and
+/// random runs (random pairs match no path for long, so they grow the
+/// smallest metric fastest) — at trellis lengths around the
+/// renormalisation interval and one long enough to wrap 8-bit metrics
+/// that were never renormalised, decoded by the kernel (native tier) and
+/// by the `u32` loop (scalar tier): the decoded words must agree.
+#[test]
+fn viterbi_kernel_headroom_at_maximal_spread() {
+    use gs_coding::viterbi::{
+        decode_multi_with_erasures_into, CodedBit, ViterbiWorkspace, RENORM_INTERVAL,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let _g = tier_guard();
+    let tiers: Vec<Tier> = std::iter::once(Tier::Scalar).chain(native_tier()).collect();
+    let mut rng = StdRng::seed_from_u64(1315);
+    let mut ws = ViterbiWorkspace::new();
+    let r = RENORM_INTERVAL;
+    for steps in [6, r - 1, r, r + 1, 3 * r + 7, 40 * r + 3] {
+        let mut flat = Vec::new();
+        for s in 0..4 {
+            let info: Vec<bool> = (0..steps - 6).map(|_| rng.gen_bool(0.5)).collect();
+            let mother = mother_bits(&info);
+            // Run kinds cycle flipped → erased → clean → random from a
+            // per-stream phase; stream 0 stays random throughout.
+            let (mut t, mut kind) = (0, (s + 3) % 4);
+            while t < steps {
+                let run = if s == 0 { steps } else { rng.gen_range(1..r / 2 + 1) };
+                for step in t..(t + run).min(steps) {
+                    for &b in &mother[2 * step..2 * step + 2] {
+                        flat.push(match kind {
+                            0 => CodedBit::from_bool(!b),
+                            1 => CodedBit::Erased,
+                            2 => CodedBit::from_bool(b),
+                            _ => CodedBit::from_bool(rng.gen_bool(0.5)),
+                        });
+                    }
+                }
+                t += run;
+                kind = (kind + 1) % 4;
+            }
+        }
+        let mut want = None;
+        for &tier in &tiers {
+            assert!(simd::force_tier(tier), "{tier:?} must be available");
+            let mut out = Vec::new();
+            decode_multi_with_erasures_into(&flat, 4, &mut ws, &mut out);
+            match &want {
+                None => want = Some(out),
+                Some(w) => assert_eq!(&out, w, "{steps} steps under {tier:?}"),
+            }
         }
     }
     simd::reset_tier();
